@@ -59,18 +59,6 @@ pub trait Baseline {
     fn run(&mut self, data: &[f32], shape: Shape, setting: Setting) -> Option<Run>;
 }
 
-/// Resolve an [`ErrorBound`] against the data (host-side range scan).
-pub fn resolve_eb(data: &[f32], eb: ErrorBound) -> f64 {
-    match eb {
-        ErrorBound::Abs(e) => e,
-        ErrorBound::RelToRange(_) => {
-            let lo = data.iter().copied().fold(f32::INFINITY, f32::min);
-            let hi = data.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            eb.to_abs((hi - lo) as f64)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,12 +75,5 @@ mod tests {
         assert_eq!(r.ratio(1000), 4.0);
         assert!((r.throughput_gbps(1000) - 0.004).abs() < 1e-12);
         assert!(r.throughput_ncb_gbps(1000) > r.throughput_gbps(1000));
-    }
-
-    #[test]
-    fn resolve_relative_bound() {
-        let data = vec![0.0f32, 10.0];
-        assert!((resolve_eb(&data, ErrorBound::RelToRange(1e-2)) - 0.1).abs() < 1e-9);
-        assert_eq!(resolve_eb(&data, ErrorBound::Abs(0.5)), 0.5);
     }
 }

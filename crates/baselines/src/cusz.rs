@@ -22,7 +22,7 @@ use fzgpu_sim::histogram::histogram_u16;
 use fzgpu_sim::scan::exclusive_sum;
 use fzgpu_sim::{DeviceSpec, Gpu, GpuBuffer, KernelStats};
 
-use crate::common::{resolve_eb, Baseline, Run, Setting};
+use crate::common::{Baseline, Run, Setting};
 
 /// Symbols in the Huffman alphabet (codes 0..1024; 0 marks an outlier).
 const NUM_SYMBOLS: usize = 1024;
@@ -201,7 +201,7 @@ impl Baseline for CuSz {
         let Setting::Eb(eb) = setting else {
             return None; // cuSZ has no fixed-rate mode
         };
-        let eb_abs = resolve_eb(data, eb);
+        let eb_abs = eb.resolve(data);
         let stream = self.compress(data, shape, eb_abs);
         let reconstructed = self.decompress(&stream);
         Some(Run {

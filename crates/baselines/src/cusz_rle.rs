@@ -13,7 +13,7 @@ use fzgpu_core::gpu::quant::{pred_quant_v1, V1_RADIUS};
 use fzgpu_core::lorenzo::{self, Shape};
 use fzgpu_sim::{DeviceSpec, Gpu, KernelStats};
 
-use crate::common::{resolve_eb, Baseline, Run, Setting};
+use crate::common::{Baseline, Run, Setting};
 
 /// RLE encode throughput model, bytes/second on A100 (a scan-based GPU RLE
 /// runs near memory bandwidth; calibrated conservatively).
@@ -126,7 +126,7 @@ impl Baseline for CuSzRle {
         let Setting::Eb(eb) = setting else {
             return None;
         };
-        let eb_abs = resolve_eb(data, eb);
+        let eb_abs = eb.resolve(data);
         let stream = self.compress(data, shape, eb_abs);
         let reconstructed = self.decompress(&stream);
         Some(Run {

@@ -13,7 +13,7 @@ use fzgpu_core::lorenzo::Shape;
 use fzgpu_sim::scan::exclusive_sum;
 use fzgpu_sim::{DeviceSpec, Gpu, GpuBuffer};
 
-use crate::common::{resolve_eb, Baseline, Run, Setting};
+use crate::common::{Baseline, Run, Setting};
 
 /// Values per block (cuSZx default granularity).
 pub const BLOCK: usize = 64;
@@ -228,7 +228,7 @@ impl Baseline for CuSzx {
         let Setting::Eb(eb) = setting else {
             return None;
         };
-        let eb_abs = resolve_eb(data, eb);
+        let eb_abs = eb.resolve(data);
         let stream = self.compress(data, shape, eb_abs);
         let reconstructed = self.decompress(&stream);
         Some(Run {

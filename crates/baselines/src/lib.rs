@@ -24,7 +24,7 @@ pub mod cuzfp;
 pub mod mgard;
 pub mod sz_omp;
 
-pub use common::{resolve_eb, Baseline, Run, Setting};
+pub use common::{Baseline, Run, Setting};
 pub use cusz::CuSz;
 pub use cusz_rle::CuSzRle;
 pub use cuszx::CuSzx;

@@ -25,7 +25,7 @@ use fzgpu_codecs::deflate;
 use fzgpu_core::lorenzo::{rank_of, Shape};
 use fzgpu_sim::{DeviceSpec, KernelStats};
 
-use crate::common::{resolve_eb, Baseline, Run, Setting};
+use crate::common::{Baseline, Run, Setting};
 
 /// CPU DEFLATE throughput used for the timing model, bytes/second
 /// (single-stream zlib-class rate; the dominant cost the paper measures).
@@ -236,7 +236,7 @@ impl Baseline for Mgard {
         let Setting::Eb(eb) = setting else {
             return None;
         };
-        let eb_abs = resolve_eb(data, eb);
+        let eb_abs = eb.resolve(data);
         let stream = self.compress(data, shape, eb_abs)?;
         let reconstructed = self.decompress(&stream);
         Some(Run {

@@ -9,7 +9,7 @@ use fzgpu_codecs::huffman::{self, Codebook};
 use fzgpu_core::lorenzo::{self, rank_of, Shape};
 use rayon::prelude::*;
 
-use crate::common::{resolve_eb, Baseline, Run, Setting};
+use crate::common::{Baseline, Run, Setting};
 
 /// Quantization radius (matches the cuSZ baseline).
 const RADIUS: i32 = 512;
@@ -129,7 +129,7 @@ impl Baseline for SzOmp {
         let Setting::Eb(eb) = setting else {
             return None;
         };
-        let eb_abs = resolve_eb(data, eb);
+        let eb_abs = eb.resolve(data);
         let t0 = std::time::Instant::now();
         let stream = self.compress(data, shape, eb_abs)?;
         let compress_time = t0.elapsed().as_secs_f64();

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fzgpu_baselines::{Baseline, CuSz, CuSzx, CuZfp, Mgard, Setting, SzOmp};
-use fzgpu_bench::{zfp_match_psnr, FzGpuRunner, FzOmpRunner};
+use fzgpu_bench::{zfp_match_psnr, FzGpuRunner, FzNativeRunner};
 use fzgpu_core::quant::ErrorBound;
 use fzgpu_data::{synth, Dims};
 use fzgpu_metrics::{histogram_f32, overall_throughput, psnr, ssim_2d};
@@ -125,7 +125,7 @@ fn bench_cpu_rows(c: &mut Criterion) {
     let mut g = c.benchmark_group("cpu_comparison_rows");
     g.sample_size(10);
     g.bench_function("fzomp", |b| {
-        let mut omp = FzOmpRunner;
+        let mut omp = FzNativeRunner::default();
         b.iter(|| black_box(omp.run(&data, SHAPE, eb()).unwrap().compress_time));
     });
     g.bench_function("szomp", |b| {

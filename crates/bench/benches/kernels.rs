@@ -141,10 +141,6 @@ fn bench_pipeline(c: &mut Criterion) {
         let mut fz = FzGpu::new(A100);
         b.iter(|| black_box(fz.compress(&data, SHAPE, ErrorBound::RelToRange(1e-3))));
     });
-    g.bench_function("fzomp_compress_64k", |b| {
-        let fz = fzgpu_core::FzOmp;
-        b.iter(|| black_box(fz.compress(&data, SHAPE, ErrorBound::RelToRange(1e-3))));
-    });
     g.finish();
 }
 

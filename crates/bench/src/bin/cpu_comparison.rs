@@ -1,6 +1,7 @@
 //! §4.4 "Comparison with the CPU implementation": FZ-GPU (modeled A100
-//! kernel time) vs FZ-OMP (measured wall time on this host) per dataset,
-//! and FZ-OMP vs SZ-OMP on the 3D datasets (SZ-OMP only supports 3D).
+//! kernel time) vs FZ-OMP (the native fast path, measured wall time on
+//! this host) per dataset, and FZ-OMP vs SZ-OMP on the 3D datasets (SZ-OMP
+//! only supports 3D).
 //!
 //! Note (EXPERIMENTS.md): the paper's 31.8–42.4x GPU-vs-CPU speedups
 //! compare an A100 against a 32-core Xeon; ours compare a *modeled* A100
@@ -9,7 +10,7 @@
 
 use fzgpu_baselines::{Baseline, Setting, SzOmp};
 use fzgpu_bench::{
-    all_fields, fmt, mean, scale_from_args, shape_of, FzGpuRunner, FzOmpRunner, Table,
+    all_fields, fmt, mean, scale_from_args, shape_of, FzGpuRunner, FzNativeRunner, Table,
 };
 use fzgpu_core::quant::ErrorBound;
 use fzgpu_sim::device::A100;
@@ -39,7 +40,7 @@ fn main() {
         let mut fz_gpu = FzGpuRunner::new(A100);
         let g = fz_gpu.run(&field.data, shape, setting).unwrap().throughput_gbps(n);
 
-        let mut fz_omp = FzOmpRunner;
+        let mut fz_omp = FzNativeRunner::default();
         // Warm-up + best-of-3 to stabilize the wall-clock measurement.
         let mut best = 0.0f64;
         for _ in 0..3 {
@@ -48,18 +49,13 @@ fn main() {
         }
         gpu_omp.push(g / best);
 
-        let mut sz = SzOmp;
-        let sz_cell = match sz.run(&field.data, shape, setting) {
+        let (sz_cell, ratio_cell) = match SzOmp.run(&field.data, shape, setting) {
             Some(r) => {
                 let s = r.throughput_gbps(n);
                 omp_sz.push(best / s);
-                fmt(s)
+                (fmt(s), fmt(best / s))
             }
-            None => "- (3D only)".into(),
-        };
-        let ratio_cell = match sz.run(&field.data, shape, setting) {
-            Some(r) => fmt(best / r.throughput_gbps(n)),
-            None => "-".into(),
+            None => ("- (3D only)".into(), "-".into()),
         };
         t.row(vec![field.dataset.into(), fmt(g), fmt(best), fmt(g / best), sz_cell, ratio_cell]);
     }

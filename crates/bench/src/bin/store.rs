@@ -60,7 +60,8 @@ fn main() {
     let field = dataset("CESM").expect("catalog").generate(fzgpu_data::Scale::Reduced);
     assert!(field.data.len() >= n, "CESM reduced field smaller than bench grid");
     let data = &field.data[..n];
-    let eb_abs = fz_gpu_resolve_eb(data, 1e-3);
+    // Store codecs take absolute bounds (see `CodecConfig` docs).
+    let eb_abs = fzgpu_core::ErrorBound::RelToRange(1e-3).resolve(data);
 
     // Per-axis numerators over /4: 1/4, 2/4, 3/4 of each axis, then full.
     let fracs: &[(usize, usize)] = &[(1, 4), (2, 4), (3, 4), (4, 4)];
@@ -213,10 +214,4 @@ fn main() {
         json_rows.join(",\n"),
     );
     std::fs::write(root.join("BENCH_store.json"), json).expect("write BENCH_store.json");
-}
-
-/// Range-relative -> absolute bound against this field (store codecs take
-/// absolute bounds; see `CodecConfig` docs).
-fn fz_gpu_resolve_eb(data: &[f32], rel: f64) -> f64 {
-    fzgpu_baselines::resolve_eb(data, fzgpu_core::quant::ErrorBound::RelToRange(rel))
 }

@@ -2,15 +2,15 @@
 //! and pipeline paths.
 //!
 //! Every figure bin reports the simulator's modeled device time; this one
-//! measures what actually elapses on the host — the FZ-OMP CPU pipeline,
-//! the native fast path ([`fzgpu_core::fastpath`], straight word-level
-//! Rust, byte-identical streams), and the simulated FZ-GPU pipeline
+//! measures what actually elapses on the host — the native fast path
+//! ([`fzgpu_core::fastpath`], straight word-level Rust, byte-identical
+//! streams; the paper's FZ-OMP row) and the simulated FZ-GPU pipeline
 //! (whose wall time is simulation cost, reported alongside its modeled
 //! kernel time so the two are never conflated). The sweep runs thread
 //! counts 1/2/4/N in one process via `rayon::set_num_threads` and asserts
-//! the determinism contract as it goes: every compressed stream — FZ-OMP,
-//! native, simulated, at every thread count — must be byte-identical to
-//! the single-threaded reference.
+//! the determinism contract as it goes: every compressed stream — native
+//! and simulated, at every thread count — must be byte-identical to the
+//! single-threaded reference.
 //!
 //! Methodology: each measurement pins one warm-up iteration (populating
 //! scratch buffers and the page cache) and then reports the **median of
@@ -39,7 +39,6 @@
 use std::time::Instant;
 
 use fzgpu_bench::{arg_flag, fmt, scale_from_args, shape_of, Table};
-use fzgpu_core::cpu::FzOmp;
 use fzgpu_core::fastpath::PipelinePath;
 use fzgpu_core::pipeline::{FzGpu, FzOptions};
 use fzgpu_core::quant::ErrorBound;
@@ -54,8 +53,6 @@ struct Sample {
     /// row so a measurement is never attributed to a thread count the pool
     /// silently adjusted.
     effective_threads: usize,
-    omp_compress_s: f64,
-    omp_decompress_s: f64,
     native_compress_s: f64,
     native_decompress_s: f64,
     sim_wall_s: f64,
@@ -110,7 +107,6 @@ fn main() {
 
     println!("wallclock: {label}, {} values, rel eb 1e-3, host cores {host_cores}", data.len());
 
-    let fz = FzOmp;
     let mut native =
         FzGpu::with_options(A100, FzOptions { path: PipelinePath::Native, ..FzOptions::default() });
     let mut reference: Option<Vec<u8>> = None;
@@ -120,19 +116,14 @@ fn main() {
         rayon::set_num_threads(threads);
         let effective_threads = rayon::current_num_threads();
 
-        // FZ-OMP: measured host pipeline (the paper's CPU baseline).
-        let (omp_compress_s, c) = timed(iters, || fz.compress(data, shape, eb));
-        let (omp_decompress_s, back) = timed(iters, || fz.decompress(&c).expect("roundtrip"));
-        assert_eq!(back.len(), data.len());
-        let stream = c.bytes;
-
-        // Native fast path: same stream bytes, reusable scratch buffers,
-        // no modeled timeline. This is the row the ratio gate watches.
+        // Native fast path (the paper's FZ-OMP row): reusable scratch
+        // buffers, no modeled timeline. This is the row the ratio gate
+        // watches.
         let (native_compress_s, nc) = timed(iters, || native.compress(data, shape, eb));
-        assert_eq!(nc.bytes, stream, "native/CPU stream divergence at {threads} threads");
         let (native_decompress_s, nback) =
             timed(iters, || native.decompress(&nc).expect("native roundtrip"));
         assert_eq!(nback.len(), data.len());
+        let stream = nc.bytes;
 
         // FZ-GPU under simulation: wall time is what the simulator costs
         // on the host (it parallelizes over blocks too); kernel time is
@@ -142,7 +133,7 @@ fn main() {
         let t0 = Instant::now();
         let g = sim.compress(data, shape, eb);
         let sim_wall_s = t0.elapsed().as_secs_f64();
-        assert_eq!(g.bytes, stream, "GPU/CPU stream divergence at {threads} threads");
+        assert_eq!(g.bytes, stream, "simulated/native stream divergence at {threads} threads");
         if let Some(reference) = &reference {
             assert_eq!(
                 &stream, reference,
@@ -178,15 +169,13 @@ fn main() {
         samples.push(Sample {
             threads,
             effective_threads,
-            omp_compress_s,
-            omp_decompress_s,
             native_compress_s,
             native_decompress_s,
             sim_wall_s,
             sim_analytic_wall_s,
         });
     }
-    let base = samples[0].omp_compress_s;
+    let base = samples[0].native_compress_s;
 
     // The fast path's reason to exist: it must beat the simulated
     // pipeline's host wall comfortably at every thread count. Gate in
@@ -228,8 +217,6 @@ fn main() {
     let mut t = Table::new(&[
         "threads",
         "effective",
-        "omp c s",
-        "omp d s",
         "native c s",
         "native d s",
         "native GB/s",
@@ -242,12 +229,10 @@ fn main() {
         t.row(vec![
             s.threads.to_string(),
             s.effective_threads.to_string(),
-            format!("{:.4}", s.omp_compress_s),
-            format!("{:.4}", s.omp_decompress_s),
             format!("{:.4}", s.native_compress_s),
             format!("{:.4}", s.native_decompress_s),
             fmt(input_bytes as f64 / s.native_compress_s / 1e9),
-            fmt(base / s.omp_compress_s),
+            fmt(base / s.native_compress_s),
             format!("{:.4}", s.sim_wall_s),
             format!("{:.4}", s.sim_analytic_wall_s),
             format!("{:.6}", modeled_kernel_s),
@@ -280,18 +265,14 @@ fn main() {
         .iter()
         .map(|s| {
             format!(
-                "    {{\"threads\": {}, \"effective_threads\": {}, \"compress_s\": {:.6}, \
-                 \"decompress_s\": {:.6}, \"compress_gbps\": {:.4}, \"speedup_vs_1\": {:.3}, \
+                "    {{\"threads\": {}, \"effective_threads\": {}, \"speedup_vs_1\": {:.3}, \
                  \"native_compress_s\": {:.6}, \"native_decompress_s\": {:.6}, \
                  \"native_compress_gbps\": {:.4}, \"native_vs_sim_wall\": {:.2}, \
                  \"sim_wall_s\": {:.6}, \"sim_analytic_wall_s\": {:.6}, \
                  \"analytic_vs_native\": {:.2}}}",
                 s.threads,
                 s.effective_threads,
-                s.omp_compress_s,
-                s.omp_decompress_s,
-                input_bytes as f64 / s.omp_compress_s / 1e9,
-                base / s.omp_compress_s,
+                base / s.native_compress_s,
                 s.native_compress_s,
                 s.native_decompress_s,
                 input_bytes as f64 / s.native_compress_s / 1e9,

@@ -2,16 +2,16 @@
 //!
 //! Each binary under `src/bin/` reproduces one exhibit (see DESIGN.md §3
 //! for the experiment index). This library holds the shared sweep
-//! machinery: uniform `Baseline` adapters for FZ-GPU / FZ-OMP, the paper's
-//! error-bound grid, cuZFP's PSNR-matched rate search, and plain-text
-//! table rendering.
+//! machinery: uniform `Baseline` adapters for FZ-GPU / FZ-OMP (the native
+//! fast path), the paper's error-bound grid, cuZFP's PSNR-matched rate
+//! search, and plain-text table rendering.
 
 pub mod regress;
 
 use fzgpu_baselines::{Baseline, CuZfp, Run, Setting};
 use fzgpu_core::lorenzo::Shape;
 use fzgpu_core::quant::ErrorBound;
-use fzgpu_core::{FzGpu, FzOmp, FzOptions};
+use fzgpu_core::{FzGpu, FzNative, FzOptions};
 use fzgpu_data::{Field, Scale, CATALOG};
 use fzgpu_metrics::psnr;
 use fzgpu_sim::DeviceSpec;
@@ -63,11 +63,14 @@ impl Baseline for FzGpuRunner {
     }
 }
 
-/// FZ-OMP adapter: measured wall-clock times on the host CPU.
+/// FZ-OMP adapter (§4.4): the native fast path — the pipeline as
+/// multi-threaded host code — timed in wall-clock on the host CPU.
 #[derive(Default)]
-pub struct FzOmpRunner;
+pub struct FzNativeRunner {
+    fz: FzNative,
+}
 
-impl Baseline for FzOmpRunner {
+impl Baseline for FzNativeRunner {
     fn name(&self) -> &'static str {
         "FZ-OMP"
     }
@@ -76,11 +79,10 @@ impl Baseline for FzOmpRunner {
         let Setting::Eb(eb) = setting else {
             return None;
         };
-        let fz = FzOmp;
         let t0 = std::time::Instant::now();
-        let c = fz.compress(data, shape, eb);
+        let c = self.fz.compress(data, shape, eb);
         let compress_time = t0.elapsed().as_secs_f64();
-        let reconstructed = fz.decompress(&c).ok()?;
+        let reconstructed = self.fz.decompress(&c).ok()?;
         Some(Run {
             name: self.name(),
             compressed_bytes: c.bytes.len(),
@@ -131,7 +133,7 @@ pub fn all_fields(scale: Scale) -> Vec<Field> {
 pub fn runner_by_name(name: &str, spec: DeviceSpec) -> Option<Box<dyn Baseline>> {
     match name {
         "fz" => Some(Box::new(FzGpuRunner::new(spec))),
-        "fz-omp" => Some(Box::new(FzOmpRunner)),
+        "fz-omp" => Some(Box::new(FzNativeRunner::default())),
         _ => fzgpu_baselines::by_name(name, spec),
     }
 }

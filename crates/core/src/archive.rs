@@ -176,14 +176,7 @@ impl Archive {
         // Resolve a relative bound against the *whole* field so chunks
         // share one absolute bound (otherwise chunk-local ranges would
         // change the error semantics of the archive).
-        let eb_abs = match eb {
-            ErrorBound::Abs(e) => e,
-            ErrorBound::RelToRange(_) => {
-                let lo = data.iter().copied().fold(f32::INFINITY, f32::min);
-                let hi = data.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                eb.to_abs((hi - lo) as f64)
-            }
-        };
+        let eb_abs = eb.resolve(data);
         // On the native path the device timeline stays empty — skip the
         // per-chunk Profile captures instead of appending empty snapshots.
         let capture = !matches!(fz.path(), crate::fastpath::PipelinePath::Native);

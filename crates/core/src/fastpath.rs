@@ -9,23 +9,28 @@
 //! timing; this path exists for real wall-clock throughput.
 //!
 //! Byte identity is by construction where it matters: every float or bit
-//! operation goes through the same scalar helpers the reference pipeline
-//! uses ([`crate::quant`], [`crate::bitshuffle`]), and the integer Lorenzo
-//! arithmetic reproduces the reference's i64-accumulate-then-truncate
-//! semantics exactly. The `tests/fastpath_conformance.rs` differential
-//! suite holds the equivalence over random shapes, bounds, and data
-//! distributions plus every catalog dataset.
+//! operation goes through the same scalar helpers the scalar oracle
+//! ([`crate::reference`]) uses ([`crate::quant`], [`crate::bitshuffle`]),
+//! and the integer Lorenzo arithmetic reproduces the oracle's
+//! i64-accumulate-then-truncate semantics exactly. The
+//! `tests/fastpath_conformance.rs` differential suite holds the
+//! equivalence over random shapes, bounds, and data distributions plus
+//! every catalog dataset.
 //!
-//! Unlike the per-call-allocating reference, a [`FzNative`] value owns
-//! reusable scratch buffers: compressing many fields through one instance
-//! allocates nothing beyond the returned stream itself.
+//! Each stage is one `pub(crate)` function here — the only production
+//! host code for that stage. [`FzNative`] chains them, and the analytic
+//! simulation engine's output fills (`crate::gpu`) call the same
+//! functions, so the two can never drift apart. Unlike the
+//! per-call-allocating oracle, a [`FzNative`] value owns reusable scratch
+//! buffers: compressing many fields through one instance allocates nothing
+//! beyond the returned stream itself.
 
 use rayon::prelude::*;
 
 use crate::bitshuffle::{shuffle_tile, unshuffle_tile};
 use crate::format::{assemble, verify, FormatError, Header, VERSION};
 use crate::lorenzo::{integrate, rank_of, Shape};
-use crate::pack::TILE_WORDS;
+use crate::pack::{padded_words, TILE_WORDS};
 use crate::pipeline::Compressed;
 use crate::quant::{code_to_delta, delta_to_code, dequantize, prequantize, ErrorBound};
 use crate::zeroblock::BLOCK_WORDS;
@@ -108,10 +113,10 @@ pub struct FzNative {
 // --- Lorenzo row kernels ---------------------------------------------------
 //
 // All predictor neighbors are reads of the prequantized array, never of
-// the output, so rows (and planes) encode independently. The reference
+// the output, so rows (and planes) encode independently. The oracle
 // accumulates neighbor sums in i64 and truncates the delta `as i32` (see
-// `lorenzo::forward`); these kernels reproduce that exactly while carrying
-// west-side neighbors in running scalars instead of re-indexing.
+// `lorenzo::lorenzo_delta`); these kernels reproduce that exactly while
+// carrying west-side neighbors in running scalars instead of re-indexing.
 
 /// 1D / first-row kernel: `pred = W`, seeded with `prev0` (the value west
 /// of this span; 0 at the domain boundary).
@@ -236,6 +241,99 @@ fn encode_plane(plane_q: &[i32], back: Option<&[i32]>, nx: usize, out: &mut [u16
     }
 }
 
+/// Pack codes two per word (low half = even index) into the first
+/// `codes.len().div_ceil(2)` words of `words`, parallel; the tile padding
+/// beyond is left untouched (callers pass zeroed buffers sized by
+/// [`padded_words`]). Shared by [`FzNative::compress`] and the simulated
+/// pipeline's pack step.
+pub(crate) fn pack_into(codes: &[u16], words: &mut [u32]) {
+    let n = codes.len();
+    words[..n.div_ceil(2)].par_chunks_mut(1 << 12).enumerate().for_each(|(ci, out)| {
+        let wbase = ci * (1 << 12);
+        for (j, w) in out.iter_mut().enumerate() {
+            let i = (wbase + j) * 2;
+            let lo = codes[i] as u32;
+            let hi = if i + 1 < n { codes[i + 1] as u32 } else { 0 };
+            *w = lo | (hi << 16);
+        }
+    });
+}
+
+/// Bitshuffle a tile-aligned word stream, parallel over tiles through the
+/// shared [`shuffle_tile`] kernel.
+pub(crate) fn shuffle_tiles(words: &[u32], shuffled: &mut [u32]) {
+    words
+        .par_chunks_exact(TILE_WORDS)
+        .zip(shuffled.par_chunks_exact_mut(TILE_WORDS))
+        .for_each(|(tin, tout)| shuffle_tile(tin.try_into().unwrap(), tout.try_into().unwrap()));
+}
+
+/// Inverse of [`shuffle_tiles`].
+pub(crate) fn unshuffle_tiles(shuffled: &[u32], words: &mut [u32]) {
+    shuffled
+        .par_chunks_exact(TILE_WORDS)
+        .zip(words.par_chunks_exact_mut(TILE_WORDS))
+        .for_each(|(tin, tout)| unshuffle_tile(tin.try_into().unwrap(), tout.try_into().unwrap()));
+}
+
+/// Words covered by one zero-block flag word: 32 blocks.
+pub(crate) const FLAG_GROUP_WORDS: usize = 32 * BLOCK_WORDS;
+
+/// The 64-bit zero scan: a 4-word (16-byte) block OR-folds into two u64
+/// lanes and tests once.
+#[inline]
+fn block_is_present(blk: &[u32]) -> bool {
+    let lo = blk[0] as u64 | (blk[1] as u64) << 32;
+    let hi = blk[2] as u64 | (blk[3] as u64) << 32;
+    lo | hi != 0
+}
+
+/// Zero-block flag word of one 32-block group: bit `b` is set when block
+/// `b` holds a nonzero word.
+#[inline]
+pub(crate) fn group_flags(group: &[u32]) -> u32 {
+    group
+        .chunks_exact(BLOCK_WORDS)
+        .enumerate()
+        .fold(0, |mask, (b, blk)| mask | u32::from(block_is_present(blk)) << b)
+}
+
+/// Zero-block encode a shuffled stream in one pass: one flag word per 32
+/// blocks, and every present block appended to `payload` in stream order.
+/// Tiles are 1024 words, so every flag word is full.
+pub(crate) fn zero_block_encode(shuffled: &[u32], bit_flags: &mut [u32], payload: &mut Vec<u32>) {
+    for (flags, group) in bit_flags.iter_mut().zip(shuffled.chunks_exact(FLAG_GROUP_WORDS)) {
+        let mut mask = 0u32;
+        for (b, blk) in group.chunks_exact(BLOCK_WORDS).enumerate() {
+            if block_is_present(blk) {
+                mask |= 1 << b;
+                payload.extend_from_slice(blk);
+            }
+        }
+        *flags = mask;
+    }
+}
+
+/// Unpack codes from packed words and decode their sign-magnitude deltas
+/// into `deltas` (one per code), parallel.
+pub(crate) fn deltas_from_words(words: &[u32], deltas: &mut [i32]) {
+    deltas.par_chunks_mut(1 << 13).enumerate().for_each(|(ci, dchunk)| {
+        let base = ci * (1 << 13);
+        for (j, d) in dchunk.iter_mut().enumerate() {
+            let i = base + j;
+            let w = words[i / 2];
+            let code = if i % 2 == 0 { w as u16 } else { (w >> 16) as u16 };
+            *d = code_to_delta(code);
+        }
+    });
+}
+
+/// Dequantize integrated values into the reconstructed field, parallel.
+pub(crate) fn dequantize_field(q: &[i32], eb: f64) -> Vec<f32> {
+    let ebx2 = 2.0 * eb;
+    q.par_iter().map(|&v| dequantize(v, ebx2)).collect()
+}
+
 impl FzNative {
     /// Fresh instance (buffers grow on first use).
     pub fn new() -> Self {
@@ -243,79 +341,39 @@ impl FzNative {
     }
 
     /// Compress; byte-identical stream to [`crate::pipeline::FzGpu`] and
-    /// [`crate::cpu::FzOmp`].
+    /// the scalar oracle [`crate::reference::compress`].
     ///
     /// # Panics
     /// Panics when `data.len()` disagrees with `shape` or the resolved
-    /// absolute bound is not positive — same contract as the reference.
+    /// bound is not finite and positive (see [`ErrorBound::resolve`]).
     pub fn compress(&mut self, data: &[f32], shape: Shape, eb: ErrorBound) -> Compressed {
         let (nz, ny, nx) = shape;
         assert_eq!(data.len(), nz * ny * nx, "shape/data mismatch");
-        // Range-relative bounds resolve with the same sequential fold the
-        // simulated path uses (`FzGpu::compress`) — NaN handling included.
-        let eb_abs = match eb {
-            ErrorBound::Abs(e) => e,
-            ErrorBound::RelToRange(_) => {
-                let lo = data.iter().copied().fold(f32::INFINITY, f32::min);
-                let hi = data.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                eb.to_abs((hi - lo) as f64)
-            }
-        };
-        assert!(eb_abs > 0.0, "error bound must be positive");
+        let eb_abs = eb.resolve(data);
         let n = data.len();
 
         // Stage 1a: prequantize (parallel, element-wise).
-        let ebx2_inv = 1.0 / (2.0 * eb_abs);
         reset(&mut self.q, n);
-        prequant_into(data, ebx2_inv, &mut self.q);
+        prequant_into(data, 1.0 / (2.0 * eb_abs), &mut self.q);
 
         // Stage 1b: integer Lorenzo prediction + sign-magnitude codes.
         reset(&mut self.codes, n);
         lorenzo_codes_into(&self.q, shape, &mut self.codes);
 
         // Stage 1c: pack codes two per word, zero-padded to whole tiles.
-        let nwords_data = n.div_ceil(2);
-        let nwords = nwords_data.div_ceil(TILE_WORDS).max(1) * TILE_WORDS;
+        let nwords = padded_words(n);
         reset(&mut self.words, nwords);
-        let codes = &self.codes;
-        self.words[..nwords_data].par_chunks_mut(1 << 12).enumerate().for_each(|(ci, out)| {
-            let wbase = ci * (1 << 12);
-            for (j, w) in out.iter_mut().enumerate() {
-                let i = (wbase + j) * 2;
-                let lo = codes[i] as u32;
-                let hi = if i + 1 < n { codes[i + 1] as u32 } else { 0 };
-                *w = lo | (hi << 16);
-            }
-        });
+        pack_into(&self.codes, &mut self.words);
 
-        // Stage 2: bitshuffle, parallel over tiles (shared tile kernel).
+        // Stage 2: bitshuffle, parallel over tiles.
         reset(&mut self.shuffled, nwords);
-        self.words
-            .par_chunks_exact(TILE_WORDS)
-            .zip(self.shuffled.par_chunks_exact_mut(TILE_WORDS))
-            .for_each(|(tin, tout)| {
-                shuffle_tile(tin.try_into().unwrap(), tout.try_into().unwrap())
-            });
+        shuffle_tiles(&self.words, &mut self.shuffled);
 
-        // Stage 3: zero-block encode with a 64-bit zero scan. Blocks are 4
-        // words = 16 bytes; OR-fold each block into two u64 lanes and test
-        // once. A flag word covers 32 blocks = 128 words, and tiles are
-        // 1024 words, so every flag word is full.
+        // Stage 3: zero-block flags + compaction in one pass.
         let num_blocks = nwords / BLOCK_WORDS;
         reset(&mut self.bit_flags, num_blocks.div_ceil(32));
         self.payload.clear();
-        for (fw, group) in self.shuffled.chunks_exact(BLOCK_WORDS * 32).enumerate() {
-            let mut mask = 0u32;
-            for (b, blk) in group.chunks_exact(BLOCK_WORDS).enumerate() {
-                let lo = blk[0] as u64 | (blk[1] as u64) << 32;
-                let hi = blk[2] as u64 | (blk[3] as u64) << 32;
-                if lo | hi != 0 {
-                    mask |= 1 << b;
-                    self.payload.extend_from_slice(blk);
-                }
-            }
-            self.bit_flags[fw] = mask;
-        }
+        zero_block_encode(&self.shuffled, &mut self.bit_flags, &mut self.payload);
 
         let header = Header {
             version: VERSION,
@@ -369,39 +427,21 @@ impl FzNative {
             }
         }
 
-        // Un-shuffle, parallel over tiles.
+        // Un-shuffle, then unpack + decode deltas, invert Lorenzo via the
+        // shared integrate cascade and dequantize.
         reset(&mut self.words, self.shuffled.len());
-        self.shuffled
-            .par_chunks_exact(TILE_WORDS)
-            .zip(self.words.par_chunks_exact_mut(TILE_WORDS))
-            .for_each(|(tin, tout)| {
-                unshuffle_tile(tin.try_into().unwrap(), tout.try_into().unwrap())
-            });
-
-        // Unpack codes + decode deltas in one parallel pass, then invert
-        // Lorenzo via the shared integrate cascade and dequantize.
-        let n = header.n_values;
-        reset(&mut self.deltas, n);
-        let words = &self.words;
-        self.deltas.par_chunks_mut(1 << 13).enumerate().for_each(|(ci, dchunk)| {
-            let base = ci * (1 << 13);
-            for (j, d) in dchunk.iter_mut().enumerate() {
-                let i = base + j;
-                let w = words[i / 2];
-                let code = if i % 2 == 0 { w as u16 } else { (w >> 16) as u16 };
-                *d = code_to_delta(code);
-            }
-        });
+        unshuffle_tiles(&self.shuffled, &mut self.words);
+        reset(&mut self.deltas, header.n_values);
+        deltas_from_words(&self.words, &mut self.deltas);
         integrate(&mut self.deltas, header.shape);
-        let ebx2 = 2.0 * header.eb;
-        Ok(self.deltas.par_iter().map(|&v| dequantize(v, ebx2)).collect())
+        Ok(dequantize_field(&self.deltas, header.eb))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::FzOmp;
+    use crate::reference;
 
     fn smooth(shape: Shape) -> Vec<f32> {
         let (nz, ny, nx) = shape;
@@ -416,13 +456,13 @@ mod tests {
     }
 
     fn assert_identical(data: &[f32], shape: Shape, eb: ErrorBound) {
-        let reference = FzOmp.compress(data, shape, eb);
+        let oracle = reference::compress(data, shape, eb);
         let mut native = FzNative::new();
         let c = native.compress(data, shape, eb);
-        assert_eq!(c.bytes, reference.bytes, "native stream diverges at shape {shape:?}");
-        assert_eq!(c.header, reference.header);
+        assert_eq!(c.bytes, oracle.bytes, "native stream diverges at shape {shape:?}");
+        assert_eq!(c.header, oracle.header);
         let a = native.decompress(&c).unwrap();
-        let b = FzOmp.decompress(&reference).unwrap();
+        let b = reference::decompress(&oracle.bytes).unwrap();
         assert_eq!(a.len(), b.len());
         assert!(
             a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()),
@@ -459,9 +499,9 @@ mod tests {
         let mut native = FzNative::new();
         for &shape in &[(4usize, 32usize, 32usize), (1, 1, 7), (2, 19, 23), (1, 1, 40_000)] {
             let data = smooth(shape);
-            let reference = FzOmp.compress(&data, shape, ErrorBound::Abs(1e-3));
+            let oracle = reference::compress(&data, shape, ErrorBound::Abs(1e-3));
             let c = native.compress(&data, shape, ErrorBound::Abs(1e-3));
-            assert_eq!(c.bytes, reference.bytes, "shape {shape:?}");
+            assert_eq!(c.bytes, oracle.bytes, "shape {shape:?}");
             let back = native.decompress_bytes(&c.bytes).unwrap();
             assert_eq!(back.len(), data.len());
         }

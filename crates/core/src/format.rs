@@ -245,14 +245,13 @@ impl Header {
         if n != header.n_values {
             return Err(FormatError::Inconsistent("shape vs n_values"));
         }
-        if header.eb.is_nan() || header.eb <= 0.0 {
-            return Err(FormatError::Inconsistent("non-positive error bound"));
+        if !(header.eb.is_finite() && header.eb > 0.0) {
+            return Err(FormatError::Inconsistent("error bound not finite and positive"));
         }
         // num_blocks is fully determined by n_values (codes are packed two
         // per word and padded to whole bitshuffle tiles) — reject anything
         // else so corrupted headers cannot drive out-of-bounds decode.
-        let words = header.n_values.div_ceil(2).div_ceil(crate::pack::TILE_WORDS).max(1)
-            * crate::pack::TILE_WORDS;
+        let words = crate::pack::padded_words(header.n_values);
         if header.num_blocks != words / crate::zeroblock::BLOCK_WORDS {
             return Err(FormatError::Inconsistent("num_blocks vs n_values"));
         }
@@ -395,6 +394,20 @@ mod tests {
         let mut h = sample_header();
         h.n_values = 511;
         assert!(matches!(Header::from_bytes(&h.to_bytes()), Err(FormatError::Inconsistent(_))));
+    }
+
+    #[test]
+    fn non_finite_error_bound_rejected() {
+        // CRC-valid headers: `to_bytes` stamps the checksum, so the bound
+        // check itself must fire.
+        for eb in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -1e-3] {
+            let b = Header { eb, ..sample_header() }.to_bytes();
+            assert_eq!(
+                Header::from_bytes(&b),
+                Err(FormatError::Inconsistent("error bound not finite and positive")),
+                "eb {eb}"
+            );
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 use fzgpu_sim::{Engine, Gpu, GpuBuffer};
 use rayon::prelude::*;
 
-use crate::bitshuffle::shuffle_tile;
+use crate::fastpath::{group_flags, shuffle_tiles, FLAG_GROUP_WORDS};
+use crate::gpu::decode::flag_bytes;
 use crate::pack::TILE_WORDS;
 use crate::zeroblock::BLOCK_WORDS;
 
@@ -82,10 +83,9 @@ pub fn bitshuffle_mark(
     (shuffled, byte_flags, bit_flags)
 }
 
-/// Analytic-engine output fill: transpose tiles through the shared
-/// [`shuffle_tile`] kernel (the exact function the native path runs,
-/// pinned equal to the GPU kernels by this module's oracle tests) and
-/// derive the flags with the native path's 64-bit zero scan.
+/// Analytic-engine output fill: transpose tiles with the native path's
+/// [`shuffle_tiles`] (pinned equal to the GPU kernels by this module's
+/// oracle tests) and derive the flags with its 64-bit zero scan.
 fn analytic_fill(
     words: &GpuBuffer<u32>,
     shuffled: &GpuBuffer<u32>,
@@ -103,26 +103,12 @@ fn analytic_fill(
 /// fill and the fused 1D kernel's (`crate::gpu::fused`).
 pub(crate) fn host_shuffle_mark(input: &[u32]) -> (Vec<u32>, Vec<u8>, Vec<u32>) {
     let mut sh = vec![0u32; input.len()];
-    input
-        .par_chunks_exact(TILE_WORDS)
-        .zip(sh.par_chunks_exact_mut(TILE_WORDS))
-        .for_each(|(tin, tout)| shuffle_tile(tin.try_into().unwrap(), tout.try_into().unwrap()));
-    let nflags = input.len() / BLOCK_WORDS;
-    let mut bf = vec![0u8; nflags];
-    bf.par_chunks_mut(32).enumerate().for_each(|(fw, out)| {
-        for (b, f) in out.iter_mut().enumerate() {
-            let blk = &sh[(fw * 32 + b) * BLOCK_WORDS..][..BLOCK_WORDS];
-            let lo = blk[0] as u64 | (blk[1] as u64) << 32;
-            let hi = blk[2] as u64 | (blk[3] as u64) << 32;
-            *f = u8::from(lo | hi != 0);
-        }
-    });
-    let mut bits = vec![0u32; nflags.div_ceil(32)];
-    for (mask, chunk) in bits.iter_mut().zip(bf.chunks(32)) {
-        for (b, &f) in chunk.iter().enumerate() {
-            *mask |= (f as u32) << b;
-        }
-    }
+    shuffle_tiles(input, &mut sh);
+    let mut bits = vec![0u32; input.len() / FLAG_GROUP_WORDS];
+    bits.par_iter_mut()
+        .zip(sh.par_chunks_exact(FLAG_GROUP_WORDS))
+        .for_each(|(mask, group)| *mask = group_flags(group));
+    let bf = flag_bytes(&bits, input.len() / BLOCK_WORDS);
     (sh, bf, bits)
 }
 

@@ -12,13 +12,20 @@
 //! 6. integrate along each axis (inverse Lorenzo) and dequantize.
 
 use fzgpu_sim::{Engine, Gpu, GpuBuffer};
-use rayon::prelude::*;
 
-use crate::bitshuffle::unshuffle_tile;
+use crate::fastpath::{deltas_from_words, dequantize_field, unshuffle_tiles};
 use crate::gpu::encode::compaction_stats;
-use crate::lorenzo::{rank_of, Shape};
+use crate::lorenzo::{self, rank_of, Shape};
 use crate::pack::TILE_WORDS;
+use crate::quant::code_to_delta;
 use crate::zeroblock::BLOCK_WORDS;
+
+/// One byte flag per block from the packed bit flags: flag `b` is bit
+/// `b % 32` of word `b / 32`. The analytic fill of [`expand_flags`] and of
+/// the bitshuffle-mark kernels.
+pub(crate) fn flag_bytes(bit_flags: &[u32], nflags: usize) -> Vec<u8> {
+    (0..nflags).map(|b| (bit_flags[b / 32] >> (b % 32) & 1) as u8).collect()
+}
 
 /// Step 1: byte flag `b` = bit `b%32` of bit-flag word `b/32`.
 pub fn expand_flags(gpu: &mut Gpu, bit_flags: &GpuBuffer<u32>, nflags: usize) -> GpuBuffer<u8> {
@@ -43,9 +50,7 @@ pub fn expand_flags(gpu: &mut Gpu, bit_flags: &GpuBuffer<u32>, nflags: usize) ->
         });
     });
     if analytic {
-        let bits = bit_flags.to_vec();
-        let flags: Vec<u8> = (0..nflags).map(|b| (bits[b / 32] >> (b % 32) & 1) as u8).collect();
-        out.host_fill_from(&flags);
+        out.host_fill_from(&flag_bytes(&bit_flags.to_vec(), nflags));
     }
     out
 }
@@ -144,11 +149,8 @@ pub fn bit_unshuffle(gpu: &mut Gpu, shuffled: &GpuBuffer<u32>) -> GpuBuffer<u32>
         },
     );
     if analytic {
-        let sh = shuffled.to_vec();
-        let mut words = vec![0u32; sh.len()];
-        sh.par_chunks_exact(TILE_WORDS).zip(words.par_chunks_exact_mut(TILE_WORDS)).for_each(
-            |(tin, tout)| unshuffle_tile(tin.try_into().unwrap(), tout.try_into().unwrap()),
-        );
+        let mut words = vec![0u32; shuffled.len()];
+        unshuffle_tiles(&shuffled.to_vec(), &mut words);
         out.host_fill_from(&words);
     }
     out
@@ -173,23 +175,14 @@ pub fn codes_to_deltas(gpu: &mut Gpu, words: &GpuBuffer<u32>, n_codes: usize) ->
                 let i = base + l.ltid;
                 (i < n_codes).then(|| {
                     let code = if i % 2 == 0 { v[l.id] as u16 } else { (v[l.id] >> 16) as u16 };
-                    (i, crate::quant::code_to_delta(code))
+                    (i, code_to_delta(code))
                 })
             });
         });
     });
     if analytic {
-        let w = words.to_vec();
         let mut deltas = vec![0i32; n_codes];
-        deltas.par_chunks_mut(1 << 13).enumerate().for_each(|(ci, dchunk)| {
-            let base = ci * (1 << 13);
-            for (j, d) in dchunk.iter_mut().enumerate() {
-                let i = base + j;
-                let word = w[i / 2];
-                let code = if i % 2 == 0 { word as u16 } else { (word >> 16) as u16 };
-                *d = crate::quant::code_to_delta(code);
-            }
-        });
+        deltas_from_words(&words.to_vec(), &mut deltas);
         out.host_fill_from(&deltas);
     }
     out
@@ -236,13 +229,7 @@ pub fn integrate_x(gpu: &mut Gpu, q: &GpuBuffer<i32>, shape: Shape) {
     if let Some(mut vals) = snapshot {
         // Per-row wrapping prefix sum: u32/i32 wrapping add is associative,
         // so the sequential sum equals the kernel's warp scans + carries.
-        vals.par_chunks_mut(nx).for_each(|row| {
-            let mut acc = 0i32;
-            for v in row.iter_mut() {
-                acc = acc.wrapping_add(*v);
-                *v = acc;
-            }
-        });
+        lorenzo::integrate_x(&mut vals, shape);
         q.host_fill_from(&vals);
     }
 }
@@ -279,13 +266,7 @@ pub fn integrate_y(gpu: &mut Gpu, q: &GpuBuffer<i32>, shape: Shape) {
         });
     });
     if let Some(mut vals) = snapshot {
-        vals.par_chunks_mut(ny * nx).for_each(|plane| {
-            for y in 1..ny {
-                for x in 0..nx {
-                    plane[y * nx + x] = plane[y * nx + x].wrapping_add(plane[(y - 1) * nx + x]);
-                }
-            }
-        });
+        lorenzo::integrate_y(&mut vals, shape);
         q.host_fill_from(&vals);
     }
 }
@@ -316,15 +297,7 @@ pub fn integrate_z(gpu: &mut Gpu, q: &GpuBuffer<i32>, shape: Shape) {
         });
     });
     if let Some(mut vals) = snapshot {
-        let (mut prev, mut rest) = vals.split_at_mut(plane);
-        while !rest.is_empty() {
-            let (cur, next) = rest.split_at_mut(plane);
-            cur.par_iter_mut().zip(prev.par_iter()).for_each(|(c, &p)| {
-                *c = c.wrapping_add(p);
-            });
-            prev = cur;
-            rest = next;
-        }
+        lorenzo::integrate_z(&mut vals, shape);
         q.host_fill_from(&vals);
     }
 }
@@ -343,14 +316,13 @@ pub fn dequantize(gpu: &mut Gpu, q: &GpuBuffer<i32>, eb: f64) -> GpuBuffer<f32> 
         blk.warps(|w| {
             let v = w.load(q, |l| (base + l.ltid < n).then_some(base + l.ltid));
             w.store(&out, |l| {
-                (base + l.ltid < n).then(|| (base + l.ltid, (v[l.id] as f64 * ebx2) as f32))
+                (base + l.ltid < n)
+                    .then(|| (base + l.ltid, crate::quant::dequantize(v[l.id], ebx2)))
             });
         });
     });
     if analytic {
-        let vals = q.to_vec();
-        let field: Vec<f32> = vals.par_iter().map(|&v| (v as f64 * ebx2) as f32).collect();
-        out.host_fill_from(&field);
+        out.host_fill_from(&dequantize_field(&q.to_vec(), eb));
     }
     out
 }

@@ -14,19 +14,14 @@
 
 use fzgpu_sim::{Engine, Gpu, GpuBuffer};
 
-use crate::fastpath::{lorenzo_codes_into, prequant_into};
+use crate::fastpath::{lorenzo_codes_into, pack_into, prequant_into};
 use crate::gpu::bitshuffle::host_shuffle_mark;
-use crate::pack::{pack_codes, TILE_CODES, TILE_WORDS};
-use crate::quant::delta_to_code;
+use crate::pack::{TILE_CODES, TILE_WORDS};
+use crate::quant::{delta_to_code, prequantize};
 use crate::zeroblock::BLOCK_WORDS;
 
 /// Flags per tile.
 const FLAGS_PER_TILE: usize = TILE_WORDS / BLOCK_WORDS;
-
-#[inline]
-fn prequant_scalar(v: f32, ebx2_inv: f64) -> i32 {
-    (v as f64 * ebx2_inv).round().clamp(i32::MIN as f64, i32::MAX as f64) as i32
-}
 
 /// Fused 1D pipeline front end: f32 field -> (shuffled words, byte flags,
 /// bit flags) in one kernel launch.
@@ -68,7 +63,7 @@ pub fn fused_1d(
 
             // Phase 1: quantize two values per thread, pack the pair into one
             // u32 word directly in registers, store to shared — fused layout
-            // identical to pack_codes(pred_quant(..)).
+            // identical to packing pred_quant's codes.
             blk.warps(|w| {
                 let y = w.warp_id;
                 let word_base = val_base + (y * 32) * 2;
@@ -88,12 +83,11 @@ pub fn fused_1d(
                 });
                 let words = w.lanes(|l| {
                     let g = word_base + 2 * l.id;
-                    let q0 = if g < n { prequant_scalar(v0[l.id], ebx2_inv) } else { 0 };
-                    let qp =
-                        if g < n && g > 0 { prequant_scalar(vprev[l.id], ebx2_inv) } else { 0 };
+                    let q0 = if g < n { prequantize(v0[l.id], ebx2_inv) } else { 0 };
+                    let qp = if g < n && g > 0 { prequantize(vprev[l.id], ebx2_inv) } else { 0 };
                     let c0 = if g < n { delta_to_code(q0.wrapping_sub(qp)) } else { 0 };
                     let c1 = if g + 1 < n {
-                        let q1 = prequant_scalar(v1[l.id], ebx2_inv);
+                        let q1 = prequantize(v1[l.id], ebx2_inv);
                         delta_to_code(q1.wrapping_sub(q0))
                     } else {
                         0
@@ -161,16 +155,18 @@ pub fn fused_1d(
     );
     if gpu.effective_engine() == Engine::Analytic {
         // Native fill: the same quant -> pack -> shuffle -> mark cascade
-        // through the shared fastpath/pack/bitshuffle entry points. The
-        // fused kernel's in-register delta (`q0.wrapping_sub(qp)`) equals
-        // the 1D Lorenzo row kernel's arithmetic, and its zero padding
-        // beyond `n` equals `pack_codes`' tile padding.
+        // through the shared fast-path stages. The fused kernel's
+        // in-register delta (`q0.wrapping_sub(qp)`) equals the 1D Lorenzo
+        // row kernel's arithmetic, and its zero padding beyond `n` equals
+        // the packed stream's tile padding.
         let data = input.to_vec();
         let mut q = vec![0i32; n];
         prequant_into(&data[..n], ebx2_inv, &mut q);
         let mut codes = vec![0u16; n];
         lorenzo_codes_into(&q, (1, 1, n), &mut codes);
-        let (sh, bf, bits) = host_shuffle_mark(&pack_codes(&codes));
+        let mut words = vec![0u32; nwords];
+        pack_into(&codes, &mut words);
+        let (sh, bf, bits) = host_shuffle_mark(&words);
         shuffled.host_fill_from(&sh);
         byte_flags.host_fill_from(&bf);
         bit_flags.host_fill_from(&bits);

@@ -15,16 +15,11 @@ use fzgpu_sim::{Engine, Gpu, GpuBuffer};
 
 use crate::fastpath::{lorenzo_codes_into, prequant_into};
 use crate::lorenzo::{lorenzo_delta, rank_of, Shape};
-use crate::quant::delta_to_code;
+use crate::quant::{delta_to_code, prequantize};
 
 /// Quantization radius of the v1 kernel (cuSZ's default 1024-entry
 /// codebook: codes in `1..1024`, 0 reserved for outliers).
 pub const V1_RADIUS: i32 = 512;
-
-#[inline]
-fn prequant_scalar(v: f32, ebx2_inv: f64) -> i32 {
-    (v as f64 * ebx2_inv).round().clamp(i32::MIN as f64, i32::MAX as f64) as i32
-}
 
 /// Optimized dual-quantization: f32 field -> sign-magnitude u16 codes.
 pub fn pred_quant_v2(
@@ -155,12 +150,12 @@ fn launch_1d(
         let sq = blk.shared_array::<i32>(1025);
         blk.warps(|w| {
             let v = w.load(input, |l| (base + l.ltid < n).then_some(base + l.ltid));
-            let q = w.lanes(|l| prequant_scalar(v[l.id], ebx2_inv));
+            let q = w.lanes(|l| prequantize(v[l.id], ebx2_inv));
             w.sh_store(&sq, |l| (base + l.ltid < n).then_some((l.ltid + 1, q[l.id])));
             if w.warp_id == 0 {
                 // Halo: the element before the block (0 when base == 0).
                 let h = w.load(input, |l| (l.id == 0 && base > 0).then(|| base - 1));
-                let hq = w.lanes(|l| prequant_scalar(h[l.id], ebx2_inv));
+                let hq = w.lanes(|l| prequantize(h[l.id], ebx2_inv));
                 w.sh_store(&sq, |l| (l.id == 0 && base > 0).then_some((0, hq[0])));
             }
         });
@@ -241,7 +236,7 @@ fn launch_tiled(
                 // Main 32x32 tile, coalesced row loads.
                 let v =
                     w.load(input, |l| (gy < ny && x0 + l.id < nx).then(|| lin(zz, gy, x0 + l.id)));
-                let q = w.lanes(|l| prequant_scalar(v[l.id], ebx2_inv));
+                let q = w.lanes(|l| prequantize(v[l.id], ebx2_inv));
                 w.sh_store(sh, |l| {
                     (gy < ny && x0 + l.id < nx).then(|| ((ly + 1) * S + l.id + 1, q[l.id]))
                 });
@@ -250,7 +245,7 @@ fn launch_tiled(
                         // Halo row y0-1.
                         let hv =
                             w.load(input, |l| (x0 + l.id < nx).then(|| lin(zz, y0 - 1, x0 + l.id)));
-                        let hq = w.lanes(|l| prequant_scalar(hv[l.id], ebx2_inv));
+                        let hq = w.lanes(|l| prequantize(hv[l.id], ebx2_inv));
                         w.sh_store(sh, |l| (x0 + l.id < nx).then(|| (l.id + 1, hq[l.id])));
                     }
                     1 if x0 > 0 => {
@@ -258,13 +253,13 @@ fn launch_tiled(
                         // (strided global access, charged as such).
                         let hv =
                             w.load(input, |l| (y0 + l.id < ny).then(|| lin(zz, y0 + l.id, x0 - 1)));
-                        let hq = w.lanes(|l| prequant_scalar(hv[l.id], ebx2_inv));
+                        let hq = w.lanes(|l| prequantize(hv[l.id], ebx2_inv));
                         w.sh_store(sh, |l| (y0 + l.id < ny).then(|| ((l.id + 1) * S, hq[l.id])));
                     }
                     2 if x0 > 0 && y0 > 0 => {
                         // Corner (y0-1, x0-1).
                         let hv = w.load(input, |l| (l.id == 0).then(|| lin(zz, y0 - 1, x0 - 1)));
-                        let hq = w.lanes(|l| prequant_scalar(hv[l.id], ebx2_inv));
+                        let hq = w.lanes(|l| prequantize(hv[l.id], ebx2_inv));
                         w.sh_store(sh, |l| (l.id == 0).then_some((0, hq[0])));
                     }
                     _ => {}

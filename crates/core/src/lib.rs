@@ -13,8 +13,10 @@
 //! 3. **Fast lossless encoding** ([`zeroblock`], [`gpu::encode`]):
 //!    1 flag bit per 16-byte block, prefix-sum offsets, compaction (§3.4).
 //!
-//! Use [`pipeline::FzGpu`] for the device pipeline and [`cpu::FzOmp`] for
-//! the bit-identical multi-threaded CPU pipeline (the paper's FZ-OMP).
+//! Use [`pipeline::FzGpu`] for the device pipeline; its
+//! [`PipelinePath::Native`] path runs the same stages as multi-threaded
+//! host code ([`fastpath`], the paper's FZ-OMP) and emits identical bytes.
+//! [`reference`] composes the scalar stage modules into the test oracle.
 //!
 //! ```
 //! use fzgpu_core::{FzGpu, ErrorBound};
@@ -30,7 +32,6 @@
 
 pub mod archive;
 pub mod bitshuffle;
-pub mod cpu;
 pub mod crc;
 pub mod fastpath;
 pub mod format;
@@ -39,12 +40,12 @@ pub mod lorenzo;
 pub mod pack;
 pub mod pipeline;
 pub mod quant;
+pub mod reference;
 pub mod zeroblock;
 
 pub use archive::{
     Archive, ChunkHealth, ChunkMeta, DegradedOutput, FillPolicy, ScrubReport, Shard, ShardedArchive,
 };
-pub use cpu::FzOmp;
 pub use crc::crc32;
 pub use fastpath::{FzNative, PipelinePath};
 pub use format::{ChecksumSection, FormatError, Header};

@@ -1,4 +1,4 @@
-//! Lorenzo prediction fused with dual-quantization (CPU reference).
+//! Lorenzo prediction fused with dual-quantization.
 //!
 //! The dual-quantization trick (cuSZ, §2.3): pre-quantize the *inputs*
 //! first, then take integer Lorenzo differences. Because the differences
@@ -21,40 +21,9 @@ pub type Shape = (usize, usize, usize);
 
 /// Forward optimized dual-quantization (the paper's `pred-quant-v2`):
 /// pre-quantize, integer Lorenzo difference, sign-magnitude u16 codes.
+/// The scalar test oracle; production paths run the fast-path stages.
 pub fn forward(data: &[f32], shape: Shape, eb: f64) -> Vec<u16> {
-    let (_nz, ny, nx) = shape;
-    let q = prequant(data, eb);
-    let rank = rank_of(shape);
-    // Fused delta + sign-magnitude encoding (single output pass — this is
-    // the FZ-OMP hot loop).
-    let at = |z: isize, y: isize, x: isize| -> i64 {
-        if z < 0 || y < 0 || x < 0 {
-            0
-        } else {
-            q[(z as usize * ny + y as usize) * nx + x as usize] as i64
-        }
-    };
-    let mut out = vec![0u16; q.len()];
-    out.par_chunks_mut(ny * nx).enumerate().for_each(|(z, plane)| {
-        let z = z as isize;
-        for y in 0..ny as isize {
-            for x in 0..nx as isize {
-                let pred: i64 = match rank {
-                    1 => at(z, y, x - 1),
-                    2 => at(z, y, x - 1) + at(z, y - 1, x) - at(z, y - 1, x - 1),
-                    _ => {
-                        at(z, y, x - 1) + at(z, y - 1, x) + at(z - 1, y, x)
-                            - at(z, y - 1, x - 1)
-                            - at(z - 1, y, x - 1)
-                            - at(z - 1, y - 1, x)
-                            + at(z - 1, y - 1, x - 1)
-                    }
-                };
-                plane[(y * nx as isize + x) as usize] = delta_to_code((at(z, y, x) - pred) as i32);
-            }
-        }
-    });
-    out
+    lorenzo_delta(&prequant(data, eb), shape).into_iter().map(delta_to_code).collect()
 }
 
 /// Inverse of [`forward`]: decode codes, integrate along each axis, scale.
@@ -115,36 +84,51 @@ pub fn integrate(q: &mut [i32], shape: Shape) {
     let (nz, ny, nx) = shape;
     assert_eq!(q.len(), nz * ny * nx);
     let rank = rank_of(shape);
-    // x axis: prefix sum each row.
-    q.par_chunks_mut(nx).for_each(|row| {
+    integrate_x(q, shape);
+    if rank >= 2 {
+        integrate_y(q, shape);
+    }
+    if rank >= 3 {
+        integrate_z(q, shape);
+    }
+}
+
+/// x pass of [`integrate`]: a wrapping prefix sum of each row. Shared by
+/// the native decoder and the analytic engine's `decode.integrate_x` fill.
+pub(crate) fn integrate_x(q: &mut [i32], shape: Shape) {
+    q.par_chunks_mut(shape.2).for_each(|row| {
         let mut acc = 0i32;
         for v in row.iter_mut() {
             acc = acc.wrapping_add(*v);
             *v = acc;
         }
     });
-    if rank >= 2 {
-        // y axis: each (z, x) column.
-        q.par_chunks_mut(ny * nx).for_each(|plane| {
-            for y in 1..ny {
-                for x in 0..nx {
-                    plane[y * nx + x] = plane[y * nx + x].wrapping_add(plane[(y - 1) * nx + x]);
-                }
+}
+
+/// y pass of [`integrate`]: each (z, x) column, parallel over planes.
+pub(crate) fn integrate_y(q: &mut [i32], shape: Shape) {
+    let (_, ny, nx) = shape;
+    q.par_chunks_mut(ny * nx).for_each(|plane| {
+        for y in 1..ny {
+            for x in 0..nx {
+                plane[y * nx + x] = plane[y * nx + x].wrapping_add(plane[(y - 1) * nx + x]);
             }
-        });
-    }
-    if rank >= 3 {
-        // z axis: accumulate plane by plane. Parallel over (y, x) chunks.
-        let plane_len = ny * nx;
-        let (mut prev, mut rest) = q.split_at_mut(plane_len);
-        while !rest.is_empty() {
-            let (cur, next) = rest.split_at_mut(plane_len);
-            cur.par_iter_mut().zip(prev.par_iter()).for_each(|(c, &p)| {
-                *c = c.wrapping_add(p);
-            });
-            prev = cur;
-            rest = next;
         }
+    });
+}
+
+/// z pass of [`integrate`]: accumulate plane by plane, parallel within a
+/// plane.
+pub(crate) fn integrate_z(q: &mut [i32], shape: Shape) {
+    let plane_len = shape.1 * shape.2;
+    let (mut prev, mut rest) = q.split_at_mut(plane_len);
+    while !rest.is_empty() {
+        let (cur, next) = rest.split_at_mut(plane_len);
+        cur.par_iter_mut().zip(prev.par_iter()).for_each(|(c, &p)| {
+            *c = c.wrapping_add(p);
+        });
+        prev = cur;
+        rest = next;
     }
 }
 

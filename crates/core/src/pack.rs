@@ -10,12 +10,17 @@ pub const TILE_WORDS: usize = 1024;
 /// Codes per tile (2 per word).
 pub const TILE_CODES: usize = TILE_WORDS * 2;
 
+/// Words a stream of `n_codes` codes occupies: two codes per word, padded
+/// to whole tiles (at least one).
+pub fn padded_words(n_codes: usize) -> usize {
+    n_codes.div_ceil(2).div_ceil(TILE_WORDS).max(1) * TILE_WORDS
+}
+
 /// Pack u16 codes into u32 words (low half = even index), zero-padded to a
-/// multiple of [`TILE_WORDS`].
+/// multiple of [`TILE_WORDS`]. The scalar test oracle; production paths
+/// pack through the fast-path stage.
 pub fn pack_codes(codes: &[u16]) -> Vec<u32> {
-    let nwords_data = codes.len().div_ceil(2);
-    let nwords = nwords_data.div_ceil(TILE_WORDS).max(1) * TILE_WORDS;
-    let mut out = vec![0u32; nwords];
+    let mut out = vec![0u32; padded_words(codes.len())];
     for (w, chunk) in codes.chunks(2).enumerate() {
         let lo = chunk[0] as u32;
         let hi = if chunk.len() > 1 { chunk[1] as u32 } else { 0 };

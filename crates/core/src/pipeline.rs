@@ -9,14 +9,14 @@
 use fzgpu_sim::{DeviceSpec, Engine, Event, FaultPlan, Gpu, MemPool, Profile, RetryPolicy};
 use fzgpu_trace::metrics::{self, Class};
 
-use crate::fastpath::{FzNative, PipelinePath};
+use crate::fastpath::{pack_into, FzNative, PipelinePath};
 use crate::format::{assemble, disassemble, FormatError, Header, VERSION};
 use crate::gpu::bitshuffle::{bitshuffle_mark, ShuffleVariant};
 use crate::gpu::decode as gdec;
 use crate::gpu::encode as genc;
 use crate::gpu::quant::pred_quant_v2;
 use crate::lorenzo::Shape;
-use crate::pack::TILE_WORDS;
+use crate::pack::{padded_words, TILE_WORDS};
 use crate::quant::ErrorBound;
 use crate::zeroblock::BLOCK_WORDS;
 
@@ -232,15 +232,7 @@ impl FzGpu {
         assert_eq!(data.len(), nz * ny * nx, "shape/data mismatch");
         // Resolve a range-relative bound host-side (the paper's harness
         // derives absolute bounds from the field range before compressing).
-        let eb_abs = match eb {
-            ErrorBound::Abs(e) => e,
-            ErrorBound::RelToRange(_) => {
-                let lo = data.iter().copied().fold(f32::INFINITY, f32::min);
-                let hi = data.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                eb.to_abs((hi - lo) as f64)
-            }
-        };
-        assert!(eb_abs > 0.0, "error bound must be positive");
+        let eb_abs = eb.resolve(data);
 
         let t0 = std::time::Instant::now();
         let _root = fzgpu_trace::span("fz.compress")
@@ -268,7 +260,8 @@ impl FzGpu {
                 // and no time is charged — only the padding tail is fresh.
                 let d_words = {
                     let _s = fzgpu_trace::span("stage.pack");
-                    let words = crate::pack::pack_codes(&d_codes.to_vec());
+                    let mut words = vec![0u32; padded_words(data.len())];
+                    pack_into(&d_codes.to_vec(), &mut words);
                     self.gpu.device_vec(&words)
                 };
                 self.gpu.free(d_codes);
@@ -316,8 +309,8 @@ impl FzGpu {
         Compressed { bytes, header }
     }
 
-    /// Decompress a stream produced by [`FzGpu::compress`] (or the
-    /// bit-identical [`crate::cpu::FzOmp`]).
+    /// Decompress a stream produced by any path (every path emits the
+    /// same bytes).
     pub fn decompress(&mut self, compressed: &Compressed) -> Result<Vec<f32>, FormatError> {
         self.decompress_bytes(&compressed.bytes)
     }

@@ -15,6 +15,25 @@ pub enum ErrorBound {
 }
 
 impl ErrorBound {
+    /// The absolute bound for `data`. A range-relative bound scales by the
+    /// field's `max - min`, found with a sequential fold (NaNs skipped), so
+    /// every path resolves the same bound at any thread count.
+    ///
+    /// # Panics
+    /// Panics when the resolved bound is not finite and positive.
+    pub fn resolve(&self, data: &[f32]) -> f64 {
+        let eb = match *self {
+            ErrorBound::Abs(e) => e,
+            ErrorBound::RelToRange(_) => {
+                let lo = data.iter().copied().fold(f32::INFINITY, f32::min);
+                let hi = data.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                self.to_abs((hi - lo) as f64)
+            }
+        };
+        assert!(eb.is_finite() && eb > 0.0, "error bound must be finite and positive, got {eb}");
+        eb
+    }
+
     /// Resolve to an absolute bound given the field's value range.
     pub fn to_abs(&self, range: f64) -> f64 {
         match *self {
@@ -89,6 +108,25 @@ mod tests {
         assert_eq!(ErrorBound::RelToRange(1e-2).to_abs(50.0), 0.5);
         // Constant field still gets a positive bound.
         assert!(ErrorBound::RelToRange(1e-3).to_abs(0.0) > 0.0);
+    }
+
+    #[test]
+    fn resolve_scans_the_range_and_skips_nan() {
+        let data = [0.0f32, f32::NAN, 10.0];
+        assert!((ErrorBound::RelToRange(1e-2).resolve(&data) - 0.1).abs() < 1e-9);
+        assert_eq!(ErrorBound::Abs(0.5).resolve(&data), 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn infinite_abs_bound_is_rejected() {
+        let _ = ErrorBound::Abs(f64::INFINITY).resolve(&[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn relative_bound_over_infinite_data_is_rejected() {
+        let _ = ErrorBound::RelToRange(1e-3).resolve(&[0.0, f32::INFINITY]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use fz_gpu::baselines::{Baseline, CuSz, CuSzx, CuZfp, Mgard, Setting};
 use fz_gpu::core::quant::ErrorBound;
-use fz_gpu::core::FzOmp;
+use fz_gpu::core::FzNative;
 use fz_gpu::data::{dataset, Scale};
 use fz_gpu::metrics::psnr;
 use fz_gpu::sim::device::A100;
@@ -55,8 +55,9 @@ fn main() {
     report("MGARD-GPU", Mgard::new(A100).run(&field.data, shape, setting), "error-bound");
     report("cuZFP r=4", CuZfp::new(A100).run(&field.data, shape, Setting::Rate(4.0)), "fixed-rate");
 
-    // And the CPU pipeline, wall-clock measured.
-    let fz_omp = FzOmp;
+    // And FZ-OMP — the same pipeline as multi-threaded host code (the
+    // native fast path), wall-clock measured.
+    let mut fz_omp = FzNative::new();
     let t0 = std::time::Instant::now();
     let c = fz_omp.compress(&field.data, shape, ErrorBound::RelToRange(rel_eb));
     let dt = t0.elapsed().as_secs_f64();

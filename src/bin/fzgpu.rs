@@ -140,8 +140,8 @@ fn eb_of(args: &[String]) -> Result<ErrorBound, String> {
         .unwrap_or("1e-3")
         .parse()
         .map_err(|_| "bad --eb value".to_string())?;
-    if eb.is_nan() || eb <= 0.0 {
-        return Err("--eb must be positive".into());
+    if !(eb.is_finite() && eb > 0.0) {
+        return Err("--eb must be finite and positive".into());
     }
     Ok(if args.iter().any(|a| a == "--abs") {
         ErrorBound::Abs(eb)
@@ -733,7 +733,7 @@ fn parse_region(s: &str) -> Result<fz_gpu::store::Region, String> {
 fn codec_of(args: &[String], data: &[f32]) -> Result<fz_gpu::store::CodecConfig, String> {
     let name = flag_value(args, "--codec").unwrap_or("fz");
     let eb_abs = match flag_value(args, "--eb") {
-        Some(_) => Some(fz_gpu::baselines::resolve_eb(data, eb_of(args)?)),
+        Some(_) => Some(eb_of(args)?.resolve(data)),
         None => None,
     };
     let rate = flag_value(args, "--rate")

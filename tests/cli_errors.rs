@@ -204,6 +204,29 @@ fn store_failures_exit_nonzero_with_one_line_error() {
 }
 
 #[test]
+fn non_finite_error_bounds_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("fzgpu_cli_eb_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("in.f32");
+    let raw: Vec<u8> = (0..4096u32).flat_map(|i| (i as f32 * 0.01).sin().to_le_bytes()).collect();
+    std::fs::write(&input, raw).unwrap();
+    let input = input.to_str().unwrap();
+    let output = dir.join("out.fz");
+    let output = output.to_str().unwrap();
+    for eb in ["inf", "-inf", "nan", "0"] {
+        for abs in [false, true] {
+            let mut args = vec!["compress", input, output, "--dims", "1x1x4096", "--eb", eb];
+            if abs {
+                args.push("--abs");
+            }
+            assert_cli_error(&args, "--eb must be finite and positive");
+        }
+    }
+    assert!(!std::path::Path::new(output).exists(), "a rejected bound must write no stream");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn usage_only_shown_for_subcommand_errors() {
     // Wrong/missing subcommand: full usage helps.
     let out = fzgpu(&["frobnicate"]);

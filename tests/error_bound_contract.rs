@@ -5,7 +5,7 @@
 
 use fz_gpu::baselines::{Baseline, CuSz, CuSzx, Mgard, Setting, SzOmp};
 use fz_gpu::core::quant::ErrorBound;
-use fz_gpu::core::{FzGpu, FzOmp};
+use fz_gpu::core::{reference, FzGpu};
 use fz_gpu::metrics::verify_error_bound;
 use fz_gpu::sim::device::A100;
 
@@ -57,9 +57,8 @@ fn run_all(data: &[f32], rel_eb: f64) {
     let c = fz.compress(data, SHAPE, eb);
     check("FZ-GPU", data, &fz.decompress(&c).unwrap(), c.header.eb);
 
-    let omp = FzOmp;
-    let c = omp.compress(data, SHAPE, eb);
-    check("FZ-OMP", data, &omp.decompress(&c).unwrap(), c.header.eb);
+    let c = reference::compress(data, SHAPE, eb);
+    check("oracle", data, &reference::decompress(&c.bytes).unwrap(), c.header.eb);
 
     for baseline in [
         &mut CuSz::new(A100) as &mut dyn Baseline,

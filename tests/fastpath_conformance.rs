@@ -4,8 +4,8 @@
 //! word-level Rust; its contract is *byte identity*: for every input, the
 //! native path must emit exactly the stream the kernel-simulated path
 //! (the model of record) emits, and decode to bit-identical floats. This
-//! suite drives all three implementations — simulated, native, and the
-//! FZ-OMP CPU reference — over proptest-generated fields (hostile
+//! suite drives both paths and the scalar oracle
+//! (`fzgpu_core::reference`) over proptest-generated fields (hostile
 //! distributions included: NaN, infinities, denormals, constants, all
 //! zeros), every catalog dataset, and the archive degraded-decode path,
 //! comparing streams and outputs byte for byte.
@@ -14,7 +14,7 @@
 //! `=4`; byte identity across thread counts rides on the same asserts.
 
 use fz_gpu::core::format;
-use fz_gpu::core::{Archive, ErrorBound, FillPolicy, FzGpu, FzOmp, FzOptions, PipelinePath};
+use fz_gpu::core::{reference, Archive, ErrorBound, FillPolicy, FzGpu, FzOptions, PipelinePath};
 use fz_gpu::data::{log_transform, synth, Dims};
 use fz_gpu::sim::device::A100;
 use proptest::prelude::*;
@@ -24,7 +24,7 @@ fn with_path(path: PipelinePath) -> FzGpu {
 }
 
 /// The whole conformance contract for one input, asserted in one place:
-/// simulated, native, and FZ-OMP streams are byte-identical, the stream
+/// simulated, native, and oracle streams are byte-identical, the stream
 /// passes checksum verification, and both device paths decode it to
 /// bit-identical floats.
 fn assert_conformant(data: &[f32], shape: (usize, usize, usize), eb: ErrorBound) {
@@ -34,9 +34,9 @@ fn assert_conformant(data: &[f32], shape: (usize, usize, usize), eb: ErrorBound)
     let mut nat = with_path(PipelinePath::Native);
     let c_sim = sim.compress(data, shape, eb);
     let c_nat = nat.compress(data, shape, eb);
-    let c_omp = FzOmp.compress(data, shape, eb);
+    let c_ref = reference::compress(data, shape, eb);
     assert_eq!(c_nat.bytes, c_sim.bytes, "native vs simulated stream [{ctx}]");
-    assert_eq!(c_omp.bytes, c_sim.bytes, "FZ-OMP vs simulated stream [{ctx}]");
+    assert_eq!(c_ref.bytes, c_sim.bytes, "oracle vs simulated stream [{ctx}]");
 
     // The shared stream must self-verify (header + payload CRCs).
     format::verify(&c_sim.bytes).unwrap_or_else(|e| panic!("stream fails verify [{ctx}]: {e}"));

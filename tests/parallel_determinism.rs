@@ -9,7 +9,7 @@
 //! and seeded fault-campaign outcomes.
 
 use fz_gpu::baselines::{Baseline, Setting, SzOmp};
-use fz_gpu::core::{ErrorBound, FaultPlan, FzGpu, FzOmp};
+use fz_gpu::core::{reference, ErrorBound, FaultPlan, FzGpu, FzOptions, PipelinePath};
 use fz_gpu::metrics::{mae, max_abs_error, mse, pearson, psnr};
 use fz_gpu::sim::device::A100;
 
@@ -51,9 +51,21 @@ fn field() -> Vec<f32> {
 const SHAPE: (usize, usize, usize) = (12, 40, 50);
 
 #[test]
-fn cpu_stream_is_thread_count_invariant() {
-    let data = field();
-    invariant(|| FzOmp.compress(&data, SHAPE, ErrorBound::RelToRange(1e-3)).bytes);
+fn native_stream_is_thread_count_invariant() {
+    // The 1-D field spans four 8192-value chunks of the native Lorenzo
+    // pass, each seeding its west neighbour from the chunk before it.
+    let line: Vec<f32> = (0..3 * 8192 + 5).map(|i| (i as f32 * 0.013).sin() * 40.0).collect();
+    for (data, shape) in [(field(), SHAPE), (line.clone(), (1, 1, line.len()))] {
+        let eb = ErrorBound::RelToRange(1e-3);
+        let (bytes, _) = invariant(|| {
+            let opts = FzOptions { path: PipelinePath::Native, ..FzOptions::default() };
+            let mut fz = FzGpu::with_options(A100, opts);
+            let c = fz.compress(&data, shape, eb);
+            let back: Vec<u32> = fz.decompress(&c).unwrap().iter().map(|v| v.to_bits()).collect();
+            (c.bytes, back)
+        });
+        assert_eq!(bytes, reference::compress(&data, shape, eb).bytes, "shape {shape:?}");
+    }
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Cross-crate invariant: the GPU pipeline (warp-synchronous kernels on
-//! the simulator) and the FZ-OMP CPU pipeline produce **bit-identical
-//! compressed streams**, and each can decompress the other's output.
+//! the simulator) and the scalar oracle (`fzgpu_core::reference`) produce
+//! **bit-identical compressed streams**, and each can decompress the
+//! other's output.
 
-use fz_gpu::core::{ErrorBound, FzGpu, FzOmp};
+use fz_gpu::core::{reference, ErrorBound, FzGpu};
 use fz_gpu::sim::device::{A100, A4000};
 
 fn field(shape: (usize, usize, usize)) -> Vec<f32> {
@@ -20,15 +21,14 @@ fn field(shape: (usize, usize, usize)) -> Vec<f32> {
 fn check_shape(shape: (usize, usize, usize), eb: ErrorBound) {
     let data = field(shape);
     let mut gpu = FzGpu::new(A100);
-    let cpu = FzOmp;
     let c_gpu = gpu.compress(&data, shape, eb);
-    let c_cpu = cpu.compress(&data, shape, eb);
-    assert_eq!(c_gpu.bytes, c_cpu.bytes, "streams diverge for {shape:?}");
+    let c_ref = reference::compress(&data, shape, eb);
+    assert_eq!(c_gpu.bytes, c_ref.bytes, "streams diverge for {shape:?}");
 
     // Cross-decompression.
-    let from_gpu = cpu.decompress_bytes(&c_gpu.bytes).unwrap();
-    let from_cpu = gpu.decompress_bytes(&c_cpu.bytes).unwrap();
-    assert_eq!(from_gpu, from_cpu, "reconstructions diverge for {shape:?}");
+    let from_gpu = reference::decompress(&c_gpu.bytes).unwrap();
+    let from_ref = gpu.decompress_bytes(&c_ref.bytes).unwrap();
+    assert_eq!(from_gpu, from_ref, "reconstructions diverge for {shape:?}");
 
     // Both honor the bound.
     let bound = c_gpu.header.eb;

@@ -3,7 +3,7 @@
 //! as a valid header.
 
 use fz_gpu::core::format::{self, Header, HEADER_BYTES, HEADER_V1_BYTES, VERSION, VERSION_V1};
-use fz_gpu::core::{ErrorBound, FzGpu, FzOmp};
+use fz_gpu::core::{reference, ErrorBound, FzGpu};
 use fz_gpu::sim::device::A100;
 use proptest::prelude::*;
 
@@ -60,13 +60,14 @@ fn v1_streams_still_decompress() {
 
 #[test]
 fn v2_streams_are_bit_exact_and_deterministic() {
-    // Checksums add no nondeterminism: same input → same bytes, GPU and
-    // CPU paths agree, and the stream round-trips through verify.
+    // Checksums add no nondeterminism: same input → same bytes, the GPU
+    // path and the scalar oracle agree, and the stream round-trips through
+    // verify.
     let (data, bytes) = small_stream();
     let (_, bytes_again) = small_stream();
     assert_eq!(bytes, bytes_again);
-    let cpu = FzOmp.compress(&data, (1, 32, 64), ErrorBound::Abs(1e-3));
-    assert_eq!(cpu.bytes, bytes, "CPU and GPU v2 streams must be bit-identical");
+    let oracle = reference::compress(&data, (1, 32, 64), ErrorBound::Abs(1e-3));
+    assert_eq!(oracle.bytes, bytes, "oracle and GPU v2 streams must be bit-identical");
     let h = format::verify(&bytes).expect("fresh stream must verify");
     assert_eq!(h.version, VERSION);
 }
