@@ -39,6 +39,7 @@ use fzgpu_serve::{
 };
 use fzgpu_sim::device::A100;
 use fzgpu_sim::{RetryPolicy, ServiceFaultPlan};
+use fzgpu_trace::json::{self, Layout, Obj};
 use fzgpu_trace::telemetry::LogHist;
 
 /// Deterministic chaos trace: a steady stream of mid-size compressions
@@ -263,51 +264,43 @@ fn main() {
     std::fs::create_dir_all(root.join("results")).expect("results dir");
     std::fs::write(root.join("results/chaos.txt"), txt).expect("write results/chaos.txt");
 
-    let json_cells: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            let slo = c.report.slo();
-            // Log-bucketed completed-job latency histogram (sparse
-            // [bucket, count] pairs, fzgpu_trace::telemetry bucket scheme)
-            // so cross-policy tail shapes are comparable, not just p99.
-            let mut hist = LogHist::new();
-            for j in &c.report.jobs {
-                hist.observe(JobResult::latency(j));
-            }
-            format!(
-                "    {{\"fault_rate\": {}, \"policy\": {}, \"completed\": {}, \"failed\": {}, \
-                 \"retried_jobs\": {}, \"retries_total\": {}, \"goodput_gbs\": {:.4}, \
-                 \"availability\": {:.4}, \"p99_us\": {:.4}, \"p999_us\": {:.4}, \
-                 \"makespan_us\": {:.4}, \"breaker_reroutes\": {}, \"stalls_injected\": {}, \
-                 \"latency_hist\": {}, \"digest\": \"0x{:08x}\"}}",
-                c.rate,
-                fzgpu_trace::json::escape(c.policy),
-                slo.completed,
-                slo.failed,
-                slo.retried_jobs,
-                slo.retries_total,
-                slo.goodput_gbs,
-                slo.availability,
-                slo.p99 * 1e6,
-                slo.p999 * 1e6,
-                c.report.makespan * 1e6,
-                c.report.breaker_reroutes,
-                c.report.stalls_injected,
-                hist.to_json(),
-                c.report.digest(),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"chaos\",\n  \"workload\": {},\n  \"jobs\": {},\n  \
-         \"device\": {},\n  \"smoke\": {smoke},\n  \"fault_seed\": {FAULT_SEED},\n  \
-         \"fault_free_digest\": \"0x{:08x}\",\n  \"cells\": [\n{}\n  ]\n}}\n",
-        fzgpu_trace::json::escape(&workload.name),
-        workload.requests.len(),
-        fzgpu_trace::json::escape(workload.device.name),
-        baseline.digest(),
-        json_cells.join(",\n"),
-    );
+    let json_cells = cells.iter().map(|c| {
+        let slo = c.report.slo();
+        // Log-bucketed completed-job latency histogram (sparse
+        // [bucket, count] pairs, fzgpu_trace::telemetry bucket scheme)
+        // so cross-policy tail shapes are comparable, not just p99.
+        let mut hist = LogHist::new();
+        for j in &c.report.jobs {
+            hist.observe(JobResult::latency(j));
+        }
+        Obj::spaced()
+            .raw("fault_rate", c.rate)
+            .str("policy", c.policy)
+            .raw("completed", slo.completed)
+            .raw("failed", slo.failed)
+            .raw("retried_jobs", slo.retried_jobs)
+            .raw("retries_total", slo.retries_total)
+            .raw("goodput_gbs", format!("{:.4}", slo.goodput_gbs))
+            .raw("availability", format!("{:.4}", slo.availability))
+            .raw("p99_us", format!("{:.4}", slo.p99 * 1e6))
+            .raw("p999_us", format!("{:.4}", slo.p999 * 1e6))
+            .raw("makespan_us", format!("{:.4}", c.report.makespan * 1e6))
+            .raw("breaker_reroutes", c.report.breaker_reroutes)
+            .raw("stalls_injected", c.report.stalls_injected)
+            .raw("latency_hist", hist.to_json())
+            .str("digest", &format!("0x{:08x}", c.report.digest()))
+            .finish()
+    });
+    let json = Obj::doc()
+        .str("bench", "chaos")
+        .str("workload", &workload.name)
+        .raw("jobs", workload.requests.len())
+        .str("device", workload.device.name)
+        .raw("smoke", smoke)
+        .raw("fault_seed", FAULT_SEED)
+        .str("fault_free_digest", &format!("0x{:08x}", baseline.digest()))
+        .raw("cells", json::list(Layout::Doc, json_cells))
+        .finish();
     std::fs::write(root.join("BENCH_chaos.json"), json).expect("write BENCH_chaos.json");
     println!("wrote results/chaos.txt and BENCH_chaos.json");
 }

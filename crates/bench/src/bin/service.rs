@@ -18,6 +18,7 @@ use fzgpu_bench::{arg_flag, Table};
 use fzgpu_core::ErrorBound;
 use fzgpu_serve::{FieldKind, Op, Request, ServeConfig, ServeReport, Service, Workload};
 use fzgpu_sim::device::A100;
+use fzgpu_trace::json::{self, Layout, Obj};
 
 /// Deterministic bench trace: a steady arrival process mixing field
 /// families, sizes, and directions, with enough same-shape neighbours
@@ -209,45 +210,35 @@ fn main() {
     std::fs::create_dir_all(root.join("results")).expect("results dir");
     std::fs::write(root.join("results/service.txt"), txt).expect("write results/service.txt");
 
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let (p50, p90, p99) = r.report.latency_percentiles();
-            format!(
-                "    {{\"streams\": {}, \"pool\": {}, \"batch\": {}, \"makespan_us\": {:.4}, \
-                 \"serial_us\": {:.4}, \"p50_us\": {:.4}, \"p90_us\": {:.4}, \"p99_us\": {:.4}, \
-                 \"throughput_gbs\": {:.4}, \"fused_saved_us\": {:.4}, \"batches\": {}, \
-                 \"pool_hit_rate\": {}}}",
-                r.streams,
-                r.pool,
-                r.batch,
-                r.report.makespan * 1e6,
-                r.report.serial_time * 1e6,
-                p50 * 1e6,
-                p90 * 1e6,
-                p99 * 1e6,
-                r.report.throughput_gbs(),
-                r.report.fused_saved * 1e6,
-                r.report.batches,
-                r.report
-                    .pool
-                    .as_ref()
-                    .map_or_else(|| "null".to_string(), |p| format!("{:.4}", p.hit_rate())),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"service\",\n  \"workload\": {},\n  \"jobs\": {},\n  \
-         \"device\": {},\n  \"smoke\": {smoke},\n  \"digest\": \"0x{digest:08x}\",\n  \
-         \"baseline_makespan_us\": {:.4},\n  \"best_makespan_us\": {:.4},\n  \
-         \"speedup\": {speedup:.4},\n  \"configs\": [\n{}\n  ]\n}}\n",
-        fzgpu_trace::json::escape(&workload.name),
-        workload.requests.len(),
-        fzgpu_trace::json::escape(workload.device.name),
-        baseline.report.makespan * 1e6,
-        best.report.makespan * 1e6,
-        json_rows.join(",\n"),
-    );
+    let json_rows = rows.iter().map(|r| {
+        let (p50, p90, p99) = r.report.latency_percentiles();
+        Obj::spaced()
+            .raw("streams", r.streams)
+            .raw("pool", r.pool)
+            .raw("batch", r.batch)
+            .raw("makespan_us", format!("{:.4}", r.report.makespan * 1e6))
+            .raw("serial_us", format!("{:.4}", r.report.serial_time * 1e6))
+            .raw("p50_us", format!("{:.4}", p50 * 1e6))
+            .raw("p90_us", format!("{:.4}", p90 * 1e6))
+            .raw("p99_us", format!("{:.4}", p99 * 1e6))
+            .raw("throughput_gbs", format!("{:.4}", r.report.throughput_gbs()))
+            .raw("fused_saved_us", format!("{:.4}", r.report.fused_saved * 1e6))
+            .raw("batches", r.report.batches)
+            .opt("pool_hit_rate", r.report.pool.as_ref().map(|p| format!("{:.4}", p.hit_rate())))
+            .finish()
+    });
+    let json = Obj::doc()
+        .str("bench", "service")
+        .str("workload", &workload.name)
+        .raw("jobs", workload.requests.len())
+        .str("device", workload.device.name)
+        .raw("smoke", smoke)
+        .str("digest", &format!("0x{digest:08x}"))
+        .raw("baseline_makespan_us", format!("{:.4}", baseline.report.makespan * 1e6))
+        .raw("best_makespan_us", format!("{:.4}", best.report.makespan * 1e6))
+        .raw("speedup", format!("{speedup:.4}"))
+        .raw("configs", json::list(Layout::Doc, json_rows))
+        .finish();
     std::fs::write(root.join("BENCH_service.json"), json).expect("write BENCH_service.json");
     println!("wrote results/service.txt and BENCH_service.json");
 }

@@ -21,6 +21,7 @@ use fzgpu_bench::{arg_flag, Table};
 use fzgpu_data::dataset;
 use fzgpu_sim::device::A100;
 use fzgpu_store::{backend_from_cli, value_digest, ArrayStore, CodecConfig, Region, StoreSpec};
+use fzgpu_trace::json::{self, Layout, Obj};
 
 /// One measured read.
 struct Row {
@@ -186,32 +187,31 @@ fn main() {
     std::fs::create_dir_all(root.join("results")).expect("results dir");
     std::fs::write(root.join("results/store.txt"), txt).expect("write results/store.txt");
 
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"chunks_per_shard\": {}, \"backend\": \"{}\", \"axis_pct\": {}, \
-                 \"values\": {}, \"chunks\": {}, \"shards\": {}, \"bytes_read\": {}, \
-                 \"backend_reads\": {}, \"modeled_io_s\": {:.6}, \"digest\": \"{:08x}\"}}",
-                r.chunks_per_shard,
-                r.backend,
-                r.frac_pct,
-                r.values,
-                r.chunks,
-                r.shards,
-                r.bytes_read,
-                r.backend_reads,
-                r.modeled_io_s,
-                r.digest,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"store\",\n  \"n_values\": {n},\n  \"dims\": {dims:?},\n  \
-         \"chunk\": {chunk:?},\n  \"codec\": \"fz\",\n  \"eb_abs\": {eb_abs:e},\n  \
-         \"smoke\": {smoke},\n  \"partial_lt_full\": true,\n  \
-         \"digests_backend_invariant\": true,\n  \"reads\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n"),
-    );
+    let json_rows = rows.iter().map(|r| {
+        Obj::spaced()
+            .raw("chunks_per_shard", r.chunks_per_shard)
+            .str("backend", r.backend)
+            .raw("axis_pct", r.frac_pct)
+            .raw("values", r.values)
+            .raw("chunks", r.chunks)
+            .raw("shards", r.shards)
+            .raw("bytes_read", r.bytes_read)
+            .raw("backend_reads", r.backend_reads)
+            .raw("modeled_io_s", format!("{:.6}", r.modeled_io_s))
+            .str("digest", &format!("{:08x}", r.digest))
+            .finish()
+    });
+    let json = Obj::doc()
+        .str("bench", "store")
+        .raw("n_values", n)
+        .raw("dims", json::list(Layout::Spaced, &dims))
+        .raw("chunk", json::list(Layout::Spaced, &chunk))
+        .str("codec", "fz")
+        .raw("eb_abs", format!("{eb_abs:e}"))
+        .raw("smoke", smoke)
+        .raw("partial_lt_full", true)
+        .raw("digests_backend_invariant", true)
+        .raw("reads", json::list(Layout::Doc, json_rows))
+        .finish();
     std::fs::write(root.join("BENCH_store.json"), json).expect("write BENCH_store.json");
 }

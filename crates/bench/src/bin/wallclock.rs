@@ -45,6 +45,7 @@ use fzgpu_core::quant::ErrorBound;
 use fzgpu_data::dataset;
 use fzgpu_sim::device::A100;
 use fzgpu_sim::Engine;
+use fzgpu_trace::json::{self, Layout, Obj};
 
 struct Sample {
     threads: usize,
@@ -261,37 +262,34 @@ fn main() {
     std::fs::create_dir_all(root.join("results")).expect("results dir");
     std::fs::write(root.join("results/wallclock.txt"), txt).expect("write results/wallclock.txt");
 
-    let rows: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"threads\": {}, \"effective_threads\": {}, \"speedup_vs_1\": {:.3}, \
-                 \"native_compress_s\": {:.6}, \"native_decompress_s\": {:.6}, \
-                 \"native_compress_gbps\": {:.4}, \"native_vs_sim_wall\": {:.2}, \
-                 \"sim_wall_s\": {:.6}, \"sim_analytic_wall_s\": {:.6}, \
-                 \"analytic_vs_native\": {:.2}}}",
-                s.threads,
-                s.effective_threads,
-                base / s.native_compress_s,
-                s.native_compress_s,
-                s.native_decompress_s,
-                input_bytes as f64 / s.native_compress_s / 1e9,
-                s.sim_wall_s / s.native_compress_s,
-                s.sim_wall_s,
-                s.sim_analytic_wall_s,
-                s.sim_analytic_wall_s / s.native_compress_s,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"wallclock\",\n  \"dataset\": {},\n  \"n_values\": {},\n  \
-         \"input_bytes\": {input_bytes},\n  \"host_cores\": {host_cores},\n  \"smoke\": {smoke},\n  \
-         \"iters\": {iters},\n  \"warmup\": 1,\n  \"stat\": \"median\",\n  \
-         \"modeled_kernel_s\": {modeled_kernel_s:.6},\n  \"identical_streams\": true,\n  \
-         \"threads\": [\n{}\n  ]\n}}\n",
-        fzgpu_trace::json::escape(label),
-        data.len(),
-        rows.join(",\n"),
-    );
+    let rows = samples.iter().map(|s| {
+        let c = s.native_compress_s;
+        Obj::spaced()
+            .raw("threads", s.threads)
+            .raw("effective_threads", s.effective_threads)
+            .raw("speedup_vs_1", format!("{:.3}", base / c))
+            .raw("native_compress_s", format!("{c:.6}"))
+            .raw("native_decompress_s", format!("{:.6}", s.native_decompress_s))
+            .raw("native_compress_gbps", format!("{:.4}", input_bytes as f64 / c / 1e9))
+            .raw("native_vs_sim_wall", format!("{:.2}", s.sim_wall_s / c))
+            .raw("sim_wall_s", format!("{:.6}", s.sim_wall_s))
+            .raw("sim_analytic_wall_s", format!("{:.6}", s.sim_analytic_wall_s))
+            .raw("analytic_vs_native", format!("{:.2}", s.sim_analytic_wall_s / c))
+            .finish()
+    });
+    let json = Obj::doc()
+        .str("bench", "wallclock")
+        .str("dataset", label)
+        .raw("n_values", data.len())
+        .raw("input_bytes", input_bytes)
+        .raw("host_cores", host_cores)
+        .raw("smoke", smoke)
+        .raw("iters", iters)
+        .raw("warmup", 1)
+        .str("stat", "median")
+        .raw("modeled_kernel_s", format!("{modeled_kernel_s:.6}"))
+        .raw("identical_streams", true)
+        .raw("threads", json::list(Layout::Doc, rows))
+        .finish();
     std::fs::write(root.join("BENCH_wallclock.json"), json).expect("write BENCH_wallclock.json");
 }

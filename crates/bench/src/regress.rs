@@ -17,7 +17,7 @@ use fzgpu_core::{FzGpu, FzOptions};
 use fzgpu_data::{Scale, CATALOG};
 use fzgpu_metrics::psnr;
 use fzgpu_sim::{DeviceSpec, Engine};
-use fzgpu_trace::json::{self, Value};
+use fzgpu_trace::json::{self, Layout, Obj, Value};
 
 use crate::shape_of;
 
@@ -132,30 +132,23 @@ pub fn run_suite(spec: DeviceSpec, rel_eb: f64, engine: Engine) -> Vec<Case> {
 
 /// Serialize a suite to the committed-baseline JSON format.
 pub fn to_json(device: &str, rel_eb: f64, cases: &[Case]) -> String {
-    let rows: Vec<String> = cases
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"dataset\": {}, \"n_values\": {}, \"compressed_bytes\": {}, \
-                 \"ratio\": {}, \"compress_modeled_us\": {}, \"decompress_modeled_us\": {}, \
-                 \"psnr_db\": {}}}",
-                json::escape(&c.dataset),
-                c.n_values,
-                c.compressed_bytes,
-                json::num(c.ratio),
-                json::num(c.compress_modeled_us),
-                json::num(c.decompress_modeled_us),
-                json::num(c.psnr_db),
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": \"regress\",\n  \"device\": {},\n  \"rel_eb\": {},\n  \
-         \"cases\": [\n{}\n  ]\n}}\n",
-        json::escape(device),
-        json::num(rel_eb),
-        rows.join(",\n"),
-    )
+    let rows = cases.iter().map(|c| {
+        Obj::spaced()
+            .str("dataset", &c.dataset)
+            .raw("n_values", c.n_values)
+            .raw("compressed_bytes", c.compressed_bytes)
+            .num("ratio", c.ratio)
+            .num("compress_modeled_us", c.compress_modeled_us)
+            .num("decompress_modeled_us", c.decompress_modeled_us)
+            .num("psnr_db", c.psnr_db)
+            .finish()
+    });
+    Obj::doc()
+        .str("bench", "regress")
+        .str("device", device)
+        .num("rel_eb", rel_eb)
+        .raw("cases", json::list(Layout::Doc, rows))
+        .finish()
 }
 
 /// Parse a committed baseline file.
@@ -314,6 +307,16 @@ mod tests {
         let parsed = parse_baseline(&text).unwrap();
         assert_eq!(parsed, cases);
         assert!(compare(&cases, &parsed, Thresholds::default()).is_empty());
+    }
+
+    #[test]
+    fn committed_baseline_is_rewritten_byte_for_byte() {
+        let text = include_str!("../../../BENCH_regress.json");
+        let root = json::parse(text).unwrap();
+        let device = root.get("device").and_then(Value::as_str).unwrap();
+        let rel_eb = root.get("rel_eb").and_then(Value::as_f64).unwrap();
+        let cases = parse_baseline(text).unwrap();
+        assert_eq!(to_json(device, rel_eb, &cases), text);
     }
 
     #[test]

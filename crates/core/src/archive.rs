@@ -440,18 +440,35 @@ pub struct Shard {
     pub meta: Vec<ChunkMeta>,
 }
 
+/// One chunk's entry in a v3 shard's inner index, placed in the shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkEntry {
+    /// Byte offset of the chunk stream from the start of the shard.
+    pub offset: usize,
+    /// Chunk stream length in bytes.
+    pub len: usize,
+    /// Value count and CRC-32 of the chunk stream.
+    pub meta: ChunkMeta,
+}
+
 impl Shard {
-    /// Byte offset of the first chunk inside the serialized shard (the
-    /// inner index — `nchunks`, entries, index CRC — precedes it).
-    pub fn payload_offset(nchunks: usize) -> usize {
-        V3_INNER_HEADER_BYTES + V3_INNER_ENTRY_BYTES * nchunks + 4
+    /// Bytes of the inner index of a shard holding `nchunks` chunks
+    /// (count, entries, index CRC): what a partial reader fetches first,
+    /// and where the shard's chunk payloads begin. A count whose index
+    /// length overflows is an error, never a wrapped length.
+    pub fn index_len(nchunks: usize) -> Result<usize, FormatError> {
+        nchunks
+            .checked_mul(V3_INNER_ENTRY_BYTES)
+            .and_then(|n| n.checked_add(V3_INNER_HEADER_BYTES + 4))
+            .ok_or(FormatError::Truncated)
     }
 
     /// Serialize: `[u64 nchunks][nchunks x {u64 byte_len, u64 n_values,
     /// u32 crc}][u32 index_crc][chunk bytes...]`.
     pub fn to_bytes(&self) -> Vec<u8> {
         let payload: usize = self.chunks.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(Self::payload_offset(self.chunks.len()) + payload);
+        let index = Self::index_len(self.chunks.len()).unwrap_or(0);
+        let mut out = Vec::with_capacity(index + payload);
         out.extend_from_slice(&(self.chunks.len() as u64).to_le_bytes());
         for (c, m) in self.chunks.iter().zip(&self.meta) {
             out.extend_from_slice(&(c.len() as u64).to_le_bytes());
@@ -466,44 +483,48 @@ impl Shard {
         out
     }
 
+    /// Parse a shard's inner index from the start of `bytes`, which needs
+    /// only the index itself ([`Shard::index_len`] bytes); chunk payloads
+    /// may follow and are not read. The index CRC is verified before any
+    /// entry is trusted, and each chunk's offset is a checked sum.
+    pub fn parse_index(bytes: &[u8]) -> Result<Vec<ChunkEntry>, FormatError> {
+        if bytes.len() < V3_INNER_HEADER_BYTES {
+            return Err(FormatError::Truncated);
+        }
+        let nchunks = le64(bytes, 0);
+        let index_end = Self::index_len(nchunks)?;
+        if bytes.len() < index_end {
+            return Err(FormatError::Truncated);
+        }
+        let entries_end = index_end - 4;
+        if crc32(&bytes[..entries_end]) != le32(bytes, entries_end) {
+            format::note_crc_failure(ChecksumSection::Directory);
+            return Err(FormatError::ChecksumMismatch { section: ChecksumSection::Directory });
+        }
+        let mut entries = Vec::with_capacity(nchunks);
+        let mut offset = index_end;
+        for i in 0..nchunks {
+            let at = V3_INNER_HEADER_BYTES + V3_INNER_ENTRY_BYTES * i;
+            let len = le64(bytes, at);
+            let meta = ChunkMeta { n_values: le64(bytes, at + 8), crc: Some(le32(bytes, at + 16)) };
+            entries.push(ChunkEntry { offset, len, meta });
+            offset = offset.checked_add(len).ok_or(FormatError::Truncated)?;
+        }
+        Ok(entries)
+    }
+
     /// Parse a serialized shard. The inner index CRC is verified before any
     /// entry is trusted; per-chunk CRCs are carried in the returned metadata
     /// (checked lazily at decode time, like the v2 directory).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FormatError> {
-        if bytes.len() < V3_INNER_HEADER_BYTES + 4 {
-            return Err(FormatError::Truncated);
+        let index = Self::parse_index(bytes)?;
+        let mut chunks = Vec::with_capacity(index.len());
+        for c in &index {
+            chunks.push(
+                bytes.get(c.offset..c.offset + c.len).ok_or(FormatError::Truncated)?.to_vec(),
+            );
         }
-        let nchunks = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-        let entries_end = nchunks
-            .checked_mul(V3_INNER_ENTRY_BYTES)
-            .and_then(|n| n.checked_add(V3_INNER_HEADER_BYTES))
-            .ok_or(FormatError::Truncated)?;
-        let index_end = entries_end.checked_add(4).ok_or(FormatError::Truncated)?;
-        if bytes.len() < index_end {
-            return Err(FormatError::Truncated);
-        }
-        let stored = u32::from_le_bytes(bytes[entries_end..index_end].try_into().unwrap());
-        if crc32(&bytes[..entries_end]) != stored {
-            format::note_crc_failure(ChecksumSection::Directory);
-            return Err(FormatError::ChecksumMismatch { section: ChecksumSection::Directory });
-        }
-        let mut chunks = Vec::with_capacity(nchunks);
-        let mut meta = Vec::with_capacity(nchunks);
-        let mut pos = index_end;
-        for i in 0..nchunks {
-            let at = V3_INNER_HEADER_BYTES + V3_INNER_ENTRY_BYTES * i;
-            let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-            let n_values = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(bytes[at + 16..at + 20].try_into().unwrap());
-            let end = pos.checked_add(len).ok_or(FormatError::Truncated)?;
-            if end > bytes.len() {
-                return Err(FormatError::Truncated);
-            }
-            chunks.push(bytes[pos..end].to_vec());
-            meta.push(ChunkMeta { n_values, crc: Some(crc) });
-            pos = end;
-        }
-        Ok(Self { chunks, meta })
+        Ok(Self { chunks, meta: index.iter().map(|c| c.meta).collect() })
     }
 }
 
@@ -562,16 +583,75 @@ impl ShardedArchive {
         Archive { total_values: self.total_values, chunks, meta }
     }
 
-    /// Byte offset where shard payloads begin (end of the top directory).
-    pub fn payload_offset(nshards: usize) -> usize {
-        V3_DIR_HEADER_BYTES + V3_DIR_ENTRY_BYTES * nshards + 4
+    /// Bytes of the top directory (header, entries, directory CRC) that
+    /// the first [`V3_DIR_HEADER_BYTES`] bytes of a v3 archive declare:
+    /// what a partial reader fetches first, and where shard payloads
+    /// begin. A shard count whose directory length overflows is an error,
+    /// never a wrapped length.
+    pub fn directory_len(header: &[u8]) -> Result<usize, FormatError> {
+        if header.len() < 4 || header[..4] != ARCHIVE_MAGIC {
+            return Err(FormatError::BadMagic);
+        }
+        if header.len() < 8 {
+            return Err(FormatError::Truncated);
+        }
+        let version = le32(header, 4);
+        if version != ARCHIVE_VERSION_V3 {
+            return Err(FormatError::BadArchiveVersion(version));
+        }
+        if header.len() < V3_DIR_HEADER_BYTES {
+            return Err(FormatError::Truncated);
+        }
+        dir_len(le64(header, 16))
+    }
+
+    /// Parse the top directory from the start of `bytes`, which needs only
+    /// the directory itself ([`ShardedArchive::directory_len`] bytes);
+    /// shard payloads may follow and are not read. The directory CRC is
+    /// verified before any entry is trusted, and each shard's offset and
+    /// first chunk index are checked sums.
+    pub fn parse_directory(bytes: &[u8]) -> Result<ShardDirectory, FormatError> {
+        let dir_end = Self::directory_len(bytes)?;
+        if bytes.len() < dir_end {
+            return Err(FormatError::Truncated);
+        }
+        let entries_end = dir_end - 4;
+        if crc32(&bytes[..entries_end]) != le32(bytes, entries_end) {
+            format::note_crc_failure(ChecksumSection::Directory);
+            return Err(FormatError::ChecksumMismatch { section: ChecksumSection::Directory });
+        }
+        let nshards = (entries_end - V3_DIR_HEADER_BYTES) / V3_DIR_ENTRY_BYTES;
+        let mut shards = Vec::with_capacity(nshards);
+        let (mut offset, mut first_chunk) = (dir_end, 0usize);
+        for i in 0..nshards {
+            let at = V3_DIR_HEADER_BYTES + V3_DIR_ENTRY_BYTES * i;
+            let (len, nchunks) = (le64(bytes, at), le64(bytes, at + 8));
+            shards.push(ShardEntry {
+                offset,
+                len,
+                first_chunk,
+                nchunks,
+                crc: le32(bytes, at + 16),
+            });
+            offset = offset.checked_add(len).ok_or(FormatError::Truncated)?;
+            first_chunk = first_chunk
+                .checked_add(nchunks)
+                .ok_or(FormatError::Inconsistent("shard chunk counts overflow"))?;
+        }
+        Ok(ShardDirectory {
+            total_values: le64(bytes, 8),
+            num_chunks: first_chunk,
+            byte_len: offset,
+            shards,
+        })
     }
 
     /// Serialize to bytes (directory v3).
     pub fn to_bytes(&self) -> Vec<u8> {
         let shard_bytes: Vec<Vec<u8>> = self.shards.iter().map(Shard::to_bytes).collect();
         let payload: usize = shard_bytes.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(Self::payload_offset(self.shards.len()) + payload);
+        let dir = dir_len(self.shards.len()).unwrap_or(0);
+        let mut out = Vec::with_capacity(dir + payload);
         out.extend_from_slice(&ARCHIVE_MAGIC);
         out.extend_from_slice(&ARCHIVE_VERSION_V3.to_le_bytes());
         out.extend_from_slice(&(self.total_values as u64).to_le_bytes());
@@ -593,59 +673,71 @@ impl ShardedArchive {
     /// Verifies the top directory CRC and every shard's whole-shard CRC
     /// and inner-index CRC; chunk CRCs stay lazy.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FormatError> {
-        if bytes.len() < 4 || bytes[..4] != ARCHIVE_MAGIC {
-            return Err(FormatError::BadMagic);
-        }
-        if bytes.len() < 8 {
+        let dir = Self::parse_directory(bytes)?;
+        if bytes.len() < dir.byte_len {
             return Err(FormatError::Truncated);
         }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != ARCHIVE_VERSION_V3 {
-            return Err(FormatError::BadArchiveVersion(version));
-        }
-        if bytes.len() < V3_DIR_HEADER_BYTES {
-            return Err(FormatError::Truncated);
-        }
-        let total_values = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        let nshards = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        let entries_end = nshards
-            .checked_mul(V3_DIR_ENTRY_BYTES)
-            .and_then(|n| n.checked_add(V3_DIR_HEADER_BYTES))
-            .ok_or(FormatError::Truncated)?;
-        let dir_end = entries_end.checked_add(4).ok_or(FormatError::Truncated)?;
-        if bytes.len() < dir_end {
-            return Err(FormatError::Truncated);
-        }
-        let stored = u32::from_le_bytes(bytes[entries_end..dir_end].try_into().unwrap());
-        if crc32(&bytes[..entries_end]) != stored {
-            format::note_crc_failure(ChecksumSection::Directory);
-            return Err(FormatError::ChecksumMismatch { section: ChecksumSection::Directory });
-        }
-        let mut shards = Vec::with_capacity(nshards);
-        let mut pos = dir_end;
-        for i in 0..nshards {
-            let at = V3_DIR_HEADER_BYTES + V3_DIR_ENTRY_BYTES * i;
-            let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-            let nchunks = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(bytes[at + 16..at + 20].try_into().unwrap());
-            let end = pos.checked_add(len).ok_or(FormatError::Truncated)?;
-            if end > bytes.len() {
-                return Err(FormatError::Truncated);
-            }
-            let body = &bytes[pos..end];
-            if crc32(body) != crc {
+        let mut shards = Vec::with_capacity(dir.shards.len());
+        for (i, e) in dir.shards.iter().enumerate() {
+            let body = &bytes[e.offset..e.offset + e.len];
+            if crc32(body) != e.crc {
                 format::note_crc_failure(ChecksumSection::Chunk(i));
                 return Err(FormatError::ChecksumMismatch { section: ChecksumSection::Chunk(i) });
             }
             let shard = Shard::from_bytes(body)?;
-            if shard.chunks.len() != nchunks {
+            if shard.chunks.len() != e.nchunks {
                 return Err(FormatError::Inconsistent("shard chunk count vs directory"));
             }
             shards.push(shard);
-            pos = end;
         }
-        Ok(Self { total_values, shards })
+        Ok(Self { total_values: dir.total_values, shards })
     }
+}
+
+/// One shard's entry in a v3 top directory, placed in the archive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardEntry {
+    /// Byte offset of the shard from the start of the archive.
+    pub offset: usize,
+    /// Serialized shard length in bytes.
+    pub len: usize,
+    /// Archive-wide index of the shard's first chunk.
+    pub first_chunk: usize,
+    /// Chunks in the shard.
+    pub nchunks: usize,
+    /// CRC-32 of the whole serialized shard.
+    pub crc: u32,
+}
+
+/// A CRC-verified v3 top directory ([`ShardedArchive::parse_directory`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardDirectory {
+    /// Total values across all chunks.
+    pub total_values: usize,
+    /// Total chunks across all shards.
+    pub num_chunks: usize,
+    /// Archive length the directory declares: the end of its last shard.
+    pub byte_len: usize,
+    /// The shards, in chunk order.
+    pub shards: Vec<ShardEntry>,
+}
+
+/// Length of a v3 top directory over `nshards` shards, checked.
+fn dir_len(nshards: usize) -> Result<usize, FormatError> {
+    nshards
+        .checked_mul(V3_DIR_ENTRY_BYTES)
+        .and_then(|n| n.checked_add(V3_DIR_HEADER_BYTES + 4))
+        .ok_or(FormatError::Truncated)
+}
+
+/// Little-endian `u64` length or count field at `at`.
+fn le64(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+}
+
+/// Little-endian `u32` field at `at`.
+fn le32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
 }
 
 #[cfg(test)]
@@ -889,7 +981,7 @@ mod tests {
         ));
         // Inner shard index (first shard starts right after the directory).
         let mut b = good.clone();
-        let shard0 = ShardedArchive::payload_offset(3);
+        let shard0 = ShardedArchive::directory_len(&good).unwrap();
         b[shard0 + V3_INNER_HEADER_BYTES + 1] ^= 0x01;
         assert!(ShardedArchive::from_bytes(&b).is_err());
         // Chunk body: caught by the whole-shard CRC in the top directory.

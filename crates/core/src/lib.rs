@@ -44,7 +44,8 @@ pub mod reference;
 pub mod zeroblock;
 
 pub use archive::{
-    Archive, ChunkHealth, ChunkMeta, DegradedOutput, FillPolicy, ScrubReport, Shard, ShardedArchive,
+    Archive, ChunkEntry, ChunkHealth, ChunkMeta, DegradedOutput, FillPolicy, ScrubReport, Shard,
+    ShardDirectory, ShardEntry, ShardedArchive,
 };
 pub use crc::crc32;
 pub use fastpath::{FzNative, PipelinePath};

@@ -22,6 +22,14 @@ impl ErrorBound {
     /// # Panics
     /// Panics when the resolved bound is not finite and positive.
     pub fn resolve(&self, data: &[f32]) -> f64 {
+        self.try_resolve(data)
+            .unwrap_or_else(|eb| panic!("error bound must be finite and positive, got {eb}"))
+    }
+
+    /// [`ErrorBound::resolve`] without the panic: `Err` carries the
+    /// resolved bound when it is not finite and positive, as for a
+    /// range-relative bound over a field that holds ±inf.
+    pub fn try_resolve(&self, data: &[f32]) -> Result<f64, f64> {
         let eb = match *self {
             ErrorBound::Abs(e) => e,
             ErrorBound::RelToRange(_) => {
@@ -30,8 +38,11 @@ impl ErrorBound {
                 self.to_abs((hi - lo) as f64)
             }
         };
-        assert!(eb.is_finite() && eb > 0.0, "error bound must be finite and positive, got {eb}");
-        eb
+        if eb.is_finite() && eb > 0.0 {
+            Ok(eb)
+        } else {
+            Err(eb)
+        }
     }
 
     /// Resolve to an absolute bound given the field's value range.

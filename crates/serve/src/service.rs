@@ -35,7 +35,7 @@ use std::time::Instant;
 use fzgpu_core::crc::Crc32;
 use fzgpu_core::{crc32, FzGpu, FzOptions, PipelinePath};
 use fzgpu_sim::{Engine, MemPool, OpClass, PoolStats, ServiceFaults, StreamSim};
-use fzgpu_trace::json;
+use fzgpu_trace::json::{self, Layout, Obj};
 use fzgpu_trace::metrics::{self, Class};
 
 use crate::batch::{fuse_kernel_sequences, BatchKey};
@@ -454,164 +454,124 @@ impl ServeReport {
     /// `include_wall` so the default document is deterministic.
     pub fn to_json(&self, include_wall: bool) -> String {
         let (p50, p90, p99) = self.latency_percentiles();
-        let mut jobs = Vec::with_capacity(self.jobs.len());
-        for j in &self.jobs {
-            let mut row = format!(
-                "{{\"id\":{},\"op\":{},\"n\":{},\"arrival_us\":{},\"admitted_us\":{},\"dispatched_us\":{},\"completed_us\":{},\"latency_us\":{},\"bytes_in\":{},\"bytes_out\":{},\"digest\":\"0x{:08x}\",\"stream\":{},\"batch\":{},\"batch_size\":{},\"retries\":{}",
-                j.id,
-                json::escape(j.op.label()),
-                j.n,
-                json::num(j.arrival * 1e6),
-                json::num(j.admitted * 1e6),
-                json::num(j.dispatched * 1e6),
-                json::num(j.completed * 1e6),
-                json::num(j.latency() * 1e6),
-                j.bytes_in,
-                j.bytes_out,
-                j.digest,
-                j.stream,
-                j.batch,
-                j.batch_size,
-                j.retries,
-            );
-            if include_wall {
-                row.push_str(&format!(",\"host_us\":{}", json::num(j.host_seconds * 1e6)));
-            }
-            row.push('}');
-            jobs.push(row);
-        }
-        let rejected: Vec<String> = self
+        let jobs = self.jobs.iter().map(|j| {
+            let row = Obj::compact()
+                .raw("id", j.id)
+                .str("op", j.op.label())
+                .raw("n", j.n)
+                .num("arrival_us", j.arrival * 1e6)
+                .num("admitted_us", j.admitted * 1e6)
+                .num("dispatched_us", j.dispatched * 1e6)
+                .num("completed_us", j.completed * 1e6)
+                .num("latency_us", j.latency() * 1e6)
+                .raw("bytes_in", j.bytes_in)
+                .raw("bytes_out", j.bytes_out)
+                .str("digest", &format!("0x{:08x}", j.digest))
+                .raw("stream", j.stream)
+                .raw("batch", j.batch)
+                .raw("batch_size", j.batch_size)
+                .raw("retries", j.retries);
+            if include_wall { row.num("host_us", j.host_seconds * 1e6) } else { row }.finish()
+        });
+        // Rejected, shed and failed rows open alike: id, arrival, one time.
+        let unserved = |id: usize, arrival: f64, key: &str, t: f64| {
+            Obj::compact().raw("id", id).num("arrival_us", arrival * 1e6).num(key, t * 1e6)
+        };
+        let rejected = self
             .rejected
             .iter()
-            .map(|r| {
-                format!(
-                    "{{\"id\":{},\"arrival_us\":{},\"retry_after_us\":{}}}",
-                    r.id,
-                    json::num(r.arrival * 1e6),
-                    json::num(r.retry_after * 1e6)
-                )
-            })
-            .collect();
-        let shed: Vec<String> = self
-            .shed
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"id\":{},\"arrival_us\":{},\"retry_after_us\":{},\"priority\":{},\"reason\":{}}}",
-                    s.id,
-                    json::num(s.arrival * 1e6),
-                    json::num(s.retry_after * 1e6),
-                    s.priority,
-                    json::escape(s.reason)
-                )
-            })
-            .collect();
-        let failed: Vec<String> = self
-            .failed
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"id\":{},\"arrival_us\":{},\"time_us\":{},\"attempts\":{},\"reason\":{}}}",
-                    f.id,
-                    json::num(f.arrival * 1e6),
-                    json::num(f.time * 1e6),
-                    f.attempts,
-                    json::escape(f.reason)
-                )
-            })
-            .collect();
+            .map(|r| unserved(r.id, r.arrival, "retry_after_us", r.retry_after).finish());
+        let shed = self.shed.iter().map(|s| {
+            let head = unserved(s.id, s.arrival, "retry_after_us", s.retry_after);
+            head.raw("priority", s.priority).str("reason", s.reason).finish()
+        });
+        let failed = self.failed.iter().map(|f| {
+            let head = unserved(f.id, f.arrival, "time_us", f.time);
+            head.raw("attempts", f.attempts).str("reason", f.reason).finish()
+        });
         let slo = self.slo();
-        let slo_json = format!(
-            "{{\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"p999_us\":{},\"goodput_gbs\":{},\"availability\":{},\"completed\":{},\"rejected\":{},\"shed\":{},\"failed\":{},\"retried_jobs\":{},\"retries_total\":{},\"deadline_missed\":{},\"aborted_jobs\":{},\"breaker_reroutes\":{},\"stalls_injected\":{}}}",
-            json::num(slo.p50 * 1e6),
-            json::num(slo.p90 * 1e6),
-            json::num(slo.p99 * 1e6),
-            json::num(slo.p999 * 1e6),
-            json::num(slo.goodput_gbs),
-            json::num(slo.availability),
-            slo.completed,
-            slo.rejected,
-            slo.shed,
-            slo.failed,
-            slo.retried_jobs,
-            slo.retries_total,
-            slo.deadline_missed,
-            slo.aborted_jobs,
-            self.breaker_reroutes,
-            self.stalls_injected,
-        );
+        let slo_json = Obj::compact()
+            .num("p50_us", slo.p50 * 1e6)
+            .num("p90_us", slo.p90 * 1e6)
+            .num("p99_us", slo.p99 * 1e6)
+            .num("p999_us", slo.p999 * 1e6)
+            .num("goodput_gbs", slo.goodput_gbs)
+            .num("availability", slo.availability)
+            .raw("completed", slo.completed)
+            .raw("rejected", slo.rejected)
+            .raw("shed", slo.shed)
+            .raw("failed", slo.failed)
+            .raw("retried_jobs", slo.retried_jobs)
+            .raw("retries_total", slo.retries_total)
+            .raw("deadline_missed", slo.deadline_missed)
+            .raw("aborted_jobs", slo.aborted_jobs)
+            .raw("breaker_reroutes", self.breaker_reroutes)
+            .raw("stalls_injected", self.stalls_injected)
+            .finish();
         let res = &self.config.resilience;
-        let res_json = format!(
-            "{{\"deadline_us\":{},\"max_retries\":{},\"backoff_base_us\":{},\"backoff_cap_us\":{},\"shed_by_priority\":{},\"breaker\":{},\"fault\":{{\"seed\":{},\"job_fail_prob\":{},\"max_consecutive\":{},\"stall_prob\":{},\"stall_us\":{},\"loss_at_us\":{},\"repair_us\":{}}}}}",
-            res.deadline.map_or("null".to_string(), |d| json::num(d * 1e6)),
-            res.retry.max_retries,
-            json::num(res.retry.backoff_base * 1e6),
-            json::num(res.retry.backoff_cap * 1e6),
-            res.shed_by_priority,
-            res.breaker,
-            res.faults.seed,
-            json::num(res.faults.job_fail_prob),
-            res.faults.max_consecutive_job_faults,
-            json::num(res.faults.stall_prob),
-            json::num(res.faults.stall_seconds * 1e6),
-            res.faults.device_loss_at.map_or("null".to_string(), |t| json::num(t * 1e6)),
-            res.faults
-                .device_repair_seconds
-                .map_or("null".to_string(), |t| json::num(t * 1e6)),
-        );
-        let pool = match &self.pool {
-            Some(p) => format!(
-                "{{\"hits\":{},\"misses\":{},\"frag_misses\":{},\"releases\":{},\"high_water_bytes\":{},\"hit_rate\":{}}}",
-                p.hits,
-                p.misses,
-                p.fragmentation_misses,
-                p.releases,
-                p.high_water_bytes,
-                json::num(p.hit_rate())
-            ),
-            None => "null".to_string(),
-        };
-        let mut doc = format!(
-            "{{\"workload\":{},\"device\":{},\"streams\":{},\"pool\":{},\"batch_max\":{},\"queue_depth\":{},\"backpressure\":{},\"path\":{},\"engine\":{},\"resilience\":{},\"jobs\":[{}],\"rejected\":[{}],\"shed\":[{}],\"failed\":[{}],\"slo\":{},\"makespan_us\":{},\"serial_us\":{},\"compute_utilization\":{},\"throughput_gbs\":{},\"latency_us\":{{\"p50\":{},\"p90\":{},\"p99\":{}}},\"batches\":{},\"fused_saved_us\":{},\"pool_stats\":{},\"digest\":\"0x{:08x}\"",
-            json::escape(&self.workload),
-            json::escape(self.device),
-            self.config.streams,
-            self.config.pool,
-            self.config.batch_max,
-            self.config.queue_depth,
-            json::escape(self.config.backpressure.label()),
-            json::escape(self.config.path.label()),
-            json::escape(self.config.engine.label()),
-            res_json,
-            jobs.join(","),
-            rejected.join(","),
-            shed.join(","),
-            failed.join(","),
-            slo_json,
-            json::num(self.makespan * 1e6),
-            json::num(self.serial_time * 1e6),
-            json::num(self.compute_utilization),
-            json::num(self.throughput_gbs()),
-            json::num(p50 * 1e6),
-            json::num(p90 * 1e6),
-            json::num(p99 * 1e6),
-            self.batches,
-            json::num(self.fused_saved * 1e6),
-            pool,
-            self.digest(),
-        );
-        if include_wall {
-            let (h50, h90, h99) = self.host_percentiles();
-            doc.push_str(&format!(
-                ",\"host_seconds\":{},\"host_job_us\":{{\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                json::num(self.host_seconds),
-                json::num(h50 * 1e6),
-                json::num(h90 * 1e6),
-                json::num(h99 * 1e6)
-            ));
+        let us = |t: Option<f64>| t.map(|t| json::num(t * 1e6));
+        let fault = Obj::compact()
+            .raw("seed", res.faults.seed)
+            .num("job_fail_prob", res.faults.job_fail_prob)
+            .raw("max_consecutive", res.faults.max_consecutive_job_faults)
+            .num("stall_prob", res.faults.stall_prob)
+            .num("stall_us", res.faults.stall_seconds * 1e6)
+            .opt("loss_at_us", us(res.faults.device_loss_at))
+            .opt("repair_us", us(res.faults.device_repair_seconds))
+            .finish();
+        let res_json = Obj::compact()
+            .opt("deadline_us", us(res.deadline))
+            .raw("max_retries", res.retry.max_retries)
+            .num("backoff_base_us", res.retry.backoff_base * 1e6)
+            .num("backoff_cap_us", res.retry.backoff_cap * 1e6)
+            .raw("shed_by_priority", res.shed_by_priority)
+            .raw("breaker", res.breaker)
+            .raw("fault", fault)
+            .finish();
+        let pool = self.pool.as_ref().map(|p| {
+            Obj::compact()
+                .raw("hits", p.hits)
+                .raw("misses", p.misses)
+                .raw("frag_misses", p.fragmentation_misses)
+                .raw("releases", p.releases)
+                .raw("high_water_bytes", p.high_water_bytes)
+                .num("hit_rate", p.hit_rate())
+                .finish()
+        });
+        let latency =
+            Obj::compact().num("p50", p50 * 1e6).num("p90", p90 * 1e6).num("p99", p99 * 1e6);
+        let doc = Obj::compact()
+            .str("workload", &self.workload)
+            .str("device", self.device)
+            .raw("streams", self.config.streams)
+            .raw("pool", self.config.pool)
+            .raw("batch_max", self.config.batch_max)
+            .raw("queue_depth", self.config.queue_depth)
+            .str("backpressure", self.config.backpressure.label())
+            .str("path", self.config.path.label())
+            .str("engine", self.config.engine.label())
+            .raw("resilience", res_json)
+            .raw("jobs", json::list(Layout::Compact, jobs))
+            .raw("rejected", json::list(Layout::Compact, rejected))
+            .raw("shed", json::list(Layout::Compact, shed))
+            .raw("failed", json::list(Layout::Compact, failed))
+            .raw("slo", slo_json)
+            .num("makespan_us", self.makespan * 1e6)
+            .num("serial_us", self.serial_time * 1e6)
+            .num("compute_utilization", self.compute_utilization)
+            .num("throughput_gbs", self.throughput_gbs())
+            .raw("latency_us", latency.finish())
+            .raw("batches", self.batches)
+            .num("fused_saved_us", self.fused_saved * 1e6)
+            .opt("pool_stats", pool)
+            .str("digest", &format!("0x{:08x}", self.digest()));
+        if !include_wall {
+            return doc.finish();
         }
-        doc.push('}');
-        doc
+        let (h50, h90, h99) = self.host_percentiles();
+        let host_job =
+            Obj::compact().num("p50", h50 * 1e6).num("p90", h90 * 1e6).num("p99", h99 * 1e6);
+        doc.num("host_seconds", self.host_seconds).raw("host_job_us", host_job.finish()).finish()
     }
 }
 

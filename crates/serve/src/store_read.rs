@@ -16,6 +16,7 @@
 //! (backends change modeled cost, never content).
 
 use fzgpu_store::{value_digest, ArrayStore, Region, StoreError};
+use fzgpu_trace::json::{self, Layout, Obj};
 
 /// A deterministic subregion-read workload over one store.
 #[derive(Debug, Clone)]
@@ -123,40 +124,31 @@ impl StoreReadReport {
         s
     }
 
-    /// Machine-readable JSON (hand-rolled, matching the crate's style).
+    /// Machine-readable JSON, written through [`fzgpu_trace::json::Obj`].
     pub fn to_json(&self) -> String {
-        let reads: Vec<String> = self
-            .reads
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"lo\":{:?},\"hi\":{:?},\"values\":{},\"chunks\":{},\"shards\":{},\
-                     \"bytes_read\":{},\"backend_reads\":{},\"modeled_io_s\":{:.9},\
-                     \"modeled_codec_s\":{:.9},\"digest\":\"{:08x}\"}}",
-                    r.region.lo,
-                    r.region.hi,
-                    r.n_values,
-                    r.chunks,
-                    r.shards,
-                    r.bytes_read,
-                    r.backend_reads,
-                    r.modeled_io_s,
-                    r.modeled_codec_s,
-                    r.digest,
-                )
-            })
-            .collect();
-        format!(
-            "{{\"workload\":{},\"reads\":{},\"total_values\":{},\"total_bytes_read\":{},\
-             \"total_modeled_s\":{:.9},\"digest\":\"{:08x}\",\"outcomes\":[{}]}}",
-            fzgpu_trace::json::escape(&self.name),
-            self.reads.len(),
-            self.total_values,
-            self.total_bytes_read,
-            self.total_modeled_s,
-            self.combined_digest,
-            reads.join(","),
-        )
+        let reads = self.reads.iter().map(|r| {
+            Obj::compact()
+                .raw("lo", json::list(Layout::Spaced, &r.region.lo))
+                .raw("hi", json::list(Layout::Spaced, &r.region.hi))
+                .raw("values", r.n_values)
+                .raw("chunks", r.chunks)
+                .raw("shards", r.shards)
+                .raw("bytes_read", r.bytes_read)
+                .raw("backend_reads", r.backend_reads)
+                .raw("modeled_io_s", format!("{:.9}", r.modeled_io_s))
+                .raw("modeled_codec_s", format!("{:.9}", r.modeled_codec_s))
+                .str("digest", &format!("{:08x}", r.digest))
+                .finish()
+        });
+        Obj::compact()
+            .str("workload", &self.name)
+            .raw("reads", self.reads.len())
+            .raw("total_values", self.total_values)
+            .raw("total_bytes_read", self.total_bytes_read)
+            .raw("total_modeled_s", format!("{:.9}", self.total_modeled_s))
+            .str("digest", &format!("{:08x}", self.combined_digest))
+            .raw("outcomes", json::list(Layout::Compact, reads))
+            .finish()
     }
 }
 

@@ -36,7 +36,7 @@ use std::collections::VecDeque;
 use std::path::Path;
 
 use fzgpu_sim::{OpClass, PoolStats, StreamSim};
-use fzgpu_trace::json;
+use fzgpu_trace::json::{self, Layout, Obj};
 use fzgpu_trace::telemetry::{
     events_to_jsonl, hist_bucket_upper, AlertConfig, BurnTracker, Event, EventLog, FlightDump,
     FlightRecorder, WindowedRegistry, SCHEMA_VERSION,
@@ -412,26 +412,28 @@ impl TelemetryCapture {
     /// The `meta.json` document.
     pub fn meta_json(&self) -> String {
         let a = self.cfg.alerts;
-        let seqs: Vec<String> = self.alert_seqs.iter().map(u64::to_string).collect();
-        format!(
-            "{{\"v\":{},\"workload\":{},\"device\":{},\"digest\":\"0x{:08x}\",\"window_us\":{},\"flight_capacity\":{},\"alerts\":{{\"objective\":{},\"fast_window_us\":{},\"fast_burn\":{},\"slow_window_us\":{},\"slow_burn\":{},\"availability_floor\":{},\"breaker_reroutes\":{}}},\"events\":{},\"alert_seqs\":[{}],\"dumps\":{}}}\n",
-            SCHEMA_VERSION,
-            json::escape(&self.workload),
-            json::escape(&self.device),
-            self.digest,
-            json::num(self.cfg.window * 1e6),
-            self.cfg.flight_capacity,
-            json::num(a.objective),
-            json::num(a.fast_window * 1e6),
-            json::num(a.fast_burn),
-            json::num(a.slow_window * 1e6),
-            json::num(a.slow_burn),
-            json::num(a.availability_floor),
-            a.breaker_reroutes,
-            self.events.len(),
-            seqs.join(","),
-            self.dumps.len(),
-        )
+        let alerts = Obj::compact()
+            .num("objective", a.objective)
+            .num("fast_window_us", a.fast_window * 1e6)
+            .num("fast_burn", a.fast_burn)
+            .num("slow_window_us", a.slow_window * 1e6)
+            .num("slow_burn", a.slow_burn)
+            .num("availability_floor", a.availability_floor)
+            .raw("breaker_reroutes", a.breaker_reroutes)
+            .finish();
+        Obj::compact()
+            .raw("v", SCHEMA_VERSION)
+            .str("workload", &self.workload)
+            .str("device", &self.device)
+            .str("digest", &format!("0x{:08x}", self.digest))
+            .num("window_us", self.cfg.window * 1e6)
+            .raw("flight_capacity", self.cfg.flight_capacity)
+            .raw("alerts", alerts)
+            .raw("events", self.events.len())
+            .raw("alert_seqs", json::list(Layout::Compact, &self.alert_seqs))
+            .raw("dumps", self.dumps.len())
+            .finish()
+            + "\n"
     }
 
     /// Write the telemetry directory: `meta.json`, `windows.json`,

@@ -33,8 +33,8 @@
 //!   retry budget at least that deep always reaches success.
 //!
 //! No external crates: the generator is a 64-bit LCG with an avalanche
-//! output mix, the same spirit as the hand-rolled JSON in
-//! [`crate::profile`].
+//! output mix, written in-tree like the workspace's JSON writer
+//! ([`fzgpu_trace::json`]).
 
 use crate::memory::GpuBuffer;
 use crate::pod::Pod;

@@ -7,9 +7,9 @@
 //! function of the timeline and profiles bit-identical across runs of a
 //! deterministic pipeline.
 //!
-//! The JSON exporters are hand-rolled (the workspace is dependency-free)
-//! on the shared [`fzgpu_trace::chrome`] builder and [`fzgpu_trace::json`]
-//! escaping; they emit the Trace Event Format's `"X"` (complete) events,
+//! The JSON exporters use the workspace's one JSON writer
+//! ([`fzgpu_trace::json::Obj`]) and the shared [`fzgpu_trace::chrome`]
+//! builder; they emit the Trace Event Format's `"X"` (complete) events,
 //! loadable in `chrome://tracing` and Perfetto. Kernels render on one
 //! track (tid 0), transfers on another (tid 1).
 //!
@@ -22,7 +22,7 @@
 //! compare durations across pids.
 
 use fzgpu_trace::chrome::ChromeTrace;
-use fzgpu_trace::json;
+use fzgpu_trace::json::{self, Layout, Obj};
 
 use crate::grid::{Event, Gpu};
 use crate::perf::{KernelRecord, TransferRecord};
@@ -235,44 +235,36 @@ impl Profile {
     /// Machine-readable JSON for `fzgpu profile --json`: device, totals,
     /// and every event with its start/duration and health counters.
     pub fn to_json(&self) -> String {
-        let mut events = Vec::with_capacity(self.events.len());
-        for e in &self.events {
-            let head = format!(
-                "{{\"name\":{},\"start_us\":{},\"dur_us\":{}",
-                json::escape(&e.name()),
-                json::num(e.start() * 1e6),
-                json::num(e.duration() * 1e6),
-            );
-            let body = match e {
+        let events = self.events.iter().map(|e| {
+            let o = Obj::compact()
+                .str("name", &e.name())
+                .num("start_us", e.start() * 1e6)
+                .num("dur_us", e.duration() * 1e6);
+            match e {
                 ProfileEvent::Kernel { record, .. } => {
                     let s = &record.stats;
                     let b = &record.breakdown;
-                    format!(
-                        ",\"kind\":\"kernel\",\"bound_by\":{},\"margin\":{},\"occupancy\":{},\
-                         \"coalescing_efficiency\":{},\"smem_conflict_cycles\":{},\
-                         \"lane_utilization\":{},\"retries\":{}}}",
-                        json::escape(b.bound_by.label()),
-                        json::num(b.margin),
-                        json::num(b.occupancy),
-                        json::num(s.coalescing_efficiency()),
-                        s.smem_conflict_cycles,
-                        json::num(s.lane_utilization()),
-                        record.retries,
-                    )
+                    o.str("kind", "kernel")
+                        .str("bound_by", b.bound_by.label())
+                        .num("margin", b.margin)
+                        .num("occupancy", b.occupancy)
+                        .num("coalescing_efficiency", s.coalescing_efficiency())
+                        .raw("smem_conflict_cycles", s.smem_conflict_cycles)
+                        .num("lane_utilization", s.lane_utilization())
+                        .raw("retries", record.retries)
                 }
                 ProfileEvent::Transfer { record, .. } => {
-                    format!(",\"kind\":\"transfer\",\"bytes\":{}}}", record.bytes)
+                    o.str("kind", "transfer").raw("bytes", record.bytes)
                 }
-            };
-            events.push(format!("{head}{body}"));
-        }
-        format!(
-            "{{\"device\":{},\"kernel_time_us\":{},\"total_time_us\":{},\"events\":[{}]}}",
-            json::escape(self.device),
-            json::num(self.kernel_time() * 1e6),
-            json::num(self.total_time() * 1e6),
-            events.join(",")
-        )
+            }
+            .finish()
+        });
+        Obj::compact()
+            .str("device", self.device)
+            .num("kernel_time_us", self.kernel_time() * 1e6)
+            .num("total_time_us", self.total_time() * 1e6)
+            .raw("events", json::list(Layout::Compact, events))
+            .finish()
     }
 
     /// Append this profile's records to a [`ChromeTrace`] under pid 0.

@@ -341,7 +341,7 @@ impl StreamSim {
         }
         for op in &self.ops {
             let args = vec![
-                ("engine", format!("\"{}{}\"", op.class.label(), op.engine)),
+                ("engine", json::escape(&format!("{}{}", op.class.label(), op.engine))),
                 ("stream", op.stream.to_string()),
             ];
             t.complete(

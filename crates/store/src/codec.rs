@@ -4,7 +4,7 @@
 //! cuSZ framework paper argues for.
 //!
 //! A [`CodecConfig`] is the serializable identity of a codec instance
-//! (name + parameters, versioned hand-rolled JSON). A [`Codec`] is the
+//! (name + parameters, versioned JSON). A [`Codec`] is the
 //! live instance built from a config by a [`Registry`]. The registry maps
 //! codec names to factory functions; [`Registry::builtin`] pre-registers
 //! everything in-tree and [`Registry::register`] accepts out-of-tree
@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use fzgpu_core::{FormatError, Shape};
 use fzgpu_sim::DeviceSpec;
-use fzgpu_trace::json::{self, Value};
+use fzgpu_trace::json::{Obj, Value};
 
 /// Version of the codec-config wire schema ([`CodecConfig::to_json`]).
 /// Parsers reject configs stamped with a different version so a future
@@ -187,22 +187,17 @@ impl CodecConfig {
     /// Serialize as versioned JSON, e.g.
     /// `{"codec":"fz","eb_abs":0.001,"v":1}`.
     pub fn to_json(&self) -> String {
-        let mut fields: Vec<(String, String)> = vec![("codec".into(), json::escape(self.name()))];
-        match self {
-            CodecConfig::CuZfp { rate } => fields.push(("rate".into(), json::num(*rate))),
-            CodecConfig::Custom { params, .. } => {
-                fields.push(("params".into(), json::escape(params)))
-            }
-            _ => {
-                if let Some(eb) = self.eb_abs() {
-                    fields.push(("eb_abs".into(), json::num(eb)));
-                }
-            }
-        }
-        fields.push(("v".into(), CONFIG_VERSION.to_string()));
-        fields.sort();
-        let body: Vec<String> = fields.into_iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-        format!("{{{}}}", body.join(","))
+        // Keys in sorted order: codec < eb_abs | params | rate < v.
+        let o = Obj::compact().str("codec", self.name());
+        let o = match self {
+            CodecConfig::CuZfp { rate } => o.num("rate", *rate),
+            CodecConfig::Custom { params, .. } => o.str("params", params),
+            _ => match self.eb_abs() {
+                Some(eb) => o.num("eb_abs", eb),
+                None => o,
+            },
+        };
+        o.raw("v", CONFIG_VERSION).finish()
     }
 
     /// Parse a config from its JSON [`Value`]. Rejects unknown schema
@@ -304,6 +299,7 @@ pub const BUILTIN_NAMES: &[&str] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fzgpu_trace::json;
 
     #[test]
     fn config_json_roundtrip() {

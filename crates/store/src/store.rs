@@ -20,13 +20,12 @@
 //! `fzgpu_store_*` Det metrics) therefore scale with the request, not the
 //! array — asserted by the test suite and the store bench.
 
-use fzgpu_core::archive::{
-    ARCHIVE_MAGIC, ARCHIVE_VERSION_V3, V3_DIR_ENTRY_BYTES, V3_DIR_HEADER_BYTES,
-    V3_INNER_ENTRY_BYTES, V3_INNER_HEADER_BYTES,
+use fzgpu_core::archive::V3_DIR_HEADER_BYTES;
+use fzgpu_core::{
+    crc32, Archive, ChunkMeta, FormatError, Shape, Shard, ShardEntry, ShardedArchive,
 };
-use fzgpu_core::{crc32, Archive, ChunkMeta, FormatError, Shape, Shard, ShardedArchive};
 use fzgpu_sim::DeviceSpec;
-use fzgpu_trace::json::{self, Value};
+use fzgpu_trace::json::{self, Obj, Value};
 use fzgpu_trace::metrics::{counter_add, Class};
 
 use crate::backend::{BackendStats, StorageBackend};
@@ -97,18 +96,13 @@ pub struct StoreSpec {
 impl StoreSpec {
     /// Serialize as the container's meta JSON (sorted keys).
     pub fn to_json(&self) -> String {
-        let list = |v: &[usize]| {
-            let items: Vec<String> = v.iter().map(usize::to_string).collect();
-            format!("[{}]", items.join(","))
-        };
-        format!(
-            "{{\"chunk\":{},\"chunks_per_shard\":{},\"codec\":{},\"dims\":{},\"v\":{}}}",
-            list(&self.chunk),
-            self.chunks_per_shard,
-            self.codec.to_json(),
-            list(&self.dims),
-            STORE_VERSION,
-        )
+        Obj::compact()
+            .raw("chunk", json::list(json::Layout::Compact, &self.chunk))
+            .raw("chunks_per_shard", self.chunks_per_shard)
+            .raw("codec", self.codec.to_json())
+            .raw("dims", json::list(json::Layout::Compact, &self.dims))
+            .raw("v", STORE_VERSION)
+            .finish()
     }
 
     /// Parse the container's meta JSON.
@@ -186,12 +180,10 @@ pub fn shape3(extents: &[usize]) -> Shape {
 enum Layout {
     /// v3: shards range-readable in place.
     Sharded {
-        /// Absolute byte offset of each shard.
-        shard_off: Vec<u64>,
-        /// Chunk count of each shard.
-        shard_chunks: Vec<usize>,
-        /// Global index of each shard's first chunk.
-        chunk_start: Vec<usize>,
+        /// Container offset of the archive region.
+        arch_off: u64,
+        /// The top directory's shards (offsets relative to `arch_off`).
+        shards: Vec<ShardEntry>,
     },
     /// v1/v2: the whole archive was fetched at open (no partial path).
     Flat {
@@ -298,9 +290,10 @@ impl ArrayStore {
             )));
         }
         let meta_len = u64::from_le_bytes(hdr[8..16].try_into().unwrap());
-        if STORE_HEADER_BYTES + meta_len > backend.len() {
-            return Err(StoreError::Corrupt("meta length exceeds container".into()));
-        }
+        let arch_off = STORE_HEADER_BYTES
+            .checked_add(meta_len)
+            .filter(|&end| end <= backend.len())
+            .ok_or_else(|| StoreError::Corrupt("meta length exceeds container".into()))?;
         let meta_bytes = backend.read_range(STORE_HEADER_BYTES, meta_len)?;
         let meta_text = String::from_utf8(meta_bytes)
             .map_err(|_| StoreError::Corrupt("meta JSON is not UTF-8".into()))?;
@@ -309,69 +302,35 @@ impl ArrayStore {
             ChunkGrid::new(spec.dims.clone(), spec.chunk.clone()).map_err(StoreError::Corrupt)?;
         let codec = registry.build(&spec.codec, device)?;
 
-        let arch_off = STORE_HEADER_BYTES + meta_len;
-        let dir = backend.read_range(arch_off, V3_DIR_HEADER_BYTES as u64)?;
-        if dir[..4] != ARCHIVE_MAGIC {
-            return Err(StoreError::Corrupt("archive magic missing".into()));
-        }
-        let arch_ver = u32::from_le_bytes(dir[4..8].try_into().unwrap());
-        let total_values = u64::from_le_bytes(dir[8..16].try_into().unwrap()) as usize;
-        let layout = match arch_ver {
-            ARCHIVE_VERSION_V3 => {
-                let nshards = u64::from_le_bytes(dir[16..24].try_into().unwrap()) as usize;
-                let tail_len = (nshards * V3_DIR_ENTRY_BYTES + 4) as u64;
-                let tail = backend.read_range(arch_off + V3_DIR_HEADER_BYTES as u64, tail_len)?;
-                let entries = &tail[..nshards * V3_DIR_ENTRY_BYTES];
-                let stored =
-                    u32::from_le_bytes(tail[nshards * V3_DIR_ENTRY_BYTES..].try_into().unwrap());
-                let mut covered = dir.clone();
-                covered.extend_from_slice(entries);
-                if crc32(&covered) != stored {
-                    return Err(StoreError::Corrupt("archive directory CRC mismatch".into()));
-                }
-                let mut shard_off = Vec::with_capacity(nshards);
-                let mut shard_chunks = Vec::with_capacity(nshards);
-                let mut chunk_start = Vec::with_capacity(nshards);
-                let mut off = arch_off + ShardedArchive::payload_offset(nshards) as u64;
-                let mut start = 0usize;
-                for i in 0..nshards {
-                    let at = i * V3_DIR_ENTRY_BYTES;
-                    let len = u64::from_le_bytes(entries[at..at + 8].try_into().unwrap());
-                    let nchunks =
-                        u64::from_le_bytes(entries[at + 8..at + 16].try_into().unwrap()) as usize;
-                    shard_off.push(off);
-                    shard_chunks.push(nchunks);
-                    chunk_start.push(start);
-                    off += len;
-                    start += nchunks;
-                }
-                if off > backend.len() {
+        let mut dir = backend.read_range(arch_off, V3_DIR_HEADER_BYTES as u64)?;
+        let (layout, total_values, num_chunks) = match ShardedArchive::directory_len(&dir) {
+            // v3: fetch the rest of the top directory; core parses and
+            // CRC-checks it.
+            Ok(dir_len) => {
+                let tail_len = (dir_len - V3_DIR_HEADER_BYTES) as u64;
+                dir.extend(backend.read_range(arch_off + V3_DIR_HEADER_BYTES as u64, tail_len)?);
+                let d = ShardedArchive::parse_directory(&dir)?;
+                if (d.byte_len as u64).checked_add(arch_off).is_none_or(|end| end > backend.len()) {
                     return Err(StoreError::Corrupt("shard lengths exceed container".into()));
                 }
-                if start != grid.num_chunks() {
-                    return Err(StoreError::Corrupt(format!(
-                        "archive holds {start} chunks but the grid needs {}",
-                        grid.num_chunks()
-                    )));
-                }
-                Layout::Sharded { shard_off, shard_chunks, chunk_start }
+                (Layout::Sharded { arch_off, shards: d.shards }, d.total_values, d.num_chunks)
             }
             // Legacy flat archives: fetch everything once; reads decode
             // from memory (correct, but provably not partial).
-            1 | 2 => {
+            Err(FormatError::BadArchiveVersion(1 | 2)) => {
                 let rest = backend.read_range(arch_off, backend.len() - arch_off)?;
                 let archive = Archive::from_bytes(&rest)?;
-                if archive.chunks.len() != grid.num_chunks() {
-                    return Err(StoreError::Corrupt(format!(
-                        "archive holds {} chunks but the grid needs {}",
-                        archive.chunks.len(),
-                        grid.num_chunks()
-                    )));
-                }
-                Layout::Flat { archive }
+                let (values, chunks) = (archive.total_values, archive.chunks.len());
+                (Layout::Flat { archive }, values, chunks)
             }
-            v => return Err(StoreError::Format(FormatError::BadArchiveVersion(v))),
+            Err(e) => return Err(e.into()),
         };
+        if num_chunks != grid.num_chunks() {
+            return Err(StoreError::Corrupt(format!(
+                "archive holds {num_chunks} chunks but the grid needs {}",
+                grid.num_chunks()
+            )));
+        }
         if total_values != grid.total_values() {
             return Err(StoreError::Corrupt(format!(
                 "archive holds {total_values} values but dims {:?} require {}",
@@ -410,7 +369,7 @@ impl ArrayStore {
     /// Shard count (1 logical shard for legacy flat layouts).
     pub fn num_shards(&self) -> usize {
         match &self.layout {
-            Layout::Sharded { shard_off, .. } => shard_off.len(),
+            Layout::Sharded { shards, .. } => shards.len(),
             Layout::Flat { .. } => 1,
         }
     }
@@ -427,68 +386,49 @@ impl ArrayStore {
         let _root = fzgpu_trace::span("store.read")
             .field("values", region.count())
             .field("codec", self.spec.codec.name());
-        let before = self.backend.stats();
-        let ids = self.grid.chunks_intersecting(region);
+        let Self { backend, grid, codec, layout, .. } = self;
+        let before = backend.stats();
+        let ids = grid.chunks_intersecting(region);
         let mut out = vec![0.0f32; region.count()];
         let mut codec_seconds = 0.0f64;
         let mut shards_touched = 0usize;
-        // Snapshot the layout so the loops below can borrow `self`
-        // mutably for backend reads and codec decodes.
-        let plan = match &self.layout {
-            Layout::Sharded { shard_off, shard_chunks, chunk_start } => Layout::Sharded {
-                shard_off: shard_off.clone(),
-                shard_chunks: shard_chunks.clone(),
-                chunk_start: chunk_start.clone(),
-            },
-            Layout::Flat { archive } => Layout::Flat { archive: archive.clone() },
+        let mut decode = |id: usize, bytes: &[u8], out: &mut [f32]| {
+            decode_into(grid, codec.as_mut(), id, bytes, region, out)
         };
-        match &plan {
-            Layout::Sharded { shard_off, shard_chunks, chunk_start } => {
+        match layout {
+            Layout::Sharded { arch_off, shards } => {
                 let mut i = 0usize;
                 while i < ids.len() {
-                    // The shard holding ids[i] (chunk_start ascending).
-                    let s = match chunk_start.binary_search(&ids[i]) {
-                        Ok(s) => s,
-                        Err(ins) => ins - 1,
-                    };
-                    let nchunks = shard_chunks[s];
-                    let idx_len =
-                        (V3_INNER_HEADER_BYTES + nchunks * V3_INNER_ENTRY_BYTES + 4) as u64;
-                    let idx = self.backend.read_range(shard_off[s], idx_len)?;
+                    // The shard holding ids[i] (first chunks ascending).
+                    let s = shards.partition_point(|e| e.first_chunk <= ids[i]) - 1;
+                    let shard = shards[s];
+                    let shard_off = *arch_off + shard.offset as u64;
+                    let idx_len = Shard::index_len(shard.nchunks)?;
+                    let index =
+                        Shard::parse_index(&backend.read_range(shard_off, idx_len as u64)?)?;
                     shards_touched += 1;
-                    let declared = u64::from_le_bytes(idx[..8].try_into().unwrap()) as usize;
-                    if declared != nchunks {
+                    if index.len() != shard.nchunks {
                         return Err(StoreError::Corrupt(format!(
-                            "shard {s} index declares {declared} chunks, directory says {nchunks}"
+                            "shard {s} index declares {} chunks, directory says {}",
+                            index.len(),
+                            shard.nchunks
                         )));
                     }
-                    let crc_at = idx.len() - 4;
-                    let stored = u32::from_le_bytes(idx[crc_at..].try_into().unwrap());
-                    if crc32(&idx[..crc_at]) != stored {
-                        return Err(StoreError::Corrupt(format!("shard {s} index CRC mismatch")));
-                    }
-                    // Chunk byte offsets within the shard.
-                    let entry = |l: usize| {
-                        let at = V3_INNER_HEADER_BYTES + l * V3_INNER_ENTRY_BYTES;
-                        let len = u64::from_le_bytes(idx[at..at + 8].try_into().unwrap());
-                        let crc = u32::from_le_bytes(idx[at + 16..at + 20].try_into().unwrap());
-                        (len, crc)
-                    };
-                    let mut chunk_off = vec![shard_off[s] + Shard::payload_offset(nchunks) as u64];
-                    for l in 0..nchunks {
-                        let last = *chunk_off.last().unwrap();
-                        chunk_off.push(last + entry(l).0);
-                    }
                     // Every requested chunk living in this shard.
-                    while i < ids.len() && ids[i] < chunk_start[s] + nchunks {
+                    while i < ids.len() && ids[i] < shard.first_chunk + shard.nchunks {
                         let id = ids[i];
-                        let l = id - chunk_start[s];
-                        let (len, crc) = entry(l);
-                        let bytes = self.backend.read_range(chunk_off[l], len)?;
-                        if crc32(&bytes) != crc {
+                        let c = index[id - shard.first_chunk];
+                        if c.offset + c.len > shard.len {
+                            return Err(StoreError::Corrupt(format!(
+                                "chunk {id} extends past its shard"
+                            )));
+                        }
+                        let bytes =
+                            backend.read_range(shard_off + c.offset as u64, c.len as u64)?;
+                        if Some(crc32(&bytes)) != c.meta.crc {
                             return Err(StoreError::Corrupt(format!("chunk {id} CRC mismatch")));
                         }
-                        codec_seconds += self.decode_into(id, &bytes, region, &mut out)?;
+                        codec_seconds += decode(id, &bytes, &mut out)?;
                         i += 1;
                     }
                 }
@@ -502,7 +442,7 @@ impl ArrayStore {
                             return Err(StoreError::Corrupt(format!("chunk {id} CRC mismatch")));
                         }
                     }
-                    codec_seconds += self.decode_into(id, &archive.chunks[id], region, &mut out)?;
+                    codec_seconds += decode(id, &archive.chunks[id], &mut out)?;
                 }
             }
         }
@@ -521,25 +461,26 @@ impl ArrayStore {
             modeled_codec_seconds: codec_seconds,
         })
     }
+}
 
-    /// Decode chunk `id` and scatter its intersection with `region` into
-    /// `out`. Returns the codec's modeled seconds for the decode.
-    fn decode_into(
-        &mut self,
-        id: usize,
-        bytes: &[u8],
-        region: &Region,
-        out: &mut [f32],
-    ) -> Result<f64, StoreError> {
-        let bx = self.grid.chunk_box(id);
-        let extents = bx.extents();
-        let vals = self.codec.decode(bytes, shape3(&extents))?;
-        let inter = bx
-            .intersect(region)
-            .ok_or_else(|| StoreError::Corrupt(format!("chunk {id} does not intersect request")))?;
-        copy_region(&vals, &extents, &bx.lo, out, &region.extents(), &region.lo, &inter);
-        Ok(self.codec.modeled_seconds())
-    }
+/// Decode chunk `id` and scatter its intersection with `region` into
+/// `out`. Returns the codec's modeled seconds for the decode.
+fn decode_into(
+    grid: &ChunkGrid,
+    codec: &mut dyn Codec,
+    id: usize,
+    bytes: &[u8],
+    region: &Region,
+    out: &mut [f32],
+) -> Result<f64, StoreError> {
+    let bx = grid.chunk_box(id);
+    let extents = bx.extents();
+    let vals = codec.decode(bytes, shape3(&extents))?;
+    let inter = bx
+        .intersect(region)
+        .ok_or_else(|| StoreError::Corrupt(format!("chunk {id} does not intersect request")))?;
+    copy_region(&vals, &extents, &bx.lo, out, &region.extents(), &region.lo, &inter);
+    Ok(codec.modeled_seconds())
 }
 
 #[cfg(test)]
@@ -685,8 +626,6 @@ mod tests {
         let want = store.grid().extract(&data, &r);
         // Flip one byte at every offset in the archive region; each read
         // must either fail or return exactly the right values.
-        let arch_off = bytes.len() - ShardedArchive::payload_offset(0); // lower bound only
-        let _ = arch_off;
         for at in (16..bytes.len()).step_by(97) {
             let mut evil = bytes.clone();
             evil[at] ^= 0x40;
@@ -697,5 +636,25 @@ mod tests {
                 assert_eq!(res.values, want, "byte {at} corrupted silently");
             }
         }
+    }
+
+    #[test]
+    fn shard_chunk_counts_that_wrap_to_the_grid_are_an_error() {
+        // 18 chunks in 6 shards of 3. Rewrite shards 0 and 1 to claim
+        // 3 + 2^63 chunks each: the counts still sum to 18 modulo 2^64,
+        // so only checked arithmetic can tell. Re-seal the directory CRC.
+        let (mut store, _) = mem_store(CodecConfig::Raw);
+        let mut bytes = store.backend.read_range(0, store.container_bytes()).unwrap();
+        let arch_off = 16 + u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+        let entry = |i: usize| arch_off + V3_DIR_HEADER_BYTES + 20 * i;
+        for i in 0..2 {
+            bytes[entry(i) + 8..entry(i) + 16].copy_from_slice(&(3 + (1u64 << 63)).to_le_bytes());
+        }
+        let dir_end = entry(store.num_shards());
+        let crc = crc32(&bytes[arch_off..dir_end]);
+        bytes[dir_end..dir_end + 4].copy_from_slice(&crc.to_le_bytes());
+        let opened =
+            ArrayStore::open(Box::new(MemBackend::from_bytes(bytes)), fzgpu_sim::device::A100);
+        assert!(opened.is_err(), "wrapped shard chunk counts must not open");
     }
 }

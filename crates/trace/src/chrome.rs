@@ -1,12 +1,12 @@
 //! Chrome Trace Event Format builder (`chrome://tracing`, Perfetto).
 //!
-//! Hand-rolled like the rest of the workspace's JSON, but built once here
-//! so every exporter shares the same escaping ([`crate::json::escape`])
-//! and the same top-level document shape. Tracks are (pid, tid) pairs;
-//! name them with [`ChromeTrace::process_name`] / [`ChromeTrace::thread_name`]
-//! metadata events so viewers label them.
+//! Written through the workspace's one JSON writer ([`crate::json::Obj`]),
+//! and built once here so every exporter shares the same top-level
+//! document shape. Tracks are (pid, tid) pairs; name them with
+//! [`ChromeTrace::process_name`] / [`ChromeTrace::thread_name`] metadata
+//! events so viewers label them.
 
-use crate::json;
+use crate::json::{self, Obj};
 
 /// Incremental builder for one trace document.
 #[derive(Debug, Default)]
@@ -22,18 +22,14 @@ impl ChromeTrace {
 
     /// Label a process track (`process_name` metadata event).
     pub fn process_name(&mut self, pid: u32, name: &str) {
-        self.events.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":{}}}}}",
-            json::escape(name)
-        ));
+        let event = Obj::compact().str("name", "process_name").str("ph", "M").raw("pid", pid);
+        self.push(event, Obj::compact().str("name", name));
     }
 
     /// Label a thread track (`thread_name` metadata event).
     pub fn thread_name(&mut self, pid: u32, tid: u32, name: &str) {
-        self.events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
-            json::escape(name)
-        ));
+        let event = Obj::compact().str("name", "thread_name").str("ph", "M").raw("pid", pid);
+        self.push(event.raw("tid", tid), Obj::compact().str("name", name));
     }
 
     /// A complete (`"X"`) event: a slice from `ts_us` lasting `dur_us`
@@ -50,14 +46,10 @@ impl ChromeTrace {
         dur_us: f64,
         args: &[(&str, String)],
     ) {
-        self.events.push(format!(
-            "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{tid},\"args\":{{{}}}}}",
-            json::escape(name),
-            json::escape(cat),
-            json::num(ts_us),
-            json::num(dur_us),
-            render_args(args),
-        ));
+        let event =
+            Obj::compact().str("name", name).str("cat", cat).str("ph", "X").num("ts", ts_us);
+        let event = event.num("dur", dur_us).raw("pid", pid).raw("tid", tid);
+        self.push(event, Obj::compact().raw_pairs(args));
     }
 
     /// An instant (`"i"`) event at `ts_us`, thread-scoped.
@@ -70,13 +62,14 @@ impl ChromeTrace {
         ts_us: f64,
         args: &[(&str, String)],
     ) {
-        self.events.push(format!(
-            "{{\"name\":{},\"cat\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{pid},\"tid\":{tid},\"args\":{{{}}}}}",
-            json::escape(name),
-            json::escape(cat),
-            json::num(ts_us),
-            render_args(args),
-        ));
+        let event = Obj::compact().str("name", name).str("cat", cat).str("ph", "i").str("s", "t");
+        let event = event.num("ts", ts_us).raw("pid", pid).raw("tid", tid);
+        self.push(event, Obj::compact().raw_pairs(args));
+    }
+
+    /// Queue `event`, closed with its `args` object.
+    fn push(&mut self, event: Obj, args: Obj) {
+        self.events.push(event.raw("args", args.finish()).finish());
     }
 
     /// Number of events queued so far (metadata included).
@@ -92,16 +85,12 @@ impl ChromeTrace {
     /// Render the document. `other_data` values must be pre-rendered JSON
     /// tokens; they land in the `otherData` object.
     pub fn finish(self, other_data: &[(&str, String)]) -> String {
-        format!(
-            "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{{}}},\"traceEvents\":[{}]}}",
-            render_args(other_data),
-            self.events.join(",")
-        )
+        Obj::compact()
+            .str("displayTimeUnit", "ms")
+            .raw("otherData", Obj::compact().raw_pairs(other_data).finish())
+            .raw("traceEvents", json::list(json::Layout::Compact, self.events))
+            .finish()
     }
-}
-
-fn render_args(args: &[(&str, String)]) -> String {
-    args.iter().map(|(k, v)| format!("{}:{}", json::escape(k), v)).collect::<Vec<_>>().join(",")
 }
 
 #[cfg(test)]

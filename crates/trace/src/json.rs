@@ -1,13 +1,15 @@
-//! Shared hand-rolled JSON helpers: the one escaping routine every writer
-//! in the workspace uses, a round-trippable number formatter, and a small
-//! recursive-descent parser for reading the JSON we (or tools) wrote back.
+//! The workspace's one JSON writer and reader: [`Obj`] writes objects
+//! field by field, [`list`] writes arrays, [`escape`] and [`num`] spell
+//! strings and floats, and [`parse`] reads documents back.
 //!
-//! The workspace is dependency-free, so several crates emit JSON by string
-//! concatenation. Before this module each had its own escaper (or none);
-//! hostile names — quotes, backslashes, control characters — could break
-//! the output. Everything now funnels through [`escape`].
+//! The workspace is dependency-free, so every report, capture, store meta
+//! and bench file is written here. Call sites name each key next to its
+//! value; this module owns quoting, escaping, separators and `null`, so
+//! hostile names (quotes, backslashes, control characters) cannot break a
+//! document and no two writers spell the same layout differently.
 
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write};
 
 /// Render `s` as a quoted JSON string literal with all required escapes.
 pub fn escape(s: &str) -> String {
@@ -37,6 +39,95 @@ pub fn num(v: f64) -> String {
     debug_assert!(v.is_finite(), "non-finite value {v} reached a JSON writer");
     let v = if v.is_finite() { v } else { 0.0 };
     format!("{v:?}")
+}
+
+/// Separators of a written document, one per layout the workspace commits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// `{"k":v,"k2":v2}` and `[a,b]`: reports, captures, metrics, store meta.
+    Compact,
+    /// `{"k": v, "k2": v2}` and `[a, b]`: CLI `--json` output and bench rows.
+    Spaced,
+    /// A `BENCH_*.json` file: one key, or in a [`list`] one row, per line.
+    Doc,
+}
+
+/// One JSON object, written field by field in call order.
+#[derive(Debug)]
+#[must_use]
+pub struct Obj {
+    out: String,
+    layout: Layout,
+}
+
+impl Obj {
+    /// An empty [`Layout::Compact`] object.
+    pub fn compact() -> Self {
+        Self { out: "{".into(), layout: Layout::Compact }
+    }
+
+    /// An empty [`Layout::Spaced`] object.
+    pub fn spaced() -> Self {
+        Self { out: "{".into(), layout: Layout::Spaced }
+    }
+
+    /// An empty [`Layout::Doc`] object.
+    pub fn doc() -> Self {
+        Self { out: "{".into(), layout: Layout::Doc }
+    }
+
+    /// A float field, spelled by [`num`].
+    pub fn num(self, key: &str, v: f64) -> Self {
+        self.raw(key, num(v))
+    }
+
+    /// A string field, quoted by [`escape`].
+    pub fn str(self, key: &str, v: &str) -> Self {
+        self.raw(key, escape(v))
+    }
+
+    /// A pre-rendered token, written verbatim: integers and bools by
+    /// `Display`, nested documents, fixed-precision numbers, digests.
+    pub fn raw(mut self, key: &str, v: impl Display) -> Self {
+        let (first, rest, colon) = match self.layout {
+            Layout::Compact => ("", ",", ":"),
+            Layout::Spaced => ("", ", ", ": "),
+            Layout::Doc => ("\n  ", ",\n  ", ": "),
+        };
+        let lead = if self.out.len() == 1 { first } else { rest };
+        let _ = write!(self.out, "{lead}{}{colon}{v}", escape(key));
+        self
+    }
+
+    /// A pre-rendered token, or `null` when absent.
+    pub fn opt(self, key: &str, v: Option<impl Display>) -> Self {
+        self.raw(key, v.map_or_else(|| "null".to_string(), |v| v.to_string()))
+    }
+
+    /// Pre-rendered `(key, token)` pairs, in order.
+    pub fn raw_pairs<K: AsRef<str>, V: Display>(self, pairs: &[(K, V)]) -> Self {
+        pairs.iter().fold(self, |o, (k, v)| o.raw(k.as_ref(), v))
+    }
+
+    /// Close the object; a [`Layout::Doc`] document ends with a newline.
+    pub fn finish(mut self) -> String {
+        self.out.push_str(if self.layout == Layout::Doc { "\n}\n" } else { "}" });
+        self.out
+    }
+}
+
+/// A JSON array of pre-rendered tokens in `layout`.
+pub fn list<T: Display>(layout: Layout, items: impl IntoIterator<Item = T>) -> String {
+    let (open, indent, sep, close) = match layout {
+        Layout::Compact => ("[", "", ",", "]"),
+        Layout::Spaced => ("[", "", ", ", "]"),
+        Layout::Doc => ("[\n", "    ", ",\n", "\n  ]"),
+    };
+    let mut out = String::from(open);
+    for (i, item) in items.into_iter().enumerate() {
+        let _ = write!(out, "{}{indent}{item}", if i == 0 { "" } else { sep });
+    }
+    out + close
 }
 
 /// A parsed JSON value. Numbers are kept as `f64` (sufficient for every
@@ -271,6 +362,16 @@ mod tests {
     }
 
     #[test]
+    fn layouts_match_the_committed_spellings() {
+        let row = |o: Obj| o.str("s", "a").num("f", 1.0).raw("n", 2).opt("z", None::<u8>).finish();
+        assert_eq!(row(Obj::compact()), r#"{"s":"a","f":1.0,"n":2,"z":null}"#);
+        assert_eq!(row(Obj::spaced()), r#"{"s": "a", "f": 1.0, "n": 2, "z": null}"#);
+        let doc = Obj::doc().raw("rows", list(Layout::Doc, ["{}", "{}"])).finish();
+        assert_eq!(doc, "{\n  \"rows\": [\n    {},\n    {}\n  ]\n}\n");
+        assert_eq!(list(Layout::Spaced, [1, 2]), format!("{:?}", [1, 2]));
+    }
+
+    #[test]
     fn num_round_trips() {
         assert_eq!(num(1.5), "1.5");
         assert_eq!(num(0.0), "0.0");
@@ -282,9 +383,9 @@ mod tests {
     #[test]
     fn escaped_strings_parse_back_verbatim() {
         let hostile = "evil \"name\"\\ with\nnewline\tand \u{1} ctrl, ünïcode";
-        let doc = format!("{{\"k\":{}}}", escape(hostile));
+        let doc = Obj::compact().str(hostile, hostile).finish();
         let v = parse(&doc).unwrap();
-        assert_eq!(v.get("k").and_then(Value::as_str), Some(hostile));
+        assert_eq!(v.get(hostile).and_then(Value::as_str), Some(hostile));
     }
 
     #[test]

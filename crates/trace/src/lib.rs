@@ -13,9 +13,10 @@
 //! * **Telemetry** ([`telemetry`]) — deterministic windowed histograms,
 //!   a versioned structured event log, SLO burn-rate tracking, and a
 //!   bounded flight recorder, all keyed on modeled time.
-//! * **Writers** ([`json`], [`chrome`]) — the one JSON escaping helper
-//!   every hand-rolled writer uses, a small parser for reading baselines
-//!   back, and a Chrome Trace Event Format builder.
+//! * **Writers** ([`json`], [`chrome`]) — the workspace's one JSON writer
+//!   ([`json::Obj`] and [`json::list`]), through which every report,
+//!   capture, store meta and bench file is written; a small parser for
+//!   reading baselines back; and a Chrome Trace Event Format builder.
 //!
 //! The clock-domain convention: host spans carry *real* time, simulator
 //! records carry *modeled/analytic* time. They are never mixed on one

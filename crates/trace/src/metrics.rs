@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
-use crate::json;
+use crate::json::{self, Layout, Obj};
 
 /// Determinism class of a metric; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -338,33 +338,28 @@ pub fn to_json(include_wall: bool) -> String {
         if m.class == Class::Wall && !include_wall {
             continue;
         }
-        let head = format!(
-            "{{\"name\":{},\"labels\":{},\"type\":{},\"class\":{}",
-            json::escape(name),
-            json::escape(labels),
-            json::escape(m.value.type_label()),
-            json::escape(m.class.label()),
-        );
-        let body = match &m.value {
-            MetricValue::Counter(c) => format!(",\"value\":{c}}}"),
-            MetricValue::Gauge(g) => format!(",\"value\":{}}}", json::num(*g)),
-            MetricValue::Histogram(h) => {
-                let buckets: Vec<String> = BUCKETS
-                    .iter()
-                    .zip(h.counts.iter())
-                    .map(|(b, c)| format!("[{},{c}]", json::num(*b)))
-                    .collect();
-                format!(
-                    ",\"sum\":{},\"count\":{},\"buckets\":[{}]}}",
-                    json::num(h.sum),
-                    h.count,
-                    buckets.join(",")
-                )
+        let o = Obj::compact()
+            .str("name", name)
+            .str("labels", labels)
+            .str("type", m.value.type_label())
+            .str("class", m.class.label());
+        items.push(
+            match &m.value {
+                MetricValue::Counter(c) => o.raw("value", c),
+                MetricValue::Gauge(g) => o.num("value", *g),
+                MetricValue::Histogram(h) => {
+                    let buckets = BUCKETS
+                        .iter()
+                        .zip(&h.counts)
+                        .map(|(b, c)| json::list(Layout::Compact, [json::num(*b), c.to_string()]));
+                    let buckets = json::list(Layout::Compact, buckets);
+                    o.num("sum", h.sum).raw("count", h.count).raw("buckets", buckets)
+                }
             }
-        };
-        items.push(format!("{head}{body}"));
+            .finish(),
+        );
     }
-    format!("{{\"metrics\":[{}]}}\n", items.join(","))
+    Obj::compact().raw("metrics", json::list(Layout::Compact, items)).finish() + "\n"
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::json;
+use crate::json::{self, Layout, Obj};
 
 /// Telemetry schema version stamped into every serialized artifact.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -127,8 +127,8 @@ impl LogHist {
 
     /// Sparse JSON rendering: `[[bucket,count],...]` in bucket order.
     pub fn to_json(&self) -> String {
-        let pairs: Vec<String> = self.counts.iter().map(|(&b, &c)| format!("[{b},{c}]")).collect();
-        format!("[{}]", pairs.join(","))
+        let pair = |(&b, &c): (&u32, &u64)| json::list(Layout::Compact, [u64::from(b), c]);
+        json::list(Layout::Compact, self.counts.iter().map(pair))
     }
 }
 
@@ -221,49 +221,35 @@ impl WindowedRegistry {
 
     /// Deterministic JSON rendering of every series (schema v1).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"v\":{},\"window_us\":{},\"series\":[",
-            SCHEMA_VERSION,
-            json::num(self.width * 1e6)
-        ));
-        let mut first = true;
-        for ((name, labels), windows) in &self.hists {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":{},\"labels\":{},\"kind\":\"hist\",\"windows\":[",
-                json::escape(name),
-                json::escape(labels)
-            ));
-            let rows: Vec<String> = windows
-                .iter()
-                .map(|(w, h)| {
-                    format!("{{\"w\":{},\"count\":{},\"buckets\":{}}}", w, h.count(), h.to_json())
-                })
-                .collect();
-            out.push_str(&rows.join(","));
-            out.push_str("]}");
-        }
-        for ((name, labels), windows) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":{},\"labels\":{},\"kind\":\"count\",\"windows\":[",
-                json::escape(name),
-                json::escape(labels)
-            ));
-            let rows: Vec<String> =
-                windows.iter().map(|(w, c)| format!("{{\"w\":{w},\"value\":{c}}}")).collect();
-            out.push_str(&rows.join(","));
-            out.push_str("]}");
-        }
-        out.push_str("]}\n");
-        out
+        let series = |name: &str, labels: &str, kind: &str, windows: Vec<String>| {
+            Obj::compact()
+                .str("name", name)
+                .str("labels", labels)
+                .str("kind", kind)
+                .raw("windows", json::list(Layout::Compact, windows))
+                .finish()
+        };
+        let hists = self.hists.iter().map(|((name, labels), windows)| {
+            let rows = windows.iter().map(|(w, h)| {
+                Obj::compact()
+                    .raw("w", w)
+                    .raw("count", h.count())
+                    .raw("buckets", h.to_json())
+                    .finish()
+            });
+            series(name, labels, "hist", rows.collect())
+        });
+        let counters = self.counters.iter().map(|((name, labels), windows)| {
+            let rows =
+                windows.iter().map(|(w, c)| Obj::compact().raw("w", w).raw("value", c).finish());
+            series(name, labels, "count", rows.collect())
+        });
+        Obj::compact()
+            .raw("v", SCHEMA_VERSION)
+            .num("window_us", self.width * 1e6)
+            .raw("series", json::list(Layout::Compact, hists.chain(counters)))
+            .finish()
+            + "\n"
     }
 }
 
@@ -350,30 +336,24 @@ impl Event {
 
     /// One JSONL line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"v\":{},\"seq\":{},\"t_us\":{},\"kind\":{}",
-            SCHEMA_VERSION,
-            self.seq,
-            json::num(self.t * 1e6),
-            json::escape(&self.kind)
-        );
+        let mut o = Obj::compact()
+            .raw("v", SCHEMA_VERSION)
+            .raw("seq", self.seq)
+            .num("t_us", self.t * 1e6)
+            .str("kind", &self.kind);
         if let Some(j) = self.job {
-            out.push_str(&format!(",\"job\":{j}"));
+            o = o.raw("job", j);
         }
         if let Some(s) = self.stream {
-            out.push_str(&format!(",\"stream\":{s}"));
+            o = o.raw("stream", s);
         }
         if let Some(a) = self.attempt {
-            out.push_str(&format!(",\"attempt\":{a}"));
+            o = o.raw("attempt", a);
         }
         if let Some(ref s) = self.span {
-            out.push_str(&format!(",\"span\":{}", json::escape(s)));
+            o = o.str("span", s);
         }
-        for (k, v) in &self.detail {
-            out.push_str(&format!(",{}:{}", json::escape(k), v));
-        }
-        out.push('}');
-        out
+        o.raw_pairs(&self.detail).finish()
     }
 }
 
@@ -564,16 +544,15 @@ pub struct FlightDump {
 impl FlightDump {
     /// JSONL rendering: a header line, then one line per event.
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"v\":{},\"dump\":{},\"alert\":{},\"t_us\":{},\"events\":{}}}\n",
-            SCHEMA_VERSION,
-            self.alert_seq,
-            json::escape(&self.alert_kind),
-            json::num(self.t * 1e6),
-            self.events.len()
-        );
-        out.push_str(&events_to_jsonl(&self.events));
-        out
+        Obj::compact()
+            .raw("v", SCHEMA_VERSION)
+            .raw("dump", self.alert_seq)
+            .str("alert", &self.alert_kind)
+            .num("t_us", self.t * 1e6)
+            .raw("events", self.events.len())
+            .finish()
+            + "\n"
+            + &events_to_jsonl(&self.events)
     }
 }
 

@@ -19,6 +19,7 @@ use fz_gpu::core::{
 use fz_gpu::data::io::{parse_dims, read_f32_file, write_f32_file};
 use fz_gpu::metrics::{max_abs_error, psnr};
 use fz_gpu::sim::device;
+use fz_gpu::trace::json::{self, Layout, Obj};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -150,6 +151,17 @@ fn eb_of(args: &[String]) -> Result<ErrorBound, String> {
     })
 }
 
+/// `--eb` checked against the field it bounds. A relative bound over data
+/// holding ±inf resolves to an infinite bound: rejected here like
+/// `--eb inf`, before anything runs or is written.
+fn eb_for(args: &[String], data: &[f32]) -> Result<ErrorBound, String> {
+    let eb = eb_of(args)?;
+    eb.try_resolve(data).map_err(|abs| {
+        format!("--eb must be finite and positive; over this input it resolves to {abs}")
+    })?;
+    Ok(eb)
+}
+
 fn run(args: &[String]) -> Result<(), String> {
     let cmd = args.first().map(String::as_str).ok_or("missing subcommand")?;
     match cmd {
@@ -215,7 +227,7 @@ fn compress(args: &[String]) -> Result<(), String> {
     let input = args.first().ok_or("missing input path")?;
     let output = args.get(1).ok_or("missing output path")?;
     let field = load_field(args, input)?;
-    let eb = eb_of(args)?;
+    let eb = eb_for(args, &field.data)?;
     let mut fz = fz_of(args)?;
     let t0 = std::time::Instant::now();
     let c = with_unified_trace(args, || {
@@ -281,7 +293,7 @@ fn info(args: &[String]) -> Result<(), String> {
 
 fn profile(args: &[String]) -> Result<(), String> {
     let field = field_of(args)?;
-    let eb = eb_of(args)?;
+    let eb = eb_for(args, &field.data)?;
     let opts = FzOptions { engine: engine_of(args)?, ..FzOptions::default() };
     let mut fz = FzGpu::with_options(device_of(args)?, opts);
     let shape = field.dims.as_3d();
@@ -300,18 +312,16 @@ fn profile(args: &[String]) -> Result<(), String> {
 
     if args.iter().any(|a| a == "--json") {
         let spec = fz.gpu().spec();
-        println!(
-            "{{\"dataset\": {}, \"field\": {}, \"dims\": {}, \"eb\": {}, \"ratio\": {}, \
-             \"device\": {{\"name\": {}, \"copy_engines\": {}}}, \"profile\": {}}}",
-            fz_gpu::trace::json::escape(field.dataset),
-            fz_gpu::trace::json::escape(&field.name),
-            fz_gpu::trace::json::escape(&field.dims.to_string_paper()),
-            fz_gpu::trace::json::num(c.header.eb),
-            fz_gpu::trace::json::num(c.ratio()),
-            fz_gpu::trace::json::escape(spec.name),
-            spec.copy_engines,
-            prof.to_json(),
-        );
+        let device = Obj::spaced().str("name", spec.name).raw("copy_engines", spec.copy_engines);
+        let doc = Obj::spaced()
+            .str("dataset", field.dataset)
+            .str("field", &field.name)
+            .str("dims", &field.dims.to_string_paper())
+            .num("eb", c.header.eb)
+            .num("ratio", c.ratio())
+            .raw("device", device.finish())
+            .raw("profile", prof.to_json());
+        println!("{}", doc.finish());
     } else {
         println!(
             "{} / {} ({}, {:.2} MB), eb {:.3e}, ratio {:.2}x",
@@ -357,7 +367,7 @@ fn profile(args: &[String]) -> Result<(), String> {
 
 fn stats(args: &[String]) -> Result<(), String> {
     let field = field_of(args)?;
-    let eb = eb_of(args)?;
+    let eb = eb_for(args, &field.data)?;
     fz_gpu::trace::metrics::reset();
     let opts = FzOptions { engine: engine_of(args)?, ..FzOptions::default() };
     let mut fz = FzGpu::with_options(device_of(args)?, opts);
@@ -396,7 +406,7 @@ fn archive(args: &[String]) -> Result<(), String> {
         return Err("--chunk-values must be positive".into());
     }
     let data = read_flat_f32(input)?;
-    let eb = eb_of(args)?;
+    let eb = eb_for(args, &data)?;
     let mut fz = fz_of(args)?;
     let a = with_unified_trace(args, || {
         Ok(Archive::compress_profiled(&mut fz, &data, chunk_values, eb))
@@ -504,7 +514,7 @@ fn extract(args: &[String]) -> Result<(), String> {
 fn bench(args: &[String]) -> Result<(), String> {
     let input = args.first().ok_or("missing input path")?;
     let field = load_field(args, input)?;
-    let eb = eb_of(args)?;
+    let eb = eb_for(args, &field.data)?;
     let mut fz = fz_of(args)?;
     let shape = field.dims.as_3d();
     let t0 = std::time::Instant::now();
@@ -733,7 +743,7 @@ fn parse_region(s: &str) -> Result<fz_gpu::store::Region, String> {
 fn codec_of(args: &[String], data: &[f32]) -> Result<fz_gpu::store::CodecConfig, String> {
     let name = flag_value(args, "--codec").unwrap_or("fz");
     let eb_abs = match flag_value(args, "--eb") {
-        Some(_) => Some(eb_of(args)?.resolve(data)),
+        Some(_) => Some(eb_for(args, data)?.resolve(data)),
         None => None,
     };
     let rate = flag_value(args, "--rate")
@@ -856,17 +866,15 @@ fn store_read(args: &[String]) -> Result<(), String> {
     write_f32_file(Path::new(output), &res.values).map_err(|e| e.to_string())?;
     let digest = value_digest(&res.values);
     if args.iter().any(|a| a == "--json") {
-        println!(
-            "{{\"values\": {}, \"digest\": {}, \"chunks_decoded\": {}, \"shards_touched\": {}, \
-             \"bytes_read\": {}, \"backend_reads\": {}, \"modeled_io_seconds\": {}}}",
-            res.values.len(),
-            digest,
-            res.chunks_decoded,
-            res.shards_touched,
-            res.bytes_read,
-            res.backend_reads,
-            fz_gpu::trace::json::num(res.modeled_io_seconds),
-        );
+        let doc = Obj::spaced()
+            .raw("values", res.values.len())
+            .raw("digest", digest)
+            .raw("chunks_decoded", res.chunks_decoded)
+            .raw("shards_touched", res.shards_touched)
+            .raw("bytes_read", res.bytes_read)
+            .raw("backend_reads", res.backend_reads)
+            .num("modeled_io_seconds", res.modeled_io_seconds);
+        println!("{}", doc.finish());
     } else {
         println!(
             "{} -> {}: {} values (digest {digest:08x}), {} chunks from {} shards, \
@@ -916,24 +924,21 @@ fn store_stat(args: &[String]) -> Result<(), String> {
     let backend = store_backend_open(args, input)?;
     let store = ArrayStore::open(backend, device_of(args)?).map_err(|e| format!("{input}: {e}"))?;
     let spec = store.spec();
-    let dims: Vec<String> = spec.dims.iter().map(usize::to_string).collect();
-    let chunk: Vec<String> = spec.chunk.iter().map(usize::to_string).collect();
+    let ratio = (store.total_values() * 4) as f64 / store.container_bytes() as f64;
     if args.iter().any(|a| a == "--json") {
-        println!(
-            "{{\"dims\": [{}], \"chunk\": [{}], \"codec\": {}, \"chunks\": {}, \"shards\": {}, \
-             \"total_values\": {}, \"container_bytes\": {}, \"ratio\": {}}}",
-            dims.join(","),
-            chunk.join(","),
-            spec.codec.to_json(),
-            store.grid().num_chunks(),
-            store.num_shards(),
-            store.total_values(),
-            store.container_bytes(),
-            fz_gpu::trace::json::num(
-                (store.total_values() * 4) as f64 / store.container_bytes() as f64
-            ),
-        );
+        let doc = Obj::spaced()
+            .raw("dims", json::list(Layout::Compact, &spec.dims))
+            .raw("chunk", json::list(Layout::Compact, &spec.chunk))
+            .raw("codec", spec.codec.to_json())
+            .raw("chunks", store.grid().num_chunks())
+            .raw("shards", store.num_shards())
+            .raw("total_values", store.total_values())
+            .raw("container_bytes", store.container_bytes())
+            .num("ratio", ratio);
+        println!("{}", doc.finish());
     } else {
+        let dims: Vec<String> = spec.dims.iter().map(usize::to_string).collect();
+        let chunk: Vec<String> = spec.chunk.iter().map(usize::to_string).collect();
         println!("FZ-GPU store: {input}");
         println!("  dims:         {}", dims.join(" x "));
         println!("  chunk:        {}", chunk.join(" x "));
@@ -946,10 +951,7 @@ fn store_stat(args: &[String]) -> Result<(), String> {
         println!("  shards:       {}", store.num_shards());
         println!("  values:       {}", store.total_values());
         println!("  container:    {} bytes", store.container_bytes());
-        println!(
-            "  ratio:        {:.2}x",
-            (store.total_values() * 4) as f64 / store.container_bytes() as f64
-        );
+        println!("  ratio:        {ratio:.2}x");
     }
     Ok(())
 }

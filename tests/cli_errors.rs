@@ -200,6 +200,23 @@ fn store_failures_exit_nonzero_with_one_line_error() {
     assert_cli_error(&["store", "stat", "/nonexistent.fzst"], "No such file");
     // Not a store container.
     assert_cli_error(&["store", "stat", input], "magic");
+    // A CRC-valid top directory whose shard count wraps `nshards * 20` to
+    // 4: the archive keeps 4 entry bytes, their CRC, and 64 zero bytes.
+    let healthy = std::fs::read(container).unwrap();
+    let arch_off = 16 + u64::from_le_bytes(healthy[8..16].try_into().unwrap()) as usize;
+    let mut crafted = healthy[..arch_off + 28].to_vec();
+    let nshards = u64::MAX / 20 + 1;
+    crafted[arch_off + 16..arch_off + 24].copy_from_slice(&nshards.to_le_bytes());
+    let crc = fz_gpu::core::crc32(&crafted[arch_off..]);
+    crafted.extend_from_slice(&crc.to_le_bytes());
+    crafted.extend_from_slice(&[0; 64]);
+    let wrapped = dir.join("wrapped.fzst");
+    std::fs::write(&wrapped, crafted).unwrap();
+    let wrapped = wrapped.to_str().unwrap();
+    for sub in ["stat", "serve"] {
+        assert_cli_error(&["store", sub, wrapped], "truncated");
+    }
+    assert_cli_error(&["store", "read", wrapped, outfile], "truncated");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -223,6 +240,33 @@ fn non_finite_error_bounds_are_rejected() {
         }
     }
     assert!(!std::path::Path::new(output).exists(), "a rejected bound must write no stream");
+
+    // A finite relative --eb over a field holding +inf and -inf resolves
+    // to an infinite bound: every subcommand that resolves one rejects it.
+    let inf_input = dir.join("inf.f32");
+    let raw: Vec<u8> = (0..4096u32)
+        .map(|i| match i {
+            7 => f32::INFINITY,
+            9 => f32::NEG_INFINITY,
+            _ => (i as f32 * 0.01).sin(),
+        })
+        .flat_map(f32::to_le_bytes)
+        .collect();
+    std::fs::write(&inf_input, raw).unwrap();
+    let inf_input = inf_input.to_str().unwrap();
+    let dims = ["--dims", "1x1x4096", "--eb", "1e-3"];
+    let store_dims = ["--dims", "4096", "--chunk", "1024", "--eb", "1e-3"];
+    for args in [
+        [&["compress", inf_input, output][..], &dims].concat(),
+        [&["bench", inf_input][..], &dims].concat(),
+        [&["profile", inf_input][..], &dims].concat(),
+        [&["stats", inf_input][..], &dims].concat(),
+        vec!["archive", inf_input, output, "--chunk-values", "1024", "--eb", "1e-3"],
+        [&["store", "create", inf_input, output][..], &store_dims].concat(),
+    ] {
+        assert_cli_error(&args, "--eb must be finite and positive");
+    }
+    assert!(!std::path::Path::new(output).exists(), "a rejected bound must write no output");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

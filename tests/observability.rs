@@ -8,9 +8,9 @@
 //! implementation is exactly the point: the exporter must not be graded
 //! by its own serializer.
 
-use fz_gpu::core::{ErrorBound, FzGpu};
+use fz_gpu::core::{crc32, ErrorBound, FzGpu, FzOptions, PipelinePath};
 use fz_gpu::sim::device::A100;
-use fz_gpu::sim::KernelStats;
+use fz_gpu::sim::{Engine, KernelStats};
 use proptest::prelude::*;
 
 fn field() -> Vec<f32> {
@@ -400,6 +400,37 @@ fn chrome_trace_parses_and_events_tile_their_tracks() {
     }
     let margin = args.get("margin").and_then(Json::as_f64).unwrap();
     assert!((1.0..=1000.0).contains(&margin), "margin {margin} outside [1, cap]");
+}
+
+/// CRC-32 of `Profile::to_json()` and of the device-only Chrome trace for
+/// a CESM round trip (reduced scale, rel eb 1e-3, A100). Pins every key,
+/// separator and number spelling of both documents.
+const CESM_PROFILE_JSON_CRC: u32 = 0x2431_9e89;
+const CESM_CHROME_TRACE_CRC: u32 = 0x3605_e227;
+
+#[test]
+fn catalog_profile_documents_are_pinned() {
+    let field = fz_gpu::data::dataset("CESM")
+        .expect("catalog dataset")
+        .generate(fz_gpu::data::Scale::Reduced);
+    // Explicit path and engine: the pins must not follow the environment.
+    let opts = FzOptions {
+        path: PipelinePath::Simulated,
+        engine: Engine::Analytic,
+        ..FzOptions::default()
+    };
+    let mut fz = FzGpu::with_options(A100, opts);
+    let c = fz.compress(&field.data, field.dims.as_3d(), ErrorBound::RelToRange(1e-3));
+    let mut prof = fz.profile();
+    fz.decompress(&c).expect("fresh stream decompresses");
+    prof.append(&fz.profile());
+    let json = crc32(prof.to_json().as_bytes());
+    let trace = crc32(prof.chrome_trace_json().as_bytes());
+    assert_eq!(
+        (json, trace),
+        (CESM_PROFILE_JSON_CRC, CESM_CHROME_TRACE_CRC),
+        "profile JSON / Chrome trace bytes drifted: got (0x{json:08x}, 0x{trace:08x})"
+    );
 }
 
 #[test]

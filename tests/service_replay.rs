@@ -6,12 +6,21 @@
 //! scheduling configuration (streams, pool, batching, backpressure) —
 //! those knobs move modeled time around, never output bytes.
 
+use fz_gpu::core::{crc32, PipelinePath};
 use fz_gpu::serve::{Backpressure, ServeConfig, Service, Workload};
+use fz_gpu::sim::Engine;
 
 /// The smoke trace's job-output fingerprint. This value changing means
 /// compression output changed for some job — bump it only alongside an
 /// intentional pipeline output change.
 const SMOKE_DIGEST: u32 = 0xf0cf_d735;
+
+/// CRC-32 of the smoke replay's deterministic JSON report and of its
+/// per-stream Chrome trace. These pin every key, separator and number
+/// spelling of both documents, so a writer refactor that reorders a key
+/// or respells a number fails here.
+const SMOKE_JSON_CRC: u32 = 0x6124_a967;
+const SMOKE_TRACE_CRC: u32 = 0x7f02_d5ac;
 
 fn smoke() -> Workload {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/workloads/smoke.json");
@@ -20,7 +29,15 @@ fn smoke() -> Workload {
 
 #[test]
 fn smoke_digest_is_pinned() {
-    let report = Service::new(ServeConfig::default()).run(&smoke());
+    // Path and engine are set explicitly: both are labelled in the JSON
+    // report, and the pins must not follow FZGPU_NATIVE/FZGPU_SIM_ENGINE.
+    let cfg = ServeConfig {
+        path: PipelinePath::Simulated,
+        engine: Engine::Interpreted,
+        capture_trace: true,
+        ..ServeConfig::default()
+    };
+    let report = Service::new(cfg).run(&smoke());
     assert_eq!(report.jobs.len(), 12);
     assert_eq!(report.rejected.len(), 0);
     assert_eq!(
@@ -28,6 +45,13 @@ fn smoke_digest_is_pinned() {
         SMOKE_DIGEST,
         "smoke replay digest drifted: got 0x{:08x}",
         report.digest()
+    );
+    let json = crc32(report.to_json(false).as_bytes());
+    let trace = crc32(report.stream_trace.as_bytes());
+    assert_eq!(
+        (json, trace),
+        (SMOKE_JSON_CRC, SMOKE_TRACE_CRC),
+        "smoke report JSON / stream trace bytes drifted: got (0x{json:08x}, 0x{trace:08x})"
     );
 }
 

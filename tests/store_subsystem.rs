@@ -5,6 +5,7 @@
 //! simulation engines, and pipeline paths.
 
 use fz_gpu::core::{crc32, Archive, ChunkMeta};
+use fz_gpu::serve::{run_store_reads, StoreReadWorkload};
 use fz_gpu::sim::device::A100;
 use fz_gpu::store::{
     backend_from_cli, shape3, value_digest, ArrayStore, ChunkGrid, CodecConfig, MemBackend, Region,
@@ -229,6 +230,46 @@ fn store_digests_are_invariant_across_threads_engines_and_paths() {
     std::env::remove_var("FZGPU_SIM_ENGINE");
     std::env::remove_var("FZGPU_NATIVE");
     rayon::set_num_threads(1);
+}
+
+/// CRC-32 of the container bytes for three codecs (`fz`, `cuzfp`, `raw`
+/// cover every `CodecConfig` JSON shape the meta can hold) and of the
+/// seeded store-read report's JSON over the `fz` container. The container
+/// embeds `StoreSpec::to_json`, so these pin the meta JSON byte for byte.
+const CONTAINER_CRCS: [u32; 3] = [0x992a_854b, 0x7663_8664, 0xd3c5_c19c];
+const STORE_READ_REPORT_CRC: u32 = 0x38c8_12b7;
+
+#[test]
+fn container_and_read_report_bytes_are_pinned() {
+    let _guard = serialized();
+    // The codecs resolve path and engine from the environment; pin both.
+    std::env::set_var("FZGPU_SIM_ENGINE", "analytic");
+    std::env::set_var("FZGPU_NATIVE", "0");
+    let dims = vec![8usize, 12, 10];
+    let data = wave(8 * 12 * 10);
+    let codecs =
+        [CodecConfig::Fz { eb_abs: 1e-3 }, CodecConfig::CuZfp { rate: 8.0 }, CodecConfig::Raw];
+    let mut got = [0u32; 3];
+    let mut containers = Vec::new();
+    for (i, codec) in codecs.into_iter().enumerate() {
+        let spec =
+            StoreSpec { dims: dims.clone(), chunk: vec![4, 4, 5], codec, chunks_per_shard: 4 };
+        let bytes = container_bytes(&spec, &data);
+        got[i] = crc32(&bytes);
+        containers.push(bytes);
+    }
+    let mut store =
+        ArrayStore::open(Box::new(MemBackend::from_bytes(containers.swap_remove(0))), A100)
+            .unwrap();
+    let report = run_store_reads(&mut store, &StoreReadWorkload::default()).unwrap();
+    let report_crc = crc32(report.to_json().as_bytes());
+    std::env::remove_var("FZGPU_SIM_ENGINE");
+    std::env::remove_var("FZGPU_NATIVE");
+    assert_eq!(got, CONTAINER_CRCS, "container bytes drifted: got {got:08x?}");
+    assert_eq!(
+        report_crc, STORE_READ_REPORT_CRC,
+        "store-read report JSON drifted: got 0x{report_crc:08x}"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -11,12 +11,18 @@
 //! the pre-telemetry value and the deterministic report documents are
 //! unchanged.
 
+use fz_gpu::core::{crc32, PipelinePath};
 use fz_gpu::serve::{ServeConfig, Service, TelemetryConfig, Workload};
 use fz_gpu::sim::{Engine, ServiceFaultPlan};
 
 /// The smoke trace's job-output fingerprint (see `service_replay.rs`) —
 /// telemetry capture must not move it.
 const SMOKE_DIGEST: u32 = 0xf0cf_d735;
+
+/// CRC-32 of the faulted smoke capture's bytes (meta, windows, event log
+/// and every flight dump, as concatenated by [`capture_bytes`]). Pins
+/// the telemetry documents' keys, separators and number spellings.
+const FAULTED_CAPTURE_CRC: u32 = 0x82a2_2975;
 
 fn smoke() -> Workload {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/workloads/smoke.json");
@@ -65,9 +71,15 @@ fn telemetry_is_identical_across_thread_counts() {
 #[test]
 fn telemetry_is_identical_across_engines() {
     for faulted in [false, true] {
-        let interp = capture_bytes(ServeConfig { engine: Engine::Interpreted, ..config(faulted) });
-        let analytic = capture_bytes(ServeConfig { engine: Engine::Analytic, ..config(faulted) });
+        // Path set explicitly so the faulted pin does not follow FZGPU_NATIVE.
+        let cfg = ServeConfig { path: PipelinePath::Simulated, ..config(faulted) };
+        let interp = capture_bytes(ServeConfig { engine: Engine::Interpreted, ..cfg });
+        let analytic = capture_bytes(ServeConfig { engine: Engine::Analytic, ..cfg });
         assert_eq!(interp, analytic, "engine moved telemetry bytes (faulted={faulted})");
+        if faulted {
+            let got = crc32(interp.as_bytes());
+            assert_eq!(got, FAULTED_CAPTURE_CRC, "faulted capture bytes drifted: got 0x{got:08x}");
+        }
     }
 }
 
