@@ -105,19 +105,18 @@ pub struct Failed {
 /// are silent: a breaker-less scheduler keeps routing to a stalled stream
 /// until the work it piled on there completes late. With the breaker on,
 /// routing uses the actual [`StreamSim`] ready times — completion
-/// feedback — and each dispatch that dodges a stream the believed
-/// schedule would have picked counts as a reroute.
+/// feedback — and a dispatch that dodges the stream the believed schedule
+/// would have picked is a reroute.
 #[derive(Debug, Clone)]
 pub struct StreamHealth {
     believed_ready: Vec<f64>,
     breaker: bool,
-    reroutes: u64,
 }
 
 impl StreamHealth {
     /// Fresh state for `streams` streams.
     pub fn new(streams: usize, breaker: bool) -> Self {
-        Self { believed_ready: vec![0.0; streams], breaker, reroutes: 0 }
+        Self { believed_ready: vec![0.0; streams], breaker }
     }
 
     /// The stream the believed schedule drains first (lowest index ties).
@@ -132,21 +131,16 @@ impl StreamHealth {
     }
 
     /// The stream the next dispatch targets and when its queue really
-    /// drains. Pure — safe for lookahead; use [`StreamHealth::pick`] for
-    /// the dispatch itself so reroutes are counted.
+    /// drains.
     pub fn peek(&self, sim: &StreamSim) -> (usize, f64) {
         let stream = if self.breaker { sim.earliest_stream().0 } else { self.believed_earliest() };
         (stream, sim.stream_ready(stream))
     }
 
-    /// [`StreamHealth::peek`], counting a reroute when the breaker dodged
+    /// Whether dispatching on `stream` is a reroute: the breaker dodged
     /// the stream the believed schedule would have picked.
-    pub fn pick(&mut self, sim: &StreamSim) -> (usize, f64) {
-        let (stream, ready) = self.peek(sim);
-        if self.breaker && stream != self.believed_earliest() {
-            self.reroutes += 1;
-        }
-        (stream, ready)
+    pub fn is_reroute(&self, stream: usize) -> bool {
+        self.breaker && stream != self.believed_earliest()
     }
 
     /// Record work the scheduler itself enqueued on `stream`, ending at
@@ -166,11 +160,6 @@ impl StreamHealth {
                 *r = recovery;
             }
         }
-    }
-
-    /// Dispatches where the breaker routed around the believed pick.
-    pub fn reroutes(&self) -> u64 {
-        self.reroutes
     }
 }
 
@@ -241,17 +230,16 @@ mod tests {
         // Stream 0 looks free to the believed schedule but is stalled.
         sim.enqueue(0, OpClass::Stall, "chaos", 100e-6, 0.0);
 
-        let mut blind = StreamHealth::new(2, false);
-        assert_eq!(blind.pick(&sim).0, 0, "blind routing picks the stalled stream");
-        assert_eq!(blind.reroutes(), 0);
+        let blind = StreamHealth::new(2, false);
+        assert_eq!(blind.peek(&sim).0, 0, "blind routing picks the stalled stream");
+        assert!(!blind.is_reroute(0));
 
-        let mut aware = StreamHealth::new(2, true);
-        let (stream, ready) = aware.pick(&sim);
+        let aware = StreamHealth::new(2, true);
+        let (stream, ready) = aware.peek(&sim);
         assert_eq!(stream, 1, "the breaker dodges the stall");
         assert_eq!(ready, 0.0);
-        assert_eq!(aware.reroutes(), 1);
-        assert_eq!(aware.peek(&sim).0, 1, "peek agrees but does not count");
-        assert_eq!(aware.reroutes(), 1);
+        assert!(aware.is_reroute(1), "dodging the believed pick is a reroute");
+        assert!(!aware.is_reroute(0));
     }
 
     #[test]
@@ -260,12 +248,12 @@ mod tests {
         let mut h = StreamHealth::new(3, false);
         h.note_work(0, 5e-6);
         h.note_work(1, 2e-6);
-        assert_eq!(h.pick(&sim).0, 2);
+        assert_eq!(h.peek(&sim).0, 2);
         h.note_work(2, 9e-6);
-        assert_eq!(h.pick(&sim).0, 1);
+        assert_eq!(h.peek(&sim).0, 1);
         h.note_outage(50e-6);
         // All streams believed busy until recovery; lowest index wins ties.
-        assert_eq!(h.pick(&sim).0, 0);
+        assert_eq!(h.peek(&sim).0, 0);
         h.note_work(1, 40e-6);
         assert_eq!(h.believed_ready[1], 50e-6, "outage floor is not lowered");
     }

@@ -22,6 +22,11 @@
 //! dispatch frees a slot); [`Backpressure::Block`] stalls the client until
 //! a slot frees and admits the job then — nothing is dropped.
 //!
+//! # Observation
+//! The scheduler records each decision once, in an append-only transition
+//! log. The report, the serve Det metrics and the telemetry capture are
+//! all read off that log after the replay, so observing never steers it.
+//!
 //! # Determinism
 //! Everything here is a pure function of the workload and config: arrival
 //! order breaks ties, the scheduler inspects only modeled clocks, and jobs
@@ -40,7 +45,7 @@ use fzgpu_trace::metrics::{self, Class};
 
 use crate::batch::{fuse_kernel_sequences, BatchKey};
 use crate::resilience::{Failed, ResilienceConfig, Shed, SloSummary, StreamHealth};
-use crate::telemetry::{Collector, TelemetryCapture, TelemetryConfig};
+use crate::telemetry::{self, TelemetryCapture, TelemetryConfig};
 use crate::workload::{synth_field, Op, Request, Workload};
 
 /// Full-queue policy.
@@ -109,9 +114,10 @@ pub struct ServeConfig {
     pub resilience: ResilienceConfig,
     /// Telemetry capture: windowed histograms, the structured event log,
     /// SLO burn-rate alerts, and the flight recorder (DESIGN.md §17).
-    /// `None` (the default) records nothing; `Some` attaches a
-    /// [`TelemetryCapture`] to the report. Telemetry observes the replay
-    /// in modeled time only — it never affects scheduling or digests.
+    /// `None` (the default) captures nothing; `Some` attaches a
+    /// [`TelemetryCapture`] to the report. The capture is folded from the
+    /// replay's transition log after the replay, in modeled time only —
+    /// it never affects scheduling or digests.
     pub telemetry: Option<TelemetryConfig>,
 }
 
@@ -645,6 +651,49 @@ struct Entry {
     attempt: u32,
 }
 
+/// One scheduling decision. The runner appends each decision to its
+/// transition log exactly once, in decision order; the report, the serve
+/// Det metrics and the telemetry capture are all folds over that log,
+/// run after the replay.
+#[derive(Debug)]
+pub(crate) enum Transition {
+    /// Job `job` entered the queue at `t`, leaving it `depth` deep.
+    Admit { t: f64, job: usize, depth: usize },
+    /// A full queue turned the job away.
+    Reject(Rejection),
+    /// Admission control dropped the job.
+    Shed(Shed),
+    /// The job is lost for good.
+    Fail(Failed),
+    /// A faulted attempt, observed at `t`, re-dispatches as `attempt`
+    /// after `backoff` seconds.
+    Retry { t: f64, job: usize, attempt: u32, backoff: f64 },
+    /// The breaker routed the dispatch at `t` around the believed pick.
+    Reroute { t: f64, stream: usize },
+    /// Batch `batch` of `jobs` jobs left the queue at `t` onto `stream`,
+    /// leaving it `depth` deep: its phase durations, the modeled seconds
+    /// launch fusion saved, and the pool's (hits, misses) after it ran.
+    Dispatch {
+        t: f64,
+        batch: usize,
+        stream: usize,
+        jobs: usize,
+        depth: usize,
+        h2d: f64,
+        compute: f64,
+        d2h: f64,
+        saved: f64,
+        pool: (u64, u64),
+    },
+    /// A stall of `duration` froze `stream` at `t`, after batch `batch`.
+    Stall { t: f64, stream: usize, batch: usize, duration: f64 },
+    /// A job completed.
+    Complete(JobResult),
+    /// The device was lost at `t`, aborting `aborted` in-flight jobs;
+    /// `recovery` is when it returns, if ever.
+    DeviceLoss { t: f64, recovery: Option<f64>, aborted: usize },
+}
+
 /// Mutable scheduler state threaded through the replay.
 struct Runner<'a> {
     cfg: ServeConfig,
@@ -660,23 +709,15 @@ struct Runner<'a> {
     health: StreamHealth,
     /// The run's fault schedule evaluator (pure per-event functions).
     faults: ServiceFaults,
-    /// Telemetry collector, when capture is on.
-    tel: Option<Collector>,
-    /// Shared pool handle for windowed hit/miss sampling (telemetry only).
-    pool: Option<MemPool>,
     /// Host-side executions, cached per request so retries reuse the
     /// first (and only) execution: a completed job's digest is its
     /// fault-free digest by construction, and Det-class pipeline metrics
     /// count each job exactly once however often it re-dispatches.
     exec_cache: Vec<Option<Exec>>,
-    jobs: Vec<JobResult>,
-    shed: Vec<Shed>,
-    failed: Vec<Failed>,
+    /// Every scheduling decision, once, in decision order.
+    log: Vec<Transition>,
+    /// Committed batches so far (the next batch's sequence number).
     batches: usize,
-    fused_saved: f64,
-    retries_total: u64,
-    aborted_jobs: u64,
-    stalls_injected: u64,
     /// The (single) outage window has been applied to the schedule.
     outage_applied: bool,
     /// The device was lost and never recovers.
@@ -703,11 +744,6 @@ impl Runner<'_> {
         }
     }
 
-    /// Modeled time of the next dispatch.
-    fn next_dispatch_time(&self) -> f64 {
-        self.next_dispatch().1
-    }
-
     /// Insert a retry entry keeping `(ready, idx)` order — deterministic
     /// whatever order failures were discovered in.
     fn schedule_retry(&mut self, e: Entry) {
@@ -721,40 +757,70 @@ impl Runner<'_> {
 
     /// Record a permanent job loss.
     fn fail(&mut self, idx: usize, time: f64, attempts: u32, reason: &'static str) {
-        metrics::counter_add(Class::Det, "fzgpu_serve_failed_total", &[("reason", reason)], 1);
-        if let Some(tel) = self.tel.as_mut() {
-            tel.note_fail(time, idx, attempts, reason);
-        }
-        self.failed.push(Failed {
-            id: idx,
-            arrival: self.workload.requests[idx].arrival,
-            time,
-            attempts,
-            reason,
-        });
+        let arrival = self.workload.requests[idx].arrival;
+        self.log.push(Transition::Fail(Failed { id: idx, arrival, time, attempts, reason }));
     }
 
     /// Record a shed job (admission control, not queue overflow).
-    fn shed_job(&mut self, idx: usize, arrival: f64, retry_after: f64, reason: &'static str) {
-        metrics::counter_add(Class::Det, "fzgpu_serve_shed_total", &[("reason", reason)], 1);
-        if let Some(tel) = self.tel.as_mut() {
-            tel.note_shed(arrival, idx, reason, retry_after);
-        }
-        self.shed.push(Shed {
-            id: idx,
-            arrival,
-            retry_after,
-            priority: self.workload.requests[idx].priority,
-            reason,
-        });
+    fn shed(&mut self, idx: usize, retry_after: f64, reason: &'static str) {
+        let r = &self.workload.requests[idx];
+        let (arrival, priority) = (r.arrival, r.priority);
+        self.log.push(Transition::Shed(Shed { id: idx, arrival, retry_after, priority, reason }));
     }
 
-    /// Fail every pending entry: the device is gone for good.
-    fn fail_all_pending(&mut self, time: f64) {
-        let pending: Vec<Entry> = self.queue.drain(..).chain(self.retries.drain(..)).collect();
-        for e in pending {
-            self.fail(e.idx, time, e.attempt, "device_lost");
+    /// Queue request `idx` at modeled time `t` — or, once the device is
+    /// dead, fail it at its arrival.
+    fn admit(&mut self, idx: usize, t: f64) {
+        if self.device_dead {
+            let arrival = self.workload.requests[idx].arrival;
+            self.fail(idx, arrival, 0, "device_lost");
+        } else {
+            self.queue.push_back(Entry { idx, admitted: t, ready: t, attempt: 0 });
+            self.log.push(Transition::Admit { t, job: idx, depth: self.queue.len() });
         }
+    }
+
+    /// Request `idx` arrives: run the dispatches due before it, then shed
+    /// it if it cannot meet its deadline, or admit it — rejecting,
+    /// priority-shedding or blocking the client when the queue is full.
+    fn arrive(&mut self, idx: usize) {
+        let Request { arrival, n, .. } = self.workload.requests[idx];
+        while self.has_work() && self.next_dispatch().1 <= arrival {
+            self.dispatch();
+        }
+        // Deadline-aware admission: shed what already cannot make it
+        // instead of letting it occupy a queue slot. A dead device has
+        // drained the queue, and `admit` fails the job.
+        if let Some(d) = self.cfg.resilience.deadline.filter(|_| !self.device_dead) {
+            let est = self.estimate_completion(arrival, n);
+            if est > arrival + d {
+                self.shed(idx, (est - arrival - d).max(0.0), "deadline");
+                return;
+            }
+        }
+        let mut admitted = arrival;
+        if self.queue.len() >= self.cfg.queue_depth {
+            match self.cfg.backpressure {
+                Backpressure::Reject => {
+                    let retry_after = (self.next_dispatch().1 - arrival).max(0.0);
+                    if self.cfg.resilience.shed_by_priority {
+                        self.admit_or_shed(idx, retry_after);
+                    } else {
+                        let r = Rejection { id: idx, arrival, retry_after };
+                        self.log.push(Transition::Reject(r));
+                    }
+                    return;
+                }
+                // The client stalls; dispatches free slots and admission
+                // happens then.
+                Backpressure::Block => {
+                    while self.queue.len() >= self.cfg.queue_depth && !self.device_dead {
+                        admitted = admitted.max(self.dispatch());
+                    }
+                }
+            }
+        }
+        self.admit(idx, admitted);
     }
 
     /// Full queue under priority shedding: evict the least important
@@ -762,7 +828,6 @@ impl Runner<'_> {
     /// arrival outranks it; otherwise shed the arrival itself.
     fn admit_or_shed(&mut self, idx: usize, retry_after: f64) {
         let reqs = &self.workload.requests;
-        let arrival = reqs[idx].arrival;
         // (borrow of the workload, not of self: mutation below is fine)
         let victim = self
             .queue
@@ -773,13 +838,10 @@ impl Runner<'_> {
             .expect("shedding on a non-empty queue");
         if (reqs[victim.1].priority, victim.1) > (reqs[idx].priority, idx) {
             self.queue.remove(victim.0);
-            self.shed_job(victim.1, reqs[victim.1].arrival, retry_after, "priority");
-            self.queue.push_back(Entry { idx, admitted: arrival, ready: arrival, attempt: 0 });
-            if let Some(tel) = self.tel.as_mut() {
-                tel.note_admit(arrival, idx, self.queue.len());
-            }
+            self.shed(victim.1, retry_after, "priority");
+            self.admit(idx, reqs[idx].arrival);
         } else {
-            self.shed_job(idx, arrival, retry_after, "priority");
+            self.shed(idx, retry_after, "priority");
         }
     }
 
@@ -817,8 +879,8 @@ impl Runner<'_> {
     /// slot freed).
     fn dispatch(&mut self) -> f64 {
         let (take_retry, _) = self.next_dispatch();
-        let reroutes_before = self.health.reroutes();
-        let (stream, ready) = self.health.pick(&self.sim);
+        let (stream, ready) = self.health.peek(&self.sim);
+        let rerouted = self.health.is_reroute(stream);
         let head = if take_retry {
             self.retries.pop_front().expect("retry front")
         } else {
@@ -857,29 +919,16 @@ impl Runner<'_> {
         let seqs: Vec<Vec<(String, f64)>> = execs.iter().map(|e| e.kernels.clone()).collect();
         let (fused, saved) = fuse_kernel_sequences(&seqs, spec.launch_overhead);
         let b = self.batches;
-        let h2d: u64 = execs.iter().map(|e| e.bytes_in).sum();
-        let d2h: u64 = execs.iter().map(|e| e.bytes_out).sum();
-        self.sim.enqueue(
-            stream,
-            OpClass::CopyH2D,
-            &format!("b{b}.h2d"),
-            h2d as f64 / spec.pcie_peak,
-            t,
-        );
+        let h2d = execs.iter().map(|e| e.bytes_in).sum::<u64>() as f64 / spec.pcie_peak;
+        let d2h = execs.iter().map(|e| e.bytes_out).sum::<u64>() as f64 / spec.pcie_peak;
+        self.sim.enqueue(stream, OpClass::CopyH2D, &format!("b{b}.h2d"), h2d, t);
         for (name, dur) in &fused {
             self.sim.enqueue(stream, OpClass::Compute, &format!("b{b}.{name}"), *dur, t);
         }
-        let end = self.sim.enqueue(
-            stream,
-            OpClass::CopyD2H,
-            &format!("b{b}.d2h"),
-            d2h as f64 / spec.pcie_peak,
-            t,
-        );
+        let end = self.sim.enqueue(stream, OpClass::CopyD2H, &format!("b{b}.d2h"), d2h, t);
 
         // Device loss: the first batch whose schedule crosses the loss
-        // instant triggers the outage — it and every other in-flight job
-        // are aborted (drain) and, if the device recovers, re-dispatched.
+        // instant triggers the outage — it is the only work in flight.
         if !self.outage_applied {
             if let Some((loss, recovery)) = self.faults.outage() {
                 if end > loss {
@@ -892,39 +941,33 @@ impl Runner<'_> {
 
         // Commit: the batch ran.
         self.batches += 1;
-        self.fused_saved += saved;
         self.health.note_work(stream, end);
-        metrics::counter_add(Class::Det, "fzgpu_serve_batches_total", &[], 1);
-        if let Some(tel) = self.tel.as_mut() {
-            if self.health.reroutes() > reroutes_before {
-                tel.note_reroute(t, stream);
-            }
-            let kernel_s: f64 = fused.iter().map(|(_, d)| *d).sum();
-            tel.note_dispatch(
-                t,
-                b,
-                stream,
-                members.len(),
-                self.queue.len(),
-                h2d as f64 / spec.pcie_peak,
-                kernel_s,
-                d2h as f64 / spec.pcie_peak,
-            );
-            if let Some(p) = self.pool.as_ref() {
-                tel.sample_pool(t, &p.stats());
-            }
+        if rerouted {
+            self.log.push(Transition::Reroute { t, stream });
         }
+        let pool = self.fz.gpu().pool().map_or((0, 0), |p| {
+            let s = p.stats();
+            (s.hits, s.misses)
+        });
+        self.log.push(Transition::Dispatch {
+            t,
+            batch: b,
+            stream,
+            jobs: members.len(),
+            depth: self.queue.len(),
+            h2d,
+            compute: fused.iter().map(|(_, d)| *d).sum(),
+            d2h,
+            saved,
+            pool,
+        });
 
         // Injected stream stall after this dispatch: freezes the stream's
         // queue silently — the believed schedule does not move, so only a
         // breaker-enabled scheduler routes the next dispatch around it.
         if let Some(d) = self.faults.stall_after(b as u64) {
             self.sim.enqueue(stream, OpClass::Stall, &format!("b{b}.stall"), d, 0.0);
-            self.stalls_injected += 1;
-            metrics::counter_add(Class::Det, "fzgpu_serve_stalls_total", &[], 1);
-            if let Some(tel) = self.tel.as_mut() {
-                tel.note_stall(end, stream, b, d);
-            }
+            self.log.push(Transition::Stall { t: end, stream, batch: b, duration: d });
         }
 
         let batch_size = members.len();
@@ -936,28 +979,16 @@ impl Runner<'_> {
             // budget lasts.
             if self.faults.job_attempt_fails(e.idx as u64, e.attempt) {
                 if e.attempt < self.cfg.resilience.retry.max_retries {
-                    self.retries_total += 1;
-                    metrics::counter_add(Class::Det, "fzgpu_serve_retries_total", &[], 1);
-                    let backoff = self.cfg.resilience.retry.backoff_time(e.attempt + 1);
-                    if let Some(tel) = self.tel.as_mut() {
-                        tel.note_retry(end, e.idx, e.attempt + 1, backoff);
-                    }
-                    self.schedule_retry(Entry {
-                        ready: end + backoff,
-                        attempt: e.attempt + 1,
-                        ..e
-                    });
+                    let attempt = e.attempt + 1;
+                    let backoff = self.cfg.resilience.retry.backoff_time(attempt);
+                    self.log.push(Transition::Retry { t: end, job: e.idx, attempt, backoff });
+                    self.schedule_retry(Entry { ready: end + backoff, attempt, ..e });
                 } else {
                     self.fail(e.idx, end, e.attempt + 1, "faults");
                 }
                 continue;
             }
-            metrics::counter_add(Class::Det, "fzgpu_serve_jobs_total", &[("op", r.op.label())], 1);
-            if let Some(tel) = self.tel.as_mut() {
-                let miss = self.cfg.resilience.deadline.is_some_and(|d| end - r.arrival > d);
-                tel.note_complete(end, e.idx, stream, e.attempt, b, r.arrival, t, miss);
-            }
-            self.jobs.push(JobResult {
+            self.log.push(Transition::Complete(JobResult {
                 id: e.idx,
                 op: r.op,
                 n: r.n,
@@ -973,44 +1004,21 @@ impl Runner<'_> {
                 batch_size,
                 retries: e.attempt,
                 host_seconds: x.host_s,
-            });
+            }));
         }
         t
     }
 
-    /// Apply the device-loss window: abort every in-flight job — the
-    /// `current` (rolled-back) members plus previously dispatched jobs
-    /// whose batch spans the loss instant — freeze every stream until
-    /// recovery and re-dispatch the aborted jobs then, or fail everything
-    /// when the device never returns. Work time already charged for
-    /// aborted batches stays charged: it was spent, and lost.
-    fn apply_outage(&mut self, loss: f64, recovery: Option<f64>, current: Vec<Entry>) {
+    /// Apply the device-loss window to the `aborted` members of the batch
+    /// that crossed the loss instant, whose schedule the caller rolled
+    /// back. They are the only work in flight: every earlier batch
+    /// committed because its D2H ended by the loss. Freeze every stream
+    /// until recovery and re-dispatch the aborted jobs then, or fail them
+    /// and everything pending when the device never returns.
+    fn apply_outage(&mut self, loss: f64, recovery: Option<f64>, mut aborted: Vec<Entry>) {
         self.outage_applied = true;
-        metrics::counter_add(Class::Det, "fzgpu_serve_device_loss_total", &[], 1);
-
-        let mut aborted: Vec<Entry> = Vec::new();
-        let mut keep = Vec::with_capacity(self.jobs.len());
-        for j in std::mem::take(&mut self.jobs) {
-            if j.dispatched < loss && j.completed > loss {
-                aborted.push(Entry {
-                    idx: j.id,
-                    admitted: j.admitted,
-                    ready: 0.0,
-                    attempt: j.retries,
-                });
-            } else {
-                keep.push(j);
-            }
-        }
-        self.jobs = keep;
-        aborted.extend(current);
         aborted.sort_by_key(|e| e.idx);
-        self.aborted_jobs += aborted.len() as u64;
-        metrics::counter_add(Class::Det, "fzgpu_serve_aborted_total", &[], aborted.len() as u64);
-        if let Some(tel) = self.tel.as_mut() {
-            tel.note_device_loss(loss, recovery, aborted.len() as u64);
-        }
-
+        self.log.push(Transition::DeviceLoss { t: loss, recovery, aborted: aborted.len() });
         match recovery {
             Some(rec) => {
                 // Freeze every stream's queue until the device returns —
@@ -1028,13 +1036,104 @@ impl Runner<'_> {
             }
             None => {
                 self.device_dead = true;
-                for e in aborted {
+                let pending: Vec<Entry> =
+                    self.queue.drain(..).chain(self.retries.drain(..)).collect();
+                for e in aborted.into_iter().chain(pending) {
                     self.fail(e.idx, loss, e.attempt, "device_lost");
                 }
-                self.fail_all_pending(loss);
             }
         }
     }
+
+    /// The report: one pass over the transition log fills the outcome
+    /// lists and counters, in decision order.
+    fn report(&self, host_seconds: f64) -> ServeReport {
+        let mut makespan = self.sim.makespan();
+        if self.outage_applied {
+            // A loss that interrupted work holds the clock at least to the
+            // loss (or recovery) instant even if nothing ran afterwards.
+            if let Some((loss, recovery)) = self.faults.outage() {
+                makespan = makespan.max(recovery.unwrap_or(loss));
+            }
+        }
+        let mut report = ServeReport {
+            workload: self.workload.name.clone(),
+            device: self.workload.device.name,
+            config: self.cfg,
+            jobs: Vec::new(),
+            rejected: Vec::new(),
+            shed: Vec::new(),
+            failed: Vec::new(),
+            retries_total: 0,
+            aborted_jobs: 0,
+            breaker_reroutes: 0,
+            stalls_injected: 0,
+            makespan,
+            serial_time: self.sim.serial_time(),
+            compute_utilization: self.sim.compute_utilization(),
+            pool: self.fz.gpu().pool().map(MemPool::stats),
+            batches: self.batches,
+            fused_saved: 0.0,
+            host_seconds,
+            stream_trace: if self.cfg.capture_trace {
+                self.sim.chrome_trace_json()
+            } else {
+                String::new()
+            },
+            telemetry: None,
+        };
+        for entry in &self.log {
+            match entry {
+                Transition::Admit { .. } => {}
+                Transition::Reject(r) => report.rejected.push(r.clone()),
+                Transition::Shed(s) => report.shed.push(s.clone()),
+                Transition::Fail(f) => report.failed.push(f.clone()),
+                Transition::Retry { .. } => report.retries_total += 1,
+                Transition::Reroute { .. } => report.breaker_reroutes += 1,
+                Transition::Dispatch { saved, .. } => report.fused_saved += saved,
+                Transition::Stall { .. } => report.stalls_injected += 1,
+                Transition::Complete(j) => report.jobs.push(j.clone()),
+                Transition::DeviceLoss { aborted, .. } => report.aborted_jobs += *aborted as u64,
+            }
+        }
+        report
+    }
+}
+
+/// Publish the serve metrics from a finished report: the Det counters and
+/// gauges, and the Wall host-time histogram. A counter is added only when
+/// its count is nonzero — exactly when a per-decision counter would have
+/// created its series.
+fn publish_metrics(report: &ServeReport) {
+    let count = |name: &str, labels: &[(&str, &str)], n: u64| {
+        if n > 0 {
+            metrics::counter_add(Class::Det, name, labels, n);
+        }
+    };
+    for op in [Op::Compress, Op::Decompress] {
+        let n = report.jobs.iter().filter(|j| j.op == op).count();
+        count("fzgpu_serve_jobs_total", &[("op", op.label())], n as u64);
+    }
+    count("fzgpu_serve_rejected_total", &[], report.rejected.len() as u64);
+    for reason in ["priority", "deadline"] {
+        let n = report.shed.iter().filter(|s| s.reason == reason).count();
+        count("fzgpu_serve_shed_total", &[("reason", reason)], n as u64);
+    }
+    for reason in ["faults", "device_lost"] {
+        let n = report.failed.iter().filter(|f| f.reason == reason).count();
+        count("fzgpu_serve_failed_total", &[("reason", reason)], n as u64);
+    }
+    count("fzgpu_serve_batches_total", &[], report.batches as u64);
+    count("fzgpu_serve_retries_total", &[], report.retries_total);
+    count("fzgpu_serve_stalls_total", &[], report.stalls_injected);
+    count("fzgpu_serve_breaker_reroutes_total", &[], report.breaker_reroutes);
+    // A device loss always aborts the batch that crossed it.
+    count("fzgpu_serve_device_loss_total", &[], u64::from(report.aborted_jobs > 0));
+    count("fzgpu_serve_aborted_total", &[], report.aborted_jobs);
+    count("fzgpu_serve_deadline_missed_total", &[], report.slo().deadline_missed as u64);
+    metrics::gauge_set(Class::Det, "fzgpu_serve_makespan_seconds", &[], report.makespan);
+    metrics::gauge_set(Class::Det, "fzgpu_serve_fused_saved_seconds", &[], report.fused_saved);
+    metrics::observe(Class::Wall, "fzgpu_serve_host_seconds", &[], report.host_seconds);
 }
 
 /// The serving facade: build with a config, replay workloads.
@@ -1088,9 +1187,8 @@ impl Service {
         drop(prep);
 
         let mut fz = FzGpu::with_options(workload.device, opts);
-        let pool = self.config.pool.then(MemPool::new);
-        if let Some(p) = &pool {
-            fz.attach_pool(p.clone());
+        if self.config.pool {
+            fz.attach_pool(MemPool::new());
         }
         fz.gpu_mut().set_charge_alloc(self.config.charge_alloc);
 
@@ -1105,150 +1203,24 @@ impl Service {
             retries: VecDeque::new(),
             health: StreamHealth::new(self.config.streams, res.breaker),
             faults: ServiceFaults::new(res.faults),
-            tel: self.config.telemetry.map(Collector::new),
-            pool: pool.clone(),
             exec_cache: vec![None; workload.requests.len()],
-            jobs: Vec::new(),
-            shed: Vec::new(),
-            failed: Vec::new(),
+            log: Vec::new(),
             batches: 0,
-            fused_saved: 0.0,
-            retries_total: 0,
-            aborted_jobs: 0,
-            stalls_injected: 0,
             outage_applied: false,
             device_dead: false,
         };
-        let mut rejected: Vec<Rejection> = Vec::new();
-
-        for (i, r) in workload.requests.iter().enumerate() {
-            // Catch up: dispatches that happen before this arrival.
-            while run.has_work() && run.next_dispatch_time() <= r.arrival {
-                run.dispatch();
-            }
-            if run.device_dead {
-                run.fail(i, r.arrival, 0, "device_lost");
-                continue;
-            }
-            // Deadline-aware admission: shed what already cannot make it
-            // instead of letting it occupy a queue slot.
-            if let Some(d) = res.deadline {
-                let est = run.estimate_completion(r.arrival, r.n);
-                if est > r.arrival + d {
-                    run.shed_job(i, r.arrival, (est - r.arrival - d).max(0.0), "deadline");
-                    continue;
-                }
-            }
-            if run.queue.len() < self.config.queue_depth {
-                run.queue.push_back(Entry {
-                    idx: i,
-                    admitted: r.arrival,
-                    ready: r.arrival,
-                    attempt: 0,
-                });
-                if let Some(tel) = run.tel.as_mut() {
-                    tel.note_admit(r.arrival, i, run.queue.len());
-                }
-            } else {
-                match self.config.backpressure {
-                    Backpressure::Reject => {
-                        let retry_after = (run.next_dispatch_time() - r.arrival).max(0.0);
-                        if res.shed_by_priority {
-                            run.admit_or_shed(i, retry_after);
-                        } else {
-                            metrics::counter_add(Class::Det, "fzgpu_serve_rejected_total", &[], 1);
-                            if let Some(tel) = run.tel.as_mut() {
-                                tel.note_reject(r.arrival, i, retry_after);
-                            }
-                            rejected.push(Rejection { id: i, arrival: r.arrival, retry_after });
-                        }
-                    }
-                    Backpressure::Block => {
-                        // The client stalls; dispatches free slots and
-                        // admission happens then.
-                        let mut admit = r.arrival;
-                        while run.queue.len() >= self.config.queue_depth && !run.device_dead {
-                            admit = admit.max(run.dispatch());
-                        }
-                        if run.device_dead {
-                            run.fail(i, r.arrival, 0, "device_lost");
-                        } else {
-                            run.queue.push_back(Entry {
-                                idx: i,
-                                admitted: admit,
-                                ready: admit,
-                                attempt: 0,
-                            });
-                            if let Some(tel) = run.tel.as_mut() {
-                                tel.note_admit(admit, i, run.queue.len());
-                            }
-                        }
-                    }
-                }
-            }
+        for idx in 0..workload.requests.len() {
+            run.arrive(idx);
         }
         while run.has_work() {
             run.dispatch();
         }
 
-        let mut makespan = run.sim.makespan();
-        if run.outage_applied {
-            // A loss that interrupted work holds the clock at least to the
-            // loss (or recovery) instant even if nothing ran afterwards.
-            if let Some((loss, recovery)) = run.faults.outage() {
-                makespan = makespan.max(recovery.unwrap_or(loss));
-            }
-        }
-        metrics::gauge_set(Class::Det, "fzgpu_serve_makespan_seconds", &[], makespan);
-        metrics::gauge_set(Class::Det, "fzgpu_serve_fused_saved_seconds", &[], run.fused_saved);
-        if run.health.reroutes() > 0 {
-            metrics::counter_add(
-                Class::Det,
-                "fzgpu_serve_breaker_reroutes_total",
-                &[],
-                run.health.reroutes(),
-            );
-        }
-        let host_seconds = t0.elapsed().as_secs_f64();
-        metrics::observe(Class::Wall, "fzgpu_serve_host_seconds", &[], host_seconds);
-
-        let mut report = ServeReport {
-            workload: workload.name.clone(),
-            device: workload.device.name,
-            config: self.config,
-            jobs: run.jobs,
-            rejected,
-            shed: run.shed,
-            failed: run.failed,
-            retries_total: run.retries_total,
-            aborted_jobs: run.aborted_jobs,
-            breaker_reroutes: run.health.reroutes(),
-            stalls_injected: run.stalls_injected,
-            makespan,
-            serial_time: run.sim.serial_time(),
-            compute_utilization: run.sim.compute_utilization(),
-            pool: pool.map(|p| p.stats()),
-            batches: run.batches,
-            fused_saved: run.fused_saved,
-            host_seconds,
-            stream_trace: if self.config.capture_trace {
-                run.sim.chrome_trace_json()
-            } else {
-                String::new()
-            },
-            telemetry: None,
-        };
-        let missed = report.slo().deadline_missed as u64;
-        if missed > 0 {
-            metrics::counter_add(Class::Det, "fzgpu_serve_deadline_missed_total", &[], missed);
-        }
-        // Finalize telemetry last: the alert pass wants the full event
-        // stream and the capture records the report's own digest.
-        if let Some(tel) = run.tel.take() {
-            let digest = report.digest();
-            report.telemetry =
-                Some(tel.finalize(&run.sim, &report.workload, report.device, digest));
-        }
+        let mut report = run.report(t0.elapsed().as_secs_f64());
+        publish_metrics(&report);
+        // Telemetry last: the capture records the report's own digest.
+        report.telemetry =
+            self.config.telemetry.map(|cfg| telemetry::capture(cfg, &run.log, &run.sim, &report));
         report
     }
 }

@@ -1,22 +1,25 @@
-//! Deterministic service telemetry: the collector wired into the
-//! scheduler, the post-run alert pass, the on-disk layout, and the
+//! Deterministic service telemetry: the capture folded from a replay's
+//! transition log, the alert pass, the on-disk layout, and the
 //! `fzgpu report` dashboard renderer.
 //!
-//! The scheduler ([`crate::service::Service::run`]) feeds a [`Collector`]
-//! as it replays: every admission, dispatch, retry, shed, breaker
-//! reroute, and device-loss decision becomes a schema-v1 event
-//! ([`fzgpu_trace::telemetry::Event`]) stamped with its *modeled*
+//! The scheduler ([`crate::service::Service::run`]) records every
+//! admission, reject, shed, failure, retry, breaker reroute, dispatch,
+//! stall, completion and device loss once, in its transition log. Only
+//! after the replay, and only when [`crate::ServeConfig::telemetry`] is
+//! set, the capture folds that log: each transition becomes a schema-v1
+//! event ([`fzgpu_trace::telemetry::Event`]) stamped with its *modeled*
 //! timestamp, and every latency/queue-depth/stage observation lands in a
-//! [`WindowedRegistry`] keyed on modeled-time windows. Because the replay
-//! loop is sequential and inspects only modeled clocks, both structures
-//! are a pure function of (workload, config, fault seed) — bit-identical
-//! at any `FZGPU_THREADS`, on either sim engine, and across replays.
+//! [`WindowedRegistry`] keyed on modeled-time windows. The capture runs
+//! after every scheduling decision is made, so it is inert by
+//! construction; and because the log is a pure function of (workload,
+//! config, fault seed), so is the capture — bit-identical at any
+//! `FZGPU_THREADS`, on either sim engine, and across replays.
 //!
-//! [`Collector::finalize`] then runs the deterministic alert pass: events
-//! are sorted chronologically (timestamp, then emission order), SLO
-//! burn-rate trackers ([`BurnTracker`]) and the breaker/availability
-//! rules replay the outcome stream, alert events are spliced in directly
-//! after their trigger, and the whole stream is fed through the bounded
+//! The fold then runs the deterministic alert pass: events are sorted
+//! chronologically (timestamp, then emission order), SLO burn-rate
+//! trackers ([`BurnTracker`]) and the breaker/availability rules replay
+//! the outcome stream, alert events are spliced in directly after their
+//! trigger, and the whole stream is fed through the bounded
 //! [`FlightRecorder`] so each alert snapshots its incident context.
 //!
 //! On-disk layout (written by [`TelemetryCapture::write_dir`]):
@@ -35,12 +38,14 @@
 use std::collections::VecDeque;
 use std::path::Path;
 
-use fzgpu_sim::{OpClass, PoolStats, StreamSim};
+use fzgpu_sim::{OpClass, StreamSim};
 use fzgpu_trace::json::{self, Layout, Obj};
 use fzgpu_trace::telemetry::{
     events_to_jsonl, hist_bucket_upper, AlertConfig, BurnTracker, Event, EventLog, FlightDump,
     FlightRecorder, WindowedRegistry, SCHEMA_VERSION,
 };
+
+use crate::service::{ServeReport, Transition};
 
 /// Windowed latency histogram series, labelled `stage=queue|service|total`.
 pub const LATENCY_SERIES: &str = "fzgpu_serve_latency_seconds";
@@ -87,297 +92,249 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// In-run telemetry state, owned by the scheduler while it replays.
-#[derive(Debug)]
-pub(crate) struct Collector {
+/// Fold a replay's transition log into its telemetry capture. Each log
+/// entry becomes its schema-v1 event(s) and windowed observations, in log
+/// order (which assigns every event's `seq`). Then the stream schedule's
+/// per-window busy time is folded in, the event log is sorted
+/// chronologically, the alert rules replay over it with alert events
+/// spliced in after their triggers, and the final stream is fed through
+/// the flight recorder.
+pub(crate) fn capture(
     cfg: TelemetryConfig,
-    windows: WindowedRegistry,
-    log: EventLog,
-    /// Last sampled pool (hits, misses), for windowed deltas.
-    pool_sampled: (u64, u64),
-}
-
-impl Collector {
-    pub(crate) fn new(cfg: TelemetryConfig) -> Self {
-        Self {
-            cfg,
-            windows: WindowedRegistry::new(cfg.window),
-            log: EventLog::new(),
-            pool_sampled: (0, 0),
-        }
-    }
-
-    fn span_of(batch: usize) -> String {
-        format!("b{batch}")
-    }
-
-    pub(crate) fn note_admit(&mut self, t: f64, job: usize, depth: usize) {
-        self.log.push(Event::new("admit", t).job(job as u64));
-        self.windows.observe(QUEUE_DEPTH_SERIES, &[], t, depth as f64);
-        self.windows.add(WINDOW_ADMITS, &[], t, 1);
-    }
-
-    pub(crate) fn note_reject(&mut self, t: f64, job: usize, retry_after: f64) {
-        self.log.push(
-            Event::new("reject", t)
-                .job(job as u64)
-                .detail("retry_after_us", json::num(retry_after * 1e6)),
-        );
-        self.windows.add(WINDOW_DROPS, &[("reason", "reject")], t, 1);
-    }
-
-    pub(crate) fn note_shed(&mut self, t: f64, job: usize, reason: &str, retry_after: f64) {
-        self.log.push(
-            Event::new("shed", t)
-                .job(job as u64)
-                .detail("reason", json::escape(reason))
-                .detail("retry_after_us", json::num(retry_after * 1e6)),
-        );
-        self.windows.add(WINDOW_DROPS, &[("reason", "shed")], t, 1);
-    }
-
-    pub(crate) fn note_fail(&mut self, t: f64, job: usize, attempts: u32, reason: &str) {
-        self.log.push(
-            Event::new("fail", t)
-                .job(job as u64)
-                .attempt(attempts)
-                .detail("reason", json::escape(reason)),
-        );
-        self.windows.add(WINDOW_DROPS, &[("reason", "fail")], t, 1);
-    }
-
-    pub(crate) fn note_retry(&mut self, t: f64, job: usize, next_attempt: u32, backoff: f64) {
-        self.log.push(
-            Event::new("retry", t)
-                .job(job as u64)
-                .attempt(next_attempt)
-                .detail("backoff_us", json::num(backoff * 1e6)),
-        );
-        self.windows.add(WINDOW_RETRIES, &[], t, 1);
-        self.windows.observe(RETRY_BACKOFF_SERIES, &[], t, backoff);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn note_dispatch(
-        &mut self,
-        t: f64,
-        batch: usize,
-        stream: usize,
-        jobs: usize,
-        depth_after: usize,
-        h2d: f64,
-        compute: f64,
-        d2h: f64,
-    ) {
-        self.log.push(
-            Event::new("dispatch", t)
-                .stream(stream)
-                .span(&Self::span_of(batch))
-                .detail("jobs", jobs.to_string()),
-        );
-        self.windows.observe(QUEUE_DEPTH_SERIES, &[], t, depth_after as f64);
-        self.windows.observe(STAGE_SERIES, &[("stage", "h2d")], t, h2d);
-        self.windows.observe(STAGE_SERIES, &[("stage", "compute")], t, compute);
-        self.windows.observe(STAGE_SERIES, &[("stage", "d2h")], t, d2h);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn note_complete(
-        &mut self,
-        end: f64,
-        job: usize,
-        stream: usize,
-        attempt: u32,
-        batch: usize,
-        arrival: f64,
-        dispatched: f64,
-        deadline_miss: bool,
-    ) {
-        let latency = end - arrival;
-        self.log.push(
-            Event::new("complete", end)
-                .job(job as u64)
-                .stream(stream)
-                .attempt(attempt)
-                .span(&Self::span_of(batch))
-                .detail("latency_us", json::num(latency * 1e6))
-                .detail("deadline_miss", if deadline_miss { "true" } else { "false" }.to_string()),
-        );
-        self.windows.observe(LATENCY_SERIES, &[("stage", "total")], end, latency);
-        self.windows.observe(LATENCY_SERIES, &[("stage", "queue")], end, dispatched - arrival);
-        self.windows.observe(LATENCY_SERIES, &[("stage", "service")], end, end - dispatched);
-        let s = stream.to_string();
-        self.windows.observe(STREAM_LATENCY_SERIES, &[("stream", &s)], end, latency);
-        self.windows.add(WINDOW_COMPLETIONS, &[], end, 1);
-    }
-
-    pub(crate) fn note_stall(&mut self, t: f64, stream: usize, batch: usize, duration: f64) {
-        self.log.push(
-            Event::new("stall", t)
-                .stream(stream)
-                .span(&Self::span_of(batch))
-                .detail("stall_us", json::num(duration * 1e6)),
-        );
-    }
-
-    pub(crate) fn note_reroute(&mut self, t: f64, stream: usize) {
-        self.log.push(Event::new("breaker_reroute", t).stream(stream));
-    }
-
-    pub(crate) fn note_device_loss(&mut self, loss: f64, recovery: Option<f64>, aborted: u64) {
-        self.log.push(
-            Event::new("device_loss", loss)
-                .detail("aborted", aborted.to_string())
-                .detail("recovery_us", recovery.map_or("null".to_string(), |r| json::num(r * 1e6))),
-        );
-        if let Some(r) = recovery {
-            self.log.push(Event::new("device_recover", r));
-        }
-    }
-
-    pub(crate) fn sample_pool(&mut self, t: f64, stats: &PoolStats) {
-        let (h0, m0) = self.pool_sampled;
-        self.windows.add(WINDOW_POOL_HITS, &[], t, stats.hits.saturating_sub(h0));
-        self.windows.add(WINDOW_POOL_MISSES, &[], t, stats.misses.saturating_sub(m0));
-        self.pool_sampled = (stats.hits, stats.misses);
-    }
-
-    /// Close out the run: fold the stream schedule's per-window busy time
-    /// in, sort the event log chronologically, replay the alert rules over
-    /// it, splice alert events in after their triggers, and feed the final
-    /// stream through the flight recorder.
-    pub(crate) fn finalize(
-        mut self,
-        sim: &StreamSim,
-        workload: &str,
-        device: &str,
-        digest: u32,
-    ) -> TelemetryCapture {
-        let width = self.cfg.window;
-        // Engine busy time per window, from the stream clock hook. Stored
-        // as integer nanoseconds so windowed merges stay exact u64 sums.
-        for (w, busy) in sim.busy_by_window(OpClass::Compute, width) {
-            let t = (w as f64 + 0.5) * width;
-            self.windows.add(WINDOW_COMPUTE_BUSY, &[], t, (busy * 1e9).round() as u64);
-        }
-        for class in [OpClass::CopyH2D, OpClass::CopyD2H] {
-            for (w, busy) in sim.busy_by_window(class, width) {
-                let t = (w as f64 + 0.5) * width;
-                self.windows.add(WINDOW_COPY_BUSY, &[], t, (busy * 1e9).round() as u64);
+    transitions: &[Transition],
+    sim: &StreamSim,
+    report: &ServeReport,
+) -> TelemetryCapture {
+    let mut windows = WindowedRegistry::new(cfg.window);
+    let mut log = EventLog::new();
+    let span = |batch: usize| format!("b{batch}");
+    let deadline = report.config.resilience.deadline;
+    // Last sampled pool (hits, misses), for windowed deltas.
+    let mut pool_sampled = (0, 0);
+    for entry in transitions {
+        match *entry {
+            Transition::Admit { t, job, depth } => {
+                log.push(Event::new("admit", t).job(job as u64));
+                windows.observe(QUEUE_DEPTH_SERIES, &[], t, depth as f64);
+                windows.add(WINDOW_ADMITS, &[], t, 1);
+            }
+            Transition::Reject(ref r) => {
+                log.push(
+                    Event::new("reject", r.arrival)
+                        .job(r.id as u64)
+                        .detail("retry_after_us", json::num(r.retry_after * 1e6)),
+                );
+                windows.add(WINDOW_DROPS, &[("reason", "reject")], r.arrival, 1);
+            }
+            Transition::Shed(ref s) => {
+                log.push(
+                    Event::new("shed", s.arrival)
+                        .job(s.id as u64)
+                        .detail("reason", json::escape(s.reason))
+                        .detail("retry_after_us", json::num(s.retry_after * 1e6)),
+                );
+                windows.add(WINDOW_DROPS, &[("reason", "shed")], s.arrival, 1);
+            }
+            Transition::Fail(ref f) => {
+                log.push(
+                    Event::new("fail", f.time)
+                        .job(f.id as u64)
+                        .attempt(f.attempts)
+                        .detail("reason", json::escape(f.reason)),
+                );
+                windows.add(WINDOW_DROPS, &[("reason", "fail")], f.time, 1);
+            }
+            Transition::Retry { t, job, attempt, backoff } => {
+                log.push(
+                    Event::new("retry", t)
+                        .job(job as u64)
+                        .attempt(attempt)
+                        .detail("backoff_us", json::num(backoff * 1e6)),
+                );
+                windows.add(WINDOW_RETRIES, &[], t, 1);
+                windows.observe(RETRY_BACKOFF_SERIES, &[], t, backoff);
+            }
+            Transition::Reroute { t, stream } => {
+                log.push(Event::new("breaker_reroute", t).stream(stream));
+            }
+            Transition::Dispatch {
+                t, batch, stream, jobs, depth, h2d, compute, d2h, pool, ..
+            } => {
+                log.push(
+                    Event::new("dispatch", t)
+                        .stream(stream)
+                        .span(&span(batch))
+                        .detail("jobs", jobs.to_string()),
+                );
+                windows.observe(QUEUE_DEPTH_SERIES, &[], t, depth as f64);
+                windows.observe(STAGE_SERIES, &[("stage", "h2d")], t, h2d);
+                windows.observe(STAGE_SERIES, &[("stage", "compute")], t, compute);
+                windows.observe(STAGE_SERIES, &[("stage", "d2h")], t, d2h);
+                windows.add(WINDOW_POOL_HITS, &[], t, pool.0.saturating_sub(pool_sampled.0));
+                windows.add(WINDOW_POOL_MISSES, &[], t, pool.1.saturating_sub(pool_sampled.1));
+                pool_sampled = pool;
+            }
+            Transition::Stall { t, stream, batch, duration } => {
+                log.push(
+                    Event::new("stall", t)
+                        .stream(stream)
+                        .span(&span(batch))
+                        .detail("stall_us", json::num(duration * 1e6)),
+                );
+            }
+            Transition::Complete(ref j) => {
+                let (end, latency) = (j.completed, j.latency());
+                let miss = deadline.is_some_and(|d| latency > d);
+                log.push(
+                    Event::new("complete", end)
+                        .job(j.id as u64)
+                        .stream(j.stream)
+                        .attempt(j.retries)
+                        .span(&span(j.batch))
+                        .detail("latency_us", json::num(latency * 1e6))
+                        .detail("deadline_miss", miss.to_string()),
+                );
+                windows.observe(LATENCY_SERIES, &[("stage", "total")], end, latency);
+                let queue = j.dispatched - j.arrival;
+                windows.observe(LATENCY_SERIES, &[("stage", "queue")], end, queue);
+                windows.observe(LATENCY_SERIES, &[("stage", "service")], end, end - j.dispatched);
+                let s = j.stream.to_string();
+                windows.observe(STREAM_LATENCY_SERIES, &[("stream", &s)], end, latency);
+                windows.add(WINDOW_COMPLETIONS, &[], end, 1);
+            }
+            Transition::DeviceLoss { t, recovery, aborted } => {
+                let recovery_us = recovery.map_or("null".to_string(), |r| json::num(r * 1e6));
+                let loss = Event::new("device_loss", t).detail("aborted", aborted.to_string());
+                log.push(loss.detail("recovery_us", recovery_us));
+                if let Some(r) = recovery {
+                    log.push(Event::new("device_recover", r));
+                }
             }
         }
+    }
 
-        let alerts_cfg = self.cfg.alerts;
-        let base_seq = self.log.len() as u64;
-        let sorted = self.log.into_sorted();
+    let width = cfg.window;
+    // Engine busy time per window, from the stream clock hook. Stored
+    // as integer nanoseconds so windowed merges stay exact u64 sums.
+    for (w, busy) in sim.busy_by_window(OpClass::Compute, width) {
+        let t = (w as f64 + 0.5) * width;
+        windows.add(WINDOW_COMPUTE_BUSY, &[], t, (busy * 1e9).round() as u64);
+    }
+    for class in [OpClass::CopyH2D, OpClass::CopyD2H] {
+        for (w, busy) in sim.busy_by_window(class, width) {
+            let t = (w as f64 + 0.5) * width;
+            windows.add(WINDOW_COPY_BUSY, &[], t, (busy * 1e9).round() as u64);
+        }
+    }
 
-        let mut fast =
-            BurnTracker::new(alerts_cfg.objective, alerts_cfg.fast_window, alerts_cfg.fast_burn);
-        let mut slow =
-            BurnTracker::new(alerts_cfg.objective, alerts_cfg.slow_window, alerts_cfg.slow_burn);
-        let mut avail_alerting = false;
-        let mut reroutes: VecDeque<f64> = VecDeque::new();
-        let mut breaker_alerting = false;
+    let alerts_cfg = cfg.alerts;
+    let base_seq = log.len() as u64;
+    let sorted = log.into_sorted();
 
-        let mut out: Vec<Event> = Vec::with_capacity(sorted.len());
-        let mut alert_seqs: Vec<u64> = Vec::new();
-        let mut next_seq = base_seq;
-        let mut fire = |out: &mut Vec<Event>, seqs: &mut Vec<u64>, mut ev: Event| {
-            ev.seq = next_seq;
-            next_seq += 1;
-            seqs.push(ev.seq);
-            out.push(ev);
+    let mut fast =
+        BurnTracker::new(alerts_cfg.objective, alerts_cfg.fast_window, alerts_cfg.fast_burn);
+    let mut slow =
+        BurnTracker::new(alerts_cfg.objective, alerts_cfg.slow_window, alerts_cfg.slow_burn);
+    let mut avail_alerting = false;
+    let mut reroutes: VecDeque<f64> = VecDeque::new();
+    let mut breaker_alerting = false;
+
+    let mut out: Vec<Event> = Vec::with_capacity(sorted.len());
+    let mut alert_seqs: Vec<u64> = Vec::new();
+    let mut next_seq = base_seq;
+    let mut fire = |out: &mut Vec<Event>, seqs: &mut Vec<u64>, mut ev: Event| {
+        ev.seq = next_seq;
+        next_seq += 1;
+        seqs.push(ev.seq);
+        out.push(ev);
+    };
+
+    for ev in sorted {
+        let t = ev.t;
+        // An SLO outcome: did the service do right by this request?
+        // Completions count as good unless they blew their deadline;
+        // rejects, sheds, and permanent failures are burned budget.
+        let outcome = match ev.kind.as_str() {
+            "complete" => Some(!ev.detail.iter().any(|(k, v)| k == "deadline_miss" && v == "true")),
+            "reject" | "shed" | "fail" => Some(false),
+            _ => None,
         };
+        let is_reroute = ev.kind == "breaker_reroute";
+        out.push(ev);
 
-        for ev in sorted {
-            let t = ev.t;
-            // An SLO outcome: did the service do right by this request?
-            // Completions count as good unless they blew their deadline;
-            // rejects, sheds, and permanent failures are burned budget.
-            let outcome = match ev.kind.as_str() {
-                "complete" => {
-                    Some(!ev.detail.iter().any(|(k, v)| k == "deadline_miss" && v == "true"))
-                }
-                "reject" | "shed" | "fail" => Some(false),
-                _ => None,
-            };
-            let is_reroute = ev.kind == "breaker_reroute";
-            out.push(ev);
-
-            if let Some(good) = outcome {
-                if let Some(burn) = fast.push(t, good) {
+        if let Some(good) = outcome {
+            if let Some(burn) = fast.push(t, good) {
+                fire(
+                    &mut out,
+                    &mut alert_seqs,
+                    Event::new("alert.burn_fast", t)
+                        .detail("burn", json::num(burn))
+                        .detail("window_us", json::num(alerts_cfg.fast_window * 1e6)),
+                );
+            }
+            if let Some(burn) = slow.push(t, good) {
+                fire(
+                    &mut out,
+                    &mut alert_seqs,
+                    Event::new("alert.burn_slow", t)
+                        .detail("burn", json::num(burn))
+                        .detail("window_us", json::num(alerts_cfg.slow_window * 1e6)),
+                );
+            }
+            let availability = slow.availability();
+            if slow.in_window() >= 8 && availability < alerts_cfg.availability_floor {
+                if !avail_alerting {
+                    avail_alerting = true;
                     fire(
                         &mut out,
                         &mut alert_seqs,
-                        Event::new("alert.burn_fast", t)
-                            .detail("burn", json::num(burn))
+                        Event::new("alert.availability_dip", t)
+                            .detail("availability", json::num(availability))
+                            .detail("floor", json::num(alerts_cfg.availability_floor)),
+                    );
+                }
+            } else {
+                avail_alerting = false;
+            }
+        }
+
+        if is_reroute {
+            reroutes.push_back(t);
+            while reroutes.front().is_some_and(|&t0| t0 < t - alerts_cfg.fast_window) {
+                reroutes.pop_front();
+            }
+            if reroutes.len() as u64 >= alerts_cfg.breaker_reroutes {
+                if !breaker_alerting {
+                    breaker_alerting = true;
+                    fire(
+                        &mut out,
+                        &mut alert_seqs,
+                        Event::new("alert.breaker_open", t)
+                            .detail("reroutes_in_window", reroutes.len().to_string())
                             .detail("window_us", json::num(alerts_cfg.fast_window * 1e6)),
                     );
                 }
-                if let Some(burn) = slow.push(t, good) {
-                    fire(
-                        &mut out,
-                        &mut alert_seqs,
-                        Event::new("alert.burn_slow", t)
-                            .detail("burn", json::num(burn))
-                            .detail("window_us", json::num(alerts_cfg.slow_window * 1e6)),
-                    );
-                }
-                let availability = slow.availability();
-                if slow.in_window() >= 8 && availability < alerts_cfg.availability_floor {
-                    if !avail_alerting {
-                        avail_alerting = true;
-                        fire(
-                            &mut out,
-                            &mut alert_seqs,
-                            Event::new("alert.availability_dip", t)
-                                .detail("availability", json::num(availability))
-                                .detail("floor", json::num(alerts_cfg.availability_floor)),
-                        );
-                    }
-                } else {
-                    avail_alerting = false;
-                }
-            }
-
-            if is_reroute {
-                reroutes.push_back(t);
-                while reroutes.front().is_some_and(|&t0| t0 < t - alerts_cfg.fast_window) {
-                    reroutes.pop_front();
-                }
-                if reroutes.len() as u64 >= alerts_cfg.breaker_reroutes {
-                    if !breaker_alerting {
-                        breaker_alerting = true;
-                        fire(
-                            &mut out,
-                            &mut alert_seqs,
-                            Event::new("alert.breaker_open", t)
-                                .detail("reroutes_in_window", reroutes.len().to_string())
-                                .detail("window_us", json::num(alerts_cfg.fast_window * 1e6)),
-                        );
-                    }
-                } else {
-                    breaker_alerting = false;
-                }
+            } else {
+                breaker_alerting = false;
             }
         }
+    }
 
-        let mut recorder = FlightRecorder::new(self.cfg.flight_capacity);
-        for ev in &out {
-            recorder.note(ev);
-        }
-        let dumps = recorder.dumps().to_vec();
+    let mut recorder = FlightRecorder::new(cfg.flight_capacity);
+    for ev in &out {
+        recorder.note(ev);
+    }
+    let dumps = recorder.dumps().to_vec();
 
-        TelemetryCapture {
-            workload: workload.to_string(),
-            device: device.to_string(),
-            digest,
-            cfg: self.cfg,
-            windows_json: self.windows.to_json(),
-            events: out,
-            alert_seqs,
-            dumps,
-        }
+    TelemetryCapture {
+        workload: report.workload.clone(),
+        device: report.device.to_string(),
+        digest: report.digest(),
+        cfg,
+        windows_json: windows.to_json(),
+        events: out,
+        alert_seqs,
+        dumps,
     }
 }
 
@@ -689,20 +646,51 @@ pub fn render_report(dir: &Path) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::Failed;
+    use crate::service::{JobResult, Rejection};
+    use crate::{Op, ServeConfig, Service, Workload};
     use fzgpu_sim::device::A100;
 
+    /// The report of an empty replay named `name` (identity fields only).
+    fn empty_report(name: &str) -> ServeReport {
+        let w = Workload { name: name.into(), device: A100, requests: Vec::new() };
+        Service::new(ServeConfig::default()).run(&w)
+    }
+
+    /// Job `id`, arrived at 0, dispatched and completed at the given times.
+    fn complete(id: usize, dispatched: f64, completed: f64) -> Transition {
+        Transition::Complete(JobResult {
+            id,
+            op: Op::Compress,
+            n: 64,
+            arrival: 0.0,
+            admitted: 0.0,
+            dispatched,
+            completed,
+            bytes_in: 256,
+            bytes_out: 64,
+            digest: 0,
+            stream: 0,
+            batch: 0,
+            batch_size: 1,
+            retries: 0,
+            host_seconds: 0.0,
+        })
+    }
+
     #[test]
-    fn collector_finalize_sorts_and_alerts() {
-        let mut c = Collector::new(TelemetryConfig::default());
-        // Out-of-order emission: a completion observed before an earlier
-        // shed is emitted (as happens with batched dispatch).
-        c.note_complete(300e-6, 0, 0, 0, 0, 0.0, 100e-6, false);
-        c.note_admit(0.0, 0, 1);
+    fn capture_sorts_and_alerts() {
+        // Out-of-order log: a completion recorded before an earlier
+        // admission (as happens with batched dispatch).
+        let mut log =
+            vec![complete(0, 100e-6, 300e-6), Transition::Admit { t: 0.0, job: 0, depth: 1 }];
         for i in 1..6 {
-            c.note_fail(310e-6 + i as f64 * 1e-6, i, 1, "faults");
+            let time = 310e-6 + i as f64 * 1e-6;
+            let reason = "faults";
+            log.push(Transition::Fail(Failed { id: i, arrival: 0.0, time, attempts: 1, reason }));
         }
         let sim = StreamSim::new(&A100, 1);
-        let cap = c.finalize(&sim, "w", "A100", 0xdead_beef);
+        let cap = capture(TelemetryConfig::default(), &log, &sim, &empty_report("w"));
         let ts: Vec<f64> = cap.events.iter().map(|e| e.t).collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "events must be chronological: {ts:?}");
         assert!(!cap.alert_seqs.is_empty(), "five failures must burn the budget");
@@ -713,15 +701,28 @@ mod tests {
 
     #[test]
     fn capture_roundtrips_through_dir_and_report() {
-        let mut c = Collector::new(TelemetryConfig::default());
-        c.note_admit(0.0, 0, 1);
-        c.note_dispatch(10e-6, 0, 0, 1, 0, 1e-6, 5e-6, 1e-6);
-        c.note_complete(20e-6, 0, 0, 0, 0, 0.0, 10e-6, false);
+        let mut log = vec![
+            Transition::Admit { t: 0.0, job: 0, depth: 1 },
+            Transition::Dispatch {
+                t: 10e-6,
+                batch: 0,
+                stream: 0,
+                jobs: 1,
+                depth: 0,
+                h2d: 1e-6,
+                compute: 5e-6,
+                d2h: 1e-6,
+                saved: 0.0,
+                pool: (0, 0),
+            },
+            complete(0, 10e-6, 20e-6),
+        ];
         for i in 1..9 {
-            c.note_reject(21e-6 + i as f64 * 1e-6, i, 5e-6);
+            let arrival = 21e-6 + i as f64 * 1e-6;
+            log.push(Transition::Reject(Rejection { id: i, arrival, retry_after: 5e-6 }));
         }
         let sim = StreamSim::new(&A100, 1);
-        let cap = c.finalize(&sim, "roundtrip", "A100", 1);
+        let cap = capture(TelemetryConfig::default(), &log, &sim, &empty_report("roundtrip"));
         let dir = std::env::temp_dir().join(format!("fzgpu_tel_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         cap.write_dir(&dir).expect("write telemetry dir");

@@ -20,7 +20,8 @@
 //! `op` is `"compress"` or `"decompress"` (for the latter the harness
 //! first builds the compressed stream out-of-band, untimed). `field`
 //! selects a generator from [`FieldKind`]; `seed` perturbs it so equal
-//! sizes still carry distinct data. The bound is `eb_abs` (absolute) or
+//! sizes still carry distinct data. `n` is a whole number of values in
+//! 1..=2^53. The bound, finite and positive, is `eb_abs` (absolute) or
 //! `eb_rel` (relative to the field's range).
 
 use fzgpu_core::ErrorBound;
@@ -164,15 +165,23 @@ fn parse_request(r: &Value) -> Result<Request, String> {
         "decompress" => Op::Decompress,
         other => return Err(format!("unknown op {other:?}")),
     };
-    let n = num_field(r, "n").ok_or("missing \"n\"")? as usize;
-    if n == 0 {
-        return Err("n must be positive".to_string());
-    }
+    // 2^53: the largest integer a JSON number holds exactly.
+    let n = match num_field(r, "n").ok_or("missing \"n\"")? {
+        n if n.fract() == 0.0 && (1.0..=9_007_199_254_740_992.0).contains(&n) => n as usize,
+        n => return Err(format!("n must be a whole number in 1..=2^53, got {n:?}")),
+    };
+    let bound = |e: f64| {
+        if e.is_finite() && e > 0.0 {
+            Ok(e)
+        } else {
+            Err(format!("bound must be finite and positive, got {e:?}"))
+        }
+    };
     let eb = match (num_field(r, "eb_abs"), num_field(r, "eb_rel")) {
-        (Some(e), None) if e > 0.0 => ErrorBound::Abs(e),
-        (None, Some(e)) if e > 0.0 => ErrorBound::RelToRange(e),
+        (Some(e), None) => ErrorBound::Abs(bound(e)?),
+        (None, Some(e)) => ErrorBound::RelToRange(bound(e)?),
         (None, None) => return Err("need \"eb_abs\" or \"eb_rel\"".to_string()),
-        _ => return Err("bound must be positive and not both abs and rel".to_string()),
+        (Some(_), Some(_)) => return Err("bound must be abs or rel, not both".to_string()),
     };
     let field = r
         .get("field")
@@ -255,6 +264,11 @@ mod tests {
             r#"{"name":"x","requests":[{"arrival_us":0.0,"op":"compress","n":64,"eb_abs":0.0}]}"#,
             r#"{"name":"x","requests":[{"arrival_us":0.0,"op":"compress","n":64,"eb_abs":1e-3,"priority":300}]}"#,
             r#"{"name":"x","requests":[{"arrival_us":0.0,"op":"compress","n":64,"eb_abs":1e-3,"priority":1.5}]}"#,
+            r#"{"name":"x","requests":[{"arrival_us":0.0,"op":"compress","n":64,"eb_abs":1e999}]}"#,
+            r#"{"name":"x","requests":[{"arrival_us":0.0,"op":"compress","n":64,"eb_rel":1e999}]}"#,
+            r#"{"name":"x","requests":[{"arrival_us":0.0,"op":"compress","n":64,"eb_abs":1e-3,"eb_rel":1e-3}]}"#,
+            r#"{"name":"x","requests":[{"arrival_us":0.0,"op":"compress","n":1e300,"eb_abs":1e-3}]}"#,
+            r#"{"name":"x","requests":[{"arrival_us":0.0,"op":"compress","n":4096.7,"eb_abs":1e-3}]}"#,
             r#"{"requests":[]}"#,
             r#"{"name":"x","device":"h100","requests":[]}"#,
             "not json",

@@ -415,7 +415,7 @@ pub fn events_to_jsonl(events: &[Event]) -> String {
 // ---------------------------------------------------------------------------
 
 /// Alerting thresholds for [`BurnTracker`] and the availability/breaker
-/// rules layered on top of it by the serving collector.
+/// rules layered on top of it by the serving layer's telemetry capture.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlertConfig {
     /// Success-ratio objective (e.g. 0.999 = 0.1% error budget).

@@ -100,6 +100,16 @@ fn failures_exit_nonzero_with_one_line_error() {
         &["serve", "--replay", "workloads/smoke.json", "--telemetry-window-us", "100"],
         "require --telemetry",
     );
+    // A bound of 1e999 parses as +inf: the workload is refused, not run.
+    let hostile =
+        std::env::temp_dir().join(format!("fzgpu_cli_inf_eb_{}.json", std::process::id()));
+    let request = r#"{"arrival_us":0.0,"op":"compress","n":4096,"eb_abs":1e999}"#;
+    std::fs::write(&hostile, format!(r#"{{"name":"inf","requests":[{request}]}}"#)).unwrap();
+    assert_cli_error(
+        &["serve", "--replay", hostile.to_str().unwrap()],
+        "request 0: bound must be finite and positive",
+    );
+    let _ = std::fs::remove_file(&hostile);
     assert_cli_error(&["report"], "missing telemetry directory");
     assert_cli_error(&["report", "/nonexistent_telemetry_dir"], "No such file");
     assert_cli_error(&["profile", "--synthetic", "NotADataset"], "unknown synthetic dataset");

@@ -14,9 +14,10 @@
 
 use std::collections::HashMap;
 
-use fz_gpu::core::ErrorBound;
+use fz_gpu::core::{ErrorBound, PipelinePath};
 use fz_gpu::serve::{
-    Backpressure, FieldKind, Op, Request, ResilienceConfig, ServeConfig, Service, Workload,
+    Backpressure, FieldKind, Op, Request, ResilienceConfig, ServeConfig, Service, TelemetryConfig,
+    Workload,
 };
 use fz_gpu::sim::device::A100;
 use fz_gpu::sim::{RetryPolicy, ServiceFaultPlan};
@@ -306,6 +307,30 @@ fn breaker_routes_around_stalls_and_never_changes_outputs() {
     );
     for rep in [&on, &off] {
         assert_eq!(rep.jobs.len(), w.requests.len());
+        for j in &rep.jobs {
+            assert_eq!(j.digest, reference[&j.id]);
+        }
+    }
+
+    // A device loss whose triggering dispatch the breaker routed around:
+    // the loss rolls that dispatch back, so it is no reroute — in the
+    // report or in the capture.
+    for (repair, reroutes) in [(None, Some(0)), (Some(100e-6), None)] {
+        let lost = ServeConfig {
+            path: PipelinePath::Simulated,
+            telemetry: Some(TelemetryConfig::default()),
+            resilience: ResilienceConfig {
+                faults: ServiceFaultPlan::seeded(1).stalls(0.5, 400e-6).device_loss(160e-6, repair),
+                ..with.resilience
+            },
+            ..with
+        };
+        let rep = Service::new(lost).run(&w);
+        let cap = rep.telemetry.as_ref().expect("telemetry configured");
+        let logged = cap.events.iter().filter(|e| e.kind == "breaker_reroute").count() as u64;
+        assert_eq!(rep.breaker_reroutes, logged, "report and capture disagree (repair {repair:?})");
+        assert!(reroutes.is_none_or(|n| rep.breaker_reroutes == n));
+        assert!(rep.aborted_jobs > 0, "the loss must catch work in flight");
         for j in &rep.jobs {
             assert_eq!(j.digest, reference[&j.id]);
         }

@@ -11,9 +11,12 @@
 //! the pre-telemetry value and the deterministic report documents are
 //! unchanged.
 
-use fz_gpu::core::{crc32, PipelinePath};
-use fz_gpu::serve::{ServeConfig, Service, TelemetryConfig, Workload};
+mod serve_table;
+
+use fz_gpu::core::crc32;
+use fz_gpu::serve::{ServeConfig, Service, TelemetryCapture, TelemetryConfig};
 use fz_gpu::sim::{Engine, ServiceFaultPlan};
+use serve_table::smoke;
 
 /// The smoke trace's job-output fingerprint (see `service_replay.rs`) —
 /// telemetry capture must not move it.
@@ -24,10 +27,20 @@ const SMOKE_DIGEST: u32 = 0xf0cf_d735;
 /// the telemetry documents' keys, separators and number spellings.
 const FAULTED_CAPTURE_CRC: u32 = 0x82a2_2975;
 
-fn smoke() -> Workload {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/workloads/smoke.json");
-    Workload::from_file(path).expect("committed smoke workload parses")
-}
+/// CRC-32 pins per `serve_table` row: its capture bytes (as concatenated
+/// by [`capture_bytes`]) and its deterministic JSON report.
+const PINS: [(&str, u32, u32); 10] = [
+    ("fault_free", 0x3dd9_eccb, 0x6124_a967),
+    ("faulted", FAULTED_CAPTURE_CRC, 0x8464_32bb),
+    ("faulted_no_retry", 0x4064_aa17, 0xfce6_d3d8),
+    ("loss_repaired", 0x90ac_40fc, 0x6c08_adea),
+    ("loss_permanent", 0x645f_a2c6, 0x1668_fe09),
+    ("reject_depth2", 0x8685_a9a8, 0xc6bc_4a84),
+    ("block_depth2_loss", 0x2cb4_0b59, 0x8d5d_b314),
+    ("block_depth2_dead", 0x07fb_bdca, 0x45f7_1df9),
+    ("deadline_shed", 0xe235_208b, 0x26dc_e7a1),
+    ("priority_mixed", 0x7f5d_8326, 0x3399_4dcd),
+];
 
 /// Telemetry-enabled config; `faulted` adds a seeded chaos schedule with
 /// retries, so the capture sees retries, stalls, and failures.
@@ -40,11 +53,9 @@ fn config(faulted: bool) -> ServeConfig {
     cfg
 }
 
-/// Every telemetry byte artifact of one replay: meta, windows, event log,
+/// Every telemetry byte artifact of one capture: meta, windows, event log,
 /// and each flight dump, concatenated in a fixed order.
-fn capture_bytes(cfg: ServeConfig) -> String {
-    let report = Service::new(cfg).run(&smoke());
-    let cap = report.telemetry.expect("telemetry configured");
+fn capture_bytes_of(cap: &TelemetryCapture) -> String {
     let mut all = cap.meta_json();
     all.push_str(&cap.windows_json);
     all.push_str(&cap.events_jsonl());
@@ -52,6 +63,16 @@ fn capture_bytes(cfg: ServeConfig) -> String {
         all.push_str(&d.to_jsonl());
     }
     all
+}
+
+/// [`capture_bytes_of`] a smoke replay under `cfg`.
+fn capture_bytes(cfg: ServeConfig) -> String {
+    capture_bytes_of(&Service::new(cfg).run(&smoke()).telemetry.expect("telemetry configured"))
+}
+
+/// Events of `kind` in `cap`.
+fn count(cap: &TelemetryCapture, kind: &str) -> usize {
+    cap.events.iter().filter(|e| e.kind == kind).count()
 }
 
 #[test]
@@ -70,17 +91,22 @@ fn telemetry_is_identical_across_thread_counts() {
 
 #[test]
 fn telemetry_is_identical_across_engines() {
-    for faulted in [false, true] {
-        // Path set explicitly so the faulted pin does not follow FZGPU_NATIVE.
-        let cfg = ServeConfig { path: PipelinePath::Simulated, ..config(faulted) };
-        let interp = capture_bytes(ServeConfig { engine: Engine::Interpreted, ..cfg });
-        let analytic = capture_bytes(ServeConfig { engine: Engine::Analytic, ..cfg });
-        assert_eq!(interp, analytic, "engine moved telemetry bytes (faulted={faulted})");
-        if faulted {
-            let got = crc32(interp.as_bytes());
-            assert_eq!(got, FAULTED_CAPTURE_CRC, "faulted capture bytes drifted: got 0x{got:08x}");
-        }
+    let mut got = Vec::new();
+    for (name, workload, cfg) in serve_table::rows() {
+        let interp =
+            Service::new(ServeConfig { engine: Engine::Interpreted, ..cfg }).run(&workload);
+        let analytic = Service::new(ServeConfig { engine: Engine::Analytic, ..cfg }).run(&workload);
+        let capture = capture_bytes_of(interp.telemetry.as_ref().expect("telemetry configured"));
+        assert_eq!(
+            capture,
+            capture_bytes_of(analytic.telemetry.as_ref().expect("telemetry configured")),
+            "engine moved telemetry bytes ({name})"
+        );
+        got.push((name, crc32(capture.as_bytes()), crc32(interp.to_json(false).as_bytes())));
     }
+    let table: Vec<String> =
+        got.iter().map(|(n, c, j)| format!("(\"{n}\", 0x{c:08x}, 0x{j:08x})")).collect();
+    assert_eq!(got, PINS, "capture / report bytes drifted; got:\n{}", table.join(",\n"));
 }
 
 #[test]
@@ -147,25 +173,69 @@ fn faulted_capture_alerts_with_dumps_and_renders() {
 
 #[test]
 fn windows_and_events_reflect_the_replay() {
-    let report = Service::new(config(false)).run(&smoke());
-    let jobs = report.jobs.len();
-    let cap = report.telemetry.expect("telemetry configured");
-    let completes = cap.events.iter().filter(|e| e.kind == "complete").count();
-    let admits = cap.events.iter().filter(|e| e.kind == "admit").count();
-    assert_eq!(completes, jobs, "one complete event per completed job");
-    assert_eq!(admits, jobs, "fault-free smoke admits everything it completes");
-    // Events are chronological with seq breaking ties.
-    for w in cap.events.windows(2) {
-        assert!(
-            (w[0].t, w[0].seq) <= (w[1].t, w[1].seq),
-            "event order violated: {:?} then {:?}",
-            (w[0].t, w[0].seq),
-            (w[1].t, w[1].seq)
-        );
+    let mut kinds = std::collections::BTreeSet::new();
+    for (name, workload, cfg) in serve_table::rows() {
+        let report = Service::new(cfg).run(&workload);
+        let cap = report.telemetry.as_ref().expect("telemetry configured");
+        // One event per decision the report counts.
+        let slo = report.slo();
+        for (kind, n) in [
+            ("complete", slo.completed as u64),
+            ("reject", slo.rejected as u64),
+            ("shed", slo.shed as u64),
+            ("fail", slo.failed as u64),
+            ("retry", slo.retries_total),
+            ("stall", report.stalls_injected),
+            ("breaker_reroute", report.breaker_reroutes),
+            ("dispatch", report.batches as u64),
+        ] {
+            assert_eq!(count(cap, kind) as u64, n, "{name}: {kind} events vs report");
+        }
+        if name == "fault_free" {
+            assert_eq!(count(cap, "admit"), report.jobs.len(), "admits all it completes");
+        }
+        for e in &cap.events {
+            kinds.insert(e.kind.clone());
+            if let Some((_, reason)) = e.detail.iter().find(|(k, _)| k == "reason") {
+                kinds.insert(format!("{}:{}", e.kind, reason.trim_matches('"')));
+            }
+        }
+        // Events are chronological; seq breaks ties between non-alert
+        // events (an alert is spliced in right after its trigger).
+        assert!(cap.events.windows(2).all(|w| w[0].t <= w[1].t), "{name}: not chronological");
+        let decisions: Vec<_> = cap.events.iter().filter(|e| !e.is_alert()).collect();
+        for w in decisions.windows(2) {
+            assert!(
+                (w[0].t, w[0].seq) <= (w[1].t, w[1].seq),
+                "{name}: event order violated: {:?} then {:?}",
+                (w[0].t, w[0].seq),
+                (w[1].t, w[1].seq)
+            );
+        }
+        // The windows document declares the schema and carries the latency
+        // histogram series the dashboard draws.
+        assert!(cap.windows_json.starts_with("{\"v\":1,"));
+        if !report.jobs.is_empty() {
+            assert!(cap.windows_json.contains("fzgpu_serve_latency_seconds"));
+            assert!(cap.windows_json.contains("fzgpu_serve_window_compute_busy_ns"));
+        }
     }
-    // The windows document declares the schema and carries the latency
-    // histogram series the dashboard draws.
-    assert!(cap.windows_json.starts_with("{\"v\":1,"));
-    assert!(cap.windows_json.contains("fzgpu_serve_latency_seconds"));
-    assert!(cap.windows_json.contains("fzgpu_serve_window_compute_busy_ns"));
+    // Between them the rows drive every scheduling transition.
+    for kind in [
+        "admit",
+        "reject",
+        "shed:priority",
+        "shed:deadline",
+        "fail:faults",
+        "fail:device_lost",
+        "retry",
+        "dispatch",
+        "stall",
+        "breaker_reroute",
+        "complete",
+        "device_loss",
+        "device_recover",
+    ] {
+        assert!(kinds.contains(kind), "no row produced a {kind} event; got {kinds:?}");
+    }
 }

@@ -7,10 +7,18 @@
 //! Capture and the metrics registry are process-global, so every test
 //! here serializes on one lock.
 
-use fz_gpu::core::{ErrorBound, FaultPlan, FzGpu};
+mod serve_table;
+
+use fz_gpu::core::{crc32, ErrorBound, FaultPlan, FzGpu};
+use fz_gpu::serve::Service;
 use fz_gpu::sim::device::A100;
 use fz_gpu::trace;
 use rayon::prelude::*;
+
+/// CRC-32 of the Det metric exposition after replaying every
+/// `serve_table` row from a reset registry: pins each `fzgpu_serve_*`
+/// series alongside the pipeline counters the jobs drive.
+const SERVE_EXPOSITION_CRC: u32 = 0x8b56_650f;
 
 /// Capture windows, the metrics registry, and the pool are all
 /// process-global; tests must not interleave.
@@ -85,6 +93,29 @@ fn det_metric_exposition_is_thread_count_invariant() {
     assert!(!text.contains("fzgpu_core_host_seconds"));
     assert!(!text.contains("fzgpu_pool_chunks_total"));
     assert!(!text.contains("fzgpu_pool_steals_total"));
+}
+
+#[test]
+fn serve_det_metrics_are_pinned() {
+    let text = invariant(|| {
+        trace::metrics::reset();
+        for (_, workload, cfg) in serve_table::rows() {
+            Service::new(cfg).run(&workload);
+        }
+        trace::metrics::exposition(false)
+    });
+    for series in [
+        "fzgpu_serve_jobs_total",
+        "fzgpu_serve_rejected_total",
+        "fzgpu_serve_shed_total",
+        "fzgpu_serve_failed_total",
+        "fzgpu_serve_device_loss_total",
+        "fzgpu_serve_breaker_reroutes_total",
+    ] {
+        assert!(text.contains(series), "{series} missing from exposition:\n{text}");
+    }
+    let got = crc32(text.as_bytes());
+    assert_eq!(got, SERVE_EXPOSITION_CRC, "serve Det metrics drifted: got 0x{got:08x}\n{text}");
 }
 
 #[test]
