@@ -1,79 +1,64 @@
-//! Shared interface for all compressors under evaluation.
+//! Pieces the baseline streams share: their chunk-shape header and
+//! outlier list on the wire, and the v1 dual-quantization decode that
+//! cuSZ, cuSZ+RLE and SZ-OMP all end in.
 
-use fzgpu_core::lorenzo::Shape;
-use fzgpu_core::quant::ErrorBound;
+use fzgpu_codecs::wire::{self, Cursor, WireResult};
+use fzgpu_core::gpu::quant::V1_RADIUS;
+use fzgpu_core::lorenzo::{self, Shape};
 
-/// How a compressor is configured for one run. Error-bounded compressors
-/// take [`Setting::Eb`]; cuZFP only supports [`Setting::Rate`] (the paper's
-/// central criticism of it).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Setting {
-    /// Error-bounded mode.
-    Eb(ErrorBound),
-    /// Fixed-rate mode: bits per value.
-    Rate(f64),
+/// Values in a shape.
+pub(crate) fn volume(shape: Shape) -> usize {
+    shape.0 * shape.1 * shape.2
 }
 
-/// Result of one compress (+ decompress) run.
-#[derive(Debug, Clone)]
-pub struct Run {
-    /// Compressor name.
-    pub name: &'static str,
-    /// Compressed size in bytes.
-    pub compressed_bytes: usize,
-    /// Modeled GPU kernel time (or measured CPU wall time) of compression,
-    /// seconds.
-    pub compress_time: f64,
-    /// Reconstructed field (for distortion metrics).
-    pub reconstructed: Vec<f32>,
-    /// Time attributable to Huffman-codebook construction (cuSZ only;
-    /// subtracting it gives the paper's `cuSZ-ncb` bars).
-    pub codebook_time: f64,
+/// Append `shape` as three `u64` extents.
+pub(crate) fn put_shape(out: &mut Vec<u8>, shape: Shape) {
+    wire::put_u64(out, shape.0 as u64);
+    wire::put_u64(out, shape.1 as u64);
+    wire::put_u64(out, shape.2 as u64);
 }
 
-impl Run {
-    /// Compression ratio against f32 input of `n` values.
-    pub fn ratio(&self, n: usize) -> f64 {
-        (n * 4) as f64 / self.compressed_bytes as f64
+/// Read a [`put_shape`] header and check it names the chunk's `shape`.
+pub(crate) fn expect_shape(c: &mut Cursor<'_>, shape: Shape) -> WireResult<()> {
+    let stored = (c.u64()?, c.u64()?, c.u64()?);
+    if stored != (shape.0 as u64, shape.1 as u64, shape.2 as u64) {
+        return Err("stored shape does not match chunk shape");
     }
+    Ok(())
+}
 
-    /// Compression throughput in GB/s.
-    pub fn throughput_gbps(&self, n: usize) -> f64 {
-        (n * 4) as f64 / self.compress_time / 1e9
-    }
-
-    /// Throughput excluding codebook build (cuSZ-ncb).
-    pub fn throughput_ncb_gbps(&self, n: usize) -> f64 {
-        (n * 4) as f64 / (self.compress_time - self.codebook_time) / 1e9
+/// Append `(index, quantized delta)` outlier pairs, count-prefixed.
+pub(crate) fn put_outliers(out: &mut Vec<u8>, outliers: &[(u32, i32)]) {
+    wire::put_u64(out, outliers.len() as u64);
+    for &(i, d) in outliers {
+        wire::put_u32(out, i);
+        wire::put_u32(out, d as u32);
     }
 }
 
-/// A compressor that can be driven by the benchmark harness.
-pub trait Baseline {
-    /// Display name (paper's naming).
-    fn name(&self) -> &'static str;
-
-    /// Compress + decompress `data`; `None` when this compressor does not
-    /// support the configuration (e.g. MGARD-GPU on 1D data, error-bounded
-    /// settings on cuZFP).
-    fn run(&mut self, data: &[f32], shape: Shape, setting: Setting) -> Option<Run>;
+/// Parse [`put_outliers`]'s form. [`reconstruct`] checks the indices.
+pub(crate) fn get_outliers(c: &mut Cursor<'_>) -> WireResult<Vec<(u32, i32)>> {
+    let n = c.len(c.remaining() / 8)?;
+    (0..n).map(|_| Ok((c.u32()?, c.u32()? as i32))).collect()
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn run_metrics() {
-        let r = Run {
-            name: "x",
-            compressed_bytes: 1000,
-            compress_time: 1e-3,
-            reconstructed: vec![],
-            codebook_time: 5e-4,
-        };
-        assert_eq!(r.ratio(1000), 4.0);
-        assert!((r.throughput_gbps(1000) - 0.004).abs() < 1e-12);
-        assert!(r.throughput_ncb_gbps(1000) > r.throughput_gbps(1000));
+/// The v1 dual-quantization decode: codes back to deltas (code 0 marks an
+/// outlier), outliers patched in, Lorenzo integration, dequantization.
+pub(crate) fn reconstruct(
+    codes: &[u16],
+    outliers: &[(u32, i32)],
+    shape: Shape,
+    eb: f64,
+) -> Result<Vec<f32>, &'static str> {
+    if codes.len() != volume(shape) {
+        return Err("code count does not match shape");
     }
+    let mut deltas: Vec<i32> =
+        codes.iter().map(|&c| if c == 0 { 0 } else { c as i32 - V1_RADIUS }).collect();
+    for &(idx, val) in outliers {
+        *deltas.get_mut(idx as usize).ok_or("outlier index out of range")? = val;
+    }
+    lorenzo::integrate(&mut deltas, shape);
+    let ebx2 = 2.0 * eb;
+    Ok(deltas.into_iter().map(|q| (q as f64 * ebx2) as f32).collect())
 }

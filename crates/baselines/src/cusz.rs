@@ -14,20 +14,21 @@
 //!   so cuSZ-ncb lands at roughly half of FZ-GPU's throughput (the ratio
 //!   the paper reports in §4.4), scaled by device bandwidth.
 
-use fzgpu_codecs::huffman::{self, Codebook};
-use fzgpu_core::gpu::quant::{pred_quant_v1, V1_RADIUS};
-use fzgpu_core::lorenzo::{self, Shape};
+use fzgpu_codecs::huffman::{self, ChunkedStream, Codebook};
+use fzgpu_codecs::wire::{self, Cursor, WireResult};
+use fzgpu_core::gpu::quant::pred_quant_v1;
+use fzgpu_core::lorenzo::Shape;
 use fzgpu_sim::device::A100;
 use fzgpu_sim::histogram::histogram_u16;
 use fzgpu_sim::scan::exclusive_sum;
 use fzgpu_sim::{DeviceSpec, Gpu, GpuBuffer, KernelStats};
 
-use crate::common::{Baseline, Run, Setting};
+use crate::common::{expect_shape, get_outliers, put_outliers, put_shape, reconstruct, volume};
 
 /// Symbols in the Huffman alphabet (codes 0..1024; 0 marks an outlier).
-const NUM_SYMBOLS: usize = 1024;
+pub(crate) const NUM_SYMBOLS: usize = 1024;
 /// Symbols per coarse-grained encode chunk.
-const CHUNK: usize = 4096;
+pub(crate) const CHUNK: usize = 4096;
 /// Serial codebook-build cost in scalar cycles (~0.9 ms on A100's 1.41 GHz
 /// scheduler — the near-constant the `cuSZ-ncb` bars subtract, calibrated
 /// so full-scale cuSZ throughputs land in the paper's Fig. 8 range).
@@ -41,8 +42,15 @@ pub struct CuSz {
     spec: DeviceSpec,
 }
 
+/// Modeled seconds of the serial codebook build on `spec`. It does not
+/// depend on the data, so the `cuSZ-ncb` bars subtract it from compress
+/// time.
+pub fn codebook_seconds(spec: &DeviceSpec) -> f64 {
+    CODEBOOK_CYCLES / spec.scalar_rate()
+}
+
 /// A cuSZ compressed stream (kept structured; cuSZ's on-disk format is an
-/// archive of these sections).
+/// archive of these sections). SZ-OMP produces the same stream.
 pub struct CuSzStream {
     /// Shape + bound for reconstruction.
     pub shape: Shape,
@@ -51,7 +59,7 @@ pub struct CuSzStream {
     /// Canonical codebook (serialized as its length table).
     pub book: Codebook,
     /// Chunked Huffman payload.
-    pub encoded: huffman::ChunkedStream,
+    pub encoded: ChunkedStream,
     /// Outliers as (index, quantized delta) pairs.
     pub outliers: Vec<(u32, i32)>,
 }
@@ -62,6 +70,44 @@ impl CuSzStream {
     pub fn size_bytes(&self) -> usize {
         self.encoded.size_bytes() + NUM_SYMBOLS + self.outliers.len() * 8 + 64
     }
+
+    /// Serialize: shape, bound, codebook lengths, chunked payload and
+    /// outliers.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_shape(&mut out, self.shape);
+        wire::put_f64(&mut out, self.eb);
+        self.book.write_to(&mut out);
+        self.encoded.write_to(&mut out);
+        put_outliers(&mut out, &self.outliers);
+        out
+    }
+
+    /// Parse [`CuSzStream::to_bytes`]'s form for a chunk of `shape`.
+    pub fn from_bytes(bytes: &[u8], shape: Shape) -> WireResult<Self> {
+        let mut c = Cursor::new(bytes);
+        expect_shape(&mut c, shape)?;
+        let s = Self {
+            shape,
+            eb: c.f64()?,
+            book: Codebook::read_from(&mut c)?,
+            encoded: ChunkedStream::read_from(&mut c)?,
+            outliers: get_outliers(&mut c)?,
+        };
+        c.done()?;
+        if s.encoded.total_symbols != volume(shape) {
+            return Err("symbol count does not match chunk shape");
+        }
+        Ok(s)
+    }
+
+    /// Decompress (host-side reference path; the paper never times cuSZ
+    /// decompression and neither do our figures).
+    pub fn decompress(&self) -> Result<Vec<f32>, &'static str> {
+        let codes = huffman::decode_chunked(&self.book, &self.encoded)
+            .map_err(|_| "Huffman payload did not decode")?;
+        reconstruct(&codes, &self.outliers, self.shape, self.eb)
+    }
 }
 
 impl CuSz {
@@ -71,7 +117,7 @@ impl CuSz {
     }
 
     /// Compress. Returns the stream and leaves per-kernel times on the
-    /// internal timeline ([`CuSz::kernel_time`], [`CuSz::codebook_time`]).
+    /// internal timeline ([`CuSz::kernel_time`], [`CuSz::timeline`]).
     pub fn compress(&mut self, data: &[f32], shape: Shape, eb_abs: f64) -> CuSzStream {
         let n = data.len();
         let d_input = self.gpu.upload(data);
@@ -91,7 +137,7 @@ impl CuSz {
         // Stage 4: codebook build — serial tree construction, charged at
         // the device's scalar rate (near-constant, data-size independent).
         let book = Codebook::from_histogram(&hist).expect("non-empty field");
-        let cb_time = CODEBOOK_CYCLES / self.gpu.scalar_rate();
+        let cb_time = codebook_seconds(&self.spec);
         self.gpu.record_kernel("cusz.build_codebook", cb_time, KernelStats::default());
 
         // Stage 5: coarse-grained chunked encode (bit-exact on host,
@@ -108,20 +154,6 @@ impl CuSz {
         CuSzStream { shape, eb: eb_abs, book, encoded, outliers }
     }
 
-    /// Decompress (host-side reference path; the paper never times cuSZ
-    /// decompression and neither do our figures).
-    pub fn decompress(&self, stream: &CuSzStream) -> Vec<f32> {
-        let codes = huffman::decode_chunked(&stream.book, &stream.encoded).expect("valid stream");
-        let mut deltas: Vec<i32> =
-            codes.iter().map(|&c| if c == 0 { 0 } else { c as i32 - V1_RADIUS }).collect();
-        for &(idx, val) in &stream.outliers {
-            deltas[idx as usize] = val;
-        }
-        lorenzo::integrate(&mut deltas, stream.shape);
-        let ebx2 = 2.0 * stream.eb;
-        deltas.into_iter().map(|q| (q as f64 * ebx2) as f32).collect()
-    }
-
     /// Modeled kernel time of the last compress, seconds.
     pub fn kernel_time(&self) -> f64 {
         self.gpu.kernel_time()
@@ -130,29 +162,6 @@ impl CuSz {
     /// The device timeline of the last compress (Fig. 1 breakdowns).
     pub fn timeline(&self) -> &[fzgpu_sim::Event] {
         self.gpu.timeline()
-    }
-
-    /// The underlying device (timeline inspection).
-    pub fn gpu(&self) -> &fzgpu_sim::Gpu {
-        &self.gpu
-    }
-
-    /// Snapshot the last compress's timeline as a profile (per-kernel
-    /// attribution, Chrome-trace export).
-    pub fn profile(&self) -> fzgpu_sim::Profile {
-        fzgpu_sim::Profile::capture(&self.gpu)
-    }
-
-    /// The codebook-build share of the last compress (for cuSZ-ncb).
-    pub fn codebook_time(&self) -> f64 {
-        self.gpu
-            .timeline()
-            .iter()
-            .filter_map(|e| match e {
-                fzgpu_sim::Event::Kernel(k) if k.name == "cusz.build_codebook" => Some(k.time),
-                _ => None,
-            })
-            .sum()
     }
 
     /// Flag + scan + gather the nonzero entries of the dense outlier array.
@@ -192,33 +201,10 @@ impl CuSz {
     }
 }
 
-impl Baseline for CuSz {
-    fn name(&self) -> &'static str {
-        "cuSZ"
-    }
-
-    fn run(&mut self, data: &[f32], shape: Shape, setting: Setting) -> Option<Run> {
-        let Setting::Eb(eb) = setting else {
-            return None; // cuSZ has no fixed-rate mode
-        };
-        let eb_abs = eb.resolve(data);
-        let stream = self.compress(data, shape, eb_abs);
-        let reconstructed = self.decompress(&stream);
-        Some(Run {
-            name: self.name(),
-            compressed_bytes: stream.size_bytes(),
-            compress_time: self.kernel_time(),
-            reconstructed,
-            codebook_time: self.codebook_time(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fzgpu_core::quant::ErrorBound;
-    use fzgpu_sim::device::A100;
+    use fzgpu_sim::device::{A100, A4000};
 
     fn smooth(n: usize) -> Vec<f32> {
         (0..n).map(|i| (i as f32 * 0.01).sin() * 5.0 + (i as f32 * 0.0003).cos()).collect()
@@ -235,7 +221,7 @@ mod tests {
         let mut cusz = CuSz::new(A100);
         let stream = cusz.compress(&data, shape, eb);
         assert!(!stream.outliers.is_empty(), "expected outliers from the step");
-        let back = cusz.decompress(&stream);
+        let back = CuSzStream::from_bytes(&stream.to_bytes(), shape).unwrap().decompress().unwrap();
         for (i, (&a, &b)) in data.iter().zip(&back).enumerate() {
             let slack = (a.abs().max(b.abs()) as f64) * 1e-6 + 1e-12;
             assert!((a as f64 - b as f64).abs() <= eb + slack, "idx {i}");
@@ -266,27 +252,26 @@ mod tests {
     }
 
     #[test]
-    fn codebook_time_is_data_size_independent() {
-        let mut cusz = CuSz::new(A100);
-        let small = smooth(4096);
-        let _ = cusz.compress(&small, (1, 1, 4096), 1e-3);
-        let t_small = cusz.codebook_time();
-        let big = smooth(1 << 17);
-        let _ = cusz.compress(&big, (1, 1, 1 << 17), 1e-3);
-        let t_big = cusz.codebook_time();
-        assert!((t_small - t_big).abs() < 1e-9);
-        assert!(t_small > 5e-4, "codebook should cost ~a millisecond, got {t_small}");
-    }
-
-    #[test]
-    fn baseline_trait_rejects_rate_mode() {
-        let mut cusz = CuSz::new(A100);
-        assert!(cusz.run(&smooth(1024), (1, 1, 1024), Setting::Rate(8.0)).is_none());
-        let run = cusz
-            .run(&smooth(1024), (1, 1, 1024), Setting::Eb(ErrorBound::RelToRange(1e-3)))
-            .unwrap();
-        assert_eq!(run.name, "cuSZ");
-        assert!(run.codebook_time > 0.0);
-        assert!(run.compress_time > run.codebook_time);
+    fn codebook_charge_is_data_size_independent() {
+        for spec in [A100, A4000] {
+            let mut cusz = CuSz::new(spec);
+            for n in [4096, 1 << 17] {
+                let _ = cusz.compress(&smooth(n), (1, 1, n), 1e-3);
+                let charged: Vec<f64> = cusz
+                    .timeline()
+                    .iter()
+                    .filter_map(|e| match e {
+                        fzgpu_sim::Event::Kernel(k) if k.name == "cusz.build_codebook" => {
+                            Some(k.time)
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(charged, [codebook_seconds(&spec)]);
+                assert!(cusz.kernel_time() > charged[0]);
+            }
+        }
+        let t = codebook_seconds(&A100);
+        assert!(t > 5e-4, "codebook should cost ~a millisecond, got {t}");
     }
 }

@@ -9,11 +9,12 @@
 //! codes alternate.
 
 use fzgpu_codecs::rle;
-use fzgpu_core::gpu::quant::{pred_quant_v1, V1_RADIUS};
-use fzgpu_core::lorenzo::{self, Shape};
+use fzgpu_codecs::wire::{self, Cursor, WireResult};
+use fzgpu_core::gpu::quant::pred_quant_v1;
+use fzgpu_core::lorenzo::Shape;
 use fzgpu_sim::{DeviceSpec, Gpu, KernelStats};
 
-use crate::common::{Baseline, Run, Setting};
+use crate::common::{expect_shape, get_outliers, put_outliers, put_shape, reconstruct, volume};
 
 /// RLE encode throughput model, bytes/second on A100 (a scan-based GPU RLE
 /// runs near memory bandwidth; calibrated conservatively).
@@ -43,6 +44,40 @@ impl CuSzRleStream {
     /// Compressed bytes (6 B per run + 8 B per outlier + header).
     pub fn size_bytes(&self) -> usize {
         rle::encoded_bytes(&self.runs) + self.outliers.len() * 8 + 64
+    }
+
+    /// Serialize: shape, bound, runs, outliers and the value count.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_shape(&mut out, self.shape);
+        wire::put_f64(&mut out, self.eb);
+        rle::write_runs(&mut out, &self.runs);
+        put_outliers(&mut out, &self.outliers);
+        wire::put_u64(&mut out, self.n_values as u64);
+        out
+    }
+
+    /// Parse [`CuSzRleStream::to_bytes`]'s form for a chunk of `shape`.
+    pub fn from_bytes(bytes: &[u8], shape: Shape) -> WireResult<Self> {
+        let mut c = Cursor::new(bytes);
+        expect_shape(&mut c, shape)?;
+        let s = Self {
+            shape,
+            eb: c.f64()?,
+            runs: rle::read_runs(&mut c)?,
+            outliers: get_outliers(&mut c)?,
+            n_values: c.u64()? as usize,
+        };
+        c.done()?;
+        if s.n_values != volume(shape) || rle::decoded_len(&s.runs) != s.n_values as u64 {
+            return Err("run lengths do not match chunk shape");
+        }
+        Ok(s)
+    }
+
+    /// Decompress.
+    pub fn decompress(&self) -> Result<Vec<f32>, &'static str> {
+        reconstruct(&rle::decode(&self.runs), &self.outliers, self.shape, self.eb)
     }
 }
 
@@ -86,56 +121,9 @@ impl CuSzRle {
         CuSzRleStream { shape, eb: eb_abs, runs, outliers, n_values: n }
     }
 
-    /// Decompress.
-    pub fn decompress(&self, stream: &CuSzRleStream) -> Vec<f32> {
-        let codes = rle::decode(&stream.runs);
-        assert_eq!(codes.len(), stream.n_values, "run lengths disagree with value count");
-        let mut deltas: Vec<i32> =
-            codes.iter().map(|&c| if c == 0 { 0 } else { c as i32 - V1_RADIUS }).collect();
-        for &(idx, val) in &stream.outliers {
-            deltas[idx as usize] = val;
-        }
-        lorenzo::integrate(&mut deltas, stream.shape);
-        let ebx2 = 2.0 * stream.eb;
-        deltas.into_iter().map(|q| (q as f64 * ebx2) as f32).collect()
-    }
-
     /// Modeled kernel time of the last compress.
     pub fn kernel_time(&self) -> f64 {
         self.gpu.kernel_time()
-    }
-
-    /// The underlying device (timeline inspection).
-    pub fn gpu(&self) -> &fzgpu_sim::Gpu {
-        &self.gpu
-    }
-
-    /// Snapshot the last compress's timeline as a profile (per-kernel
-    /// attribution, Chrome-trace export).
-    pub fn profile(&self) -> fzgpu_sim::Profile {
-        fzgpu_sim::Profile::capture(&self.gpu)
-    }
-}
-
-impl Baseline for CuSzRle {
-    fn name(&self) -> &'static str {
-        "cuSZ+RLE"
-    }
-
-    fn run(&mut self, data: &[f32], shape: Shape, setting: Setting) -> Option<Run> {
-        let Setting::Eb(eb) = setting else {
-            return None;
-        };
-        let eb_abs = eb.resolve(data);
-        let stream = self.compress(data, shape, eb_abs);
-        let reconstructed = self.decompress(&stream);
-        Some(Run {
-            name: self.name(),
-            compressed_bytes: stream.size_bytes(),
-            compress_time: self.kernel_time(),
-            reconstructed,
-            codebook_time: 0.0,
-        })
     }
 }
 
@@ -156,7 +144,7 @@ mod tests {
         let eb = 1e-3;
         let mut c = CuSzRle::new(A100);
         let s = c.compress(&data, shape, eb);
-        let back = c.decompress(&s);
+        let back = s.decompress().unwrap();
         for (&a, &b) in data.iter().zip(&back) {
             assert!((a as f64 - b as f64).abs() <= eb + (a.abs() as f64) * 1e-6 + 1e-12);
         }
@@ -201,7 +189,7 @@ mod tests {
         let mut c = CuSzRle::new(A100);
         let s = c.compress(&data, shape, 1e-3);
         assert!(!s.outliers.is_empty());
-        let back = c.decompress(&s);
+        let back = s.decompress().unwrap();
         assert!((back[4096] as f64 - 1e3).abs() <= 1e-3 + 1e3 * 1e-6);
     }
 }

@@ -9,11 +9,12 @@
 //! and lowest-ratio compressor in the comparison (paper §4.3–4.4).
 
 use fzgpu_codecs::bitpack;
+use fzgpu_codecs::wire::{self, Cursor, WireResult};
 use fzgpu_core::lorenzo::Shape;
 use fzgpu_sim::scan::exclusive_sum;
 use fzgpu_sim::{DeviceSpec, Gpu, GpuBuffer};
 
-use crate::common::{Baseline, Run, Setting};
+use crate::common::{expect_shape, put_shape, volume};
 
 /// Values per block (cuSZx default granularity).
 pub const BLOCK: usize = 64;
@@ -44,6 +45,74 @@ impl CuSzxStream {
     /// Compressed bytes: base + width per block + packed payload + header.
     pub fn size_bytes(&self) -> usize {
         self.bases.len() * 4 + self.bits.len() + self.payload.len() * 4 + 64
+    }
+
+    /// Serialize: shape, bound, block bases and widths, payload and the
+    /// value count.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_shape(&mut out, self.shape);
+        wire::put_f64(&mut out, self.eb);
+        wire::put_f32s(&mut out, &self.bases);
+        wire::put_bytes(&mut out, &self.bits);
+        wire::put_u32s(&mut out, &self.payload);
+        wire::put_u64(&mut out, self.n_values as u64);
+        out
+    }
+
+    /// Parse [`CuSzxStream::to_bytes`]'s form for a chunk of `shape`: one
+    /// block per [`BLOCK`] values, widths of at most 32 bits, and exactly
+    /// the payload words those widths pack.
+    pub fn from_bytes(bytes: &[u8], shape: Shape) -> WireResult<Self> {
+        let mut c = Cursor::new(bytes);
+        expect_shape(&mut c, shape)?;
+        let s = Self {
+            shape,
+            eb: c.f64()?,
+            bases: c.f32s()?,
+            bits: c.bytes()?,
+            payload: c.u32s()?,
+            n_values: c.u64()? as usize,
+        };
+        c.done()?;
+        let nblocks = volume(shape).div_ceil(BLOCK);
+        if s.n_values != volume(shape) || s.bases.len() != nblocks || s.bits.len() != nblocks {
+            return Err("block tables do not match chunk shape");
+        }
+        if s.bits.iter().any(|&b| b > 32) {
+            return Err("block width above 32 bits");
+        }
+        if s.payload.len() != s.bits.iter().map(|&b| block_words(b)).sum::<usize>() {
+            return Err("payload length disagrees with block widths");
+        }
+        Ok(s)
+    }
+
+    /// Decompress (host reference path).
+    pub fn decompress(&self) -> Vec<f32> {
+        let n = self.n_values;
+        let ebx2 = 2.0 * self.eb;
+        let mut out = vec![0.0f32; n];
+        let mut off = 0usize;
+        for (b, (&base, &bits)) in self.bases.iter().zip(&self.bits).enumerate() {
+            let lo = b * BLOCK;
+            let hi = ((b + 1) * BLOCK).min(n);
+            if bits == 0 {
+                // Constant block: base represents every value (the paper's
+                // "constant blocks handled separately").
+                for v in &mut out[lo..hi] {
+                    *v = base;
+                }
+            } else {
+                let words = &self.payload[off..off + block_words(bits)];
+                for (k, v) in out[lo..hi].iter_mut().enumerate() {
+                    let q = bitpack::get(words, k, bits);
+                    *v = (base as f64 + q as f64 * ebx2) as f32;
+                }
+                off += block_words(bits);
+            }
+        }
+        out
     }
 }
 
@@ -175,69 +244,9 @@ impl CuSzx {
         }
     }
 
-    /// Decompress (host reference path).
-    pub fn decompress(&self, stream: &CuSzxStream) -> Vec<f32> {
-        let n = stream.n_values;
-        let ebx2 = 2.0 * stream.eb;
-        let mut out = vec![0.0f32; n];
-        let mut off = 0usize;
-        for (b, (&base, &bits)) in stream.bases.iter().zip(&stream.bits).enumerate() {
-            let lo = b * BLOCK;
-            let hi = ((b + 1) * BLOCK).min(n);
-            if bits == 0 {
-                // Constant block: base represents every value (the paper's
-                // "constant blocks handled separately").
-                for v in &mut out[lo..hi] {
-                    *v = base;
-                }
-            } else {
-                let words = &stream.payload[off..off + block_words(bits)];
-                for (k, v) in out[lo..hi].iter_mut().enumerate() {
-                    let q = bitpack::get(words, k, bits);
-                    *v = (base as f64 + q as f64 * ebx2) as f32;
-                }
-                off += block_words(bits);
-            }
-        }
-        out
-    }
-
     /// Modeled kernel time of the last compress, seconds.
     pub fn kernel_time(&self) -> f64 {
         self.gpu.kernel_time()
-    }
-
-    /// The underlying device (timeline inspection).
-    pub fn gpu(&self) -> &fzgpu_sim::Gpu {
-        &self.gpu
-    }
-
-    /// Snapshot the last compress's timeline as a profile (per-kernel
-    /// attribution, Chrome-trace export).
-    pub fn profile(&self) -> fzgpu_sim::Profile {
-        fzgpu_sim::Profile::capture(&self.gpu)
-    }
-}
-
-impl Baseline for CuSzx {
-    fn name(&self) -> &'static str {
-        "cuSZx"
-    }
-
-    fn run(&mut self, data: &[f32], shape: Shape, setting: Setting) -> Option<Run> {
-        let Setting::Eb(eb) = setting else {
-            return None;
-        };
-        let eb_abs = eb.resolve(data);
-        let stream = self.compress(data, shape, eb_abs);
-        let reconstructed = self.decompress(&stream);
-        Some(Run {
-            name: self.name(),
-            compressed_bytes: stream.size_bytes(),
-            compress_time: self.kernel_time(),
-            reconstructed,
-            codebook_time: 0.0,
-        })
     }
 }
 
@@ -253,7 +262,7 @@ mod tests {
         let eb = 1e-3;
         let mut x = CuSzx::new(A100);
         let stream = x.compress(&data, (1, 1, 10_000), eb);
-        let back = x.decompress(&stream);
+        let back = stream.decompress();
         for (i, (&a, &b)) in data.iter().zip(&back).enumerate() {
             let slack = (a.abs() as f64) * 1e-6 + 1e-12;
             assert!((a as f64 - b as f64).abs() <= eb + slack, "idx {i}: {a} vs {b}");
@@ -267,7 +276,7 @@ mod tests {
         let stream = x.compress(&data, (1, 1, 6400), 1e-3);
         assert!(stream.bits.iter().all(|&b| b == 0));
         assert!(stream.payload.is_empty());
-        assert!(x.decompress(&stream).iter().all(|&v| v == 2.5));
+        assert!(stream.decompress().iter().all(|&v| v == 2.5));
         let ratio = (data.len() * 4) as f64 / stream.size_bytes() as f64;
         assert!(ratio > 40.0, "ratio {ratio}");
     }
@@ -281,7 +290,7 @@ mod tests {
         let ratio = (data.len() * 4) as f64 / stream.size_bytes() as f64;
         assert!(ratio < 4.0, "rough data should not compress well, got {ratio}");
         // Still error-bounded.
-        let back = x.decompress(&stream);
+        let back = stream.decompress();
         for (&a, &b) in data.iter().zip(&back) {
             assert!((a as f64 - b as f64).abs() <= 1e-4 + (a.abs() as f64) * 1e-6 + 1e-9);
         }
@@ -292,7 +301,7 @@ mod tests {
         let data: Vec<f32> = (0..100).map(|i| i as f32 * 0.5).collect();
         let mut x = CuSzx::new(A100);
         let stream = x.compress(&data, (1, 1, 100), 1e-2);
-        let back = x.decompress(&stream);
+        let back = stream.decompress();
         assert_eq!(back.len(), 100);
         for (&a, &b) in data.iter().zip(&back) {
             assert!((a - b).abs() <= 0.011);

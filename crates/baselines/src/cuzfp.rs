@@ -16,10 +16,11 @@
 //! accept because every comparison in the paper is about the *mode*
 //! (fixed-rate truncation) and throughput shape, not ZFP's exact basis.
 
+use fzgpu_codecs::wire::{self, Cursor, WireResult};
 use fzgpu_core::lorenzo::{rank_of, Shape};
 use fzgpu_sim::{DeviceSpec, Gpu, GpuBuffer};
 
-use crate::common::{Baseline, Run, Setting};
+use crate::common::{expect_shape, put_shape};
 
 /// Fixed-point precision of block-floating-point integers (bits).
 const PREC: i32 = 25;
@@ -223,7 +224,8 @@ fn decode_block(emax: i32, words: &[u32], rank: usize, bs: usize, budget_bits: u
     }
     let mut q: Vec<i32> = nb.into_iter().map(from_negabinary).collect();
     inv_transform(&mut q, rank);
-    let scale = (emax + 1 - PREC) as f64;
+    // i64: a stored exponent is untrusted and may sit at either i32 limit.
+    let scale = (emax as i64 + 1 - PREC as i64) as f64;
     q.into_iter().map(|i| (i as f64 * scale.exp2()) as f32).collect()
 }
 
@@ -251,12 +253,78 @@ impl CuZfpStream {
     pub fn size_bytes(&self) -> usize {
         self.payload.len() * 4 + self.emax.len() * 2 + 64
     }
+
+    /// Serialize: shape, rate, per-block exponents, payload and the
+    /// words per block.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_shape(&mut out, self.shape);
+        wire::put_f64(&mut out, self.rate);
+        wire::put_u64(&mut out, self.emax.len() as u64);
+        for &e in &self.emax {
+            wire::put_u32(&mut out, e as u32);
+        }
+        wire::put_u32s(&mut out, &self.payload);
+        wire::put_u64(&mut out, self.words_per_block as u64);
+        out
+    }
+
+    /// Parse [`CuZfpStream::to_bytes`]'s form for a chunk of `shape`: one
+    /// exponent per block of the shape's grid, and the words per block the
+    /// rate's bit budget needs.
+    pub fn from_bytes(bytes: &[u8], shape: Shape) -> WireResult<Self> {
+        let mut c = Cursor::new(bytes);
+        expect_shape(&mut c, shape)?;
+        let rate = c.f64()?;
+        let n = c.len(c.remaining() / 4)?;
+        let emax = (0..n).map(|_| Ok(c.u32()? as i32)).collect::<WireResult<Vec<i32>>>()?;
+        let payload = c.u32s()?;
+        let words_per_block = c.u64()? as usize;
+        c.done()?;
+        let (gz, gy, gx) = block_grid(shape);
+        let bs = 4usize.pow(rank_of(shape) as u32);
+        if emax.len() != gz * gy * gx || words_per_block != budget_bits(rate, bs).div_ceil(32) {
+            return Err("block count or rate does not match chunk shape");
+        }
+        if Some(payload.len()) != emax.len().checked_mul(words_per_block) {
+            return Err("payload length disagrees with block count");
+        }
+        Ok(Self { shape, rate, emax, payload, words_per_block })
+    }
+
+    /// Decompress (host-side reference path).
+    pub fn decompress(&self) -> Vec<f32> {
+        let (nz, ny, nx) = self.shape;
+        let rank = rank_of(self.shape);
+        let bs = 4usize.pow(rank as u32);
+        let budget_bits = budget_bits(self.rate, bs);
+        let (_gz, gy, gx) = block_grid(self.shape);
+        let mut out = vec![0.0f32; nz * ny * nx];
+        for b in 0..self.emax.len() {
+            let words = &self.payload[b * self.words_per_block..(b + 1) * self.words_per_block];
+            let vals = decode_block(self.emax[b], words, rank, bs, budget_bits);
+            let (bz, by, bx) = (b / (gy * gx), b / gx % gy, b % gx);
+            for (k, &v) in vals.iter().enumerate() {
+                let (dz, dy, dx) = (k / 16, k / 4 % 4, k % 4);
+                let (z, y, x) = (bz * 4 + dz, by * 4 + dy, bx * 4 + dx);
+                if z < nz && y < ny && x < nx {
+                    out[(z * ny + y) * nx + x] = v;
+                }
+            }
+        }
+        out
+    }
 }
 
 /// Block grid dimensions for a shape.
 fn block_grid(shape: Shape) -> (usize, usize, usize) {
     let (nz, ny, nx) = shape;
     (nz.div_ceil(4).max(1), ny.div_ceil(4).max(1), nx.div_ceil(4).max(1))
+}
+
+/// Bits kept per block of `bs` values at `rate` bits per value.
+fn budget_bits(rate: f64, bs: usize) -> usize {
+    ((rate * bs as f64).ceil() as usize).max(1)
 }
 
 impl CuZfp {
@@ -271,9 +339,9 @@ impl CuZfp {
         assert_eq!(data.len(), nz * ny * nx);
         let rank = rank_of(shape);
         let bs = 4usize.pow(rank as u32);
-        let budget_bits = ((rate * bs as f64).ceil() as usize).max(1);
+        let budget_bits = budget_bits(rate, bs);
         let wpb = budget_bits.div_ceil(32);
-        let (gz, gy, gx) = if rank == 1 { (1, 1, nx.div_ceil(4)) } else { block_grid(shape) };
+        let (gz, gy, gx) = block_grid(shape);
         let nblocks = gz * gy * gx;
 
         let d_input = self.gpu.upload(data);
@@ -372,66 +440,9 @@ impl CuZfp {
         }
     }
 
-    /// Decompress (host-side reference path).
-    pub fn decompress(&self, stream: &CuZfpStream) -> Vec<f32> {
-        let (nz, ny, nx) = stream.shape;
-        let rank = rank_of(stream.shape);
-        let bs = 4usize.pow(rank as u32);
-        let budget_bits = ((stream.rate * bs as f64).ceil() as usize).max(1);
-        let (_gz, gy, gx) =
-            if rank == 1 { (1, 1, nx.div_ceil(4)) } else { block_grid(stream.shape) };
-        let mut out = vec![0.0f32; nz * ny * nx];
-        for b in 0..stream.emax.len() {
-            let words =
-                &stream.payload[b * stream.words_per_block..(b + 1) * stream.words_per_block];
-            let vals = decode_block(stream.emax[b], words, rank, bs, budget_bits);
-            let (bz, by, bx) = (b / (gy * gx), b / gx % gy, b % gx);
-            for (k, &v) in vals.iter().enumerate() {
-                let (dz, dy, dx) = (k / 16, k / 4 % 4, k % 4);
-                let (z, y, x) = (bz * 4 + dz, by * 4 + dy, bx * 4 + dx);
-                if z < nz && y < ny && x < nx {
-                    out[(z * ny + y) * nx + x] = v;
-                }
-            }
-        }
-        out
-    }
-
     /// Modeled kernel time of the last compress, seconds.
     pub fn kernel_time(&self) -> f64 {
         self.gpu.kernel_time()
-    }
-
-    /// The underlying device (timeline inspection).
-    pub fn gpu(&self) -> &fzgpu_sim::Gpu {
-        &self.gpu
-    }
-
-    /// Snapshot the last compress's timeline as a profile (per-kernel
-    /// attribution, Chrome-trace export).
-    pub fn profile(&self) -> fzgpu_sim::Profile {
-        fzgpu_sim::Profile::capture(&self.gpu)
-    }
-}
-
-impl Baseline for CuZfp {
-    fn name(&self) -> &'static str {
-        "cuZFP"
-    }
-
-    fn run(&mut self, data: &[f32], shape: Shape, setting: Setting) -> Option<Run> {
-        let Setting::Rate(rate) = setting else {
-            return None; // no error-bounded mode — the paper's point
-        };
-        let stream = self.compress(data, shape, rate);
-        let reconstructed = self.decompress(&stream);
-        Some(Run {
-            name: self.name(),
-            compressed_bytes: stream.size_bytes(),
-            compress_time: self.kernel_time(),
-            reconstructed,
-            codebook_time: 0.0,
-        })
     }
 }
 
@@ -501,7 +512,7 @@ mod tests {
         let mut prev = 0.0;
         for rate in [2.0, 4.0, 8.0, 16.0] {
             let s = zfp.compress(&data, (nz, ny, nx), rate);
-            let back = zfp.decompress(&s);
+            let back = s.decompress();
             let p = psnr(&data, &back);
             assert!(p > prev, "rate {rate}: psnr {p} <= {prev}");
             prev = p;
@@ -527,19 +538,9 @@ mod tests {
         let data: Vec<f32> = (0..nz * ny * nx).map(|i| i as f32 * 0.1).collect();
         let mut zfp = CuZfp::new(A100);
         let s = zfp.compress(&data, (nz, ny, nx), 16.0);
-        let back = zfp.decompress(&s);
+        let back = s.decompress();
         assert_eq!(back.len(), data.len());
         let p = psnr(&data, &back);
         assert!(p > 60.0, "psnr {p}");
-    }
-
-    #[test]
-    fn run_trait_rejects_eb_mode() {
-        let mut zfp = CuZfp::new(A100);
-        let data = vec![1.0f32; 256];
-        assert!(zfp
-            .run(&data, (1, 16, 16), Setting::Eb(fzgpu_core::ErrorBound::Abs(1e-3)))
-            .is_none());
-        assert!(zfp.run(&data, (1, 16, 16), Setting::Rate(8.0)).is_some());
     }
 }

@@ -22,10 +22,11 @@
 //!   A4000 to A100, matching §4.4.
 
 use fzgpu_codecs::deflate;
+use fzgpu_codecs::wire::{self, Cursor, WireResult};
 use fzgpu_core::lorenzo::{rank_of, Shape};
-use fzgpu_sim::{DeviceSpec, KernelStats};
+use fzgpu_sim::DeviceSpec;
 
-use crate::common::{Baseline, Run, Setting};
+use crate::common::{expect_shape, put_shape, volume};
 
 /// CPU DEFLATE throughput used for the timing model, bytes/second
 /// (single-stream zlib-class rate; the dominant cost the paper measures).
@@ -57,6 +58,42 @@ impl MgardStream {
     /// Compressed bytes.
     pub fn size_bytes(&self) -> usize {
         self.compressed.len() + 64
+    }
+
+    /// Serialize: shape, quantization step, level count and the DEFLATE
+    /// payload.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_shape(&mut out, self.shape);
+        wire::put_f64(&mut out, self.step);
+        wire::put_u64(&mut out, self.levels as u64);
+        wire::put_bytes(&mut out, &self.compressed);
+        out
+    }
+
+    /// Parse [`MgardStream::to_bytes`]'s form for a chunk of `shape`, whose
+    /// extents fix the level count.
+    pub fn from_bytes(bytes: &[u8], shape: Shape) -> WireResult<Self> {
+        let mut c = Cursor::new(bytes);
+        expect_shape(&mut c, shape)?;
+        let s = Self { shape, step: c.f64()?, levels: c.u64()? as usize, compressed: c.bytes()? };
+        c.done()?;
+        if s.levels != Mgard::levels_for(shape) {
+            return Err("level count does not match chunk shape");
+        }
+        Ok(s)
+    }
+
+    /// Decompress.
+    pub fn decompress(&self) -> Result<Vec<f32>, &'static str> {
+        let bytes = deflate::decompress(&self.compressed, volume(self.shape) * 4)
+            .map_err(|_| "DEFLATE payload did not decode to one coefficient per value")?;
+        let mut coeffs: Vec<f32> = bytes
+            .chunks_exact(4)
+            .map(|c| i32::from_le_bytes(c.try_into().unwrap()) as f32 * self.step as f32)
+            .collect();
+        recompose(&mut coeffs, self.shape, self.levels);
+        Ok(coeffs)
     }
 }
 
@@ -168,11 +205,18 @@ impl Mgard {
         levels.max(1)
     }
 
-    /// Compress. Returns `None` for 1D fields (mirroring MGARD-GPU's
-    /// failure) or when the stream would exceed the original size.
-    pub fn compress(&mut self, data: &[f32], shape: Shape, eb_abs: f64) -> Option<MgardStream> {
+    /// Compress. Fails, naming the reason, on 1D fields (mirroring
+    /// MGARD-GPU's failure) and when the stream would not be smaller than
+    /// the original.
+    pub fn compress(
+        &mut self,
+        data: &[f32],
+        shape: Shape,
+        eb_abs: f64,
+    ) -> Result<MgardStream, &'static str> {
         if rank_of(shape) == 1 {
-            return None; // "cannot work correctly on 1D datasets"
+            // "cannot work correctly on 1D datasets"
+            return Err("MGARD requires 2D or 3D chunks");
         }
         let levels = Self::levels_for(shape);
         let mut coeffs = data.to_vec();
@@ -200,52 +244,15 @@ impl Mgard {
         self.last_time = t_refactor + t_deflate;
 
         if compressed.len() + 64 >= data.len() * 4 {
-            return None; // "compressed size larger than the original"
+            // "compressed size larger than the original"
+            return Err("MGARD output is not smaller than its input");
         }
-        Some(MgardStream { shape, step, levels, compressed })
-    }
-
-    /// Decompress.
-    pub fn decompress(&self, stream: &MgardStream) -> Vec<f32> {
-        let bytes = deflate::decompress(&stream.compressed).expect("valid stream");
-        let mut coeffs: Vec<f32> = bytes
-            .chunks_exact(4)
-            .map(|c| i32::from_le_bytes(c.try_into().unwrap()) as f32 * stream.step as f32)
-            .collect();
-        recompose(&mut coeffs, stream.shape, stream.levels);
-        coeffs
+        Ok(MgardStream { shape, step, levels, compressed })
     }
 
     /// Modeled compression time of the last call, seconds.
     pub fn kernel_time(&self) -> f64 {
         self.last_time
-    }
-
-    /// Expose the refactor-vs-deflate split (for reporting).
-    pub fn timing_stats(&self) -> KernelStats {
-        KernelStats::default()
-    }
-}
-
-impl Baseline for Mgard {
-    fn name(&self) -> &'static str {
-        "MGARD-GPU"
-    }
-
-    fn run(&mut self, data: &[f32], shape: Shape, setting: Setting) -> Option<Run> {
-        let Setting::Eb(eb) = setting else {
-            return None;
-        };
-        let eb_abs = eb.resolve(data);
-        let stream = self.compress(data, shape, eb_abs)?;
-        let reconstructed = self.decompress(&stream);
-        Some(Run {
-            name: self.name(),
-            compressed_bytes: stream.size_bytes(),
-            compress_time: self.kernel_time(),
-            reconstructed,
-            codebook_time: 0.0,
-        })
     }
 }
 
@@ -291,7 +298,7 @@ mod tests {
         let eb = 1e-2;
         let mut m = Mgard::new(A100);
         let s = m.compress(&data, shape, eb).unwrap();
-        let back = m.decompress(&s);
+        let back = s.decompress().unwrap();
         let err = max_abs_error(&data, &back);
         assert!(err <= eb, "err {err} > eb {eb}");
         // Over-preservation: actual error well under the bound.
@@ -301,7 +308,8 @@ mod tests {
     #[test]
     fn rejects_1d_fields() {
         let mut m = Mgard::new(A100);
-        assert!(m.compress(&vec![1.0f32; 1000], (1, 1, 1000), 1e-3).is_none());
+        let err = m.compress(&vec![1.0f32; 1000], (1, 1, 1000), 1e-3).err().expect("1D rejected");
+        assert!(err.contains("2D or 3D"), "{err}");
     }
 
     #[test]
@@ -312,10 +320,11 @@ mod tests {
         // makes the condition deterministic.
         let data = vec![1.0f32, -2.0, 3.0, -4.0];
         let mut m = Mgard::new(A100);
-        assert!(m.compress(&data, (1, 2, 2), 1e-6).is_none());
+        let err = m.compress(&data, (1, 2, 2), 1e-6).err().expect("no-gain rejected");
+        assert!(err.contains("not smaller"), "{err}");
         // Sanity: the same field at a generous bound on a bigger grid works.
         let big: Vec<f32> = (0..32 * 32).map(|i| (i as f32 * 0.01).sin()).collect();
-        assert!(m.compress(&big, (1, 32, 32), 1e-2).is_some());
+        assert!(m.compress(&big, (1, 32, 32), 1e-2).is_ok());
     }
 
     #[test]
@@ -345,7 +354,7 @@ mod tests {
             .collect();
         let mut m = Mgard::new(A100);
         let s = m.compress(&data, shape, 1e-2).unwrap();
-        let back = m.decompress(&s);
+        let back = s.decompress().unwrap();
         assert!(psnr(&data, &back) > 50.0);
     }
 }

@@ -6,46 +6,20 @@
 //! measured for the §4.4 FZ-OMP-vs-SZ-OMP comparison.
 
 use fzgpu_codecs::huffman::{self, Codebook};
+use fzgpu_core::gpu::quant::V1_RADIUS;
 use fzgpu_core::lorenzo::{self, rank_of, Shape};
 use rayon::prelude::*;
 
-use crate::common::{Baseline, Run, Setting};
+use crate::cusz::{CuSzStream, CHUNK, NUM_SYMBOLS};
 
-/// Quantization radius (matches the cuSZ baseline).
-const RADIUS: i32 = 512;
-/// Symbols in the codebook.
-const NUM_SYMBOLS: usize = 1024;
-/// Coarse chunk size for parallel Huffman encoding.
-const CHUNK: usize = 4096;
-
-/// The SZ-OMP compressor.
+/// The SZ-OMP compressor. Its stream is cuSZ's: the same radius, alphabet
+/// and chunking, so [`CuSzStream::decompress`] decodes it.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SzOmp;
 
-/// An SZ-OMP stream.
-pub struct SzOmpStream {
-    /// Field shape.
-    pub shape: Shape,
-    /// Absolute bound.
-    pub eb: f64,
-    /// Canonical codebook.
-    pub book: Codebook,
-    /// Chunked Huffman payload.
-    pub encoded: huffman::ChunkedStream,
-    /// Outliers as (index, quantized delta).
-    pub outliers: Vec<(u32, i32)>,
-}
-
-impl SzOmpStream {
-    /// Compressed bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.encoded.size_bytes() + NUM_SYMBOLS + self.outliers.len() * 8 + 64
-    }
-}
-
 impl SzOmp {
     /// Compress a 3D field. `None` for non-3D shapes.
-    pub fn compress(&self, data: &[f32], shape: Shape, eb_abs: f64) -> Option<SzOmpStream> {
+    pub fn compress(&self, data: &[f32], shape: Shape, eb_abs: f64) -> Option<CuSzStream> {
         if rank_of(shape) != 3 {
             return None; // "SZ-OMP only supports 3D data"
         }
@@ -55,12 +29,12 @@ impl SzOmp {
         let deltas = lorenzo::lorenzo_delta(&q, shape);
         let codes: Vec<u16> = deltas
             .par_iter()
-            .map(|&d| if d > -RADIUS && d < RADIUS { (d + RADIUS) as u16 } else { 0 })
+            .map(|&d| if d > -V1_RADIUS && d < V1_RADIUS { (d + V1_RADIUS) as u16 } else { 0 })
             .collect();
         let outliers: Vec<(u32, i32)> = deltas
             .par_iter()
             .enumerate()
-            .filter(|&(_, &d)| d <= -RADIUS || d >= RADIUS)
+            .filter(|&(_, &d)| d <= -V1_RADIUS || d >= V1_RADIUS)
             .map(|(i, &d)| (i as u32, d))
             .collect();
 
@@ -103,44 +77,7 @@ impl SzOmp {
             chunk_symbols: CHUNK,
             total_symbols: codes.len(),
         };
-        Some(SzOmpStream { shape, eb: eb_abs, book, encoded, outliers })
-    }
-
-    /// Decompress.
-    pub fn decompress(&self, stream: &SzOmpStream) -> Vec<f32> {
-        let codes = huffman::decode_chunked(&stream.book, &stream.encoded).expect("valid stream");
-        let mut deltas: Vec<i32> =
-            codes.par_iter().map(|&c| if c == 0 { 0 } else { c as i32 - RADIUS }).collect();
-        for &(idx, val) in &stream.outliers {
-            deltas[idx as usize] = val;
-        }
-        lorenzo::integrate(&mut deltas, stream.shape);
-        let ebx2 = 2.0 * stream.eb;
-        deltas.into_par_iter().map(|q| (q as f64 * ebx2) as f32).collect()
-    }
-}
-
-impl Baseline for SzOmp {
-    fn name(&self) -> &'static str {
-        "SZ-OMP"
-    }
-
-    fn run(&mut self, data: &[f32], shape: Shape, setting: Setting) -> Option<Run> {
-        let Setting::Eb(eb) = setting else {
-            return None;
-        };
-        let eb_abs = eb.resolve(data);
-        let t0 = std::time::Instant::now();
-        let stream = self.compress(data, shape, eb_abs)?;
-        let compress_time = t0.elapsed().as_secs_f64();
-        let reconstructed = self.decompress(&stream);
-        Some(Run {
-            name: self.name(),
-            compressed_bytes: stream.size_bytes(),
-            compress_time,
-            reconstructed,
-            codebook_time: 0.0,
-        })
+        Some(CuSzStream { shape, eb: eb_abs, book, encoded, outliers })
     }
 }
 
@@ -166,7 +103,7 @@ mod tests {
         let eb = 1e-3;
         let sz = SzOmp;
         let s = sz.compress(&data, shape, eb).unwrap();
-        let back = sz.decompress(&s);
+        let back = s.decompress().unwrap();
         for (i, (&a, &b)) in data.iter().zip(&back).enumerate() {
             let slack = (a.abs() as f64) * 1e-6 + 1e-12;
             assert!((a as f64 - b as f64).abs() <= eb + slack, "idx {i}");
@@ -188,7 +125,7 @@ mod tests {
         let sz = SzOmp;
         let s = sz.compress(&data, shape, 1e-3).unwrap();
         assert!(!s.outliers.is_empty());
-        let back = sz.decompress(&s);
+        let back = s.decompress().unwrap();
         assert!((data[500] as f64 - back[500] as f64).abs() <= 1e-3 + 1e4f64 * 1e-6);
     }
 

@@ -56,7 +56,7 @@ fn bench_deflate(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(data.len() as u64));
     g.bench_function("compress", |b| b.iter(|| black_box(deflate::compress(&data))));
     g.bench_function("decompress", |b| {
-        b.iter(|| black_box(deflate::decompress(&compressed).unwrap()))
+        b.iter(|| black_box(deflate::decompress(&compressed, data.len()).unwrap()))
     });
     g.finish();
 }

@@ -4,9 +4,10 @@
 //! keep `cargo bench` exercising every exhibit's code path quickly.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fzgpu_baselines::{Baseline, CuSz, CuSzx, CuZfp, Mgard, Setting, SzOmp};
-use fzgpu_bench::{zfp_match_psnr, FzGpuRunner, FzNativeRunner};
+use fzgpu_baselines::SzOmp;
+use fzgpu_bench::{eb_config, round_trip, zfp_match_psnr, Run};
 use fzgpu_core::quant::ErrorBound;
+use fzgpu_core::FzNative;
 use fzgpu_data::{synth, Dims};
 use fzgpu_metrics::{histogram_f32, overall_throughput, psnr, ssim_2d};
 use fzgpu_sim::device::A100;
@@ -18,8 +19,9 @@ fn mini_field() -> Vec<f32> {
     synth::multiscale(Dims::D3(SHAPE.0, SHAPE.1, SHAPE.2), 7, 32, 1.5, 0.005)
 }
 
-fn eb() -> Setting {
-    Setting::Eb(ErrorBound::RelToRange(1e-3))
+/// One round trip of compressor `name` at the exhibits' 1e-3 bound.
+fn run(name: &str, data: &[f32]) -> Run {
+    round_trip(&eb_config(name, data, 1e-3), A100, data, SHAPE).expect("mini field round trips")
 }
 
 fn bench_table1(c: &mut Criterion) {
@@ -52,11 +54,8 @@ fn bench_fig7(c: &mut Criterion) {
     let data = mini_field();
     c.bench_function("fig7_rate_distortion_point", |b| {
         b.iter(|| {
-            let mut fz = FzGpuRunner::new(A100);
-            let run = fz.run(&data, SHAPE, eb()).unwrap();
-            let target = psnr(&data, &run.reconstructed);
-            let mut zfp = CuZfp::new(A100);
-            black_box(zfp_match_psnr(&mut zfp, &data, SHAPE, target))
+            let target = psnr(&data, &run("fz", &data).reconstructed);
+            black_box(zfp_match_psnr(A100, &data, SHAPE, target))
         });
     });
 }
@@ -65,13 +64,11 @@ fn bench_fig8_fig9(c: &mut Criterion) {
     let data = mini_field();
     c.bench_function("fig8_throughput_sweep_point", |b| {
         b.iter(|| {
-            let mut fz = FzGpuRunner::new(A100);
-            let mut cusz = CuSz::new(A100);
-            let mut szx = CuSzx::new(A100);
-            let f = fz.run(&data, SHAPE, eb()).unwrap();
-            let cz = cusz.run(&data, SHAPE, eb()).unwrap();
-            let sx = szx.run(&data, SHAPE, eb()).unwrap();
-            black_box((f.compress_time, cz.compress_time, cz.codebook_time, sx.compress_time))
+            let f = run("fz", &data);
+            let cz = run("cusz", &data);
+            let sx = run("cuszx", &data);
+            let ncb = cz.compress_time - fzgpu_baselines::cusz::codebook_seconds(&A100);
+            black_box((f.compress_time, cz.compress_time, ncb, sx.compress_time))
         });
     });
 }
@@ -93,12 +90,11 @@ fn bench_fig11(c: &mut Criterion) {
     let data = mini_field();
     c.bench_function("fig11_overall_throughput_point", |b| {
         b.iter(|| {
-            let mut fz = FzGpuRunner::new(A100);
-            let run = fz.run(&data, SHAPE, eb()).unwrap();
+            let fz = run("fz", &data);
             black_box(overall_throughput(
                 11.4,
-                run.ratio(data.len()),
-                run.throughput_gbps(data.len()),
+                fz.ratio(data.len()),
+                fz.throughput_gbps(data.len()),
             ))
         });
     });
@@ -108,13 +104,12 @@ fn bench_fig12(c: &mut Criterion) {
     let data = synth::sparse_plume(Dims::D3(SHAPE.0, SHAPE.1, SHAPE.2), 9, 0.12);
     c.bench_function("fig12_quality_point", |b| {
         b.iter(|| {
-            let mut fz = FzGpuRunner::new(A100);
-            let run = fz.run(&data, SHAPE, eb()).unwrap();
+            let fz = run("fz", &data);
             let (ny, nx) = (SHAPE.1, SHAPE.2);
             let mid = SHAPE.0 / 2 * ny * nx;
             let s =
-                ssim_2d(&data[mid..mid + ny * nx], &run.reconstructed[mid..mid + ny * nx], ny, nx);
-            let h = histogram_f32(&run.reconstructed, -1.0, 1.0, 32);
+                ssim_2d(&data[mid..mid + ny * nx], &fz.reconstructed[mid..mid + ny * nx], ny, nx);
+            let h = histogram_f32(&fz.reconstructed, -1.0, 1.0, 32);
             black_box((s, h))
         });
     });
@@ -125,12 +120,12 @@ fn bench_cpu_rows(c: &mut Criterion) {
     let mut g = c.benchmark_group("cpu_comparison_rows");
     g.sample_size(10);
     g.bench_function("fzomp", |b| {
-        let mut omp = FzNativeRunner::default();
-        b.iter(|| black_box(omp.run(&data, SHAPE, eb()).unwrap().compress_time));
+        let mut omp = FzNative::new();
+        b.iter(|| black_box(omp.compress(&data, SHAPE, ErrorBound::RelToRange(1e-3))));
     });
     g.bench_function("szomp", |b| {
-        let mut sz = SzOmp;
-        b.iter(|| black_box(sz.run(&data, SHAPE, eb()).unwrap().compress_time));
+        let eb_abs = ErrorBound::RelToRange(1e-3).resolve(&data);
+        b.iter(|| black_box(SzOmp.compress(&data, SHAPE, eb_abs).expect("3D field")));
     });
     g.finish();
 }
@@ -140,8 +135,7 @@ fn bench_mgard_row(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig8_mgard_row");
     g.sample_size(10);
     g.bench_function("mgard", |b| {
-        let mut m = Mgard::new(A100);
-        b.iter(|| black_box(m.run(&data, SHAPE, eb()).unwrap().compressed_bytes));
+        b.iter(|| black_box(run("mgard", &data).compressed_bytes));
     });
     g.finish();
 }

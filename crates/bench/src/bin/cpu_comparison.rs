@@ -8,17 +8,20 @@
 //! against whatever host runs this binary, so the absolute factor shifts
 //! with the host while the ordering FZ-GPU >> FZ-OMP > SZ-OMP holds.
 
-use fzgpu_baselines::{Baseline, Setting, SzOmp};
-use fzgpu_bench::{
-    all_fields, fmt, mean, scale_from_args, shape_of, FzGpuRunner, FzNativeRunner, Table,
-};
+use std::time::Instant;
+
+use fzgpu_baselines::SzOmp;
+use fzgpu_bench::{all_fields, eb_config, fmt, mean, round_trip, scale_from_args, shape_of, Table};
 use fzgpu_core::quant::ErrorBound;
+use fzgpu_core::FzNative;
 use fzgpu_sim::device::A100;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let fields = all_fields(scale_from_args(&args));
-    let setting = Setting::Eb(ErrorBound::RelToRange(1e-3));
+    let eb = ErrorBound::RelToRange(1e-3);
+    // Host wall rows time compression alone, in GB/s of input.
+    let host_gbps = |n: usize, seconds: f64| (n * 4) as f64 / seconds / 1e9;
     println!(
         "CPU comparison (rel eb 1e-3): FZ-GPU (modeled A100) vs FZ-OMP vs SZ-OMP (measured)\n"
     );
@@ -37,21 +40,26 @@ fn main() {
         let shape = shape_of(field);
         let n = field.data.len();
 
-        let mut fz_gpu = FzGpuRunner::new(A100);
-        let g = fz_gpu.run(&field.data, shape, setting).unwrap().throughput_gbps(n);
+        let fz_gpu = round_trip(&eb_config("fz", &field.data, 1e-3), A100, &field.data, shape);
+        let g = fz_gpu.expect("fz-gpu runs everywhere").throughput_gbps(n);
 
-        let mut fz_omp = FzNativeRunner::default();
+        let mut fz_omp = FzNative::new();
         // Warm-up + best-of-3 to stabilize the wall-clock measurement.
         let mut best = 0.0f64;
         for _ in 0..3 {
-            let r = fz_omp.run(&field.data, shape, setting).unwrap();
-            best = best.max(r.throughput_gbps(n));
+            let t0 = Instant::now();
+            let _stream = fz_omp.compress(&field.data, shape, eb);
+            best = best.max(host_gbps(n, t0.elapsed().as_secs_f64()));
         }
         gpu_omp.push(g / best);
 
-        let (sz_cell, ratio_cell) = match SzOmp.run(&field.data, shape, setting) {
-            Some(r) => {
-                let s = r.throughput_gbps(n);
+        let eb_abs = eb.resolve(&field.data);
+        let t0 = Instant::now();
+        let sz_gbps = SzOmp
+            .compress(&field.data, shape, eb_abs)
+            .map(|_| host_gbps(n, t0.elapsed().as_secs_f64()));
+        let (sz_cell, ratio_cell) = match sz_gbps {
+            Some(s) => {
                 omp_sz.push(best / s);
                 (fmt(s), fmt(best / s))
             }

@@ -2,11 +2,10 @@
 //! `T_overall = ((BW * CR)^-1 + T_compr^-1)^-1`, with the paper's measured
 //! congested PCIe bandwidth of 11.4 GB/s per GPU.
 
-use fzgpu_baselines::{Baseline, Setting};
 use fzgpu_bench::{
-    all_fields, fmt, mean, run_named, scale_from_args, shape_of, FzGpuRunner, Table, REL_EBS,
+    all_fields, eb_config, fmt, mean, round_trip, scale_from_args, shape_of, zfp_match_psnr, Run,
+    Table, REL_EBS,
 };
-use fzgpu_core::quant::ErrorBound;
 use fzgpu_metrics::{overall_throughput, psnr};
 use fzgpu_sim::device::A100;
 
@@ -26,24 +25,25 @@ fn main() {
         let mut t =
             Table::new(&["rel eb", "cuSZ", "cuZFP", "cuSZx", "MGARD-GPU", "FZ-GPU", "raw link"]);
         for &eb in &REL_EBS {
-            let setting = Setting::Eb(ErrorBound::RelToRange(eb));
-            let overall = |run: &fzgpu_baselines::Run| {
-                overall_throughput(bw, run.ratio(n), run.throughput_gbps(n))
-            };
+            let overall = |run: &Run| overall_throughput(bw, run.ratio(n), run.throughput_gbps(n));
+            let run_of =
+                |name| round_trip(&eb_config(name, &field.data, eb), A100, &field.data, shape);
 
-            let mut fz = FzGpuRunner::new(A100);
-            let fz_run = fz.run(&field.data, shape, setting).unwrap();
+            let fz_run = run_of("fz").unwrap();
             let fz_overall = overall(&fz_run);
             let fz_psnr = psnr(&field.data, &fz_run.reconstructed);
 
             let mut row = vec![format!("{eb:.0e}")];
             let mut best_other: f64 = 0.0;
 
-            // Column order matches the table header; construction and
-            // cuZFP's rate search are handled by the shared dispatcher.
+            // Column order matches the table header; cuZFP runs at the rate
+            // whose PSNR matches FZ-GPU's.
             for name in ["cusz", "cuzfp", "cuszx", "mgard"] {
-                let v = run_named(name, A100, &field.data, shape, setting, fz_psnr)
-                    .map(|r| overall(&r));
+                let run = match name {
+                    "cuzfp" => zfp_match_psnr(A100, &field.data, shape, fz_psnr).map(|(_, r)| r),
+                    _ => run_of(name).ok(),
+                };
+                let v = run.map(|r| overall(&r));
                 best_other = best_other.max(v.unwrap_or(0.0));
                 row.push(v.map_or("-".into(), fmt));
             }

@@ -2,26 +2,22 @@
 //! at a similar compression ratio (~22.8x), comparing PSNR, SSIM, and the
 //! preservation of the value distribution across all five compressors.
 
-use fzgpu_baselines::{Baseline, Setting};
-use fzgpu_bench::{fmt, runner_by_name, scale_from_args, Table};
+use fzgpu_bench::{eb_config, fmt, round_trip, scale_from_args, Run, Table};
 use fzgpu_core::lorenzo::Shape;
-use fzgpu_core::quant::ErrorBound;
 use fzgpu_data::DatasetInfo;
 use fzgpu_metrics::{distribution::tv_distance, histogram_f32, psnr, ssim_2d};
+use fzgpu_sim::device::A100;
+use fzgpu_store::CodecConfig;
 
 const TARGET_CR: f64 = 22.8;
 
-/// Search an eb-driven compressor for the bound whose ratio lands nearest
-/// the target CR.
-fn search_eb(
-    baseline: &mut dyn Baseline,
-    data: &[f32],
-    shape: Shape,
-) -> Option<fzgpu_baselines::Run> {
-    let mut best: Option<(f64, fzgpu_baselines::Run)> = None;
+/// Search the eb-driven compressor `name` for the bound whose ratio lands
+/// nearest the target CR.
+fn search_eb(name: &str, data: &[f32], shape: Shape) -> Option<Run> {
+    let mut best: Option<(f64, Run)> = None;
     for exp in 0..24 {
         let eb = 1e-5 * 10f64.powf(exp as f64 / 6.0); // 1e-5 .. ~1e-1
-        let Some(run) = baseline.run(data, shape, Setting::Eb(ErrorBound::RelToRange(eb))) else {
+        let Ok(run) = round_trip(&eb_config(name, data, eb), A100, data, shape) else {
             continue;
         };
         let d = (run.ratio(data.len()).ln() - TARGET_CR.ln()).abs();
@@ -32,13 +28,13 @@ fn search_eb(
     best.map(|(_, r)| r)
 }
 
-/// Search a fixed-rate compressor (cuZFP) for the bitrate whose ratio
+/// Search the fixed-rate compressor (cuZFP) for the bitrate whose ratio
 /// lands nearest the target CR.
-fn search_rate(zfp: &mut dyn Baseline, data: &[f32], shape: Shape) -> Option<fzgpu_baselines::Run> {
-    let mut best: Option<(f64, fzgpu_baselines::Run)> = None;
+fn search_rate(data: &[f32], shape: Shape) -> Option<Run> {
+    let mut best: Option<(f64, Run)> = None;
     for rate10 in 5..80 {
         let rate = rate10 as f64 / 10.0;
-        let run = zfp.run(data, shape, Setting::Rate(rate))?;
+        let run = round_trip(&CodecConfig::CuZfp { rate }, A100, data, shape).ok()?;
         let d = (run.ratio(data.len()).ln() - TARGET_CR.ln()).abs();
         if best.as_ref().is_none_or(|(bd, _)| d < *bd) {
             best = Some((d, run));
@@ -64,7 +60,7 @@ fn main() {
     );
     let mut t = Table::new(&["compressor", "CR", "PSNR dB", "SSIM", "TV-dist", "GB/s"]);
 
-    let mut report = |name: &str, run: Option<fzgpu_baselines::Run>| {
+    let mut report = |name: &str, run: Option<Run>| {
         let Some(run) = run else {
             t.row(vec![name.into(), "-".into(), "-".into(), "-".into(), "-".into(), "-".into()]);
             return;
@@ -89,9 +85,11 @@ fn main() {
         ("cuSZx", "cuszx"),
         ("MGARD-GPU", "mgard"),
     ] {
-        let mut runner = runner_by_name(name, fzgpu_sim::device::A100).expect("known name");
-        let search = if name == "cuzfp" { search_rate } else { search_eb };
-        report(label, search(runner.as_mut(), &field.data, shape));
+        let run = match name {
+            "cuzfp" => search_rate(&field.data, shape),
+            _ => search_eb(name, &field.data, shape),
+        };
+        report(label, run);
     }
 
     print!("{}", t.render());

@@ -6,12 +6,10 @@
 //! PSNR matches FZ-GPU's, exactly as §4.3 describes. `--summary` prints
 //! the paper's aggregate claims (ratio improvement over cuZFP / cuSZx).
 
-use fzgpu_baselines::{Baseline, CuZfp, Setting};
 use fzgpu_bench::{
-    all_fields, arg_flag, fmt, run_named, scale_from_args, shape_of, zfp_match_psnr, FzGpuRunner,
+    all_fields, arg_flag, eb_config, fmt, round_trip, scale_from_args, shape_of, zfp_match_psnr,
     Table, REL_EBS,
 };
-use fzgpu_core::quant::ErrorBound;
 use fzgpu_metrics::{bitrate, psnr};
 use fzgpu_sim::device::A100;
 
@@ -30,18 +28,18 @@ fn main() {
         let n = field.data.len();
         let mut t = Table::new(&["rel eb", "compressor", "bitrate", "PSNR dB", "ratio"]);
         for &eb in &REL_EBS {
-            let setting = Setting::Eb(ErrorBound::RelToRange(eb));
+            let run_of =
+                |name| round_trip(&eb_config(name, &field.data, eb), A100, &field.data, shape);
 
-            let mut fz = FzGpuRunner::new(A100);
-            let fz_run = fz.run(&field.data, shape, setting).expect("fz-gpu runs everywhere");
+            let fz_run = run_of("fz").expect("fz-gpu runs everywhere");
             let fz_psnr = psnr(&field.data, &fz_run.reconstructed);
             let fz_ratio = fz_run.ratio(n);
             push(&mut t, eb, "FZ-GPU", fz_ratio, fz_psnr);
 
-            // Error-bound-driven baselines share the name dispatcher; only
-            // the ratio bookkeeping differs per compressor.
+            // Error-bound-driven baselines share the round trip; only the
+            // ratio bookkeeping differs per compressor.
             for (label, name) in [("cuSZ", "cusz"), ("cuSZx", "cuszx"), ("MGARD-GPU", "mgard")] {
-                if let Some(run) = run_named(name, A100, &field.data, shape, setting, fz_psnr) {
+                if let Ok(run) = run_of(name) {
                     let r = run.ratio(n);
                     push(&mut t, eb, label, r, psnr(&field.data, &run.reconstructed));
                     match name {
@@ -52,8 +50,7 @@ fn main() {
                 }
             }
 
-            let mut zfp = CuZfp::new(A100);
-            if let Some((rate, run)) = zfp_match_psnr(&mut zfp, &field.data, shape, fz_psnr) {
+            if let Some((rate, run)) = zfp_match_psnr(A100, &field.data, shape, fz_psnr) {
                 let p = psnr(&field.data, &run.reconstructed);
                 push(&mut t, eb, &format!("cuZFP (r={rate})"), run.ratio(n), p);
                 fz_vs_zfp.push(fz_ratio / run.ratio(n));

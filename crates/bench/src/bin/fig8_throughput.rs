@@ -5,12 +5,11 @@
 //! bars use the bitrate whose PSNR matches FZ-GPU's at each bound, as in
 //! the paper. The summary prints the headline speedups (§4.4).
 
-use fzgpu_baselines::{Baseline, Setting};
+use fzgpu_baselines::cusz::codebook_seconds;
 use fzgpu_bench::{
-    all_fields, arg_value, fmt, mean, run_named, scale_from_args, shape_of, FzGpuRunner, Table,
-    REL_EBS,
+    all_fields, arg_value, eb_config, fmt, mean, round_trip, scale_from_args, shape_of,
+    zfp_match_psnr, Table, REL_EBS,
 };
-use fzgpu_core::quant::ErrorBound;
 use fzgpu_metrics::psnr;
 use fzgpu_sim::device;
 
@@ -38,25 +37,24 @@ fn main() {
         let mut t =
             Table::new(&["rel eb", "cuSZ", "cuSZ-ncb", "cuZFP", "cuSZx", "MGARD-GPU", "FZ-GPU"]);
         for &eb in &REL_EBS {
-            let setting = Setting::Eb(ErrorBound::RelToRange(eb));
+            // Every compressor runs through the shared round trip; cuSZ's
+            // also yields the no-codebook (ncb) column.
+            let run_of =
+                |name| round_trip(&eb_config(name, &field.data, eb), spec, &field.data, shape);
 
-            let mut fz = FzGpuRunner::new(spec);
-            let fz_run = fz.run(&field.data, shape, setting).unwrap();
+            let fz_run = run_of("fz").unwrap();
             let fz_gbps = fz_run.throughput_gbps(n);
             let fz_psnr = psnr(&field.data, &fz_run.reconstructed);
 
-            // All baselines route through the shared name dispatcher;
-            // cuSZ's run also yields the no-codebook (ncb) column.
-            let run_of = |name| run_named(name, spec, &field.data, shape, setting, fz_psnr);
-
             let cusz_run = run_of("cusz").unwrap();
             let cusz_gbps = cusz_run.throughput_gbps(n);
-            let ncb_gbps = cusz_run.throughput_ncb_gbps(n);
+            let ncb_seconds = cusz_run.compress_time - codebook_seconds(&spec);
+            let ncb_gbps = (n * 4) as f64 / ncb_seconds / 1e9;
             speedup_cusz.push(fz_gbps / cusz_gbps);
             speedup_ncb.push(fz_gbps / ncb_gbps);
 
-            let zfp_gbps = match run_of("cuzfp") {
-                Some(run) => {
+            let zfp_gbps = match zfp_match_psnr(spec, &field.data, shape, fz_psnr) {
+                Some((_, run)) => {
                     let g = run.throughput_gbps(n);
                     speedup_zfp.push(fz_gbps / g);
                     fmt(g)
@@ -69,12 +67,12 @@ fn main() {
             speedup_szx.push(fz_gbps / szx_gbps);
 
             let mgard_gbps = match run_of("mgard") {
-                Some(run) => {
+                Ok(run) => {
                     let g = run.throughput_gbps(n);
                     speedup_mgard.push(fz_gbps / g);
                     fmt(g)
                 }
-                None => "-".into(),
+                Err(_) => "-".into(),
             };
 
             t.row(vec![

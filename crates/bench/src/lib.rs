@@ -2,95 +2,70 @@
 //!
 //! Each binary under `src/bin/` reproduces one exhibit (see DESIGN.md §3
 //! for the experiment index). This library holds the shared sweep
-//! machinery: uniform `Baseline` adapters for FZ-GPU / FZ-OMP (the native
-//! fast path), the paper's error-bound grid, cuZFP's PSNR-matched rate
-//! search, and plain-text table rendering.
+//! machinery: one round trip ([`round_trip`]) that runs any compressor
+//! through the store's `Codec` interface, the paper's error-bound grid,
+//! cuZFP's PSNR-matched rate search, and plain-text table rendering.
 
 pub mod regress;
 
-use fzgpu_baselines::{Baseline, CuZfp, Run, Setting};
 use fzgpu_core::lorenzo::Shape;
 use fzgpu_core::quant::ErrorBound;
-use fzgpu_core::{FzGpu, FzNative, FzOptions};
+use fzgpu_core::FzGpu;
 use fzgpu_data::{Field, Scale, CATALOG};
 use fzgpu_metrics::psnr;
 use fzgpu_sim::DeviceSpec;
+use fzgpu_store::{CodecConfig, CodecError, Registry};
 
 /// The paper's five range-based relative error bounds.
 pub const REL_EBS: [f64; 5] = [1e-2, 5e-3, 1e-3, 5e-4, 1e-4];
 
-/// FZ-GPU adapter for the uniform sweep interface.
-pub struct FzGpuRunner {
-    fz: FzGpu,
+/// Result of one compress + decompress round trip.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// Compressed size in bytes, as the codec accounts it
+    /// (`Codec::accounted_bytes`).
+    pub compressed_bytes: usize,
+    /// Modeled device seconds of compression.
+    pub compress_time: f64,
+    /// Reconstructed field (for distortion metrics).
+    pub reconstructed: Vec<f32>,
 }
 
-impl FzGpuRunner {
-    /// On the given device, default options.
-    pub fn new(spec: DeviceSpec) -> Self {
-        Self { fz: FzGpu::new(spec) }
+impl Run {
+    /// Compression ratio against f32 input of `n` values.
+    pub fn ratio(&self, n: usize) -> f64 {
+        (n * 4) as f64 / self.compressed_bytes as f64
     }
 
-    /// With explicit options (ablation variants).
-    pub fn with_options(spec: DeviceSpec, opts: FzOptions) -> Self {
-        Self { fz: FzGpu::with_options(spec, opts) }
-    }
-
-    /// Access the inner compressor (kernel breakdowns).
-    pub fn inner(&mut self) -> &mut FzGpu {
-        &mut self.fz
-    }
-}
-
-impl Baseline for FzGpuRunner {
-    fn name(&self) -> &'static str {
-        "FZ-GPU"
-    }
-
-    fn run(&mut self, data: &[f32], shape: Shape, setting: Setting) -> Option<Run> {
-        let Setting::Eb(eb) = setting else {
-            return None;
-        };
-        let c = self.fz.compress(data, shape, eb);
-        let compress_time = self.fz.kernel_time();
-        let reconstructed = self.fz.decompress(&c).ok()?;
-        Some(Run {
-            name: self.name(),
-            compressed_bytes: c.bytes.len(),
-            compress_time,
-            reconstructed,
-            codebook_time: 0.0,
-        })
+    /// Compression throughput in GB/s.
+    pub fn throughput_gbps(&self, n: usize) -> f64 {
+        (n * 4) as f64 / self.compress_time / 1e9
     }
 }
 
-/// FZ-OMP adapter (§4.4): the native fast path — the pipeline as
-/// multi-threaded host code — timed in wall-clock on the host CPU.
-#[derive(Default)]
-pub struct FzNativeRunner {
-    fz: FzNative,
+/// Run the compressor `cfg` names on `spec` over `data`: build, encode,
+/// read the modeled compress seconds, decode. An encode error is how a
+/// compressor declines a field (MGARD on 1-D, SZ-OMP off 3-D).
+pub fn round_trip(
+    cfg: &CodecConfig,
+    spec: DeviceSpec,
+    data: &[f32],
+    shape: Shape,
+) -> Result<Run, CodecError> {
+    let mut codec = Registry::builtin().build(cfg, spec)?;
+    let bytes = codec.encode(data, shape)?;
+    let compress_time = codec.modeled_seconds();
+    let compressed_bytes = codec.accounted_bytes(&bytes, shape)?;
+    let reconstructed = codec.decode(&bytes, shape)?;
+    Ok(Run { compressed_bytes, compress_time, reconstructed })
 }
 
-impl Baseline for FzNativeRunner {
-    fn name(&self) -> &'static str {
-        "FZ-OMP"
-    }
-
-    fn run(&mut self, data: &[f32], shape: Shape, setting: Setting) -> Option<Run> {
-        let Setting::Eb(eb) = setting else {
-            return None;
-        };
-        let t0 = std::time::Instant::now();
-        let c = self.fz.compress(data, shape, eb);
-        let compress_time = t0.elapsed().as_secs_f64();
-        let reconstructed = self.fz.decompress(&c).ok()?;
-        Some(Run {
-            name: self.name(),
-            compressed_bytes: c.bytes.len(),
-            compress_time,
-            reconstructed,
-            codebook_time: 0.0,
-        })
-    }
+/// The config of error-bounded compressor `name` at range-relative bound
+/// `rel_eb` over `data` (resolved to the absolute bound every codec
+/// stores).
+pub fn eb_config(name: &str, data: &[f32], rel_eb: f64) -> CodecConfig {
+    let eb_abs = ErrorBound::RelToRange(rel_eb).resolve(data);
+    CodecConfig::from_cli(name, Some(eb_abs), None).expect("an error-bounded codec name")
 }
 
 /// Find the cuZFP rate whose PSNR best matches `target_psnr` on this field
@@ -99,7 +74,7 @@ impl Baseline for FzNativeRunner {
 /// rate reaches within 6 dB (the paper's "cuZFP cannot achieve a similar
 /// PSNR" gaps on Nyx/RTM at high bounds).
 pub fn zfp_match_psnr(
-    zfp: &mut CuZfp,
+    spec: DeviceSpec,
     data: &[f32],
     shape: Shape,
     target_psnr: f64,
@@ -107,7 +82,7 @@ pub fn zfp_match_psnr(
     let mut best: Option<(f64, f64, Run)> = None; // (|dpsnr|, rate, run)
     let ladder: Vec<f64> = (1..=16).map(|r| r as f64).chain([18.0, 20.0, 24.0, 28.0]).collect();
     for rate in ladder {
-        let run = zfp.run(data, shape, Setting::Rate(rate))?;
+        let run = round_trip(&CodecConfig::CuZfp { rate }, spec, data, shape).ok()?;
         let p = psnr(data, &run.reconstructed);
         let d = (p - target_psnr).abs();
         let better = best.as_ref().is_none_or(|(bd, _, _)| d < *bd);
@@ -124,36 +99,6 @@ pub fn zfp_match_psnr(
 /// Generate every catalog dataset's representative field at `scale`.
 pub fn all_fields(scale: Scale) -> Vec<Field> {
     CATALOG.iter().map(|info| info.generate(scale)).collect()
-}
-
-/// Build any sweep runner by canonical name: `"fz"` / `"fz-omp"` for the
-/// paper's compressor, else one of [`fzgpu_baselines::BASELINE_NAMES`].
-/// The figure binaries dispatch through this instead of hand-constructing
-/// each concrete type.
-pub fn runner_by_name(name: &str, spec: DeviceSpec) -> Option<Box<dyn Baseline>> {
-    match name {
-        "fz" => Some(Box::new(FzGpuRunner::new(spec))),
-        "fz-omp" => Some(Box::new(FzNativeRunner::default())),
-        _ => fzgpu_baselines::by_name(name, spec),
-    }
-}
-
-/// Run the named compressor once at `setting`. `"cuzfp"` is fixed-rate
-/// only, so it runs the paper's PSNR-matched rate search against
-/// `fz_psnr` instead of the error-bound setting.
-pub fn run_named(
-    name: &str,
-    spec: DeviceSpec,
-    data: &[f32],
-    shape: Shape,
-    setting: Setting,
-    fz_psnr: f64,
-) -> Option<Run> {
-    if name == "cuzfp" {
-        let mut zfp = CuZfp::new(spec);
-        return zfp_match_psnr(&mut zfp, data, shape, fz_psnr).map(|(_, r)| r);
-    }
-    runner_by_name(name, spec)?.run(data, shape, setting)
 }
 
 /// Profiles of one field's full round trip, for the observability harness
@@ -287,7 +232,6 @@ pub fn mean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fzgpu_core::quant::ErrorBound;
     use fzgpu_sim::device::A100;
 
     #[test]
@@ -310,10 +254,16 @@ mod tests {
     }
 
     #[test]
-    fn fzgpu_runner_roundtrips() {
+    fn run_metrics() {
+        let r = Run { compressed_bytes: 1000, compress_time: 1e-3, reconstructed: vec![] };
+        assert_eq!(r.ratio(1000), 4.0);
+        assert!((r.throughput_gbps(1000) - 0.004).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fz_round_trip_compresses() {
         let data: Vec<f32> = (0..8192).map(|i| (i as f32 * 0.01).sin()).collect();
-        let mut r = FzGpuRunner::new(A100);
-        let run = r.run(&data, (1, 64, 128), Setting::Eb(ErrorBound::RelToRange(1e-3))).unwrap();
+        let run = round_trip(&eb_config("fz", &data, 1e-3), A100, &data, (1, 64, 128)).unwrap();
         assert!(run.ratio(data.len()) > 1.0);
         assert!(psnr(&data, &run.reconstructed) > 50.0);
     }
@@ -321,10 +271,68 @@ mod tests {
     #[test]
     fn zfp_psnr_match_converges() {
         let data: Vec<f32> = (0..4096).map(|i| ((i % 64) as f32 * 0.2).sin()).collect();
-        let mut zfp = CuZfp::new(A100);
-        let (rate, run) = zfp_match_psnr(&mut zfp, &data, (1, 64, 64), 70.0).unwrap();
+        let (rate, run) = zfp_match_psnr(A100, &data, (1, 64, 64), 70.0).unwrap();
         let p = psnr(&data, &run.reconstructed);
         assert!((p - 70.0).abs() <= 15.0, "rate {rate} psnr {p}");
+    }
+
+    /// One harness row: device, compressor, compressed bytes, the bits of
+    /// the modeled compress seconds, and the CRC-32 of the reconstruction.
+    type Row = (&'static str, &'static str, usize, u64, u32);
+
+    const HARNESS_ROWS: [Row; 10] = [
+        ("A100", "fz", 3584, 0x3ef8d19bb3e95fd6, 0xbae4f9f4),
+        ("A100", "cusz", 3783, 0x3f487d8f9a509557, 0xbae4f9f4),
+        ("A100", "cuszx", 5240, 0x3eecc564d68ca7e3, 0x0e57d538),
+        ("A100", "mgard", 9796, 0x3eea25d9fe60c569, 0x0cb43a21),
+        ("A100", "cuzfp", 5968, 0x3ef8c61205d2f368, 0x4f2ffc00),
+        ("A4000", "fz", 3584, 0x3ef9de75ea0f7b46, 0xbae4f9f4),
+        ("A4000", "cusz", 3783, 0x3f464ff95845e808, 0xbae4f9f4),
+        ("A4000", "cuszx", 5240, 0x3eed40d59e46fa7b, 0x0e57d538),
+        ("A4000", "mgard", 9796, 0x3eef0fd33e06388a, 0x0cb43a21),
+        ("A4000", "cuzfp", 5968, 0x3efea66fa1154a4a, 0x4f2ffc00),
+    ];
+
+    /// Per device: cuZFP's PSNR-matched rate and the bits of cuSZ's
+    /// no-codebook compress seconds.
+    const HARNESS_ZFP_RATE_AND_NCB: [(&str, f64, u64); 2] =
+        [("A100", 10.0, 0x3f040318df7fb600), ("A4000", 10.0, 0x3f04ea9434497f30)];
+
+    #[test]
+    fn harness_rows_are_pinned() {
+        use fzgpu_baselines::cusz::codebook_seconds;
+        use fzgpu_data::{synth, Dims};
+        use fzgpu_sim::device::A4000;
+        let shape = (8, 24, 24);
+        let data = synth::multiscale(Dims::D3(8, 24, 24), 7, 32, 1.5, 0.005);
+        let mut rows: Vec<Row> = Vec::new();
+        let mut zfp_and_ncb = Vec::new();
+        for spec in [A100, A4000] {
+            let row = |name, run: &Run| {
+                let crc = fzgpu_store::value_digest(&run.reconstructed);
+                (spec.name, name, run.compressed_bytes, run.compress_time.to_bits(), crc)
+            };
+            let run_of = |name| round_trip(&eb_config(name, &data, 1e-3), spec, &data, shape);
+            let fz = run_of("fz").unwrap();
+            let fz_psnr = psnr(&data, &fz.reconstructed);
+            rows.push(row("fz", &fz));
+            let mut ncb = 0.0;
+            for name in ["cusz", "cuszx", "mgard"] {
+                let run = run_of(name).unwrap();
+                if name == "cusz" {
+                    ncb = run.compress_time - codebook_seconds(&spec);
+                }
+                rows.push(row(name, &run));
+            }
+            let (rate, zfp) = zfp_match_psnr(spec, &data, shape, fz_psnr).unwrap();
+            rows.push(row("cuzfp", &zfp));
+            zfp_and_ncb.push((spec.name, rate, ncb.to_bits()));
+        }
+        assert_eq!(rows, HARNESS_ROWS, "harness rows drifted: got {rows:#x?}");
+        assert_eq!(
+            zfp_and_ncb, HARNESS_ZFP_RATE_AND_NCB,
+            "cuZFP rate or cuSZ-ncb drifted: got {zfp_and_ncb:#x?}"
+        );
     }
 
     #[test]

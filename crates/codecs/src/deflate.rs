@@ -62,14 +62,17 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompress a [`compress`] stream.
-pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>, HuffmanError> {
-    if bytes.len() < 4 + ALPHABET {
+/// Decompress a [`compress`] stream of `raw_len` bytes. A stream that
+/// declares another length, or whose tokens expand to another length, is
+/// an error, so the output never outgrows `raw_len`.
+pub fn decompress(bytes: &[u8], raw_len: usize) -> Result<Vec<u8>, HuffmanError> {
+    if bytes.len() < 4 + ALPHABET
+        || u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize != raw_len
+    {
         return Err(HuffmanError::CorruptStream);
     }
-    let raw_len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
     let lengths: Vec<u8> = bytes[4..4 + ALPHABET].to_vec();
-    let book = Codebook::from_lengths(lengths);
+    let book = Codebook::from_lengths(lengths)?;
     let payload = &bytes[4 + ALPHABET..];
 
     let decoder = Decoder::new(&book);
@@ -80,22 +83,22 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>, HuffmanError> {
         if sym == SYM_EOB {
             break;
         }
+        // Every token yields at least one byte.
+        if tokens.len() == raw_len {
+            return Err(HuffmanError::CorruptStream);
+        }
         if sym < 256 {
             tokens.push(Token::Literal(sym as u8));
         } else {
             let len = (sym as usize - 256) + 4;
             let dist = r.get_bits(16).ok_or(HuffmanError::CorruptStream)? as u16;
-            if dist == 0 {
-                return Err(HuffmanError::CorruptStream);
-            }
             tokens.push(Token::Match { len: len as u16, dist });
         }
     }
-    let out = detokenize(&tokens);
-    if out.len() != raw_len {
-        return Err(HuffmanError::CorruptStream);
+    match detokenize(&tokens, raw_len) {
+        Some(out) if out.len() == raw_len => Ok(out),
+        _ => Err(HuffmanError::CorruptStream),
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -106,7 +109,7 @@ mod tests {
     #[test]
     fn empty_roundtrip() {
         let c = compress(&[]);
-        assert_eq!(decompress(&c).unwrap(), Vec::<u8>::new());
+        assert_eq!(decompress(&c, 0).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
@@ -117,7 +120,7 @@ mod tests {
         }
         let c = compress(&data);
         assert!(c.len() < data.len() / 2, "compressed {} raw {}", c.len(), data.len());
-        assert_eq!(decompress(&c).unwrap(), data);
+        assert_eq!(decompress(&c, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -125,7 +128,7 @@ mod tests {
         let data = vec![0u8; 100_000];
         let c = compress(&data);
         assert!(c.len() < 3000, "compressed {}", c.len());
-        assert_eq!(decompress(&c).unwrap(), data);
+        assert_eq!(decompress(&c, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -133,7 +136,7 @@ mod tests {
         let data: Vec<u8> =
             (0..10_000u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
         let c = compress(&data);
-        assert_eq!(decompress(&c).unwrap(), data);
+        assert_eq!(decompress(&c, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -141,17 +144,17 @@ mod tests {
         let data = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
         let c = compress(&data);
         assert!(
-            decompress(&c[..c.len() - 1]).is_err()
-                || decompress(&c[..c.len() - 1]).unwrap() != data
+            decompress(&c[..c.len() - 1], data.len()).is_err()
+                || decompress(&c[..c.len() - 1], data.len()).unwrap() != data
         );
-        assert!(decompress(&c[..3]).is_err());
+        assert!(decompress(&c[..3], data.len()).is_err());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn prop_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..2000)) {
-            prop_assert_eq!(decompress(&compress(&data)).unwrap(), data);
+            prop_assert_eq!(decompress(&compress(&data), data.len()).unwrap(), data);
         }
     }
 }

@@ -13,6 +13,7 @@
 //! what makes the scheme GPU-parallel.
 
 use crate::bitio::{BitReader, BitWriter};
+use crate::wire::{self, Cursor, WireResult};
 
 /// Maximum code length we allow. 32 keeps codes in a `u32` and matches the
 /// paper's observation that Huffman bounds cuSZ's ratio at 32x.
@@ -37,6 +38,9 @@ pub enum HuffmanError {
     UnknownSymbol(u16),
     /// The bitstream ended mid-code or is corrupt.
     CorruptStream,
+    /// A code length table no prefix code has: a length above
+    /// [`MAX_CODE_LEN`], or more codes than the lengths leave room for.
+    InvalidLengths,
 }
 
 impl core::fmt::Display for HuffmanError {
@@ -45,6 +49,7 @@ impl core::fmt::Display for HuffmanError {
             HuffmanError::EmptyHistogram => write!(f, "empty histogram"),
             HuffmanError::UnknownSymbol(s) => write!(f, "symbol {s} has no code"),
             HuffmanError::CorruptStream => write!(f, "corrupt Huffman stream"),
+            HuffmanError::InvalidLengths => write!(f, "invalid Huffman code lengths"),
         }
     }
 }
@@ -64,7 +69,7 @@ impl Codebook {
         if nonzero.len() == 1 {
             // Degenerate tree: one symbol still needs 1 bit.
             lengths[nonzero[0]] = 1;
-            return Ok(Self::from_lengths(lengths));
+            return Self::from_lengths(lengths);
         }
 
         // Package-merge-free classic Huffman via a binary heap of
@@ -115,26 +120,52 @@ impl Codebook {
                 }
             }
         }
-        // Depth clamping can break prefix-freeness for absurd distributions;
-        // the quantization-code histograms here never reach depth 32, and
-        // canonical reassignment below keeps codes consistent with lengths.
-        Ok(Self::from_lengths(lengths))
+        // Depth clamping can over-subscribe the lengths for absurd
+        // distributions, which `from_lengths` rejects; the quantization-code
+        // histograms here never reach depth 32.
+        Self::from_lengths(lengths)
     }
 
-    /// Assign canonical codes from a length table.
-    pub fn from_lengths(lengths: Vec<u8>) -> Self {
+    /// Assign canonical codes from a length table. A stored table is
+    /// untrusted, so lengths above [`MAX_CODE_LEN`] and over-subscribed
+    /// tables (Kraft sum above one) are [`HuffmanError::InvalidLengths`].
+    pub fn from_lengths(lengths: Vec<u8>) -> Result<Self, HuffmanError> {
+        let mut kraft = 0u64;
+        for &len in &lengths {
+            if len as u32 > MAX_CODE_LEN {
+                return Err(HuffmanError::InvalidLengths);
+            }
+            if len > 0 {
+                kraft += 1 << (MAX_CODE_LEN - len as u32);
+                if kraft > 1 << MAX_CODE_LEN {
+                    return Err(HuffmanError::InvalidLengths);
+                }
+            }
+        }
         let mut order: Vec<usize> = (0..lengths.len()).filter(|&s| lengths[s] > 0).collect();
         order.sort_by_key(|&s| (lengths[s], s));
         let mut codes = vec![0u32; lengths.len()];
-        let mut code = 0u32;
+        // u64: a complete code's last length-32 increment reaches 2^32.
+        let mut code = 0u64;
         let mut prev_len = 0u8;
         for &s in &order {
             code <<= lengths[s] - prev_len;
-            codes[s] = code;
+            codes[s] = code as u32;
             code += 1;
             prev_len = lengths[s];
         }
-        Self { lengths, codes }
+        Ok(Self { lengths, codes })
+    }
+
+    /// Append the wire form: the length table alone, since canonical codes
+    /// follow from it.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        wire::put_bytes(out, &self.lengths);
+    }
+
+    /// Parse [`Codebook::write_to`]'s form, validating the lengths.
+    pub fn read_from(c: &mut Cursor<'_>) -> WireResult<Self> {
+        Self::from_lengths(c.bytes()?).map_err(|_| "invalid Huffman code lengths")
     }
 
     /// Average code length in bits under the given histogram (the entropy
@@ -193,12 +224,13 @@ impl DecodeTable {
         }
         let mut first_code = [0u32; MAX_CODE_LEN as usize + 1];
         let mut first_index = [0u32; MAX_CODE_LEN as usize + 1];
-        let mut code = 0u32;
+        // u64 for the same reason as in `Codebook::from_lengths`.
+        let mut code = 0u64;
         let mut idx = 0u32;
         for l in 1..=MAX_CODE_LEN as usize {
-            first_code[l] = code;
+            first_code[l] = code as u32;
             first_index[l] = idx;
-            code = (code + count[l]) << 1;
+            code = (code + count[l] as u64) << 1;
             idx += count[l];
         }
         Self { sym_table, count, first_code, first_index }
@@ -273,6 +305,37 @@ impl ChunkedStream {
     pub fn size_bytes(&self) -> usize {
         self.payload.len() + self.offsets.len() * 4
     }
+
+    /// Append the wire form: payload, offsets, then the chunk and total
+    /// symbol counts.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        wire::put_bytes(out, &self.payload);
+        wire::put_u32s(out, &self.offsets);
+        wire::put_u64(out, self.chunk_symbols as u64);
+        wire::put_u64(out, self.total_symbols as u64);
+    }
+
+    /// Parse [`ChunkedStream::write_to`]'s form. [`decode_chunked`] checks
+    /// the layout, so a parsed stream is only as trusted as its bytes.
+    pub fn read_from(c: &mut Cursor<'_>) -> WireResult<Self> {
+        Ok(Self {
+            payload: c.bytes()?,
+            offsets: c.u32s()?,
+            chunk_symbols: c.u64()? as usize,
+            total_symbols: c.u64()? as usize,
+        })
+    }
+
+    /// True when the offsets tile the payload in order and the chunk count
+    /// matches the symbol counts, with at least one payload bit per symbol.
+    fn is_well_formed(&self) -> bool {
+        let ends = (self.offsets.first(), self.offsets.last());
+        ends == (Some(&0), Some(&(self.payload.len() as u32)))
+            && self.offsets.windows(2).all(|w| w[0] <= w[1])
+            && self.chunk_symbols > 0
+            && self.offsets.len() - 1 == self.total_symbols.div_ceil(self.chunk_symbols)
+            && self.total_symbols <= self.payload.len().saturating_mul(8)
+    }
 }
 
 /// Encode in independent chunks of `chunk_symbols` symbols.
@@ -292,8 +355,12 @@ pub fn encode_chunked(
     Ok(ChunkedStream { payload, offsets, chunk_symbols, total_symbols: symbols.len() })
 }
 
-/// Decode a [`ChunkedStream`].
+/// Decode a [`ChunkedStream`]. A layout [`encode_chunked`] cannot produce
+/// is [`HuffmanError::CorruptStream`].
 pub fn decode_chunked(book: &Codebook, stream: &ChunkedStream) -> Result<Vec<u16>, HuffmanError> {
+    if !stream.is_well_formed() {
+        return Err(HuffmanError::CorruptStream);
+    }
     let decoder = Decoder::new(book);
     let mut out = Vec::with_capacity(stream.total_symbols);
     let nchunks = stream.offsets.len() - 1;
@@ -412,6 +479,23 @@ mod tests {
         let bytes = encode(&book, &symbols).unwrap();
         // Ask for more symbols than encoded.
         assert!(decode(&book, &bytes, 1000).is_err());
+        // A code length past MAX_CODE_LEN, and an over-subscribed table.
+        assert_eq!(Codebook::from_lengths(vec![1, 33]), Err(HuffmanError::InvalidLengths));
+        assert_eq!(Codebook::from_lengths(vec![1, 1, 1]), Err(HuffmanError::InvalidLengths));
+        // A chunked stream claiming more symbols than its chunks hold.
+        let mut stream = encode_chunked(&book, &symbols, 2).unwrap();
+        stream.total_symbols = 1 << 40;
+        assert_eq!(decode_chunked(&book, &stream), Err(HuffmanError::CorruptStream));
+    }
+
+    #[test]
+    fn complete_code_reaching_max_length_roundtrips() {
+        // Lengths 1, 2, ..., 31, 32, 32: Kraft sum exactly one.
+        let lengths: Vec<u8> = (1..=32).chain([32]).collect();
+        let book = Codebook::from_lengths(lengths).unwrap();
+        let symbols = [0u16, 31, 32, 5];
+        let bytes = encode(&book, &symbols).unwrap();
+        assert_eq!(decode(&book, &bytes, symbols.len()).unwrap(), symbols);
     }
 
     proptest! {

@@ -10,6 +10,7 @@
 //! - [`rle`] — run-length encoding (cuSZ+RLE related-work variant).
 //! - [`lz77`] — greedy hash-chain dictionary coder (LZ4-class substitute).
 //! - [`deflate`] — LZ77 + Huffman composition (MGARD's lossless stage).
+//! - [`wire`] — little-endian stream (de)serialization helpers.
 
 pub mod bitio;
 pub mod bitpack;
@@ -17,6 +18,7 @@ pub mod deflate;
 pub mod huffman;
 pub mod lz77;
 pub mod rle;
+pub mod wire;
 
 pub use bitio::{BitReader, BitWriter};
 pub use huffman::{Codebook, Decoder, HuffmanError};

@@ -92,13 +92,18 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
     tokens
 }
 
-/// Reconstruct the byte stream from tokens.
-pub fn detokenize(tokens: &[Token]) -> Vec<u8> {
+/// Reconstruct the byte stream from tokens, or `None` if a match reaches
+/// before the output (`dist == 0` or `dist` past its start) or the
+/// output would grow beyond `max_len` bytes.
+pub fn detokenize(tokens: &[Token], max_len: usize) -> Option<Vec<u8>> {
     let mut out: Vec<u8> = Vec::new();
     for &t in tokens {
         match t {
             Token::Literal(b) => out.push(b),
             Token::Match { len, dist } => {
+                if dist == 0 || dist as usize > out.len() {
+                    return None;
+                }
                 let start = out.len() - dist as usize;
                 // Overlapping copies are the LZ77 idiom (dist < len repeats).
                 for k in 0..len as usize {
@@ -107,8 +112,11 @@ pub fn detokenize(tokens: &[Token]) -> Vec<u8> {
                 }
             }
         }
+        if out.len() > max_len {
+            return None;
+        }
     }
-    out
+    Some(out)
 }
 
 #[cfg(test)]
@@ -119,7 +127,7 @@ mod tests {
     #[test]
     fn empty() {
         assert!(tokenize(&[]).is_empty());
-        assert!(detokenize(&[]).is_empty());
+        assert_eq!(detokenize(&[], 0), Some(vec![]));
     }
 
     #[test]
@@ -127,7 +135,7 @@ mod tests {
         let data = b"abcdefgh";
         let tokens = tokenize(data);
         assert!(tokens.iter().all(|t| matches!(t, Token::Literal(_))));
-        assert_eq!(detokenize(&tokens), data);
+        assert_eq!(detokenize(&tokens, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -138,7 +146,7 @@ mod tests {
         }
         let tokens = tokenize(&data);
         assert!(tokens.len() < data.len() / 4, "tokens {} data {}", tokens.len(), data.len());
-        assert_eq!(detokenize(&tokens), data);
+        assert_eq!(detokenize(&tokens, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -146,7 +154,7 @@ mod tests {
         let data = vec![0u8; 1000];
         let tokens = tokenize(&data);
         assert!(tokens.len() <= 6, "zero run should collapse, got {} tokens", tokens.len());
-        assert_eq!(detokenize(&tokens), data);
+        assert_eq!(detokenize(&tokens, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -158,18 +166,30 @@ mod tests {
                 data.extend_from_slice(b"zzzz");
             }
         }
-        assert_eq!(detokenize(&tokenize(&data)), data);
+        assert_eq!(detokenize(&tokenize(&data), data.len()).unwrap(), data);
+    }
+
+    #[test]
+    fn bad_matches_and_overlong_output_are_rejected() {
+        let lit = Token::Literal(7);
+        assert_eq!(detokenize(&[lit, Token::Match { len: 4, dist: 0 }], 100), None);
+        assert_eq!(detokenize(&[lit, Token::Match { len: 4, dist: 2 }], 100), None);
+        assert_eq!(detokenize(&[Token::Match { len: 4, dist: 1 }], 100), None);
+        // One literal and one max-length match: 65536 bytes.
+        let long = [lit, Token::Match { len: u16::MAX, dist: 1 }];
+        assert_eq!(detokenize(&long, 65535), None);
+        assert_eq!(detokenize(&long, 65536), Some(vec![7; 65536]));
     }
 
     proptest! {
         #[test]
         fn prop_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-            prop_assert_eq!(detokenize(&tokenize(&data)), data);
+            prop_assert_eq!(detokenize(&tokenize(&data), data.len()).unwrap(), data);
         }
 
         #[test]
         fn prop_roundtrip_low_entropy(data in proptest::collection::vec(0u8..4, 0..4096)) {
-            prop_assert_eq!(detokenize(&tokenize(&data)), data);
+            prop_assert_eq!(detokenize(&tokenize(&data), data.len()).unwrap(), data);
         }
     }
 }

@@ -4,6 +4,8 @@
 //! (Tian et al., CLUSTER'21 — RLE in place of Huffman for high error
 //! bounds) and as an ablation codec for FZ-GPU's zero-heavy streams.
 
+use crate::wire::{self, Cursor, WireResult};
+
 /// A `(symbol, run_length)` pair.
 pub type Run = (u16, u32);
 
@@ -29,10 +31,15 @@ pub fn encode(symbols: &[u16]) -> Vec<Run> {
     runs
 }
 
+/// Symbols `runs` decode to. Stored runs are untrusted: check this
+/// against the expected count before [`decode`] allocates it.
+pub fn decoded_len(runs: &[Run]) -> u64 {
+    runs.iter().map(|&(_, l)| l as u64).sum()
+}
+
 /// Decode runs back to symbols.
 pub fn decode(runs: &[Run]) -> Vec<u16> {
-    let total: usize = runs.iter().map(|&(_, l)| l as usize).sum();
-    let mut out = Vec::with_capacity(total);
+    let mut out = Vec::with_capacity(decoded_len(runs) as usize);
     for &(s, l) in runs {
         out.extend(std::iter::repeat_n(s, l as usize));
     }
@@ -42,6 +49,22 @@ pub fn decode(runs: &[Run]) -> Vec<u16> {
 /// Serialized byte size of a run vector (u16 symbol + u32 length each).
 pub fn encoded_bytes(runs: &[Run]) -> usize {
     runs.len() * 6
+}
+
+/// Append `runs` in wire form: a `u64` count, then each run's symbol and
+/// length.
+pub fn write_runs(out: &mut Vec<u8>, runs: &[Run]) {
+    wire::put_u64(out, runs.len() as u64);
+    for &(sym, len) in runs {
+        wire::put_u16(out, sym);
+        wire::put_u32(out, len);
+    }
+}
+
+/// Parse [`write_runs`]'s form.
+pub fn read_runs(c: &mut Cursor<'_>) -> WireResult<Vec<Run>> {
+    let n = c.len(c.remaining() / 6)?;
+    (0..n).map(|_| Ok((c.u16()?, c.u32()?))).collect()
 }
 
 #[cfg(test)]

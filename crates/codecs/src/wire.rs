@@ -1,14 +1,20 @@
 //! Little-endian byte (de)serialization helpers for codec stream formats.
 //!
-//! Every codec in this crate that serializes a structured stream (the
-//! baseline wrappers) writes through these helpers so the wire layout is
+//! Every structured stream in the workspace (the Huffman codebook and
+//! chunked payload here, each baseline compressor's stream in
+//! `fzgpu-baselines`) writes through these helpers so the wire layout is
 //! uniform: scalars little-endian, sequences length-prefixed with a `u64`
 //! element count. Parsing is bounds-checked and returns a `&'static str`
 //! describing the first malformed field — mapped to
-//! [`crate::codec::CodecError::Malformed`] at the codec boundary.
+//! `fzgpu_store::CodecError::Malformed` at the codec boundary.
 
 /// Bounds-checked parse result.
 pub type WireResult<T> = Result<T, &'static str>;
+
+/// Append a `u16`.
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
 
 /// Append a `u32`.
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -68,6 +74,11 @@ impl<'a> Cursor<'a> {
         let out = &self.bytes[self.pos..end];
         self.pos = end;
         Ok(out)
+    }
+
+    /// Read a `u16`.
+    pub fn u16(&mut self) -> WireResult<u16> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     /// Read a `u32`.
@@ -140,6 +151,7 @@ mod tests {
     #[test]
     fn roundtrip_scalars_and_sequences() {
         let mut out = Vec::new();
+        put_u16(&mut out, 0xbeef);
         put_u32(&mut out, 7);
         put_u64(&mut out, u64::MAX - 1);
         put_f64(&mut out, -0.5);
@@ -147,6 +159,7 @@ mod tests {
         put_u32s(&mut out, &[1, 2, 3]);
         put_f32s(&mut out, &[1.5, -2.5]);
         let mut c = Cursor::new(&out);
+        assert_eq!(c.u16().unwrap(), 0xbeef);
         assert_eq!(c.u32().unwrap(), 7);
         assert_eq!(c.u64().unwrap(), u64::MAX - 1);
         assert_eq!(c.f64().unwrap(), -0.5);

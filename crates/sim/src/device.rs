@@ -68,6 +68,12 @@ impl DeviceSpec {
     pub fn effective_bandwidth(&self) -> f64 {
         self.mem_bandwidth * self.mem_efficiency
     }
+
+    /// Single-thread scalar instruction rate (one scheduler's issue rate) —
+    /// the speed at which a serial, unparallelizable stage runs on device.
+    pub fn scalar_rate(&self) -> f64 {
+        self.warp_instr_rate / (self.sm_count as f64 * 4.0)
+    }
 }
 
 /// NVIDIA A100-40GB (SXM) as used on the paper's HPC-cluster node.

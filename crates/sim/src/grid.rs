@@ -638,12 +638,6 @@ impl Gpu {
         }));
     }
 
-    /// Single-thread scalar instruction rate (one scheduler's issue rate) —
-    /// the speed at which a serial, unparallelizable stage runs on device.
-    pub fn scalar_rate(&self) -> f64 {
-        self.spec.warp_instr_rate / (self.spec.sm_count as f64 * 4.0)
-    }
-
     /// The event timeline since construction or the last reset.
     pub fn timeline(&self) -> &[Event] {
         &self.timeline

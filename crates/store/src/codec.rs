@@ -1,21 +1,24 @@
-//! The unified codec interface: one trait, one config enum, one registry
-//! covering the fzgpu pipeline, every baseline compressor, and the
-//! lossless codecs — the "modular stage behind one interface" design the
-//! cuSZ framework paper argues for.
+//! The workspace's one compressor interface: one trait, one config enum
+//! and one constructor covering the fzgpu pipeline, every baseline
+//! compressor, and the lossless codecs — the "modular stage behind one
+//! interface" design the cuSZ framework paper argues for. The store
+//! encodes its chunks through it and the bench harness runs every figure
+//! through it.
 //!
 //! A [`CodecConfig`] is the serializable identity of a codec instance
-//! (name + parameters, versioned JSON). A [`Codec`] is the
-//! live instance built from a config by a [`Registry`]. The registry maps
-//! codec names to factory functions; [`Registry::builtin`] pre-registers
-//! everything in-tree and [`Registry::register`] accepts out-of-tree
-//! codecs (the per-chunk codec-selection hook the 2025 orchestration
-//! paper motivates).
+//! (name + parameters, versioned JSON). A [`Codec`] is the live instance
+//! [`Registry::build`] makes from a config — the only place a compressor
+//! name becomes a live compressor.
 
-use std::collections::BTreeMap;
-
+use fzgpu_baselines::{CuSz, CuSzRle, CuSzx, CuZfp, Mgard};
 use fzgpu_core::{FormatError, Shape};
 use fzgpu_sim::DeviceSpec;
 use fzgpu_trace::json::{Obj, Value};
+
+use crate::impls::{
+    CuSzCodec, CuSzRleCodec, CuSzxCodec, CuZfpCodec, DeflateCodec, FzCodec, HuffmanCodec,
+    Lz77Codec, MgardCodec, RawCodec, RleCodec, SzOmpCodec,
+};
 
 /// Version of the codec-config wire schema ([`CodecConfig::to_json`]).
 /// Parsers reject configs stamped with a different version so a future
@@ -25,15 +28,13 @@ pub const CONFIG_VERSION: u32 = 1;
 /// Why a codec could not encode or decode.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CodecError {
-    /// The codec cannot handle this configuration or chunk shape (e.g.
-    /// MGARD on 1D chunks, error-bounded settings on cuZFP).
+    /// The codec declines this input (e.g. MGARD on 1D chunks or on chunks
+    /// it cannot shrink, SZ-OMP off 3D).
     Unsupported(&'static str),
     /// Stored bytes do not parse as this codec's stream.
     Malformed(&'static str),
     /// An fzgpu stream-level failure (CRC mismatch, truncation...).
     Format(FormatError),
-    /// No registered codec matches the config's name.
-    UnknownCodec(String),
 }
 
 impl core::fmt::Display for CodecError {
@@ -42,7 +43,6 @@ impl core::fmt::Display for CodecError {
             CodecError::Unsupported(what) => write!(f, "unsupported by codec: {what}"),
             CodecError::Malformed(what) => write!(f, "malformed codec stream: {what}"),
             CodecError::Format(e) => write!(f, "{e}"),
-            CodecError::UnknownCodec(name) => write!(f, "unknown codec {name:?}"),
         }
     }
 }
@@ -107,18 +107,11 @@ pub enum CodecConfig {
     Deflate,
     /// Identity — stores raw f32 bytes (baseline for ratio comparisons).
     Raw,
-    /// An out-of-tree codec resolved through [`Registry::register`].
-    Custom {
-        /// Registered codec name.
-        name: String,
-        /// Opaque parameter string the factory interprets.
-        params: String,
-    },
 }
 
 impl CodecConfig {
-    /// The codec's registry name.
-    pub fn name(&self) -> &str {
+    /// The codec's name, as [`CodecConfig::from_cli`] takes it.
+    pub fn name(&self) -> &'static str {
         match self {
             CodecConfig::Fz { .. } => "fz",
             CodecConfig::CuSz { .. } => "cusz",
@@ -132,7 +125,6 @@ impl CodecConfig {
             CodecConfig::Lz77 => "lz77",
             CodecConfig::Deflate => "deflate",
             CodecConfig::Raw => "raw",
-            CodecConfig::Custom { name, .. } => name,
         }
     }
 
@@ -187,11 +179,10 @@ impl CodecConfig {
     /// Serialize as versioned JSON, e.g.
     /// `{"codec":"fz","eb_abs":0.001,"v":1}`.
     pub fn to_json(&self) -> String {
-        // Keys in sorted order: codec < eb_abs | params | rate < v.
+        // Keys in sorted order: codec < eb_abs | rate < v.
         let o = Obj::compact().str("codec", self.name());
         let o = match self {
             CodecConfig::CuZfp { rate } => o.num("rate", *rate),
-            CodecConfig::Custom { params, .. } => o.str("params", params),
             _ => match self.eb_abs() {
                 Some(eb) => o.num("eb_abs", eb),
                 None => o,
@@ -201,7 +192,8 @@ impl CodecConfig {
     }
 
     /// Parse a config from its JSON [`Value`]. Rejects unknown schema
-    /// versions by name so future configs fail loudly.
+    /// versions and unknown codec names, naming them, so future configs
+    /// fail loudly.
     pub fn from_json(v: &Value) -> Result<Self, String> {
         let ver = v.get("v").and_then(Value::as_f64).ok_or("codec config missing \"v\"")?;
         if ver != CONFIG_VERSION as f64 {
@@ -212,16 +204,7 @@ impl CodecConfig {
         let name = v.get("codec").and_then(Value::as_str).ok_or("codec config missing name")?;
         let eb = v.get("eb_abs").and_then(Value::as_f64);
         let rate = v.get("rate").and_then(Value::as_f64);
-        match CodecConfig::from_cli(name, eb, rate) {
-            Ok(cfg) => Ok(cfg),
-            // Unknown names fall through to Custom so registered
-            // out-of-tree codecs round-trip through store metadata.
-            Err(_) if !name.is_empty() => Ok(CodecConfig::Custom {
-                name: name.to_string(),
-                params: v.get("params").and_then(Value::as_str).unwrap_or("").to_string(),
-            }),
-            Err(e) => Err(e),
-        }
+        CodecConfig::from_cli(name, eb, rate)
     }
 }
 
@@ -230,9 +213,6 @@ impl CodecConfig {
 /// encode/decode must be deterministic — same input, same bytes — across
 /// thread counts, sim engines, and pipeline paths.
 pub trait Codec {
-    /// The config this instance was built from.
-    fn config(&self) -> CodecConfig;
-
     /// Encode `data` (row-major, `shape` volume values) to bytes.
     fn encode(&mut self, data: &[f32], shape: Shape) -> Result<Vec<u8>, CodecError>;
 
@@ -244,57 +224,55 @@ pub trait Codec {
     fn modeled_seconds(&self) -> f64 {
         0.0
     }
+
+    /// Bytes the paper's compression ratio charges for `encoded`, a stream
+    /// this codec encoded for `shape`: by default its length. A baseline
+    /// charges its stream's `size_bytes()` instead, the figure the paper's
+    /// comparisons were calibrated on — cuSZ counts a flat 64-byte header
+    /// and a 1024-byte codebook, cuZFP 2 bytes per block exponent where the
+    /// wire holds 4.
+    fn accounted_bytes(&self, encoded: &[u8], _shape: Shape) -> Result<usize, CodecError> {
+        Ok(encoded.len())
+    }
 }
 
-/// Factory: build a codec instance from a config on a device.
-pub type CodecFactory = fn(&CodecConfig, DeviceSpec) -> Result<Box<dyn Codec>, CodecError>;
-
-/// Name → factory table. Deterministic iteration (BTreeMap) so listings
-/// are stable.
-pub struct Registry {
-    factories: BTreeMap<String, CodecFactory>,
-}
+/// Builds live codecs: fzgpu, the five baselines (plus cuSZ+RLE), the
+/// lossless codecs, and `raw`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Registry;
 
 impl Registry {
-    /// An empty registry (no codecs resolvable).
-    pub fn empty() -> Self {
-        Self { factories: BTreeMap::new() }
-    }
-
-    /// The built-in table: fzgpu, the five baselines (plus cuSZ+RLE), the
-    /// lossless codecs, and `raw`.
+    /// The registry of every built-in codec.
     pub fn builtin() -> Self {
-        let mut r = Self::empty();
-        for name in BUILTIN_NAMES {
-            r.register(name, crate::impls::build_builtin);
-        }
-        r
+        Registry
     }
 
-    /// Register (or replace) a codec factory under `name`.
-    pub fn register(&mut self, name: &str, factory: CodecFactory) {
-        self.factories.insert(name.to_string(), factory);
-    }
-
-    /// Registered codec names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.factories.keys().map(String::as_str).collect()
-    }
-
-    /// Build a codec for `cfg` on `spec`.
+    /// Build a codec for `cfg` on `spec`. Every config names a built-in
+    /// codec (unknown names fail in [`CodecConfig::from_json`]), so this
+    /// does not fail today.
     pub fn build(&self, cfg: &CodecConfig, spec: DeviceSpec) -> Result<Box<dyn Codec>, CodecError> {
-        match self.factories.get(cfg.name()) {
-            Some(f) => f(cfg, spec),
-            None => Err(CodecError::UnknownCodec(cfg.name().to_string())),
-        }
+        Ok(match *cfg {
+            CodecConfig::Fz { eb_abs } => Box::new(FzCodec::new(spec, eb_abs)),
+            CodecConfig::CuSz { eb_abs } => Box::new(CuSzCodec { inner: CuSz::new(spec), eb_abs }),
+            CodecConfig::CuSzRle { eb_abs } => {
+                Box::new(CuSzRleCodec { inner: CuSzRle::new(spec), eb_abs })
+            }
+            CodecConfig::CuSzx { eb_abs } => {
+                Box::new(CuSzxCodec { inner: CuSzx::new(spec), eb_abs })
+            }
+            CodecConfig::CuZfp { rate } => Box::new(CuZfpCodec { inner: CuZfp::new(spec), rate }),
+            CodecConfig::Mgard { eb_abs } => {
+                Box::new(MgardCodec { inner: Mgard::new(spec), eb_abs })
+            }
+            CodecConfig::SzOmp { eb_abs } => Box::new(SzOmpCodec { eb_abs }),
+            CodecConfig::Huffman => Box::new(HuffmanCodec),
+            CodecConfig::Rle => Box::new(RleCodec),
+            CodecConfig::Lz77 => Box::new(Lz77Codec),
+            CodecConfig::Deflate => Box::new(DeflateCodec),
+            CodecConfig::Raw => Box::new(RawCodec),
+        })
     }
 }
-
-/// Names [`Registry::builtin`] registers.
-pub const BUILTIN_NAMES: &[&str] = &[
-    "fz", "cusz", "cusz-rle", "cuszx", "cuzfp", "mgard", "sz-omp", "huffman", "rle", "lz77",
-    "deflate", "raw",
-];
 
 #[cfg(test)]
 mod tests {
@@ -309,7 +287,6 @@ mod tests {
             CodecConfig::CuZfp { rate: 8.0 },
             CodecConfig::Deflate,
             CodecConfig::Raw,
-            CodecConfig::Custom { name: "wavelet".into(), params: "db4".into() },
         ];
         for cfg in cases {
             let text = cfg.to_json();
@@ -334,11 +311,15 @@ mod tests {
     }
 
     #[test]
-    fn builtin_names_all_resolve() {
-        let r = Registry::builtin();
-        assert_eq!(r.names().len(), BUILTIN_NAMES.len());
-        for name in BUILTIN_NAMES {
-            assert!(r.names().contains(name), "{name} missing from registry");
+    fn every_cli_name_builds_and_round_trips_its_name() {
+        let names = [
+            "fz", "cusz", "cusz-rle", "cuszx", "cuzfp", "mgard", "sz-omp", "huffman", "rle",
+            "lz77", "deflate", "raw",
+        ];
+        for name in names {
+            let cfg = CodecConfig::from_cli(name, Some(1e-3), Some(8.0)).unwrap();
+            assert_eq!(cfg.name(), name);
+            assert!(Registry::builtin().build(&cfg, fzgpu_sim::device::A100).is_ok(), "{name}");
         }
     }
 }

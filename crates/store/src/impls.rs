@@ -2,27 +2,25 @@
 //! baseline compressors (plus cuSZ+RLE), and the lossless codecs from
 //! `fzgpu-codecs`.
 //!
-//! The baseline compressors keep their structured in-memory streams; this
-//! module gives each a byte serialization (via [`crate::wire`]) so they
-//! can live inside archive chunks. Huffman codebooks are stored as their
-//! canonical length tables only — codes are reproducible via
-//! [`Codebook::from_lengths`].
+//! Each baseline stream owns its wire format (`to_bytes` / `from_bytes`
+//! in `fzgpu-baselines`, which checks the bytes against the chunk shape),
+//! so a baseline codec here only encodes, decodes and reports its modeled
+//! seconds and accounted bytes. The lossless codecs frame their own bytes.
 
 use fzgpu_baselines::cusz::CuSzStream;
 use fzgpu_baselines::cusz_rle::CuSzRleStream;
 use fzgpu_baselines::cuszx::CuSzxStream;
 use fzgpu_baselines::cuzfp::CuZfpStream;
 use fzgpu_baselines::mgard::MgardStream;
-use fzgpu_baselines::sz_omp::SzOmpStream;
 use fzgpu_baselines::{CuSz, CuSzRle, CuSzx, CuZfp, Mgard, SzOmp};
 use fzgpu_codecs::huffman::{self, ChunkedStream};
 use fzgpu_codecs::lz77::{self, Token};
+use fzgpu_codecs::wire::{self, Cursor};
 use fzgpu_codecs::{deflate, rle, Codebook};
 use fzgpu_core::{ErrorBound, FzGpu, Shape};
 use fzgpu_sim::DeviceSpec;
 
-use crate::codec::{Codec, CodecConfig, CodecError};
-use crate::wire::{self, Cursor};
+use crate::codec::{Codec, CodecError};
 
 /// Values in a shape.
 fn volume(shape: Shape) -> usize {
@@ -58,61 +56,6 @@ fn check_input(data: &[f32], shape: Shape) -> Result<(), CodecError> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Shared wire fragments for the cuSZ-family streams.
-
-fn put_shape(out: &mut Vec<u8>, shape: Shape) {
-    wire::put_u64(out, shape.0 as u64);
-    wire::put_u64(out, shape.1 as u64);
-    wire::put_u64(out, shape.2 as u64);
-}
-
-fn get_shape(c: &mut Cursor<'_>) -> Result<Shape, &'static str> {
-    Ok((c.u64()? as usize, c.u64()? as usize, c.u64()? as usize))
-}
-
-fn put_book(out: &mut Vec<u8>, book: &Codebook) {
-    wire::put_bytes(out, &book.lengths);
-}
-
-fn get_book(c: &mut Cursor<'_>) -> Result<Codebook, &'static str> {
-    Ok(Codebook::from_lengths(c.bytes()?))
-}
-
-fn put_chunked(out: &mut Vec<u8>, s: &ChunkedStream) {
-    wire::put_bytes(out, &s.payload);
-    wire::put_u32s(out, &s.offsets);
-    wire::put_u64(out, s.chunk_symbols as u64);
-    wire::put_u64(out, s.total_symbols as u64);
-}
-
-fn get_chunked(c: &mut Cursor<'_>) -> Result<ChunkedStream, &'static str> {
-    let payload = c.bytes()?;
-    let offsets = c.u32s()?;
-    let chunk_symbols = c.u64()? as usize;
-    let total_symbols = c.u64()? as usize;
-    if offsets.is_empty() || chunk_symbols == 0 {
-        return Err("empty chunk offset table");
-    }
-    if offsets.last().copied().unwrap_or(0) as usize != payload.len() {
-        return Err("chunk offsets do not cover payload");
-    }
-    Ok(ChunkedStream { payload, offsets, chunk_symbols, total_symbols })
-}
-
-fn put_outliers(out: &mut Vec<u8>, outliers: &[(u32, i32)]) {
-    wire::put_u64(out, outliers.len() as u64);
-    for &(i, d) in outliers {
-        wire::put_u32(out, i);
-        wire::put_u32(out, d as u32);
-    }
-}
-
-fn get_outliers(c: &mut Cursor<'_>) -> Result<Vec<(u32, i32)>, &'static str> {
-    let n = c.len(c.remaining() / 8)?;
-    (0..n).map(|_| Ok((c.u32()?, c.u32()? as i32))).collect()
-}
-
 fn malformed(what: &'static str) -> CodecError {
     CodecError::Malformed(what)
 }
@@ -123,7 +66,7 @@ fn malformed(what: &'static str) -> CodecError {
 /// The fzgpu pipeline behind the [`Codec`] interface. Streams are the
 /// self-describing v2 wire format (header + CRCs), so decode ignores no
 /// corruption the pipeline would catch.
-pub struct FzCodec {
+pub(crate) struct FzCodec {
     fz: FzGpu,
     eb_abs: f64,
 }
@@ -131,16 +74,12 @@ pub struct FzCodec {
 impl FzCodec {
     /// New instance on `spec` (path/engine resolved from the environment
     /// like every other `FzGpu`).
-    pub fn new(spec: DeviceSpec, eb_abs: f64) -> Self {
+    pub(crate) fn new(spec: DeviceSpec, eb_abs: f64) -> Self {
         Self { fz: FzGpu::new(spec), eb_abs }
     }
 }
 
 impl Codec for FzCodec {
-    fn config(&self) -> CodecConfig {
-        CodecConfig::Fz { eb_abs: self.eb_abs }
-    }
-
     fn encode(&mut self, data: &[f32], shape: Shape) -> Result<Vec<u8>, CodecError> {
         check_input(data, shape)?;
         Ok(self.fz.compress(data, shape, ErrorBound::Abs(self.eb_abs)).bytes)
@@ -158,373 +97,156 @@ impl Codec for FzCodec {
 }
 
 // ---------------------------------------------------------------------------
-// cuSZ / SZ-OMP (same stream layout: book + chunked payload + outliers)
+// Baselines
 
 /// cuSZ behind the [`Codec`] interface.
-pub struct CuSzCodec {
-    inner: CuSz,
-    eb_abs: f64,
-}
-
-impl CuSzCodec {
-    fn serialize(s: &CuSzStream) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_shape(&mut out, s.shape);
-        wire::put_f64(&mut out, s.eb);
-        put_book(&mut out, &s.book);
-        put_chunked(&mut out, &s.encoded);
-        put_outliers(&mut out, &s.outliers);
-        out
-    }
-
-    fn parse(bytes: &[u8]) -> Result<CuSzStream, &'static str> {
-        let mut c = Cursor::new(bytes);
-        let s = CuSzStream {
-            shape: get_shape(&mut c)?,
-            eb: c.f64()?,
-            book: get_book(&mut c)?,
-            encoded: get_chunked(&mut c)?,
-            outliers: get_outliers(&mut c)?,
-        };
-        c.done()?;
-        Ok(s)
-    }
+pub(crate) struct CuSzCodec {
+    pub(crate) inner: CuSz,
+    pub(crate) eb_abs: f64,
 }
 
 impl Codec for CuSzCodec {
-    fn config(&self) -> CodecConfig {
-        CodecConfig::CuSz { eb_abs: self.eb_abs }
-    }
-
     fn encode(&mut self, data: &[f32], shape: Shape) -> Result<Vec<u8>, CodecError> {
         check_input(data, shape)?;
-        Ok(Self::serialize(&self.inner.compress(data, shape, self.eb_abs)))
+        Ok(self.inner.compress(data, shape, self.eb_abs).to_bytes())
     }
 
     fn decode(&mut self, bytes: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
-        let stream = Self::parse(bytes).map_err(malformed)?;
-        if stream.shape != shape {
-            return Err(malformed("stored shape does not match chunk shape"));
-        }
-        let out = self.inner.decompress(&stream);
-        check_len(out.len(), shape)?;
-        Ok(out)
+        CuSzStream::from_bytes(bytes, shape).and_then(|s| s.decompress()).map_err(malformed)
     }
 
     fn modeled_seconds(&self) -> f64 {
         self.inner.kernel_time()
     }
+
+    fn accounted_bytes(&self, encoded: &[u8], shape: Shape) -> Result<usize, CodecError> {
+        Ok(CuSzStream::from_bytes(encoded, shape).map_err(malformed)?.size_bytes())
+    }
 }
 
-/// SZ-OMP behind the [`Codec`] interface (3D chunks only).
-pub struct SzOmpCodec {
-    inner: SzOmp,
-    eb_abs: f64,
-}
-
-impl SzOmpCodec {
-    fn serialize(s: &SzOmpStream) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_shape(&mut out, s.shape);
-        wire::put_f64(&mut out, s.eb);
-        put_book(&mut out, &s.book);
-        put_chunked(&mut out, &s.encoded);
-        put_outliers(&mut out, &s.outliers);
-        out
-    }
-
-    fn parse(bytes: &[u8]) -> Result<SzOmpStream, &'static str> {
-        let mut c = Cursor::new(bytes);
-        let s = SzOmpStream {
-            shape: get_shape(&mut c)?,
-            eb: c.f64()?,
-            book: get_book(&mut c)?,
-            encoded: get_chunked(&mut c)?,
-            outliers: get_outliers(&mut c)?,
-        };
-        c.done()?;
-        Ok(s)
-    }
+/// SZ-OMP behind the [`Codec`] interface (3D chunks only). Host code: it
+/// charges no modeled seconds.
+pub(crate) struct SzOmpCodec {
+    pub(crate) eb_abs: f64,
 }
 
 impl Codec for SzOmpCodec {
-    fn config(&self) -> CodecConfig {
-        CodecConfig::SzOmp { eb_abs: self.eb_abs }
-    }
-
     fn encode(&mut self, data: &[f32], shape: Shape) -> Result<Vec<u8>, CodecError> {
         check_input(data, shape)?;
-        let stream = self
-            .inner
+        let stream = SzOmp
             .compress(data, shape, self.eb_abs)
             .ok_or(CodecError::Unsupported("SZ-OMP requires 3D chunks"))?;
-        Ok(Self::serialize(&stream))
+        Ok(stream.to_bytes())
     }
 
     fn decode(&mut self, bytes: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
-        let stream = Self::parse(bytes).map_err(malformed)?;
-        if stream.shape != shape {
-            return Err(malformed("stored shape does not match chunk shape"));
-        }
-        let out = self.inner.decompress(&stream);
-        check_len(out.len(), shape)?;
-        Ok(out)
+        CuSzStream::from_bytes(bytes, shape).and_then(|s| s.decompress()).map_err(malformed)
+    }
+
+    fn accounted_bytes(&self, encoded: &[u8], shape: Shape) -> Result<usize, CodecError> {
+        Ok(CuSzStream::from_bytes(encoded, shape).map_err(malformed)?.size_bytes())
     }
 }
-
-// ---------------------------------------------------------------------------
-// cuSZ+RLE
 
 /// cuSZ+RLE behind the [`Codec`] interface.
-pub struct CuSzRleCodec {
-    inner: CuSzRle,
-    eb_abs: f64,
-}
-
-impl CuSzRleCodec {
-    fn serialize(s: &CuSzRleStream) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_shape(&mut out, s.shape);
-        wire::put_f64(&mut out, s.eb);
-        wire::put_u64(&mut out, s.runs.len() as u64);
-        for &(sym, count) in &s.runs {
-            out.extend_from_slice(&sym.to_le_bytes());
-            wire::put_u32(&mut out, count);
-        }
-        put_outliers(&mut out, &s.outliers);
-        wire::put_u64(&mut out, s.n_values as u64);
-        out
-    }
-
-    fn parse(bytes: &[u8]) -> Result<CuSzRleStream, &'static str> {
-        let mut c = Cursor::new(bytes);
-        let shape = get_shape(&mut c)?;
-        let eb = c.f64()?;
-        let n_runs = c.len(c.remaining() / 6)?;
-        let runs = (0..n_runs)
-            .map(|_| {
-                let sym = u16::from_le_bytes(c.take(2)?.try_into().unwrap());
-                Ok((sym, c.u32()?))
-            })
-            .collect::<Result<Vec<rle::Run>, &'static str>>()?;
-        let outliers = get_outliers(&mut c)?;
-        let n_values = c.u64()? as usize;
-        c.done()?;
-        Ok(CuSzRleStream { shape, eb, runs, outliers, n_values })
-    }
+pub(crate) struct CuSzRleCodec {
+    pub(crate) inner: CuSzRle,
+    pub(crate) eb_abs: f64,
 }
 
 impl Codec for CuSzRleCodec {
-    fn config(&self) -> CodecConfig {
-        CodecConfig::CuSzRle { eb_abs: self.eb_abs }
-    }
-
     fn encode(&mut self, data: &[f32], shape: Shape) -> Result<Vec<u8>, CodecError> {
         check_input(data, shape)?;
-        Ok(Self::serialize(&self.inner.compress(data, shape, self.eb_abs)))
+        Ok(self.inner.compress(data, shape, self.eb_abs).to_bytes())
     }
 
     fn decode(&mut self, bytes: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
-        let stream = Self::parse(bytes).map_err(malformed)?;
-        if stream.shape != shape {
-            return Err(malformed("stored shape does not match chunk shape"));
-        }
-        let out = self.inner.decompress(&stream);
-        check_len(out.len(), shape)?;
-        Ok(out)
+        CuSzRleStream::from_bytes(bytes, shape).and_then(|s| s.decompress()).map_err(malformed)
     }
 
     fn modeled_seconds(&self) -> f64 {
         self.inner.kernel_time()
     }
-}
 
-// ---------------------------------------------------------------------------
-// cuSZx
+    fn accounted_bytes(&self, encoded: &[u8], shape: Shape) -> Result<usize, CodecError> {
+        Ok(CuSzRleStream::from_bytes(encoded, shape).map_err(malformed)?.size_bytes())
+    }
+}
 
 /// cuSZx behind the [`Codec`] interface.
-pub struct CuSzxCodec {
-    inner: CuSzx,
-    eb_abs: f64,
-}
-
-impl CuSzxCodec {
-    fn serialize(s: &CuSzxStream) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_shape(&mut out, s.shape);
-        wire::put_f64(&mut out, s.eb);
-        wire::put_f32s(&mut out, &s.bases);
-        wire::put_bytes(&mut out, &s.bits);
-        wire::put_u32s(&mut out, &s.payload);
-        wire::put_u64(&mut out, s.n_values as u64);
-        out
-    }
-
-    fn parse(bytes: &[u8]) -> Result<CuSzxStream, &'static str> {
-        let mut c = Cursor::new(bytes);
-        let s = CuSzxStream {
-            shape: get_shape(&mut c)?,
-            eb: c.f64()?,
-            bases: c.f32s()?,
-            bits: c.bytes()?,
-            payload: c.u32s()?,
-            n_values: c.u64()? as usize,
-        };
-        c.done()?;
-        if s.bases.len() != s.bits.len() {
-            return Err("base/width tables disagree");
-        }
-        Ok(s)
-    }
+pub(crate) struct CuSzxCodec {
+    pub(crate) inner: CuSzx,
+    pub(crate) eb_abs: f64,
 }
 
 impl Codec for CuSzxCodec {
-    fn config(&self) -> CodecConfig {
-        CodecConfig::CuSzx { eb_abs: self.eb_abs }
-    }
-
     fn encode(&mut self, data: &[f32], shape: Shape) -> Result<Vec<u8>, CodecError> {
         check_input(data, shape)?;
-        Ok(Self::serialize(&self.inner.compress(data, shape, self.eb_abs)))
+        Ok(self.inner.compress(data, shape, self.eb_abs).to_bytes())
     }
 
     fn decode(&mut self, bytes: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
-        let stream = Self::parse(bytes).map_err(malformed)?;
-        if stream.shape != shape {
-            return Err(malformed("stored shape does not match chunk shape"));
-        }
-        let out = self.inner.decompress(&stream);
-        check_len(out.len(), shape)?;
-        Ok(out)
+        Ok(CuSzxStream::from_bytes(bytes, shape).map_err(malformed)?.decompress())
     }
 
     fn modeled_seconds(&self) -> f64 {
         self.inner.kernel_time()
     }
-}
 
-// ---------------------------------------------------------------------------
-// cuZFP
+    fn accounted_bytes(&self, encoded: &[u8], shape: Shape) -> Result<usize, CodecError> {
+        Ok(CuSzxStream::from_bytes(encoded, shape).map_err(malformed)?.size_bytes())
+    }
+}
 
 /// cuZFP (fixed-rate) behind the [`Codec`] interface.
-pub struct CuZfpCodec {
-    inner: CuZfp,
-    rate: f64,
-}
-
-impl CuZfpCodec {
-    fn serialize(s: &CuZfpStream) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_shape(&mut out, s.shape);
-        wire::put_f64(&mut out, s.rate);
-        wire::put_u64(&mut out, s.emax.len() as u64);
-        for &e in &s.emax {
-            wire::put_u32(&mut out, e as u32);
-        }
-        wire::put_u32s(&mut out, &s.payload);
-        wire::put_u64(&mut out, s.words_per_block as u64);
-        out
-    }
-
-    fn parse(bytes: &[u8]) -> Result<CuZfpStream, &'static str> {
-        let mut c = Cursor::new(bytes);
-        let shape = get_shape(&mut c)?;
-        let rate = c.f64()?;
-        let n = c.len(c.remaining() / 4)?;
-        let emax = (0..n).map(|_| Ok(c.u32()? as i32)).collect::<Result<Vec<i32>, _>>()?;
-        let payload = c.u32s()?;
-        let words_per_block = c.u64()? as usize;
-        c.done()?;
-        if payload.len() != emax.len().saturating_mul(words_per_block) {
-            return Err("payload length disagrees with block count");
-        }
-        Ok(CuZfpStream { shape, rate, emax, payload, words_per_block })
-    }
+pub(crate) struct CuZfpCodec {
+    pub(crate) inner: CuZfp,
+    pub(crate) rate: f64,
 }
 
 impl Codec for CuZfpCodec {
-    fn config(&self) -> CodecConfig {
-        CodecConfig::CuZfp { rate: self.rate }
-    }
-
     fn encode(&mut self, data: &[f32], shape: Shape) -> Result<Vec<u8>, CodecError> {
         check_input(data, shape)?;
-        Ok(Self::serialize(&self.inner.compress(data, shape, self.rate)))
+        Ok(self.inner.compress(data, shape, self.rate).to_bytes())
     }
 
     fn decode(&mut self, bytes: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
-        let stream = Self::parse(bytes).map_err(malformed)?;
-        if stream.shape != shape {
-            return Err(malformed("stored shape does not match chunk shape"));
-        }
-        let out = self.inner.decompress(&stream);
-        check_len(out.len(), shape)?;
-        Ok(out)
+        Ok(CuZfpStream::from_bytes(bytes, shape).map_err(malformed)?.decompress())
     }
 
     fn modeled_seconds(&self) -> f64 {
         self.inner.kernel_time()
     }
+
+    fn accounted_bytes(&self, encoded: &[u8], shape: Shape) -> Result<usize, CodecError> {
+        Ok(CuZfpStream::from_bytes(encoded, shape).map_err(malformed)?.size_bytes())
+    }
 }
 
-// ---------------------------------------------------------------------------
-// MGARD
-
-/// MGARD-GPU behind the [`Codec`] interface (2D/3D chunks only).
-pub struct MgardCodec {
-    inner: Mgard,
-    eb_abs: f64,
-}
-
-impl MgardCodec {
-    fn serialize(s: &MgardStream) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_shape(&mut out, s.shape);
-        wire::put_f64(&mut out, s.step);
-        wire::put_u64(&mut out, s.levels as u64);
-        wire::put_bytes(&mut out, &s.compressed);
-        out
-    }
-
-    fn parse(bytes: &[u8]) -> Result<MgardStream, &'static str> {
-        let mut c = Cursor::new(bytes);
-        let s = MgardStream {
-            shape: get_shape(&mut c)?,
-            step: c.f64()?,
-            levels: c.u64()? as usize,
-            compressed: c.bytes()?,
-        };
-        c.done()?;
-        Ok(s)
-    }
+/// MGARD-GPU behind the [`Codec`] interface (2D/3D chunks it can shrink).
+pub(crate) struct MgardCodec {
+    pub(crate) inner: Mgard,
+    pub(crate) eb_abs: f64,
 }
 
 impl Codec for MgardCodec {
-    fn config(&self) -> CodecConfig {
-        CodecConfig::Mgard { eb_abs: self.eb_abs }
-    }
-
     fn encode(&mut self, data: &[f32], shape: Shape) -> Result<Vec<u8>, CodecError> {
         check_input(data, shape)?;
-        let stream = self
-            .inner
-            .compress(data, shape, self.eb_abs)
-            .ok_or(CodecError::Unsupported("MGARD requires 2D or 3D chunks"))?;
-        Ok(Self::serialize(&stream))
+        let stream =
+            self.inner.compress(data, shape, self.eb_abs).map_err(CodecError::Unsupported)?;
+        Ok(stream.to_bytes())
     }
 
     fn decode(&mut self, bytes: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
-        let stream = Self::parse(bytes).map_err(malformed)?;
-        if stream.shape != shape {
-            return Err(malformed("stored shape does not match chunk shape"));
-        }
-        let out = self.inner.decompress(&stream);
-        check_len(out.len(), shape)?;
-        Ok(out)
+        MgardStream::from_bytes(bytes, shape).and_then(|s| s.decompress()).map_err(malformed)
     }
 
     fn modeled_seconds(&self) -> f64 {
         self.inner.kernel_time()
+    }
+
+    fn accounted_bytes(&self, encoded: &[u8], shape: Shape) -> Result<usize, CodecError> {
+        Ok(MgardStream::from_bytes(encoded, shape).map_err(malformed)?.size_bytes())
     }
 }
 
@@ -532,13 +254,9 @@ impl Codec for MgardCodec {
 // Lossless codecs over the chunk's f32 bytes.
 
 /// Identity codec: raw little-endian f32 bytes.
-pub struct RawCodec;
+pub(crate) struct RawCodec;
 
 impl Codec for RawCodec {
-    fn config(&self) -> CodecConfig {
-        CodecConfig::Raw
-    }
-
     fn encode(&mut self, data: &[f32], shape: Shape) -> Result<Vec<u8>, CodecError> {
         check_input(data, shape)?;
         Ok(f32s_to_le(data))
@@ -552,35 +270,25 @@ impl Codec for RawCodec {
 }
 
 /// DEFLATE over the chunk's f32 bytes.
-pub struct DeflateCodec;
+pub(crate) struct DeflateCodec;
 
 impl Codec for DeflateCodec {
-    fn config(&self) -> CodecConfig {
-        CodecConfig::Deflate
-    }
-
     fn encode(&mut self, data: &[f32], shape: Shape) -> Result<Vec<u8>, CodecError> {
         check_input(data, shape)?;
         Ok(deflate::compress(&f32s_to_le(data)))
     }
 
     fn decode(&mut self, bytes: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
-        let raw =
-            deflate::decompress(bytes).map_err(|_| malformed("DEFLATE stream did not decode"))?;
-        let out = le_to_f32s(&raw)?;
-        check_len(out.len(), shape)?;
-        Ok(out)
+        let raw = deflate::decompress(bytes, volume(shape) * 4)
+            .map_err(|_| malformed("DEFLATE stream did not decode to the chunk's bytes"))?;
+        le_to_f32s(&raw)
     }
 }
 
 /// Bare LZ77 tokens over the chunk's f32 bytes.
-pub struct Lz77Codec;
+pub(crate) struct Lz77Codec;
 
 impl Codec for Lz77Codec {
-    fn config(&self) -> CodecConfig {
-        CodecConfig::Lz77
-    }
-
     fn encode(&mut self, data: &[f32], shape: Shape) -> Result<Vec<u8>, CodecError> {
         check_input(data, shape)?;
         let tokens = lz77::tokenize(&f32s_to_le(data));
@@ -591,8 +299,8 @@ impl Codec for Lz77Codec {
                 Token::Literal(b) => out.extend_from_slice(&[0, b]),
                 Token::Match { len, dist } => {
                     out.push(1);
-                    out.extend_from_slice(&len.to_le_bytes());
-                    out.extend_from_slice(&dist.to_le_bytes());
+                    wire::put_u16(&mut out, len);
+                    wire::put_u16(&mut out, dist);
                 }
             }
         }
@@ -607,27 +315,24 @@ impl Codec for Lz77Codec {
             let tag = c.take(1).map_err(malformed)?[0];
             tokens.push(match tag {
                 0 => Token::Literal(c.take(1).map_err(malformed)?[0]),
-                1 => {
-                    let len = u16::from_le_bytes(c.take(2).map_err(malformed)?.try_into().unwrap());
-                    let dist =
-                        u16::from_le_bytes(c.take(2).map_err(malformed)?.try_into().unwrap());
-                    if dist == 0 {
-                        return Err(malformed("LZ77 match with zero distance"));
-                    }
-                    Token::Match { len, dist }
-                }
+                1 => Token::Match {
+                    len: c.u16().map_err(malformed)?,
+                    dist: c.u16().map_err(malformed)?,
+                },
                 _ => return Err(malformed("unknown LZ77 token tag")),
             });
         }
         c.done().map_err(malformed)?;
-        let out = le_to_f32s(&lz77::detokenize(&tokens))?;
+        let raw = lz77::detokenize(&tokens, volume(shape) * 4)
+            .ok_or_else(|| malformed("LZ77 tokens do not expand within the chunk"))?;
+        let out = le_to_f32s(&raw)?;
         check_len(out.len(), shape)?;
         Ok(out)
     }
 }
 
 /// Run-length encoding over the chunk's u16 view (two symbols per f32).
-pub struct RleCodec;
+pub(crate) struct RleCodec;
 
 fn f32s_to_u16s(data: &[f32]) -> Vec<u16> {
     let mut out = Vec::with_capacity(data.len() * 2);
@@ -640,37 +345,21 @@ fn f32s_to_u16s(data: &[f32]) -> Vec<u16> {
 }
 
 impl Codec for RleCodec {
-    fn config(&self) -> CodecConfig {
-        CodecConfig::Rle
-    }
-
     fn encode(&mut self, data: &[f32], shape: Shape) -> Result<Vec<u8>, CodecError> {
         check_input(data, shape)?;
-        let runs = rle::encode(&f32s_to_u16s(data));
         let mut out = Vec::new();
-        wire::put_u64(&mut out, runs.len() as u64);
-        for &(sym, count) in &runs {
-            out.extend_from_slice(&sym.to_le_bytes());
-            wire::put_u32(&mut out, count);
-        }
+        rle::write_runs(&mut out, &rle::encode(&f32s_to_u16s(data)));
         Ok(out)
     }
 
     fn decode(&mut self, bytes: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
         let mut c = Cursor::new(bytes);
-        let n = c.len(c.remaining() / 6).map_err(malformed)?;
-        let runs = (0..n)
-            .map(|_| {
-                let sym = u16::from_le_bytes(c.take(2)?.try_into().unwrap());
-                Ok((sym, c.u32()?))
-            })
-            .collect::<Result<Vec<rle::Run>, &'static str>>()
-            .map_err(malformed)?;
+        let runs = rle::read_runs(&mut c).map_err(malformed)?;
         c.done().map_err(malformed)?;
-        let symbols = rle::decode(&runs);
-        if symbols.len() != volume(shape) * 2 {
+        if rle::decoded_len(&runs) != volume(shape) as u64 * 2 {
             return Err(malformed("decoded symbol count does not match chunk shape"));
         }
+        let symbols = rle::decode(&runs);
         let out: Vec<f32> = symbols
             .chunks_exact(2)
             .map(|p| {
@@ -684,16 +373,12 @@ impl Codec for RleCodec {
 }
 
 /// Byte-wise Huffman (cuSZ's chunked layout) over the chunk's f32 bytes.
-pub struct HuffmanCodec;
+pub(crate) struct HuffmanCodec;
 
 /// Symbols per independent Huffman chunk.
 const HUFF_CHUNK: usize = 4096;
 
 impl Codec for HuffmanCodec {
-    fn config(&self) -> CodecConfig {
-        CodecConfig::Huffman
-    }
-
     fn encode(&mut self, data: &[f32], shape: Shape) -> Result<Vec<u8>, CodecError> {
         check_input(data, shape)?;
         let symbols: Vec<u16> = f32s_to_le(data).iter().map(|&b| b as u16).collect();
@@ -706,15 +391,15 @@ impl Codec for HuffmanCodec {
         let encoded = huffman::encode_chunked(&book, &symbols, HUFF_CHUNK)
             .map_err(|_| CodecError::Unsupported("huffman encode failed"))?;
         let mut out = Vec::new();
-        put_book(&mut out, &book);
-        put_chunked(&mut out, &encoded);
+        book.write_to(&mut out);
+        encoded.write_to(&mut out);
         Ok(out)
     }
 
     fn decode(&mut self, bytes: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
         let mut c = Cursor::new(bytes);
-        let book = get_book(&mut c).map_err(malformed)?;
-        let encoded = get_chunked(&mut c).map_err(malformed)?;
+        let book = Codebook::read_from(&mut c).map_err(malformed)?;
+        let encoded = ChunkedStream::read_from(&mut c).map_err(malformed)?;
         c.done().map_err(malformed)?;
         let symbols = huffman::decode_chunked(&book, &encoded)
             .map_err(|_| malformed("huffman stream did not decode"))?;
@@ -728,47 +413,20 @@ impl Codec for HuffmanCodec {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Registry factory
-
-/// Factory for every built-in codec ([`crate::codec::Registry::builtin`]
-/// registers each name to this function).
-pub fn build_builtin(cfg: &CodecConfig, spec: DeviceSpec) -> Result<Box<dyn Codec>, CodecError> {
-    Ok(match *cfg {
-        CodecConfig::Fz { eb_abs } => Box::new(FzCodec::new(spec, eb_abs)),
-        CodecConfig::CuSz { eb_abs } => Box::new(CuSzCodec { inner: CuSz::new(spec), eb_abs }),
-        CodecConfig::CuSzRle { eb_abs } => {
-            Box::new(CuSzRleCodec { inner: CuSzRle::new(spec), eb_abs })
-        }
-        CodecConfig::CuSzx { eb_abs } => Box::new(CuSzxCodec { inner: CuSzx::new(spec), eb_abs }),
-        CodecConfig::CuZfp { rate } => Box::new(CuZfpCodec { inner: CuZfp::new(spec), rate }),
-        CodecConfig::Mgard { eb_abs } => Box::new(MgardCodec { inner: Mgard::new(spec), eb_abs }),
-        CodecConfig::SzOmp { eb_abs } => Box::new(SzOmpCodec { inner: SzOmp, eb_abs }),
-        CodecConfig::Huffman => Box::new(HuffmanCodec),
-        CodecConfig::Rle => Box::new(RleCodec),
-        CodecConfig::Lz77 => Box::new(Lz77Codec),
-        CodecConfig::Deflate => Box::new(DeflateCodec),
-        CodecConfig::Raw => Box::new(RawCodec),
-        CodecConfig::Custom { ref name, .. } => return Err(CodecError::UnknownCodec(name.clone())),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::Registry;
+    use crate::codec::{CodecConfig, Registry};
     use fzgpu_sim::device::A100;
 
     fn field(n: usize) -> Vec<f32> {
         (0..n).map(|i| (i as f32 * 0.01).sin() * 3.0 + (i % 7) as f32 * 0.1).collect()
     }
 
-    #[test]
-    fn every_builtin_codec_roundtrips_a_3d_chunk() {
-        let shape = (8, 16, 16);
-        let data = field(8 * 16 * 16);
-        let reg = Registry::builtin();
-        let configs = [
+    /// One config per built-in codec, each able to encode an 8x16x16 chunk
+    /// of [`field`].
+    fn every_codec() -> [CodecConfig; 12] {
+        [
             CodecConfig::Fz { eb_abs: 1e-3 },
             CodecConfig::CuSz { eb_abs: 1e-3 },
             CodecConfig::CuSzRle { eb_abs: 1e-3 },
@@ -781,9 +439,15 @@ mod tests {
             CodecConfig::Lz77,
             CodecConfig::Deflate,
             CodecConfig::Raw,
-        ];
-        for cfg in configs {
-            let mut codec = reg.build(&cfg, A100).unwrap();
+        ]
+    }
+
+    #[test]
+    fn every_builtin_codec_roundtrips_a_3d_chunk() {
+        let shape = (8, 16, 16);
+        let data = field(8 * 16 * 16);
+        for cfg in every_codec() {
+            let mut codec = Registry::builtin().build(&cfg, A100).unwrap();
             let bytes = codec.encode(&data, shape).unwrap();
             let back = codec.decode(&bytes, shape).unwrap();
             assert_eq!(back.len(), data.len(), "{}", cfg.name());
@@ -807,35 +471,72 @@ mod tests {
 
     #[test]
     fn shape_support_is_reported_not_panicked() {
-        let data = field(64);
+        let data = field(256);
         let reg = Registry::builtin();
         let mut mgard = reg.build(&CodecConfig::Mgard { eb_abs: 1e-2 }, A100).unwrap();
-        assert!(matches!(mgard.encode(&data, (1, 1, 64)).unwrap_err(), CodecError::Unsupported(_)));
+        let unsupported = |r: Result<Vec<u8>, CodecError>| match r {
+            Err(CodecError::Unsupported(why)) => why,
+            other => panic!("expected Unsupported, got {other:?}"),
+        };
+        assert!(unsupported(mgard.encode(&data, (1, 1, 256))).contains("2D or 3D"));
+        // A 3-D chunk MGARD cannot shrink is a size problem, not a rank one.
+        let mut mgard = reg.build(&CodecConfig::Mgard { eb_abs: 1e-3 }, A100).unwrap();
+        assert!(unsupported(mgard.encode(&data, (4, 8, 8))).contains("not smaller"));
         let mut szomp = reg.build(&CodecConfig::SzOmp { eb_abs: 1e-3 }, A100).unwrap();
-        assert!(matches!(szomp.encode(&data, (1, 8, 8)).unwrap_err(), CodecError::Unsupported(_)));
+        assert!(unsupported(szomp.encode(&data, (1, 16, 16))).contains("3D"));
     }
 
     #[test]
-    fn truncated_streams_decode_to_errors() {
-        let shape = (1, 8, 32);
-        let data = field(256);
-        let reg = Registry::builtin();
-        for cfg in [
-            CodecConfig::CuSz { eb_abs: 1e-3 },
-            CodecConfig::CuSzx { eb_abs: 1e-3 },
-            CodecConfig::CuZfp { rate: 8.0 },
-            CodecConfig::Rle,
-            CodecConfig::Lz77,
-        ] {
-            let mut codec = reg.build(&cfg, A100).unwrap();
+    fn corrupt_streams_decode_to_errors_or_whole_chunks() {
+        let shape = (8, 16, 16);
+        let data = field(8 * 16 * 16);
+        for cfg in every_codec() {
+            let mut codec = Registry::builtin().build(&cfg, A100).unwrap();
             let bytes = codec.encode(&data, shape).unwrap();
-            for cut in [0, 3, bytes.len() / 2, bytes.len().saturating_sub(1)] {
+            for cut in [0, 3, bytes.len() / 2, bytes.len() - 1] {
                 assert!(
                     codec.decode(&bytes[..cut], shape).is_err(),
                     "{} accepted a truncated stream at {cut}",
                     cfg.name()
                 );
             }
+            for at in 0..bytes.len() {
+                for mask in [0x01u8, 0x40, 0xff] {
+                    let mut evil = bytes.clone();
+                    evil[at] ^= mask;
+                    if let Ok(back) = codec.decode(&evil, shape) {
+                        assert_eq!(
+                            back.len(),
+                            data.len(),
+                            "{} flip {mask:#04x} at {at} changed the value count",
+                            cfg.name()
+                        );
+                    }
+                }
+            }
+        }
+
+        // A literal and then max-length, distance-1 matches: a few KB that
+        // would expand to far more than the chunk if the decoders let it.
+        let mut lz = Vec::new();
+        wire::put_u64(&mut lz, 1001);
+        lz.extend_from_slice(&[0, 7]);
+        for _ in 0..1000 {
+            lz.extend_from_slice(&[1, 0xff, 0xff, 1, 0]);
+        }
+        let mut zeros = deflate::compress(&vec![0; 1 << 20]);
+        zeros[..4].copy_from_slice(&(data.len() as u32 * 4).to_le_bytes());
+        let mut mgard =
+            Registry::builtin().build(&CodecConfig::Mgard { eb_abs: 1e-2 }, A100).unwrap();
+        let mut stream =
+            MgardStream::from_bytes(&mgard.encode(&data, shape).unwrap(), shape).unwrap();
+        stream.compressed = zeros.clone();
+        for (mut codec, evil) in [
+            (Registry::builtin().build(&CodecConfig::Lz77, A100).unwrap(), lz),
+            (Registry::builtin().build(&CodecConfig::Deflate, A100).unwrap(), zeros),
+            (mgard, stream.to_bytes()),
+        ] {
+            assert!(codec.decode(&evil, shape).is_err());
         }
     }
 }

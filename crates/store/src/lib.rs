@@ -1,9 +1,9 @@
 //! `fzgpu-store` — the chunked-array store subsystem.
 //!
-//! This crate unifies every compressor in the workspace — the fzgpu
+//! This crate puts every compressor in the workspace — the fzgpu
 //! pipeline, the five baselines, and the lossless codecs — behind one
-//! versioned [`Codec`] trait with a pluggable [`Registry`], then layers a
-//! chunked n-D array container on top:
+//! [`Codec`] trait, built from a versioned [`CodecConfig`] by
+//! [`Registry::build`], then layers a chunked n-D array container on top:
 //!
 //! - [`ChunkGrid`] / [`Region`] — n-D chunking and subregion math.
 //! - [`ArrayStore`] — the `FZST` container: meta JSON + an archive-v3
@@ -20,14 +20,13 @@
 pub mod backend;
 pub mod codec;
 pub mod grid;
-pub mod impls;
+mod impls;
 pub mod store;
-pub mod wire;
 
 pub use backend::{
     BackendStats, FsBackend, MemBackend, ObjectStoreBackend, ObjectStoreModel, StorageBackend,
 };
-pub use codec::{Codec, CodecConfig, CodecError, CodecFactory, Registry, BUILTIN_NAMES};
+pub use codec::{Codec, CodecConfig, CodecError, Registry};
 pub use grid::{copy_region, ChunkGrid, Region};
 pub use store::{
     shape3, value_digest, ArrayStore, ReadResult, StoreError, StoreSpec, STORE_MAGIC, STORE_VERSION,

@@ -212,14 +212,13 @@ impl ArrayStore {
         data: &[f32],
         device: DeviceSpec,
     ) -> Result<Self, StoreError> {
-        Self::create_with_registry(&Registry::builtin(), &mut backend, &spec, data, device)?;
-        Self::open_with_registry(&Registry::builtin(), backend, device)
+        Self::write(&mut backend, &spec, data, device)?;
+        Self::open(backend, device)
     }
 
-    /// [`ArrayStore::create`] against a custom registry. Writes the
-    /// container; callers reopen with the same registry.
-    pub fn create_with_registry(
-        registry: &Registry,
+    /// Compress `data` into a new container on `backend`.
+    /// [`ArrayStore::create`] does this, then opens the container.
+    pub fn write(
         backend: &mut Box<dyn StorageBackend>,
         spec: &StoreSpec,
         data: &[f32],
@@ -238,7 +237,7 @@ impl ArrayStore {
         if spec.chunks_per_shard == 0 {
             return Err(StoreError::BadRequest("chunks_per_shard must be positive".into()));
         }
-        let mut codec = registry.build(&spec.codec, device)?;
+        let mut codec = Registry::builtin().build(&spec.codec, device)?;
         let _root = fzgpu_trace::span("store.create")
             .field("chunks", grid.num_chunks())
             .field("codec", spec.codec.name());
@@ -266,16 +265,10 @@ impl ArrayStore {
         backend.write_all(&out)
     }
 
-    /// Open an existing container with the built-in codec registry.
-    pub fn open(backend: Box<dyn StorageBackend>, device: DeviceSpec) -> Result<Self, StoreError> {
-        Self::open_with_registry(&Registry::builtin(), backend, device)
-    }
-
-    /// Open with a custom registry (for out-of-tree codecs). Fetches only
-    /// the container header, meta JSON, and the archive's top directory —
-    /// chunk payloads stay on the backend until read.
-    pub fn open_with_registry(
-        registry: &Registry,
+    /// Open an existing container. Fetches only the container header, meta
+    /// JSON, and the archive's top directory — chunk payloads stay on the
+    /// backend until read.
+    pub fn open(
         mut backend: Box<dyn StorageBackend>,
         device: DeviceSpec,
     ) -> Result<Self, StoreError> {
@@ -300,7 +293,7 @@ impl ArrayStore {
         let spec = StoreSpec::from_json(&meta_text).map_err(StoreError::Corrupt)?;
         let grid =
             ChunkGrid::new(spec.dims.clone(), spec.chunk.clone()).map_err(StoreError::Corrupt)?;
-        let codec = registry.build(&spec.codec, device)?;
+        let codec = Registry::builtin().build(&spec.codec, device)?;
 
         let mut dir = backend.read_range(arch_off, V3_DIR_HEADER_BYTES as u64)?;
         let (layout, total_values, num_chunks) = match ShardedArchive::directory_len(&dir) {
@@ -600,6 +593,21 @@ mod tests {
         .map(|_| ())
         .unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
+        // A meta JSON naming a codec this build does not have.
+        let bytes = store.backend.read_range(0, store.container_bytes()).unwrap();
+        let meta_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+        let meta = std::str::from_utf8(&bytes[16..16 + meta_len])
+            .unwrap()
+            .replace("\"codec\":\"raw\"", "\"codec\":\"wavelet\"");
+        let mut unknown = bytes[..8].to_vec();
+        unknown.extend_from_slice(&(meta.len() as u64).to_le_bytes());
+        unknown.extend_from_slice(meta.as_bytes());
+        unknown.extend_from_slice(&bytes[16 + meta_len..]);
+        let err =
+            ArrayStore::open(Box::new(MemBackend::from_bytes(unknown)), fzgpu_sim::device::A100)
+                .map(|_| ())
+                .unwrap_err();
+        assert!(err.to_string().contains("\"wavelet\""), "{err}");
         // Data/dims mismatch at create.
         let err = ArrayStore::create(
             Box::new(MemBackend::new()),

@@ -6,26 +6,27 @@
 //! cargo run --release --example compressor_faceoff
 //! ```
 
-use fz_gpu::baselines::{Baseline, CuSz, CuSzx, CuZfp, Mgard, Setting};
 use fz_gpu::core::quant::ErrorBound;
 use fz_gpu::core::FzNative;
 use fz_gpu::data::{dataset, Scale};
 use fz_gpu::metrics::psnr;
 use fz_gpu::sim::device::A100;
+use fz_gpu::store::{CodecConfig, Registry};
 
 fn main() {
     let field = dataset("RTM").unwrap().generate(Scale::Reduced);
     let shape = field.dims.as_3d();
     let n = field.data.len();
     let rel_eb = 1e-3;
-    let setting = Setting::Eb(ErrorBound::RelToRange(rel_eb));
+    let eb_abs = ErrorBound::RelToRange(rel_eb).resolve(&field.data);
     println!(
         "RTM {} snapshot, rel eb {rel_eb:.0e}, simulated A100\n",
         field.dims.to_string_paper()
     );
     println!("{:<12} {:>8} {:>10} {:>10} {:>12}", "compressor", "ratio", "PSNR dB", "GB/s", "mode");
 
-    // FZ-GPU via its own API (not the Baseline adapter) to show it too.
+    // FZ-GPU via its own API (it also runs behind the codec interface
+    // below, as `CodecConfig::Fz`).
     let mut fz = fz_gpu::core::FzGpu::new(A100);
     let c = fz.compress(&field.data, shape, ErrorBound::RelToRange(rel_eb));
     let restored = fz.decompress(&c).unwrap();
@@ -38,22 +39,31 @@ fn main() {
         "error-bound"
     );
 
-    let report = |name: &str, run: Option<fz_gpu::baselines::Run>, mode: &str| match run {
-        Some(run) => println!(
+    // Every baseline through the one codec interface: encode, read the
+    // modeled compress time, decode.
+    let report = |name: &str, cfg: CodecConfig, mode: &str| {
+        let mut codec = Registry::builtin().build(&cfg, A100).unwrap();
+        let Ok(bytes) = codec.encode(&field.data, shape) else {
+            println!("{:<12} {:>8} {:>10} {:>10} {:>12}", name, "-", "-", "-", "unsupported");
+            return;
+        };
+        let seconds = codec.modeled_seconds();
+        let stored = codec.accounted_bytes(&bytes, shape).unwrap();
+        let restored = codec.decode(&bytes, shape).unwrap();
+        println!(
             "{:<12} {:>7.1}x {:>10.1} {:>10.1} {:>12}",
             name,
-            run.ratio(n),
-            psnr(&field.data, &run.reconstructed),
-            run.throughput_gbps(n),
+            (n * 4) as f64 / stored as f64,
+            psnr(&field.data, &restored),
+            (n * 4) as f64 / seconds / 1e9,
             mode
-        ),
-        None => println!("{:<12} {:>8} {:>10} {:>10} {:>12}", name, "-", "-", "-", "unsupported"),
+        );
     };
 
-    report("cuSZ", CuSz::new(A100).run(&field.data, shape, setting), "error-bound");
-    report("cuSZx", CuSzx::new(A100).run(&field.data, shape, setting), "error-bound");
-    report("MGARD-GPU", Mgard::new(A100).run(&field.data, shape, setting), "error-bound");
-    report("cuZFP r=4", CuZfp::new(A100).run(&field.data, shape, Setting::Rate(4.0)), "fixed-rate");
+    report("cuSZ", CodecConfig::CuSz { eb_abs }, "error-bound");
+    report("cuSZx", CodecConfig::CuSzx { eb_abs }, "error-bound");
+    report("MGARD-GPU", CodecConfig::Mgard { eb_abs }, "error-bound");
+    report("cuZFP r=4", CodecConfig::CuZfp { rate: 4.0 }, "fixed-rate");
 
     // And FZ-OMP — the same pipeline as multi-threaded host code (the
     // native fast path), wall-clock measured.

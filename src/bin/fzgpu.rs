@@ -791,7 +791,7 @@ fn store_backend_open(
 }
 
 fn store_create(args: &[String]) -> Result<(), String> {
-    use fz_gpu::store::{ArrayStore, Registry, StoreSpec};
+    use fz_gpu::store::{ArrayStore, StoreSpec};
 
     let input = args.first().filter(|a| !a.starts_with("--")).ok_or("missing input path")?;
     let output = args.get(1).filter(|a| !a.starts_with("--")).ok_or("missing output path")?;
@@ -817,14 +817,7 @@ fn store_create(args: &[String]) -> Result<(), String> {
         flag_value(args, "--backend").unwrap_or("mem"),
         Some(output),
     )?;
-    ArrayStore::create_with_registry(
-        &Registry::builtin(),
-        &mut backend,
-        &spec,
-        &data,
-        device_of(args)?,
-    )
-    .map_err(|e| e.to_string())?;
+    ArrayStore::write(&mut backend, &spec, &data, device_of(args)?).map_err(|e| e.to_string())?;
     let total = backend.len();
     if backend.kind() != "fs" {
         let bytes = backend.read_range(0, total).map_err(|e| e.to_string())?;

@@ -1,11 +1,11 @@
 //! Cross-compressor behavioural contracts from the paper's evaluation
 //! narrative, checked end to end on one field.
 
-use fz_gpu::baselines::{Baseline, CuSz, CuSzRle, CuSzx, CuZfp, Mgard, Setting};
 use fz_gpu::core::quant::ErrorBound;
 use fz_gpu::data::{synth, Dims};
 use fz_gpu::metrics::psnr;
 use fz_gpu::sim::device::A100;
+use fz_gpu::store::{CodecConfig, Registry};
 
 const SHAPE: (usize, usize, usize) = (12, 40, 40);
 
@@ -13,8 +13,17 @@ fn field() -> Vec<f32> {
     synth::multiscale(Dims::D3(SHAPE.0, SHAPE.1, SHAPE.2), 21, 32, 1.6, 0.004)
 }
 
-fn eb(rel: f64) -> Setting {
-    Setting::Eb(ErrorBound::RelToRange(rel))
+/// Error-bounded codec `name` at range-relative bound `rel` over `data`.
+fn eb(name: &str, data: &[f32], rel: f64) -> CodecConfig {
+    CodecConfig::from_cli(name, Some(ErrorBound::RelToRange(rel).resolve(data)), None).unwrap()
+}
+
+/// Compress and decompress `data` with `cfg`: the compressed bytes the
+/// codec accounts, and the reconstruction.
+fn round_trip(cfg: &CodecConfig, data: &[f32]) -> (usize, Vec<f32>) {
+    let mut codec = Registry::builtin().build(cfg, A100).unwrap();
+    let bytes = codec.encode(data, SHAPE).unwrap();
+    (codec.accounted_bytes(&bytes, SHAPE).unwrap(), codec.decode(&bytes, SHAPE).unwrap())
 }
 
 #[test]
@@ -26,10 +35,9 @@ fn cusz_and_fzgpu_share_distortion_at_same_bound() {
     let mut fz = fz_gpu::core::FzGpu::new(A100);
     let c = fz.compress(&data, SHAPE, ErrorBound::RelToRange(1e-3));
     let fz_rec = fz.decompress(&c).unwrap();
-    let mut cusz = CuSz::new(A100);
-    let run = cusz.run(&data, SHAPE, eb(1e-3)).unwrap();
+    let (_, cusz_rec) = round_trip(&eb("cusz", &data, 1e-3), &data);
     let p_fz = psnr(&data, &fz_rec);
-    let p_cusz = psnr(&data, &run.reconstructed);
+    let p_cusz = psnr(&data, &cusz_rec);
     assert!((p_fz - p_cusz).abs() < 0.75, "psnr diverged: FZ {p_fz} vs cuSZ {p_cusz}");
 }
 
@@ -38,11 +46,9 @@ fn mgard_over_preserves_relative_to_cusz() {
     // §4.3: "under the same relative error bound, MGARD-GPU has higher
     // PSNR on all datasets because MGARD-GPU over-preserves".
     let data = field();
-    let mut cusz = CuSz::new(A100);
-    let mut mgard = Mgard::new(A100);
-    let c = cusz.run(&data, SHAPE, eb(1e-3)).unwrap();
-    let m = mgard.run(&data, SHAPE, eb(1e-3)).unwrap();
-    assert!(psnr(&data, &m.reconstructed) > psnr(&data, &c.reconstructed));
+    let (_, c) = round_trip(&eb("cusz", &data, 1e-3), &data);
+    let (_, m) = round_trip(&eb("mgard", &data, 1e-3), &data);
+    assert!(psnr(&data, &m) > psnr(&data, &c));
 }
 
 #[test]
@@ -51,13 +57,12 @@ fn cuszx_psnr_at_least_matches_bound_but_lower_ratio_than_fz() {
     let n = data.len();
     let mut fz = fz_gpu::core::FzGpu::new(A100);
     let c = fz.compress(&data, SHAPE, ErrorBound::RelToRange(1e-3));
-    let mut szx = CuSzx::new(A100);
-    let x = szx.run(&data, SHAPE, eb(1e-3)).unwrap();
+    let (szx_bytes, _) = round_trip(&eb("cuszx", &data, 1e-3), &data);
+    let szx_ratio = (n * 4) as f64 / szx_bytes as f64;
     assert!(
-        c.ratio() > x.ratio(n),
-        "FZ {} should out-compress cuSZx {} (paper: 2.4x average)",
+        c.ratio() > szx_ratio,
+        "FZ {} should out-compress cuSZx {szx_ratio} (paper: 2.4x average)",
         c.ratio(),
-        x.ratio(n)
     );
 }
 
@@ -70,42 +75,34 @@ fn cuzfp_rate_controls_size_not_error() {
         .enumerate()
         .map(|(i, &v)| v + ((i as u32).wrapping_mul(2654435761) >> 16) as f32 * 1e-4)
         .collect();
-    let mut zfp = CuZfp::new(A100);
-    let a = zfp.run(&smooth, SHAPE, Setting::Rate(4.0)).unwrap();
-    let b = zfp.run(&rough, SHAPE, Setting::Rate(4.0)).unwrap();
+    let rate4 = CodecConfig::CuZfp { rate: 4.0 };
+    let (a_bytes, a) = round_trip(&rate4, &smooth);
+    let (b_bytes, b) = round_trip(&rate4, &rough);
     // Same size either way...
-    assert_eq!(a.compressed_bytes, b.compressed_bytes);
+    assert_eq!(a_bytes, b_bytes);
     // ...but different quality.
-    assert!(psnr(&smooth, &a.reconstructed) > psnr(&rough, &b.reconstructed) + 3.0);
+    assert!(psnr(&smooth, &a) > psnr(&rough, &b) + 3.0);
 }
 
 #[test]
 fn rle_variant_tracks_huffman_quality_exactly() {
     // Same front end => same reconstruction, different encoders.
     let data = field();
-    let mut cusz = CuSz::new(A100);
-    let mut rle = CuSzRle::new(A100);
-    let h = cusz.run(&data, SHAPE, eb(1e-2)).unwrap();
-    let r = rle.run(&data, SHAPE, eb(1e-2)).unwrap();
-    assert_eq!(h.reconstructed, r.reconstructed);
+    let (_, h) = round_trip(&eb("cusz", &data, 1e-2), &data);
+    let (_, r) = round_trip(&eb("cusz-rle", &data, 1e-2), &data);
+    assert_eq!(h, r);
 }
 
 #[test]
 fn every_compressor_improves_quality_with_tighter_bounds() {
     let data = field();
-    for baseline in [
-        &mut CuSz::new(A100) as &mut dyn Baseline,
-        &mut CuSzx::new(A100),
-        &mut Mgard::new(A100),
-        &mut CuSzRle::new(A100),
-    ] {
-        let loose = baseline.run(&data, SHAPE, eb(1e-2)).unwrap();
-        let tight = baseline.run(&data, SHAPE, eb(1e-4)).unwrap();
+    for name in ["cusz", "cuszx", "mgard", "cusz-rle"] {
+        let (loose_bytes, loose) = round_trip(&eb(name, &data, 1e-2), &data);
+        let (tight_bytes, tight) = round_trip(&eb(name, &data, 1e-4), &data);
         assert!(
-            psnr(&data, &tight.reconstructed) > psnr(&data, &loose.reconstructed),
-            "{} quality did not improve with tighter bound",
-            loose.name
+            psnr(&data, &tight) > psnr(&data, &loose),
+            "{name} quality did not improve with tighter bound"
         );
-        assert!(tight.compressed_bytes > loose.compressed_bytes);
+        assert!(tight_bytes > loose_bytes);
     }
 }

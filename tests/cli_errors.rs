@@ -175,6 +175,29 @@ fn store_failures_exit_nonzero_with_one_line_error() {
         ],
         "--rate",
     );
+    // MGARD declines a 3-D chunk it cannot shrink and names that, not the
+    // chunk rank.
+    let wave = dir.join("wave.f32");
+    let raw: Vec<u8> =
+        (0..16 * 32 * 32u32).flat_map(|i| (i as f32 * 0.01).sin().to_le_bytes()).collect();
+    std::fs::write(&wave, raw).unwrap();
+    assert_cli_error(
+        &[
+            "store",
+            "create",
+            wave.to_str().unwrap(),
+            container,
+            "--dims",
+            "16x32x32",
+            "--chunk",
+            "4x8x8",
+            "--codec",
+            "mgard",
+            "--eb",
+            "1e-3",
+        ],
+        "MGARD output is not smaller than its input",
+    );
     // Unknown backend.
     assert_cli_error(
         &[

@@ -61,7 +61,7 @@ proptest! {
     #[test]
     fn deflate_roundtrips(data in proptest::collection::vec(any::<u8>(), 0..6_000)) {
         let packed = deflate::compress(&data);
-        let back = deflate::decompress(&packed).expect("decompress");
+        let back = deflate::decompress(&packed, data.len()).expect("decompress");
         prop_assert_eq!(back, data);
     }
 
@@ -70,13 +70,13 @@ proptest! {
         // Tiny alphabet produces long overlapping matches — the hard case
         // for copy resolution (dist < len copies must self-extend).
         let tokens = lz77::tokenize(&data);
-        prop_assert_eq!(lz77::detokenize(&tokens), data);
+        prop_assert_eq!(lz77::detokenize(&tokens, data.len()), Some(data));
     }
 
     #[test]
     fn lz77_roundtrips_incompressible(data in proptest::collection::vec(any::<u8>(), 0..4_000)) {
         let tokens = lz77::tokenize(&data);
-        prop_assert_eq!(lz77::detokenize(&tokens), data);
+        prop_assert_eq!(lz77::detokenize(&tokens, data.len()), Some(data));
     }
 
     #[test]
@@ -122,7 +122,7 @@ fn lz77_max_match_boundary_roundtrips() {
     for extra in 0..3 {
         let data: Vec<u8> = std::iter::repeat_n(0xabu8, lz77::MAX_MATCH * 2 + extra).collect();
         let tokens = lz77::tokenize(&data);
-        assert_eq!(lz77::detokenize(&tokens), data, "extra {extra}");
+        assert_eq!(lz77::detokenize(&tokens, data.len()), Some(data), "extra {extra}");
         assert!(tokens.iter().all(
             |t| !matches!(t, lz77::Token::Match { len, .. } if *len as usize > lz77::MAX_MATCH)
         ),);
@@ -134,8 +134,8 @@ fn empty_inputs_are_total() {
     assert!(rle::encode(&[]).is_empty());
     assert!(rle::decode(&[]).is_empty());
     assert!(lz77::tokenize(&[]).is_empty());
-    assert!(lz77::detokenize(&[]).is_empty());
-    assert_eq!(deflate::decompress(&deflate::compress(&[])).unwrap(), Vec::<u8>::new());
+    assert_eq!(lz77::detokenize(&[], 0), Some(vec![]));
+    assert_eq!(deflate::decompress(&deflate::compress(&[]), 0).unwrap(), Vec::<u8>::new());
     assert_eq!(bitpack::pack(&[], 7), Vec::<u32>::new());
     assert_eq!(bitpack::unpack(&[], 0, 7), Vec::<u32>::new());
     assert!(huffman::Codebook::from_histogram(&[]).is_err());

@@ -8,10 +8,10 @@
 //! compressed streams, modeled timelines, kernel counters, float metrics,
 //! and seeded fault-campaign outcomes.
 
-use fz_gpu::baselines::{Baseline, Setting, SzOmp};
 use fz_gpu::core::{reference, ErrorBound, FaultPlan, FzGpu, FzOptions, PipelinePath};
 use fz_gpu::metrics::{mae, max_abs_error, mse, pearson, psnr};
 use fz_gpu::sim::device::A100;
+use fz_gpu::store::{CodecConfig, Registry};
 
 /// The pool is process-global; tests that sweep it must not interleave.
 fn serialized(n: usize) -> std::sync::MutexGuard<'static, ()> {
@@ -122,10 +122,11 @@ fn sz_omp_baseline_is_thread_count_invariant() {
     // Covers the remaining hot shim paths: filter+enumerate compaction,
     // fold/reduce histogram, and parallel Huffman chunk encoding.
     let data = field();
+    let cfg = CodecConfig::SzOmp { eb_abs: ErrorBound::RelToRange(1e-3).resolve(&data) };
     invariant(|| {
-        let run = SzOmp
-            .run(&data, SHAPE, Setting::Eb(ErrorBound::RelToRange(1e-3)))
-            .expect("3D field supported");
-        (run.compressed_bytes, run.reconstructed)
+        let mut codec = Registry::builtin().build(&cfg, A100).unwrap();
+        let bytes = codec.encode(&data, SHAPE).expect("3D field supported");
+        let reconstructed = codec.decode(&bytes, SHAPE).unwrap();
+        (bytes, reconstructed)
     });
 }

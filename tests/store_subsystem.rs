@@ -22,11 +22,10 @@ fn mem_store(spec: StoreSpec, data: &[f32]) -> ArrayStore {
     ArrayStore::create(backend, spec, data, A100).expect("create store")
 }
 
-/// Container bytes as written by `create` into a fresh mem backend.
+/// Container bytes as `ArrayStore::write` puts them into a fresh mem backend.
 fn container_bytes(spec: &StoreSpec, data: &[f32]) -> Vec<u8> {
     let mut backend = backend_from_cli("mem", None).expect("mem backend");
-    ArrayStore::create_with_registry(&Registry::builtin(), &mut backend, spec, data, A100)
-        .expect("create store");
+    ArrayStore::write(&mut backend, spec, data, A100).expect("create store");
     backend.read_range(0, backend.len()).expect("read container back")
 }
 
@@ -239,6 +238,24 @@ fn store_digests_are_invariant_across_threads_engines_and_paths() {
 const CONTAINER_CRCS: [u32; 3] = [0x992a_854b, 0x7663_8664, 0xd3c5_c19c];
 const STORE_READ_REPORT_CRC: u32 = 0x38c8_12b7;
 
+/// CRC-32 of the container bytes for every built-in codec, on a 16x32x32
+/// field in 8x16x16 chunks (a chunk shape every codec can encode: SZ-OMP
+/// needs 3-D chunks and MGARD needs chunks it can shrink).
+const EVERY_CODEC_CRCS: [(&str, u32); 12] = [
+    ("fz", 0x2955_c7b2),
+    ("cusz", 0x6245_08d5),
+    ("cusz-rle", 0xd65f_5898),
+    ("cuszx", 0x46fb_ddf5),
+    ("cuzfp", 0xe7fe_ef29),
+    ("mgard", 0x6697_5325),
+    ("sz-omp", 0x4a30_5c3f),
+    ("huffman", 0x47aa_a5aa),
+    ("rle", 0x395e_296d),
+    ("lz77", 0x04bd_d7d2),
+    ("deflate", 0x6030_b90c),
+    ("raw", 0x5210_cdab),
+];
+
 #[test]
 fn container_and_read_report_bytes_are_pinned() {
     let _guard = serialized();
@@ -263,6 +280,22 @@ fn container_and_read_report_bytes_are_pinned() {
             .unwrap();
     let report = run_store_reads(&mut store, &StoreReadWorkload::default()).unwrap();
     let report_crc = crc32(report.to_json().as_bytes());
+
+    let data = wave(16 * 32 * 32);
+    let every: Vec<(&str, u32)> = EVERY_CODEC_CRCS
+        .iter()
+        .map(|&(name, _)| {
+            let eb = if name == "mgard" { 1e-2 } else { 1e-3 };
+            let codec = CodecConfig::from_cli(name, Some(eb), Some(8.0)).unwrap();
+            let spec = StoreSpec {
+                dims: vec![16, 32, 32],
+                chunk: vec![8, 16, 16],
+                codec,
+                chunks_per_shard: 4,
+            };
+            (name, crc32(&container_bytes(&spec, &data)))
+        })
+        .collect();
     std::env::remove_var("FZGPU_SIM_ENGINE");
     std::env::remove_var("FZGPU_NATIVE");
     assert_eq!(got, CONTAINER_CRCS, "container bytes drifted: got {got:08x?}");
@@ -270,6 +303,7 @@ fn container_and_read_report_bytes_are_pinned() {
         report_crc, STORE_READ_REPORT_CRC,
         "store-read report JSON drifted: got 0x{report_crc:08x}"
     );
+    assert_eq!(every, EVERY_CODEC_CRCS, "container bytes drifted: got {every:#010x?}");
 }
 
 // ---------------------------------------------------------------------------
