@@ -21,6 +21,9 @@ impl core::fmt::Display for IoError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             IoError::Io(e) => write!(f, "io error: {e}"),
+            IoError::BadLength { actual_bytes, .. } if actual_bytes % 4 != 0 => {
+                write!(f, "length {actual_bytes} is not a multiple of 4")
+            }
             IoError::BadLength { expected_values, actual_bytes } => write!(
                 f,
                 "file holds {actual_bytes} bytes but dims imply {} bytes",
@@ -113,6 +116,9 @@ mod tests {
         let path = tmp("badlen");
         write_f32_file(&path, &[1.0, 2.0, 3.0]).unwrap();
         assert!(matches!(read_f32_file(&path, Dims::D1(4)), Err(IoError::BadLength { .. })));
+        std::fs::write(&path, [0u8; 13]).unwrap();
+        let err = read_f32_file_flat(&path).unwrap_err();
+        assert_eq!(err.to_string(), "length 13 is not a multiple of 4");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1,13 +1,6 @@
 //! `fzgpu` — command-line compressor over raw f32 fields, mirroring the
-//! real FZ-GPU binary's interface (`fz-gpu <file> <dims> <eb>`), extended
-//! with decompress / info / bench subcommands.
-//!
-//! ```text
-//! fzgpu compress   <input.f32> <output.fz> --dims 100x500x500 --eb 1e-3 [--abs] [--device a100]
-//! fzgpu decompress <input.fz>  <output.f32> [--device a100]
-//! fzgpu info       <input.fz>
-//! fzgpu bench      <input.f32> --dims 100x500x500 [--eb 1e-3] [--device a100]
-//! ```
+//! real FZ-GPU binary's interface (`fz-gpu <file> <dims> <eb>`). `USAGE`
+//! lists every subcommand and is the only place a flag is declared.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -16,7 +9,7 @@ use fz_gpu::core::archive::ARCHIVE_MAGIC;
 use fz_gpu::core::{
     Archive, ChunkHealth, ErrorBound, FillPolicy, FzGpu, FzOptions, Header, PipelinePath,
 };
-use fz_gpu::data::io::{parse_dims, read_f32_file, write_f32_file};
+use fz_gpu::data::io::{parse_dims, read_f32_file, read_f32_file_flat, write_f32_file};
 use fz_gpu::metrics::{max_abs_error, psnr};
 use fz_gpu::sim::device;
 use fz_gpu::trace::json::{self, Layout, Obj};
@@ -45,11 +38,11 @@ const USAGE: &str = "usage:
   fzgpu decompress <input.fz>  <output.f32> [--device a100|a4000]
                    [--native | --path sim|native|both] [--engine interp|analytic] [--trace out.json]
   fzgpu info       <input.fz>
-  fzgpu bench      <input.f32> --dims ZxYxX [--eb 1e-3] [--device a100|a4000]
+  fzgpu bench      <input.f32> --dims ZxYxX [--eb 1e-3] [--abs] [--device a100|a4000]
                    [--native | --path sim|native|both] [--engine interp|analytic]
   fzgpu profile    (<input.f32> --dims ZxYxX | --synthetic <dataset>) [--eb 1e-3] [--abs]
                    [--device a100|a4000] [--engine interp|analytic]
-                   [--trace out.json] [--report out.txt] [--json]
+                   [--trace out.json] [--report out.txt | --json]
                    (datasets: HACC CESM Hurricane Nyx QMCPACK RTM)
   fzgpu stats      (<input.f32> --dims ZxYxX | --synthetic <dataset>) [--eb 1e-3] [--abs]
                    [--device a100|a4000] [--engine interp|analytic] [--timings] [--json]
@@ -57,15 +50,15 @@ const USAGE: &str = "usage:
                    [--abs] [--device ...] [--native | --path sim|native|both]
                    [--engine interp|analytic] [--trace out.json]
   fzgpu verify     <input.fz|input.fzar>
-  fzgpu extract    <input.fzar> <output.f32> [--degraded] [--fill nan|zero] [--device ...]
+  fzgpu extract    <input.fzar> <output.f32> [--degraded [--fill nan|zero]] [--device ...]
                    [--native | --path sim|native|both] [--engine interp|analytic]
   fzgpu serve      --replay <workload.json> [--streams N] [--no-pool] [--batch N]
                    [--queue-depth N] [--backpressure reject|block] [--timings] [--json]
                    [--native | --path sim|native|both] [--engine interp|analytic] [--trace out.json]
                    [--deadline-us T] [--retries N] [--backoff-us T] [--shed-priority]
-                   [--no-breaker] [--fault-seed S] [--fault-rate P] [--fault-streak N]
-                   [--stall-rate P] [--stall-us T] [--loss-at-us T] [--repair-us T]
-                   [--telemetry <dir>] [--telemetry-window-us T] [--flight-capacity N]
+                   [--no-breaker] [--fault-seed S] [--fault-rate P [--fault-streak N]]
+                   [--stall-rate P [--stall-us T]] [--loss-at-us T [--repair-us T]]
+                   [--telemetry <dir> [--telemetry-window-us T] [--flight-capacity N]]
   fzgpu report     <telemetry-dir>
   fzgpu store create <input.f32> <store.fzst> --dims 256x256x256 --chunk 64x64x64
                    [--codec fz|cusz|cusz-rle|cuszx|cuzfp|mgard|sz-omp|huffman|rle|lz77|deflate|raw]
@@ -73,30 +66,183 @@ const USAGE: &str = "usage:
                    [--device a100|a4000]
   fzgpu store read <store.fzst> <output.f32> [--region 0:64,0:64,0:64] [--backend mem|fs|objsim]
                    [--device a100|a4000] [--json]
-  fzgpu store stat <store.fzst> [--json]
+  fzgpu store stat <store.fzst> [--backend mem|fs|objsim] [--json]
   fzgpu store serve <store.fzst> [--reads N] [--seed S] [--backend mem|fs|objsim]
                    [--device a100|a4000] [--json]";
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+type Handler = fn(&Args) -> Result<(), String>;
+
+/// Every subcommand with its handler, in `USAGE` order.
+const COMMANDS: [(&str, Handler); 15] = [
+    ("compress", compress),
+    ("decompress", decompress),
+    ("info", info),
+    ("bench", bench),
+    ("profile", profile),
+    ("stats", stats),
+    ("archive", archive),
+    ("verify", verify),
+    ("extract", extract),
+    ("serve", serve),
+    ("report", report_cmd),
+    ("store create", store_create),
+    ("store read", store_read),
+    ("store stat", store_stat),
+    ("store serve", store_serve),
+];
+
+/// One flag as a `USAGE` entry declares it, with the flag it modifies and
+/// requires, if any.
+#[derive(Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    takes_value: bool,
+    parent: Option<&'static str>,
 }
 
-fn device_of(args: &[String]) -> Result<fz_gpu::sim::DeviceSpec, String> {
-    let name = flag_value(args, "--device").unwrap_or("a100");
+/// A subcommand's grammar: its flags, and at most `max_positionals` bare
+/// arguments (`profile` and `stats` take their file or `--synthetic`).
+struct Grammar {
+    flags: Vec<Flag>,
+    max_positionals: usize,
+}
+
+/// Read `cmd`'s grammar off its `USAGE` entry (from `\n  fzgpu <cmd> ` to
+/// the next one). A `--flag` takes the next token as its value unless the
+/// flag closes a bracket or that token starts with `-`, `[`, `(` or `|`. A
+/// flag opening a `[...]` group inside another group requires the outer
+/// group's first flag. Every other `<...>` token is a positional.
+fn grammar(cmd: &str) -> Option<Grammar> {
+    let entry = USAGE.split("\n  fzgpu ").find_map(|e| e.strip_prefix(cmd)?.strip_prefix(' '))?;
+    let mut tokens = entry.split_whitespace().peekable();
+    let mut grammar = Grammar { flags: Vec::new(), max_positionals: 0 };
+    // The first word of each open `[...]` group, innermost last.
+    let mut groups: Vec<&'static str> = Vec::new();
+    while let Some(tok) = tokens.next() {
+        let word = tok.trim_start_matches(['[', '(']).trim_end_matches([']', ')']);
+        let opens = tok.len() - tok.trim_start_matches('[').len();
+        let parent = groups.last().copied().filter(|w| opens > 0 && w.starts_with("--"));
+        groups.extend(std::iter::repeat_n(word, opens));
+        let mut last = tok;
+        if word.starts_with("--") {
+            let closes = tok.ends_with([']', ')']);
+            let value = tokens.next_if(|t| !closes && !t.starts_with(['-', '[', '(', '|']));
+            last = value.unwrap_or(tok);
+            grammar.flags.push(Flag { name: word, takes_value: value.is_some(), parent });
+        } else if word.starts_with('<') {
+            grammar.max_positionals += 1;
+        }
+        groups.truncate(groups.len() - (last.len() - last.trim_end_matches(']').len()));
+    }
+    Some(grammar)
+}
+
+/// A subcommand's argv, parsed once against its grammar.
+struct Args {
+    grammar: Grammar,
+    positionals: Vec<String>,
+    /// Each flag given, with its value if it takes one.
+    given: Vec<(Flag, Option<String>)>,
+}
+
+impl Args {
+    /// Parse `argv` against `cmd`'s grammar. Positionals may sit among the
+    /// flags; a token starting with `--` is a flag, never a value.
+    fn from_argv(cmd: &str, argv: &[String]) -> Result<Args, String> {
+        let grammar = grammar(cmd).expect("every command has a USAGE entry");
+        let mut args = Args { grammar, positionals: Vec::new(), given: Vec::new() };
+        let mut argv = argv.iter().peekable();
+        while let Some(tok) = argv.next() {
+            if !tok.starts_with("--") {
+                if args.positionals.len() == args.grammar.max_positionals {
+                    return Err(format!("{cmd}: unexpected argument '{tok}'"));
+                }
+                args.positionals.push(tok.clone());
+                continue;
+            }
+            let flag = args.grammar.flags.iter().find(|f| f.name == tok);
+            let &flag = flag.ok_or_else(|| format!("{cmd}: unknown flag {tok}"))?;
+            if args.has(tok) {
+                return Err(format!("{cmd}: {tok} given twice"));
+            }
+            let value = match argv.next_if(|v| flag.takes_value && !v.starts_with("--")) {
+                None if flag.takes_value => return Err(format!("{cmd}: {tok} needs a value")),
+                v => v.cloned(),
+            };
+            args.given.push((flag, value));
+        }
+        for (flag, _) in &args.given {
+            if let Some(p) = flag.parent.filter(|p| !args.has(p)) {
+                return Err(format!("{cmd}: {} without {p}; modifiers require {p}", flag.name));
+            }
+        }
+        Ok(args)
+    }
+
+    /// The `i`th positional, or "missing {what}".
+    fn pos(&self, i: usize, what: &str) -> Result<&str, String> {
+        self.positionals.get(i).map(String::as_str).ok_or_else(|| format!("missing {what}"))
+    }
+
+    /// The value slot of `flag` if it was given; reading an undeclared flag is a bug.
+    fn slot(&self, flag: &str) -> Option<&Option<String>> {
+        debug_assert!(self.grammar.flags.iter().any(|f| f.name == flag), "{flag} not in USAGE");
+        self.given.iter().find(|(f, _)| f.name == flag).map(|(_, v)| v)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.slot(flag).is_some()
+    }
+
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.slot(flag)?.as_deref()
+    }
+
+    fn parse<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        let parse = |s: &str| s.parse().map_err(|_| format!("bad {flag} value '{s}'"));
+        self.get(flag).map(parse).transpose()
+    }
+
+    /// A count: at least 1.
+    fn count(&self, flag: &str) -> Result<Option<usize>, String> {
+        match self.parse(flag)? {
+            Some(0) => Err(format!("{flag} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
+    /// A time given in microseconds, finite and `>= 0`, returned in seconds.
+    fn micros(&self, flag: &str) -> Result<Option<f64>, String> {
+        let t = self.parse::<f64>(flag)?;
+        if t.is_some_and(|t| !t.is_finite() || t < 0.0) {
+            return Err(format!("{flag} must be a nonnegative finite time in us"));
+        }
+        Ok(t.map(|t| t * 1e-6))
+    }
+
+    /// A probability in `[0, 1]`.
+    fn prob(&self, flag: &str) -> Result<Option<f64>, String> {
+        let p = self.parse::<f64>(flag)?;
+        if p.is_some_and(|p| !(0.0..=1.0).contains(&p)) {
+            return Err(format!("{flag} must be a probability in [0, 1]"));
+        }
+        Ok(p)
+    }
+}
+
+fn device_of(args: &Args) -> Result<fz_gpu::sim::DeviceSpec, String> {
+    let name = args.get("--device").unwrap_or("a100");
     device::by_name(name).ok_or_else(|| format!("unknown device '{name}'"))
 }
 
 /// Pipeline-path selection: `--native` is shorthand for `--path native`;
 /// `--path` takes sim|native|both; neither flag falls back to the
 /// `FZGPU_NATIVE` environment variable (default: simulated).
-fn path_of(args: &[String]) -> Result<PipelinePath, String> {
-    let flagged = flag_value(args, "--path")
-        .map(|s| {
-            PipelinePath::parse(s)
-                .ok_or_else(|| format!("bad --path '{s}' (expected sim|native|both)"))
-        })
-        .transpose()?;
-    if args.iter().any(|a| a == "--native") {
+fn path_of(args: &Args) -> Result<PipelinePath, String> {
+    let bad = |s| format!("bad --path '{s}' (expected sim|native|both)");
+    let flagged = args.get("--path").map(|s| PipelinePath::parse(s).ok_or_else(|| bad(s)));
+    let flagged = flagged.transpose()?;
+    if args.has("--native") {
         if flagged.is_some_and(|p| p != PipelinePath::Native) {
             return Err("--native conflicts with --path".into());
         }
@@ -109,18 +255,15 @@ fn path_of(args: &[String]) -> Result<PipelinePath, String> {
 /// falls back to the `FZGPU_SIM_ENGINE` environment variable (default:
 /// interpreted). Either engine produces bit-identical streams, timelines,
 /// and counters; analytic just skips the per-block interpreter.
-fn engine_of(args: &[String]) -> Result<fz_gpu::sim::Engine, String> {
-    flag_value(args, "--engine")
-        .map(|s| {
-            fz_gpu::sim::Engine::parse(s)
-                .ok_or_else(|| format!("bad --engine '{s}' (expected interp|analytic)"))
-        })
-        .transpose()
-        .map(|e| e.unwrap_or_else(fz_gpu::sim::Engine::from_env))
+fn engine_of(args: &Args) -> Result<fz_gpu::sim::Engine, String> {
+    use fz_gpu::sim::Engine;
+    let bad = |s| format!("bad --engine '{s}' (expected interp|analytic)");
+    let engine = args.get("--engine").map(|s| Engine::parse(s).ok_or_else(|| bad(s)));
+    Ok(engine.transpose()?.unwrap_or_else(Engine::from_env))
 }
 
 /// Build the compressor honoring `--device` and the pipeline path flags.
-fn fz_of(args: &[String]) -> Result<FzGpu, String> {
+fn fz_of(args: &Args) -> Result<FzGpu, String> {
     let opts = FzOptions { path: path_of(args)?, engine: engine_of(args)?, ..FzOptions::default() };
     Ok(FzGpu::with_options(device_of(args)?, opts))
 }
@@ -136,70 +279,53 @@ fn clock_of(fz: &FzGpu, t0: std::time::Instant) -> (f64, &'static str) {
     }
 }
 
-fn eb_of(args: &[String]) -> Result<ErrorBound, String> {
-    let eb: f64 = flag_value(args, "--eb")
-        .unwrap_or("1e-3")
-        .parse()
-        .map_err(|_| "bad --eb value".to_string())?;
+/// `--eb` (and `--abs`) checked against the field it bounds. A relative
+/// bound over data holding ±inf resolves to an infinite bound: rejected
+/// here like `--eb inf`, before anything runs or is written.
+fn eb_for(args: &Args, data: &[f32]) -> Result<ErrorBound, String> {
+    let eb = args.parse::<f64>("--eb")?.unwrap_or(1e-3);
     if !(eb.is_finite() && eb > 0.0) {
         return Err("--eb must be finite and positive".into());
     }
-    Ok(if args.iter().any(|a| a == "--abs") {
-        ErrorBound::Abs(eb)
-    } else {
-        ErrorBound::RelToRange(eb)
-    })
-}
-
-/// `--eb` checked against the field it bounds. A relative bound over data
-/// holding ±inf resolves to an infinite bound: rejected here like
-/// `--eb inf`, before anything runs or is written.
-fn eb_for(args: &[String], data: &[f32]) -> Result<ErrorBound, String> {
-    let eb = eb_of(args)?;
+    let eb = if args.has("--abs") { ErrorBound::Abs(eb) } else { ErrorBound::RelToRange(eb) };
     eb.try_resolve(data).map_err(|abs| {
         format!("--eb must be finite and positive; over this input it resolves to {abs}")
     })?;
     Ok(eb)
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let cmd = args.first().map(String::as_str).ok_or("missing subcommand")?;
-    match cmd {
-        "compress" => compress(&args[1..]),
-        "decompress" => decompress(&args[1..]),
-        "info" => info(&args[1..]),
-        "bench" => bench(&args[1..]),
-        "profile" => profile(&args[1..]),
-        "stats" => stats(&args[1..]),
-        "archive" => archive(&args[1..]),
-        "verify" => verify(&args[1..]),
-        "extract" => extract(&args[1..]),
-        "serve" => serve(&args[1..]),
-        "report" => report_cmd(&args[1..]),
-        "store" => store_cmd(&args[1..]),
-        other => Err(format!("unknown subcommand '{other}'")),
-    }
+/// Dispatch on the subcommand (one word, or two for `store`), parsing the
+/// rest of argv against its grammar.
+fn run(argv: &[String]) -> Result<(), String> {
+    let words = |name: &str| name.split(' ').count();
+    let found = COMMANDS.iter().find(|(name, _)| argv.iter().take(words(name)).eq(name.split(' ')));
+    let Some(&(name, handler)) = found else {
+        let subs = "(expected create|read|stat|serve)";
+        return Err(match argv {
+            [] => "missing subcommand".into(),
+            [s] if s == "store" => format!("missing store subcommand {subs}"),
+            [s, sub, ..] if s == "store" => format!("unknown store subcommand '{sub}' {subs}"),
+            [other, ..] => format!("unknown subcommand '{other}'"),
+        });
+    };
+    handler(&Args::from_argv(name, &argv[words(name)..])?)
 }
 
-fn load_field(args: &[String], path: &str) -> Result<fz_gpu::data::Field, String> {
-    let dims_str = flag_value(args, "--dims").ok_or("missing --dims ZxYxX")?;
+fn load_field(args: &Args, path: &str) -> Result<fz_gpu::data::Field, String> {
+    let dims_str = args.get("--dims").ok_or("missing --dims ZxYxX")?;
     let dims = parse_dims(dims_str).ok_or_else(|| format!("bad --dims '{dims_str}'"))?;
     read_f32_file(Path::new(path), dims).map_err(|e| e.to_string())
 }
 
 /// Shared input selection for `profile` / `stats`: either a raw file with
 /// `--dims`, or a generated `--synthetic <dataset>` field.
-fn field_of(args: &[String]) -> Result<fz_gpu::data::Field, String> {
-    if let Some(name) = flag_value(args, "--synthetic") {
+fn field_of(args: &Args) -> Result<fz_gpu::data::Field, String> {
+    if let Some(name) = args.get("--synthetic") {
         let info = fz_gpu::data::dataset(name)
             .ok_or_else(|| format!("unknown synthetic dataset '{name}'"))?;
         Ok(info.generate(fz_gpu::data::Scale::Reduced))
     } else {
-        let input = args
-            .first()
-            .filter(|a| !a.starts_with("--"))
-            .ok_or("missing input path or --synthetic <dataset>")?;
-        load_field(args, input)
+        load_field(args, args.pos(0, "input path or --synthetic <dataset>")?)
     }
 }
 
@@ -208,10 +334,10 @@ fn field_of(args: &[String]) -> Result<fz_gpu::data::Field, String> {
 /// write one unified Chrome trace (pid 0 = modeled device, pid 1 = host
 /// wallclock). Without the flag, `f` runs untraced.
 fn with_unified_trace<T>(
-    args: &[String],
+    args: &Args,
     f: impl FnOnce() -> Result<(T, fz_gpu::sim::Profile), String>,
 ) -> Result<T, String> {
-    let Some(path) = flag_value(args, "--trace") else {
+    let Some(path) = args.get("--trace") else {
         return f().map(|(v, _)| v);
     };
     fz_gpu::trace::begin_capture();
@@ -223,9 +349,9 @@ fn with_unified_trace<T>(
     Ok(value)
 }
 
-fn compress(args: &[String]) -> Result<(), String> {
-    let input = args.first().ok_or("missing input path")?;
-    let output = args.get(1).ok_or("missing output path")?;
+fn compress(args: &Args) -> Result<(), String> {
+    let input = args.pos(0, "input path")?;
+    let output = args.pos(1, "output path")?;
     let field = load_field(args, input)?;
     let eb = eb_for(args, &field.data)?;
     let mut fz = fz_of(args)?;
@@ -252,9 +378,9 @@ fn compress(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn decompress(args: &[String]) -> Result<(), String> {
-    let input = args.first().ok_or("missing input path")?;
-    let output = args.get(1).ok_or("missing output path")?;
+fn decompress(args: &Args) -> Result<(), String> {
+    let input = args.pos(0, "input path")?;
+    let output = args.pos(1, "output path")?;
     let bytes = std::fs::read(input).map_err(|e| e.to_string())?;
     let mut fz = fz_of(args)?;
     let t0 = std::time::Instant::now();
@@ -277,8 +403,8 @@ fn decompress(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn info(args: &[String]) -> Result<(), String> {
-    let input = args.first().ok_or("missing input path")?;
+fn info(args: &Args) -> Result<(), String> {
+    let input = args.pos(0, "input path")?;
     let bytes = std::fs::read(input).map_err(|e| e.to_string())?;
     let header = Header::from_bytes(&bytes).map_err(|e| e.to_string())?;
     let (nz, ny, nx) = header.shape;
@@ -291,14 +417,17 @@ fn info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn profile(args: &[String]) -> Result<(), String> {
+fn profile(args: &Args) -> Result<(), String> {
+    if args.has("--report") && args.has("--json") {
+        return Err("--report writes the text report, so it cannot go with --json".into());
+    }
     let field = field_of(args)?;
     let eb = eb_for(args, &field.data)?;
     let opts = FzOptions { engine: engine_of(args)?, ..FzOptions::default() };
     let mut fz = FzGpu::with_options(device_of(args)?, opts);
     let shape = field.dims.as_3d();
 
-    let tracing = flag_value(args, "--trace").is_some();
+    let tracing = args.has("--trace");
     if tracing {
         fz_gpu::trace::begin_capture();
     }
@@ -310,7 +439,7 @@ fn profile(args: &[String]) -> Result<(), String> {
     prof.append(&fz.profile());
     let host = if tracing { fz_gpu::trace::end_capture() } else { fz_gpu::trace::Trace::default() };
 
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         let spec = fz.gpu().spec();
         let device = Obj::spaced().str("name", spec.name).raw("copy_engines", spec.copy_engines);
         let doc = Obj::spaced()
@@ -352,20 +481,20 @@ fn profile(args: &[String]) -> Result<(), String> {
                 println!("  {stage:<12} {:>9.2} us  ({:>4.1}%)", t * 1e6, t / total * 100.0);
             }
         }
-        if let Some(path) = flag_value(args, "--report") {
+        if let Some(path) = args.get("--report") {
             std::fs::write(path, &report).map_err(|e| e.to_string())?;
             println!("wrote report to {path}");
         }
     }
 
-    if let Some(path) = flag_value(args, "--trace") {
+    if let Some(path) = args.get("--trace") {
         std::fs::write(path, prof.unified_chrome_trace(&host)).map_err(|e| e.to_string())?;
         println!("wrote unified trace to {path} (open in chrome://tracing or Perfetto)");
     }
     Ok(())
 }
 
-fn stats(args: &[String]) -> Result<(), String> {
+fn stats(args: &Args) -> Result<(), String> {
     let field = field_of(args)?;
     let eb = eb_for(args, &field.data)?;
     fz_gpu::trace::metrics::reset();
@@ -376,8 +505,8 @@ fn stats(args: &[String]) -> Result<(), String> {
     // Deterministic metrics only by default: the exposition is then
     // byte-identical across thread counts and machines. --timings adds the
     // wallclock class (host durations, pool steals).
-    let include_wall = args.iter().any(|a| a == "--timings");
-    if args.iter().any(|a| a == "--json") {
+    let include_wall = args.has("--timings");
+    if args.has("--json") {
         println!("{}", fz_gpu::trace::metrics::to_json(include_wall));
     } else {
         print!("{}", fz_gpu::trace::metrics::exposition(include_wall));
@@ -385,27 +514,11 @@ fn stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Read a raw little-endian f32 file as a flat value array (archives chunk
-/// 1D data; no dims required).
-fn read_flat_f32(path: &str) -> Result<Vec<f32>, String> {
-    let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-    if !bytes.len().is_multiple_of(4) {
-        return Err(format!("{path}: length {} is not a multiple of 4", bytes.len()));
-    }
-    Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
-}
-
-fn archive(args: &[String]) -> Result<(), String> {
-    let input = args.first().ok_or("missing input path")?;
-    let output = args.get(1).ok_or("missing output path")?;
-    let chunk_values: usize = flag_value(args, "--chunk-values")
-        .ok_or("missing --chunk-values N")?
-        .parse()
-        .map_err(|_| "bad --chunk-values value".to_string())?;
-    if chunk_values == 0 {
-        return Err("--chunk-values must be positive".into());
-    }
-    let data = read_flat_f32(input)?;
+fn archive(args: &Args) -> Result<(), String> {
+    let input = args.pos(0, "input path")?;
+    let output = args.pos(1, "output path")?;
+    let chunk_values = args.count("--chunk-values")?.ok_or("missing --chunk-values N")?;
+    let data = read_f32_file_flat(Path::new(input)).map_err(|e| format!("{input}: {e}"))?.data;
     let eb = eb_for(args, &data)?;
     let mut fz = fz_of(args)?;
     let a = with_unified_trace(args, || {
@@ -414,12 +527,8 @@ fn archive(args: &[String]) -> Result<(), String> {
     // --shard-chunks upgrades the on-disk layout to archive v3 (sharded
     // chunk index, range-readable by `fzgpu store`); without it the flat
     // v2 layout is kept for compatibility with older readers.
-    let (bytes, layout) = match flag_value(args, "--shard-chunks") {
-        Some(s) => {
-            let n: usize = s.parse().map_err(|_| "bad --shard-chunks value".to_string())?;
-            if n == 0 {
-                return Err("--shard-chunks must be positive".into());
-            }
+    let (bytes, layout) = match args.count("--shard-chunks")? {
+        Some(n) => {
             let sharded = fz_gpu::core::ShardedArchive::from_archive(&a, n);
             (sharded.to_bytes(), format!("v3, {} shards", sharded.shards.len()))
         }
@@ -439,8 +548,8 @@ fn archive(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn verify(args: &[String]) -> Result<(), String> {
-    let input = args.first().ok_or("missing input path")?;
+fn verify(args: &Args) -> Result<(), String> {
+    let input = args.pos(0, "input path")?;
     let bytes = std::fs::read(input).map_err(|e| e.to_string())?;
     if bytes.len() >= 4 && bytes[..4] == ARCHIVE_MAGIC {
         let a = Archive::from_bytes(&bytes).map_err(|e| format!("{input}: {e}"))?;
@@ -479,14 +588,14 @@ fn verify(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn extract(args: &[String]) -> Result<(), String> {
-    let input = args.first().ok_or("missing input path")?;
-    let output = args.get(1).ok_or("missing output path")?;
+fn extract(args: &Args) -> Result<(), String> {
+    let input = args.pos(0, "input path")?;
+    let output = args.pos(1, "output path")?;
     let bytes = std::fs::read(input).map_err(|e| e.to_string())?;
     let a = Archive::from_bytes(&bytes).map_err(|e| format!("{input}: {e}"))?;
     let mut fz = fz_of(args)?;
-    let values = if args.iter().any(|a| a == "--degraded") {
-        let fill = match flag_value(args, "--fill").unwrap_or("nan") {
+    let values = if args.has("--degraded") {
+        let fill = match args.get("--fill").unwrap_or("nan") {
             "nan" => FillPolicy::NaN,
             "zero" => FillPolicy::Zero,
             other => return Err(format!("bad --fill '{other}' (expected nan|zero)")),
@@ -511,8 +620,8 @@ fn extract(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn bench(args: &[String]) -> Result<(), String> {
-    let input = args.first().ok_or("missing input path")?;
+fn bench(args: &Args) -> Result<(), String> {
+    let input = args.pos(0, "input path")?;
     let field = load_field(args, input)?;
     let eb = eb_for(args, &field.data)?;
     let mut fz = fz_of(args)?;
@@ -538,156 +647,88 @@ fn bench(args: &[String]) -> Result<(), String> {
 /// Every flag validates eagerly with a one-line error; with none present
 /// the config is inert and the replay is byte-identical to the
 /// pre-failure-domain behavior.
-fn resilience_of(args: &[String]) -> Result<fz_gpu::serve::ResilienceConfig, String> {
+fn resilience_of(args: &Args) -> Result<fz_gpu::serve::ResilienceConfig, String> {
     use fz_gpu::serve::ResilienceConfig;
     use fz_gpu::sim::{RetryPolicy, ServiceFaultPlan};
 
-    // Micro-second flag parsed to seconds, validated `>= 0` and finite.
-    let us = |flag: &str| -> Result<Option<f64>, String> {
-        flag_value(args, flag)
-            .map(|s| {
-                let v: f64 = s.parse().map_err(|_| format!("bad {flag} value '{s}'"))?;
-                if !v.is_finite() || v < 0.0 {
-                    return Err(format!("{flag} must be a nonnegative finite time in us"));
-                }
-                Ok(v * 1e-6)
-            })
-            .transpose()
-    };
-    // Probability flag, validated into `[0, 1]`.
-    let prob = |flag: &str| -> Result<Option<f64>, String> {
-        flag_value(args, flag)
-            .map(|s| {
-                let v: f64 = s.parse().map_err(|_| format!("bad {flag} value '{s}'"))?;
-                if !(0.0..=1.0).contains(&v) {
-                    return Err(format!("{flag} must be a probability in [0, 1]"));
-                }
-                Ok(v)
-            })
-            .transpose()
-    };
-
     let mut res = ResilienceConfig::default();
-    if let Some(d) = us("--deadline-us")? {
-        if d <= 0.0 {
-            return Err("--deadline-us must be positive".into());
-        }
-        res.deadline = Some(d);
-    }
-    if let Some(n) = flag_value(args, "--retries") {
-        let max_retries: u32 = n.parse().map_err(|_| format!("bad --retries value '{n}'"))?;
+    if let Some(max_retries) = args.parse("--retries")? {
         res.retry = RetryPolicy { max_retries, ..RetryPolicy::default() };
     }
-    if let Some(b) = us("--backoff-us")? {
+    if let Some(b) = args.micros("--backoff-us")? {
         res.retry.backoff_base = b;
     }
-    res.shed_by_priority = args.iter().any(|a| a == "--shed-priority");
-    if args.iter().any(|a| a == "--no-breaker") {
-        res.breaker = false;
+    res.deadline = args.micros("--deadline-us")?;
+    if res.deadline == Some(0.0) {
+        return Err("--deadline-us must be positive".into());
     }
+    res.shed_by_priority = args.has("--shed-priority");
+    res.breaker = !args.has("--no-breaker");
 
-    let mut plan = ServiceFaultPlan::seeded(match flag_value(args, "--fault-seed") {
-        Some(s) => s.parse().map_err(|_| format!("bad --fault-seed value '{s}'"))?,
-        None => 0,
-    });
-    if let Some(p) = prob("--fault-rate")? {
-        let streak: u32 = match flag_value(args, "--fault-streak") {
-            Some(s) => s.parse().map_err(|_| format!("bad --fault-streak value '{s}'"))?,
-            None => 3,
-        };
-        plan = plan.job_faults(p, streak);
+    let mut plan = ServiceFaultPlan::seeded(args.parse("--fault-seed")?.unwrap_or(0));
+    if let Some(p) = args.prob("--fault-rate")? {
+        plan = plan.job_faults(p, args.parse("--fault-streak")?.unwrap_or(3));
     }
-    if let Some(p) = prob("--stall-rate")? {
-        let dur = us("--stall-us")?.unwrap_or(50e-6);
-        plan = plan.stalls(p, dur);
+    if let Some(p) = args.prob("--stall-rate")? {
+        plan = plan.stalls(p, args.micros("--stall-us")?.unwrap_or(50e-6));
     }
-    if let Some(at) = us("--loss-at-us")? {
-        plan = plan.device_loss(at, us("--repair-us")?);
+    if let Some(at) = args.micros("--loss-at-us")? {
+        plan = plan.device_loss(at, args.micros("--repair-us")?);
     }
     res.faults = plan;
     Ok(res)
 }
 
-fn serve(args: &[String]) -> Result<(), String> {
-    use fz_gpu::serve::{Backpressure, ServeConfig, Service, Workload};
+fn serve(args: &Args) -> Result<(), String> {
+    use fz_gpu::serve::{Backpressure, ServeConfig, Service, TelemetryConfig, Workload};
 
-    let path = flag_value(args, "--replay").ok_or("missing --replay <workload.json>")?;
+    let path = args.get("--replay").ok_or("missing --replay <workload.json>")?;
     let workload = Workload::from_file(path)?;
 
-    let mut cfg = ServeConfig::default();
-    if let Some(s) = flag_value(args, "--streams") {
-        cfg.streams = s.parse().map_err(|_| "bad --streams value".to_string())?;
-        if cfg.streams == 0 {
-            return Err("--streams must be at least 1".into());
-        }
+    let tel = TelemetryConfig::default();
+    let telemetry = TelemetryConfig {
+        window: args.micros("--telemetry-window-us")?.unwrap_or(tel.window),
+        flight_capacity: args.count("--flight-capacity")?.unwrap_or(tel.flight_capacity),
+        ..tel
+    };
+    if telemetry.window == 0.0 {
+        return Err("--telemetry-window-us must be positive".into());
     }
-    if args.iter().any(|a| a == "--no-pool") {
-        cfg.pool = false;
-    }
-    if let Some(b) = flag_value(args, "--batch") {
-        cfg.batch_max = b.parse().map_err(|_| "bad --batch value".to_string())?;
-        if cfg.batch_max == 0 {
-            return Err("--batch must be at least 1".into());
-        }
-    }
-    if let Some(q) = flag_value(args, "--queue-depth") {
-        cfg.queue_depth = q.parse().map_err(|_| "bad --queue-depth value".to_string())?;
-        if cfg.queue_depth == 0 {
-            return Err("--queue-depth must be at least 1".into());
-        }
-    }
-    if let Some(bp) = flag_value(args, "--backpressure") {
-        cfg.backpressure = match bp {
+    let base = ServeConfig::default();
+    let cfg = ServeConfig {
+        streams: args.count("--streams")?.unwrap_or(base.streams),
+        pool: !args.has("--no-pool"),
+        batch_max: args.count("--batch")?.unwrap_or(base.batch_max),
+        queue_depth: args.count("--queue-depth")?.unwrap_or(base.queue_depth),
+        backpressure: match args.get("--backpressure").unwrap_or("reject") {
             "reject" => Backpressure::Reject,
             "block" => Backpressure::Block,
             other => return Err(format!("bad --backpressure '{other}' (expected reject|block)")),
-        };
-    }
-    cfg.path = path_of(args)?;
-    cfg.engine = engine_of(args)?;
-    cfg.capture_trace = flag_value(args, "--trace").is_some();
-    cfg.resilience = resilience_of(args)?;
-
-    let telemetry_dir = flag_value(args, "--telemetry");
-    if telemetry_dir.is_some() {
-        let mut tcfg = fz_gpu::serve::TelemetryConfig::default();
-        if let Some(w) = flag_value(args, "--telemetry-window-us") {
-            let v: f64 = w.parse().map_err(|_| "bad --telemetry-window-us value".to_string())?;
-            if !v.is_finite() || v <= 0.0 {
-                return Err("--telemetry-window-us must be a positive time in us".into());
-            }
-            tcfg.window = v * 1e-6;
-        }
-        if let Some(c) = flag_value(args, "--flight-capacity") {
-            tcfg.flight_capacity =
-                c.parse().map_err(|_| "bad --flight-capacity value".to_string())?;
-            if tcfg.flight_capacity == 0 {
-                return Err("--flight-capacity must be at least 1".into());
-            }
-        }
-        cfg.telemetry = Some(tcfg);
-    } else if flag_value(args, "--telemetry-window-us").is_some()
-        || flag_value(args, "--flight-capacity").is_some()
-    {
-        return Err("--telemetry-window-us/--flight-capacity require --telemetry <dir>".into());
-    }
+        },
+        path: path_of(args)?,
+        engine: engine_of(args)?,
+        capture_trace: args.has("--trace"),
+        resilience: resilience_of(args)?,
+        telemetry: args.has("--telemetry").then_some(telemetry),
+        ..base
+    };
 
     let report = Service::new(cfg).run(&workload);
 
     // Wallclock timings are off by default so the output is byte-identical
     // across machines and FZGPU_THREADS settings (the replay determinism
     // contract); --timings adds the host clock domain.
-    let include_wall = args.iter().any(|a| a == "--timings");
-    if args.iter().any(|a| a == "--json") {
+    let include_wall = args.has("--timings");
+    if args.has("--json") {
         println!("{}", report.to_json(include_wall));
     } else {
         print!("{}", report.text_report(include_wall));
     }
-    if let Some(out) = flag_value(args, "--trace") {
+    if let Some(out) = args.get("--trace") {
         std::fs::write(out, &report.stream_trace).map_err(|e| e.to_string())?;
         println!("wrote stream timeline trace to {out} (open in chrome://tracing or Perfetto)");
     }
-    if let Some(dir) = telemetry_dir {
+    if let Some(dir) = args.get("--telemetry") {
         let capture = report.telemetry.as_ref().expect("telemetry was configured");
         capture.write_dir(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
         // Deterministic summary (no wallclock): safe to diff across runs.
@@ -703,11 +744,8 @@ fn serve(args: &[String]) -> Result<(), String> {
 
 /// Render the text dashboard for a telemetry directory produced by
 /// `fzgpu serve --telemetry <dir>`.
-fn report_cmd(args: &[String]) -> Result<(), String> {
-    let dir = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or("missing telemetry directory (from `fzgpu serve --telemetry <dir>`)")?;
+fn report_cmd(args: &Args) -> Result<(), String> {
+    let dir = args.pos(0, "telemetry directory (from `fzgpu serve --telemetry <dir>`)")?;
     print!("{}", fz_gpu::serve::render_report(Path::new(dir))?);
     Ok(())
 }
@@ -740,94 +778,54 @@ fn parse_region(s: &str) -> Result<fz_gpu::store::Region, String> {
 
 /// Build the codec config from `--codec` plus its knobs, resolving
 /// relative error bounds against the input data.
-fn codec_of(args: &[String], data: &[f32]) -> Result<fz_gpu::store::CodecConfig, String> {
-    let name = flag_value(args, "--codec").unwrap_or("fz");
-    let eb_abs = match flag_value(args, "--eb") {
-        Some(_) => Some(eb_for(args, data)?.resolve(data)),
-        None => None,
-    };
-    let rate = flag_value(args, "--rate")
-        .map(|s| s.parse::<f64>().map_err(|_| format!("bad --rate value '{s}'")))
-        .transpose()?;
-    fz_gpu::store::CodecConfig::from_cli(name, eb_abs, rate)
-}
-
-fn store_cmd(args: &[String]) -> Result<(), String> {
-    let sub = args
-        .first()
-        .map(String::as_str)
-        .ok_or("missing store subcommand (create|read|stat|serve)")?;
-    match sub {
-        "create" => store_create(&args[1..]),
-        "read" => store_read(&args[1..]),
-        "stat" => store_stat(&args[1..]),
-        "serve" => store_serve(&args[1..]),
-        other => {
-            Err(format!("unknown store subcommand '{other}' (expected create|read|stat|serve)"))
-        }
-    }
+fn codec_of(args: &Args, data: &[f32]) -> Result<fz_gpu::store::CodecConfig, String> {
+    let name = args.get("--codec").unwrap_or("fz");
+    let eb_abs = if args.has("--eb") { Some(eb_for(args, data)?.resolve(data)) } else { None };
+    fz_gpu::store::CodecConfig::from_cli(name, eb_abs, args.parse("--rate")?)
 }
 
 /// Build the backend for an existing container file. `mem` and `objsim`
 /// load the file into memory (objsim then charges its modeled cost per
 /// range read); `fs` serves range reads straight from the file.
 fn store_backend_open(
-    args: &[String],
+    args: &Args,
     path: &str,
 ) -> Result<Box<dyn fz_gpu::store::StorageBackend>, String> {
     use fz_gpu::store::{FsBackend, MemBackend, ObjectStoreBackend, ObjectStoreModel};
-    match flag_value(args, "--backend").unwrap_or("fs") {
+    let bytes = || std::fs::read(path).map_err(|e| format!("{path}: {e}"));
+    match args.get("--backend").unwrap_or("fs") {
         "fs" => Ok(Box::new(FsBackend::new(path))),
-        "mem" => {
-            let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-            Ok(Box::new(MemBackend::from_bytes(bytes)))
-        }
+        "mem" => Ok(Box::new(MemBackend::from_bytes(bytes()?))),
         "objsim" => {
-            let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-            Ok(Box::new(ObjectStoreBackend::from_bytes(bytes, ObjectStoreModel::default())))
+            Ok(Box::new(ObjectStoreBackend::from_bytes(bytes()?, ObjectStoreModel::default())))
         }
         other => Err(format!("unknown backend '{other}' (expected mem, fs, or objsim)")),
     }
 }
 
-fn store_create(args: &[String]) -> Result<(), String> {
+fn store_create(args: &Args) -> Result<(), String> {
     use fz_gpu::store::{ArrayStore, StoreSpec};
 
-    let input = args.first().filter(|a| !a.starts_with("--")).ok_or("missing input path")?;
-    let output = args.get(1).filter(|a| !a.starts_with("--")).ok_or("missing output path")?;
-    let dims = parse_extents(flag_value(args, "--dims").ok_or("missing --dims AxBxC")?, "--dims")?;
-    let chunk =
-        parse_extents(flag_value(args, "--chunk").ok_or("missing --chunk AxBxC")?, "--chunk")?;
-    let data = read_flat_f32(input)?;
+    let input = args.pos(0, "input path")?;
+    let output = args.pos(1, "output path")?;
+    let dims = parse_extents(args.get("--dims").ok_or("missing --dims AxBxC")?, "--dims")?;
+    let chunk = parse_extents(args.get("--chunk").ok_or("missing --chunk AxBxC")?, "--chunk")?;
+    let data = read_f32_file_flat(Path::new(input)).map_err(|e| format!("{input}: {e}"))?.data;
     let codec = codec_of(args, &data)?;
-    let chunks_per_shard: usize = match flag_value(args, "--shard-chunks") {
-        Some(s) => {
-            let n = s.parse().map_err(|_| "bad --shard-chunks value".to_string())?;
-            if n == 0 {
-                return Err("--shard-chunks must be positive".into());
-            }
-            n
-        }
-        None => 16,
-    };
+    let chunks_per_shard = args.count("--shard-chunks")?.unwrap_or(16);
     let spec = StoreSpec { dims, chunk, codec, chunks_per_shard };
     // Encode into the selected backend (so objsim models the write), then
     // persist the container at the output path.
-    let mut backend = fz_gpu::store::backend_from_cli(
-        flag_value(args, "--backend").unwrap_or("mem"),
-        Some(output),
-    )?;
+    let mut backend =
+        fz_gpu::store::backend_from_cli(args.get("--backend").unwrap_or("mem"), Some(output))?;
     ArrayStore::write(&mut backend, &spec, &data, device_of(args)?).map_err(|e| e.to_string())?;
     let total = backend.len();
     if backend.kind() != "fs" {
         let bytes = backend.read_range(0, total).map_err(|e| e.to_string())?;
         std::fs::write(output, &bytes).map_err(|e| e.to_string())?;
     }
-    let store = ArrayStore::open(
-        Box::new(fz_gpu::store::FsBackend::new(output.as_str())),
-        device_of(args)?,
-    )
-    .map_err(|e| e.to_string())?;
+    let store = ArrayStore::open(Box::new(fz_gpu::store::FsBackend::new(output)), device_of(args)?)
+        .map_err(|e| e.to_string())?;
     println!(
         "{} -> {}: {} values in {} chunks / {} shards ({}), {:.2} MB -> {:.2} MB (ratio {:.1}x)",
         input,
@@ -843,22 +841,22 @@ fn store_create(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn store_read(args: &[String]) -> Result<(), String> {
+fn store_read(args: &Args) -> Result<(), String> {
     use fz_gpu::store::{value_digest, ArrayStore, Region};
 
-    let input = args.first().filter(|a| !a.starts_with("--")).ok_or("missing input path")?;
-    let output = args.get(1).filter(|a| !a.starts_with("--")).ok_or("missing output path")?;
+    let input = args.pos(0, "input path")?;
+    let output = args.pos(1, "output path")?;
     let backend = store_backend_open(args, input)?;
     let mut store =
         ArrayStore::open(backend, device_of(args)?).map_err(|e| format!("{input}: {e}"))?;
-    let region = match flag_value(args, "--region") {
+    let region = match args.get("--region") {
         Some(s) => parse_region(s)?,
         None => Region::full(&store.spec().dims.clone()),
     };
     let res = store.read_region(&region).map_err(|e| format!("{input}: {e}"))?;
     write_f32_file(Path::new(output), &res.values).map_err(|e| e.to_string())?;
     let digest = value_digest(&res.values);
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         let doc = Obj::spaced()
             .raw("values", res.values.len())
             .raw("digest", digest)
@@ -886,23 +884,22 @@ fn store_read(args: &[String]) -> Result<(), String> {
 
 /// `fzgpu store serve`: replay a deterministic subregion-read workload
 /// (seeded regions, modeled costs) against an existing container.
-fn store_serve(args: &[String]) -> Result<(), String> {
+fn store_serve(args: &Args) -> Result<(), String> {
     use fz_gpu::serve::{run_store_reads, StoreReadWorkload};
     use fz_gpu::store::ArrayStore;
 
-    let input = args.first().filter(|a| !a.starts_with("--")).ok_or("missing input path")?;
+    let input = args.pos(0, "input path")?;
     let backend = store_backend_open(args, input)?;
     let mut store =
         ArrayStore::open(backend, device_of(args)?).map_err(|e| format!("{input}: {e}"))?;
-    let mut workload = StoreReadWorkload::default();
-    if let Some(r) = flag_value(args, "--reads") {
-        workload.reads = r.parse().map_err(|_| "bad --reads value".to_string())?;
-    }
-    if let Some(s) = flag_value(args, "--seed") {
-        workload.seed = s.parse().map_err(|_| "bad --seed value".to_string())?;
-    }
+    let base = StoreReadWorkload::default();
+    let workload = StoreReadWorkload {
+        reads: args.parse("--reads")?.unwrap_or(base.reads),
+        seed: args.parse("--seed")?.unwrap_or(base.seed),
+        ..base
+    };
     let report = run_store_reads(&mut store, &workload).map_err(|e| format!("{input}: {e}"))?;
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.text_report());
@@ -910,15 +907,16 @@ fn store_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn store_stat(args: &[String]) -> Result<(), String> {
+/// `fzgpu store stat` decodes nothing, so it opens the store on the A100.
+fn store_stat(args: &Args) -> Result<(), String> {
     use fz_gpu::store::ArrayStore;
 
-    let input = args.first().filter(|a| !a.starts_with("--")).ok_or("missing input path")?;
+    let input = args.pos(0, "input path")?;
     let backend = store_backend_open(args, input)?;
-    let store = ArrayStore::open(backend, device_of(args)?).map_err(|e| format!("{input}: {e}"))?;
+    let store = ArrayStore::open(backend, device::A100).map_err(|e| format!("{input}: {e}"))?;
     let spec = store.spec();
     let ratio = (store.total_values() * 4) as f64 / store.container_bytes() as f64;
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         let doc = Obj::spaced()
             .raw("dims", json::list(Layout::Compact, &spec.dims))
             .raw("chunk", json::list(Layout::Compact, &spec.chunk))
@@ -947,4 +945,95 @@ fn store_stat(args: &[String]) -> Result<(), String> {
         println!("  ratio:        {ratio:.2}x");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `max_positionals: flags`, with `=` after a flag that takes a value and
+    /// the flag it requires in parentheses.
+    fn render(g: &Grammar) -> String {
+        let flags = g.flags.iter().map(|f| {
+            let value = if f.takes_value { "=" } else { "" };
+            let parent = f.parent.map(|p| format!("({p})")).unwrap_or_default();
+            format!(" {}{value}{parent}", f.name)
+        });
+        format!("{}:{}", g.max_positionals, flags.collect::<String>())
+    }
+
+    /// Pins the grammar `USAGE` declares: an edit that changes it shows up
+    /// here as a diff.
+    #[test]
+    fn usage_declares_each_subcommand_grammar() {
+        let expected = [
+            ("compress", "2: --dims= --eb= --abs --device= --native --path= --engine= --trace="),
+            ("decompress", "2: --device= --native --path= --engine= --trace="),
+            ("info", "1:"),
+            ("bench", "1: --dims= --eb= --abs --device= --native --path= --engine="),
+            (
+                "profile",
+                "1: --dims= --synthetic= --eb= --abs --device= --engine= --trace= --report= --json",
+            ),
+            ("stats", "1: --dims= --synthetic= --eb= --abs --device= --engine= --timings --json"),
+            (
+                "archive",
+                concat!(
+                    "2: --chunk-values= --shard-chunks= --eb= --abs --device= --native --path=",
+                    " --engine= --trace="
+                ),
+            ),
+            ("verify", "1:"),
+            ("extract", "2: --degraded --fill=(--degraded) --device= --native --path= --engine="),
+            (
+                "serve",
+                concat!(
+                    "0: --replay= --streams= --no-pool --batch= --queue-depth= --backpressure=",
+                    " --timings --json --native --path= --engine= --trace= --deadline-us=",
+                    " --retries= --backoff-us= --shed-priority --no-breaker --fault-seed=",
+                    " --fault-rate= --fault-streak=(--fault-rate) --stall-rate=",
+                    " --stall-us=(--stall-rate) --loss-at-us= --repair-us=(--loss-at-us)",
+                    " --telemetry= --telemetry-window-us=(--telemetry)",
+                    " --flight-capacity=(--telemetry)"
+                ),
+            ),
+            ("report", "1:"),
+            (
+                "store create",
+                concat!(
+                    "2: --dims= --chunk= --codec= --eb= --abs --rate= --shard-chunks= --backend=",
+                    " --device="
+                ),
+            ),
+            ("store read", "2: --region= --backend= --device= --json"),
+            ("store stat", "1: --backend= --json"),
+            ("store serve", "1: --reads= --seed= --backend= --device= --json"),
+        ];
+        assert_eq!(COMMANDS.map(|(name, _)| name), expected.map(|(name, _)| name));
+        for (cmd, want) in expected {
+            assert_eq!(render(&grammar(cmd).unwrap()), want, "grammar of `fzgpu {cmd}`");
+        }
+    }
+
+    /// Every entry in `USAGE` is dispatched, and every dispatched
+    /// subcommand has an entry.
+    #[test]
+    fn usage_entries_match_dispatch() {
+        let entries = USAGE.split("\n  fzgpu ").skip(1).map(|entry| {
+            let words = entry.split_whitespace();
+            words.take_while(|w| w.bytes().all(|b| b.is_ascii_lowercase())).collect::<Vec<_>>()
+        });
+        let names: Vec<String> = entries.map(|words| words.join(" ")).collect();
+        assert_eq!(names, COMMANDS.map(|(name, _)| name.to_string()));
+    }
+
+    #[test]
+    fn positionals_sit_among_flags_and_values_may_start_with_one_dash() {
+        let argv = ["--dims", "4x4x4", "in.f32", "--eb", "-1", "out.fz", "--abs"];
+        let args = Args::from_argv("compress", &argv.map(String::from)).unwrap();
+        assert_eq!(args.pos(0, "input"), Ok("in.f32"));
+        assert_eq!(args.pos(1, "output"), Ok("out.fz"));
+        assert_eq!(args.get("--eb"), Some("-1"));
+        assert!(args.has("--abs") && !args.has("--native"));
+    }
 }

@@ -117,6 +117,69 @@ fn failures_exit_nonzero_with_one_line_error() {
     assert_cli_error(&["archive"], "missing input path");
     assert_cli_error(&["verify", "/nonexistent.fz"], "No such file");
     assert_cli_error(&["extract"], "missing input path");
+
+    // Every subcommand parses argv against the grammar its USAGE entry
+    // declares: unknown, repeated and value-less flags, surplus
+    // positionals, and modifiers without their base flag are errors.
+    for cmd in [
+        "compress",
+        "decompress",
+        "info",
+        "bench",
+        "profile",
+        "stats",
+        "archive",
+        "verify",
+        "extract",
+        "serve",
+        "report",
+    ] {
+        assert_cli_error(&[cmd, "--bogus"], &format!("{cmd}: unknown flag --bogus"));
+    }
+    assert_cli_error(
+        &["serve", "--replay", "workloads/smoke.json", "--strems", "4", "--no-pol"],
+        "unknown flag --strems",
+    );
+    assert_cli_error(
+        &["profile", "--synthetic", "CESM", "--devic", "a4000"],
+        "unknown flag --devic",
+    );
+    assert_cli_error(
+        &["serve", "--replay", "workloads/smoke.json", "--streams"],
+        "--streams needs a value",
+    );
+    assert_cli_error(
+        &["serve", "--replay", "workloads/smoke.json", "--streams", "4", "--streams", "1"],
+        "--streams given twice",
+    );
+    assert_cli_error(
+        &["profile", "--synthetic", "CESM", "--trace", "--json"],
+        "--trace needs a value",
+    );
+    let stray = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("--json");
+    assert!(!stray.exists(), "a value-less --trace must not write a file named --json");
+    assert_cli_error(&["info", "a.fz", "extra"], "info: unexpected argument 'extra'");
+    for (flag, value, base) in [
+        ("--fault-streak", "9", "--fault-rate"),
+        ("--stall-us", "100", "--stall-rate"),
+        ("--repair-us", "100", "--loss-at-us"),
+    ] {
+        assert_cli_error(
+            &["serve", "--replay", "workloads/smoke.json", flag, value],
+            &format!("serve: {flag} without {base}"),
+        );
+    }
+    assert_cli_error(
+        &["extract", "a.fzar", "o.f32", "--fill", "zero"],
+        "extract: --fill without --degraded",
+    );
+    let report = std::env::temp_dir().join(format!("fzgpu_cli_report_{}.txt", std::process::id()));
+    let report_arg = report.to_str().unwrap();
+    assert_cli_error(
+        &["profile", "--synthetic", "CESM", "--json", "--report", report_arg],
+        "--report writes the text report, so it cannot go with --json",
+    );
+    assert!(!report.exists(), "a rejected --report must write nothing");
 }
 
 #[test]
@@ -127,6 +190,9 @@ fn store_failures_exit_nonzero_with_one_line_error() {
     assert_cli_error(&["store", "read"], "missing input path");
     assert_cli_error(&["store", "stat"], "missing input path");
     assert_cli_error(&["store", "serve"], "missing input path");
+    for sub in ["create", "read", "stat", "serve"] {
+        assert_cli_error(&["store", sub, "--bogus"], &format!("store {sub}: unknown flag --bogus"));
+    }
 
     // Build one healthy container to exercise read-side errors against.
     let dir = std::env::temp_dir().join(format!("fzgpu_cli_store_{}", std::process::id()));
@@ -137,6 +203,19 @@ fn store_failures_exit_nonzero_with_one_line_error() {
     std::fs::write(&input, raw).unwrap();
     let input = input.to_str().unwrap();
     let container = container.to_str().unwrap();
+
+    // A raw f32 input whose length is not a multiple of 4.
+    let odd = dir.join("odd.f32");
+    std::fs::write(&odd, [0u8; 4097]).unwrap();
+    let odd = odd.to_str().unwrap();
+    assert_cli_error(
+        &["archive", odd, container, "--chunk-values", "64"],
+        "length 4097 is not a multiple of 4",
+    );
+    assert_cli_error(
+        &["store", "create", odd, container, "--dims", "1024", "--chunk", "256"],
+        "length 4097 is not a multiple of 4",
+    );
 
     // Bad dims / chunk geometry at create time.
     assert_cli_error(&["store", "create", input, container], "missing --dims");
@@ -359,4 +438,79 @@ fn serve_chaos_flags_run_and_report_the_policy() {
         String::from_utf8(again.stdout).unwrap(),
         "chaos replay must be byte-identical run to run"
     );
+}
+
+/// One valid run per subcommand with (nearly) every flag its USAGE entry
+/// declares. The binary under test is a debug build, in which reading a
+/// flag that USAGE does not declare fails an assertion, so these runs also
+/// check every flag read on these paths against USAGE.
+#[test]
+fn every_subcommand_runs_with_its_declared_flags() {
+    let dir = std::env::temp_dir().join(format!("fzgpu_cli_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let raw: Vec<u8> = (0..4096u32).flat_map(|i| (i as f32 * 0.01).sin().to_le_bytes()).collect();
+    std::fs::write(dir.join("in.f32"), raw).unwrap();
+    let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let smoke = concat!(env!("CARGO_MANIFEST_DIR"), "/workloads/smoke.json");
+    let field = "--dims 4x32x32 --eb 1e-3 --abs --device a4000 --engine analytic";
+    let runs = [
+        format!("compress {} {} {field} --path sim --trace {}", p("in.f32"), p("c.fz"), p("t1")),
+        format!("compress {} {} {field} --native --path native", p("in.f32"), p("n.fz")),
+        format!("decompress {} {} --device a4000 --native --path native", p("c.fz"), p("d.f32")),
+        format!("decompress {} {} --engine analytic --trace {}", p("c.fz"), p("d.f32"), p("t2")),
+        format!("info {}", p("c.fz")),
+        format!("bench {} {field} --path both", p("in.f32")),
+        format!("profile {} {field} --trace {} --json", p("in.f32"), p("t3")),
+        format!("stats {} {field} --timings --json", p("in.f32")),
+        format!(
+            "archive {} {} --chunk-values 1024 --shard-chunks 2 --eb 1e-3 --abs --device a4000 \
+             --path sim --engine analytic --trace {}",
+            p("in.f32"),
+            p("a.fzar"),
+            p("t4")
+        ),
+        format!("verify {}", p("a.fzar")),
+        format!(
+            "extract {} {} --degraded --fill zero --device a4000 --path sim --engine analytic",
+            p("a.fzar"),
+            p("e.f32")
+        ),
+        format!(
+            "serve --replay {smoke} --streams 2 --no-pool --batch 2 --queue-depth 8 \
+             --backpressure block --timings --json --path sim --engine analytic --trace {} \
+             --deadline-us 5000 --retries 2 --backoff-us 10 --shed-priority --no-breaker \
+             --fault-seed 3 --fault-rate 0.1 --fault-streak 2 --stall-rate 0.1 --stall-us 50 \
+             --loss-at-us 300 --repair-us 200 --telemetry {} --telemetry-window-us 100 \
+             --flight-capacity 8",
+            p("t5"),
+            p("tel")
+        ),
+        format!("report {}", p("tel")),
+        format!(
+            "store create {} {} --dims 4x32x32 --chunk 4x8x8 --codec fz --eb 1e-3 --abs --rate 8 \
+             --shard-chunks 4 --backend fs --device a4000",
+            p("in.f32"),
+            p("s.fzst")
+        ),
+        format!(
+            "store read {} {} --region 0:2,0:8,0:8 --backend mem --device a4000 --json",
+            p("s.fzst"),
+            p("r.f32")
+        ),
+        format!("store stat {} --backend objsim --json", p("s.fzst")),
+        format!(
+            "store serve {} --reads 4 --seed 2 --backend fs --device a4000 --json",
+            p("s.fzst")
+        ),
+    ];
+    for run in &runs {
+        let args: Vec<&str> = run.split_whitespace().collect();
+        let out = fzgpu(&args);
+        assert!(
+            out.status.success(),
+            "`fzgpu {run}` failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
