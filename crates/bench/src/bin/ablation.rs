@@ -8,13 +8,15 @@
 //!    zero-block encoder: ratio and wall-clock on the same shuffled bytes;
 //! 4. bitshuffle on vs off ahead of the zero-block encoder.
 
-use fzgpu_bench::{fmt, scale_from_args, shape_of, Table};
+use fzgpu_bench::{fmt, parse_args, scale_of, shape_of, Table};
 use fzgpu_core::gpu::bitshuffle::{bitshuffle_mark, ShuffleVariant};
 use fzgpu_core::pack::pack_codes;
 use fzgpu_core::{bitshuffle, lorenzo};
 use fzgpu_data::dataset;
 use fzgpu_sim::device::A100;
 use fzgpu_sim::{Gpu, GpuBuffer};
+
+const USAGE: &str = "usage:\n  ablation [--scale reduced|full]";
 
 /// Zero-block stream size at an arbitrary block granularity (words).
 fn zeroblock_bytes(words: &[u32], block_words: usize) -> usize {
@@ -24,8 +26,8 @@ fn zeroblock_bytes(words: &[u32], block_words: usize) -> usize {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let field = dataset("Hurricane").unwrap().generate(scale_from_args(&args));
+    let scale = parse_args(USAGE, scale_of);
+    let field = dataset("Hurricane").unwrap().generate(scale);
     let shape = shape_of(&field);
     let n = field.data.len();
     let eb = field.abs_bound(1e-3);

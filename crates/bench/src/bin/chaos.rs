@@ -31,7 +31,7 @@
 
 use std::collections::HashMap;
 
-use fzgpu_bench::{arg_flag, Table};
+use fzgpu_bench::{parse_args, repo_root, write_exhibit, Table};
 use fzgpu_core::ErrorBound;
 use fzgpu_serve::{
     render_report, FieldKind, JobResult, Op, Request, ResilienceConfig, ServeConfig, ServeReport,
@@ -41,6 +41,8 @@ use fzgpu_sim::device::A100;
 use fzgpu_sim::{RetryPolicy, ServiceFaultPlan};
 use fzgpu_trace::json::{self, Layout, Obj};
 use fzgpu_trace::telemetry::LogHist;
+
+const USAGE: &str = "usage:\n  chaos [--smoke]";
 
 /// Deterministic chaos trace: a steady stream of mid-size compressions
 /// whose arrival span dominates service time, so cross-policy makespans
@@ -110,8 +112,7 @@ struct Cell {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = arg_flag(&args, "--smoke");
+    let smoke = parse_args(USAGE, |args| Ok(args.has("--smoke")));
     let workload = chaos_workload(smoke);
     println!(
         "chaos bench: {} jobs, {:.2} MB total, device {}, seed {FAULT_SEED}{}",
@@ -218,9 +219,6 @@ fn main() {
     print!("{table}");
     println!("\nfault-free digest: 0x{:08x}", baseline.digest());
 
-    // Persist (repo root is two levels above the bench crate manifest).
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-
     // Telemetry campaign: re-run the representative worst cell (highest
     // fault rate, no retries — failures burn SLO budget fastest) with the
     // full capture on. The capture must fire at least one alert, snapshot
@@ -239,7 +237,7 @@ fn main() {
         capture.alert_seqs.len(),
         "every alert must snapshot a flight-recorder dump",
     );
-    let tel_dir = root.join("results/telemetry_chaos");
+    let tel_dir = repo_root().join("results/telemetry_chaos");
     let _ = std::fs::remove_dir_all(&tel_dir);
     capture.write_dir(&tel_dir).expect("write telemetry dir");
     let dashboard = render_report(&tel_dir).expect("telemetry capture must render");
@@ -261,8 +259,6 @@ fn main() {
     );
     txt.push_str(&table);
     txt.push_str(&format!("\nfault-free digest: 0x{:08x}\n", baseline.digest()));
-    std::fs::create_dir_all(root.join("results")).expect("results dir");
-    std::fs::write(root.join("results/chaos.txt"), txt).expect("write results/chaos.txt");
 
     let json_cells = cells.iter().map(|c| {
         let slo = c.report.slo();
@@ -301,6 +297,6 @@ fn main() {
         .str("fault_free_digest", &format!("0x{:08x}", baseline.digest()))
         .raw("cells", json::list(Layout::Doc, json_cells))
         .finish();
-    std::fs::write(root.join("BENCH_chaos.json"), json).expect("write BENCH_chaos.json");
+    write_exhibit("chaos", &txt, Some(&json));
     println!("wrote results/chaos.txt and BENCH_chaos.json");
 }

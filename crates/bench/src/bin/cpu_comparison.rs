@@ -11,14 +11,18 @@
 use std::time::Instant;
 
 use fzgpu_baselines::SzOmp;
-use fzgpu_bench::{all_fields, eb_config, fmt, mean, round_trip, scale_from_args, shape_of, Table};
+use fzgpu_bench::{
+    all_fields, eb_config, fmt, mean, parse_args, round_trip, scale_of, shape_of, Table,
+};
 use fzgpu_core::quant::ErrorBound;
 use fzgpu_core::FzNative;
 use fzgpu_sim::device::A100;
 
+const USAGE: &str = "usage:\n  cpu_comparison [--scale reduced|full]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let fields = all_fields(scale_from_args(&args));
+    let scale = parse_args(USAGE, scale_of);
+    let fields = all_fields(scale);
     let eb = ErrorBound::RelToRange(1e-3);
     // Host wall rows time compression alone, in GB/s of input.
     let host_gbps = |n: usize, seconds: f64| (n * 4) as f64 / seconds / 1e9;

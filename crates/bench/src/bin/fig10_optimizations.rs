@@ -8,13 +8,15 @@
 //! - `prefix-sum-encode-v1` vs `-v2` (same kernels; the speedup comes from
 //!   the dual-quantization optimization producing more zero blocks).
 
-use fzgpu_bench::{all_fields, fmt, scale_from_args, shape_of, Table};
+use fzgpu_bench::{all_fields, fmt, parse_args, scale_of, shape_of, Table};
 use fzgpu_core::gpu::bitshuffle::{bitshuffle_mark, ShuffleVariant};
 use fzgpu_core::gpu::encode as genc;
 use fzgpu_core::gpu::quant::{pred_quant_v1, pred_quant_v2};
 use fzgpu_core::pack::pack_codes;
 use fzgpu_sim::device::A100;
 use fzgpu_sim::{Gpu, GpuBuffer};
+
+const USAGE: &str = "usage:\n  fig10_optimizations [--scale reduced|full]";
 
 /// Kernel time of `f` on a fresh timeline.
 fn timed<R>(gpu: &mut Gpu, f: impl FnOnce(&mut Gpu) -> R) -> (R, f64) {
@@ -24,8 +26,8 @@ fn timed<R>(gpu: &mut Gpu, f: impl FnOnce(&mut Gpu) -> R) -> (R, f64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let fields = all_fields(scale_from_args(&args));
+    let scale = parse_args(USAGE, scale_of);
+    let fields = all_fields(scale);
     let rel_eb = 1e-2;
     println!("Figure 10: optimization ablation per kernel, A100, rel eb {rel_eb:.0e}\n");
     println!("(throughputs in GB/s of the original field size)\n");

@@ -3,15 +3,17 @@
 //! congested PCIe bandwidth of 11.4 GB/s per GPU.
 
 use fzgpu_bench::{
-    all_fields, eb_config, fmt, mean, round_trip, scale_from_args, shape_of, zfp_match_psnr, Run,
-    Table, REL_EBS,
+    all_fields, eb_config, fmt, mean, parse_args, round_trip, scale_of, shape_of, zfp_match_psnr,
+    Run, Table, REL_EBS,
 };
 use fzgpu_metrics::{overall_throughput, psnr};
 use fzgpu_sim::device::A100;
 
+const USAGE: &str = "usage:\n  fig11_overall [--scale reduced|full]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let fields = all_fields(scale_from_args(&args));
+    let scale = parse_args(USAGE, scale_of);
+    let fields = all_fields(scale);
     let bw = A100.pcie_congested / 1e9; // 11.4 GB/s
     println!("Figure 11: overall CPU-GPU data-transfer throughput (GB/s), A100, link {bw} GB/s\n");
 

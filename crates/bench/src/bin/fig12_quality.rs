@@ -2,12 +2,14 @@
 //! at a similar compression ratio (~22.8x), comparing PSNR, SSIM, and the
 //! preservation of the value distribution across all five compressors.
 
-use fzgpu_bench::{eb_config, fmt, round_trip, scale_from_args, Run, Table};
+use fzgpu_bench::{eb_config, fmt, parse_args, round_trip, scale_of, Run, Table};
 use fzgpu_core::lorenzo::Shape;
 use fzgpu_data::DatasetInfo;
 use fzgpu_metrics::{distribution::tv_distance, histogram_f32, psnr, ssim_2d};
 use fzgpu_sim::device::A100;
 use fzgpu_store::CodecConfig;
+
+const USAGE: &str = "usage:\n  fig12_quality [--scale reduced|full]";
 
 const TARGET_CR: f64 = 22.8;
 
@@ -44,8 +46,8 @@ fn search_rate(data: &[f32], shape: Shape) -> Option<Run> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let field = DatasetInfo::generate_qsnow(scale_from_args(&args));
+    let scale = parse_args(USAGE, scale_of);
+    let field = DatasetInfo::generate_qsnow(scale);
     let shape = field.dims.as_3d();
     let n = field.data.len();
     let (nz, _, _) = shape;

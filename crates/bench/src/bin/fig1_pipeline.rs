@@ -3,16 +3,18 @@
 //! relative error bound 1e-4 (the paper's annotation setting).
 
 use fzgpu_baselines::CuSz;
-use fzgpu_bench::{fmt, scale_from_args, Table};
+use fzgpu_bench::{fmt, parse_args, scale_of, Table};
 use fzgpu_core::quant::ErrorBound;
 use fzgpu_core::FzGpu;
 use fzgpu_data::dataset;
 use fzgpu_sim::device::A100;
 use fzgpu_sim::Event;
 
+const USAGE: &str = "usage:\n  fig1_pipeline [--scale reduced|full]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let field = dataset("Hurricane").unwrap().generate(scale_from_args(&args));
+    let scale = parse_args(USAGE, scale_of);
+    let field = dataset("Hurricane").unwrap().generate(scale);
     let shape = field.dims.as_3d();
     let bytes = field.data.len() * 4;
     let eb_abs = field.abs_bound(1e-4);

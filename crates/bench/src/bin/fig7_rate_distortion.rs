@@ -7,16 +7,17 @@
 //! the paper's aggregate claims (ratio improvement over cuZFP / cuSZx).
 
 use fzgpu_bench::{
-    all_fields, arg_flag, eb_config, fmt, round_trip, scale_from_args, shape_of, zfp_match_psnr,
-    Table, REL_EBS,
+    all_fields, eb_config, fmt, parse_args, round_trip, scale_of, shape_of, zfp_match_psnr, Table,
+    REL_EBS,
 };
 use fzgpu_metrics::{bitrate, psnr};
 use fzgpu_sim::device::A100;
 
+const USAGE: &str = "usage:\n  fig7_rate_distortion [--summary] [--scale reduced|full]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let summary = arg_flag(&args, "--summary");
-    let fields = all_fields(scale_from_args(&args));
+    let (summary, scale) = parse_args(USAGE, |args| Ok((args.has("--summary"), scale_of(args)?)));
+    let fields = all_fields(scale);
 
     println!("Figure 7: rate-distortion of five GPU lossy compressors (A100)\n");
     let mut fz_vs_zfp: Vec<f64> = Vec::new();

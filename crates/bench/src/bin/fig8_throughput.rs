@@ -7,17 +7,16 @@
 
 use fzgpu_baselines::cusz::codebook_seconds;
 use fzgpu_bench::{
-    all_fields, arg_value, eb_config, fmt, mean, round_trip, scale_from_args, shape_of,
+    all_fields, device_of, eb_config, fmt, mean, parse_args, round_trip, scale_of, shape_of,
     zfp_match_psnr, Table, REL_EBS,
 };
 use fzgpu_metrics::psnr;
-use fzgpu_sim::device;
+
+const USAGE: &str = "usage:\n  fig8_throughput [--device a100|a4000] [--scale reduced|full]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let spec = device::by_name(&arg_value(&args, "--device").unwrap_or_else(|| "a100".into()))
-        .expect("--device a100|a4000");
-    let fields = all_fields(scale_from_args(&args));
+    let (spec, scale) = parse_args(USAGE, |args| Ok((device_of(args)?, scale_of(args)?)));
+    let fields = all_fields(scale);
 
     println!(
         "Figure {}: compressor throughputs (GB/s) on {} for range-relative error bounds\n",

@@ -7,17 +7,19 @@
 //! attribution), then prints a stage-share summary table across datasets.
 //!
 //! ```text
-//! cargo run -p fzgpu-bench --bin profiles [-- --out target/profiles \
-//!     --scale full|reduced --device a100|a4000 --eb 1e-3]
+//! cargo run -p fzgpu-bench --bin profiles [-- [--out target/profiles] \
+//!     [--device a100|a4000] [--eb 1e-3] [--scale reduced|full]]
 //! ```
 
 use std::path::PathBuf;
 
-use fzgpu_bench::{arg_value, fmt, profile_field, scale_from_args, Table};
+use fzgpu_bench::{device_of, fmt, parse_args, profile_field, scale_of, Table};
 use fzgpu_core::gpu::stage_of;
 use fzgpu_data::CATALOG;
-use fzgpu_sim::device;
 use fzgpu_sim::Profile;
+
+const USAGE: &str = "usage:
+  profiles [--out <dir>] [--device a100|a4000] [--eb 1e-3] [--scale reduced|full]";
 
 /// Total kernel time of `profile` spent in `stage`, seconds.
 fn stage_time(profile: &Profile, stage: &str) -> f64 {
@@ -25,13 +27,10 @@ fn stage_time(profile: &Profile, stage: &str) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = scale_from_args(&args);
-    let rel_eb: f64 = arg_value(&args, "--eb").and_then(|v| v.parse().ok()).unwrap_or(1e-3);
-    let spec = device::by_name(&arg_value(&args, "--device").unwrap_or_else(|| "a100".into()))
-        .expect("unknown --device (a100|a4000)");
-    let out_dir =
-        PathBuf::from(arg_value(&args, "--out").unwrap_or_else(|| "target/profiles".into()));
+    let (out_dir, spec, rel_eb, scale) = parse_args(USAGE, |args| {
+        let out_dir = PathBuf::from(args.get("--out").unwrap_or("target/profiles"));
+        Ok((out_dir, device_of(args)?, args.positive("--eb")?.unwrap_or(1e-3), scale_of(args)?))
+    });
     std::fs::create_dir_all(&out_dir).expect("create output directory");
 
     println!("Kernel profiles on {} @ rel eb {rel_eb:.0e}\n", spec.name);

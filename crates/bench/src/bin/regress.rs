@@ -7,6 +7,10 @@
 //! cargo run -p fzgpu-bench --bin regress -- --check --engine analytic
 //! ```
 //!
+//! Checking is the default mode; `--check` only says so, and it cannot go
+//! with `--update`. `--device` and `--eb` pick the suite's device and
+//! range-relative error bound.
+//!
 //! `--engine analytic` runs the suite on the analytic simulation engine —
 //! the compared metrics are engine-invariant by construction, so checking
 //! an analytic run against the interpreted baseline doubles as an
@@ -17,34 +21,33 @@
 //! modeled/deterministic, so a failure is a real code-behavior change, not
 //! machine noise. Writes `results/regress.txt` either way.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use fzgpu_bench::regress::{compare, parse_baseline, run_suite, to_json, Thresholds};
-use fzgpu_bench::{arg_flag, arg_value, Table};
-use fzgpu_sim::device;
+use fzgpu_bench::{device_of, parse_args, repo_root, write_exhibit, Table};
+use fzgpu_sim::Engine;
+
+const USAGE: &str = "usage:
+  regress [--check | --update] [--baseline <b.json>] [--device a100|a4000] [--eb 1e-3]
+          [--engine interp|analytic]";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let device_name = arg_value(&args, "--device").unwrap_or_else(|| "a100".into());
-    let Some(spec) = device::by_name(&device_name) else {
-        eprintln!("error: unknown device '{device_name}'");
-        return ExitCode::FAILURE;
-    };
-    let rel_eb: f64 = arg_value(&args, "--eb").map_or(1e-3, |v| v.parse().expect("bad --eb"));
-    let engine = match arg_value(&args, "--engine") {
-        Some(s) => match fzgpu_sim::Engine::parse(&s) {
-            Some(e) => e,
-            None => {
-                eprintln!("error: bad --engine '{s}' (expected interp|analytic)");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => fzgpu_sim::Engine::from_env(),
-    };
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let baseline_path = arg_value(&args, "--baseline")
-        .map_or_else(|| root.join("BENCH_regress.json"), std::path::PathBuf::from);
+    let (update, baseline_path, spec, rel_eb, engine) = parse_args(USAGE, |args| {
+        if args.has("--check") && args.has("--update") {
+            return Err("--check conflicts with --update".into());
+        }
+        let baseline = args.get("--baseline").map(PathBuf::from);
+        let bad = |s| format!("bad --engine '{s}' (expected interp|analytic)");
+        let engine = args.get("--engine").map(|s| Engine::parse(s).ok_or_else(|| bad(s)));
+        Ok((
+            args.has("--update"),
+            baseline.unwrap_or_else(|| repo_root().join("BENCH_regress.json")),
+            device_of(args)?,
+            args.positive("--eb")?.unwrap_or(1e-3),
+            engine.transpose()?.unwrap_or_else(Engine::from_env),
+        ))
+    });
 
     println!(
         "regress: all catalog datasets, rel eb {rel_eb:.0e}, device {}, engine {}",
@@ -82,12 +85,12 @@ fn main() -> ExitCode {
     );
     report.push_str(&table);
 
-    if arg_flag(&args, "--update") {
+    if update {
         std::fs::write(&baseline_path, to_json(spec.name, rel_eb, &current))
             .expect("write baseline");
         println!("\nbaseline updated: {}", baseline_path.display());
         report.push_str("\nbaseline updated\n");
-        write_report(&root, &report);
+        write_exhibit("regress", &report, None);
         return ExitCode::SUCCESS;
     }
 
@@ -130,16 +133,11 @@ fn main() -> ExitCode {
     };
     println!("\n{verdict}");
     report.push_str(&format!("\n{verdict}\n"));
-    write_report(&root, &report);
+    write_exhibit("regress", &report, None);
 
     if regressions.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
-}
-
-fn write_report(root: &std::path::Path, report: &str) {
-    std::fs::create_dir_all(root.join("results")).expect("results dir");
-    std::fs::write(root.join("results/regress.txt"), report).expect("write results/regress.txt");
 }

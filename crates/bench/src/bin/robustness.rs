@@ -7,16 +7,18 @@
 //! 3. the space cost of carrying checksums (v2 vs v1 stream sizes, archive
 //!    directory growth).
 
-use fzgpu_bench::{fmt, scale_from_args, shape_of, Table};
+use fzgpu_bench::{fmt, parse_args, scale_of, shape_of, Table};
 use fzgpu_core::format::{self, HEADER_BYTES, HEADER_V1_BYTES};
 use fzgpu_core::{Archive, ErrorBound, FaultPlan, FzGpu};
 use fzgpu_data::dataset;
 use fzgpu_sim::device::A100;
 use fzgpu_sim::FaultInjector;
 
+const USAGE: &str = "usage:\n  robustness [--scale reduced|full]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let field = dataset("CESM").unwrap().generate(scale_from_args(&args));
+    let scale = parse_args(USAGE, scale_of);
+    let field = dataset("CESM").unwrap().generate(scale);
     let shape = shape_of(&field);
     let eb = ErrorBound::RelToRange(1e-3);
     let mut fz = FzGpu::new(A100);

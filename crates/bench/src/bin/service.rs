@@ -14,11 +14,13 @@
 //!
 //! `--smoke`: a smaller request trace for CI — same sweep, same asserts.
 
-use fzgpu_bench::{arg_flag, Table};
+use fzgpu_bench::{parse_args, write_exhibit, Table};
 use fzgpu_core::ErrorBound;
 use fzgpu_serve::{FieldKind, Op, Request, ServeConfig, ServeReport, Service, Workload};
 use fzgpu_sim::device::A100;
 use fzgpu_trace::json::{self, Layout, Obj};
+
+const USAGE: &str = "usage:\n  service [--smoke]";
 
 /// Deterministic bench trace: a steady arrival process mixing field
 /// families, sizes, and directions, with enough same-shape neighbours
@@ -78,8 +80,7 @@ struct Row {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = arg_flag(&args, "--smoke");
+    let smoke = parse_args(USAGE, |args| Ok(args.has("--smoke")));
     let workload = bench_workload(smoke);
     println!(
         "service bench: {} jobs, {:.2} MB total, device {}{}",
@@ -188,8 +189,6 @@ fn main() {
         baseline.report.makespan,
     );
 
-    // Persist (repo root is two levels above the bench crate manifest).
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut txt = format!(
         "service bench: {} jobs, {:.2} MB total, device {}{}\n\n",
         workload.requests.len(),
@@ -207,8 +206,6 @@ fn main() {
         best.report.makespan * 1e6,
         rows.len(),
     ));
-    std::fs::create_dir_all(root.join("results")).expect("results dir");
-    std::fs::write(root.join("results/service.txt"), txt).expect("write results/service.txt");
 
     let json_rows = rows.iter().map(|r| {
         let (p50, p90, p99) = r.report.latency_percentiles();
@@ -239,6 +236,6 @@ fn main() {
         .raw("speedup", format!("{speedup:.4}"))
         .raw("configs", json::list(Layout::Doc, json_rows))
         .finish();
-    std::fs::write(root.join("BENCH_service.json"), json).expect("write BENCH_service.json");
+    write_exhibit("service", &txt, Some(&json));
     println!("wrote results/service.txt and BENCH_service.json");
 }

@@ -17,11 +17,13 @@
 //! `--smoke`: a smaller grid and a reduced shard sweep for CI — the
 //! partial-vs-full gate and cross-backend digest check still run.
 
-use fzgpu_bench::{arg_flag, Table};
+use fzgpu_bench::{parse_args, write_exhibit, Table};
 use fzgpu_data::dataset;
 use fzgpu_sim::device::A100;
 use fzgpu_store::{backend_from_cli, value_digest, ArrayStore, CodecConfig, Region, StoreSpec};
 use fzgpu_trace::json::{self, Layout, Obj};
+
+const USAGE: &str = "usage:\n  store [--smoke]";
 
 /// One measured read.
 struct Row {
@@ -47,8 +49,7 @@ fn prefix_region(dims: &[usize], num: usize, den: usize) -> Region {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = arg_flag(&args, "--smoke");
+    let smoke = parse_args(USAGE, |args| Ok(args.has("--smoke")));
 
     // Fixed dims so the sweep is reproducible at any catalog scale: the
     // field supplies real-looking values, the bench supplies the geometry.
@@ -172,9 +173,6 @@ fn main() {
     println!("\npartial bytes-read < full bytes-read at every sub-full size: yes");
     println!("value digests identical across backends: yes");
 
-    // Persist next to the other bench artifacts (repo root is two levels
-    // above this crate's manifest).
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut txt = format!(
         "store bench: {n} values, dims {dims:?}, chunk {chunk:?}, codec fz (abs eb {eb_abs:.3e}){}\n\
          container: {container_bytes} bytes (fz, {:.2}x over raw)\n\n",
@@ -184,8 +182,6 @@ fn main() {
     txt.push_str(&table);
     txt.push_str("\npartial bytes-read < full bytes-read at every sub-full size: yes\n");
     txt.push_str("value digests identical across backends: yes\n");
-    std::fs::create_dir_all(root.join("results")).expect("results dir");
-    std::fs::write(root.join("results/store.txt"), txt).expect("write results/store.txt");
 
     let json_rows = rows.iter().map(|r| {
         Obj::spaced()
@@ -213,5 +209,5 @@ fn main() {
         .raw("digests_backend_invariant", true)
         .raw("reads", json::list(Layout::Doc, json_rows))
         .finish();
-    std::fs::write(root.join("BENCH_store.json"), json).expect("write BENCH_store.json");
+    write_exhibit("store", &txt, Some(&json));
 }

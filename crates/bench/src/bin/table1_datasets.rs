@@ -1,10 +1,13 @@
 //! Table 1: the datasets used in evaluation (paper dims + the reduced dims
 //! this reproduction generates by default).
 
-use fzgpu_bench::Table;
+use fzgpu_bench::{parse_args, Table};
 use fzgpu_data::{Scale, CATALOG};
 
+const USAGE: &str = "usage:\n  table1_datasets";
+
 fn main() {
+    parse_args(USAGE, |_| Ok(()));
     let mut t = Table::new(&[
         "dataset",
         "domain",

@@ -38,7 +38,7 @@
 
 use std::time::Instant;
 
-use fzgpu_bench::{arg_flag, fmt, scale_from_args, shape_of, Table};
+use fzgpu_bench::{fmt, parse_args, scale_of, shape_of, write_exhibit, Table};
 use fzgpu_core::fastpath::PipelinePath;
 use fzgpu_core::pipeline::{FzGpu, FzOptions};
 use fzgpu_core::quant::ErrorBound;
@@ -46,6 +46,8 @@ use fzgpu_data::dataset;
 use fzgpu_sim::device::A100;
 use fzgpu_sim::Engine;
 use fzgpu_trace::json::{self, Layout, Obj};
+
+const USAGE: &str = "usage:\n  wallclock [--smoke] [--scale reduced|full]";
 
 struct Sample {
     threads: usize,
@@ -82,11 +84,10 @@ fn timed<T>(iters: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = arg_flag(&args, "--smoke");
+    let (smoke, scale) = parse_args(USAGE, |args| Ok((args.has("--smoke"), scale_of(args)?)));
     let eb = ErrorBound::RelToRange(1e-3);
 
-    let mut field = dataset("CESM").expect("catalog").generate(scale_from_args(&args));
+    let mut field = dataset("CESM").expect("catalog").generate(scale);
     let (shape, label) = if smoke {
         // A canary grid, large enough to exercise the pool and to keep
         // fixed per-launch costs from flattening the engine-speedup gate,
@@ -246,9 +247,6 @@ fn main() {
         println!("note: single-core host — speedups are bounded by hardware, not the pool");
     }
 
-    // Persist. The bench crate lives at crates/bench, so the repo root is
-    // two levels up from its manifest.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut txt = format!(
         "wallclock bench: {label}, {} values ({} MB), rel eb 1e-3\n\
          host cores: {host_cores}{}\n\
@@ -259,8 +257,6 @@ fn main() {
     );
     txt.push_str(&table);
     txt.push_str("\nstreams byte-identical across all paths and thread counts: yes\n");
-    std::fs::create_dir_all(root.join("results")).expect("results dir");
-    std::fs::write(root.join("results/wallclock.txt"), txt).expect("write results/wallclock.txt");
 
     let rows = samples.iter().map(|s| {
         let c = s.native_compress_s;
@@ -291,5 +287,5 @@ fn main() {
         .raw("identical_streams", true)
         .raw("threads", json::list(Layout::Doc, rows))
         .finish();
-    std::fs::write(root.join("BENCH_wallclock.json"), json).expect("write BENCH_wallclock.json");
+    write_exhibit("wallclock", &txt, Some(&json));
 }

@@ -4,17 +4,23 @@
 //! for the experiment index). This library holds the shared sweep
 //! machinery: one round trip ([`round_trip`]) that runs any compressor
 //! through the store's `Codec` interface, the paper's error-bound grid,
-//! cuZFP's PSNR-matched rate search, and plain-text table rendering.
+//! cuZFP's PSNR-matched rate search, and plain-text table rendering. It
+//! also holds each binary's entry point to the workspace's one flag
+//! grammar ([`parse_args`] and the shared flag readers) and the one
+//! writer of committed exhibits ([`write_exhibit`]).
 
 pub mod regress;
+
+use std::path::{Path, PathBuf};
 
 use fzgpu_core::lorenzo::Shape;
 use fzgpu_core::quant::ErrorBound;
 use fzgpu_core::FzGpu;
 use fzgpu_data::{Field, Scale, CATALOG};
 use fzgpu_metrics::psnr;
-use fzgpu_sim::DeviceSpec;
+use fzgpu_sim::{device, DeviceSpec};
 use fzgpu_store::{CodecConfig, CodecError, Registry};
+use fzgpu_trace::cli::Args;
 
 /// The paper's five range-based relative error bounds.
 pub const REL_EBS: [f64; 5] = [1e-2, 5e-3, 1e-3, 5e-4, 1e-4];
@@ -141,21 +147,56 @@ pub fn shape_of(field: &Field) -> Shape {
     field.dims.as_3d()
 }
 
-/// Parse `--flag value` style args; returns the value after `flag`.
-pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
+/// Parse this binary's argv against its `usage` entry (see
+/// [`fzgpu_trace::cli`]) and read every flag value with `read`. A grammar
+/// or value error prints one `error:` line and exits 1, before the binary
+/// does any work or writes any file.
+pub fn parse_args<T>(usage: &'static str, read: impl FnOnce(&Args) -> Result<T, String>) -> T {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match Args::from_argv(usage, "", &argv).and_then(|args| read(&args)) {
+        Ok(value) => value,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            std::process::exit(1);
+        }
+    }
 }
 
-/// True when `--flag` is present.
-pub fn arg_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
+/// `--scale reduced|full`, reduced by default.
+pub fn scale_of(args: &Args) -> Result<Scale, String> {
+    match args.get("--scale") {
+        None | Some("reduced") => Ok(Scale::Reduced),
+        Some("full") => Ok(Scale::Full),
+        Some(other) => Err(format!("bad --scale '{other}' (expected reduced|full)")),
+    }
 }
 
-/// Pick the dataset scale from CLI args (`--scale full|reduced`).
-pub fn scale_from_args(args: &[String]) -> Scale {
-    match arg_value(args, "--scale").as_deref() {
-        Some("full") => Scale::Full,
-        _ => Scale::Reduced,
+/// `--device a100|a4000`, the A100 by default.
+pub fn device_of(args: &Args) -> Result<DeviceSpec, String> {
+    let name = args.get("--device").unwrap_or("a100");
+    device::by_name(name).ok_or_else(|| format!("unknown device '{name}'"))
+}
+
+/// The repository root (this crate is `crates/bench`), where the
+/// committed exhibits live.
+pub fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Write the committed exhibit `name`: `results/<name>.txt` and, given
+/// `json`, `BENCH_<name>.json`, both at the repository root.
+///
+/// # Panics
+/// Panics when a file cannot be written.
+pub fn write_exhibit(name: &str, txt: &str, json: Option<&str>) {
+    let root = repo_root();
+    let write = |file: String, bytes: &str| {
+        std::fs::write(root.join(&file), bytes).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    };
+    std::fs::create_dir_all(root.join("results")).expect("results dir");
+    write(format!("results/{name}.txt"), txt);
+    if let Some(json) = json {
+        write(format!("BENCH_{name}.json"), json);
     }
 }
 
@@ -242,15 +283,6 @@ mod tests {
         let s = t.render();
         assert!(s.contains("name"));
         assert_eq!(s.lines().count(), 4);
-    }
-
-    #[test]
-    fn arg_parsing() {
-        let args: Vec<String> =
-            ["--device", "a4000", "--summary"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(arg_value(&args, "--device").as_deref(), Some("a4000"));
-        assert!(arg_flag(&args, "--summary"));
-        assert!(!arg_flag(&args, "--quick"));
     }
 
     #[test]

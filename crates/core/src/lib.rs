@@ -16,7 +16,7 @@
 //! Use [`pipeline::FzGpu`] for the device pipeline; its
 //! [`PipelinePath::Native`] path runs the same stages as multi-threaded
 //! host code ([`fastpath`], the paper's FZ-OMP) and emits identical bytes.
-//! [`reference`] composes the scalar stage modules into the test oracle.
+//! [`reference`](mod@reference) composes the scalar stage modules into the test oracle.
 //!
 //! ```
 //! use fzgpu_core::{FzGpu, ErrorBound};

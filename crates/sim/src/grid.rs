@@ -664,56 +664,6 @@ impl Gpu {
         self.timeline.iter().map(Event::time).sum()
     }
 
-    /// Render the timeline as an aligned profiling table: per-kernel time,
-    /// effective bandwidth, coalescing efficiency, bank-conflict overhead,
-    /// and lane utilization — an `nvprof`-style summary for examples and
-    /// debugging.
-    pub fn report(&self) -> String {
-        let mut out = String::from(
-            "kernel                          time us   GB/s  coalesce  conflicts  lanes
-",
-        );
-        out.push_str(&"-".repeat(78));
-        out.push('\n');
-        for e in &self.timeline {
-            match e {
-                Event::Kernel(k) => {
-                    let gbps = if k.time > 0.0 {
-                        k.stats.global_bytes_moved() as f64 / k.time / 1e9
-                    } else {
-                        0.0
-                    };
-                    out.push_str(&format!(
-                        "{:<30} {:>8.2} {:>6.1} {:>8.0}% {:>10} {:>5.0}%
-",
-                        k.display_name(),
-                        k.time * 1e6,
-                        gbps,
-                        k.stats.coalescing_efficiency() * 100.0,
-                        k.stats.smem_conflict_cycles,
-                        k.stats.lane_utilization() * 100.0,
-                    ));
-                }
-                Event::Transfer(t) => {
-                    out.push_str(&format!(
-                        "{:<30} {:>8.2} {:>6.1}
-",
-                        t.direction,
-                        t.time * 1e6,
-                        t.bytes as f64 / t.time / 1e9,
-                    ));
-                }
-            }
-        }
-        out.push_str(&format!(
-            "TOTAL kernels: {:.2} us, with transfers: {:.2} us
-",
-            self.kernel_time() * 1e6,
-            self.total_time() * 1e6
-        ));
-        out
-    }
-
     /// The most recent kernel record.
     ///
     /// # Panics
@@ -859,24 +809,6 @@ mod tests {
             });
         });
         assert!(gpu.races().is_empty());
-    }
-
-    #[test]
-    fn report_renders_timeline() {
-        let mut gpu = Gpu::new(A100);
-        let buf = gpu.upload(&vec![1u32; 1024]);
-        let out: GpuBuffer<u32> = gpu.alloc(1024);
-        gpu.launch("copy1k", 4u32, 256u32, |blk| {
-            let base = blk.block_linear() * 256;
-            blk.warps(|w| {
-                let v = w.load(&buf, |l| Some(base + l.ltid));
-                w.store(&out, |l| Some((base + l.ltid, v[l.id])));
-            });
-        });
-        let rep = gpu.report();
-        assert!(rep.contains("copy1k"));
-        assert!(rep.contains("H2D"));
-        assert!(rep.contains("TOTAL"));
     }
 
     #[test]

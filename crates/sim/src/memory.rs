@@ -160,7 +160,7 @@ impl<T: Pod> GpuBuffer<T> {
     /// Overwrite a prefix of the buffer from host memory through a shared
     /// reference — the analytic engine's fill path, which writes
     /// host-computed kernel results into buffers that are shared (`&`)
-    /// kernel arguments. Same single-writer contract as [`Self::write`]:
+    /// kernel arguments. Same single-writer contract as the raw `write`:
     /// launches are synchronous, so any call between launches is safe.
     ///
     /// # Panics

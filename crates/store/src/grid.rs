@@ -82,7 +82,9 @@ pub struct ChunkGrid {
 }
 
 impl ChunkGrid {
-    /// Build a grid; rejects rank mismatches and zero extents.
+    /// Build a grid; rejects rank mismatches, zero extents, and dims whose
+    /// value count overflows `usize` (the chunk count, at most the value
+    /// count, then fits too).
     pub fn new(dims: Vec<usize>, chunk: Vec<usize>) -> Result<Self, String> {
         if dims.is_empty() {
             return Err("array rank must be at least 1".into());
@@ -101,6 +103,9 @@ impl ChunkGrid {
             if chunk[a] == 0 {
                 return Err(format!("chunk extent on axis {a} is zero"));
             }
+        }
+        if dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d)).is_none() {
+            return Err(format!("dims {dims:?} hold more values than usize can count"));
         }
         Ok(Self { dims, chunk })
     }
@@ -361,5 +366,9 @@ mod tests {
         assert!(ChunkGrid::new(vec![4, 4], vec![2]).is_err());
         assert!(ChunkGrid::new(vec![4, 0], vec![2, 2]).is_err());
         assert!(ChunkGrid::new(vec![4, 4], vec![2, 0]).is_err());
+        // 2^62 * 4 values wrap an unchecked product to 0.
+        let err = ChunkGrid::new(vec![1 << 62, 4], vec![1 << 62, 4]).unwrap_err();
+        assert!(err.contains("more values than usize can count"), "{err}");
+        assert!(ChunkGrid::new(vec![usize::MAX, 1], vec![1, 1]).is_ok());
     }
 }

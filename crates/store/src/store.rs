@@ -608,6 +608,29 @@ mod tests {
                 .map(|_| ())
                 .unwrap_err();
         assert!(err.to_string().contains("\"wavelet\""), "{err}");
+        // Dims whose value count wraps to 0 (2^62 x 4) over a v3 archive of
+        // 0 values in one empty chunk: the counts agree modulo 2^64, so only
+        // a checked product tells them apart.
+        let huge = vec![1usize << 62, 4];
+        let spec = StoreSpec {
+            dims: huge.clone(),
+            chunk: huge,
+            codec: CodecConfig::Raw,
+            chunks_per_shard: 1,
+        };
+        let meta = vec![ChunkMeta { n_values: 0, crc: Some(crc32(&[])) }];
+        let shards = vec![Shard { chunks: vec![Vec::new()], meta }];
+        let archive = ShardedArchive { total_values: 0, shards }.to_bytes();
+        let meta = spec.to_json();
+        let mut wrapped = bytes[..8].to_vec();
+        wrapped.extend_from_slice(&(meta.len() as u64).to_le_bytes());
+        wrapped.extend_from_slice(meta.as_bytes());
+        wrapped.extend_from_slice(&archive);
+        let err =
+            ArrayStore::open(Box::new(MemBackend::from_bytes(wrapped)), fzgpu_sim::device::A100)
+                .map(|_| ())
+                .unwrap_err();
+        assert!(err.to_string().contains("more values than usize can count"), "{err}");
         // Data/dims mismatch at create.
         let err = ArrayStore::create(
             Box::new(MemBackend::new()),

@@ -1,7 +1,7 @@
 //! `fzgpu-trace`: dependency-free structured tracing + metrics for the
 //! FZ-GPU workspace.
 //!
-//! Three pieces, shared by the simulator, the core pipeline, the thread
+//! The pieces, shared by the simulator, the core pipeline, the thread
 //! pool, the CLI, and the bench harness:
 //!
 //! * **Spans** ([`span`], [`event`], [`begin_capture`]/[`end_capture`],
@@ -17,6 +17,8 @@
 //!   ([`json::Obj`] and [`json::list`]), through which every report,
 //!   capture, store meta and bench file is written; a small parser for
 //!   reading baselines back; and a Chrome Trace Event Format builder.
+//! * **Command lines** ([`cli`]) — the one flag grammar every binary
+//!   parses argv with, read off the binary's `USAGE` text.
 //!
 //! The clock-domain convention: host spans carry *real* time, simulator
 //! records carry *modeled/analytic* time. They are never mixed on one
@@ -25,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
+pub mod cli;
 pub mod json;
 pub mod metrics;
 mod span;

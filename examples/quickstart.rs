@@ -41,5 +41,5 @@ fn main() {
     assert!(worst <= bound * 1.00001);
 
     // Per-kernel profile of the decompression pipeline we just ran.
-    println!("\n{}", fz.gpu().report());
+    println!("\n{}", fz.profile().text_report());
 }

@@ -1,6 +1,7 @@
 //! `fzgpu` — command-line compressor over raw f32 fields, mirroring the
 //! real FZ-GPU binary's interface (`fz-gpu <file> <dims> <eb>`). `USAGE`
-//! lists every subcommand and is the only place a flag is declared.
+//! lists every subcommand and is the only place a flag is declared:
+//! `fzgpu_trace::cli` reads each subcommand's grammar off its entry.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -12,6 +13,7 @@ use fz_gpu::core::{
 use fz_gpu::data::io::{parse_dims, read_f32_file, read_f32_file_flat, write_f32_file};
 use fz_gpu::metrics::{max_abs_error, psnr};
 use fz_gpu::sim::device;
+use fz_gpu::trace::cli::Args;
 use fz_gpu::trace::json::{self, Layout, Obj};
 
 fn main() -> ExitCode {
@@ -91,145 +93,6 @@ const COMMANDS: [(&str, Handler); 15] = [
     ("store serve", store_serve),
 ];
 
-/// One flag as a `USAGE` entry declares it, with the flag it modifies and
-/// requires, if any.
-#[derive(Clone, Copy)]
-struct Flag {
-    name: &'static str,
-    takes_value: bool,
-    parent: Option<&'static str>,
-}
-
-/// A subcommand's grammar: its flags, and at most `max_positionals` bare
-/// arguments (`profile` and `stats` take their file or `--synthetic`).
-struct Grammar {
-    flags: Vec<Flag>,
-    max_positionals: usize,
-}
-
-/// Read `cmd`'s grammar off its `USAGE` entry (from `\n  fzgpu <cmd> ` to
-/// the next one). A `--flag` takes the next token as its value unless the
-/// flag closes a bracket or that token starts with `-`, `[`, `(` or `|`. A
-/// flag opening a `[...]` group inside another group requires the outer
-/// group's first flag. Every other `<...>` token is a positional.
-fn grammar(cmd: &str) -> Option<Grammar> {
-    let entry = USAGE.split("\n  fzgpu ").find_map(|e| e.strip_prefix(cmd)?.strip_prefix(' '))?;
-    let mut tokens = entry.split_whitespace().peekable();
-    let mut grammar = Grammar { flags: Vec::new(), max_positionals: 0 };
-    // The first word of each open `[...]` group, innermost last.
-    let mut groups: Vec<&'static str> = Vec::new();
-    while let Some(tok) = tokens.next() {
-        let word = tok.trim_start_matches(['[', '(']).trim_end_matches([']', ')']);
-        let opens = tok.len() - tok.trim_start_matches('[').len();
-        let parent = groups.last().copied().filter(|w| opens > 0 && w.starts_with("--"));
-        groups.extend(std::iter::repeat_n(word, opens));
-        let mut last = tok;
-        if word.starts_with("--") {
-            let closes = tok.ends_with([']', ')']);
-            let value = tokens.next_if(|t| !closes && !t.starts_with(['-', '[', '(', '|']));
-            last = value.unwrap_or(tok);
-            grammar.flags.push(Flag { name: word, takes_value: value.is_some(), parent });
-        } else if word.starts_with('<') {
-            grammar.max_positionals += 1;
-        }
-        groups.truncate(groups.len() - (last.len() - last.trim_end_matches(']').len()));
-    }
-    Some(grammar)
-}
-
-/// A subcommand's argv, parsed once against its grammar.
-struct Args {
-    grammar: Grammar,
-    positionals: Vec<String>,
-    /// Each flag given, with its value if it takes one.
-    given: Vec<(Flag, Option<String>)>,
-}
-
-impl Args {
-    /// Parse `argv` against `cmd`'s grammar. Positionals may sit among the
-    /// flags; a token starting with `--` is a flag, never a value.
-    fn from_argv(cmd: &str, argv: &[String]) -> Result<Args, String> {
-        let grammar = grammar(cmd).expect("every command has a USAGE entry");
-        let mut args = Args { grammar, positionals: Vec::new(), given: Vec::new() };
-        let mut argv = argv.iter().peekable();
-        while let Some(tok) = argv.next() {
-            if !tok.starts_with("--") {
-                if args.positionals.len() == args.grammar.max_positionals {
-                    return Err(format!("{cmd}: unexpected argument '{tok}'"));
-                }
-                args.positionals.push(tok.clone());
-                continue;
-            }
-            let flag = args.grammar.flags.iter().find(|f| f.name == tok);
-            let &flag = flag.ok_or_else(|| format!("{cmd}: unknown flag {tok}"))?;
-            if args.has(tok) {
-                return Err(format!("{cmd}: {tok} given twice"));
-            }
-            let value = match argv.next_if(|v| flag.takes_value && !v.starts_with("--")) {
-                None if flag.takes_value => return Err(format!("{cmd}: {tok} needs a value")),
-                v => v.cloned(),
-            };
-            args.given.push((flag, value));
-        }
-        for (flag, _) in &args.given {
-            if let Some(p) = flag.parent.filter(|p| !args.has(p)) {
-                return Err(format!("{cmd}: {} without {p}; modifiers require {p}", flag.name));
-            }
-        }
-        Ok(args)
-    }
-
-    /// The `i`th positional, or "missing {what}".
-    fn pos(&self, i: usize, what: &str) -> Result<&str, String> {
-        self.positionals.get(i).map(String::as_str).ok_or_else(|| format!("missing {what}"))
-    }
-
-    /// The value slot of `flag` if it was given; reading an undeclared flag is a bug.
-    fn slot(&self, flag: &str) -> Option<&Option<String>> {
-        debug_assert!(self.grammar.flags.iter().any(|f| f.name == flag), "{flag} not in USAGE");
-        self.given.iter().find(|(f, _)| f.name == flag).map(|(_, v)| v)
-    }
-
-    fn has(&self, flag: &str) -> bool {
-        self.slot(flag).is_some()
-    }
-
-    fn get(&self, flag: &str) -> Option<&str> {
-        self.slot(flag)?.as_deref()
-    }
-
-    fn parse<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
-        let parse = |s: &str| s.parse().map_err(|_| format!("bad {flag} value '{s}'"));
-        self.get(flag).map(parse).transpose()
-    }
-
-    /// A count: at least 1.
-    fn count(&self, flag: &str) -> Result<Option<usize>, String> {
-        match self.parse(flag)? {
-            Some(0) => Err(format!("{flag} must be at least 1")),
-            n => Ok(n),
-        }
-    }
-
-    /// A time given in microseconds, finite and `>= 0`, returned in seconds.
-    fn micros(&self, flag: &str) -> Result<Option<f64>, String> {
-        let t = self.parse::<f64>(flag)?;
-        if t.is_some_and(|t| !t.is_finite() || t < 0.0) {
-            return Err(format!("{flag} must be a nonnegative finite time in us"));
-        }
-        Ok(t.map(|t| t * 1e-6))
-    }
-
-    /// A probability in `[0, 1]`.
-    fn prob(&self, flag: &str) -> Result<Option<f64>, String> {
-        let p = self.parse::<f64>(flag)?;
-        if p.is_some_and(|p| !(0.0..=1.0).contains(&p)) {
-            return Err(format!("{flag} must be a probability in [0, 1]"));
-        }
-        Ok(p)
-    }
-}
-
 fn device_of(args: &Args) -> Result<fz_gpu::sim::DeviceSpec, String> {
     let name = args.get("--device").unwrap_or("a100");
     device::by_name(name).ok_or_else(|| format!("unknown device '{name}'"))
@@ -283,10 +146,7 @@ fn clock_of(fz: &FzGpu, t0: std::time::Instant) -> (f64, &'static str) {
 /// bound over data holding ±inf resolves to an infinite bound: rejected
 /// here like `--eb inf`, before anything runs or is written.
 fn eb_for(args: &Args, data: &[f32]) -> Result<ErrorBound, String> {
-    let eb = args.parse::<f64>("--eb")?.unwrap_or(1e-3);
-    if !(eb.is_finite() && eb > 0.0) {
-        return Err("--eb must be finite and positive".into());
-    }
+    let eb = args.positive("--eb")?.unwrap_or(1e-3);
     let eb = if args.has("--abs") { ErrorBound::Abs(eb) } else { ErrorBound::RelToRange(eb) };
     eb.try_resolve(data).map_err(|abs| {
         format!("--eb must be finite and positive; over this input it resolves to {abs}")
@@ -308,7 +168,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             [other, ..] => format!("unknown subcommand '{other}'"),
         });
     };
-    handler(&Args::from_argv(name, &argv[words(name)..])?)
+    handler(&Args::from_argv(USAGE, name, &argv[words(name)..])?)
 }
 
 fn load_field(args: &Args, path: &str) -> Result<fz_gpu::data::Field, String> {
@@ -950,6 +810,7 @@ fn store_stat(args: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fz_gpu::trace::cli::{grammar, Grammar};
 
     /// `max_positionals: flags`, with `=` after a flag that takes a value and
     /// the flag it requires in parentheses.
@@ -1011,7 +872,7 @@ mod tests {
         ];
         assert_eq!(COMMANDS.map(|(name, _)| name), expected.map(|(name, _)| name));
         for (cmd, want) in expected {
-            assert_eq!(render(&grammar(cmd).unwrap()), want, "grammar of `fzgpu {cmd}`");
+            assert_eq!(render(&grammar(USAGE, cmd).unwrap()), want, "grammar of `fzgpu {cmd}`");
         }
     }
 
@@ -1030,7 +891,7 @@ mod tests {
     #[test]
     fn positionals_sit_among_flags_and_values_may_start_with_one_dash() {
         let argv = ["--dims", "4x4x4", "in.f32", "--eb", "-1", "out.fz", "--abs"];
-        let args = Args::from_argv("compress", &argv.map(String::from)).unwrap();
+        let args = Args::from_argv(USAGE, "compress", &argv.map(String::from)).unwrap();
         assert_eq!(args.pos(0, "input"), Ok("in.f32"));
         assert_eq!(args.pos(1, "output"), Ok("out.fz"));
         assert_eq!(args.get("--eb"), Some("-1"));

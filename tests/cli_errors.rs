@@ -4,6 +4,9 @@
 
 use std::process::{Command, Output};
 
+use fz_gpu::core::{crc32, ChunkMeta, Shard, ShardedArchive};
+use fz_gpu::store::{CodecConfig, StoreSpec};
+
 fn fzgpu(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_fzgpu"))
         .args(args)
@@ -319,7 +322,7 @@ fn store_failures_exit_nonzero_with_one_line_error() {
     let mut crafted = healthy[..arch_off + 28].to_vec();
     let nshards = u64::MAX / 20 + 1;
     crafted[arch_off + 16..arch_off + 24].copy_from_slice(&nshards.to_le_bytes());
-    let crc = fz_gpu::core::crc32(&crafted[arch_off..]);
+    let crc = crc32(&crafted[arch_off..]);
     crafted.extend_from_slice(&crc.to_le_bytes());
     crafted.extend_from_slice(&[0; 64]);
     let wrapped = dir.join("wrapped.fzst");
@@ -329,6 +332,25 @@ fn store_failures_exit_nonzero_with_one_line_error() {
         assert_cli_error(&["store", sub, wrapped], "truncated");
     }
     assert_cli_error(&["store", "read", wrapped, outfile], "truncated");
+    // Meta dims whose value count wraps to 0 (2^62 x 4) over a v3 archive
+    // of 0 values in one empty chunk: the counts agree modulo 2^64.
+    let huge = vec![1usize << 62, 4];
+    let spec =
+        StoreSpec { dims: huge.clone(), chunk: huge, codec: CodecConfig::Raw, chunks_per_shard: 1 };
+    let meta = vec![ChunkMeta { n_values: 0, crc: Some(crc32(&[])) }];
+    let shards = vec![Shard { chunks: vec![Vec::new()], meta }];
+    let meta = spec.to_json();
+    let mut crafted = healthy[..8].to_vec();
+    crafted.extend_from_slice(&(meta.len() as u64).to_le_bytes());
+    crafted.extend_from_slice(meta.as_bytes());
+    crafted.extend_from_slice(&ShardedArchive { total_values: 0, shards }.to_bytes());
+    let overflow = dir.join("overflow.fzst");
+    std::fs::write(&overflow, crafted).unwrap();
+    let overflow = overflow.to_str().unwrap();
+    let too_many = "more values than usize can count";
+    assert_cli_error(&["store", "stat", overflow], too_many);
+    assert_cli_error(&["store", "read", overflow, outfile], too_many);
+    assert_cli_error(&["store", "read", overflow, outfile, "--region", "0:4,0:4"], too_many);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
