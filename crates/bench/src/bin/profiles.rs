@@ -43,11 +43,13 @@ fn main() {
         "scan %",
         "compact %",
         "decompress us",
+        "integrate %",
     ]);
     for info in &CATALOG {
         let field = info.generate(scale);
         let fp = profile_field(&field, spec, rel_eb);
         let ct = fp.compress.kernel_time();
+        let dt = fp.decompress.kernel_time();
         let share = |stage| fmt(stage_time(&fp.compress, stage) / ct * 100.0);
         t.row(vec![
             info.name.into(),
@@ -57,7 +59,8 @@ fn main() {
             share("shuffle"),
             share("scan"),
             share("compact"),
-            fmt(fp.decompress.kernel_time() * 1e6),
+            fmt(dt * 1e6),
+            fmt(stage_time(&fp.decompress, "integrate") / dt * 100.0),
         ]);
 
         let joined = fp.joined();

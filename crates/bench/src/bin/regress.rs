@@ -17,14 +17,19 @@
 //! equivalence gate at a fraction of the wall time.
 //!
 //! `--check` exits nonzero when any metric regressed past its threshold
-//! (see `fzgpu_bench::regress::Thresholds`). Every compared metric is
-//! modeled/deterministic, so a failure is a real code-behavior change, not
-//! machine noise. Writes `results/regress.txt` either way.
+//! (see `fzgpu_bench::regress::Thresholds`), or when any dataset's fresh
+//! modeled decompress exceeds 3x its compress (`regress::asymmetry`).
+//! Every compared metric is modeled/deterministic, so a failure is a real
+//! code-behavior change, not machine noise. Writes `results/regress.txt`
+//! either way.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fzgpu_bench::regress::{compare, parse_baseline, run_suite, to_json, Thresholds};
+use fzgpu_bench::regress::{
+    asymmetry, compare, parse_baseline, run_suite, to_json, Thresholds,
+    MAX_DECOMPRESS_OVER_COMPRESS,
+};
 use fzgpu_bench::{device_of, parse_args, repo_root, write_exhibit, Table};
 use fzgpu_sim::Engine;
 
@@ -63,9 +68,13 @@ fn main() -> ExitCode {
         "ratio",
         "compress us",
         "decompress us",
+        "compress GB/s",
+        "decompress GB/s",
+        "d/c",
         "PSNR dB",
     ]);
     for c in &current {
+        let gbps = |us: f64| (c.n_values * 4) as f64 / (us * 1e3);
         t.row(vec![
             c.dataset.clone(),
             c.n_values.to_string(),
@@ -73,6 +82,9 @@ fn main() -> ExitCode {
             format!("{:.2}", c.ratio),
             format!("{:.2}", c.compress_modeled_us),
             format!("{:.2}", c.decompress_modeled_us),
+            format!("{:.1}", gbps(c.compress_modeled_us)),
+            format!("{:.1}", gbps(c.decompress_modeled_us)),
+            format!("{:.2}", c.decompress_modeled_us / c.compress_modeled_us),
             format!("{:.2}", c.psnr_db),
         ]);
     }
@@ -80,7 +92,9 @@ fn main() -> ExitCode {
     print!("{table}");
 
     let mut report = format!(
-        "regression gate: device {}, rel eb {rel_eb:.0e} (all metrics modeled/deterministic)\n\n",
+        "regression gate: device {}, rel eb {rel_eb:.0e} (all metrics modeled/deterministic)\n\
+         d/c: decompress over compress time, at most {MAX_DECOMPRESS_OVER_COMPRESS} on every \
+         dataset\n\n",
         spec.name
     );
     report.push_str(&table);
@@ -112,7 +126,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let findings = compare(&baseline, &current, Thresholds::default());
+    let mut findings = compare(&baseline, &current, Thresholds::default());
+    findings.extend(asymmetry(&current));
     let regressions: Vec<_> = findings.iter().filter(|f| f.regressed).collect();
     println!();
     report.push('\n');

@@ -11,6 +11,12 @@
 //! Checks are *directional*: a larger ratio, faster modeled time, or
 //! higher PSNR never fails the gate (it is reported as an improvement so
 //! the baseline can be refreshed with `--update`).
+//!
+//! One rule reads the fresh suite alone: no dataset may model its
+//! decompress at more than [`MAX_DECOMPRESS_OVER_COMPRESS`] times its
+//! compress ([`asymmetry`]). The paper's decompression mirrors its
+//! compression, so a dataset past that bound is a model pathology, and
+//! re-baselining cannot hide it.
 
 use fzgpu_core::quant::ErrorBound;
 use fzgpu_core::{FzGpu, FzOptions};
@@ -60,6 +66,10 @@ impl Default for Thresholds {
         Self { ratio_drop: 0.01, modeled_slowdown: 0.02, psnr_drop_db: 0.1 }
     }
 }
+
+/// Largest modeled decompress time a dataset may show, as a multiple of
+/// its modeled compress time.
+pub const MAX_DECOMPRESS_OVER_COMPRESS: f64 = 3.0;
 
 /// One detected regression (or improvement, when `regressed` is false).
 #[derive(Debug, Clone)]
@@ -175,6 +185,24 @@ pub fn parse_baseline(text: &str) -> Result<Vec<Case>, String> {
                 decompress_modeled_us: f("decompress_modeled_us")?,
                 psnr_db: f("psnr_db")?,
             })
+        })
+        .collect()
+}
+
+/// Every dataset of a fresh suite whose modeled decompress time exceeds
+/// [`MAX_DECOMPRESS_OVER_COMPRESS`] times its compress time, as a
+/// regressed `decompress_over_compress` finding from the bound to the
+/// measured multiple.
+pub fn asymmetry(current: &[Case]) -> Vec<Finding> {
+    current
+        .iter()
+        .filter(|c| c.decompress_modeled_us > MAX_DECOMPRESS_OVER_COMPRESS * c.compress_modeled_us)
+        .map(|c| Finding {
+            dataset: c.dataset.clone(),
+            metric: "decompress_over_compress",
+            baseline: MAX_DECOMPRESS_OVER_COMPRESS,
+            current: c.decompress_modeled_us / c.compress_modeled_us,
+            regressed: true,
         })
         .collect()
 }
@@ -317,6 +345,33 @@ mod tests {
         let rel_eb = root.get("rel_eb").and_then(Value::as_f64).unwrap();
         let cases = parse_baseline(text).unwrap();
         assert_eq!(to_json(device, rel_eb, &cases), text);
+    }
+
+    #[test]
+    fn asymmetry_flags_decompress_past_three_times_compress() {
+        // The rows committed before the inverse-Lorenzo passes split.
+        let before = r#"{"cases": [
+            {"dataset": "HACC", "n_values": 4194304, "compressed_bytes": 5252048, "ratio": 3.194414064761023, "compress_modeled_us": 105.47386665867764, "decompress_modeled_us": 5626.364373456579, "psnr_db": 64.34976702349849},
+            {"dataset": "CESM", "n_values": 1620000, "compressed_bytes": 413872, "ratio": 15.657014729191634, "compress_modeled_us": 50.62291871269955, "decompress_modeled_us": 390.4480657751198, "psnr_db": 67.38128436098167},
+            {"dataset": "Hurricane", "n_values": 3125000, "compressed_bytes": 1453920, "ratio": 8.597446902167933, "compress_modeled_us": 90.6894104828845, "decompress_modeled_us": 250.98983249366577, "psnr_db": 67.78229025999528},
+            {"dataset": "Nyx", "n_values": 4096000, "compressed_bytes": 1074608, "ratio": 15.246489882822388, "compress_modeled_us": 96.73828088135059, "decompress_modeled_us": 255.56167219504314, "psnr_db": 68.96144865669325},
+            {"dataset": "QMCPACK", "n_values": 2464128, "compressed_bytes": 2234720, "ratio": 4.410625044748335, "compress_modeled_us": 81.07887480763364, "decompress_modeled_us": 300.9954696506827, "psnr_db": 64.92531034326211},
+            {"dataset": "RTM", "n_values": 1755000, "compressed_bytes": 1053248, "ratio": 6.665096919244091, "compress_modeled_us": 65.601424941963, "decompress_modeled_us": 204.24787665232142, "psnr_db": 67.28907216238834}
+        ]}"#;
+        let findings = asymmetry(&parse_baseline(before).unwrap());
+        let flagged: Vec<&str> = findings.iter().map(|f| f.dataset.as_str()).collect();
+        assert_eq!(flagged, ["HACC", "CESM", "QMCPACK", "RTM"]);
+        assert!(findings.iter().all(|f| f.regressed && f.baseline == 3.0));
+        assert!((findings[0].current - 53.34).abs() < 0.01, "{}", findings[0].current);
+        // The rule reads the suite alone: the committed baseline passes it.
+        let committed = parse_baseline(include_str!("../../../BENCH_regress.json")).unwrap();
+        assert!(asymmetry(&committed).is_empty());
+        // A pathology in the fresh suite is flagged even when the baseline
+        // holds the same numbers.
+        let mut lopsided = committed.clone();
+        lopsided[0].decompress_modeled_us = 3.5 * lopsided[0].compress_modeled_us;
+        assert!(compare(&lopsided, &lopsided, Thresholds::default()).is_empty());
+        assert_eq!(asymmetry(&lopsided).len(), 1);
     }
 
     #[test]

@@ -24,6 +24,8 @@ pub fn stage_of(kernel_name: &str) -> &'static str {
         "scatter"
     } else if kernel_name == "decode.bit_unshuffle" {
         "unshuffle"
+    } else if kernel_name.starts_with("decode.integrate_") {
+        "integrate"
     } else if kernel_name.starts_with("decode.") {
         "dequantize"
     } else {
@@ -45,7 +47,6 @@ mod tests {
             ("bitshuffle_mark_fused_unpadded", "shuffle"),
             ("bitshuffle_v1", "shuffle"),
             ("mark_v1", "shuffle"),
-            ("scan.to_inclusive", "scan"),
             ("scan.tiles", "scan"),
             ("scan.add_offsets", "scan"),
             ("encode.widen_flags", "scan"),
@@ -54,8 +55,12 @@ mod tests {
             ("decode.scatter", "scatter"),
             ("decode.bit_unshuffle", "unshuffle"),
             ("decode.codes_to_deltas", "dequantize"),
-            ("decode.integrate_x", "dequantize"),
-            ("decode.integrate_z", "dequantize"),
+            ("decode.integrate_x", "integrate"),
+            ("decode.integrate_x_carry", "integrate"),
+            ("decode.integrate_y", "integrate"),
+            ("decode.integrate_y_carry", "integrate"),
+            ("decode.integrate_z", "integrate"),
+            ("decode.integrate_z_carry", "integrate"),
             ("decode.dequantize", "dequantize"),
             ("cusz.huffman_encode", "other"),
         ] {

@@ -74,6 +74,21 @@ impl DeviceSpec {
     pub fn scalar_rate(&self) -> f64 {
         self.warp_instr_rate / (self.sm_count as f64 * 4.0)
     }
+
+    /// Resident warps that saturate a streaming kernel: empirically ~16
+    /// per SM.
+    pub fn saturating_warps(&self) -> f64 {
+        self.sm_count as f64 * 16.0
+    }
+
+    /// Occupancy factor in `(0, 1]` of a launch of `total_warps` warps: a
+    /// grid too small to fill the device cannot reach peak throughput, so
+    /// the roofline's pipe times are divided by this (see
+    /// [`crate::perf::TimeBreakdown::attribute`]).
+    pub fn occupancy(&self, total_warps: f64) -> f64 {
+        let saturating = self.saturating_warps();
+        (total_warps / saturating).min(1.0).max(1.0 / saturating)
+    }
 }
 
 /// NVIDIA A100-40GB (SXM) as used on the paper's HPC-cluster node.

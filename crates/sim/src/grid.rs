@@ -603,12 +603,8 @@ impl Gpu {
         stats: KernelStats,
         retries: u32,
     ) {
-        // Occupancy: a grid too small to fill the device cannot reach peak
-        // throughput. Empirically ~16 resident warps per SM saturate a
-        // streaming kernel; below that, scale the roofline term down.
         let total_warps = nblocks as f64 * block_dim.count().div_ceil(32) as f64;
-        let saturating_warps = self.spec.sm_count as f64 * 16.0;
-        let occupancy = (total_warps / saturating_warps).min(1.0).max(1.0 / saturating_warps);
+        let occupancy = self.spec.occupancy(total_warps);
         let breakdown = TimeBreakdown::attribute(&self.spec, &stats, occupancy);
 
         metrics::gauge_add(Class::Det, "fzgpu_sim_kernel_seconds_total", &[], breakdown.total);

@@ -64,45 +64,6 @@ pub fn exclusive_sum(
     total
 }
 
-/// Inclusive prefix sum, derived from the exclusive scan.
-pub fn inclusive_sum(
-    gpu: &mut Gpu,
-    input: &GpuBuffer<u32>,
-    output: &GpuBuffer<u32>,
-    n: usize,
-) -> u64 {
-    let total = exclusive_sum(gpu, input, output, n);
-    // inclusive[i] = exclusive[i] + input[i]
-    let blocks = n.div_ceil(BLOCK_THREADS) as u32;
-    // In-place kernel: snapshot the exclusive scan before representative
-    // blocks mutate their slice of it, then fill the whole prefix.
-    let snap =
-        (gpu.effective_engine() == Engine::Analytic).then(|| (input.to_vec(), output.to_vec()));
-    gpu.launch_classed(
-        "scan.to_inclusive",
-        blocks,
-        BLOCK_THREADS as u32,
-        |b| u64::from(b == blocks as usize - 1),
-        |blk| {
-            let base = blk.block_linear() * blk.thread_count();
-            blk.warps(|w| {
-                let a = w.load(input, |l| (base + l.ltid < n).then_some(base + l.ltid));
-                let b = w.load(output, |l| (base + l.ltid < n).then_some(base + l.ltid));
-                w.store(output, |l| {
-                    (base + l.ltid < n).then(|| (base + l.ltid, a[l.id].wrapping_add(b[l.id])))
-                });
-            });
-        },
-    );
-    if let Some((ins, mut excl)) = snap {
-        for i in 0..n {
-            excl[i] = excl[i].wrapping_add(ins[i]);
-        }
-        output.host_fill_from(&excl[..n]);
-    }
-    total
-}
-
 /// Kernel 1: per-tile exclusive scan + tile totals.
 fn scan_tiles(
     gpu: &mut Gpu,
@@ -302,21 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn inclusive_matches_reference() {
-        let data: Vec<u32> = (0..5000).map(|i| i % 11).collect();
-        let mut gpu = Gpu::new(A100);
-        let input = GpuBuffer::from_host(&data);
-        let output: GpuBuffer<u32> = gpu.alloc(data.len());
-        inclusive_sum(&mut gpu, &input, &output, data.len());
-        let got = output.to_vec();
-        let mut acc = 0u32;
-        for (i, &v) in data.iter().enumerate() {
-            acc += v;
-            assert_eq!(got[i], acc);
-        }
-    }
-
-    #[test]
     fn empty_scan_is_zero() {
         let mut gpu = Gpu::new(A100);
         let input: GpuBuffer<u32> = gpu.alloc(0);
@@ -354,7 +300,7 @@ mod tests {
             gpu.set_engine(engine);
             let input = GpuBuffer::from_host(&data);
             let output: GpuBuffer<u32> = gpu.alloc(n);
-            let total = inclusive_sum(&mut gpu, &input, &output, n);
+            let total = exclusive_sum(&mut gpu, &input, &output, n);
             (total, output.to_vec(), format!("{:?}", gpu.timeline()), gpu.kernel_time().to_bits())
         };
         assert_eq!(run(Engine::Interpreted), run(Engine::Analytic));

@@ -74,21 +74,26 @@ proptest! {
     /// artifact bit.
     #[test]
     fn engines_agree_bit_for_bit_at_any_thread_count(
-        rank in 1usize..=3,
+        kind in 0usize..5,
         dz in 2usize..6,
         dy in 2usize..40,
         dx in 2usize..90,
-        n1 in 64usize..6000,
+        n1 in 64usize..40_000,
+        long_axis in 2usize..1000,
         amp in 0.1f32..50.0,
         rough in any::<bool>(),
         fusion in any::<bool>(),
         eb_exp in 2u32..4,
     ) {
-        // Spans all three pipeline ranks, with ragged tails.
-        let shape = match rank {
-            1 => (1, 1, n1),
-            2 => (1, dy, dx),
-            _ => (dz, dy.min(24), dx.min(48)),
+        // Spans all three pipeline ranks, with ragged tails. Long rows
+        // (n1 past ~10k values), long narrow columns and deep narrow
+        // stacks cross the segment splits of the x, y and z walks.
+        let shape = match kind {
+            0 => (1, 1, n1),
+            1 => (1, dy, dx),
+            2 => (1, long_axis, dx.min(64)),
+            3 => (dz, dy.min(24), dx.min(48)),
+            _ => (long_axis.min(300), dy.min(6), dx.min(40)),
         };
         let (nz, ny, nx) = shape;
         let data = synth(nz * ny * nx, amp, rough);

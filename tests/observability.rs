@@ -405,8 +405,8 @@ fn chrome_trace_parses_and_events_tile_their_tracks() {
 /// CRC-32 of `Profile::to_json()` and of the device-only Chrome trace for
 /// a CESM round trip (reduced scale, rel eb 1e-3, A100). Pins every key,
 /// separator and number spelling of both documents.
-const CESM_PROFILE_JSON_CRC: u32 = 0x2431_9e89;
-const CESM_CHROME_TRACE_CRC: u32 = 0x3605_e227;
+const CESM_PROFILE_JSON_CRC: u32 = 0x99ed_de23;
+const CESM_CHROME_TRACE_CRC: u32 = 0xbc72_a792;
 
 #[test]
 fn catalog_profile_documents_are_pinned() {

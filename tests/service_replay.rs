@@ -19,8 +19,8 @@ const SMOKE_DIGEST: u32 = 0xf0cf_d735;
 /// per-stream Chrome trace. These pin every key, separator and number
 /// spelling of both documents, so a writer refactor that reorders a key
 /// or respells a number fails here.
-const SMOKE_JSON_CRC: u32 = 0x6124_a967;
-const SMOKE_TRACE_CRC: u32 = 0x7f02_d5ac;
+const SMOKE_JSON_CRC: u32 = 0x48d5_2713;
+const SMOKE_TRACE_CRC: u32 = 0x96d7_9503;
 
 fn smoke() -> Workload {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/workloads/smoke.json");

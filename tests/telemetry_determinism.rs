@@ -25,21 +25,21 @@ const SMOKE_DIGEST: u32 = 0xf0cf_d735;
 /// CRC-32 of the faulted smoke capture's bytes (meta, windows, event log
 /// and every flight dump, as concatenated by [`capture_bytes`]). Pins
 /// the telemetry documents' keys, separators and number spellings.
-const FAULTED_CAPTURE_CRC: u32 = 0x82a2_2975;
+const FAULTED_CAPTURE_CRC: u32 = 0x6846_1444;
 
 /// CRC-32 pins per `serve_table` row: its capture bytes (as concatenated
 /// by [`capture_bytes`]) and its deterministic JSON report.
 const PINS: [(&str, u32, u32); 10] = [
-    ("fault_free", 0x3dd9_eccb, 0x6124_a967),
-    ("faulted", FAULTED_CAPTURE_CRC, 0x8464_32bb),
-    ("faulted_no_retry", 0x4064_aa17, 0xfce6_d3d8),
-    ("loss_repaired", 0x90ac_40fc, 0x6c08_adea),
-    ("loss_permanent", 0x645f_a2c6, 0x1668_fe09),
+    ("fault_free", 0x4fb8_750e, 0x48d5_2713),
+    ("faulted", FAULTED_CAPTURE_CRC, 0x8d30_1001),
+    ("faulted_no_retry", 0xf6b3_2c0c, 0x99c1_7acb),
+    ("loss_repaired", 0xb220_ff7e, 0x3aa6_4de4),
+    ("loss_permanent", 0x645f_a2c6, 0xa26b_adb9),
     ("reject_depth2", 0x8685_a9a8, 0xc6bc_4a84),
-    ("block_depth2_loss", 0x2cb4_0b59, 0x8d5d_b314),
+    ("block_depth2_loss", 0xf799_ff12, 0xf10a_7018),
     ("block_depth2_dead", 0x07fb_bdca, 0x45f7_1df9),
     ("deadline_shed", 0xe235_208b, 0x26dc_e7a1),
-    ("priority_mixed", 0x7f5d_8326, 0x3399_4dcd),
+    ("priority_mixed", 0xa721_19f6, 0x178f_e4df),
 ];
 
 /// Telemetry-enabled config; `faulted` adds a seeded chaos schedule with
