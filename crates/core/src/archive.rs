@@ -10,18 +10,30 @@
 //! corrupted chunk never takes down the rest of the archive
 //! ([`Archive::scrub`], [`Archive::decompress_degraded`]).
 //!
-//! Directory v2 (written by [`Archive::to_bytes`]; v1 still parses):
+//! Both layouts written here are built from one CRC-sealed table of
+//! `{u64 byte_len, u64 count, u32 crc32}` entries:
 //!
 //! ```text
-//! [magic "FZAR"][u32 version=2][u64 total_values][u64 nchunks]
-//! [nchunks x { u64 byte_len, u64 n_values, u32 crc32 }]
-//! [u32 directory_crc32 over every byte above]
-//! [chunk 0 stream][chunk 1 stream]...
+//! table = [head][u64 n][n x { u64 byte_len, u64 count, u32 crc32 }]
+//!         [u32 crc32 over every byte of the table before it]
+//! head  = [magic "FZAR"][u32 version][u64 total_values]
+//!
+//! v2 (Archive::to_bytes):            [chunk table][chunk 0][chunk 1]...
+//! v3 (Archive::to_bytes_sharded):    [shard table][shard 0][shard 1]...
+//!   shard:                           [chunk table, no head][its chunks]
 //! ```
+//!
+//! A chunk table holds one `{stream length, value count, stream CRC}` per
+//! chunk; the v3 shard table one `{shard length, chunk count, shard CRC}`
+//! per shard. v3 lets a partial reader fetch the shard table, then only the
+//! index and chunks of the shards a request touches
+//! ([`ShardDirectory::parse_directory`], [`ChunkEntry::parse_index`]).
 //!
 //! v1 directories (`version=1`) have 8-byte entries (`u64 byte_len` only)
 //! and no CRCs; parsed archives then carry [`ChunkMeta::crc`]` == None` and
 //! scrubbing falls back to each chunk's own stream checks.
+
+use fzgpu_codecs::wire::{self, Cursor, WireResult};
 
 use crate::crc::{crc32, Crc32};
 use crate::format::{self, ChecksumSection, FormatError};
@@ -32,17 +44,17 @@ use crate::quant::ErrorBound;
 pub const ARCHIVE_MAGIC: [u8; 4] = *b"FZAR";
 /// Directory version written by [`Archive::to_bytes`].
 pub const ARCHIVE_VERSION: u32 = 2;
-/// Sharded-directory version written by [`ShardedArchive::to_bytes`].
+/// Sharded-directory version written by [`Archive::to_bytes_sharded`].
 pub const ARCHIVE_VERSION_V3: u32 = 3;
 
-/// v3 fixed directory prefix: magic + version + `total_values` + `nshards`.
-pub const V3_DIR_HEADER_BYTES: usize = 24;
-/// v3 per-shard directory entry: `shard_byte_len u64, nchunks u64, crc u32`.
-pub const V3_DIR_ENTRY_BYTES: usize = 20;
-/// v3 shard inner-index prefix: `nchunks u64`.
-pub const V3_INNER_HEADER_BYTES: usize = 8;
-/// v3 inner-index entry: `chunk_byte_len u64, n_values u64, crc u32`.
-pub const V3_INNER_ENTRY_BYTES: usize = 20;
+/// Archive head and entry count: what a partial reader fetches first to
+/// learn the length of a v3 top directory ([`ShardDirectory::directory_len`]).
+pub const V3_DIR_HEADER_BYTES: usize = HEAD_BYTES + 8;
+
+/// Archive head: magic + version + `total_values`.
+const HEAD_BYTES: usize = 16;
+/// One `{u64, u64, u32}` table entry.
+const ENTRY_BYTES: usize = 20;
 
 /// Directory metadata for one chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -319,9 +331,10 @@ impl Archive {
         DegradedOutput { data, report, filled_values }
     }
 
-    /// Total compressed bytes including the directory.
+    /// Total compressed bytes of the v2 serialization ([`Archive::to_bytes`]).
     pub fn size_bytes(&self) -> usize {
-        4 + 4 + 8 + 8 + 20 * self.chunks.len() + 4 + self.chunks.iter().map(Vec::len).sum::<usize>()
+        let table = table_len(HEAD_BYTES, self.chunks.len()).expect("a chunk list fits a table");
+        table + self.chunks.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Compression ratio over the original f32 data.
@@ -332,118 +345,120 @@ impl Archive {
     /// Serialize to bytes (directory v2).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.size_bytes());
-        out.extend_from_slice(&ARCHIVE_MAGIC);
-        out.extend_from_slice(&ARCHIVE_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.total_values as u64).to_le_bytes());
-        out.extend_from_slice(&(self.chunks.len() as u64).to_le_bytes());
-        for (c, m) in self.chunks.iter().zip(&self.meta) {
-            out.extend_from_slice(&(c.len() as u64).to_le_bytes());
-            out.extend_from_slice(&(m.n_values as u64).to_le_bytes());
-            out.extend_from_slice(&m.crc.unwrap_or_else(|| crc32(c)).to_le_bytes());
-        }
-        let dir_crc = crc32(&out);
-        out.extend_from_slice(&dir_crc.to_le_bytes());
+        let head = head(ARCHIVE_VERSION, self.total_values);
+        put_table(&mut out, &head, &chunk_table(&self.chunks, &self.meta));
         for c in &self.chunks {
             out.extend_from_slice(c);
         }
         out
     }
 
-    /// Parse from bytes (directory v1, v2, or v3 — a v3 sharded directory
-    /// parses via [`ShardedArchive::from_bytes`] and is flattened).
+    /// Serialize to bytes (directory v3): each run of `chunks_per_shard`
+    /// consecutive chunks becomes one shard, its own chunk table followed
+    /// by its chunks, and the top directory holds one shard table entry
+    /// per shard.
+    pub fn to_bytes_sharded(&self, chunks_per_shard: usize) -> Vec<u8> {
+        assert!(chunks_per_shard > 0, "chunks_per_shard must be positive");
+        let shards: Vec<(&[Vec<u8>], Vec<u8>)> = self
+            .chunks
+            .chunks(chunks_per_shard)
+            .zip(self.meta.chunks(chunks_per_shard))
+            .map(|(chunks, meta)| {
+                let mut index = Vec::new();
+                put_table(&mut index, &[], &chunk_table(chunks, meta));
+                (chunks, index)
+            })
+            .collect();
+        let table: Vec<Entry> = shards
+            .iter()
+            .map(|(chunks, index)| {
+                let mut crc = Crc32::new();
+                crc.update(index);
+                chunks.iter().for_each(|c| crc.update(c));
+                let len = index.len() + chunks.iter().map(Vec::len).sum::<usize>();
+                Entry { len, count: chunks.len(), crc: crc.finalize() }
+            })
+            .collect();
+        let mut out = Vec::new();
+        put_table(&mut out, &head(ARCHIVE_VERSION_V3, self.total_values), &table);
+        out.reserve(table.iter().map(|e| e.len).sum());
+        for (chunks, index) in &shards {
+            out.extend_from_slice(index);
+            chunks.iter().for_each(|c| out.extend_from_slice(c));
+        }
+        out
+    }
+
+    /// Parse from bytes (directory v1, v2 or v3).
     ///
     /// The version word is validated as soon as it is readable (8 bytes),
     /// *before* any length checks, so a truncated archive from a future
     /// writer still reports [`FormatError::BadArchiveVersion`] with the
-    /// offending version rather than a generic `Truncated`.
+    /// offending version rather than a generic `Truncated`. Every table CRC
+    /// is verified before its entries are trusted; chunk CRCs are checked
+    /// lazily, at decode or scrub time. A v3 archive's shards are checked
+    /// in order: shard CRC, then its index, then its chunk count.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FormatError> {
-        if bytes.len() < 4 || bytes[..4] != ARCHIVE_MAGIC {
-            return Err(FormatError::BadMagic);
-        }
-        if bytes.len() < 8 {
-            return Err(FormatError::Truncated);
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        let entry_bytes = match version {
-            1 => 8,
-            ARCHIVE_VERSION => 20,
-            ARCHIVE_VERSION_V3 => return ShardedArchive::from_bytes(bytes).map(|s| s.flatten()),
+        let version = version_of(bytes)?;
+        let index = match version {
+            1 => v1_index(bytes)?,
+            ARCHIVE_VERSION => read_chunk_table(bytes, HEAD_BYTES)?,
+            ARCHIVE_VERSION_V3 => return Self::from_v3(bytes),
             v => return Err(FormatError::BadArchiveVersion(v)),
         };
-        if bytes.len() < 24 {
-            return Err(FormatError::Truncated);
-        }
-        let total_values = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        let nchunks = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        let entries_end = nchunks
-            .checked_mul(entry_bytes)
-            .and_then(|n| n.checked_add(24))
-            .ok_or(FormatError::Truncated)?;
-        let dir_end = if version == 1 {
-            entries_end
-        } else {
-            entries_end.checked_add(4).ok_or(FormatError::Truncated)?
+        let mut a = Self {
+            total_values: u64_at(bytes, 8)?,
+            chunks: Vec::with_capacity(index.len()),
+            meta: Vec::with_capacity(index.len()),
         };
-        if bytes.len() < dir_end {
-            return Err(FormatError::Truncated);
-        }
-        if version != 1 {
-            let stored = u32::from_le_bytes(bytes[entries_end..dir_end].try_into().unwrap());
-            let mut c = Crc32::new();
-            c.update(&bytes[..entries_end]);
-            if c.finalize() != stored {
-                return Err(FormatError::ChecksumMismatch { section: ChecksumSection::Directory });
-            }
-        }
-        let mut lens = Vec::with_capacity(nchunks);
-        let mut meta = Vec::with_capacity(nchunks);
-        for i in 0..nchunks {
-            let at = 24 + entry_bytes * i;
-            let rd64 = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap()) as usize;
-            lens.push(rd64(at));
-            if version == 1 {
-                meta.push(ChunkMeta { n_values: 0, crc: None });
-            } else {
-                let crc = u32::from_le_bytes(bytes[at + 16..at + 20].try_into().unwrap());
-                meta.push(ChunkMeta { n_values: rd64(at + 8), crc: Some(crc) });
-            }
-        }
-        let mut chunks = Vec::with_capacity(nchunks);
-        let mut pos = dir_end;
-        for len in lens {
-            let end = pos.checked_add(len).ok_or(FormatError::Truncated)?;
-            if end > bytes.len() {
-                return Err(FormatError::Truncated);
-            }
-            chunks.push(bytes[pos..end].to_vec());
-            pos = end;
-        }
+        a.push_chunks(bytes, &index)?;
         if version == 1 {
             // Recover per-chunk value counts from the streams themselves so
             // degraded mode can size fills for legacy archives too.
-            for (m, c) in meta.iter_mut().zip(&chunks) {
+            for (m, c) in a.meta.iter_mut().zip(&a.chunks) {
                 m.n_values = format::Header::from_bytes(c).map_or(0, |h| h.n_values);
             }
         }
-        Ok(Self { total_values, chunks, meta })
+        Ok(a)
+    }
+
+    /// The v3 arm of [`Archive::from_bytes`].
+    fn from_v3(bytes: &[u8]) -> Result<Self, FormatError> {
+        let dir = ShardDirectory::parse_directory(bytes)?;
+        if bytes.len() < dir.byte_len {
+            return Err(FormatError::Truncated);
+        }
+        let mut a = Self { total_values: dir.total_values, chunks: Vec::new(), meta: Vec::new() };
+        for (i, s) in dir.shards.iter().enumerate() {
+            let shard = &bytes[s.offset..s.offset + s.len];
+            if crc32(shard) != s.crc {
+                format::note_crc_failure(ChecksumSection::Chunk(i));
+                return Err(FormatError::ChecksumMismatch { section: ChecksumSection::Chunk(i) });
+            }
+            let index = ChunkEntry::parse_index(shard)?;
+            a.push_chunks(shard, &index)?;
+            if index.len() != s.nchunks {
+                return Err(FormatError::Inconsistent("shard chunk count vs directory"));
+            }
+        }
+        Ok(a)
+    }
+
+    /// Append the chunk streams that `index` places in `bytes`.
+    fn push_chunks(&mut self, bytes: &[u8], index: &[ChunkEntry]) -> Result<(), FormatError> {
+        for c in index {
+            let stream = bytes.get(c.offset..c.offset + c.len).ok_or(FormatError::Truncated)?;
+            self.chunks.push(stream.to_vec());
+            self.meta.push(c.meta);
+        }
+        Ok(())
     }
 }
 
-/// One shard of a v3 archive: a run of consecutive chunks with its own
-/// inner offset/CRC index, so readers can fetch a single shard's index and
-/// then range-read only the chunks a query touches.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Shard {
-    /// Serialized chunk streams in this shard, in archive order.
-    pub chunks: Vec<Vec<u8>>,
-    /// Per-chunk metadata, parallel to `chunks` (`crc` is always `Some`).
-    pub meta: Vec<ChunkMeta>,
-}
-
-/// One chunk's entry in a v3 shard's inner index, placed in the shard.
+/// One chunk's entry in a chunk table, placed in the bytes that follow it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkEntry {
-    /// Byte offset of the chunk stream from the start of the shard.
+    /// Byte offset of the chunk stream from the start of the table.
     pub offset: usize,
     /// Chunk stream length in bytes.
     pub len: usize,
@@ -451,246 +466,22 @@ pub struct ChunkEntry {
     pub meta: ChunkMeta,
 }
 
-impl Shard {
-    /// Bytes of the inner index of a shard holding `nchunks` chunks
+impl ChunkEntry {
+    /// Bytes of the inner index of a v3 shard holding `nchunks` chunks
     /// (count, entries, index CRC): what a partial reader fetches first,
     /// and where the shard's chunk payloads begin. A count whose index
     /// length overflows is an error, never a wrapped length.
     pub fn index_len(nchunks: usize) -> Result<usize, FormatError> {
-        nchunks
-            .checked_mul(V3_INNER_ENTRY_BYTES)
-            .and_then(|n| n.checked_add(V3_INNER_HEADER_BYTES + 4))
-            .ok_or(FormatError::Truncated)
+        table_len(0, nchunks).ok_or(FormatError::Truncated)
     }
 
-    /// Serialize: `[u64 nchunks][nchunks x {u64 byte_len, u64 n_values,
-    /// u32 crc}][u32 index_crc][chunk bytes...]`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let payload: usize = self.chunks.iter().map(Vec::len).sum();
-        let index = Self::index_len(self.chunks.len()).unwrap_or(0);
-        let mut out = Vec::with_capacity(index + payload);
-        out.extend_from_slice(&(self.chunks.len() as u64).to_le_bytes());
-        for (c, m) in self.chunks.iter().zip(&self.meta) {
-            out.extend_from_slice(&(c.len() as u64).to_le_bytes());
-            out.extend_from_slice(&(m.n_values as u64).to_le_bytes());
-            out.extend_from_slice(&m.crc.unwrap_or_else(|| crc32(c)).to_le_bytes());
-        }
-        let index_crc = crc32(&out);
-        out.extend_from_slice(&index_crc.to_le_bytes());
-        for c in &self.chunks {
-            out.extend_from_slice(c);
-        }
-        out
-    }
-
-    /// Parse a shard's inner index from the start of `bytes`, which needs
-    /// only the index itself ([`Shard::index_len`] bytes); chunk payloads
-    /// may follow and are not read. The index CRC is verified before any
-    /// entry is trusted, and each chunk's offset is a checked sum.
+    /// Parse a v3 shard's inner index from the start of `bytes`, which
+    /// needs only the index itself ([`ChunkEntry::index_len`] bytes); chunk
+    /// payloads may follow and are not read. The index CRC is verified
+    /// before any entry is trusted, and each chunk's offset is a checked
+    /// sum.
     pub fn parse_index(bytes: &[u8]) -> Result<Vec<ChunkEntry>, FormatError> {
-        if bytes.len() < V3_INNER_HEADER_BYTES {
-            return Err(FormatError::Truncated);
-        }
-        let nchunks = le64(bytes, 0);
-        let index_end = Self::index_len(nchunks)?;
-        if bytes.len() < index_end {
-            return Err(FormatError::Truncated);
-        }
-        let entries_end = index_end - 4;
-        if crc32(&bytes[..entries_end]) != le32(bytes, entries_end) {
-            format::note_crc_failure(ChecksumSection::Directory);
-            return Err(FormatError::ChecksumMismatch { section: ChecksumSection::Directory });
-        }
-        let mut entries = Vec::with_capacity(nchunks);
-        let mut offset = index_end;
-        for i in 0..nchunks {
-            let at = V3_INNER_HEADER_BYTES + V3_INNER_ENTRY_BYTES * i;
-            let len = le64(bytes, at);
-            let meta = ChunkMeta { n_values: le64(bytes, at + 8), crc: Some(le32(bytes, at + 16)) };
-            entries.push(ChunkEntry { offset, len, meta });
-            offset = offset.checked_add(len).ok_or(FormatError::Truncated)?;
-        }
-        Ok(entries)
-    }
-
-    /// Parse a serialized shard. The inner index CRC is verified before any
-    /// entry is trusted; per-chunk CRCs are carried in the returned metadata
-    /// (checked lazily at decode time, like the v2 directory).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, FormatError> {
-        let index = Self::parse_index(bytes)?;
-        let mut chunks = Vec::with_capacity(index.len());
-        for c in &index {
-            chunks.push(
-                bytes.get(c.offset..c.offset + c.len).ok_or(FormatError::Truncated)?.to_vec(),
-            );
-        }
-        Ok(Self { chunks, meta: index.iter().map(|c| c.meta).collect() })
-    }
-}
-
-/// A v3 archive: the flat chunk list regrouped into shards, each with an
-/// inner offset/CRC index. The top-level directory indexes *shards* (byte
-/// length, chunk count, whole-shard CRC), which keeps the fixed-cost read
-/// for an N-chunk archive at `O(nshards)` directory bytes plus the inner
-/// indexes of only the shards a request intersects.
-///
-/// ```text
-/// [magic "FZAR"][u32 version=3][u64 total_values][u64 nshards]
-/// [nshards x { u64 shard_byte_len, u64 nchunks, u32 shard_crc32 }]
-/// [u32 directory_crc32 over every byte above]
-/// [shard 0][shard 1]...          (each shard as in `Shard::to_bytes`)
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedArchive {
-    /// Total values across all shards' chunks.
-    pub total_values: usize,
-    /// The shards, in chunk order.
-    pub shards: Vec<Shard>,
-}
-
-impl ShardedArchive {
-    /// Regroup a flat archive into shards of at most `chunks_per_shard`
-    /// chunks each.
-    pub fn from_archive(a: &Archive, chunks_per_shard: usize) -> Self {
-        assert!(chunks_per_shard > 0, "chunks_per_shard must be positive");
-        let shards = a
-            .chunks
-            .chunks(chunks_per_shard)
-            .zip(a.meta.chunks(chunks_per_shard))
-            .map(|(cs, ms)| Shard {
-                chunks: cs.to_vec(),
-                meta: ms
-                    .iter()
-                    .zip(cs)
-                    .map(|(m, c)| ChunkMeta {
-                        n_values: m.n_values,
-                        crc: Some(m.crc.unwrap_or_else(|| crc32(c))),
-                    })
-                    .collect(),
-            })
-            .collect();
-        Self { total_values: a.total_values, shards }
-    }
-
-    /// Flatten back to the v1/v2 in-memory form (chunk order preserved).
-    pub fn flatten(&self) -> Archive {
-        let mut chunks = Vec::new();
-        let mut meta = Vec::new();
-        for s in &self.shards {
-            chunks.extend(s.chunks.iter().cloned());
-            meta.extend(s.meta.iter().copied());
-        }
-        Archive { total_values: self.total_values, chunks, meta }
-    }
-
-    /// Bytes of the top directory (header, entries, directory CRC) that
-    /// the first [`V3_DIR_HEADER_BYTES`] bytes of a v3 archive declare:
-    /// what a partial reader fetches first, and where shard payloads
-    /// begin. A shard count whose directory length overflows is an error,
-    /// never a wrapped length.
-    pub fn directory_len(header: &[u8]) -> Result<usize, FormatError> {
-        if header.len() < 4 || header[..4] != ARCHIVE_MAGIC {
-            return Err(FormatError::BadMagic);
-        }
-        if header.len() < 8 {
-            return Err(FormatError::Truncated);
-        }
-        let version = le32(header, 4);
-        if version != ARCHIVE_VERSION_V3 {
-            return Err(FormatError::BadArchiveVersion(version));
-        }
-        if header.len() < V3_DIR_HEADER_BYTES {
-            return Err(FormatError::Truncated);
-        }
-        dir_len(le64(header, 16))
-    }
-
-    /// Parse the top directory from the start of `bytes`, which needs only
-    /// the directory itself ([`ShardedArchive::directory_len`] bytes);
-    /// shard payloads may follow and are not read. The directory CRC is
-    /// verified before any entry is trusted, and each shard's offset and
-    /// first chunk index are checked sums.
-    pub fn parse_directory(bytes: &[u8]) -> Result<ShardDirectory, FormatError> {
-        let dir_end = Self::directory_len(bytes)?;
-        if bytes.len() < dir_end {
-            return Err(FormatError::Truncated);
-        }
-        let entries_end = dir_end - 4;
-        if crc32(&bytes[..entries_end]) != le32(bytes, entries_end) {
-            format::note_crc_failure(ChecksumSection::Directory);
-            return Err(FormatError::ChecksumMismatch { section: ChecksumSection::Directory });
-        }
-        let nshards = (entries_end - V3_DIR_HEADER_BYTES) / V3_DIR_ENTRY_BYTES;
-        let mut shards = Vec::with_capacity(nshards);
-        let (mut offset, mut first_chunk) = (dir_end, 0usize);
-        for i in 0..nshards {
-            let at = V3_DIR_HEADER_BYTES + V3_DIR_ENTRY_BYTES * i;
-            let (len, nchunks) = (le64(bytes, at), le64(bytes, at + 8));
-            shards.push(ShardEntry {
-                offset,
-                len,
-                first_chunk,
-                nchunks,
-                crc: le32(bytes, at + 16),
-            });
-            offset = offset.checked_add(len).ok_or(FormatError::Truncated)?;
-            first_chunk = first_chunk
-                .checked_add(nchunks)
-                .ok_or(FormatError::Inconsistent("shard chunk counts overflow"))?;
-        }
-        Ok(ShardDirectory {
-            total_values: le64(bytes, 8),
-            num_chunks: first_chunk,
-            byte_len: offset,
-            shards,
-        })
-    }
-
-    /// Serialize to bytes (directory v3).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let shard_bytes: Vec<Vec<u8>> = self.shards.iter().map(Shard::to_bytes).collect();
-        let payload: usize = shard_bytes.iter().map(Vec::len).sum();
-        let dir = dir_len(self.shards.len()).unwrap_or(0);
-        let mut out = Vec::with_capacity(dir + payload);
-        out.extend_from_slice(&ARCHIVE_MAGIC);
-        out.extend_from_slice(&ARCHIVE_VERSION_V3.to_le_bytes());
-        out.extend_from_slice(&(self.total_values as u64).to_le_bytes());
-        out.extend_from_slice(&(self.shards.len() as u64).to_le_bytes());
-        for (s, b) in self.shards.iter().zip(&shard_bytes) {
-            out.extend_from_slice(&(b.len() as u64).to_le_bytes());
-            out.extend_from_slice(&(s.chunks.len() as u64).to_le_bytes());
-            out.extend_from_slice(&crc32(b).to_le_bytes());
-        }
-        let dir_crc = crc32(&out);
-        out.extend_from_slice(&dir_crc.to_le_bytes());
-        for b in &shard_bytes {
-            out.extend_from_slice(b);
-        }
-        out
-    }
-
-    /// Parse from bytes (v3 only — [`Archive::from_bytes`] dispatches here).
-    /// Verifies the top directory CRC and every shard's whole-shard CRC
-    /// and inner-index CRC; chunk CRCs stay lazy.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, FormatError> {
-        let dir = Self::parse_directory(bytes)?;
-        if bytes.len() < dir.byte_len {
-            return Err(FormatError::Truncated);
-        }
-        let mut shards = Vec::with_capacity(dir.shards.len());
-        for (i, e) in dir.shards.iter().enumerate() {
-            let body = &bytes[e.offset..e.offset + e.len];
-            if crc32(body) != e.crc {
-                format::note_crc_failure(ChecksumSection::Chunk(i));
-                return Err(FormatError::ChecksumMismatch { section: ChecksumSection::Chunk(i) });
-            }
-            let shard = Shard::from_bytes(body)?;
-            if shard.chunks.len() != e.nchunks {
-                return Err(FormatError::Inconsistent("shard chunk count vs directory"));
-            }
-            shards.push(shard);
-        }
-        Ok(Self { total_values: dir.total_values, shards })
+        read_chunk_table(bytes, 0)
     }
 }
 
@@ -709,7 +500,7 @@ pub struct ShardEntry {
     pub crc: u32,
 }
 
-/// A CRC-verified v3 top directory ([`ShardedArchive::parse_directory`]).
+/// A CRC-verified v3 top directory ([`ShardDirectory::parse_directory`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardDirectory {
     /// Total values across all chunks.
@@ -722,22 +513,173 @@ pub struct ShardDirectory {
     pub shards: Vec<ShardEntry>,
 }
 
-/// Length of a v3 top directory over `nshards` shards, checked.
-fn dir_len(nshards: usize) -> Result<usize, FormatError> {
-    nshards
-        .checked_mul(V3_DIR_ENTRY_BYTES)
-        .and_then(|n| n.checked_add(V3_DIR_HEADER_BYTES + 4))
-        .ok_or(FormatError::Truncated)
+impl ShardDirectory {
+    /// Bytes of the top directory (head, entries, directory CRC) that the
+    /// first [`V3_DIR_HEADER_BYTES`] bytes of a v3 archive declare: what a
+    /// partial reader fetches first, and where shard payloads begin. A
+    /// shard count whose directory length overflows is an error, never a
+    /// wrapped length.
+    pub fn directory_len(header: &[u8]) -> Result<usize, FormatError> {
+        expect_v3(header)?;
+        table_len(HEAD_BYTES, u64_at(header, HEAD_BYTES)?).ok_or(FormatError::Truncated)
+    }
+
+    /// Parse the top directory from the start of `bytes`, which needs only
+    /// the directory itself ([`ShardDirectory::directory_len`] bytes); shard
+    /// payloads may follow and are not read. The directory CRC is verified
+    /// before any entry is trusted, and each shard's offset and first
+    /// chunk index are checked sums.
+    pub fn parse_directory(bytes: &[u8]) -> Result<Self, FormatError> {
+        expect_v3(bytes)?;
+        let (entries, end) = read_table(bytes, HEAD_BYTES)?;
+        let (mut offset, mut first_chunk) = (end, 0usize);
+        let shards = entries
+            .iter()
+            .map(|e| {
+                let shard =
+                    ShardEntry { offset, len: e.len, first_chunk, nchunks: e.count, crc: e.crc };
+                offset = offset.checked_add(e.len).ok_or(FormatError::Truncated)?;
+                first_chunk = first_chunk
+                    .checked_add(e.count)
+                    .ok_or(FormatError::Inconsistent("shard chunk counts overflow"))?;
+                Ok(shard)
+            })
+            .collect::<Result<_, FormatError>>()?;
+        Ok(Self {
+            total_values: u64_at(bytes, 8)?,
+            num_chunks: first_chunk,
+            byte_len: offset,
+            shards,
+        })
+    }
 }
 
-/// Little-endian `u64` length or count field at `at`.
-fn le64(bytes: &[u8], at: usize) -> usize {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+/// One `{u64 byte_len, u64 count, u32 crc32}` table entry: a chunk's
+/// stream length, value count and CRC, or a v3 shard's length, chunk count
+/// and CRC.
+struct Entry {
+    len: usize,
+    count: usize,
+    crc: u32,
 }
 
-/// Little-endian `u32` field at `at`.
-fn le32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+/// Bytes of a table of `n` entries behind a `head`-byte head (head, count,
+/// entries, CRC), or `None` when that length overflows.
+fn table_len(head: usize, n: usize) -> Option<usize> {
+    n.checked_mul(ENTRY_BYTES)?.checked_add(head + 8 + 4)
+}
+
+/// Chunk-table entries for `chunks`. A chunk without a stored CRC (parsed
+/// from v1) gets its stream's CRC.
+fn chunk_table(chunks: &[Vec<u8>], meta: &[ChunkMeta]) -> Vec<Entry> {
+    chunks
+        .iter()
+        .zip(meta)
+        .map(|(c, m)| Entry {
+            len: c.len(),
+            count: m.n_values,
+            crc: m.crc.unwrap_or_else(|| crc32(c)),
+        })
+        .collect()
+}
+
+/// An archive head: magic, `version`, `total_values`.
+fn head(version: u32, total_values: usize) -> Vec<u8> {
+    let mut head = ARCHIVE_MAGIC.to_vec();
+    wire::put_u32(&mut head, version);
+    wire::put_u64(&mut head, total_values as u64);
+    head
+}
+
+/// Append a table to `out`: `head`, the entry count, the entries, and the
+/// CRC-32 of every byte the table wrote before it. Every archive table is
+/// written here.
+fn put_table(out: &mut Vec<u8>, head: &[u8], entries: &[Entry]) {
+    let start = out.len();
+    out.extend_from_slice(head);
+    wire::put_u64(out, entries.len() as u64);
+    for e in entries {
+        wire::put_u64(out, e.len as u64);
+        wire::put_u64(out, e.count as u64);
+        wire::put_u32(out, e.crc);
+    }
+    let crc = crc32(&out[start..]);
+    wire::put_u32(out, crc);
+}
+
+/// Read the table at the start of `bytes`, behind a `head`-byte head the
+/// caller has checked: its entries, and its length, where the payload it
+/// indexes begins. Every archive table is read here. Lengths are checked
+/// arithmetic, and the table CRC is verified before any entry is read; a
+/// mismatch is counted as a directory CRC failure.
+fn read_table(bytes: &[u8], head: usize) -> Result<(Vec<Entry>, usize), FormatError> {
+    let n = u64_at(bytes, head)?;
+    let end = table_len(head, n).ok_or(FormatError::Truncated)?;
+    let (covered, stored) = bytes.get(..end).ok_or(FormatError::Truncated)?.split_at(end - 4);
+    if Cursor::new(stored).u32() != Ok(crc32(covered)) {
+        format::note_crc_failure(ChecksumSection::Directory);
+        return Err(FormatError::ChecksumMismatch { section: ChecksumSection::Directory });
+    }
+    let mut c = Cursor::new(&covered[head + 8..]);
+    let entries = (0..n)
+        .map(|_| Ok(Entry { len: c.u64()? as usize, count: c.u64()? as usize, crc: c.u32()? }))
+        .collect::<WireResult<_>>()
+        .map_err(|_| FormatError::Truncated)?;
+    Ok((entries, end))
+}
+
+/// [`read_table`] for a chunk table, each chunk placed behind the table.
+fn read_chunk_table(bytes: &[u8], head: usize) -> Result<Vec<ChunkEntry>, FormatError> {
+    let (entries, end) = read_table(bytes, head)?;
+    place(end, entries.iter().map(|e| (e.len, ChunkMeta { n_values: e.count, crc: Some(e.crc) })))
+}
+
+/// The chunks of a v1 directory, `[head][u64 n][n x u64 byte_len]`, which
+/// has no CRCs and no value counts.
+fn v1_index(bytes: &[u8]) -> Result<Vec<ChunkEntry>, FormatError> {
+    let n = u64_at(bytes, HEAD_BYTES)?;
+    let end = n.checked_mul(8).and_then(|b| b.checked_add(HEAD_BYTES + 8));
+    let end = end.filter(|&end| end <= bytes.len()).ok_or(FormatError::Truncated)?;
+    let lens: Vec<usize> =
+        (0..n).map(|i| u64_at(bytes, HEAD_BYTES + 8 + 8 * i)).collect::<Result<_, _>>()?;
+    place(end, lens.into_iter().map(|len| (len, ChunkMeta { n_values: 0, crc: None })))
+}
+
+/// Place chunks of the given lengths back to back from `offset`. Each
+/// chunk's end is a checked sum.
+fn place(
+    mut offset: usize,
+    chunks: impl Iterator<Item = (usize, ChunkMeta)>,
+) -> Result<Vec<ChunkEntry>, FormatError> {
+    chunks
+        .map(|(len, meta)| {
+            let entry = ChunkEntry { offset, len, meta };
+            offset = offset.checked_add(len).ok_or(FormatError::Truncated)?;
+            Ok(entry)
+        })
+        .collect()
+}
+
+/// The version word of an archive, read before any length is checked.
+fn version_of(bytes: &[u8]) -> Result<u32, FormatError> {
+    if bytes.len() < 4 || bytes[..4] != ARCHIVE_MAGIC {
+        return Err(FormatError::BadMagic);
+    }
+    Cursor::new(&bytes[4..]).u32().map_err(|_| FormatError::Truncated)
+}
+
+/// Check that `bytes` open a v3 archive.
+fn expect_v3(bytes: &[u8]) -> Result<(), FormatError> {
+    match version_of(bytes)? {
+        ARCHIVE_VERSION_V3 => Ok(()),
+        v => Err(FormatError::BadArchiveVersion(v)),
+    }
+}
+
+/// The little-endian `u64` length or count at byte `at`.
+fn u64_at(bytes: &[u8], at: usize) -> Result<usize, FormatError> {
+    let mut c = Cursor::new(bytes);
+    c.take(at).and_then(|_| c.u64()).map(|v| v as usize).map_err(|_| FormatError::Truncated)
 }
 
 #[cfg(test)]
@@ -952,17 +894,18 @@ mod tests {
         let d = data(10_000);
         let mut fz = FzGpu::new(A100);
         let a = Archive::compress(&mut fz, &d, 1000, ErrorBound::Abs(1e-3));
-        let sharded = ShardedArchive::from_archive(&a, 4); // 4+4+2 chunks
-        assert_eq!(sharded.shards.len(), 3);
-        let bytes = sharded.to_bytes();
-        // v3-aware parse.
-        let back = ShardedArchive::from_bytes(&bytes).unwrap();
-        assert_eq!(back, sharded);
-        // The generic reader flattens v3 to the same chunks as v2.
-        let flat = Archive::from_bytes(&bytes).unwrap();
-        assert_eq!(flat.chunks, a.chunks);
-        assert_eq!(flat.total_values, a.total_values);
-        let out = flat.decompress(&mut fz).unwrap();
+        let bytes = a.to_bytes_sharded(4);
+        let dir = ShardDirectory::parse_directory(&bytes).unwrap();
+        let per_shard: Vec<usize> = dir.shards.iter().map(|s| s.nchunks).collect();
+        assert_eq!(per_shard, [4, 4, 2]);
+        assert_eq!((dir.num_chunks, dir.byte_len), (10, bytes.len()));
+        // v3 parses to the same chunks and metadata as the archive it came
+        // from, which is what v2 parses to.
+        let back = Archive::from_bytes(&bytes).unwrap();
+        assert_eq!(back.chunks, a.chunks);
+        assert_eq!(back.meta, a.meta);
+        assert_eq!(back.total_values, a.total_values);
+        let out = back.decompress(&mut fz).unwrap();
         assert!(d.iter().zip(&out).all(|(x, y)| (x - y).abs() <= 1.1e-3));
     }
 
@@ -971,25 +914,25 @@ mod tests {
         let d = data(6000);
         let mut fz = FzGpu::new(A100);
         let a = Archive::compress(&mut fz, &d, 1000, ErrorBound::Abs(1e-3));
-        let good = ShardedArchive::from_archive(&a, 2).to_bytes();
+        let good = a.to_bytes_sharded(2);
         // Top directory entry.
         let mut b = good.clone();
         b[V3_DIR_HEADER_BYTES + 2] ^= 0x10;
         assert!(matches!(
-            ShardedArchive::from_bytes(&b).unwrap_err(),
+            Archive::from_bytes(&b).unwrap_err(),
             FormatError::ChecksumMismatch { section: ChecksumSection::Directory }
         ));
         // Inner shard index (first shard starts right after the directory).
         let mut b = good.clone();
-        let shard0 = ShardedArchive::directory_len(&good).unwrap();
-        b[shard0 + V3_INNER_HEADER_BYTES + 1] ^= 0x01;
-        assert!(ShardedArchive::from_bytes(&b).is_err());
+        let shard0 = ShardDirectory::directory_len(&good).unwrap();
+        b[shard0 + 8 + 1] ^= 0x01;
+        assert!(Archive::from_bytes(&b).is_err());
         // Chunk body: caught by the whole-shard CRC in the top directory.
         let mut b = good;
         let last = b.len() - 1;
         b[last] ^= 0x80;
         assert!(matches!(
-            ShardedArchive::from_bytes(&b).unwrap_err(),
+            Archive::from_bytes(&b).unwrap_err(),
             FormatError::ChecksumMismatch { section: ChecksumSection::Chunk(_) }
         ));
     }

@@ -44,8 +44,8 @@ pub mod reference;
 pub mod zeroblock;
 
 pub use archive::{
-    Archive, ChunkEntry, ChunkHealth, ChunkMeta, DegradedOutput, FillPolicy, ScrubReport, Shard,
-    ShardDirectory, ShardEntry, ShardedArchive,
+    Archive, ChunkEntry, ChunkHealth, ChunkMeta, DegradedOutput, FillPolicy, ScrubReport,
+    ShardDirectory, ShardEntry,
 };
 pub use crc::crc32;
 pub use fastpath::{FzNative, PipelinePath};

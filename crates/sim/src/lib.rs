@@ -4,8 +4,7 @@
 //! the repository's DESIGN.md). It provides a CUDA-like programming model —
 //! grids of thread blocks, 32-lane warps executing in lockstep, shared
 //! memory with bank-conflict semantics, warp votes and shuffles, and
-//! device-wide collectives (scan / reduce / histogram) — executed on the
-//! host CPU.
+//! device-wide collectives (scan / histogram) — executed on the host CPU.
 //!
 //! Two properties matter:
 //!
@@ -52,7 +51,6 @@ pub mod mempool;
 pub mod perf;
 pub mod pod;
 pub mod profile;
-pub mod reduce;
 pub mod scan;
 pub mod shared;
 pub mod stream;

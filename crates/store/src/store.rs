@@ -10,8 +10,8 @@
 //!
 //! The meta JSON carries dims, chunk shape, the resolved codec config and
 //! the shard size; the archive bytes are a v3 sharded archive
-//! ([`fzgpu_core::ShardedArchive`]) — v1/v2 archives are also accepted on
-//! read (fully fetched, no partial path).
+//! ([`fzgpu_core::Archive::to_bytes_sharded`]). A container holding a v1
+//! or v2 archive is refused with an error naming that version.
 //!
 //! **Partial decode**: [`ArrayStore::read_region`] fetches the container
 //! header and top directory once at open, then per read touches only the
@@ -21,9 +21,7 @@
 //! array — asserted by the test suite and the store bench.
 
 use fzgpu_core::archive::V3_DIR_HEADER_BYTES;
-use fzgpu_core::{
-    crc32, Archive, ChunkMeta, FormatError, Shape, Shard, ShardEntry, ShardedArchive,
-};
+use fzgpu_core::{crc32, Archive, ChunkEntry, ChunkMeta, FormatError, Shape, ShardDirectory};
 use fzgpu_sim::DeviceSpec;
 use fzgpu_trace::json::{self, Obj, Value};
 use fzgpu_trace::metrics::{counter_add, Class};
@@ -176,30 +174,16 @@ pub fn shape3(extents: &[usize]) -> Shape {
     }
 }
 
-/// How the archive region of the container is laid out.
-enum Layout {
-    /// v3: shards range-readable in place.
-    Sharded {
-        /// Container offset of the archive region.
-        arch_off: u64,
-        /// The top directory's shards (offsets relative to `arch_off`).
-        shards: Vec<ShardEntry>,
-    },
-    /// v1/v2: the whole archive was fetched at open (no partial path).
-    Flat {
-        /// The parsed flat archive.
-        archive: Archive,
-    },
-}
-
 /// A chunked, compressed n-D array behind a storage backend.
 pub struct ArrayStore {
     backend: Box<dyn StorageBackend>,
     spec: StoreSpec,
     grid: ChunkGrid,
     codec: Box<dyn Codec>,
-    layout: Layout,
-    total_values: usize,
+    /// Container offset of the archive region.
+    arch_off: u64,
+    /// The archive's top directory (shard offsets relative to `arch_off`).
+    dir: ShardDirectory,
 }
 
 impl ArrayStore {
@@ -249,19 +233,14 @@ impl ArrayStore {
             meta.push(ChunkMeta { n_values: vals.len(), crc: Some(crc32(&bytes)) });
             chunks.push(bytes);
         }
-        let shards: Vec<Shard> = chunks
-            .chunks(spec.chunks_per_shard)
-            .zip(meta.chunks(spec.chunks_per_shard))
-            .map(|(cs, ms)| Shard { chunks: cs.to_vec(), meta: ms.to_vec() })
-            .collect();
-        let archive = ShardedArchive { total_values: data.len(), shards };
+        let archive = Archive { total_values: data.len(), chunks, meta };
         let meta_json = spec.to_json();
         let mut out = Vec::new();
         out.extend_from_slice(&STORE_MAGIC);
         out.extend_from_slice(&STORE_VERSION.to_le_bytes());
         out.extend_from_slice(&(meta_json.len() as u64).to_le_bytes());
         out.extend_from_slice(meta_json.as_bytes());
-        out.extend_from_slice(&archive.to_bytes());
+        out.extend_from_slice(&archive.to_bytes_sharded(spec.chunks_per_shard));
         backend.write_all(&out)
     }
 
@@ -295,43 +274,39 @@ impl ArrayStore {
             ChunkGrid::new(spec.dims.clone(), spec.chunk.clone()).map_err(StoreError::Corrupt)?;
         let codec = Registry::builtin().build(&spec.codec, device)?;
 
+        // Fetch the top directory's head, then the rest of it; core parses
+        // and CRC-checks it.
         let mut dir = backend.read_range(arch_off, V3_DIR_HEADER_BYTES as u64)?;
-        let (layout, total_values, num_chunks) = match ShardedArchive::directory_len(&dir) {
-            // v3: fetch the rest of the top directory; core parses and
-            // CRC-checks it.
-            Ok(dir_len) => {
-                let tail_len = (dir_len - V3_DIR_HEADER_BYTES) as u64;
-                dir.extend(backend.read_range(arch_off + V3_DIR_HEADER_BYTES as u64, tail_len)?);
-                let d = ShardedArchive::parse_directory(&dir)?;
-                if (d.byte_len as u64).checked_add(arch_off).is_none_or(|end| end > backend.len()) {
-                    return Err(StoreError::Corrupt("shard lengths exceed container".into()));
-                }
-                (Layout::Sharded { arch_off, shards: d.shards }, d.total_values, d.num_chunks)
+        let dir_len = match ShardDirectory::directory_len(&dir) {
+            Err(FormatError::BadArchiveVersion(v @ (1 | 2))) => {
+                return Err(StoreError::Corrupt(format!(
+                    "unsupported archive version {v} (stores hold archive version 3)"
+                )))
             }
-            // Legacy flat archives: fetch everything once; reads decode
-            // from memory (correct, but provably not partial).
-            Err(FormatError::BadArchiveVersion(1 | 2)) => {
-                let rest = backend.read_range(arch_off, backend.len() - arch_off)?;
-                let archive = Archive::from_bytes(&rest)?;
-                let (values, chunks) = (archive.total_values, archive.chunks.len());
-                (Layout::Flat { archive }, values, chunks)
-            }
-            Err(e) => return Err(e.into()),
+            len => len?,
         };
-        if num_chunks != grid.num_chunks() {
+        let tail_len = (dir_len - V3_DIR_HEADER_BYTES) as u64;
+        dir.extend(backend.read_range(arch_off + V3_DIR_HEADER_BYTES as u64, tail_len)?);
+        let dir = ShardDirectory::parse_directory(&dir)?;
+        if (dir.byte_len as u64).checked_add(arch_off).is_none_or(|end| end > backend.len()) {
+            return Err(StoreError::Corrupt("shard lengths exceed container".into()));
+        }
+        if dir.num_chunks != grid.num_chunks() {
             return Err(StoreError::Corrupt(format!(
-                "archive holds {num_chunks} chunks but the grid needs {}",
+                "archive holds {} chunks but the grid needs {}",
+                dir.num_chunks,
                 grid.num_chunks()
             )));
         }
-        if total_values != grid.total_values() {
+        if dir.total_values != grid.total_values() {
             return Err(StoreError::Corrupt(format!(
-                "archive holds {total_values} values but dims {:?} require {}",
+                "archive holds {} values but dims {:?} require {}",
+                dir.total_values,
                 spec.dims,
                 grid.total_values()
             )));
         }
-        Ok(Self { backend, spec, grid, codec, layout, total_values })
+        Ok(Self { backend, spec, grid, codec, arch_off, dir })
     }
 
     /// The store's spec (dims, chunking, codec, sharding).
@@ -346,7 +321,7 @@ impl ArrayStore {
 
     /// Total values in the field.
     pub fn total_values(&self) -> usize {
-        self.total_values
+        self.dir.total_values
     }
 
     /// Container size in bytes.
@@ -359,12 +334,9 @@ impl ArrayStore {
         self.backend.stats()
     }
 
-    /// Shard count (1 logical shard for legacy flat layouts).
+    /// Shard count.
     pub fn num_shards(&self) -> usize {
-        match &self.layout {
-            Layout::Sharded { shards, .. } => shards.len(),
-            Layout::Flat { .. } => 1,
-        }
+        self.dir.shards.len()
     }
 
     /// Read the full field.
@@ -379,64 +351,41 @@ impl ArrayStore {
         let _root = fzgpu_trace::span("store.read")
             .field("values", region.count())
             .field("codec", self.spec.codec.name());
-        let Self { backend, grid, codec, layout, .. } = self;
+        let Self { backend, grid, codec, arch_off, dir, .. } = self;
         let before = backend.stats();
         let ids = grid.chunks_intersecting(region);
         let mut out = vec![0.0f32; region.count()];
         let mut codec_seconds = 0.0f64;
         let mut shards_touched = 0usize;
-        let mut decode = |id: usize, bytes: &[u8], out: &mut [f32]| {
-            decode_into(grid, codec.as_mut(), id, bytes, region, out)
-        };
-        match layout {
-            Layout::Sharded { arch_off, shards } => {
-                let mut i = 0usize;
-                while i < ids.len() {
-                    // The shard holding ids[i] (first chunks ascending).
-                    let s = shards.partition_point(|e| e.first_chunk <= ids[i]) - 1;
-                    let shard = shards[s];
-                    let shard_off = *arch_off + shard.offset as u64;
-                    let idx_len = Shard::index_len(shard.nchunks)?;
-                    let index =
-                        Shard::parse_index(&backend.read_range(shard_off, idx_len as u64)?)?;
-                    shards_touched += 1;
-                    if index.len() != shard.nchunks {
-                        return Err(StoreError::Corrupt(format!(
-                            "shard {s} index declares {} chunks, directory says {}",
-                            index.len(),
-                            shard.nchunks
-                        )));
-                    }
-                    // Every requested chunk living in this shard.
-                    while i < ids.len() && ids[i] < shard.first_chunk + shard.nchunks {
-                        let id = ids[i];
-                        let c = index[id - shard.first_chunk];
-                        if c.offset + c.len > shard.len {
-                            return Err(StoreError::Corrupt(format!(
-                                "chunk {id} extends past its shard"
-                            )));
-                        }
-                        let bytes =
-                            backend.read_range(shard_off + c.offset as u64, c.len as u64)?;
-                        if Some(crc32(&bytes)) != c.meta.crc {
-                            return Err(StoreError::Corrupt(format!("chunk {id} CRC mismatch")));
-                        }
-                        codec_seconds += decode(id, &bytes, &mut out)?;
-                        i += 1;
-                    }
-                }
+        let mut i = 0usize;
+        while i < ids.len() {
+            // The shard holding ids[i] (first chunks ascending).
+            let s = dir.shards.partition_point(|e| e.first_chunk <= ids[i]) - 1;
+            let shard = dir.shards[s];
+            let shard_off = *arch_off + shard.offset as u64;
+            let idx_len = ChunkEntry::index_len(shard.nchunks)?;
+            let index = ChunkEntry::parse_index(&backend.read_range(shard_off, idx_len as u64)?)?;
+            shards_touched += 1;
+            if index.len() != shard.nchunks {
+                return Err(StoreError::Corrupt(format!(
+                    "shard {s} index declares {} chunks, directory says {}",
+                    index.len(),
+                    shard.nchunks
+                )));
             }
-            Layout::Flat { archive } => {
-                // Decode straight from the in-memory archive; chunk CRCs
-                // (when the directory stored them) still gate each decode.
-                for &id in &ids {
-                    if let Some(stored) = archive.meta[id].crc {
-                        if crc32(&archive.chunks[id]) != stored {
-                            return Err(StoreError::Corrupt(format!("chunk {id} CRC mismatch")));
-                        }
-                    }
-                    codec_seconds += decode(id, &archive.chunks[id], &mut out)?;
+            // Every requested chunk living in this shard.
+            while i < ids.len() && ids[i] < shard.first_chunk + shard.nchunks {
+                let id = ids[i];
+                let c = index[id - shard.first_chunk];
+                if c.offset + c.len > shard.len {
+                    return Err(StoreError::Corrupt(format!("chunk {id} extends past its shard")));
                 }
+                let bytes = backend.read_range(shard_off + c.offset as u64, c.len as u64)?;
+                if Some(crc32(&bytes)) != c.meta.crc {
+                    return Err(StoreError::Corrupt(format!("chunk {id} CRC mismatch")));
+                }
+                codec_seconds += decode_into(grid, codec.as_mut(), id, &bytes, region, &mut out)?;
+                i += 1;
             }
         }
         let after = self.backend.stats();
@@ -539,41 +488,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_archives_open_and_read() {
-        // Hand-build a container whose archive region is v2 (flat).
-        let dims = vec![6, 8];
-        let data = wave(48);
-        let spec = StoreSpec {
-            dims: dims.clone(),
-            chunk: vec![3, 4],
-            codec: CodecConfig::Raw,
-            chunks_per_shard: 2,
-        };
-        let grid = ChunkGrid::new(spec.dims.clone(), spec.chunk.clone()).unwrap();
-        let mut codec = Registry::builtin().build(&spec.codec, fzgpu_sim::device::A100).unwrap();
-        let mut chunks = Vec::new();
-        let mut meta = Vec::new();
-        for id in 0..grid.num_chunks() {
-            let vals = grid.gather_chunk(&data, id);
-            let bytes = codec.encode(&vals, shape3(&grid.chunk_extents(id))).unwrap();
-            meta.push(ChunkMeta { n_values: vals.len(), crc: Some(crc32(&bytes)) });
-            chunks.push(bytes);
-        }
-        let archive = Archive { total_values: data.len(), chunks, meta };
-        let meta_json = spec.to_json();
-        let mut out = Vec::new();
-        out.extend_from_slice(&STORE_MAGIC);
-        out.extend_from_slice(&STORE_VERSION.to_le_bytes());
-        out.extend_from_slice(&(meta_json.len() as u64).to_le_bytes());
-        out.extend_from_slice(meta_json.as_bytes());
-        out.extend_from_slice(&archive.to_bytes());
-        let mut store =
-            ArrayStore::open(Box::new(MemBackend::from_bytes(out)), fzgpu_sim::device::A100)
-                .unwrap();
-        assert_eq!(store.num_shards(), 1);
-        let r = Region { lo: vec![1, 2], hi: vec![5, 7] };
-        assert_eq!(store.read_region(&r).unwrap().values, grid.extract(&data, &r));
-        assert_eq!(store.read_full().unwrap().values, data);
+    fn flat_archives_are_refused_by_version() {
+        // The same container with its archive rewritten in the v2 layout.
+        let (mut store, _) = mem_store(CodecConfig::Raw);
+        let bytes = store.backend.read_range(0, store.container_bytes()).unwrap();
+        let arch_off = 16 + u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+        let mut flat = bytes[..arch_off].to_vec();
+        flat.extend_from_slice(&Archive::from_bytes(&bytes[arch_off..]).unwrap().to_bytes());
+        let err = ArrayStore::open(Box::new(MemBackend::from_bytes(flat)), fzgpu_sim::device::A100)
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "corrupt store: unsupported archive version 2 (stores hold archive version 3)"
+        );
     }
 
     #[test]
@@ -619,8 +547,8 @@ mod tests {
             chunks_per_shard: 1,
         };
         let meta = vec![ChunkMeta { n_values: 0, crc: Some(crc32(&[])) }];
-        let shards = vec![Shard { chunks: vec![Vec::new()], meta }];
-        let archive = ShardedArchive { total_values: 0, shards }.to_bytes();
+        let archive = Archive { total_values: 0, chunks: vec![Vec::new()], meta };
+        let archive = archive.to_bytes_sharded(1);
         let meta = spec.to_json();
         let mut wrapped = bytes[..8].to_vec();
         wrapped.extend_from_slice(&(meta.len() as u64).to_le_bytes());

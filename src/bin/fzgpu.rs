@@ -388,10 +388,7 @@ fn archive(args: &Args) -> Result<(), String> {
     // chunk index, range-readable by `fzgpu store`); without it the flat
     // v2 layout is kept for compatibility with older readers.
     let (bytes, layout) = match args.count("--shard-chunks")? {
-        Some(n) => {
-            let sharded = fz_gpu::core::ShardedArchive::from_archive(&a, n);
-            (sharded.to_bytes(), format!("v3, {} shards", sharded.shards.len()))
-        }
+        Some(n) => (a.to_bytes_sharded(n), format!("v3, {} shards", a.chunks.len().div_ceil(n))),
         None => (a.to_bytes(), "v2, flat".to_string()),
     };
     std::fs::write(output, &bytes).map_err(|e| e.to_string())?;

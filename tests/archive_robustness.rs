@@ -1,6 +1,7 @@
 //! Archive-level robustness: hostile bytes must never panic the parser,
 //! corruption must be localized to the chunk it hits, and degraded-mode
-//! extraction must recover everything the corruption did not touch.
+//! extraction must recover everything the corruption did not touch. The
+//! serialization properties hold for both layouts, v2 and sharded v3.
 
 use fz_gpu::core::{Archive, ChunkHealth, ErrorBound, FillPolicy, FzGpu};
 use fz_gpu::sim::device::A100;
@@ -17,6 +18,11 @@ fn small_archive() -> (Vec<f32>, Archive) {
     (data, a)
 }
 
+/// Both serializations of `a`: v2, and v3 in two shards of two chunks.
+fn layouts(a: &Archive) -> [Vec<u8>; 2] {
+    [a.to_bytes(), a.to_bytes_sharded(2)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
@@ -26,10 +32,17 @@ proptest! {
 
     #[test]
     fn magic_prefixed_junk_never_panics(junk in proptest::collection::vec(any::<u8>(), 0..768)) {
-        // Force the parser past the magic check into directory parsing.
+        // Force the parser past the magic check into directory parsing,
+        // and past the version word into each version's parser.
         let mut bytes = b"FZAR".to_vec();
-        bytes.extend(junk);
+        bytes.extend(&junk);
         let _ = Archive::from_bytes(&bytes);
+        for version in 1u32..=3 {
+            let mut bytes = b"FZAR".to_vec();
+            bytes.extend(version.to_le_bytes());
+            bytes.extend(&junk);
+            let _ = Archive::from_bytes(&bytes);
+        }
     }
 
     #[test]
@@ -37,29 +50,32 @@ proptest! {
         pos in 0usize..20_000,
         flip in 1u8..=255,
     ) {
-        // The v2 format CRC-covers every byte (directory checksum + per
-        // chunk stream checksums), so a strict decode of a flipped archive
-        // has exactly two legal outcomes: a typed error somewhere on the
-        // path, or — if the flip landed where it cannot matter — output
-        // bit-identical to the uncorrupted original. Wrong data is never
-        // acceptable.
+        // Both layouts CRC-cover every byte (table checksums + per chunk
+        // stream checksums, and v3's whole-shard checksums), so a strict
+        // decode of a flipped archive has exactly two legal outcomes: a
+        // typed error somewhere on the path, or — if the flip landed where
+        // it cannot matter — output bit-identical to the uncorrupted
+        // original. Wrong data is never acceptable.
         let (_, a) = small_archive();
         let mut fz = FzGpu::new(A100);
         let reference = a.decompress(&mut fz).expect("clean archive decodes");
-        let mut bytes = a.to_bytes();
-        prop_assume!(pos < bytes.len());
-        bytes[pos] ^= flip;
-        if let Ok(parsed) = Archive::from_bytes(&bytes) {
-            if let Ok(out) = parsed.decompress(&mut fz) {
-                prop_assert_eq!(out.len(), reference.len(), "flip at {} changed geometry", pos);
-                for (i, (x, y)) in out.iter().zip(&reference).enumerate() {
-                    prop_assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "flip at {} decoded to wrong data at value {}",
-                        pos,
-                        i
-                    );
+        for mut bytes in layouts(&a) {
+            if pos >= bytes.len() {
+                continue;
+            }
+            bytes[pos] ^= flip;
+            if let Ok(parsed) = Archive::from_bytes(&bytes) {
+                if let Ok(out) = parsed.decompress(&mut fz) {
+                    prop_assert_eq!(out.len(), reference.len(), "flip at {} changed geometry", pos);
+                    for (i, (x, y)) in out.iter().zip(&reference).enumerate() {
+                        prop_assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "flip at {} decoded to wrong data at value {}",
+                            pos,
+                            i
+                        );
+                    }
                 }
             }
         }
@@ -72,10 +88,17 @@ proptest! {
         // Random truncation points (the exhaustive loop below covers a
         // small archive; this samples a larger one cheaply).
         let (_, a) = small_archive();
-        let bytes = a.to_bytes();
-        prop_assume!(cut_back <= bytes.len());
-        let cut = bytes.len() - cut_back;
-        prop_assert!(Archive::from_bytes(&bytes[..cut]).is_err(), "truncation at {} accepted", cut);
+        for bytes in layouts(&a) {
+            if cut_back > bytes.len() {
+                continue;
+            }
+            let cut = bytes.len() - cut_back;
+            prop_assert!(
+                Archive::from_bytes(&bytes[..cut]).is_err(),
+                "truncation at {} accepted",
+                cut
+            );
+        }
     }
 
     #[test]
@@ -84,16 +107,19 @@ proptest! {
         flip in 1u8..=255,
     ) {
         let (_, a) = small_archive();
-        let mut bytes = a.to_bytes();
-        prop_assume!(pos < bytes.len());
-        bytes[pos] ^= flip;
-        // Parse + scrub + degraded decode: the full recovery path must be
-        // total. Values may legitimately decode when only padding moved,
-        // but nothing may panic.
-        if let Ok(parsed) = Archive::from_bytes(&bytes) {
-            let mut fz = FzGpu::new(A100);
-            let out = parsed.decompress_degraded(&mut fz, FillPolicy::Zero);
-            prop_assert_eq!(out.data.len(), parsed.total_values);
+        for mut bytes in layouts(&a) {
+            if pos >= bytes.len() {
+                continue;
+            }
+            bytes[pos] ^= flip;
+            // Parse + scrub + degraded decode: the full recovery path must
+            // be total. Values may legitimately decode when only padding
+            // moved, but nothing may panic.
+            if let Ok(parsed) = Archive::from_bytes(&bytes) {
+                let mut fz = FzGpu::new(A100);
+                let out = parsed.decompress_degraded(&mut fz, FillPolicy::Zero);
+                prop_assert_eq!(out.data.len(), parsed.total_values);
+            }
         }
     }
 }
@@ -101,11 +127,12 @@ proptest! {
 #[test]
 fn every_truncation_point_is_rejected() {
     let (_, a) = small_archive();
-    let bytes = a.to_bytes();
-    for cut in 0..bytes.len() {
-        assert!(Archive::from_bytes(&bytes[..cut]).is_err(), "truncation at {cut} accepted");
+    for bytes in layouts(&a) {
+        for cut in 0..bytes.len() {
+            assert!(Archive::from_bytes(&bytes[..cut]).is_err(), "truncation at {cut} accepted");
+        }
+        assert!(Archive::from_bytes(&bytes).is_ok());
     }
-    assert!(Archive::from_bytes(&bytes).is_ok());
 }
 
 #[test]

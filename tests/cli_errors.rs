@@ -4,7 +4,7 @@
 
 use std::process::{Command, Output};
 
-use fz_gpu::core::{crc32, ChunkMeta, Shard, ShardedArchive};
+use fz_gpu::core::{crc32, Archive, ChunkMeta};
 use fz_gpu::store::{CodecConfig, StoreSpec};
 
 fn fzgpu(args: &[&str]) -> Output {
@@ -338,12 +338,12 @@ fn store_failures_exit_nonzero_with_one_line_error() {
     let spec =
         StoreSpec { dims: huge.clone(), chunk: huge, codec: CodecConfig::Raw, chunks_per_shard: 1 };
     let meta = vec![ChunkMeta { n_values: 0, crc: Some(crc32(&[])) }];
-    let shards = vec![Shard { chunks: vec![Vec::new()], meta }];
+    let archive = Archive { total_values: 0, chunks: vec![Vec::new()], meta };
     let meta = spec.to_json();
     let mut crafted = healthy[..8].to_vec();
     crafted.extend_from_slice(&(meta.len() as u64).to_le_bytes());
     crafted.extend_from_slice(meta.as_bytes());
-    crafted.extend_from_slice(&ShardedArchive { total_values: 0, shards }.to_bytes());
+    crafted.extend_from_slice(&archive.to_bytes_sharded(1));
     let overflow = dir.join("overflow.fzst");
     std::fs::write(&overflow, crafted).unwrap();
     let overflow = overflow.to_str().unwrap();
@@ -351,6 +351,17 @@ fn store_failures_exit_nonzero_with_one_line_error() {
     assert_cli_error(&["store", "stat", overflow], too_many);
     assert_cli_error(&["store", "read", overflow, outfile], too_many);
     assert_cli_error(&["store", "read", overflow, outfile, "--region", "0:4,0:4"], too_many);
+    // The healthy container with its archive rewritten in the flat v2
+    // layout: a store holds v3 only, and the error names what it found.
+    let mut flat = healthy[..arch_off].to_vec();
+    flat.extend_from_slice(&Archive::from_bytes(&healthy[arch_off..]).unwrap().to_bytes());
+    let flat_path = dir.join("flat.fzst");
+    std::fs::write(&flat_path, flat).unwrap();
+    let flat_path = flat_path.to_str().unwrap();
+    let refused = "unsupported archive version 2 (stores hold archive version 3)";
+    assert_cli_error(&["store", "stat", flat_path], refused);
+    assert_cli_error(&["store", "read", flat_path, outfile], refused);
+    assert_cli_error(&["store", "serve", flat_path], refused);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -96,3 +96,41 @@ fn stream_file_is_self_describing() {
     let back = other.decompress_bytes(&c.bytes).unwrap();
     assert_eq!(back.len(), 4096);
 }
+
+#[test]
+fn archive_roundtrips_in_both_layouts() {
+    // `fzgpu archive` writes v2 by default and v3 with --shard-chunks;
+    // `verify` passes both and `extract` recovers the same values from
+    // each.
+    let raw = tmp("archive_in.f32");
+    let data: Vec<f32> = (0..10_000).map(|i| (i as f32 * 0.002).sin() * 3.0).collect();
+    write_f32_file(&raw, &data).unwrap();
+    let fzgpu = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_fzgpu"))
+            .args(args)
+            .output()
+            .expect("run fzgpu binary");
+        assert!(out.status.success(), "fzgpu {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let mut extracted = Vec::new();
+    for (name, extra, layout) in
+        [("v2", &[][..], "(v2, flat)"), ("v3", &["--shard-chunks", "3"][..], "(v3, 4 shards)")]
+    {
+        let archive = tmp(&format!("archive_{name}.fzar"));
+        let restored = tmp(&format!("archive_{name}.f32"));
+        let (input, path) = (raw.to_str().unwrap(), archive.to_str().unwrap());
+        let args = [&["archive", input, path, "--chunk-values", "1000", "--eb", "1e-3"][..], extra];
+        let stdout = fzgpu(&args.concat());
+        assert!(stdout.contains(&format!("10 chunks {layout}")), "{stdout}");
+        assert!(fzgpu(&["verify", path]).contains("archive OK (10 chunks verified)"));
+        fzgpu(&["extract", path, restored.to_str().unwrap()]);
+        extracted.push(std::fs::read(&restored).unwrap());
+        for p in [archive, restored] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+    assert_eq!(extracted[0].len(), data.len() * 4);
+    assert!(extracted[0] == extracted[1], "v2 and v3 extracts differ");
+    let _ = std::fs::remove_file(raw);
+}

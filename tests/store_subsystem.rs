@@ -1,15 +1,15 @@
 //! Store subsystem contract: partial decode is *partial* (bytes-read
-//! scales with the request), subregion reads are exact, archive v1/v2/v3
-//! containers interoperate, corrupt shard indices can never produce wrong
-//! data, and store digests are bit-identical across host thread counts,
-//! simulation engines, and pipeline paths.
+//! scales with the request), subregion reads are exact, a container
+//! holding a v1 or v2 archive is refused by version, corrupt shard indices
+//! can never produce wrong data, and store digests are bit-identical
+//! across host thread counts, simulation engines, and pipeline paths.
 
-use fz_gpu::core::{crc32, Archive, ChunkMeta};
+use fz_gpu::core::{crc32, Archive};
 use fz_gpu::serve::{run_store_reads, StoreReadWorkload};
 use fz_gpu::sim::device::A100;
 use fz_gpu::store::{
-    backend_from_cli, shape3, value_digest, ArrayStore, ChunkGrid, CodecConfig, MemBackend, Region,
-    Registry, StoreSpec, STORE_MAGIC, STORE_VERSION,
+    backend_from_cli, value_digest, ArrayStore, ChunkGrid, CodecConfig, MemBackend, Region,
+    StoreSpec, STORE_MAGIC, STORE_VERSION,
 };
 use proptest::prelude::*;
 
@@ -39,22 +39,6 @@ fn container_around(spec: &StoreSpec, archive_bytes: &[u8]) -> Vec<u8> {
     out.extend_from_slice(meta_json.as_bytes());
     out.extend_from_slice(archive_bytes);
     out
-}
-
-/// Encode `data` chunk-by-chunk with `spec`'s codec, yielding the flat
-/// in-memory archive (the v1/v2 layout).
-fn flat_archive(spec: &StoreSpec, data: &[f32]) -> Archive {
-    let grid = ChunkGrid::new(spec.dims.clone(), spec.chunk.clone()).unwrap();
-    let mut codec = Registry::builtin().build(&spec.codec, A100).unwrap();
-    let mut chunks = Vec::new();
-    let mut meta = Vec::new();
-    for id in 0..grid.num_chunks() {
-        let vals = grid.gather_chunk(data, id);
-        let bytes = codec.encode(&vals, shape3(&grid.chunk_extents(id))).unwrap();
-        meta.push(ChunkMeta { n_values: vals.len(), crc: Some(crc32(&bytes)) });
-        chunks.push(bytes);
-    }
-    Archive { total_values: data.len(), chunks, meta }
 }
 
 // ---------------------------------------------------------------------------
@@ -126,27 +110,31 @@ fn det_metrics_account_partial_reads() {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-version interop: v1 and v2 containers read through the same API
+// Archive versions: a store holds v3, and a v1 or v2 archive is refused by
+// name
 
 #[test]
-fn v1_v2_v3_containers_read_identically() {
-    let dims = vec![12usize, 18];
+fn v1_v2_containers_are_refused_by_version() {
     let data = wave(12 * 18);
     let spec = StoreSpec {
-        dims: dims.clone(),
+        dims: vec![12, 18],
         chunk: vec![4, 6],
         codec: CodecConfig::Fz { eb_abs: 1e-3 },
         chunks_per_shard: 3,
     };
 
-    // v3: what `create` writes today.
+    // v3: what `create` writes.
     let v3 = container_bytes(&spec, &data);
+    let arch_off = 16 + u64::from_le_bytes(v3[8..16].try_into().unwrap()) as usize;
+    let mut store =
+        ArrayStore::open(Box::new(MemBackend::from_bytes(v3.clone())), A100).expect("open");
+    assert!(store.num_shards() > 1, "v3 container should be sharded");
+    assert_eq!(store.read_full().unwrap().values.len(), data.len());
 
-    // v2: flat archive with CRC'd directory entries.
-    let archive = flat_archive(&spec, &data);
+    // The same chunks as a flat v2 archive, and behind a v1 directory
+    // (8-byte entries, no checksums anywhere).
+    let archive = Archive::from_bytes(&v3[arch_off..]).unwrap();
     let v2 = container_around(&spec, &archive.to_bytes());
-
-    // v1: 8-byte directory entries, no checksums anywhere.
     let mut v1_arch = Vec::new();
     v1_arch.extend_from_slice(b"FZAR");
     v1_arch.extend_from_slice(&1u32.to_le_bytes());
@@ -160,22 +148,18 @@ fn v1_v2_v3_containers_read_identically() {
     }
     let v1 = container_around(&spec, &v1_arch);
 
-    let read = |bytes: Vec<u8>| {
-        let mut store =
-            ArrayStore::open(Box::new(MemBackend::from_bytes(bytes)), A100).expect("open");
-        let full = store.read_full().unwrap();
-        let part = store.read_region(&Region { lo: vec![2, 3], hi: vec![9, 14] }).unwrap();
-        (store.num_shards(), value_digest(&full.values), value_digest(&part.values))
-    };
-
-    let (shards3, full3, part3) = read(v3);
-    let (shards2, full2, part2) = read(v2);
-    let (shards1, full1, part1) = read(v1);
-    assert!(shards3 > 1, "v3 container should be sharded");
-    assert_eq!(shards2, 1, "legacy flat archives present as one logical shard");
-    assert_eq!(shards1, 1);
-    assert_eq!((full1, part1), (full3, part3), "v1 read diverges from v3");
-    assert_eq!((full2, part2), (full3, part3), "v2 read diverges from v3");
+    for (version, bytes) in [(2, v2), (1, v1)] {
+        let err = ArrayStore::open(Box::new(MemBackend::from_bytes(bytes)), A100)
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "corrupt store: unsupported archive version {version} \
+                 (stores hold archive version 3)"
+            )
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
