@@ -397,7 +397,9 @@ impl Archive {
     /// offending version rather than a generic `Truncated`. Every table CRC
     /// is verified before its entries are trusted; chunk CRCs are checked
     /// lazily, at decode or scrub time. A v3 archive's shards are checked
-    /// in order: shard CRC, then its index, then its chunk count.
+    /// in order: shard CRC, then its index, then its chunk count. A shard
+    /// CRC mismatch is counted but fails the parse only when the shard's
+    /// index fails too, so one bad chunk costs only itself, as in v2.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FormatError> {
         let version = version_of(bytes)?;
         let index = match version {
@@ -422,7 +424,11 @@ impl Archive {
         Ok(a)
     }
 
-    /// The v3 arm of [`Archive::from_bytes`].
+    /// The v3 arm of [`Archive::from_bytes`]. A shard whose bytes fail its
+    /// directory CRC is counted as a shard CRC failure, and its chunks are
+    /// still placed from its own CRC'd index, so the per-chunk CRCs decide
+    /// which chunks are healthy, as in v2. Only a failed shard whose index
+    /// cannot be read fails the parse, reported as the shard.
     fn from_v3(bytes: &[u8]) -> Result<Self, FormatError> {
         let dir = ShardDirectory::parse_directory(bytes)?;
         if bytes.len() < dir.byte_len {
@@ -431,11 +437,17 @@ impl Archive {
         let mut a = Self { total_values: dir.total_values, chunks: Vec::new(), meta: Vec::new() };
         for (i, s) in dir.shards.iter().enumerate() {
             let shard = &bytes[s.offset..s.offset + s.len];
-            if crc32(shard) != s.crc {
-                format::note_crc_failure(ChecksumSection::Chunk(i));
-                return Err(FormatError::ChecksumMismatch { section: ChecksumSection::Chunk(i) });
+            let intact = crc32(shard) == s.crc;
+            if !intact {
+                format::note_crc_failure(ChecksumSection::Shard(i));
             }
-            let index = ChunkEntry::parse_index(shard)?;
+            let index = match ChunkEntry::parse_index(shard) {
+                Err(_) if !intact => {
+                    let section = ChecksumSection::Shard(i);
+                    return Err(FormatError::ChecksumMismatch { section });
+                }
+                index => index?,
+            };
             a.push_chunks(shard, &index)?;
             if index.len() != s.nchunks {
                 return Err(FormatError::Inconsistent("shard chunk count vs directory"));
@@ -922,18 +934,28 @@ mod tests {
             Archive::from_bytes(&b).unwrap_err(),
             FormatError::ChecksumMismatch { section: ChecksumSection::Directory }
         ));
-        // Inner shard index (first shard starts right after the directory).
+        // Inner shard index (first shard starts right after the directory):
+        // the shard's CRC fails and its index cannot be trusted.
         let mut b = good.clone();
         let shard0 = ShardDirectory::directory_len(&good).unwrap();
         b[shard0 + 8 + 1] ^= 0x01;
-        assert!(Archive::from_bytes(&b).is_err());
-        // Chunk body: caught by the whole-shard CRC in the top directory.
+        assert_eq!(
+            Archive::from_bytes(&b).unwrap_err(),
+            FormatError::ChecksumMismatch { section: ChecksumSection::Shard(0) }
+        );
+        // Chunk body: the whole-shard CRC fails, the shard's index still
+        // places its chunks, and the chunk's own CRC condemns it alone.
         let mut b = good;
         let last = b.len() - 1;
         b[last] ^= 0x80;
-        assert!(matches!(
-            Archive::from_bytes(&b).unwrap_err(),
-            FormatError::ChecksumMismatch { section: ChecksumSection::Chunk(_) }
-        ));
+        let parsed = Archive::from_bytes(&b).unwrap();
+        let report = parsed.scrub();
+        assert_eq!(report.corrupt_count(), 1);
+        assert_eq!(
+            report.chunks[5],
+            ChunkHealth::Corrupt(FormatError::ChecksumMismatch {
+                section: ChecksumSection::Chunk(5)
+            })
+        );
     }
 }

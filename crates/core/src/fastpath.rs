@@ -24,13 +24,26 @@
 //! per-call-allocating oracle, a [`FzNative`] value owns reusable scratch
 //! buffers: compressing many fields through one instance allocates nothing
 //! beyond the returned stream itself.
+//!
+//! Decompression streams each 1024-word tile once. The flag popcount check
+//! also yields every tile's payload offset; each tile then gathers its
+//! present blocks into a stack tile, un-shuffles it ([`unshuffle_tile`])
+//! and unpacks its 2048 codes straight into the deltas (`unpack_tile`).
+//! The shared [`integrate`] and `dequantize_field` finish the field. The
+//! analytic engine keeps the staged kernels, so its fills call the same
+//! tile functions through `unshuffle_tiles` and `deltas_from_words`.
+//!
+//! Every stage runs inside one `native.*` trace span per call (compress:
+//! `resolve`, `prequant`, `lorenzo`, `pack`, `shuffle`, `encode`,
+//! `assemble`; decompress: `verify`, `tiles`, `integrate`, `dequantize`),
+//! a no-op unless a capture window is open.
 
 use rayon::prelude::*;
 
 use crate::bitshuffle::{shuffle_tile, unshuffle_tile};
 use crate::format::{assemble, verify, FormatError, Header, VERSION};
 use crate::lorenzo::{integrate, rank_of, Shape};
-use crate::pack::{padded_words, TILE_WORDS};
+use crate::pack::{padded_words, TILE_CODES, TILE_WORDS};
 use crate::pipeline::Compressed;
 use crate::quant::{code_to_delta, delta_to_code, dequantize, prequantize, ErrorBound};
 use crate::zeroblock::BLOCK_WORDS;
@@ -106,6 +119,8 @@ pub struct FzNative {
     bit_flags: Vec<u32>,
     /// Compacted non-zero blocks.
     payload: Vec<u32>,
+    /// Payload block offset of each tile, plus the total (decompress).
+    tile_offsets: Vec<usize>,
     /// Decoded Lorenzo deltas (decompress).
     deltas: Vec<i32>,
 }
@@ -314,24 +329,81 @@ pub(crate) fn zero_block_encode(shuffled: &[u32], bit_flags: &mut [u32], payload
     }
 }
 
-/// Unpack codes from packed words and decode their sign-magnitude deltas
-/// into `deltas` (one per code), parallel.
-pub(crate) fn deltas_from_words(words: &[u32], deltas: &mut [i32]) {
-    deltas.par_chunks_mut(1 << 13).enumerate().for_each(|(ci, dchunk)| {
-        let base = ci * (1 << 13);
-        for (j, d) in dchunk.iter_mut().enumerate() {
-            let i = base + j;
-            let w = words[i / 2];
-            let code = if i % 2 == 0 { w as u16 } else { (w >> 16) as u16 };
-            *d = code_to_delta(code);
-        }
-    });
+/// Unpack one tile's codes (low half = even index) and decode their
+/// sign-magnitude deltas into `deltas`: 2048 of them, fewer in a field's
+/// last tile.
+#[inline]
+fn unpack_tile(words: &[u32; TILE_WORDS], deltas: &mut [i32]) {
+    let whole = deltas.len() / 2;
+    let mut pairs = deltas.chunks_exact_mut(2);
+    for (pair, &w) in (&mut pairs).zip(words) {
+        pair[0] = code_to_delta(w as u16);
+        pair[1] = code_to_delta((w >> 16) as u16);
+    }
+    if let [last] = pairs.into_remainder() {
+        *last = code_to_delta(words[whole] as u16);
+    }
 }
 
-/// Dequantize integrated values into the reconstructed field, parallel.
+/// Unpack codes from tile-aligned packed words and decode their
+/// sign-magnitude deltas into `deltas` (one per code), parallel over tiles
+/// through the shared [`unpack_tile`].
+///
+/// # Panics
+/// Panics when `words` is not whole tiles or holds fewer codes than
+/// `deltas`.
+pub(crate) fn deltas_from_words(words: &[u32], deltas: &mut [i32]) {
+    assert_eq!(words.len() % TILE_WORDS, 0, "stream not tile-aligned");
+    assert!(words.len() * 2 >= deltas.len(), "not enough words for {} codes", deltas.len());
+    deltas
+        .par_chunks_mut(TILE_CODES)
+        .zip(words.par_chunks_exact(TILE_WORDS))
+        .for_each(|(d, w)| unpack_tile(w.try_into().expect("a whole tile"), d));
+}
+
+/// Dequantize integrated values into the reconstructed field, parallel
+/// over index-space chunks.
 pub(crate) fn dequantize_field(q: &[i32], eb: f64) -> Vec<f32> {
     let ebx2 = 2.0 * eb;
-    q.par_iter().map(|&v| dequantize(v, ebx2)).collect()
+    let mut out = vec![0f32; q.len()];
+    out.par_chunks_mut(1 << 13).zip(q.par_chunks(1 << 13)).for_each(|(os, qs)| {
+        for (o, &v) in os.iter_mut().zip(qs) {
+            *o = dequantize(v, ebx2);
+        }
+    });
+    out
+}
+
+/// Flag words per tile: 256 blocks of [`BLOCK_WORDS`], 32 flags a word.
+const TILE_FLAG_WORDS: usize = TILE_WORDS / FLAG_GROUP_WORDS;
+
+/// Little-endian `u32` at word `i` of `bytes`.
+#[inline]
+fn le_word(bytes: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().expect("a 4-byte range"))
+}
+
+/// Decode one tile of a stream. `flags` holds the tile's
+/// [`TILE_FLAG_WORDS`] flag words and `payload` its present blocks in
+/// order, both as stream bytes: the blocks are gathered into a zeroed
+/// stack tile, which is un-shuffled and unpacked into `deltas`.
+fn decode_tile(flags: &[u8], payload: &[u8], deltas: &mut [i32]) {
+    let mut shuffled = [0u32; TILE_WORDS];
+    let mut src = 0usize;
+    for fw in 0..TILE_FLAG_WORDS {
+        let mut mask = le_word(flags, fw);
+        while mask != 0 {
+            let dst = (fw * 32 + mask.trailing_zeros() as usize) * BLOCK_WORDS;
+            mask &= mask - 1;
+            for (k, w) in shuffled[dst..dst + BLOCK_WORDS].iter_mut().enumerate() {
+                *w = le_word(payload, src + k);
+            }
+            src += BLOCK_WORDS;
+        }
+    }
+    let mut words = [0u32; TILE_WORDS];
+    unshuffle_tile(&shuffled, &mut words);
+    unpack_tile(&words, deltas);
 }
 
 impl FzNative {
@@ -349,32 +421,51 @@ impl FzNative {
     pub fn compress(&mut self, data: &[f32], shape: Shape, eb: ErrorBound) -> Compressed {
         let (nz, ny, nx) = shape;
         assert_eq!(data.len(), nz * ny * nx, "shape/data mismatch");
-        let eb_abs = eb.resolve(data);
+        let eb_abs = {
+            let _s = fzgpu_trace::span("native.resolve");
+            eb.resolve(data)
+        };
         let n = data.len();
 
         // Stage 1a: prequantize (parallel, element-wise).
-        reset(&mut self.q, n);
-        prequant_into(data, 1.0 / (2.0 * eb_abs), &mut self.q);
+        {
+            let _s = fzgpu_trace::span("native.prequant");
+            reset(&mut self.q, n);
+            prequant_into(data, 1.0 / (2.0 * eb_abs), &mut self.q);
+        }
 
         // Stage 1b: integer Lorenzo prediction + sign-magnitude codes.
-        reset(&mut self.codes, n);
-        lorenzo_codes_into(&self.q, shape, &mut self.codes);
+        {
+            let _s = fzgpu_trace::span("native.lorenzo");
+            reset(&mut self.codes, n);
+            lorenzo_codes_into(&self.q, shape, &mut self.codes);
+        }
 
         // Stage 1c: pack codes two per word, zero-padded to whole tiles.
         let nwords = padded_words(n);
-        reset(&mut self.words, nwords);
-        pack_into(&self.codes, &mut self.words);
+        {
+            let _s = fzgpu_trace::span("native.pack");
+            reset(&mut self.words, nwords);
+            pack_into(&self.codes, &mut self.words);
+        }
 
         // Stage 2: bitshuffle, parallel over tiles.
-        reset(&mut self.shuffled, nwords);
-        shuffle_tiles(&self.words, &mut self.shuffled);
+        {
+            let _s = fzgpu_trace::span("native.shuffle");
+            reset(&mut self.shuffled, nwords);
+            shuffle_tiles(&self.words, &mut self.shuffled);
+        }
 
         // Stage 3: zero-block flags + compaction in one pass.
         let num_blocks = nwords / BLOCK_WORDS;
-        reset(&mut self.bit_flags, num_blocks.div_ceil(32));
-        self.payload.clear();
-        zero_block_encode(&self.shuffled, &mut self.bit_flags, &mut self.payload);
+        {
+            let _s = fzgpu_trace::span("native.encode");
+            reset(&mut self.bit_flags, num_blocks.div_ceil(32));
+            self.payload.clear();
+            zero_block_encode(&self.shuffled, &mut self.bit_flags, &mut self.payload);
+        }
 
+        let _s = fzgpu_trace::span("native.assemble");
         let header = Header {
             version: VERSION,
             shape,
@@ -394,46 +485,53 @@ impl FzNative {
     /// Decompress from raw stream bytes (checksums verified first).
     /// Bit-identical output to the simulated decoder.
     pub fn decompress_bytes(&mut self, bytes: &[u8]) -> Result<Vec<f32>, FormatError> {
-        let header = verify(bytes)?;
-        let hb = header.header_bytes();
-        let nbf = header.bitflag_words();
-        let flag_bytes = &bytes[hb..hb + nbf * 4];
-        let payload_bytes = &bytes[hb + nbf * 4..hb + (nbf + header.payload_words) * 4];
+        let (header, flag_bytes, payload_bytes) = {
+            let _s = fzgpu_trace::span("native.verify");
+            let header = verify(bytes)?;
+            let hb = header.header_bytes();
+            let nbf = header.bitflag_words();
+            let flag_bytes = &bytes[hb..hb + nbf * 4];
+            let payload_bytes = &bytes[hb + nbf * 4..hb + (nbf + header.payload_words) * 4];
 
-        // The flag popcount must account for every payload block.
-        let present: usize = flag_bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()).count_ones() as usize)
-            .sum();
-        if present * BLOCK_WORDS != header.payload_words {
-            return Err(FormatError::Inconsistent("flag popcount vs payload length"));
-        }
-
-        // Scatter payload blocks to their slots (single cursor pass at
-        // near-memcpy speed); absent blocks stay zero.
-        reset(&mut self.shuffled, header.num_blocks * BLOCK_WORDS);
-        let mut src = 0usize;
-        for (fw, fword) in flag_bytes.chunks_exact(4).enumerate() {
-            let mut mask = u32::from_le_bytes(fword.try_into().unwrap());
-            while mask != 0 {
-                let b = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let dst = (fw * 32 + b) * BLOCK_WORDS;
-                for (k, w) in self.shuffled[dst..dst + BLOCK_WORDS].iter_mut().enumerate() {
-                    let o = src + k * 4;
-                    *w = u32::from_le_bytes(payload_bytes[o..o + 4].try_into().unwrap());
-                }
-                src += BLOCK_WORDS * 4;
+            // The flag popcount must account for every payload block; its
+            // running sum is each tile's first payload block.
+            self.tile_offsets.clear();
+            let mut present = 0usize;
+            for tile_flags in flag_bytes.chunks_exact(TILE_FLAG_WORDS * 4) {
+                self.tile_offsets.push(present);
+                present += (0..TILE_FLAG_WORDS)
+                    .map(|fw| le_word(tile_flags, fw).count_ones() as usize)
+                    .sum::<usize>();
             }
+            self.tile_offsets.push(present);
+            if present * BLOCK_WORDS != header.payload_words {
+                return Err(FormatError::Inconsistent("flag popcount vs payload length"));
+            }
+            (header, flag_bytes, payload_bytes)
+        };
+
+        // Each tile, once: gather its blocks, un-shuffle, unpack deltas.
+        {
+            let _s = fzgpu_trace::span("native.tiles");
+            // Every delta is written below, so stale values need no reset.
+            self.deltas.resize(header.n_values, 0);
+            let block_bytes = BLOCK_WORDS * 4;
+            self.deltas
+                .par_chunks_mut(TILE_CODES)
+                .zip(flag_bytes.par_chunks_exact(TILE_FLAG_WORDS * 4))
+                .zip(self.tile_offsets.windows(2).into_par_iter())
+                .for_each(|((deltas, flags), span)| {
+                    let payload = &payload_bytes[span[0] * block_bytes..span[1] * block_bytes];
+                    decode_tile(flags, payload, deltas);
+                });
         }
 
-        // Un-shuffle, then unpack + decode deltas, invert Lorenzo via the
-        // shared integrate cascade and dequantize.
-        reset(&mut self.words, self.shuffled.len());
-        unshuffle_tiles(&self.shuffled, &mut self.words);
-        reset(&mut self.deltas, header.n_values);
-        deltas_from_words(&self.words, &mut self.deltas);
-        integrate(&mut self.deltas, header.shape);
+        // Invert Lorenzo via the shared integrate cascade and dequantize.
+        {
+            let _s = fzgpu_trace::span("native.integrate");
+            integrate(&mut self.deltas, header.shape);
+        }
+        let _s = fzgpu_trace::span("native.dequantize");
         Ok(dequantize_field(&self.deltas, header.eb))
     }
 }

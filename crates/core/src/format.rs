@@ -52,18 +52,22 @@ pub enum ChecksumSection {
     Directory,
     /// Chunk `i` of an archive (its stored CRC vs its bytes).
     Chunk(usize),
+    /// Shard `i` of a v3 archive (its top-directory CRC vs its bytes).
+    Shard(usize),
 }
 
 impl ChecksumSection {
-    /// The section's kind as a low-cardinality metric label: chunk indices
-    /// collapse to `"chunk"` so the `fzgpu_core_crc_failures_total` label set
-    /// stays bounded regardless of archive size.
+    /// The section's kind as a low-cardinality metric label: chunk and
+    /// shard indices collapse to `"chunk"` and `"shard"` so the
+    /// `fzgpu_core_crc_failures_total` label set stays bounded regardless
+    /// of archive size.
     pub fn kind(&self) -> &'static str {
         match self {
             ChecksumSection::Header => "header",
             ChecksumSection::Payload => "payload",
             ChecksumSection::Directory => "directory",
             ChecksumSection::Chunk(_) => "chunk",
+            ChecksumSection::Shard(_) => "shard",
         }
     }
 }
@@ -75,6 +79,7 @@ impl core::fmt::Display for ChecksumSection {
             ChecksumSection::Payload => write!(f, "payload"),
             ChecksumSection::Directory => write!(f, "directory"),
             ChecksumSection::Chunk(i) => write!(f, "chunk {i}"),
+            ChecksumSection::Shard(i) => write!(f, "shard {i}"),
         }
     }
 }

@@ -169,6 +169,7 @@ pub fn bit_unshuffle(gpu: &mut Gpu, shuffled: &GpuBuffer<u32>) -> GpuBuffer<u32>
 }
 
 /// Step 5: unpack words to u16 codes and decode sign-magnitude deltas.
+/// `words` is the tile-aligned stream [`bit_unshuffle`] returns.
 pub fn codes_to_deltas(gpu: &mut Gpu, words: &GpuBuffer<u32>, n_codes: usize) -> GpuBuffer<i32> {
     let out: GpuBuffer<i32> = gpu.alloc(n_codes);
     let blocks = n_codes.div_ceil(256) as u32;

@@ -1,7 +1,7 @@
 //! Archive container bytes and CRC accounting: the v2 and v3 writers are
 //! pinned byte for byte, and a failed CRC on any of the three chunk tables
-//! (v2 directory, v3 top directory, v3 shard index) is counted on
-//! `fzgpu_core_crc_failures_total`. The counter is process-global, so
+//! (v2 directory, v3 top directory, v3 shard index) or on a v3 shard is
+//! counted on `fzgpu_core_crc_failures_total`. The counter is process-global, so
 //! these tests live in a binary of their own where nothing else corrupts
 //! a table.
 
@@ -88,4 +88,27 @@ fn every_chunk_table_counts_its_crc_failures() {
     reseal(&mut index, dir_end..dir_end + shard0_len, 24 + 16);
     reseal(&mut index, 0..24 + nshards * 20, 24 + nshards * 20);
     expect_one_failure(&index, "v3 shard index");
+}
+
+#[test]
+fn a_failed_shard_crc_counts_as_the_shard_and_costs_one_chunk() {
+    // One flipped byte in the last chunk's body: the v3 shard CRC fails
+    // and is counted under `section="shard"`, the shard's own index still
+    // places every chunk, and the chunk's CRC condemns it alone.
+    let a = archive();
+    let mut v3 = a.to_bytes_sharded(4);
+    let last = v3.len() - 1;
+    v3[last] ^= 0x80;
+    let shard = || counter_value("fzgpu_core_crc_failures_total", &[("section", "shard")]);
+    let before = shard();
+    let parsed = Archive::from_bytes(&v3).expect("the shard's index is intact");
+    assert_eq!(shard() - before, 1, "shard CRC failure not counted as a shard");
+    assert_eq!(parsed.chunks.len(), 10);
+    let report = parsed.scrub();
+    assert_eq!(report.corrupt_count(), 1);
+    assert!(!report.chunks[9].is_usable() && report.chunks[..9].iter().all(|h| h.is_usable()));
+    assert_eq!(
+        FormatError::ChecksumMismatch { section: ChecksumSection::Shard(2) }.to_string(),
+        "checksum mismatch in shard 2"
+    );
 }

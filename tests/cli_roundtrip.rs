@@ -134,3 +134,67 @@ fn archive_roundtrips_in_both_layouts() {
     assert!(extracted[0] == extracted[1], "v2 and v3 extracts differ");
     let _ = std::fs::remove_file(raw);
 }
+
+#[test]
+fn one_corrupt_chunk_costs_only_itself_in_both_layouts() {
+    // One flipped payload byte of chunk 7 in an 11-chunk archive: the v2
+    // directory and the v3 shard index (3 chunks a shard, so chunk 7 sits
+    // in shard 2) both place every chunk, the chunk's own CRC condemns it
+    // alone, and no message names the shard as a chunk.
+    use fz_gpu::core::{Archive, ChunkEntry, ShardDirectory};
+    let raw = tmp("corrupt_in.f32");
+    let data: Vec<f32> = (0..16_384).map(|i| (i as f32 * 0.003).sin() * 4.0).collect();
+    write_f32_file(&raw, &data).unwrap();
+    let fzgpu = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_fzgpu"))
+            .args(args)
+            .output()
+            .expect("run fzgpu binary");
+        let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+        (out.status.success(), text(&out.stdout), text(&out.stderr))
+    };
+    let mut extracted = Vec::new();
+    for (name, extra) in [("v2", &[][..]), ("v3", &["--shard-chunks", "3"][..])] {
+        let archive = tmp(&format!("corrupt_{name}.fzar"));
+        let restored = tmp(&format!("corrupt_{name}.f32"));
+        let (input, path) = (raw.to_str().unwrap(), archive.to_str().unwrap());
+        let args = [&["archive", input, path, "--chunk-values", "1500", "--eb", "1e-3"][..], extra];
+        let (ok, stdout, stderr) = fzgpu(&args.concat());
+        assert!(ok && stdout.contains("11 chunks"), "{stdout}{stderr}");
+
+        let mut bytes = std::fs::read(&archive).unwrap();
+        let chunk7 = if name == "v2" {
+            let a = Archive::from_bytes(&bytes).unwrap();
+            let stored: usize = a.chunks.iter().map(Vec::len).sum();
+            bytes.len() - stored + a.chunks[..7].iter().map(Vec::len).sum::<usize>()
+        } else {
+            let shard = ShardDirectory::parse_directory(&bytes).unwrap().shards[2];
+            assert_eq!(shard.first_chunk, 6);
+            let index = ChunkEntry::parse_index(&bytes[shard.offset..]).unwrap();
+            shard.offset + index[1].offset
+        };
+        let header = Header::from_bytes(&bytes[chunk7..]).unwrap();
+        assert!(header.payload_words > 0);
+        bytes[chunk7 + header.header_bytes() + header.bitflag_words() * 4] ^= 0x20;
+        std::fs::write(&archive, &bytes).unwrap();
+
+        let (ok, stdout, stderr) = fzgpu(&["verify", path]);
+        assert!(!ok, "{name}: verify must fail");
+        assert_eq!(stdout.matches(" ok\n").count(), 10, "{name}: {stdout}");
+        assert!(stdout.contains("CORRUPT: checksum mismatch in chunk 7"), "{name}: {stdout}");
+        assert!(stderr.contains("1 of 11 chunks corrupt"), "{name}: {stderr}");
+        assert!(!stdout.contains("chunk 2") && !stderr.contains("chunk 2"), "{name}");
+
+        let (ok, stdout, stderr) =
+            fzgpu(&["extract", path, restored.to_str().unwrap(), "--degraded"]);
+        assert!(ok, "{name}: {stderr}");
+        assert!(stdout.contains("1500 filled from 1 corrupt chunk(s)"), "{name}: {stdout}");
+        extracted.push(std::fs::read(&restored).unwrap());
+        for p in [archive, restored] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+    assert_eq!(extracted[0].len(), data.len() * 4);
+    assert!(extracted[0] == extracted[1], "v2 and v3 degraded extracts differ");
+    let _ = std::fs::remove_file(raw);
+}

@@ -342,3 +342,108 @@ fn scratch_reuse_is_clean_across_shapes() {
         assert!(out_n.iter().zip(&out_s).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 }
+
+// --- The per-tile decoder -------------------------------------------------
+//
+// Native decode streams each 1024-word (2048-code) tile once: it gathers
+// the tile's present blocks, un-shuffles them and unpacks the codes. These
+// tests aim at the tile seams: lengths around one tile, empty and full
+// payloads, rows that straddle tiles, and corrupt flag sections.
+
+/// 1-D lengths at and around the 2048-code tile boundary.
+#[test]
+fn tile_decoder_handles_lengths_around_a_tile() {
+    for n in [1usize, 2, 2047, 2048, 2049, 3 * 2048 + 1] {
+        for dist in [0usize, 1, 6] {
+            let (data, _) = gen_field(n, dist, 0x5eed ^ n as u64);
+            assert_conformant(&data, (1, 1, n), ErrorBound::Abs(1e-3));
+        }
+    }
+}
+
+/// An all-zero field has an empty payload; saturating noise over whole
+/// tiles marks every block present.
+#[test]
+fn tile_decoder_handles_empty_and_full_payloads() {
+    let zeros = vec![0.0f32; 3 * 2048];
+    let c = with_path(PipelinePath::Native).compress(
+        &zeros,
+        (1, 1, zeros.len()),
+        ErrorBound::Abs(1e-3),
+    );
+    assert_eq!(c.header.payload_words, 0, "an all-zero field has no payload");
+    assert_conformant(&zeros, (1, 1, zeros.len()), ErrorBound::Abs(1e-3));
+
+    let mut rng = xorshift(0xf11);
+    let noise: Vec<f32> = (0..2 * 2048).map(|_| (rng() % 2_000_001) as f32 - 1_000_000.0).collect();
+    let shape = (1, 1, noise.len());
+    let c = with_path(PipelinePath::Native).compress(&noise, shape, ErrorBound::Abs(1e-3));
+    assert_eq!(c.header.payload_words, c.header.num_blocks * 4, "every block is present");
+    assert_conformant(&noise, shape, ErrorBound::Abs(1e-3));
+}
+
+/// 2-D and 3-D shapes whose rows and planes straddle tile boundaries.
+#[test]
+fn tile_decoder_handles_rows_straddling_tiles() {
+    for shape in [(1usize, 3usize, 2047usize), (1, 5, 3000), (2, 3, 1500), (3, 7, 700), (4, 33, 65)]
+    {
+        let n = shape.0 * shape.1 * shape.2;
+        for dist in [0usize, 4, 6] {
+            let (data, _) = gen_field(n, dist, 0xab ^ n as u64);
+            assert_conformant(&data, shape, ErrorBound::Abs(1e-3));
+        }
+    }
+}
+
+/// Decode `bytes` on the Both path, which asserts that the simulated and
+/// native decoders return the same field or the same error.
+fn decode_both(bytes: &[u8]) -> Result<Vec<f32>, format::FormatError> {
+    with_path(PipelinePath::Both).decompress_bytes(bytes)
+}
+
+/// Corrupt flag sections and truncations fail with the same typed error
+/// on both decoders, on checksummed (v2) and checksum-free (v1) streams.
+#[test]
+fn tile_decoder_rejects_corrupt_streams_like_the_simulated_path() {
+    use format::{FormatError, VERSION_V1};
+    let (data, _) = gen_field(5 * 2048 + 7, 0, 77);
+    let shape = (1, 1, data.len());
+    let good = with_path(PipelinePath::Native).compress(&data, shape, ErrorBound::Abs(1e-3));
+    let (header, flags, payload) = format::disassemble(&good.bytes).unwrap();
+    let popcount = FormatError::Inconsistent("flag popcount vs payload length");
+
+    for version in [format::VERSION, VERSION_V1] {
+        let h = format::Header { version, ..header };
+        let stream = |flags: &[u32]| format::assemble(&h, flags, &payload);
+        assert!(decode_both(&stream(&flags)).is_ok(), "v{version}: clean stream");
+
+        // One extra or one missing present block, in each tile.
+        for tile in 0..flags.len() / 8 {
+            for (word, bit) in [(tile * 8, 0u32), (tile * 8 + 5, 17)] {
+                let mut f = flags.clone();
+                f[word] ^= 1 << bit;
+                assert_eq!(decode_both(&stream(&f)), Err(popcount.clone()), "v{version}");
+            }
+        }
+        // A block moved within its flag word keeps the popcount: the
+        // field decodes, differently, and identically on both paths.
+        let mut f = flags.clone();
+        let w = f.iter().position(|&w| w != 0 && w != u32::MAX).expect("a mixed flag word");
+        f[w] ^= 1 << f[w].trailing_zeros() | 1 << (!f[w]).trailing_zeros();
+        let moved = decode_both(&stream(&f)).expect("moved block decodes");
+        assert_ne!(moved, decode_both(&stream(&flags)).unwrap(), "v{version}: moved block");
+        // Truncations anywhere: in the header, the flags, the payload.
+        let full = stream(&flags);
+        for cut in [0, 10, 63, 64, 79, 80, 81, 80 + flags.len() * 4, full.len() - 1] {
+            let err = decode_both(&full[..cut.min(full.len() - 1)]).unwrap_err();
+            assert!(matches!(err, FormatError::Truncated), "v{version} cut at {cut}: {err:?}");
+        }
+    }
+    // With checksums, a flipped flag word is caught before any decoding.
+    let mut bytes = good.bytes.clone();
+    bytes[80 + 4 * 9] ^= 0x08;
+    assert_eq!(
+        decode_both(&bytes),
+        Err(FormatError::ChecksumMismatch { section: format::ChecksumSection::Payload })
+    );
+}

@@ -130,3 +130,29 @@ fn sz_omp_baseline_is_thread_count_invariant() {
         (bytes, reconstructed)
     });
 }
+
+#[test]
+fn native_tile_decode_is_thread_count_invariant() {
+    // The native decoder splits tiles over the pool by tile index (a
+    // region fans out from 64 tiles up). The fields cover a part tile,
+    // rows straddling tiles, and runs of empty tiles between dense ones,
+    // so tile payload offsets differ per tile.
+    const TILE: usize = 2048;
+    let wave = |i: usize| (i as f32 * 0.013).sin() * 40.0;
+    let sparse: Vec<f32> =
+        (0..70 * TILE + 3).map(|i| if i / TILE % 3 == 1 { wave(i) } else { 0.0 }).collect();
+    let line: Vec<f32> = (0..65 * TILE + 1).map(wave).collect();
+    let planes: Vec<f32> = (0..3 * 50 * 1500).map(wave).collect();
+    for (data, shape) in
+        [(sparse, (1, 1, 70 * TILE + 3)), (line, (1, 1, 65 * TILE + 1)), (planes, (3, 50, 1500))]
+    {
+        let stream = reference::compress(&data, shape, ErrorBound::Abs(1e-3)).bytes;
+        let bits = invariant(|| {
+            let opts = FzOptions { path: PipelinePath::Native, ..FzOptions::default() };
+            let back = FzGpu::with_options(A100, opts).decompress_bytes(&stream).unwrap();
+            back.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+        });
+        let oracle = reference::decompress(&stream).unwrap();
+        assert!(bits.iter().zip(&oracle).all(|(&b, o)| b == o.to_bits()), "shape {shape:?}");
+    }
+}

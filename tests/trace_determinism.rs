@@ -9,7 +9,7 @@
 
 mod serve_table;
 
-use fz_gpu::core::{crc32, ErrorBound, FaultPlan, FzGpu};
+use fz_gpu::core::{crc32, ErrorBound, FaultPlan, FzGpu, FzOptions, PipelinePath};
 use fz_gpu::serve::Service;
 use fz_gpu::sim::device::A100;
 use fz_gpu::trace;
@@ -72,6 +72,53 @@ fn canonical_span_tree_is_thread_count_invariant() {
     assert!(tree.contains("  stage.encode"));
     assert!(tree.contains("gpu.launch"));
     assert!(tree.contains("gpu.upload"));
+}
+
+/// One native round trip: the stream, the decoded bits, and the Det
+/// metric exposition it leaves in a reset registry.
+fn native_round_trip(data: &[f32], shape: (usize, usize, usize)) -> (Vec<u8>, Vec<u32>, String) {
+    trace::metrics::reset();
+    let opts = FzOptions { path: PipelinePath::Native, ..FzOptions::default() };
+    let mut fz = FzGpu::with_options(A100, opts);
+    let c = fz.compress(data, shape, ErrorBound::RelToRange(1e-3));
+    let back = fz.decompress(&c).unwrap().iter().map(|v| v.to_bits()).collect();
+    (c.bytes, back, trace::metrics::exposition(false))
+}
+
+#[test]
+fn native_stage_spans_are_inert() {
+    let _guard = serialized();
+    let data = field();
+    let off = native_round_trip(&data, SHAPE);
+    trace::begin_capture();
+    let on = native_round_trip(&data, SHAPE);
+    let tree = trace::end_capture().canonical();
+    assert!(tree.contains("  native.tiles"), "capture recorded the stages:\n{tree}");
+    assert_eq!(off.0, on.0, "stream bytes moved with capture on");
+    assert_eq!(off.1, on.1, "decoded bits moved with capture on");
+    assert_eq!(off.2, on.2, "Det metrics moved with capture on");
+}
+
+#[test]
+fn native_stage_tree_is_thread_count_invariant() {
+    // 70 tiles: the per-tile passes (shuffle, and decode's tiles) fan out
+    // to the pool, which merges worker spans in chunk order.
+    let data: Vec<f32> = (0..70 * 2048).map(|i| (i as f32 * 0.011).sin() * 7.0).collect();
+    let (tree, bytes) = invariant(|| {
+        trace::begin_capture();
+        let (bytes, _, _) = native_round_trip(&data, (1, 1, data.len()));
+        (trace::end_capture().canonical(), bytes.len())
+    });
+    // One span per stage per call, nested under the call's root: never
+    // one per tile or per pool chunk.
+    let expect = format!(
+        "fz.compress values={} path=native\n  native.resolve\n  native.prequant\n  \
+         native.lorenzo\n  native.pack\n  native.shuffle\n  native.encode\n  \
+         native.assemble\nfz.decompress bytes={bytes} path=native\n  native.verify\n  \
+         native.tiles\n  native.integrate\n  native.dequantize\n",
+        data.len()
+    );
+    assert_eq!(tree, expect);
 }
 
 #[test]
