@@ -178,8 +178,8 @@ impl CuSz {
                 });
             });
         });
-        let offsets: GpuBuffer<u32> = self.gpu.alloc(n);
-        let total = exclusive_sum(&mut self.gpu, &flags, &offsets, n) as usize;
+        let mut offsets: GpuBuffer<u32> = self.gpu.alloc(n);
+        let total = exclusive_sum(&mut self.gpu, &flags, &mut offsets, n) as usize;
         let idx_out: GpuBuffer<u32> = self.gpu.alloc(total.max(1));
         let val_out: GpuBuffer<i32> = self.gpu.alloc(total.max(1));
         self.gpu.launch("cusz.gather_outliers", blocks, 256u32, |blk| {

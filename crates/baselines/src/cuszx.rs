@@ -186,8 +186,8 @@ impl CuSzx {
 
         // Offsets for the variable-size payload (device scan, as in the
         // real implementation).
-        let d_offsets: GpuBuffer<u32> = self.gpu.alloc(nblocks);
-        let total_words = exclusive_sum(&mut self.gpu, &d_words, &d_offsets, nblocks) as usize;
+        let mut d_offsets: GpuBuffer<u32> = self.gpu.alloc(nblocks);
+        let total_words = exclusive_sum(&mut self.gpu, &d_words, &mut d_offsets, nblocks) as usize;
 
         // Kernel 2: pack non-constant blocks at their offsets, one warp per
         // block: coalesced value loads, cooperative fixed-width packing.

@@ -95,8 +95,8 @@ fn bench_scan_and_compact(c: &mut Criterion) {
     g.bench_function("device_scan", |b| {
         let mut gpu = Gpu::new(A100);
         let wide = genc::widen_flags(&mut gpu, &flags);
-        let out: GpuBuffer<u32> = gpu.alloc(wide.len());
-        b.iter(|| black_box(exclusive_sum(&mut gpu, &wide, &out, wide.len())));
+        let mut out: GpuBuffer<u32> = gpu.alloc(wide.len());
+        b.iter(|| black_box(exclusive_sum(&mut gpu, &wide, &mut out, wide.len())));
     });
     g.bench_function("compact", |b| {
         let mut gpu = Gpu::new(A100);
@@ -126,8 +126,8 @@ fn bench_decode_kernels(c: &mut Criterion) {
         let mut gpu = Gpu::new(A100);
         let deltas: Vec<i32> = (0..N as i32).map(|i| i % 5 - 2).collect();
         b.iter(|| {
-            let d = GpuBuffer::from_host(&deltas);
-            black_box(gdec::inverse_lorenzo(&mut gpu, &d, SHAPE, 1e-3))
+            let mut d = GpuBuffer::from_host(&deltas);
+            black_box(gdec::inverse_lorenzo(&mut gpu, &mut d, SHAPE, 1e-3))
         });
     });
     g.finish();

@@ -361,17 +361,15 @@ pub(crate) fn deltas_from_words(words: &[u32], deltas: &mut [i32]) {
         .for_each(|(d, w)| unpack_tile(w.try_into().expect("a whole tile"), d));
 }
 
-/// Dequantize integrated values into the reconstructed field, parallel
-/// over index-space chunks.
-pub(crate) fn dequantize_field(q: &[i32], eb: f64) -> Vec<f32> {
+/// Dequantize integrated values into the reconstructed field `out` (one
+/// value per element of `q`), parallel over index-space chunks.
+pub(crate) fn dequantize_field(q: &[i32], eb: f64, out: &mut [f32]) {
     let ebx2 = 2.0 * eb;
-    let mut out = vec![0f32; q.len()];
     out.par_chunks_mut(1 << 13).zip(q.par_chunks(1 << 13)).for_each(|(os, qs)| {
         for (o, &v) in os.iter_mut().zip(qs) {
             *o = dequantize(v, ebx2);
         }
     });
-    out
 }
 
 /// Flag words per tile: 256 blocks of [`BLOCK_WORDS`], 32 flags a word.
@@ -532,7 +530,9 @@ impl FzNative {
             integrate(&mut self.deltas, header.shape);
         }
         let _s = fzgpu_trace::span("native.dequantize");
-        Ok(dequantize_field(&self.deltas, header.eb))
+        let mut field = vec![0f32; header.n_values];
+        dequantize_field(&self.deltas, header.eb, &mut field);
+        Ok(field)
     }
 }
 

@@ -49,9 +49,9 @@ pub fn bitshuffle_mark(
     assert_eq!(words.len() % TILE_WORDS, 0, "stream not tile-aligned");
     let ntiles = words.len() / TILE_WORDS;
     let nflags = ntiles * FLAGS_PER_TILE;
-    let shuffled: GpuBuffer<u32> = gpu.alloc(words.len());
-    let byte_flags: GpuBuffer<u8> = gpu.alloc(nflags);
-    let bit_flags: GpuBuffer<u32> = gpu.alloc(nflags.div_ceil(32));
+    let mut shuffled: GpuBuffer<u32> = gpu.alloc(words.len());
+    let mut byte_flags: GpuBuffer<u8> = gpu.alloc(nflags);
+    let mut bit_flags: GpuBuffer<u32> = gpu.alloc(nflags.div_ceil(32));
 
     match variant {
         ShuffleVariant::Fused => fused_kernel(
@@ -78,38 +78,28 @@ pub fn bitshuffle_mark(
         }
     }
     if gpu.effective_engine() == Engine::Analytic {
-        analytic_fill(words, &shuffled, &byte_flags, &bit_flags);
+        host_shuffle_mark(
+            &words.to_vec(),
+            shuffled.host_mut(),
+            byte_flags.host_mut(),
+            bit_flags.host_mut(),
+        );
     }
     (shuffled, byte_flags, bit_flags)
 }
 
-/// Analytic-engine output fill: transpose tiles with the native path's
+/// Host shuffle + zero-block mark over a tile-aligned word stream into
+/// `(sh, bf, bits)`: tiles transpose through the native path's
 /// [`shuffle_tiles`] (pinned equal to the GPU kernels by this module's
-/// oracle tests) and derive the flags with its 64-bit zero scan.
-fn analytic_fill(
-    words: &GpuBuffer<u32>,
-    shuffled: &GpuBuffer<u32>,
-    byte_flags: &GpuBuffer<u8>,
-    bit_flags: &GpuBuffer<u32>,
-) {
-    let (sh, bf, bits) = host_shuffle_mark(&words.to_vec());
-    shuffled.host_fill_from(&sh);
-    byte_flags.host_fill_from(&bf);
-    bit_flags.host_fill_from(&bits);
-}
-
-/// Host shuffle + zero-block mark over a tile-aligned word stream:
-/// `(shuffled, byte_flags, bit_flags)`. Shared by this module's analytic
-/// fill and the fused 1D kernel's (`crate::gpu::fused`).
-pub(crate) fn host_shuffle_mark(input: &[u32]) -> (Vec<u32>, Vec<u8>, Vec<u32>) {
-    let mut sh = vec![0u32; input.len()];
-    shuffle_tiles(input, &mut sh);
-    let mut bits = vec![0u32; input.len() / FLAG_GROUP_WORDS];
+/// oracle tests) and flags come from its 64-bit zero scan. The analytic
+/// fill of this module's kernels and of the fused 1D kernel
+/// (`crate::gpu::fused`).
+pub(crate) fn host_shuffle_mark(input: &[u32], sh: &mut [u32], bf: &mut [u8], bits: &mut [u32]) {
+    shuffle_tiles(input, sh);
     bits.par_iter_mut()
         .zip(sh.par_chunks_exact(FLAG_GROUP_WORDS))
         .for_each(|(mask, group)| *mask = group_flags(group));
-    let bf = flag_bytes(&bits, input.len() / BLOCK_WORDS);
-    (sh, bf, bits)
+    flag_bytes(bits, bf);
 }
 
 /// The fused kernel. `stride` = 33 (padded, conflict-free) or 32 (ablation).

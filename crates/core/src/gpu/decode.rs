@@ -32,16 +32,18 @@ use crate::pack::TILE_WORDS;
 use crate::quant::code_to_delta;
 use crate::zeroblock::BLOCK_WORDS;
 
-/// One byte flag per block from the packed bit flags: flag `b` is bit
-/// `b % 32` of word `b / 32`. The analytic fill of [`expand_flags`] and of
-/// the bitshuffle-mark kernels.
-pub(crate) fn flag_bytes(bit_flags: &[u32], nflags: usize) -> Vec<u8> {
-    (0..nflags).map(|b| (bit_flags[b / 32] >> (b % 32) & 1) as u8).collect()
+/// One byte flag per block from the packed bit flags into `out`: flag `b`
+/// is bit `b % 32` of word `b / 32`. The analytic fill of
+/// [`expand_flags`] and of the bitshuffle-mark kernels.
+pub(crate) fn flag_bytes(bit_flags: &[u32], out: &mut [u8]) {
+    for (b, f) in out.iter_mut().enumerate() {
+        *f = (bit_flags[b / 32] >> (b % 32) & 1) as u8;
+    }
 }
 
 /// Step 1: byte flag `b` = bit `b%32` of bit-flag word `b/32`.
 pub fn expand_flags(gpu: &mut Gpu, bit_flags: &GpuBuffer<u32>, nflags: usize) -> GpuBuffer<u8> {
-    let out: GpuBuffer<u8> = gpu.alloc(nflags);
+    let mut out: GpuBuffer<u8> = gpu.alloc(nflags);
     let blocks = nflags.div_ceil(256) as u32;
     let analytic = gpu.effective_engine() == Engine::Analytic;
     // Two classes: only the last block can be ragged; the broadcast word
@@ -62,7 +64,7 @@ pub fn expand_flags(gpu: &mut Gpu, bit_flags: &GpuBuffer<u32>, nflags: usize) ->
         });
     });
     if analytic {
-        out.host_fill_from(&flag_bytes(&bit_flags.to_vec(), nflags));
+        flag_bytes(&bit_flags.to_vec(), out.host_mut());
     }
     out
 }
@@ -75,17 +77,17 @@ pub fn scatter(
     offsets: &GpuBuffer<u32>,
 ) -> GpuBuffer<u32> {
     let nflags = byte_flags.len();
-    let shuffled: GpuBuffer<u32> = gpu.alloc(nflags * BLOCK_WORDS);
+    let mut shuffled: GpuBuffer<u32> = gpu.alloc(nflags * BLOCK_WORDS);
     let blocks = nflags.div_ceil(256) as u32;
     if gpu.effective_engine() == Engine::Analytic {
         // Mirror image of `encode.compact`: the same per-warp operation
         // sequence with load/store swapped, and the accounting charges
         // loads and stores identically — so the closed form is shared
-        // (see [`compaction_stats`]).
+        // (see [`compaction_stats`]). Zero blocks stay as allocated.
         let flags = byte_flags.to_vec();
         let offs = offsets.to_vec();
         let pay = payload.to_vec();
-        let mut out = vec![0u32; nflags * BLOCK_WORDS];
+        let out = shuffled.host_mut();
         for (b, &f) in flags.iter().enumerate() {
             if f != 0 {
                 let src = offs[b] as usize * BLOCK_WORDS;
@@ -93,7 +95,6 @@ pub fn scatter(
                     .copy_from_slice(&pay[src..src + BLOCK_WORDS]);
             }
         }
-        shuffled.host_fill_from(&out);
         let stats = compaction_stats(&flags, &offs, blocks as usize);
         gpu.launch_analytic("decode.scatter", blocks, 256u32, stats);
         return shuffled;
@@ -125,7 +126,7 @@ pub fn scatter(
 pub fn bit_unshuffle(gpu: &mut Gpu, shuffled: &GpuBuffer<u32>) -> GpuBuffer<u32> {
     assert_eq!(shuffled.len() % TILE_WORDS, 0);
     let ntiles = (shuffled.len() / TILE_WORDS) as u32;
-    let out: GpuBuffer<u32> = gpu.alloc(shuffled.len());
+    let mut out: GpuBuffer<u32> = gpu.alloc(shuffled.len());
     let analytic = gpu.effective_engine() == Engine::Analytic;
     // Single class: every access is index-only and tile-aligned (same
     // argument as the forward shuffle kernels).
@@ -161,9 +162,7 @@ pub fn bit_unshuffle(gpu: &mut Gpu, shuffled: &GpuBuffer<u32>) -> GpuBuffer<u32>
         },
     );
     if analytic {
-        let mut words = vec![0u32; shuffled.len()];
-        unshuffle_tiles(&shuffled.to_vec(), &mut words);
-        out.host_fill_from(&words);
+        unshuffle_tiles(&shuffled.to_vec(), out.host_mut());
     }
     out
 }
@@ -171,7 +170,7 @@ pub fn bit_unshuffle(gpu: &mut Gpu, shuffled: &GpuBuffer<u32>) -> GpuBuffer<u32>
 /// Step 5: unpack words to u16 codes and decode sign-magnitude deltas.
 /// `words` is the tile-aligned stream [`bit_unshuffle`] returns.
 pub fn codes_to_deltas(gpu: &mut Gpu, words: &GpuBuffer<u32>, n_codes: usize) -> GpuBuffer<i32> {
-    let out: GpuBuffer<i32> = gpu.alloc(n_codes);
+    let mut out: GpuBuffer<i32> = gpu.alloc(n_codes);
     let blocks = n_codes.div_ceil(256) as u32;
     let analytic = gpu.effective_engine() == Engine::Analytic;
     // Two classes: only the last block can be ragged (base = b*256 keeps
@@ -194,9 +193,7 @@ pub fn codes_to_deltas(gpu: &mut Gpu, words: &GpuBuffer<u32>, n_codes: usize) ->
         });
     });
     if analytic {
-        let mut deltas = vec![0i32; n_codes];
-        deltas_from_words(&words.to_vec(), &mut deltas);
-        out.host_fill_from(&deltas);
+        deltas_from_words(&words.to_vec(), out.host_mut());
     }
     out
 }
@@ -310,19 +307,20 @@ fn scan_run(w: &mut WarpCtx<'_>, q: &GpuBuffer<i32>, base: usize, len: usize) ->
 /// each row one warp; when that cannot fill the device, rows split into
 /// segments (one warp each) whose totals are integrated recursively and
 /// carried back into every later segment.
-pub fn integrate_x(gpu: &mut Gpu, q: &GpuBuffer<i32>, shape: Shape) {
+pub fn integrate_x(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape) {
     let segments = row_plan(gpu.spec(), shape.0 * shape.1, shape.2).1;
     row_walk(gpu, q, shape, segments);
 }
 
 /// The row walk with the given split (`None`: one warp per row).
-fn row_walk(gpu: &mut Gpu, q: &GpuBuffer<i32>, shape: Shape, segments: Option<Segments>) {
+fn row_walk(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape, segments: Option<Segments>) {
     let (nz, ny, nx) = shape;
     let rows = nz * ny;
     // In-place kernels: snapshot the input before the first representative
     // block mutates its rows, so the host fills read the original deltas.
     let analytic = gpu.effective_engine() == Engine::Analytic;
     let snapshot = analytic.then(|| q.to_vec());
+    let walked = &*q;
     match segments {
         None => {
             // Two classes: only the last block can hold inactive rows or
@@ -336,13 +334,13 @@ fn row_walk(gpu: &mut Gpu, q: &GpuBuffer<i32>, shape: Shape, segments: Option<Se
                 blk.warps(|w| {
                     let row = row0 + w.warp_id;
                     if row < rows {
-                        scan_run(w, q, row * nx, nx);
+                        scan_run(w, walked, row * nx, nx);
                     }
                 });
             });
         }
         Some(Segments { len, count }) => {
-            let totals: GpuBuffer<i32> = gpu.alloc(rows * count);
+            let mut totals: GpuBuffer<i32> = gpu.alloc(rows * count);
             // Block (bx, row) of a grid with `bpr` blocks per row holds 8
             // of the row's segments. Two classes per row residue: only a
             // row's last block holds the short segment and idle warps, and
@@ -364,19 +362,19 @@ fn row_walk(gpu: &mut Gpu, q: &GpuBuffer<i32>, shape: Shape, segments: Option<Se
                     let seg = seg0 + w.warp_id;
                     if seg < count {
                         let start = seg * len;
-                        let total = scan_run(w, q, row * nx + start, len.min(nx - start));
+                        let total = scan_run(w, walked, row * nx + start, len.min(nx - start));
                         let at = row * count + seg;
                         w.store(&totals, |l| (l.id == 0).then_some((at, total as i32)));
                     }
                 });
             });
             if let Some(vals) = &snapshot {
-                let total = |seg: &[i32]| seg.iter().fold(0i32, |acc, &v| acc.wrapping_add(v));
-                let sums: Vec<i32> =
-                    vals.chunks(nx).flat_map(|row| row.chunks(len).map(total)).collect();
-                totals.host_fill_from(&sums);
+                let segs = vals.chunks(nx).flat_map(|row| row.chunks(len));
+                for (t, seg) in totals.host_mut().iter_mut().zip(segs) {
+                    *t = seg.iter().fold(0i32, |acc, &v| acc.wrapping_add(v));
+                }
             }
-            integrate_x(gpu, &totals, (1, rows, count));
+            integrate_x(gpu, &mut totals, (1, rows, count));
             // Warps for segments 1..count: a broadcast load of the previous
             // segment's inclusive total, then one add per value.
             let bpr = (count - 1).div_ceil(8);
@@ -400,8 +398,8 @@ fn row_walk(gpu: &mut Gpu, q: &GpuBuffer<i32>, shape: Shape, segments: Option<Se
                         let carry = w.load(&totals, |_| Some(row * count + seg - 1));
                         let mut x = 0usize;
                         while x < n {
-                            let v = w.load(q, |l| (x + l.id < n).then(|| base + x + l.id));
-                            w.store(q, |l| {
+                            let v = w.load(walked, |l| (x + l.id < n).then(|| base + x + l.id));
+                            w.store(walked, |l| {
                                 (x + l.id < n)
                                     .then(|| (base + x + l.id, v[l.id].wrapping_add(carry[l.id])))
                             });
@@ -418,25 +416,25 @@ fn row_walk(gpu: &mut Gpu, q: &GpuBuffer<i32>, shape: Shape, segments: Option<Se
         // so the sequential sum equals the warp scans, carries and segment
         // totals.
         lorenzo::integrate_x(&mut vals, shape);
-        q.host_fill_from(&vals);
+        q.host_mut().copy_from_slice(&vals);
     }
 }
 
 /// Step 6b: integrate along y: warps walk y for 32 consecutive x columns
 /// (coalesced row-major loads), split into segments of rows when the
 /// column groups cannot fill the device.
-pub fn integrate_y(gpu: &mut Gpu, q: &GpuBuffer<i32>, shape: Shape) {
+pub fn integrate_y(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape) {
     integrate_columns(gpu, Column::Y, q, shape);
 }
 
 /// Step 6c: integrate along z: the column walk on the `(1, nz, ny*nx)`
 /// view, where each plane is one row.
-pub fn integrate_z(gpu: &mut Gpu, q: &GpuBuffer<i32>, shape: Shape) {
+pub fn integrate_z(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape) {
     integrate_columns(gpu, Column::Z, q, shape);
 }
 
 /// The column walk along `axis` with its planned split.
-fn integrate_columns(gpu: &mut Gpu, axis: Column, q: &GpuBuffer<i32>, shape: Shape) {
+fn integrate_columns(gpu: &mut Gpu, axis: Column, q: &mut GpuBuffer<i32>, shape: Shape) {
     let segments = column_plan(gpu.spec(), axis.view(shape)).1;
     column_walk(gpu, axis, q, shape, segments);
 }
@@ -488,7 +486,7 @@ impl Column {
 fn column_walk(
     gpu: &mut Gpu,
     axis: Column,
-    q: &GpuBuffer<i32>,
+    q: &mut GpuBuffer<i32>,
     shape: Shape,
     segments: Option<Segments>,
 ) {
@@ -499,6 +497,7 @@ fn column_walk(
     let analytic = gpu.effective_engine() == Engine::Analytic;
     let snapshot = analytic.then(|| q.to_vec());
     let totals: Option<GpuBuffer<i32>> = (count > 1).then(|| gpu.alloc(planes * count * nx));
+    let walked = &*q;
     // Classes: the ragged column group, the short last segment, and the
     // u32-sector residues of the segment's first row base and of its
     // totals row (bx*32 is a multiple of 8, so neither depends on bx).
@@ -523,16 +522,18 @@ fn column_walk(
         let width = 32.min(nx - x0);
         blk.warps(|w| {
             let y0 = s * len;
-            let sums = scan_columns(w, q, (z * ny + y0) * nx + x0, len.min(ny - y0), nx, width);
+            let sums =
+                scan_columns(w, walked, (z * ny + y0) * nx + x0, len.min(ny - y0), nx, width);
             if let Some(totals) = &totals {
                 let base = (z * count + s) * nx + x0;
                 w.store(totals, |l| (l.id < width).then(|| (base + l.id, sums[l.id])));
             }
         });
     });
-    if let Some(totals) = totals {
+    if let Some(mut totals) = totals {
         if let Some(vals) = &snapshot {
-            let mut sums = vec![0i32; planes * count * nx];
+            let sums = totals.host_mut();
+            sums.fill(0);
             for z in 0..planes {
                 for y in 0..ny {
                     let row = &vals[(z * ny + y) * nx..][..nx];
@@ -542,9 +543,8 @@ fn column_walk(
                     }
                 }
             }
-            totals.host_fill_from(&sums);
         }
-        integrate_columns(gpu, axis, &totals, axis.totals_shape(shape, count));
+        integrate_columns(gpu, axis, &mut totals, axis.totals_shape(shape, count));
         // Block (bx, s - 1, z) adds the previous segment's inclusive column
         // totals to segment s >= 1; classes as for the walk.
         let carry_class = |linear: usize| {
@@ -565,8 +565,8 @@ fn column_walk(
                 let y0 = s * len;
                 for y in y0..(y0 + len).min(ny) {
                     let base = (z * ny + y) * nx + x0;
-                    let v = w.load(q, |l| (l.id < width).then_some(base + l.id));
-                    w.store(q, |l| {
+                    let v = w.load(walked, |l| (l.id < width).then_some(base + l.id));
+                    w.store(walked, |l| {
                         (l.id < width).then(|| (base + l.id, v[l.id].wrapping_add(carry[l.id])))
                     });
                 }
@@ -576,7 +576,7 @@ fn column_walk(
     }
     if let Some(mut vals) = snapshot {
         axis.fill(&mut vals, shape);
-        q.host_fill_from(&vals);
+        q.host_mut().copy_from_slice(&vals);
     }
 }
 
@@ -607,7 +607,7 @@ fn scan_columns(
 /// Step 6d: dequantize `q * 2eb` into f32.
 pub fn dequantize(gpu: &mut Gpu, q: &GpuBuffer<i32>, eb: f64) -> GpuBuffer<f32> {
     let n = q.len();
-    let out: GpuBuffer<f32> = gpu.alloc(n);
+    let mut out: GpuBuffer<f32> = gpu.alloc(n);
     let ebx2 = 2.0 * eb;
     let blocks = n.div_ceil(256) as u32;
     let analytic = gpu.effective_engine() == Engine::Analytic;
@@ -624,7 +624,7 @@ pub fn dequantize(gpu: &mut Gpu, q: &GpuBuffer<i32>, eb: f64) -> GpuBuffer<f32> 
         });
     });
     if analytic {
-        out.host_fill_from(&dequantize_field(&q.to_vec(), eb));
+        dequantize_field(&q.to_vec(), eb, out.host_mut());
     }
     out
 }
@@ -632,7 +632,7 @@ pub fn dequantize(gpu: &mut Gpu, q: &GpuBuffer<i32>, eb: f64) -> GpuBuffer<f32> 
 /// Full inverse dual-quantization: deltas -> reconstructed field.
 pub fn inverse_lorenzo(
     gpu: &mut Gpu,
-    deltas: &GpuBuffer<i32>,
+    deltas: &mut GpuBuffer<i32>,
     shape: Shape,
     eb: f64,
 ) -> GpuBuffer<f32> {
@@ -705,14 +705,14 @@ mod tests {
         let run = |engine: Engine| {
             let mut gpu = Gpu::new(A100);
             gpu.set_engine(engine);
-            let d = gpu.upload(&deltas);
+            let mut d = gpu.upload(&deltas);
             let rank = rank_of(shape);
-            integrate_x(&mut gpu, &d, shape);
+            integrate_x(&mut gpu, &mut d, shape);
             if rank >= 2 {
-                integrate_y(&mut gpu, &d, shape);
+                integrate_y(&mut gpu, &mut d, shape);
             }
             if rank >= 3 {
-                integrate_z(&mut gpu, &d, shape);
+                integrate_z(&mut gpu, &mut d, shape);
             }
             assert_eq!(d.to_vec(), cpu, "{shape:?} on {engine:?}");
             gpu.timeline().to_vec()
@@ -770,11 +770,15 @@ mod tests {
     }
 
     /// Modeled time of `walk` over a zeroed field of `len` values.
-    fn modeled(spec: DeviceSpec, len: usize, walk: impl FnOnce(&mut Gpu, &GpuBuffer<i32>)) -> f64 {
+    fn modeled(
+        spec: DeviceSpec,
+        len: usize,
+        walk: impl FnOnce(&mut Gpu, &mut GpuBuffer<i32>),
+    ) -> f64 {
         let mut gpu = Gpu::new(spec);
         gpu.set_engine(Engine::Analytic);
-        let q = gpu.alloc::<i32>(len);
-        walk(&mut gpu, &q);
+        let mut q = gpu.alloc::<i32>(len);
+        walk(&mut gpu, &mut q);
         gpu.kernel_time()
     }
 
@@ -842,8 +846,8 @@ mod tests {
         let mut gpu = Gpu::new(A100);
         let words = crate::pack::pack_codes(&codes);
         let d_words = gpu.upload(&words);
-        let deltas = codes_to_deltas(&mut gpu, &d_words, n);
-        let back = inverse_lorenzo(&mut gpu, &deltas, shape, eb);
+        let mut deltas = codes_to_deltas(&mut gpu, &d_words, n);
+        let back = inverse_lorenzo(&mut gpu, &mut deltas, shape, eb);
         assert_eq!(back.to_vec(), cpu_back);
     }
 }

@@ -15,7 +15,7 @@ use crate::zeroblock::BLOCK_WORDS;
 /// Widen byte flags to u32 for the scan (CUB scans these as integers).
 pub fn widen_flags(gpu: &mut Gpu, byte_flags: &GpuBuffer<u8>) -> GpuBuffer<u32> {
     let n = byte_flags.len();
-    let out: GpuBuffer<u32> = gpu.alloc(n);
+    let mut out: GpuBuffer<u32> = gpu.alloc(n);
     let blocks = n.div_ceil(256) as u32;
     let analytic = gpu.effective_engine() == Engine::Analytic;
     // Two classes: only the last block can be ragged (base = b*256 keeps
@@ -29,8 +29,9 @@ pub fn widen_flags(gpu: &mut Gpu, byte_flags: &GpuBuffer<u8>) -> GpuBuffer<u32> 
         });
     });
     if analytic {
-        let wide: Vec<u32> = byte_flags.to_vec().iter().map(|&f| f as u32).collect();
-        out.host_fill_from(&wide);
+        for (w, f) in out.host_mut().iter_mut().zip(byte_flags.to_vec()) {
+            *w = f as u32;
+        }
     }
     out
 }
@@ -39,8 +40,8 @@ pub fn widen_flags(gpu: &mut Gpu, byte_flags: &GpuBuffer<u8>) -> GpuBuffer<u32> 
 /// `(offsets, total_nonzero_blocks)`.
 pub fn flag_offsets(gpu: &mut Gpu, flags_u32: &GpuBuffer<u32>) -> (GpuBuffer<u32>, usize) {
     let n = flags_u32.len();
-    let offsets: GpuBuffer<u32> = gpu.alloc(n);
-    let total = exclusive_sum(gpu, flags_u32, &offsets, n) as usize;
+    let mut offsets: GpuBuffer<u32> = gpu.alloc(n);
+    let total = exclusive_sum(gpu, flags_u32, &mut offsets, n) as usize;
     (offsets, total)
 }
 
@@ -56,7 +57,7 @@ pub fn compact(
 ) -> GpuBuffer<u32> {
     let nflags = byte_flags.len();
     assert_eq!(shuffled.len(), nflags * BLOCK_WORDS);
-    let payload: GpuBuffer<u32> = gpu.alloc(total_blocks_present * BLOCK_WORDS);
+    let mut payload: GpuBuffer<u32> = gpu.alloc(total_blocks_present * BLOCK_WORDS);
     let blocks = nflags.div_ceil(256) as u32;
     if gpu.effective_engine() == Engine::Analytic {
         // Data-dependent kernel: no block is representative, but the
@@ -67,7 +68,7 @@ pub fn compact(
         let flags = byte_flags.to_vec();
         let offs = offsets.to_vec();
         let sh = shuffled.to_vec();
-        let mut out = vec![0u32; total_blocks_present * BLOCK_WORDS];
+        let out = payload.host_mut();
         for (b, &f) in flags.iter().enumerate() {
             if f != 0 {
                 let dst = offs[b] as usize * BLOCK_WORDS;
@@ -75,7 +76,6 @@ pub fn compact(
                     .copy_from_slice(&sh[b * BLOCK_WORDS..(b + 1) * BLOCK_WORDS]);
             }
         }
-        payload.host_fill_from(&out);
         let stats = compaction_stats(&flags, &offs, blocks as usize);
         gpu.launch_analytic("encode.compact", blocks, 256u32, stats);
         return payload;

@@ -34,9 +34,9 @@ pub fn fused_1d(
     let ntiles = n.div_ceil(TILE_CODES).max(1);
     let nwords = ntiles * TILE_WORDS;
     let nflags = ntiles * FLAGS_PER_TILE;
-    let shuffled: GpuBuffer<u32> = gpu.alloc(nwords);
-    let byte_flags: GpuBuffer<u8> = gpu.alloc(nflags);
-    let bit_flags: GpuBuffer<u32> = gpu.alloc(nflags.div_ceil(32));
+    let mut shuffled: GpuBuffer<u32> = gpu.alloc(nwords);
+    let mut byte_flags: GpuBuffer<u8> = gpu.alloc(nflags);
+    let mut bit_flags: GpuBuffer<u32> = gpu.alloc(nflags.div_ceil(32));
     let ebx2_inv = 1.0 / (2.0 * eb);
 
     // Counter-equivalence classes (DESIGN.md §16): tile 0 drops the
@@ -166,10 +166,7 @@ pub fn fused_1d(
         lorenzo_codes_into(&q, (1, 1, n), &mut codes);
         let mut words = vec![0u32; nwords];
         pack_into(&codes, &mut words);
-        let (sh, bf, bits) = host_shuffle_mark(&words);
-        shuffled.host_fill_from(&sh);
-        byte_flags.host_fill_from(&bf);
-        bit_flags.host_fill_from(&bits);
+        host_shuffle_mark(&words, shuffled.host_mut(), byte_flags.host_mut(), bit_flags.host_mut());
     }
     (shuffled, byte_flags, bit_flags)
 }

@@ -22,6 +22,11 @@ use crate::quant::{delta_to_code, prequantize};
 pub const V1_RADIUS: i32 = 512;
 
 /// Optimized dual-quantization: f32 field -> sign-magnitude u16 codes.
+///
+/// Under the analytic engine the codes are filled in place through the
+/// shared fastpath entry points `prequant_into` + `lorenzo_codes_into`
+/// (the exact functions the native path runs, pinned equal to the kernels
+/// by this module's tests).
 pub fn pred_quant_v2(
     gpu: &mut Gpu,
     input: &GpuBuffer<f32>,
@@ -31,7 +36,7 @@ pub fn pred_quant_v2(
     let (nz, ny, nx) = shape;
     let n = nz * ny * nx;
     assert_eq!(input.len(), n);
-    let out: GpuBuffer<u16> = gpu.alloc(n);
+    let mut out: GpuBuffer<u16> = gpu.alloc(n);
     let analytic = gpu.effective_engine() == Engine::Analytic;
     if rank_of(shape) == 1 {
         launch_1d(gpu, "pred_quant_v2", input, &out, None, n, eb, false);
@@ -39,7 +44,7 @@ pub fn pred_quant_v2(
         launch_tiled(gpu, "pred_quant_v2", input, &out, None, shape, eb, false);
     }
     if analytic {
-        analytic_fill(input, &out, None, shape, eb, false);
+        lorenzo_codes_into(&host_prequant(input, eb), shape, out.host_mut());
     }
     out
 }
@@ -47,6 +52,10 @@ pub fn pred_quant_v2(
 /// Original dual-quantization: radius-shifted codes + dense outlier array.
 /// Returns `(codes, outliers)`; `outliers[i]` holds the full quantized
 /// delta at positions where `codes[i] == 0`, else 0.
+///
+/// The analytic fill takes its deltas from [`lorenzo_delta`], whose
+/// i64-accumulate-then-truncate arithmetic equals the kernels' wrapping
+/// i32 arithmetic mod 2^32, and splits them like the kernels do.
 pub fn pred_quant_v1(
     gpu: &mut Gpu,
     input: &GpuBuffer<f32>,
@@ -56,8 +65,8 @@ pub fn pred_quant_v1(
     let (nz, ny, nx) = shape;
     let n = nz * ny * nx;
     assert_eq!(input.len(), n);
-    let out: GpuBuffer<u16> = gpu.alloc(n);
-    let outliers: GpuBuffer<i32> = gpu.alloc(n);
+    let mut out: GpuBuffer<u16> = gpu.alloc(n);
+    let mut outliers: GpuBuffer<i32> = gpu.alloc(n);
     let analytic = gpu.effective_engine() == Engine::Analytic;
     if rank_of(shape) == 1 {
         launch_1d(gpu, "pred_quant_v1", input, &out, Some(&outliers), n, eb, true);
@@ -65,49 +74,23 @@ pub fn pred_quant_v1(
         launch_tiled(gpu, "pred_quant_v1", input, &out, Some(&outliers), shape, eb, true);
     }
     if analytic {
-        analytic_fill(input, &out, Some(&outliers), shape, eb, true);
+        let deltas = lorenzo_delta(&host_prequant(input, eb), shape);
+        let split = out.host_mut().iter_mut().zip(outliers.host_mut()).zip(deltas);
+        for ((c, o), d) in split {
+            let (code, outlier) = encode_delta(d, true);
+            *c = code;
+            *o = outlier.unwrap_or(0);
+        }
     }
     (out, outliers)
 }
 
-/// Analytic-engine output fill: compute codes (and v1 outliers) on the
-/// host through the shared fastpath entry points and write them into the
-/// launch's output buffers. Bit-identical to the kernels: v2 codes go
-/// through [`prequant_into`] + [`lorenzo_codes_into`] (the exact functions
-/// the native path runs, pinned equal to the kernels by the quant tests),
-/// and v1 deltas come from [`lorenzo_delta`], whose
-/// i64-accumulate-then-truncate arithmetic equals the kernels' wrapping
-/// i32 arithmetic mod 2^32.
-fn analytic_fill(
-    input: &GpuBuffer<f32>,
-    out: &GpuBuffer<u16>,
-    outliers: Option<&GpuBuffer<i32>>,
-    shape: Shape,
-    eb: f64,
-    v1: bool,
-) {
+/// The analytic fills' prequantized field, through [`prequant_into`].
+fn host_prequant(input: &GpuBuffer<f32>, eb: f64) -> Vec<i32> {
     let data = input.to_vec();
-    let ebx2_inv = 1.0 / (2.0 * eb);
     let mut q = vec![0i32; data.len()];
-    prequant_into(&data, ebx2_inv, &mut q);
-    if v1 {
-        let deltas = lorenzo_delta(&q, shape);
-        let mut codes = vec![0u16; data.len()];
-        let mut outlier_vals = vec![0i32; data.len()];
-        for (i, &d) in deltas.iter().enumerate() {
-            let (c, o) = encode_delta(d, true);
-            codes[i] = c;
-            outlier_vals[i] = o.unwrap_or(0);
-        }
-        out.host_fill_from(&codes);
-        if let Some(ol) = outliers {
-            ol.host_fill_from(&outlier_vals);
-        }
-    } else {
-        let mut codes = vec![0u16; data.len()];
-        lorenzo_codes_into(&q, shape, &mut codes);
-        out.host_fill_from(&codes);
-    }
+    prequant_into(&data, 1.0 / (2.0 * eb), &mut q);
+    q
 }
 
 /// Encode a delta in the v1 (shifted) or v2 (sign-magnitude) convention.

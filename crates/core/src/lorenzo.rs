@@ -118,14 +118,16 @@ pub(crate) fn integrate_y(q: &mut [i32], shape: Shape) {
 }
 
 /// z pass of [`integrate`]: accumulate plane by plane, parallel within a
-/// plane.
+/// plane over index-space chunks.
 pub(crate) fn integrate_z(q: &mut [i32], shape: Shape) {
     let plane_len = shape.1 * shape.2;
     let (mut prev, mut rest) = q.split_at_mut(plane_len);
     while !rest.is_empty() {
         let (cur, next) = rest.split_at_mut(plane_len);
-        cur.par_iter_mut().zip(prev.par_iter()).for_each(|(c, &p)| {
-            *c = c.wrapping_add(p);
+        cur.par_chunks_mut(1 << 13).zip(prev.par_chunks(1 << 13)).for_each(|(cs, ps)| {
+            for (c, &p) in cs.iter_mut().zip(ps) {
+                *c = c.wrapping_add(p);
+            }
         });
         prev = cur;
         rest = next;

@@ -20,11 +20,12 @@ use crate::pack::{padded_words, TILE_WORDS};
 use crate::quant::ErrorBound;
 use crate::zeroblock::BLOCK_WORDS;
 
-/// Tunables (ablation knobs for Fig. 10 / the extra ablations).
+/// Tunables of the compressor: its launch structure, fault handling, path
+/// and engine. The Fig. 10 and ablation variants of the bitshuffle-mark
+/// kernel are not options here; those benches launch
+/// [`bitshuffle_mark`] with a [`ShuffleVariant`] directly.
 #[derive(Debug, Clone, Copy)]
 pub struct FzOptions {
-    /// Bitshuffle/mark kernel variant.
-    pub shuffle: ShuffleVariant,
     /// Experimental full-pipeline fusion for 1D fields (future work §6
     /// item 1): quantization + packing + bitshuffle + marking in a single
     /// kernel. Stream bytes are unchanged; only the launch structure is.
@@ -34,10 +35,10 @@ pub struct FzOptions {
     pub retry: RetryPolicy,
     /// Which implementation runs compress/decompress calls (see
     /// [`PipelinePath`]). Defaults from the `FZGPU_NATIVE` environment
-    /// variable; [`PipelinePath::Simulated`] when unset. The `shuffle` and
-    /// `full_fusion_1d` knobs only affect the simulated launch structure —
+    /// variable; [`PipelinePath::Simulated`] when unset. The
+    /// `full_fusion_1d` knob only affects the simulated launch structure —
     /// stream bytes are identical on every path, so the native path
-    /// ignores them.
+    /// ignores it.
     pub path: PipelinePath,
     /// Which simulation engine executes kernel launches (see
     /// [`fzgpu_sim::Engine`]). [`Engine::Interpreted`] runs every block of
@@ -53,7 +54,6 @@ pub struct FzOptions {
 impl Default for FzOptions {
     fn default() -> Self {
         Self {
-            shuffle: ShuffleVariant::Fused,
             full_fusion_1d: false,
             retry: RetryPolicy::default(),
             path: PipelinePath::from_env(),
@@ -257,19 +257,20 @@ impl FzGpu {
                 // Reinterpret the u16 code array as u32 words, zero-padded
                 // to a whole number of bitshuffle tiles. On hardware this is
                 // a pointer cast (two u16 occupy one u32); no kernel runs
-                // and no time is charged — only the padding tail is fresh.
+                // and no time is charged — only the padding tail is fresh,
+                // and the zeroed allocation supplies it.
                 let d_words = {
                     let _s = fzgpu_trace::span("stage.pack");
-                    let mut words = vec![0u32; padded_words(data.len())];
-                    pack_into(&d_codes.to_vec(), &mut words);
-                    self.gpu.device_vec(&words)
+                    let mut words = self.gpu.alloc::<u32>(padded_words(data.len()));
+                    pack_into(&d_codes.to_vec(), words.host_mut());
+                    words
                 };
                 self.gpu.free(d_codes);
 
                 // Stage 2: fused bitshuffle + zero-block mark.
                 let out = {
                     let _s = fzgpu_trace::span("stage.shuffle");
-                    bitshuffle_mark(&mut self.gpu, &d_words, self.opts.shuffle)
+                    bitshuffle_mark(&mut self.gpu, &d_words, ShuffleVariant::Fused)
                 };
                 self.gpu.free(d_words);
                 out
@@ -398,8 +399,8 @@ impl FzGpu {
         self.gpu.free(d_offsets);
         let d_out = {
             let _s = fzgpu_trace::span("stage.dequant");
-            let d_deltas = gdec::codes_to_deltas(&mut self.gpu, &d_words, header.n_values);
-            let out = gdec::inverse_lorenzo(&mut self.gpu, &d_deltas, header.shape, header.eb);
+            let mut d_deltas = gdec::codes_to_deltas(&mut self.gpu, &d_words, header.n_values);
+            let out = gdec::inverse_lorenzo(&mut self.gpu, &mut d_deltas, header.shape, header.eb);
             self.gpu.free(d_deltas);
             out
         };
@@ -695,19 +696,5 @@ mod tests {
             assert_eq!(interp.4, analytic.4, "decompress timeline diverges at {shape:?}");
             assert_eq!(interp.5, analytic.5, "decompress time diverges at {shape:?}");
         }
-    }
-
-    #[test]
-    fn unfused_variant_roundtrips_identically() {
-        let shape = (1, 96, 96);
-        let data = smooth_3d(1, 96, 96);
-        let mut fused = FzGpu::new(A100);
-        let mut unfused = FzGpu::with_options(
-            A100,
-            FzOptions { shuffle: ShuffleVariant::Unfused, ..FzOptions::default() },
-        );
-        let c1 = fused.compress(&data, shape, ErrorBound::Abs(1e-3));
-        let c2 = unfused.compress(&data, shape, ErrorBound::Abs(1e-3));
-        assert_eq!(c1.bytes, c2.bytes, "variants must produce identical streams");
     }
 }

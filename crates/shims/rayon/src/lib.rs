@@ -32,9 +32,17 @@
 //! Only the surface actually used in this workspace is provided. If a new
 //! adapter is needed, add it to [`Par`] / [`MapPar`] rather than reaching
 //! for std iterators at the call site, so a future swap to real rayon
-//! stays a one-line `Cargo.toml` change. Item *handles* (references,
-//! chunk slices) are buffered per region before fan-out — O(items)
-//! pointer-sized memory, negligible next to the data they point at.
+//! stays a one-line `Cargo.toml` change.
+//!
+//! # Cost of item handles
+//! Item *handles* (references, chunk slices) are buffered per region
+//! before fan-out: one handle per item. For coarse items (planes, rows,
+//! tiles, chunk slices) that is negligible; for a per-value iterator
+//! (`par_iter_mut().zip(par_iter())` over a field) it is one or two
+//! pointers per value, written and read back on top of the data itself,
+//! and it dominates an element-wise pass. Run element-wise passes over
+//! index-space chunks instead: `par_chunks_mut(1 << 13)` zipped with
+//! `par_chunks(1 << 13)`, with a plain loop inside each chunk.
 
 mod pool;
 

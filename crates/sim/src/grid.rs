@@ -152,11 +152,10 @@ impl Gpu {
         self.pool.as_ref()
     }
 
-    /// Opt into allocation-cost accounting: each [`Gpu::alloc`] (and
-    /// [`Gpu::device_vec`]) appends an analytic record to the timeline —
-    /// [`crate::device::DeviceSpec::alloc_overhead`] plus a memset at
-    /// effective bandwidth for a fresh allocation, the memset alone for a
-    /// pool hit. Off by default so existing pipelines' modeled times are
+    /// Opt into allocation-cost accounting: each [`Gpu::alloc`] appends an
+    /// analytic record to the timeline — [`crate::device::DeviceSpec::alloc_overhead`]
+    /// plus a memset at effective bandwidth for a fresh allocation, the
+    /// memset alone for a pool hit. Off by default so existing pipelines' modeled times are
     /// unchanged; the serving layer turns it on to make malloc pressure
     /// visible.
     pub fn set_charge_alloc(&mut self, on: bool) {
@@ -253,17 +252,6 @@ impl Gpu {
         }
     }
 
-    /// Materialize host data in a device buffer **without charging a PCIe
-    /// transfer** — the modeled equivalent of building a device-side vector
-    /// in place (the pack stage reinterprets already-resident words).
-    /// Pool-served and alloc-charged exactly like [`Gpu::alloc`]; use
-    /// [`Gpu::upload`] when the data genuinely crosses the bus.
-    pub fn device_vec<T: Pod>(&mut self, data: &[T]) -> GpuBuffer<T> {
-        let mut buf = self.alloc::<T>(data.len());
-        buf.copy_from_host(data);
-        buf
-    }
-
     /// Copy host data to a fresh device buffer, charging H2D transfer time
     /// at peak PCIe bandwidth.
     pub fn upload<T: Pod>(&mut self, data: &[T]) -> GpuBuffer<T> {
@@ -287,7 +275,7 @@ impl Gpu {
                     let cost = if hit { 0.0 } else { self.spec.alloc_overhead };
                     self.record_kernel("cudaMallocAsync", cost, KernelStats::default());
                 }
-                b.copy_from_host(data);
+                b.host_mut().copy_from_slice(data);
                 b
             }
             None => {
@@ -934,15 +922,6 @@ mod tests {
             (miss_cost - hit_cost - A100.alloc_overhead).abs() < 1e-12,
             "a pool hit saves exactly the malloc overhead: miss {miss_cost} hit {hit_cost}"
         );
-    }
-
-    #[test]
-    fn device_vec_charges_no_transfer() {
-        let mut gpu = Gpu::new(A100);
-        let data: Vec<u32> = (0..256).collect();
-        let buf = gpu.device_vec(&data);
-        assert_eq!(buf.to_vec(), data);
-        assert!(gpu.timeline().is_empty(), "device_vec must not charge PCIe time");
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! memory. Kernels access it exclusively through the warp context
 //! ([`crate::warp::WarpCtx::load`] / [`crate::warp::WarpCtx::store`]), which
 //! performs per-warp coalescing analysis. Host-side access happens between
-//! launches via [`GpuBuffer::to_vec`] / [`GpuBuffer::copy_from_host`].
+//! launches: reads through [`GpuBuffer::to_vec`] / [`GpuBuffer::host_read`],
+//! writes through [`GpuBuffer::host_mut`]. A host write takes `&mut self`,
+//! and every launch borrows its buffers for the whole launch, so the
+//! borrow checker proves a host write can never overlap a kernel.
 //!
 //! # Why `UnsafeCell`
 //! CUDA global memory allows concurrent writes from many blocks; a data race
@@ -82,7 +85,7 @@ impl<T: Pod> GpuBuffer<T> {
     }
 
     /// Raw element read. Bounds-checked; used by the warp context and by
-    /// host-side readback.
+    /// [`GpuBuffer::host_read`].
     #[inline]
     pub(crate) fn read(&self, idx: usize) -> T {
         let cell = &self.cells[idx];
@@ -130,7 +133,10 @@ impl<T: Pod> GpuBuffer<T> {
     /// Copy the device contents back to the host (models D2H without
     /// charging transfer time; use [`crate::grid::Gpu::download`] to charge it).
     pub fn to_vec(&self) -> Vec<T> {
-        (0..self.len()).map(|i| self.read(i)).collect()
+        // SAFETY: per the module contract no kernel writes the buffer while
+        // the host reads it; `UnsafeCell<T>` has the same layout as `T`.
+        unsafe { core::slice::from_raw_parts(self.cells.as_ptr() as *const T, self.cells.len()) }
+            .to_vec()
     }
 
     /// Host-side peek at one element (e.g. reading a reduction result)
@@ -141,48 +147,17 @@ impl<T: Pod> GpuBuffer<T> {
         self.read(idx)
     }
 
-    /// Overwrite a prefix of the buffer from host memory.
-    ///
-    /// # Panics
-    /// Panics if `data.len() > self.len()`.
-    pub fn copy_from_host(&mut self, data: &[T]) {
-        assert!(
-            data.len() <= self.len(),
-            "host slice ({}) larger than device buffer ({})",
-            data.len(),
-            self.len()
-        );
-        for (i, &v) in data.iter().enumerate() {
-            self.write(i, v);
-        }
-    }
-
-    /// Overwrite a prefix of the buffer from host memory through a shared
-    /// reference — the analytic engine's fill path, which writes
-    /// host-computed kernel results into buffers that are shared (`&`)
-    /// kernel arguments. Same single-writer contract as the raw `write`:
-    /// launches are synchronous, so any call between launches is safe.
-    ///
-    /// # Panics
-    /// Panics if `data.len() > self.len()`.
-    pub fn host_fill_from(&self, data: &[T]) {
-        assert!(
-            data.len() <= self.len(),
-            "host slice ({}) larger than device buffer ({})",
-            data.len(),
-            self.len()
-        );
-        for (i, &v) in data.iter().enumerate() {
-            self.write(i, v);
-        }
-    }
-
-    /// Borrow the contents as a plain slice. Requires `&mut self`, which
-    /// statically proves no kernel is concurrently mutating the buffer.
-    pub fn as_slice_mut_view(&mut self) -> &[T] {
+    /// The whole buffer as a host slice, for writing between launches
+    /// (models a host-side fill of device memory without charging a
+    /// transfer; use [`crate::grid::Gpu::upload`] to charge one). The
+    /// exclusive borrow is the safety argument: no launch can hold the
+    /// buffer while the slice lives.
+    pub fn host_mut(&mut self) -> &mut [T] {
         // SAFETY: `&mut self` guarantees exclusive access; `UnsafeCell<T>`
         // has the same layout as `T`.
-        unsafe { core::slice::from_raw_parts(self.cells.as_ptr() as *const T, self.cells.len()) }
+        unsafe {
+            core::slice::from_raw_parts_mut(self.cells.as_mut_ptr() as *mut T, self.cells.len())
+        }
     }
 }
 
@@ -212,22 +187,15 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_host_prefix() {
+    fn host_mut_writes_in_place() {
         let mut buf: GpuBuffer<u16> = GpuBuffer::zeroed(8);
-        buf.copy_from_host(&[1, 2, 3]);
+        let id = buf.id();
+        buf.host_mut()[..3].copy_from_slice(&[1, 2, 3]);
         assert_eq!(buf.to_vec(), vec![1, 2, 3, 0, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "larger than device buffer")]
-    fn copy_from_host_too_big_panics() {
-        let mut buf: GpuBuffer<u8> = GpuBuffer::zeroed(2);
-        buf.copy_from_host(&[1, 2, 3]);
-    }
-
-    #[test]
-    fn mut_view_matches_contents() {
-        let mut buf = GpuBuffer::from_host(&[5u64, 6, 7]);
-        assert_eq!(buf.as_slice_mut_view(), &[5, 6, 7]);
+        buf.host_mut()[7] = 9;
+        assert_eq!(buf.host_read(7), 9);
+        assert_eq!((buf.id(), buf.host_mut().len()), (id, 8), "same allocation, whole length");
+        let mut full = GpuBuffer::from_host(&[5u64, 6, 7]);
+        assert_eq!(full.host_mut(), &[5, 6, 7], "the slice shows the current contents");
     }
 }

@@ -118,12 +118,11 @@ impl MemPool {
                 inner.stats.free_bytes -= bytes;
                 inner.stats.hits += 1;
                 metrics::counter_add(Class::Det, "fzgpu_sim_mempool_hits_total", &[], 1);
-                let buf = *parked.buf.downcast::<GpuBuffer<T>>().expect("free list keyed by type");
+                let mut buf =
+                    *parked.buf.downcast::<GpuBuffer<T>>().expect("free list keyed by type");
                 // Zero the recycled storage so a hit is indistinguishable
                 // from a fresh `alloc` (models cudaMemsetAsync).
-                for i in 0..buf.len() {
-                    buf.write(i, T::default());
-                }
+                buf.host_mut().fill(T::default());
                 buf
             }
             None => {

@@ -33,12 +33,14 @@ pub const TILE: usize = BLOCK_THREADS * ITEMS_PER_THREAD;
 /// Exclusive prefix sum of `input[..n]` into `output[..n]`.
 ///
 /// Returns the grand total (`sum(input[..n])`). `output` must hold at least
-/// `n` elements. Launches `O(log_TILE n)` kernels on `gpu`, all recorded on
-/// the timeline under names starting with `scan.`.
+/// `n` elements; its final add-offsets pass runs in place, and the
+/// analytic engine writes it through [`GpuBuffer::host_mut`], hence the
+/// exclusive borrow. Launches `O(log_TILE n)` kernels on `gpu`, all
+/// recorded on the timeline under names starting with `scan.`.
 pub fn exclusive_sum(
     gpu: &mut Gpu,
     input: &GpuBuffer<u32>,
-    output: &GpuBuffer<u32>,
+    output: &mut GpuBuffer<u32>,
     n: usize,
 ) -> u64 {
     assert!(input.len() >= n && output.len() >= n, "scan buffers too small for n={n}");
@@ -46,8 +48,8 @@ pub fn exclusive_sum(
         return 0;
     }
     let ntiles = n.div_ceil(TILE);
-    let tile_totals: GpuBuffer<u32> = gpu.alloc(ntiles);
-    scan_tiles(gpu, input, output, &tile_totals, n);
+    let mut tile_totals: GpuBuffer<u32> = gpu.alloc(ntiles);
+    scan_tiles(gpu, input, output, &mut tile_totals, n);
 
     if ntiles == 1 {
         let total = tile_totals.host_read(0) as u64;
@@ -56,8 +58,8 @@ pub fn exclusive_sum(
     }
 
     // Recursively scan the tile totals, then fold the offsets back in.
-    let tile_offsets: GpuBuffer<u32> = gpu.alloc(ntiles);
-    let total = exclusive_sum(gpu, &tile_totals, &tile_offsets, ntiles);
+    let mut tile_offsets: GpuBuffer<u32> = gpu.alloc(ntiles);
+    let total = exclusive_sum(gpu, &tile_totals, &mut tile_offsets, ntiles);
     add_tile_offsets(gpu, output, &tile_offsets, n);
     gpu.free(tile_totals);
     gpu.free(tile_offsets);
@@ -68,13 +70,14 @@ pub fn exclusive_sum(
 fn scan_tiles(
     gpu: &mut Gpu,
     input: &GpuBuffer<u32>,
-    output: &GpuBuffer<u32>,
-    tile_totals: &GpuBuffer<u32>,
+    output: &mut GpuBuffer<u32>,
+    tile_totals: &mut GpuBuffer<u32>,
     n: usize,
 ) {
     let ntiles = n.div_ceil(TILE) as u32;
     let analytic = gpu.effective_engine() == Engine::Analytic;
     let class = |b: usize| u64::from(b == ntiles as usize - 1);
+    let (out_buf, totals_buf) = (&*output, &*tile_totals);
     gpu.launch_classed("scan.tiles", ntiles, BLOCK_THREADS as u32, class, |blk| {
         let tile_base = blk.block_linear() * TILE;
         let block_id = blk.block_linear();
@@ -125,7 +128,7 @@ fn scan_tiles(
                 (l.id < nwarps).then(|| (l.id, inc[l.id].wrapping_sub(wt[l.id])))
             });
             let tile_total = inc[nwarps - 1];
-            w.store(tile_totals, |l| (l.id == 0).then_some((block_id, tile_total)));
+            w.store(totals_buf, |l| (l.id == 0).then_some((block_id, tile_total)));
         });
         blk.sync();
 
@@ -149,7 +152,7 @@ fn scan_tiles(
         blk.warps(|w| {
             for k in 0..ITEMS_PER_THREAD {
                 let v = w.sh_load(&sh, |l| Some(k * BLOCK_THREADS + l.ltid));
-                w.store(output, |l| {
+                w.store(out_buf, |l| {
                     let g = tile_base + k * BLOCK_THREADS + l.ltid;
                     (g < n).then(|| (g, v[l.id]))
                 });
@@ -161,26 +164,22 @@ fn scan_tiles(
         // representative blocks wrote correct values for their tiles, and
         // this pass overwrites every tile (theirs included) identically.
         let data = input.to_vec();
-        let mut out = vec![0u32; n];
-        let mut totals = vec![0u32; ntiles as usize];
-        for (t, total) in totals.iter_mut().enumerate() {
-            let base = t * TILE;
+        let tiles = output.host_mut()[..n].chunks_mut(TILE).zip(data.chunks(TILE));
+        for ((out, vals), total) in tiles.zip(tile_totals.host_mut()) {
             let mut acc = 0u32;
-            for i in base..(base + TILE).min(n) {
-                out[i] = acc;
-                acc = acc.wrapping_add(data[i]);
+            for (o, &v) in out.iter_mut().zip(vals) {
+                *o = acc;
+                acc = acc.wrapping_add(v);
             }
             *total = acc;
         }
-        output.host_fill_from(&out);
-        tile_totals.host_fill_from(&totals);
     }
 }
 
 /// Kernel 3: `output[i] += tile_offsets[i / TILE]` for every element.
 fn add_tile_offsets(
     gpu: &mut Gpu,
-    output: &GpuBuffer<u32>,
+    output: &mut GpuBuffer<u32>,
     tile_offsets: &GpuBuffer<u32>,
     n: usize,
 ) {
@@ -191,6 +190,7 @@ fn add_tile_offsets(
         .then(|| (output.to_vec(), tile_offsets.to_vec()));
     let class = |b: usize| u64::from(b == ntiles as usize - 1);
     let dim = Dim3 { x: ntiles, y: 1, z: 1 };
+    let out_buf = &*output;
     gpu.launch_classed("scan.add_offsets", dim, BLOCK_THREADS as u32, class, |blk| {
         let tile = blk.block_linear();
         let tile_base = tile * TILE;
@@ -198,18 +198,18 @@ fn add_tile_offsets(
             let off = w.load(tile_offsets, |_| Some(tile));
             for k in 0..ITEMS_PER_THREAD {
                 let g0 = tile_base + k * BLOCK_THREADS;
-                let v = w.load(output, |l| (g0 + l.ltid < n).then_some(g0 + l.ltid));
-                w.store(output, |l| {
+                let v = w.load(out_buf, |l| (g0 + l.ltid < n).then_some(g0 + l.ltid));
+                w.store(out_buf, |l| {
                     (g0 + l.ltid < n).then(|| (g0 + l.ltid, v[l.id].wrapping_add(off[l.id])))
                 });
             }
         });
     });
-    if let Some((mut out, offs)) = snap {
-        for (i, v) in out[..n].iter_mut().enumerate() {
-            *v = v.wrapping_add(offs[i / TILE]);
+    if let Some((snap, offs)) = snap {
+        let out = output.host_mut()[..n].iter_mut().zip(&snap);
+        for (i, (o, &v)) in out.enumerate() {
+            *o = v.wrapping_add(offs[i / TILE]);
         }
-        output.host_fill_from(&out[..n]);
     }
 }
 
@@ -221,8 +221,8 @@ mod tests {
     fn check_exclusive(data: &[u32]) {
         let mut gpu = Gpu::new(A100);
         let input = GpuBuffer::from_host(data);
-        let output: GpuBuffer<u32> = gpu.alloc(data.len());
-        let total = exclusive_sum(&mut gpu, &input, &output, data.len());
+        let mut output: GpuBuffer<u32> = gpu.alloc(data.len());
+        let total = exclusive_sum(&mut gpu, &input, &mut output, data.len());
         let got = output.to_vec();
         let mut acc = 0u64;
         for (i, &v) in data.iter().enumerate() {
@@ -266,8 +266,8 @@ mod tests {
     fn empty_scan_is_zero() {
         let mut gpu = Gpu::new(A100);
         let input: GpuBuffer<u32> = gpu.alloc(0);
-        let output: GpuBuffer<u32> = gpu.alloc(0);
-        assert_eq!(exclusive_sum(&mut gpu, &input, &output, 0), 0);
+        let mut output: GpuBuffer<u32> = gpu.alloc(0);
+        assert_eq!(exclusive_sum(&mut gpu, &input, &mut output, 0), 0);
     }
 
     proptest::proptest! {
@@ -276,8 +276,8 @@ mod tests {
         fn prop_scan_matches_reference(data in proptest::collection::vec(0u32..1000, 1..6000)) {
             let mut gpu = Gpu::new(A100);
             let input = GpuBuffer::from_host(&data);
-            let output: GpuBuffer<u32> = gpu.alloc(data.len());
-            let total = exclusive_sum(&mut gpu, &input, &output, data.len());
+            let mut output: GpuBuffer<u32> = gpu.alloc(data.len());
+            let total = exclusive_sum(&mut gpu, &input, &mut output, data.len());
             let got = output.to_vec();
             let mut acc = 0u64;
             for (i, &v) in data.iter().enumerate() {
@@ -299,8 +299,8 @@ mod tests {
             let mut gpu = Gpu::new(A100);
             gpu.set_engine(engine);
             let input = GpuBuffer::from_host(&data);
-            let output: GpuBuffer<u32> = gpu.alloc(n);
-            let total = exclusive_sum(&mut gpu, &input, &output, n);
+            let mut output: GpuBuffer<u32> = gpu.alloc(n);
+            let total = exclusive_sum(&mut gpu, &input, &mut output, n);
             (total, output.to_vec(), format!("{:?}", gpu.timeline()), gpu.kernel_time().to_bits())
         };
         assert_eq!(run(Engine::Interpreted), run(Engine::Analytic));
@@ -310,8 +310,8 @@ mod tests {
     fn scan_appears_on_timeline() {
         let mut gpu = Gpu::new(A100);
         let input = GpuBuffer::from_host(&vec![1u32; 10 * TILE]);
-        let output: GpuBuffer<u32> = gpu.alloc(10 * TILE);
-        exclusive_sum(&mut gpu, &input, &output, 10 * TILE);
+        let mut output: GpuBuffer<u32> = gpu.alloc(10 * TILE);
+        exclusive_sum(&mut gpu, &input, &mut output, 10 * TILE);
         let names: Vec<&str> = gpu.timeline().iter().map(|e| e.name()).collect();
         assert!(names.contains(&"scan.tiles"));
         assert!(names.contains(&"scan.add_offsets"));

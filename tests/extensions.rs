@@ -101,8 +101,8 @@ fn race_detector_also_clean_on_decode_kernels() {
     let (offsets, _present) = fz_gpu::core::gpu::encode::flag_offsets(&mut gpu, &wide);
     let shuffled = fz_gpu::core::gpu::decode::scatter(&mut gpu, &d_payload, &flags, &offsets);
     let words = fz_gpu::core::gpu::decode::bit_unshuffle(&mut gpu, &shuffled);
-    let deltas = fz_gpu::core::gpu::decode::codes_to_deltas(&mut gpu, &words, header.n_values);
+    let mut deltas = fz_gpu::core::gpu::decode::codes_to_deltas(&mut gpu, &words, header.n_values);
     let _out =
-        fz_gpu::core::gpu::decode::inverse_lorenzo(&mut gpu, &deltas, header.shape, header.eb);
+        fz_gpu::core::gpu::decode::inverse_lorenzo(&mut gpu, &mut deltas, header.shape, header.eb);
     assert!(gpu.races().is_empty(), "decode kernels race: {:?}", gpu.races().first());
 }

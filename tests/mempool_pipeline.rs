@@ -5,15 +5,22 @@
 //! buffers must never change a single output byte, and after a pipeline
 //! run every buffer the pipeline acquired must be back in the free lists
 //! (live bytes zero — anything else is a leak that would grow a real
-//! server without bound).
+//! server without bound). Equivalence and steady state are checked on both
+//! simulation engines: the analytic engine's fills write straight into
+//! the buffers the pool recycles.
 
-use fz_gpu::core::{ErrorBound, FzGpu};
+use fz_gpu::core::{ErrorBound, FzGpu, FzOptions, PipelinePath};
 use fz_gpu::sim::device::A100;
-use fz_gpu::sim::MemPool;
+use fz_gpu::sim::{Engine, MemPool};
 use proptest::prelude::*;
 
-fn roundtrip_bytes(data: &[f32], pool: Option<MemPool>) -> (Vec<u8>, Vec<f32>) {
-    let mut fz = FzGpu::new(A100);
+const ENGINES: [Engine; 2] = [Engine::Interpreted, Engine::Analytic];
+
+/// Compress and decompress `data` on the simulated pipeline under
+/// `engine`, drawing device buffers from `pool` when one is given.
+fn roundtrip_bytes(data: &[f32], pool: Option<MemPool>, engine: Engine) -> (Vec<u8>, Vec<f32>) {
+    let opts = FzOptions { path: PipelinePath::Simulated, engine, ..FzOptions::default() };
+    let mut fz = FzGpu::with_options(A100, opts);
     if let Some(p) = pool {
         fz.attach_pool(p);
     }
@@ -26,8 +33,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Pooled and non-pooled runs produce bit-identical streams and
-    /// reconstructions, including when the pool is warm from previous
-    /// (differently-shaped) jobs.
+    /// reconstructions on each engine, including when the pool is warm
+    /// from previous (differently-shaped) jobs.
     #[test]
     fn pooled_streams_are_bit_identical(
         n in 256usize..20_000,
@@ -35,19 +42,21 @@ proptest! {
         warm in 64usize..4096,
     ) {
         let data: Vec<f32> = (0..n).map(|i| (i as f32 * 0.013).sin() * amp).collect();
-        let (plain_bytes, plain_out) = roundtrip_bytes(&data, None);
-
-        // Warm the pool with a different job so recycled (and re-zeroed)
-        // buffers, not fresh ones, serve the measured run.
-        let pool = MemPool::new();
         let warm_data: Vec<f32> = (0..warm).map(|i| i as f32 * 0.5).collect();
-        let _ = roundtrip_bytes(&warm_data, Some(pool.clone()));
+        for engine in ENGINES {
+            let (plain_bytes, plain_out) = roundtrip_bytes(&data, None, engine);
 
-        let (pooled_bytes, pooled_out) = roundtrip_bytes(&data, Some(pool.clone()));
-        prop_assert_eq!(plain_bytes, pooled_bytes, "stream bytes diverged under pooling");
-        let plain_bits: Vec<u32> = plain_out.iter().map(|v| v.to_bits()).collect();
-        let pooled_bits: Vec<u32> = pooled_out.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(plain_bits, pooled_bits, "reconstruction diverged under pooling");
+            // Warm the pool with a different job so recycled (and
+            // re-zeroed) buffers, not fresh ones, serve the measured run.
+            let pool = MemPool::new();
+            let _ = roundtrip_bytes(&warm_data, Some(pool.clone()), engine);
+
+            let (pooled_bytes, pooled_out) = roundtrip_bytes(&data, Some(pool.clone()), engine);
+            prop_assert_eq!(plain_bytes, pooled_bytes, "stream bytes diverged under pooling on {:?}", engine);
+            let plain_bits: Vec<u32> = plain_out.iter().map(|v| v.to_bits()).collect();
+            let pooled_bits: Vec<u32> = pooled_out.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(plain_bits, pooled_bits, "reconstruction diverged under pooling on {:?}", engine);
+        }
     }
 
     /// Accounting invariants after a full pipeline run: nothing stays
@@ -58,8 +67,8 @@ proptest! {
         let data: Vec<f32> = (0..n).map(|i| (i as f32 * 0.007).cos() * 3.0).collect();
         let pool = MemPool::new();
         // Two runs: the second is served mostly from recycled buffers.
-        let _ = roundtrip_bytes(&data, Some(pool.clone()));
-        let _ = roundtrip_bytes(&data, Some(pool.clone()));
+        let _ = roundtrip_bytes(&data, Some(pool.clone()), Engine::from_env());
+        let _ = roundtrip_bytes(&data, Some(pool.clone()), Engine::from_env());
 
         let stats = pool.stats();
         prop_assert_eq!(stats.live_bytes, 0, "pipeline leaked device buffers");
@@ -84,17 +93,20 @@ proptest! {
 /// the guard the serving layer relies on for unbounded uptime.
 #[test]
 fn repeated_jobs_reach_steady_state() {
-    let pool = MemPool::new();
     let data: Vec<f32> = (0..10_000).map(|i| (i as f32 * 0.01).sin()).collect();
-    let _ = roundtrip_bytes(&data, Some(pool.clone()));
-    let parked_after_one = pool.stats().free_bytes;
-    for _ in 0..5 {
-        let _ = roundtrip_bytes(&data, Some(pool.clone()));
+    for engine in ENGINES {
+        let pool = MemPool::new();
+        let first = roundtrip_bytes(&data, Some(pool.clone()), engine);
+        let parked_after_one = pool.stats().free_bytes;
+        for _ in 0..5 {
+            let again = roundtrip_bytes(&data, Some(pool.clone()), engine);
+            assert_eq!(again.0, first.0, "a recycled-buffer job changed the stream on {engine:?}");
+        }
+        let stats = pool.stats();
+        assert_eq!(stats.live_bytes, 0, "steady-state jobs must not leak on {engine:?}");
+        assert_eq!(
+            stats.free_bytes, parked_after_one,
+            "identical jobs must not grow the pool past the first run's footprint on {engine:?}"
+        );
     }
-    let stats = pool.stats();
-    assert_eq!(stats.live_bytes, 0, "steady-state jobs must not leak");
-    assert_eq!(
-        stats.free_bytes, parked_after_one,
-        "identical jobs must not grow the pool past the first run's footprint"
-    );
 }
