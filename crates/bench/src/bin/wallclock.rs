@@ -28,9 +28,12 @@
 //! and the analytic engine (one representative block per counter class,
 //! native output fills — bit-identical timelines and streams). The gap
 //! between those two rows is the engine's whole point, so the bench gates
-//! it: analytic must be >= 10x faster than interpreted in every mode, and
-//! at the default (reduced) scale analytic simulation must land within 3x
-//! of the native fast path's wall — modeled counters at data speed. The
+//! it twice. Counted: the analytic engine must run at most a tenth of the
+//! thread blocks the interpreted engine runs through the warp interpreter
+//! (`Gpu::interpreted_blocks`, deterministic). Timed: analytic must be at
+//! least 10x faster than interpreted in every mode, and at the default
+//! (reduced) scale analytic simulation must land within 3x of the native
+//! fast path's wall — modeled counters at data speed. The
 //! bench prints its table and one line per gate with both of the gate's
 //! inputs before it asserts any gate, and writes its exhibit only when
 //! every gate passes.
@@ -93,7 +96,8 @@ fn timed<T>(iters: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// `iters` cold compressions on the simulated pipeline under `engine`, a
 /// fresh compressor each run. Every run must emit `stream` and model the
 /// same kernel time as every earlier run (`modeled`, set by the first);
-/// returns the median elapsed seconds.
+/// returns the median elapsed seconds and the thread blocks one compress
+/// ran through the warp interpreter (the same on every run).
 fn cold_simulated(
     iters: usize,
     engine: Engine,
@@ -101,8 +105,9 @@ fn cold_simulated(
     stream: &[u8],
     modeled: &mut Option<f64>,
     threads: usize,
-) -> f64 {
+) -> (f64, u64) {
     let opts = FzOptions { path: PipelinePath::Simulated, engine, ..FzOptions::default() };
+    let mut blocks = None;
     let times = (0..iters)
         .map(|_| {
             let mut sim = FzGpu::with_options(A100, opts);
@@ -113,10 +118,12 @@ fn cold_simulated(
             let kernel_s = sim.kernel_time();
             let expected = *modeled.get_or_insert(kernel_s);
             assert_eq!(kernel_s, expected, "{engine:?} modeled time drifted at {threads} threads");
+            let run_blocks = sim.gpu().interpreted_blocks();
+            assert_eq!(*blocks.get_or_insert(run_blocks), run_blocks, "{engine:?} block count");
             wall
         })
         .collect();
-    median(times)
+    (median(times), blocks.expect("at least one run"))
 }
 
 fn main() {
@@ -149,6 +156,7 @@ fn main() {
         FzGpu::with_options(A100, FzOptions { path: PipelinePath::Native, ..FzOptions::default() });
     let mut reference: Option<Vec<u8>> = None;
     let mut modeled = None;
+    let mut blocks = None;
     let mut samples = Vec::new();
     for &threads in &counts {
         rayon::set_num_threads(threads);
@@ -175,10 +183,12 @@ fn main() {
         // and modeled time at a fraction of its host wall (one
         // representative block per counter class; native fills).
         let input = (data, shape, eb);
-        let sim_wall_s =
+        let (sim_wall_s, interp) =
             cold_simulated(iters, Engine::Interpreted, input, &stream, &mut modeled, threads);
-        let sim_analytic_wall_s =
+        let (sim_analytic_wall_s, analytic) =
             cold_simulated(iters, Engine::Analytic, input, &stream, &mut modeled, threads);
+        let counted = *blocks.get_or_insert((interp, analytic));
+        assert_eq!(counted, (interp, analytic), "interpreted blocks vary with threads");
 
         samples.push(Sample {
             threads,
@@ -191,6 +201,7 @@ fn main() {
     }
     let base = samples[0].native_compress_s;
     let modeled_kernel_s = modeled.expect("at least one simulated run");
+    let (interp_blocks, analytic_blocks) = blocks.expect("at least one simulated run");
 
     let mut t = Table::new(&[
         "threads",
@@ -218,7 +229,11 @@ fn main() {
     }
     let table = t.render();
     print!("{table}");
-    println!("\nstreams byte-identical across all paths and thread counts: yes");
+    let blocks_line = format!(
+        "thread blocks interpreted per compress: interpreted engine {interp_blocks}, \
+         analytic engine {analytic_blocks} (same at every thread count)"
+    );
+    println!("\nstreams byte-identical across all paths and thread counts: yes\n{blocks_line}");
     if host_cores == 1 {
         println!("note: single-core host — speedups are bounded by hardware, not the pool");
     }
@@ -226,6 +241,16 @@ fn main() {
     // Every gate with both of its inputs, printed before any is judged so
     // that a failing run still reports what it measured.
     let mut gates: Vec<(bool, String)> = Vec::new();
+    // The analytic engine's speed, counted rather than timed: it must skip
+    // at least 9 in 10 of the blocks the interpreter runs. Unlike the
+    // timed 10x gate below, no host load can move this one.
+    gates.push((
+        analytic_blocks * 10 <= interp_blocks,
+        format!(
+            "analytic engine interprets ({analytic_blocks} blocks) <= 1/10 of the \
+             interpreted engine's blocks ({interp_blocks})"
+        ),
+    ));
     for s in &samples {
         // The fast path's reason to exist: it must beat the simulated
         // pipeline's host wall comfortably at every thread count. Gate in
@@ -278,7 +303,8 @@ fn main() {
         if smoke { " [smoke]" } else { "" },
     );
     txt.push_str(&table);
-    txt.push_str("\nstreams byte-identical across all paths and thread counts: yes\n\n");
+    txt.push_str("\nstreams byte-identical across all paths and thread counts: yes\n");
+    txt.push_str(&format!("{blocks_line}\n\n"));
     txt.push_str(&gate_lines);
 
     let rows = samples.iter().map(|s| {
@@ -308,6 +334,8 @@ fn main() {
         .str("stat", "median")
         .str("sim_runs", "cold")
         .raw("modeled_kernel_s", format!("{modeled_kernel_s:.6}"))
+        .raw("interpreted_blocks", interp_blocks)
+        .raw("analytic_interpreted_blocks", analytic_blocks)
         .raw("identical_streams", true)
         .raw("threads", json::list(Layout::Doc, rows))
         .finish();

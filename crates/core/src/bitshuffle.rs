@@ -9,6 +9,13 @@
 //! after the transpose entire output words (and runs of words) become
 //! zero — the redundancy the zero-block encoder removes. This CPU version
 //! is the semantics oracle for the warp-ballot GPU kernel.
+//!
+//! [`shuffle_tile`] and [`unshuffle_tile`] are the only host transposes:
+//! the native encoder and decoder, the analytic engine's shuffle and
+//! unshuffle fills and the scalar oracle's [`shuffle`]/[`unshuffle`] all
+//! run them, and both sit on one LSB-first 32x32 kernel,
+//! [`lsb_transpose`]. The unit tests hold it equal to a naive bit-by-bit
+//! transpose on random tiles in both directions.
 
 use crate::pack::TILE_WORDS;
 
@@ -33,23 +40,30 @@ pub fn unshuffle(words: &[u32]) -> Vec<u32> {
     out
 }
 
-/// 32x32 bit-matrix transpose (Hacker's Delight §7-3): after the call,
-/// bit `j` of `a[k]` equals bit `k` of the original `a[j]`.
+/// LSB-first 32x32 bit-matrix transpose: returns `t` with `t[i]` bit `x`
+/// = `a[x]` bit `i`. Five rounds of block swaps (Hacker's Delight §7-3
+/// with bit 0 as column 0): round `j` (16, 8, 4, 2, 1) exchanges the high
+/// `j`-bit half of every `2j`-bit field of `a[k]` with the low half of
+/// `a[k + j]`, for each `k` whose bit `j` is clear. The same kernel serves
+/// both directions — a transpose is its own inverse — so
+/// [`shuffle_tile`] and [`unshuffle_tile`] share it.
 #[inline]
-pub fn transpose32(a: &mut [u32; 32]) {
+pub fn lsb_transpose(a: &[u32; 32]) -> [u32; 32] {
+    let mut t = *a;
     let mut j = 16usize;
     let mut m = 0x0000_FFFFu32;
     while j != 0 {
-        let mut k = 0usize;
-        while k < 32 {
-            let t = (a[k] ^ (a[k + j] >> j)) & m;
-            a[k] ^= t;
-            a[k + j] ^= t << j;
-            k = (k + j + 1) & !j;
+        for base in (0..32).step_by(2 * j) {
+            for k in base..base + j {
+                let s = ((t[k] >> j) ^ t[k + j]) & m;
+                t[k + j] ^= s;
+                t[k] ^= s << j;
+            }
         }
         j >>= 1;
         m ^= m << j;
     }
+    t
 }
 
 /// One tile forward: `out[i*32 + y]` = bit `i` of row `y`'s words.
@@ -63,16 +77,6 @@ pub fn shuffle_tile(input: &[u32; TILE_WORDS], out: &mut [u32; TILE_WORDS]) {
             out[i * 32 + y] = w;
         }
     }
-}
-
-/// LSB-oriented transpose: returns `t` with `t[i]` bit `x` = `a[x]` bit `i`.
-/// Adapts the MSB-first Hacker's Delight kernel by reversing word order and
-/// bit order on input.
-#[inline]
-fn lsb_transpose(a: &[u32; 32]) -> [u32; 32] {
-    let mut b: [u32; 32] = core::array::from_fn(|x| a[31 - x].reverse_bits());
-    transpose32(&mut b);
-    b
 }
 
 /// One tile inverse: bit `i` of `out[y*32 + x]` = bit `x` of `in[i*32 + y]`.
@@ -102,6 +106,18 @@ mod reference {
             }
         }
     }
+
+    pub fn unshuffle_tile(input: &[u32; TILE_WORDS], out: &mut [u32; TILE_WORDS]) {
+        for y in 0..32 {
+            for x in 0..32 {
+                let mut word = 0u32;
+                for i in 0..32 {
+                    word |= ((input[i * 32 + y] >> x) & 1) << i;
+                }
+                out[y * 32 + x] = word;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -109,26 +125,39 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Both tile directions against the naive bit-by-bit transposes.
+    fn assert_matches_naive(words: &[u32]) {
+        let input: &[u32; TILE_WORDS] = words.try_into().unwrap();
+        let (mut fast, mut naive) = ([0u32; TILE_WORDS], [0u32; TILE_WORDS]);
+        shuffle_tile(input, &mut fast);
+        reference::shuffle_tile(input, &mut naive);
+        assert_eq!(fast, naive, "shuffle_tile");
+        unshuffle_tile(input, &mut fast);
+        reference::unshuffle_tile(input, &mut naive);
+        assert_eq!(fast, naive, "unshuffle_tile");
+    }
+
     #[test]
     fn fast_transpose_matches_naive_reference() {
         let words: Vec<u32> =
             (0..TILE_WORDS as u32).map(|i| i.wrapping_mul(0x9E3779B9) ^ (i << 7)).collect();
-        let input: &[u32; TILE_WORDS] = words.as_slice().try_into().unwrap();
-        let mut fast = [0u32; TILE_WORDS];
-        let mut naive = [0u32; TILE_WORDS];
-        shuffle_tile(input, &mut fast);
-        reference::shuffle_tile(input, &mut naive);
-        assert_eq!(fast, naive);
+        assert_matches_naive(&words);
+        for w in [0, u32::MAX, 1, 1 << 31, 0x5555_5555] {
+            assert_matches_naive(&vec![w; TILE_WORDS]);
+        }
     }
 
     #[test]
-    fn transpose32_is_involution() {
-        let mut a: [u32; 32] = core::array::from_fn(|i| (i as u32).wrapping_mul(2654435761));
-        let orig = a;
-        transpose32(&mut a);
-        assert_ne!(a, orig);
-        transpose32(&mut a);
-        assert_eq!(a, orig);
+    fn lsb_transpose_is_involution() {
+        let a: [u32; 32] = core::array::from_fn(|i| (i as u32).wrapping_mul(2654435761));
+        let t = lsb_transpose(&a);
+        assert_ne!(t, a);
+        assert_eq!(lsb_transpose(&t), a);
+        for (i, &row) in t.iter().enumerate() {
+            for (x, &col) in a.iter().enumerate() {
+                assert_eq!(row >> x & 1, col >> i & 1, "t[{i}] bit {x}");
+            }
+        }
     }
 
     #[test]
@@ -190,6 +219,13 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_fast_transpose_matches_naive_reference(
+            words in proptest::collection::vec(any::<u32>(), TILE_WORDS..=TILE_WORDS),
+        ) {
+            assert_matches_naive(&words);
+        }
+
         #[test]
         fn prop_unshuffle_inverts_shuffle(
             words in proptest::collection::vec(any::<u32>(), TILE_WORDS..=TILE_WORDS),

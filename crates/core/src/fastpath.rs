@@ -22,21 +22,35 @@
 //! simulation engine's output fills (`crate::gpu`) call the same
 //! functions, so the two can never drift apart. Unlike the
 //! per-call-allocating oracle, a [`FzNative`] value owns reusable scratch
-//! buffers: compressing many fields through one instance allocates nothing
-//! beyond the returned stream itself.
+//! buffers, and each pool thread keeps its group window (`walk_group`):
+//! compressing many fields through one instance allocates nothing beyond
+//! the returned stream itself once those have grown.
 //!
-//! Decompression streams each 1024-word tile once. The flag popcount check
-//! also yields every tile's payload offset; each tile then gathers its
-//! present blocks into a stack tile, un-shuffles it ([`unshuffle_tile`])
-//! and unpacks its 2048 codes straight into the deltas (`unpack_tile`).
-//! The shared [`integrate`] and `dequantize_field` finish the field. The
-//! analytic engine keeps the staged kernels, so its fills call the same
-//! tile functions through `unshuffle_tiles` and `deltas_from_words`.
+//! Compression streams each 1024-word tile once. Dual quantization makes
+//! every code a function of prequantized neighbours only, so the tiles
+//! split into groups (`group_tiles`, a function of the shape) that encode
+//! independently, one pool task each. A group prequantizes its Lorenzo
+//! halo and then, tile by tile, the tile's values into its window
+//! (`walk_group`); the row kernels, seeded at the window's offset, make
+//! the tile's codes, which are packed, shuffled ([`shuffle_tile`]) and
+//! zero-scanned (`group_flags`) on the stack (`encode_tile`). The group
+//! writes its flag words in place and appends its present blocks to its
+//! own part, and [`assemble`] copies the parts into the stream in group
+//! order. The analytic engine's `pred_quant_v2` and fused 1-D fills walk
+//! the same groups through the same window.
+//!
+//! Decompression streams each 1024-word tile once too. The flag popcount
+//! check also yields every tile's payload offset; each tile then gathers
+//! its present blocks into a stack tile, un-shuffles it
+//! ([`unshuffle_tile`]) and unpacks its 2048 codes straight into the
+//! deltas (`unpack_tile`). The shared [`integrate`] and
+//! `dequantize_field` finish the field. The analytic engine keeps the
+//! staged decode kernels, so its fills call the same tile functions
+//! through `unshuffle_tiles` and `deltas_from_words`.
 //!
 //! Every stage runs inside one `native.*` trace span per call (compress:
-//! `resolve`, `prequant`, `lorenzo`, `pack`, `shuffle`, `encode`,
-//! `assemble`; decompress: `verify`, `tiles`, `integrate`, `dequantize`),
-//! a no-op unless a capture window is open.
+//! `resolve`, `tiles`, `assemble`; decompress: `verify`, `tiles`,
+//! `integrate`, `dequantize`), a no-op unless a capture window is open.
 
 use rayon::prelude::*;
 
@@ -96,29 +110,16 @@ impl PipelinePath {
     }
 }
 
-/// Reset a scratch buffer to `n` zeroed elements, reusing its allocation.
-#[inline]
-fn reset<T: Copy + Default>(buf: &mut Vec<T>, n: usize) {
-    buf.clear();
-    buf.resize(n, T::default());
-}
-
 /// The native compressor. Holds scratch buffers so repeated calls through
 /// one instance allocate nothing but the returned stream/field.
 #[derive(Debug, Default, Clone)]
 pub struct FzNative {
-    /// Prequantized integers (compress stage 1).
-    q: Vec<i32>,
-    /// Sign-magnitude Lorenzo codes.
-    codes: Vec<u16>,
-    /// Packed code words, tile-padded.
-    words: Vec<u32>,
-    /// Bit-transposed words.
-    shuffled: Vec<u32>,
-    /// Zero-block flag bitmap.
+    /// Per group of tiles, the present blocks it appends to the payload
+    /// (compress). Only grows, so a smaller field after a larger one keeps
+    /// every allocation.
+    parts: Vec<Vec<u32>>,
+    /// Zero-block flag bitmap (compress).
     bit_flags: Vec<u32>,
-    /// Compacted non-zero blocks.
-    payload: Vec<u32>,
     /// Payload block offset of each tile, plus the total (decompress).
     tile_offsets: Vec<usize>,
     /// Decoded Lorenzo deltas (decompress).
@@ -127,17 +128,17 @@ pub struct FzNative {
 
 // --- Lorenzo row kernels ---------------------------------------------------
 //
-// All predictor neighbors are reads of the prequantized array, never of
-// the output, so rows (and planes) encode independently. The oracle
+// All predictor neighbors are reads of the prequantized values, never of
+// the output, so any span of a row encodes independently. The oracle
 // accumulates neighbor sums in i64 and truncates the delta `as i32` (see
 // `lorenzo::lorenzo_delta`); these kernels reproduce that exactly while
-// carrying west-side neighbors in running scalars instead of re-indexing.
+// carrying west-side neighbors in running scalars seeded with the values
+// west of the span (0 at the domain boundary).
 
-/// 1D / first-row kernel: `pred = W`, seeded with `prev0` (the value west
-/// of this span; 0 at the domain boundary).
+/// 1D / first-row kernel: `pred = W`, seeded with `w`.
 #[inline]
-fn row_w(cur: &[i32], prev0: i64, out: &mut [u16]) {
-    let mut w = prev0;
+fn row_w(cur: &[i32], w: i64, out: &mut [u16]) {
+    let mut w = w;
     for (o, &c) in out.iter_mut().zip(cur) {
         let c = c as i64;
         *o = delta_to_code((c - w) as i32);
@@ -145,10 +146,10 @@ fn row_w(cur: &[i32], prev0: i64, out: &mut [u16]) {
     }
 }
 
-/// 2D interior row: `pred = W + N - NW`.
+/// 2D interior row: `pred = W + N - NW`, seeded with `(w, nw)`.
 #[inline]
-fn row_wn(cur: &[i32], north: &[i32], out: &mut [u16]) {
-    let (mut w, mut nw) = (0i64, 0i64);
+fn row_wn(cur: &[i32], north: &[i32], (w, nw): (i64, i64), out: &mut [u16]) {
+    let (mut w, mut nw) = (w, nw);
     for ((o, &c), &n) in out.iter_mut().zip(cur).zip(north) {
         let (c, n) = (c as i64, n as i64);
         *o = delta_to_code((c - (w + n - nw)) as i32);
@@ -157,10 +158,11 @@ fn row_wn(cur: &[i32], north: &[i32], out: &mut [u16]) {
     }
 }
 
-/// 3D first row of an interior plane: `pred = W + B - BW`.
+/// 3D first row of an interior plane: `pred = W + B - BW`, seeded with
+/// `(w, bw)`.
 #[inline]
-fn row_wb(cur: &[i32], back: &[i32], out: &mut [u16]) {
-    let (mut w, mut bw) = (0i64, 0i64);
+fn row_wb(cur: &[i32], back: &[i32], (w, bw): (i64, i64), out: &mut [u16]) {
+    let (mut w, mut bw) = (w, bw);
     for ((o, &c), &b) in out.iter_mut().zip(cur).zip(back) {
         let (c, b) = (c as i64, b as i64);
         *o = delta_to_code((c - (w + b - bw)) as i32);
@@ -169,17 +171,23 @@ fn row_wb(cur: &[i32], back: &[i32], out: &mut [u16]) {
     }
 }
 
-/// 3D interior row: the full 7-neighbor Lorenzo predictor.
+/// 3D interior row: the full 7-neighbor Lorenzo predictor, seeded with
+/// `[w, nw, bw, bnw]`.
 #[inline]
-fn row_full(cur: &[i32], north: &[i32], back: &[i32], back_north: &[i32], out: &mut [u16]) {
-    let (mut w, mut nw, mut bw, mut bnw) = (0i64, 0i64, 0i64, 0i64);
-    for i in 0..out.len() {
-        let c = cur[i] as i64;
-        let n = north[i] as i64;
-        let b = back[i] as i64;
-        let bn = back_north[i] as i64;
+fn row_full(
+    cur: &[i32],
+    north: &[i32],
+    back: &[i32],
+    back_north: &[i32],
+    [w, nw, bw, bnw]: [i64; 4],
+    out: &mut [u16],
+) {
+    let (mut w, mut nw, mut bw, mut bnw) = (w, nw, bw, bnw);
+    let neighbours = cur.iter().zip(north).zip(back).zip(back_north);
+    for (o, (((&c, &n), &b), &bn)) in out.iter_mut().zip(neighbours) {
+        let (c, n, b, bn) = (c as i64, n as i64, b as i64, bn as i64);
         let pred = w + n + b - nw - bw - bn + bnw;
-        out[i] = delta_to_code((c - pred) as i32);
+        *o = delta_to_code((c - pred) as i32);
         w = c;
         nw = n;
         bw = b;
@@ -187,103 +195,187 @@ fn row_full(cur: &[i32], north: &[i32], back: &[i32], back_north: &[i32], out: &
     }
 }
 
-/// Prequantize `data` into `q` — parallel, element-wise, through the same
-/// scalar helper as every other path. Shared entry point: both
-/// [`FzNative::compress`] and the analytic simulation engine's
-/// quantization fill (`crate::gpu::quant`) call this, so the two can never
-/// drift apart.
-pub(crate) fn prequant_into(data: &[f32], ebx2_inv: f64, q: &mut [i32]) {
-    q.par_chunks_mut(1 << 13).zip(data.par_chunks(1 << 13)).for_each(|(qs, ds)| {
-        for (q, &d) in qs.iter_mut().zip(ds) {
-            *q = prequantize(d, ebx2_inv);
-        }
-    });
-}
-
-/// Integer Lorenzo prediction + sign-magnitude codes, parallel by rank.
-/// Rows/planes read only `q`, so the decomposition is free to differ from
-/// the reference's — integer arithmetic is exact, the codes are identical
-/// regardless of scheduling. Shared entry point (see [`prequant_into`]).
-pub(crate) fn lorenzo_codes_into(q: &[i32], shape: Shape, codes: &mut [u16]) {
-    let (_nz, ny, nx) = shape;
+/// How far back of a value its Lorenzo predictor reads, in linear index
+/// space: the west value (1-D), plus the north row (2-D), plus the back
+/// plane (3-D).
+fn halo(shape: Shape) -> usize {
+    let (_, ny, nx) = shape;
     match rank_of(shape) {
-        1 => {
-            // 1D: chunk freely; a chunk starting at `s` seeds its
-            // west-neighbor from q[s-1].
-            codes.par_chunks_mut(1 << 13).enumerate().for_each(|(ci, out)| {
-                let s = ci * (1 << 13);
-                let prev0 = if s == 0 { 0 } else { q[s - 1] as i64 };
-                row_w(&q[s..s + out.len()], prev0, out);
-            });
-        }
-        2 => {
-            // 2D: parallel over rows; row y reads q rows y-1 and y.
-            codes.par_chunks_mut(nx).enumerate().for_each(|(y, out)| {
-                let cur = &q[y * nx..y * nx + nx];
-                if y == 0 {
-                    row_w(cur, 0, out);
-                } else {
-                    row_wn(cur, &q[(y - 1) * nx..y * nx], out);
-                }
-            });
-        }
-        _ => {
-            // 3D: parallel over planes; plane z reads q planes z-1, z.
-            let plane = ny * nx;
-            codes.par_chunks_mut(plane).enumerate().for_each(|(z, out)| {
-                let plane_q = &q[z * plane..(z + 1) * plane];
-                let back = (z > 0).then(|| &q[(z - 1) * plane..z * plane]);
-                encode_plane(plane_q, back, nx, out);
-            });
-        }
+        1 => 1,
+        2 => nx + 1,
+        _ => ny * nx + nx + 1,
     }
 }
 
-/// Encode one plane of codes from its quantized values and the previous
-/// plane (`None` at z == 0, where back-neighbors read as 0).
-fn encode_plane(plane_q: &[i32], back: Option<&[i32]>, nx: usize, out: &mut [u16]) {
-    for (y, row_out) in out.chunks_mut(nx).enumerate() {
-        let cur = &plane_q[y * nx..y * nx + nx];
-        let north = (y > 0).then(|| &plane_q[(y - 1) * nx..y * nx]);
-        match (north, back) {
-            (None, None) => row_w(cur, 0, row_out),
-            (Some(n), None) => row_wn(cur, n, row_out),
-            (None, Some(b)) => row_wb(cur, &b[..nx], row_out),
-            (Some(n), Some(b)) => {
-                row_full(cur, n, &b[y * nx..y * nx + nx], &b[(y - 1) * nx..y * nx], row_out)
+/// Tiles per group, unless the halo needs more: 64 Ki values, enough work
+/// that every group is worth its own pool task.
+const GROUP_TILES: usize = 32;
+
+/// Tiles per group of a field of `shape`: [`GROUP_TILES`], or four halos'
+/// worth when that is more, so the halo a group prequantizes twice (its
+/// own window's and its predecessor's) stays at most a quarter of its
+/// values. Only a 2-D row or a 3-D plane longer than 16 Ki values makes
+/// the halo decide. A function of the shape alone, so the group grid is
+/// the same at any thread count (the bytes would be anyway: parts are
+/// concatenated in order). Group regions run one group per pool task
+/// (`with_max_len(1)`), so a field of two groups already fans out.
+pub(crate) fn group_tiles(shape: Shape) -> usize {
+    (4 * halo(shape)).div_ceil(TILE_CODES).max(GROUP_TILES)
+}
+
+/// A group's prequantized values: linear indices `start..start + q.len()`,
+/// filled in order by [`Window::extend`]. The compress-side unit of work
+/// that the native encoder and the analytic engine's quantization fills
+/// share (see [`walk_group`]).
+#[derive(Debug, Default)]
+pub(crate) struct Window {
+    start: usize,
+    q: Vec<i32>,
+}
+
+thread_local! {
+    /// This thread's group window. A thread walks one group at a time, so
+    /// one window per pool thread serves every group, native and analytic,
+    /// and keeps its allocation for the next call: the windows in memory
+    /// number the threads, not the field's groups.
+    static WINDOW: core::cell::RefCell<Window> = core::cell::RefCell::default();
+}
+
+impl Window {
+    /// Linear index one past the last prequantized value.
+    fn end(&self) -> usize {
+        self.start + self.q.len()
+    }
+
+    /// Prequantize the values that follow [`Window::end`].
+    pub(crate) fn extend(&mut self, vals: &[f32], ebx2_inv: f64) {
+        self.q.extend(vals.iter().map(|&d| prequantize(d, ebx2_inv)));
+    }
+
+    /// The prequantized values of linear `a..b`.
+    #[inline]
+    fn at(&self, a: usize, b: usize) -> &[i32] {
+        &self.q[a - self.start..b - self.start]
+    }
+
+    /// Lorenzo codes of linear `a..a + out.len()`, which the window must
+    /// hold together with their [`halo`]. Each row span goes to the row
+    /// kernel of its (north, back) neighbours, seeded with the values
+    /// west of the span.
+    pub(crate) fn codes(&self, shape: Shape, a: usize, out: &mut [u16]) {
+        if out.is_empty() {
+            return;
+        }
+        let (_, ny, nx) = shape;
+        let plane = ny * nx;
+        let b = a + out.len();
+        let (mut s, mut x, mut y, mut z) = (a, a % nx, a / nx % ny, a / plane);
+        while s < b {
+            let e = b.min(s - x + nx);
+            let o = &mut out[s - a..e - a];
+            let cur = self.at(s, e);
+            // The value west of linear index `i`'s span, 0 at x == 0.
+            let west = |i: usize| if x > 0 { self.q[i - 1 - self.start] as i64 } else { 0 };
+            match (y > 0, z > 0) {
+                (false, false) => row_w(cur, west(s), o),
+                (true, false) => row_wn(cur, self.at(s - nx, e - nx), (west(s), west(s - nx)), o),
+                (false, true) => {
+                    row_wb(cur, self.at(s - plane, e - plane), (west(s), west(s - plane)), o)
+                }
+                (true, true) => row_full(
+                    cur,
+                    self.at(s - nx, e - nx),
+                    self.at(s - plane, e - plane),
+                    self.at(s - plane - nx, e - plane - nx),
+                    [west(s), west(s - nx), west(s - plane), west(s - plane - nx)],
+                    o,
+                ),
+            }
+            s = e;
+            (x, y) = (0, y + 1);
+            if y == ny {
+                (y, z) = (0, z + 1);
             }
         }
     }
 }
 
-/// Pack codes two per word (low half = even index) into the first
-/// `codes.len().div_ceil(2)` words of `words`, parallel; the tile padding
-/// beyond is left untouched (callers pass zeroed buffers sized by
-/// [`padded_words`]). Shared by [`FzNative::compress`] and the simulated
-/// pipeline's pack step.
-pub(crate) fn pack_into(codes: &[u16], words: &mut [u32]) {
-    let n = codes.len();
-    words[..n.div_ceil(2)].par_chunks_mut(1 << 12).enumerate().for_each(|(ci, out)| {
-        let wbase = ci * (1 << 12);
-        for (j, w) in out.iter_mut().enumerate() {
-            let i = (wbase + j) * 2;
-            let lo = codes[i] as u32;
-            let hi = if i + 1 < n { codes[i + 1] as u32 } else { 0 };
-            *w = lo | (hi << 16);
+/// Walk the tiles `tiles` of an `n`-value field of `shape` as one group,
+/// in this thread's window ([`WINDOW`]): restart it at the group's halo and
+/// `load` that (`load(win, range)` prequantizes linear `range` into the
+/// window), then per tile `load` its values and hand `tile(win, first
+/// value, value count)` the window while they are cache-hot. Neither
+/// closure may walk a group itself. The last tile of a field may hold
+/// fewer than [`TILE_CODES`] values, and an empty field's one tile none.
+/// The native encoder and the analytic engine's `pred_quant_v2` and fused
+/// 1-D fills all run their groups through here; only where values come
+/// from and where codes go differ.
+///
+/// The window slides: once the values no later tile reads (those more than
+/// a halo behind the next tile) outnumber twice the larger of a halo and a
+/// tile, they are dropped, which moves at most half a value per value
+/// loaded. So a window holds at most twice the larger of a halo and a
+/// tile, plus a halo and a tile, whatever the group's length.
+pub(crate) fn walk_group(
+    shape: Shape,
+    n: usize,
+    tiles: core::ops::Range<usize>,
+    mut load: impl FnMut(&mut Window, core::ops::Range<usize>),
+    mut tile: impl FnMut(&Window, usize, usize),
+) {
+    let halo = halo(shape);
+    let slide = 2 * halo.max(TILE_CODES);
+    let v0 = (tiles.start * TILE_CODES).min(n);
+    WINDOW.with_borrow_mut(|win| {
+        win.start = v0.saturating_sub(halo);
+        win.q.clear();
+        let len = (tiles.end * TILE_CODES).min(n) - win.start;
+        win.q.reserve(len.min(halo + slide + TILE_CODES));
+        load(win, win.start..v0);
+        for t in tiles {
+            let a = (t * TILE_CODES).min(n);
+            let b = (a + TILE_CODES).min(n);
+            let stale = a.saturating_sub(halo) - win.start;
+            if stale >= slide {
+                win.q.drain(..stale);
+                win.start += stale;
+            }
+            debug_assert_eq!(win.end(), a);
+            load(win, a..b);
+            tile(win, a, b - a);
         }
     });
 }
 
-/// Bitshuffle a tile-aligned word stream, parallel over tiles through the
-/// shared [`shuffle_tile`] kernel.
-pub(crate) fn shuffle_tiles(words: &[u32], shuffled: &mut [u32]) {
-    words
-        .par_chunks_exact(TILE_WORDS)
-        .zip(shuffled.par_chunks_exact_mut(TILE_WORDS))
-        .for_each(|(tin, tout)| shuffle_tile(tin.try_into().unwrap(), tout.try_into().unwrap()));
+/// Pack one tile's codes two per word (low half = even index). Shared by
+/// the native encoder, the fused 1-D fill and the simulated pipeline's
+/// pack step.
+#[inline]
+pub(crate) fn pack_tile(codes: &[u16; TILE_CODES], words: &mut [u32; TILE_WORDS]) {
+    for (w, pair) in words.iter_mut().zip(codes.chunks_exact(2)) {
+        *w = pair[0] as u32 | (pair[1] as u32) << 16;
+    }
 }
 
-/// Inverse of [`shuffle_tiles`].
+/// Encode one tile from a window: the Lorenzo codes of linear
+/// `a..a + len` (`len <= TILE_CODES`, zero codes beyond), packed and
+/// bitshuffled into `out`.
+pub(crate) fn encode_tile(
+    win: &Window,
+    shape: Shape,
+    a: usize,
+    len: usize,
+    out: &mut [u32; TILE_WORDS],
+) {
+    let mut codes = [0u16; TILE_CODES];
+    win.codes(shape, a, &mut codes[..len]);
+    let mut words = [0u32; TILE_WORDS];
+    pack_tile(&codes, &mut words);
+    shuffle_tile(&words, out);
+}
+
+/// Inverse of the compress side's shuffle, over a tile-aligned stream:
+/// parallel over tiles through the shared [`unshuffle_tile`].
 pub(crate) fn unshuffle_tiles(shuffled: &[u32], words: &mut [u32]) {
     shuffled
         .par_chunks_exact(TILE_WORDS)
@@ -292,7 +384,10 @@ pub(crate) fn unshuffle_tiles(shuffled: &[u32], words: &mut [u32]) {
 }
 
 /// Words covered by one zero-block flag word: 32 blocks.
-pub(crate) const FLAG_GROUP_WORDS: usize = 32 * BLOCK_WORDS;
+const FLAG_GROUP_WORDS: usize = 32 * BLOCK_WORDS;
+
+/// Flag words per tile: 256 blocks of [`BLOCK_WORDS`], 32 flags a word.
+pub(crate) const TILE_FLAG_WORDS: usize = TILE_WORDS / FLAG_GROUP_WORDS;
 
 /// The 64-bit zero scan: a 4-word (16-byte) block OR-folds into two u64
 /// lanes and tests once.
@@ -313,20 +408,43 @@ pub(crate) fn group_flags(group: &[u32]) -> u32 {
         .fold(0, |mask, (b, blk)| mask | u32::from(block_is_present(blk)) << b)
 }
 
-/// Zero-block encode a shuffled stream in one pass: one flag word per 32
-/// blocks, and every present block appended to `payload` in stream order.
-/// Tiles are 1024 words, so every flag word is full.
-pub(crate) fn zero_block_encode(shuffled: &[u32], bit_flags: &mut [u32], payload: &mut Vec<u32>) {
-    for (flags, group) in bit_flags.iter_mut().zip(shuffled.chunks_exact(FLAG_GROUP_WORDS)) {
-        let mut mask = 0u32;
-        for (b, blk) in group.chunks_exact(BLOCK_WORDS).enumerate() {
-            if block_is_present(blk) {
-                mask |= 1 << b;
-                payload.extend_from_slice(blk);
+/// The [`TILE_FLAG_WORDS`] zero-block flag words of one shuffled tile,
+/// through [`group_flags`].
+#[inline]
+pub(crate) fn tile_flags(shuffled: &[u32; TILE_WORDS], flags: &mut [u32]) {
+    for (f, group) in flags.iter_mut().zip(shuffled.chunks_exact(FLAG_GROUP_WORDS)) {
+        *f = group_flags(group);
+    }
+}
+
+/// Compress one group of tiles straight from the field: per tile, encode
+/// it ([`encode_tile`]), write its flag words into `flags` (the group's
+/// slice of the bitmap) and append its present blocks to `part`.
+fn compress_group(
+    data: &[f32],
+    shape: Shape,
+    ebx2_inv: f64,
+    tiles: core::ops::Range<usize>,
+    part: &mut Vec<u32>,
+    flags: &mut [u32],
+) {
+    part.clear();
+    let mut flag_words = flags.chunks_exact_mut(TILE_FLAG_WORDS);
+    let load = |win: &mut Window, r: core::ops::Range<usize>| win.extend(&data[r], ebx2_inv);
+    walk_group(shape, data.len(), tiles, load, |win, a, len| {
+        let mut shuffled = [0u32; TILE_WORDS];
+        encode_tile(win, shape, a, len, &mut shuffled);
+        let flags = flag_words.next().expect("one flag slice per tile");
+        tile_flags(&shuffled, flags);
+        for (&mask, group) in flags.iter().zip(shuffled.chunks_exact(FLAG_GROUP_WORDS)) {
+            let mut m = mask;
+            while m != 0 {
+                let b = m.trailing_zeros() as usize * BLOCK_WORDS;
+                part.extend_from_slice(&group[b..b + BLOCK_WORDS]);
+                m &= m - 1;
             }
         }
-        *flags = mask;
-    }
+    });
 }
 
 /// Unpack one tile's codes (low half = even index) and decode their
@@ -372,9 +490,6 @@ pub(crate) fn dequantize_field(q: &[i32], eb: f64, out: &mut [f32]) {
     });
 }
 
-/// Flag words per tile: 256 blocks of [`BLOCK_WORDS`], 32 flags a word.
-const TILE_FLAG_WORDS: usize = TILE_WORDS / FLAG_GROUP_WORDS;
-
 /// Little-endian `u32` at word `i` of `bytes`.
 #[inline]
 fn le_word(bytes: &[u8], i: usize) -> u32 {
@@ -413,6 +528,12 @@ impl FzNative {
     /// Compress; byte-identical stream to [`crate::pipeline::FzGpu`] and
     /// the scalar oracle [`crate::reference::compress`].
     ///
+    /// One parallel pass over groups of tiles (`group_tiles`): each
+    /// group prequantizes its window tile by tile, encodes every tile
+    /// (`encode_tile`), writes its flag words in place and appends its
+    /// present blocks to its part; [`assemble`] then copies the parts into
+    /// the stream in group order and runs the one body CRC.
+    ///
     /// # Panics
     /// Panics when `data.len()` disagrees with `shape` or the resolved
     /// bound is not finite and positive (see [`ErrorBound::resolve`]).
@@ -424,55 +545,40 @@ impl FzNative {
             eb.resolve(data)
         };
         let n = data.len();
-
-        // Stage 1a: prequantize (parallel, element-wise).
-        {
-            let _s = fzgpu_trace::span("native.prequant");
-            reset(&mut self.q, n);
-            prequant_into(data, 1.0 / (2.0 * eb_abs), &mut self.q);
-        }
-
-        // Stage 1b: integer Lorenzo prediction + sign-magnitude codes.
-        {
-            let _s = fzgpu_trace::span("native.lorenzo");
-            reset(&mut self.codes, n);
-            lorenzo_codes_into(&self.q, shape, &mut self.codes);
-        }
-
-        // Stage 1c: pack codes two per word, zero-padded to whole tiles.
         let nwords = padded_words(n);
+        let ntiles = nwords / TILE_WORDS;
+        let per = group_tiles(shape);
+        let ngroups = ntiles.div_ceil(per);
         {
-            let _s = fzgpu_trace::span("native.pack");
-            reset(&mut self.words, nwords);
-            pack_into(&self.codes, &mut self.words);
-        }
-
-        // Stage 2: bitshuffle, parallel over tiles.
-        {
-            let _s = fzgpu_trace::span("native.shuffle");
-            reset(&mut self.shuffled, nwords);
-            shuffle_tiles(&self.words, &mut self.shuffled);
-        }
-
-        // Stage 3: zero-block flags + compaction in one pass.
-        let num_blocks = nwords / BLOCK_WORDS;
-        {
-            let _s = fzgpu_trace::span("native.encode");
-            reset(&mut self.bit_flags, num_blocks.div_ceil(32));
-            self.payload.clear();
-            zero_block_encode(&self.shuffled, &mut self.bit_flags, &mut self.payload);
+            let _s = fzgpu_trace::span("native.tiles");
+            if self.parts.len() < ngroups {
+                self.parts.resize_with(ngroups, Vec::new);
+            }
+            // Every flag word is written below, so stale values need no reset.
+            self.bit_flags.resize(ntiles * TILE_FLAG_WORDS, 0);
+            let ebx2_inv = 1.0 / (2.0 * eb_abs);
+            self.bit_flags
+                .par_chunks_mut(per * TILE_FLAG_WORDS)
+                .zip(self.parts[..ngroups].par_iter_mut())
+                .enumerate()
+                .with_max_len(1)
+                .for_each(|(g, (flags, part))| {
+                    let tiles = g * per..((g + 1) * per).min(ntiles);
+                    compress_group(data, shape, ebx2_inv, tiles, part, flags);
+                });
         }
 
         let _s = fzgpu_trace::span("native.assemble");
+        let parts = &self.parts[..ngroups];
         let header = Header {
             version: VERSION,
             shape,
             eb: eb_abs,
             n_values: n,
-            num_blocks,
-            payload_words: self.payload.len(),
+            num_blocks: nwords / BLOCK_WORDS,
+            payload_words: parts.iter().map(Vec::len).sum(),
         };
-        Compressed { bytes: assemble(&header, &self.bit_flags, &self.payload), header }
+        Compressed { bytes: assemble(&header, &self.bit_flags, parts), header }
     }
 
     /// Decompress a stream produced by any path.

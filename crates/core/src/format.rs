@@ -275,20 +275,67 @@ impl Header {
     }
 }
 
-/// Assemble a full stream from its sections. For v2 headers the body CRC is
-/// computed over the serialized bit-flag + payload bytes and the header CRC
-/// re-stamped to cover it.
-pub fn assemble(header: &Header, bit_flags: &[u32], payload: &[u32]) -> Vec<u8> {
-    assert_eq!(bit_flags.len(), header.bitflag_words());
-    assert_eq!(payload.len(), header.payload_words);
+/// One body section of a stream as [`assemble`] reads it: its words, in
+/// order, as consecutive parts. A slice is one part; the native encoder's
+/// payload is one part per group of tiles, and the simulated pipeline
+/// reads its device buffers a tile at a time, so neither copies a section
+/// into a vector first.
+pub trait Section {
+    /// Hand every word to `put`, as consecutive parts in stream order.
+    fn parts(&self, put: &mut dyn FnMut(&[u32]));
+}
+
+impl Section for [u32] {
+    fn parts(&self, put: &mut dyn FnMut(&[u32])) {
+        put(self)
+    }
+}
+
+impl Section for Vec<u32> {
+    fn parts(&self, put: &mut dyn FnMut(&[u32])) {
+        put(self)
+    }
+}
+
+/// Consecutive parts, e.g. the native encoder's per-group payloads.
+impl Section for [Vec<u32>] {
+    fn parts(&self, put: &mut dyn FnMut(&[u32])) {
+        for part in self {
+            put(part);
+        }
+    }
+}
+
+/// Append `section`'s words to `out`, little-endian, and return how many
+/// there were.
+fn put_words(out: &mut Vec<u8>, section: &(impl Section + ?Sized)) -> usize {
+    let mut words = 0;
+    section.parts(&mut |part| {
+        let at = out.len();
+        out.resize(at + part.len() * 4, 0);
+        for (dst, w) in out[at..].chunks_exact_mut(4).zip(part) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
+        words += part.len();
+    });
+    words
+}
+
+/// Assemble a full stream from its sections — the only stream writer.
+/// For v2 headers the body CRC is computed over the serialized bit-flag +
+/// payload bytes and the header CRC re-stamped to cover it.
+///
+/// # Panics
+/// Panics when a section's word count disagrees with the header.
+pub fn assemble(
+    header: &Header,
+    bit_flags: &(impl Section + ?Sized),
+    payload: &(impl Section + ?Sized),
+) -> Vec<u8> {
     let mut out = Vec::with_capacity(header.stream_bytes());
     out.extend_from_slice(&header.to_bytes());
-    for w in bit_flags {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    for w in payload {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
+    assert_eq!(put_words(&mut out, bit_flags), header.bitflag_words());
+    assert_eq!(put_words(&mut out, payload), header.payload_words);
     if header.version != VERSION_V1 {
         let body = crc32(&out[HEADER_BYTES..]);
         out[68..72].copy_from_slice(&body.to_le_bytes());

@@ -19,7 +19,8 @@
 use fzgpu_sim::{Engine, Gpu, GpuBuffer};
 use rayon::prelude::*;
 
-use crate::fastpath::{group_flags, shuffle_tiles, FLAG_GROUP_WORDS};
+use crate::bitshuffle::shuffle_tile;
+use crate::fastpath::{tile_flags, TILE_FLAG_WORDS};
 use crate::gpu::decode::flag_bytes;
 use crate::pack::TILE_WORDS;
 use crate::zeroblock::BLOCK_WORDS;
@@ -78,28 +79,29 @@ pub fn bitshuffle_mark(
         }
     }
     if gpu.effective_engine() == Engine::Analytic {
-        host_shuffle_mark(
-            &words.to_vec(),
-            shuffled.host_mut(),
-            byte_flags.host_mut(),
-            bit_flags.host_mut(),
-        );
+        host_shuffle_mark(words, shuffled.host_mut(), byte_flags.host_mut(), bit_flags.host_mut());
     }
     (shuffled, byte_flags, bit_flags)
 }
 
-/// Host shuffle + zero-block mark over a tile-aligned word stream into
-/// `(sh, bf, bits)`: tiles transpose through the native path's
-/// [`shuffle_tiles`] (pinned equal to the GPU kernels by this module's
-/// oracle tests) and flags come from its 64-bit zero scan. The analytic
-/// fill of this module's kernels and of the fused 1D kernel
-/// (`crate::gpu::fused`).
-pub(crate) fn host_shuffle_mark(input: &[u32], sh: &mut [u32], bf: &mut [u8], bits: &mut [u32]) {
-    shuffle_tiles(input, sh);
-    bits.par_iter_mut()
-        .zip(sh.par_chunks_exact(FLAG_GROUP_WORDS))
-        .for_each(|(mask, group)| *mask = group_flags(group));
-    flag_bytes(bits, bf);
+/// Host shuffle + zero-block mark of a tile-aligned device word stream
+/// into `(sh, bf, bits)`, the analytic fill of this module's kernels: per
+/// tile, a ranged read into a stack tile, the shared [`shuffle_tile`]
+/// (pinned equal to the GPU kernels by this module's oracle tests), then
+/// the native encoder's zero scan ([`tile_flags`]). Parallel over tiles.
+fn host_shuffle_mark(words: &GpuBuffer<u32>, sh: &mut [u32], bf: &mut [u8], bits: &mut [u32]) {
+    sh.par_chunks_exact_mut(TILE_WORDS)
+        .zip(bits.par_chunks_exact_mut(TILE_FLAG_WORDS))
+        .zip(bf.par_chunks_exact_mut(FLAGS_PER_TILE))
+        .enumerate()
+        .for_each(|(t, ((out, flags), bf))| {
+            let mut tile = [0u32; TILE_WORDS];
+            words.read_into(t * TILE_WORDS, &mut tile);
+            let out: &mut [u32; TILE_WORDS] = out.try_into().expect("a whole tile");
+            shuffle_tile(&tile, out);
+            tile_flags(out, flags);
+            flag_bytes(flags, bf);
+        });
 }
 
 /// The fused kernel. `stride` = 33 (padded, conflict-free) or 32 (ablation).

@@ -9,8 +9,14 @@
 
 use fzgpu_sim::scan::exclusive_sum;
 use fzgpu_sim::{Engine, Gpu, GpuBuffer, KernelStats};
+use rayon::prelude::*;
 
 use crate::zeroblock::BLOCK_WORDS;
+
+/// Flags per item of the analytic widen and compact fills: a whole number
+/// of 256-flag kernel blocks, so each item holds whole warps, and few
+/// enough for widen's stack buffer.
+const FILL_FLAGS: usize = 1 << 10;
 
 /// Widen byte flags to u32 for the scan (CUB scans these as integers).
 pub fn widen_flags(gpu: &mut Gpu, byte_flags: &GpuBuffer<u8>) -> GpuBuffer<u32> {
@@ -29,9 +35,14 @@ pub fn widen_flags(gpu: &mut Gpu, byte_flags: &GpuBuffer<u8>) -> GpuBuffer<u32> 
         });
     });
     if analytic {
-        for (w, f) in out.host_mut().iter_mut().zip(byte_flags.to_vec()) {
-            *w = f as u32;
-        }
+        out.host_mut().par_chunks_mut(FILL_FLAGS).enumerate().for_each(|(c, wide)| {
+            let mut flags = [0u8; FILL_FLAGS];
+            let flags = &mut flags[..wide.len()];
+            byte_flags.read_into(c * FILL_FLAGS, flags);
+            for (w, &f) in wide.iter_mut().zip(&*flags) {
+                *w = f as u32;
+            }
+        });
     }
     out
 }
@@ -62,21 +73,35 @@ pub fn compact(
     if gpu.effective_engine() == Engine::Analytic {
         // Data-dependent kernel: no block is representative, but the
         // counters are an exact function of (flags, offsets) — see
-        // [`compaction_stats`]. The payload itself is a cursor copy of the
-        // flagged blocks (offsets are the exclusive prefix sum of flags,
-        // so destination ranges are disjoint and in flag order).
-        let flags = byte_flags.to_vec();
-        let offs = offsets.to_vec();
-        let sh = shuffled.to_vec();
-        let out = payload.host_mut();
-        for (b, &f) in flags.iter().enumerate() {
-            if f != 0 {
-                let dst = offs[b] as usize * BLOCK_WORDS;
-                out[dst..dst + BLOCK_WORDS]
-                    .copy_from_slice(&sh[b * BLOCK_WORDS..(b + 1) * BLOCK_WORDS]);
-            }
+        // [`compaction_stats`]. The payload itself is a copy of the flagged
+        // blocks to their offsets. Offsets are the exclusive prefix sum of
+        // the flags, so each task of FILL_FLAGS flags owns the payload from
+        // its first flag's offset to the next task's, and the payload
+        // splits there; every task reads its flags, offsets and shuffled
+        // words in place and returns its warps' counters.
+        let ntasks = nflags.div_ceil(FILL_FLAGS);
+        let mut pieces = Vec::with_capacity(ntasks);
+        let mut rest = payload.host_mut();
+        let mut at = 0;
+        for c in 1..ntasks {
+            let next = offsets.host_read(c * FILL_FLAGS) as usize * BLOCK_WORDS;
+            let (piece, tail) = rest.split_at_mut(next - at);
+            pieces.push(piece);
+            (rest, at) = (tail, next);
         }
-        let stats = compaction_stats(&flags, &offs, blocks as usize);
+        pieces.push(rest);
+        let task_stats: Vec<KernelStats> = pieces
+            .into_par_iter()
+            .enumerate()
+            .map(|(c, piece)| compact_task(shuffled, byte_flags, offsets, c * FILL_FLAGS, piece))
+            .collect();
+        let mut stats = KernelStats::default();
+        for s in &task_stats {
+            stats.merge(s);
+        }
+        for _ in nflags.div_ceil(32)..blocks as usize * 8 {
+            warp_stats(&mut stats, &[], &[]);
+        }
         gpu.launch_analytic("encode.compact", blocks, 256u32, stats);
         return payload;
     }
@@ -123,33 +148,72 @@ pub(crate) fn compaction_stats(flags: &[u8], offs: &[u32], nblocks: usize) -> Ke
     let nflags = flags.len();
     let mut s = KernelStats::default();
     for warp in 0..nblocks * 8 {
-        let base = warp * 32;
-        let active = nflags.saturating_sub(base).min(32) as u64;
-        s.warp_instructions += 2;
-        s.inactive_lane_slots += 2 * (32 - active);
-        s.global_bytes_requested += active * 5;
-        s.global_sectors += u64::from(active > 0) + active.div_ceil(8);
-        let mut w = 0u32;
-        for l in 0..active as usize {
-            if flags[base + l] != 0 {
-                w |= 1 << l;
-            }
-        }
-        let m = w.count_ones() as u64;
-        let pair_sectors = ((w | w >> 1) & 0x5555_5555).count_ones() as u64;
-        let payload_sectors = if m > 0 {
-            let o0 = offs[base + w.trailing_zeros() as usize] as u64;
-            (o0 + m - 1) / 2 - o0 / 2 + 1
-        } else {
-            0
-        };
-        let bw = BLOCK_WORDS as u64;
-        s.warp_instructions += 2 * bw;
-        s.inactive_lane_slots += 2 * bw * (32 - m);
-        s.global_bytes_requested += 2 * bw * 4 * m;
-        s.global_sectors += bw * (pair_sectors + payload_sectors);
+        let base = (warp * 32).min(nflags);
+        let end = (base + 32).min(nflags);
+        warp_stats(&mut s, &flags[base..end], &offs[base..end]);
     }
     s
+}
+
+/// One warp's share of [`compaction_stats`]: `flags` and `offs` are its
+/// active lanes (none for a warp past the last flag).
+fn warp_stats(s: &mut KernelStats, flags: &[u8], offs: &[u32]) {
+    let active = flags.len() as u64;
+    s.warp_instructions += 2;
+    s.inactive_lane_slots += 2 * (32 - active);
+    s.global_bytes_requested += active * 5;
+    s.global_sectors += u64::from(active > 0) + active.div_ceil(8);
+    let w = flags.iter().enumerate().fold(0u32, |w, (l, &f)| w | u32::from(f != 0) << l);
+    let m = w.count_ones() as u64;
+    let pair_sectors = ((w | w >> 1) & 0x5555_5555).count_ones() as u64;
+    let payload_sectors = if m > 0 {
+        let o0 = offs[w.trailing_zeros() as usize] as u64;
+        (o0 + m - 1) / 2 - o0 / 2 + 1
+    } else {
+        0
+    };
+    let bw = BLOCK_WORDS as u64;
+    s.warp_instructions += 2 * bw;
+    s.inactive_lane_slots += 2 * bw * (32 - m);
+    s.global_bytes_requested += 2 * bw * 4 * m;
+    s.global_sectors += bw * (pair_sectors + payload_sectors);
+}
+
+/// One task of the analytic compact fill: the flags from `first` (up to
+/// [`FILL_FLAGS`] of them) copy their present blocks into `piece`, the
+/// payload from the first flag's offset on, reading flags, offsets and
+/// shuffled words in place a kernel block (256 flags) at a time. Returns
+/// the counters of the task's warps.
+fn compact_task(
+    shuffled: &GpuBuffer<u32>,
+    byte_flags: &GpuBuffer<u8>,
+    offsets: &GpuBuffer<u32>,
+    first: usize,
+    piece: &mut [u32],
+) -> KernelStats {
+    const BLOCK_FLAGS: usize = 256;
+    let len = FILL_FLAGS.min(byte_flags.len() - first);
+    let (mut flags, mut offs) = ([0u8; FILL_FLAGS], [0u32; FILL_FLAGS]);
+    let (flags, offs) = (&mut flags[..len], &mut offs[..len]);
+    byte_flags.read_into(first, flags);
+    offsets.read_into(first, offs);
+    let base = offs.first().map_or(0, |&o| o as usize * BLOCK_WORDS);
+    let mut words = [0u32; BLOCK_FLAGS * BLOCK_WORDS];
+    let mut stats = KernelStats::default();
+    for (k, (f, o)) in flags.chunks(BLOCK_FLAGS).zip(offs.chunks(BLOCK_FLAGS)).enumerate() {
+        let words = &mut words[..f.len() * BLOCK_WORDS];
+        shuffled.read_into((first + k * BLOCK_FLAGS) * BLOCK_WORDS, words);
+        for ((&flag, &off), blk) in f.iter().zip(o).zip(words.chunks_exact(BLOCK_WORDS)) {
+            if flag != 0 {
+                let dst = off as usize * BLOCK_WORDS - base;
+                piece[dst..dst + BLOCK_WORDS].copy_from_slice(blk);
+            }
+        }
+        for (wf, wo) in f.chunks(32).zip(o.chunks(32)) {
+            warp_stats(&mut stats, wf, wo);
+        }
+    }
+    stats
 }
 
 #[cfg(test)]

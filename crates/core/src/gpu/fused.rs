@@ -13,9 +13,11 @@
 //! The stream is bit-identical to the unfused pipeline (tested below).
 
 use fzgpu_sim::{Engine, Gpu, GpuBuffer};
+use rayon::prelude::*;
 
-use crate::fastpath::{lorenzo_codes_into, pack_into, prequant_into};
-use crate::gpu::bitshuffle::host_shuffle_mark;
+use crate::fastpath::{encode_tile, group_tiles, tile_flags, walk_group, TILE_FLAG_WORDS};
+use crate::gpu::decode::flag_bytes;
+use crate::gpu::quant::window_loader;
 use crate::pack::{TILE_CODES, TILE_WORDS};
 use crate::quant::{delta_to_code, prequantize};
 use crate::zeroblock::BLOCK_WORDS;
@@ -154,19 +156,32 @@ pub fn fused_1d(
         },
     );
     if gpu.effective_engine() == Engine::Analytic {
-        // Native fill: the same quant -> pack -> shuffle -> mark cascade
-        // through the shared fast-path stages. The fused kernel's
+        // Native fill: the native encoder's groups, tile for tile, keeping
+        // every shuffled tile instead of compacting it. The fused kernel's
         // in-register delta (`q0.wrapping_sub(qp)`) equals the 1D Lorenzo
         // row kernel's arithmetic, and its zero padding beyond `n` equals
-        // the packed stream's tile padding.
-        let data = input.to_vec();
-        let mut q = vec![0i32; n];
-        prequant_into(&data[..n], ebx2_inv, &mut q);
-        let mut codes = vec![0u16; n];
-        lorenzo_codes_into(&q, (1, 1, n), &mut codes);
-        let mut words = vec![0u32; nwords];
-        pack_into(&codes, &mut words);
-        host_shuffle_mark(&words, shuffled.host_mut(), byte_flags.host_mut(), bit_flags.host_mut());
+        // the encoder's zero codes past the field.
+        let shape = (1, 1, n);
+        let per = group_tiles(shape);
+        shuffled
+            .host_mut()
+            .par_chunks_mut(per * TILE_WORDS)
+            .zip(bit_flags.host_mut().par_chunks_mut(per * TILE_FLAG_WORDS))
+            .zip(byte_flags.host_mut().par_chunks_mut(per * FLAGS_PER_TILE))
+            .enumerate()
+            .with_max_len(1)
+            .for_each(|(g, ((sh, bits), bytes))| {
+                let tiles = g * per..g * per + bits.len() / TILE_FLAG_WORDS;
+                let mut tiles_out =
+                    sh.chunks_exact_mut(TILE_WORDS).zip(bits.chunks_exact_mut(TILE_FLAG_WORDS));
+                walk_group(shape, n, tiles, window_loader(input, eb), |win, a, len| {
+                    let (tile, flags) = tiles_out.next().expect("one output tile per tile");
+                    let tile: &mut [u32; TILE_WORDS] = tile.try_into().expect("a whole tile");
+                    encode_tile(win, shape, a, len, tile);
+                    tile_flags(tile, flags);
+                });
+                flag_bytes(bits, bytes);
+            });
     }
     (shuffled, byte_flags, bit_flags)
 }

@@ -12,9 +12,11 @@
 //! real implementation's memory behaviour.
 
 use fzgpu_sim::{Engine, Gpu, GpuBuffer};
+use rayon::prelude::*;
 
-use crate::fastpath::{lorenzo_codes_into, prequant_into};
-use crate::lorenzo::{lorenzo_delta, rank_of, Shape};
+use crate::fastpath::{group_tiles, walk_group, Window};
+use crate::lorenzo::{lorenzo_delta, prequant, rank_of, Shape};
+use crate::pack::TILE_CODES;
 use crate::quant::{delta_to_code, prequantize};
 
 /// Quantization radius of the v1 kernel (cuSZ's default 1024-entry
@@ -23,10 +25,10 @@ pub const V1_RADIUS: i32 = 512;
 
 /// Optimized dual-quantization: f32 field -> sign-magnitude u16 codes.
 ///
-/// Under the analytic engine the codes are filled in place through the
-/// shared fastpath entry points `prequant_into` + `lorenzo_codes_into`
-/// (the exact functions the native path runs, pinned equal to the kernels
-/// by this module's tests).
+/// Under the analytic engine the codes are filled in place, one group of
+/// tiles per pool task, through the native encoder's window walk
+/// (`fastpath::walk_group`, pinned equal to the kernels by this module's
+/// tests); the input is read a tile at a time (`window_loader`).
 pub fn pred_quant_v2(
     gpu: &mut Gpu,
     input: &GpuBuffer<f32>,
@@ -44,18 +46,46 @@ pub fn pred_quant_v2(
         launch_tiled(gpu, "pred_quant_v2", input, &out, None, shape, eb, false);
     }
     if analytic {
-        lorenzo_codes_into(&host_prequant(input, eb), shape, out.host_mut());
+        let tiles_per = group_tiles(shape);
+        let per = tiles_per * TILE_CODES;
+        out.host_mut().par_chunks_mut(per).enumerate().with_max_len(1).for_each(|(g, codes)| {
+            let tiles = g * tiles_per..g * tiles_per + codes.len().div_ceil(TILE_CODES);
+            walk_group(shape, n, tiles, window_loader(input, eb), |win, a, len| {
+                let at = a - g * per;
+                win.codes(shape, a, &mut codes[at..at + len]);
+            });
+        });
     }
     out
+}
+
+/// The analytic fills' window loader: prequantize device values `range`
+/// into a window, streamed through a stack tile with ranged reads.
+pub(crate) fn window_loader(
+    input: &GpuBuffer<f32>,
+    eb: f64,
+) -> impl FnMut(&mut Window, core::ops::Range<usize>) + '_ {
+    let ebx2_inv = 1.0 / (2.0 * eb);
+    move |win, range| {
+        let mut vals = [0f32; TILE_CODES];
+        for s in range.clone().step_by(TILE_CODES) {
+            let chunk = &mut vals[..TILE_CODES.min(range.end - s)];
+            input.read_into(s, chunk);
+            win.extend(chunk, ebx2_inv);
+        }
+    }
 }
 
 /// Original dual-quantization: radius-shifted codes + dense outlier array.
 /// Returns `(codes, outliers)`; `outliers[i]` holds the full quantized
 /// delta at positions where `codes[i] == 0`, else 0.
 ///
-/// The analytic fill takes its deltas from [`lorenzo_delta`], whose
-/// i64-accumulate-then-truncate arithmetic equals the kernels' wrapping
-/// i32 arithmetic mod 2^32, and splits them like the kernels do.
+/// The analytic fill takes its deltas from the scalar oracle's
+/// [`prequant`] and [`lorenzo_delta`], whose i64-accumulate-then-truncate
+/// arithmetic equals the kernels' wrapping i32 arithmetic mod 2^32, and
+/// splits them like the kernels do. This is cuSZ's kernel, launched only by
+/// the Fig. 10 and ablation benches, so its fill keeps field-sized
+/// temporaries.
 pub fn pred_quant_v1(
     gpu: &mut Gpu,
     input: &GpuBuffer<f32>,
@@ -74,7 +104,7 @@ pub fn pred_quant_v1(
         launch_tiled(gpu, "pred_quant_v1", input, &out, Some(&outliers), shape, eb, true);
     }
     if analytic {
-        let deltas = lorenzo_delta(&host_prequant(input, eb), shape);
+        let deltas = lorenzo_delta(&prequant(&input.to_vec(), eb), shape);
         let split = out.host_mut().iter_mut().zip(outliers.host_mut()).zip(deltas);
         for ((c, o), d) in split {
             let (code, outlier) = encode_delta(d, true);
@@ -83,14 +113,6 @@ pub fn pred_quant_v1(
         }
     }
     (out, outliers)
-}
-
-/// The analytic fills' prequantized field, through [`prequant_into`].
-fn host_prequant(input: &GpuBuffer<f32>, eb: f64) -> Vec<i32> {
-    let data = input.to_vec();
-    let mut q = vec![0i32; data.len()];
-    prequant_into(&data, 1.0 / (2.0 * eb), &mut q);
-    q
 }
 
 /// Encode a delta in the v1 (shifted) or v2 (sign-magnitude) convention.

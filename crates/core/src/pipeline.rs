@@ -6,17 +6,20 @@
 //! on the [`fzgpu_sim::Gpu`] simulator; the stream bytes are bit-exact
 //! products of the kernels, the kernel times come from the device model.
 
-use fzgpu_sim::{DeviceSpec, Engine, Event, FaultPlan, Gpu, MemPool, Profile, RetryPolicy};
+use fzgpu_sim::{
+    DeviceSpec, Engine, Event, FaultPlan, Gpu, GpuBuffer, MemPool, Profile, RetryPolicy,
+};
 use fzgpu_trace::metrics::{self, Class};
+use rayon::prelude::*;
 
-use crate::fastpath::{pack_into, FzNative, PipelinePath};
-use crate::format::{assemble, disassemble, FormatError, Header, VERSION};
+use crate::fastpath::{pack_tile, FzNative, PipelinePath};
+use crate::format::{assemble, disassemble, FormatError, Header, Section, VERSION};
 use crate::gpu::bitshuffle::{bitshuffle_mark, ShuffleVariant};
 use crate::gpu::decode as gdec;
 use crate::gpu::encode as genc;
 use crate::gpu::quant::pred_quant_v2;
 use crate::lorenzo::Shape;
-use crate::pack::{padded_words, TILE_WORDS};
+use crate::pack::{padded_words, TILE_CODES, TILE_WORDS};
 use crate::quant::ErrorBound;
 use crate::zeroblock::BLOCK_WORDS;
 
@@ -262,7 +265,7 @@ impl FzGpu {
                 let d_words = {
                     let _s = fzgpu_trace::span("stage.pack");
                     let mut words = self.gpu.alloc::<u32>(padded_words(data.len()));
-                    pack_into(&d_codes.to_vec(), words.host_mut());
+                    pack_tiles(&d_codes, words.host_mut());
                     words
                 };
                 self.gpu.free(d_codes);
@@ -299,7 +302,7 @@ impl FzGpu {
         };
         let bytes = {
             let _s = fzgpu_trace::span("stage.assemble");
-            assemble(&header, &d_bit_flags.to_vec(), &d_payload.to_vec())
+            assemble(&header, &d_bit_flags, &d_payload)
         };
         self.gpu.free(d_shuffled);
         self.gpu.free(d_byte_flags);
@@ -452,6 +455,32 @@ impl FzGpu {
     /// call's kernel time.
     pub fn throughput_gbps(&self, n_values: usize) -> f64 {
         (n_values * 4) as f64 / self.kernel_time() / 1e9
+    }
+}
+
+/// The simulated pipeline's pack step: device codes, read in place a tile
+/// at a time, packed two per word into the tile-aligned `words` through
+/// the native encoder's [`pack_tile`]; codes past the field pack as zero.
+fn pack_tiles(codes: &GpuBuffer<u16>, words: &mut [u32]) {
+    let n = codes.len();
+    words.par_chunks_exact_mut(TILE_WORDS).enumerate().for_each(|(t, tile)| {
+        let mut tile_codes = [0u16; TILE_CODES];
+        let a = (t * TILE_CODES).min(n);
+        codes.read_into(a, &mut tile_codes[..(n - a).min(TILE_CODES)]);
+        pack_tile(&tile_codes, tile.try_into().expect("a whole tile"));
+    });
+}
+
+/// A device section read in place for [`assemble`], one tile of words at
+/// a time.
+impl Section for GpuBuffer<u32> {
+    fn parts(&self, put: &mut dyn FnMut(&[u32])) {
+        let mut part = [0u32; TILE_WORDS];
+        for start in (0..self.len()).step_by(TILE_WORDS) {
+            let part = &mut part[..TILE_WORDS.min(self.len() - start)];
+            self.read_into(start, part);
+            put(part);
+        }
     }
 }
 

@@ -3,6 +3,17 @@
 //! The only lossy step in the whole pipeline (§2.3 of the paper):
 //! `q = round(d / (2*eb))`, which guarantees
 //! `|q * 2*eb - d| <= eb` — the error-bounded-compression contract.
+//!
+//! Every path quantizes through [`prequantize`]: the native encoder, the
+//! analytic engine's fills, the interpreted kernels and the scalar oracle.
+//! It is branch-free so that a loop over it vectorizes on the portable
+//! SSE2 baseline, where `f64::round` is a libm call per value and the
+//! saturating `as i32` cast is a scalar sequence; its result equals
+//! `round` (half away from zero), clamped to `i32`, with NaN at 0, bit for
+//! bit. [`ErrorBound::try_resolve`] finds a field's range in one lane-wise
+//! pass over index-space chunks on the pool.
+
+use rayon::prelude::*;
 
 /// User-facing error-bound specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -16,8 +27,8 @@ pub enum ErrorBound {
 
 impl ErrorBound {
     /// The absolute bound for `data`. A range-relative bound scales by the
-    /// field's `max - min`, found with a sequential fold (NaNs skipped), so
-    /// every path resolves the same bound at any thread count.
+    /// field's `max - min` (NaNs skipped; one lane-wise pass on the pool),
+    /// so every path resolves the same bound at any thread count.
     ///
     /// # Panics
     /// Panics when the resolved bound is not finite and positive.
@@ -33,8 +44,7 @@ impl ErrorBound {
         let eb = match *self {
             ErrorBound::Abs(e) => e,
             ErrorBound::RelToRange(_) => {
-                let lo = data.iter().copied().fold(f32::INFINITY, f32::min);
-                let hi = data.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let (lo, hi) = value_range(data);
                 self.to_abs((hi - lo) as f64)
             }
         };
@@ -60,11 +70,74 @@ impl ErrorBound {
     }
 }
 
-/// Quantize one value: `round(d / (2*eb))`, clamped to i32.
+/// Lanes of [`value_range`]'s running minimum and maximum.
+const RANGE_LANES: usize = 8;
+
+/// The smallest and largest non-NaN value of `data`: `(+inf, -inf)` when
+/// there is none, as the two sequential `f32::min`/`f32::max` folds it
+/// replaces give. One pass over index-space chunks on the pool, each
+/// keeping [`RANGE_LANES`] running minima and maxima that a loop over
+/// comparisons vectorizes into; partials merge in chunk order. A NaN
+/// never wins a comparison, so it is skipped. Only `-0.0` against `+0.0`
+/// may resolve differently from the folds, and `hi - lo` is then `0.0` or
+/// `-0.0` either way, which [`ErrorBound::to_abs`] treats alike.
+fn value_range(data: &[f32]) -> (f32, f32) {
+    let lane_range = |chunk: &[f32]| {
+        let mut lo = [f32::INFINITY; RANGE_LANES];
+        let mut hi = [f32::NEG_INFINITY; RANGE_LANES];
+        let mut lanes = chunk.chunks_exact(RANGE_LANES);
+        for vals in &mut lanes {
+            for l in 0..RANGE_LANES {
+                lo[l] = if vals[l] < lo[l] { vals[l] } else { lo[l] };
+                hi[l] = if vals[l] > hi[l] { vals[l] } else { hi[l] };
+            }
+        }
+        for (l, &v) in lanes.remainder().iter().enumerate() {
+            lo[l] = if v < lo[l] { v } else { lo[l] };
+            hi[l] = if v > hi[l] { v } else { hi[l] };
+        }
+        (lo, hi)
+    };
+    let parts: Vec<_> = data.par_chunks(1 << 16).map(lane_range).collect();
+    parts
+        .iter()
+        .flat_map(|(lo, hi)| lo.iter().zip(hi))
+        .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), (&l, &h)| {
+            (if l < lo { l } else { lo }, if h > hi { h } else { hi })
+        })
+}
+
+/// 2^52: adding and subtracting it rounds any `0 <= a < 2^52` to an
+/// integer (ties to even, the default rounding mode).
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// Quantize one value: `round(d / (2*eb))` (half away from zero), clamped
+/// to i32, with NaN at 0 — bit for bit what
+/// `(d as f64 * ebx2_inv).round().clamp(i32::MIN as f64, i32::MAX as f64)
+/// as i32` gives, without its libm call and saturating cast:
+///
+/// 1. `r = (|x| + 2^52) - 2^52` rounds `|x| < 2^52` half to even. The
+///    difference `r - |x|` is exact, so it is `-0.5` exactly when a tie
+///    went down to the even neighbour, and adding 1 turns that into half
+///    away from zero. Larger `|x|` (and inf) stay at or above 2^31 and
+///    clamp below.
+/// 2. The sign comes back by `copysign`, the clamp is two comparisons, and
+///    NaN (which fails every comparison) is replaced by 0.
+/// 3. For an integer `q` in i32 range, `q + 1.5 * 2^52` lies in
+///    `[2^52, 2^53)`, where doubles are spaced 1 apart, so the sum is
+///    exact and the low 32 bits of its encoding are `q` in two's
+///    complement.
 #[inline]
 pub fn prequantize(d: f32, ebx2_inv: f64) -> i32 {
-    let q = (d as f64 * ebx2_inv).round();
-    q.clamp(i32::MIN as f64, i32::MAX as f64) as i32
+    let x = d as f64 * ebx2_inv;
+    let a = x.abs();
+    let r = (a + TWO_52) - TWO_52;
+    let r = if r - a == -0.5 { r + 1.0 } else { r };
+    let q = r.copysign(x);
+    let q = if q < i32::MIN as f64 { i32::MIN as f64 } else { q };
+    let q = if q > i32::MAX as f64 { i32::MAX as f64 } else { q };
+    let q = if q.is_nan() { 0.0 } else { q };
+    (q + 1.5 * TWO_52).to_bits() as u32 as i32
 }
 
 /// Dequantize: `q * 2*eb`.
@@ -140,6 +213,62 @@ mod tests {
         let _ = ErrorBound::RelToRange(1e-3).resolve(&[0.0, f32::INFINITY]);
     }
 
+    /// The formula [`prequantize`] replaced, kept as its differential
+    /// oracle: libm `round`, a float clamp, a saturating cast.
+    fn prequantize_oracle(d: f32, ebx2_inv: f64) -> i32 {
+        let q = (d as f64 * ebx2_inv).round();
+        q.clamp(i32::MIN as f64, i32::MAX as f64) as i32
+    }
+
+    /// `d = 1.0` makes `ebx2_inv` the quantized value itself, so any f64
+    /// can be aimed at.
+    fn assert_quantizes_like_oracle(x: f64) {
+        assert_eq!(
+            prequantize(1.0, x),
+            prequantize_oracle(1.0, x),
+            "x = {x:e} ({:#x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn prequantize_matches_round_clamp_cast_on_edges() {
+        let mut ties = vec![0.5f64];
+        for e in 0..=40 {
+            let p = (1u64 << e) as f64;
+            ties.extend([p - 1.0, p, p + 1.0, 3.0 * p].map(|k| k + 0.5));
+        }
+        ties.extend((0..1000).map(|k| k as f64 + 0.5));
+        let mut xs = Vec::new();
+        for t in ties {
+            for v in [t, -t] {
+                xs.extend([v, v.next_up(), v.next_down()]);
+            }
+        }
+        xs.extend([2147483647.5, 2147483648.5, 2147483647.0, 2147483648.0, 2147483649.0]);
+        let two_52 = 2f64.powi(52);
+        for big in [two_52, two_52 + 1.0, 2.0 * two_52, 2.0 * two_52 + 2.0, 2f64.powi(60), 1e300] {
+            xs.extend([big, big.next_up(), big.next_down()]);
+        }
+        xs.extend([f64::MAX, f64::INFINITY, f64::NAN, 0.0, f64::MIN_POSITIVE, 5e-324, 1e-310]);
+        xs.push(f64::from_bits(f64::NAN.to_bits() | 1)); // another NaN payload
+        for x in xs.clone() {
+            assert_quantizes_like_oracle(x);
+            assert_quantizes_like_oracle(-x);
+        }
+        // f32 inputs of every class through a real bound.
+        let ds = [0.0f32, -0.0, f32::INFINITY, -f32::INFINITY, f32::NAN, -f32::NAN, 1e-45, -1e-45];
+        for d in ds.into_iter().chain([f32::MIN_POSITIVE, f32::MAX, -f32::MAX, 0.75, -2.5]) {
+            for ebx2_inv in [0.5, 1.0, 500.0, 1e30, f64::INFINITY] {
+                assert_eq!(
+                    prequantize(d, ebx2_inv),
+                    prequantize_oracle(d, ebx2_inv),
+                    "{d} {ebx2_inv}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn prequantize_respects_error_bound() {
         let eb = 1e-3;
@@ -179,6 +308,16 @@ mod tests {
         #[test]
         fn prop_sign_magnitude_roundtrip(delta in -32767i32..=32767) {
             prop_assert_eq!(code_to_delta(delta_to_code(delta)), delta);
+        }
+
+        #[test]
+        fn prop_prequantize_matches_oracle_on_raw_f32_bits(
+            bits in any::<u32>(),
+            eb_exp in -30.0f64..9.0,
+        ) {
+            let d = f32::from_bits(bits);
+            let ebx2_inv = 1.0 / (2.0 * 10f64.powf(eb_exp));
+            prop_assert_eq!(prequantize(d, ebx2_inv), prequantize_oracle(d, ebx2_inv));
         }
 
         #[test]

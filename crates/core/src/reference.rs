@@ -72,7 +72,7 @@ mod tests {
             num_blocks: 256,
             payload_words: BLOCK_WORDS,
         };
-        let bytes = assemble(&header, &[0; 8], &[1; BLOCK_WORDS]);
+        let bytes = assemble(&header, &[0; 8][..], &[1; BLOCK_WORDS][..]);
         assert_eq!(
             decompress(&bytes),
             Err(FormatError::Inconsistent("flag popcount vs payload length"))

@@ -20,7 +20,10 @@
 //! the same input produces the same output (including non-associative
 //! float reductions) at *any* thread count, including 1. The
 //! `parallel_determinism` integration suite holds this contract over the
-//! whole compression pipeline.
+//! whole compression pipeline. A caller that knows its items are heavy
+//! caps the items per task with [`Par::with_max_len`]: the grid then
+//! depends on the item count and the cap, and the region fans out
+//! however few its tasks (see `pool::run_with_grain`).
 //!
 //! # Thread count
 //! `FZGPU_THREADS` sets the pool size (default: all available cores);
@@ -47,6 +50,8 @@
 mod pool;
 
 pub use pool::{current_num_threads, set_num_threads};
+
+use pool::Grain;
 
 use core::sync::atomic::{AtomicUsize, Ordering};
 
@@ -77,16 +82,25 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// The deterministic chunk grid: `(chunk_len, n_chunks)`. Depends only on
-/// `total` so that per-chunk partials — and therefore every reduction —
-/// are identical at any thread count. Aims for ≤256 chunks, degrading to
-/// one item per chunk for small regions (whose items are coarse: planes,
+/// `total` and the caller's cap (`max_len`, see [`Par::with_max_len`]) so
+/// that per-chunk partials — and therefore every reduction — are
+/// identical at any thread count. Aims for ≤256 chunks, degrading to one
+/// item per chunk for small regions (whose items are coarse: planes,
 /// tiles, thread blocks).
-fn det_grid(total: usize) -> (usize, usize) {
+fn det_grid(total: usize, max_len: Option<usize>) -> (usize, usize) {
     if total == 0 {
         return (1, 0);
     }
-    let chunk_len = total.div_ceil(256).max(1);
+    let chunk_len = total.div_ceil(256).min(max_len.unwrap_or(usize::MAX)).max(1);
     (chunk_len, total.div_ceil(chunk_len))
+}
+
+/// The pool's view of a grid: capped grids fan out at any size.
+fn grain(chunk_len: usize, max_len: Option<usize>) -> Grain {
+    match max_len {
+        Some(_) => Grain::Capped,
+        None => Grain::Items(chunk_len),
+    }
 }
 
 /// Owning iterator over one chunk's buffered items. Reads items out of
@@ -124,22 +138,22 @@ impl<A> Drop for Claimed<A> {
     }
 }
 
-/// Partition `items` into the deterministic grid and run
-/// `chunk_fn(chunk_index, first_item_index, chunk_items)` for every chunk
-/// across the pool. Consumes every item exactly once (chunks that panic
-/// may leak their unconsumed items; no double drops).
-fn drive<A, F>(mut items: Vec<A>, chunk_fn: F)
+/// Partition `items` into the deterministic grid (at most `max_len` items
+/// a chunk) and run `chunk_fn(chunk_index, first_item_index, chunk_items)`
+/// for every chunk across the pool. Consumes every item exactly once
+/// (chunks that panic may leak their unconsumed items; no double drops).
+fn drive<A, F>(mut items: Vec<A>, max_len: Option<usize>, chunk_fn: F)
 where
     A: Send,
     F: Fn(usize, usize, Claimed<A>) + Sync,
 {
     let n = items.len();
-    let (chunk_len, n_chunks) = det_grid(n);
+    let (chunk_len, n_chunks) = det_grid(n, max_len);
     let base = SendPtr(items.as_mut_ptr());
     // The region takes ownership of the elements; `items` keeps only the
     // allocation, freed when this frame unwinds or returns.
     unsafe { items.set_len(0) };
-    pool::run_with_grain(n_chunks, chunk_len, &|c| {
+    pool::run_with_grain(n_chunks, grain(chunk_len, max_len), &|c| {
         let start = c * chunk_len;
         let len = chunk_len.min(n - start);
         // SAFETY: chunk `c` exclusively owns items `start..start+len`.
@@ -160,10 +174,10 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let (chunk_len, n_chunks) = det_grid(total);
+    let (chunk_len, n_chunks) = det_grid(total, None);
     let mut out: Vec<T> = Vec::with_capacity(total);
     let slots = SendPtr(out.as_mut_ptr());
-    pool::run_with_grain(n_chunks, chunk_len, &|c| {
+    pool::run_with_grain(n_chunks, Grain::Items(chunk_len), &|c| {
         let start = c * chunk_len;
         let end = (start + chunk_len).min(total);
         for i in start..end {
@@ -179,16 +193,16 @@ where
 
 /// Run `part` over every chunk and return the per-chunk results **in
 /// chunk order** — the deterministic-merge backbone for reductions.
-fn parts<A, T, F>(items: Vec<A>, part: F) -> Vec<T>
+fn parts<A, T, F>(items: Vec<A>, max_len: Option<usize>, part: F) -> Vec<T>
 where
     A: Send,
     T: Send,
     F: Fn(usize, usize, Claimed<A>) -> T + Sync,
 {
-    let n_chunks = det_grid(items.len()).1;
+    let n_chunks = det_grid(items.len(), max_len).1;
     let mut out: Vec<T> = Vec::with_capacity(n_chunks);
     let slots = SendPtr(out.as_mut_ptr());
-    drive(items, |c, start, claimed| {
+    drive(items, max_len, |c, start, claimed| {
         let v = part(c, start, claimed);
         // SAFETY: slot `c` is written by exactly one chunk.
         unsafe { slots.get().add(c).write(v) };
@@ -199,7 +213,7 @@ where
 }
 
 /// Apply `f` to every item in parallel, preserving item order.
-fn map_into_vec<A, T, F>(items: Vec<A>, f: F) -> Vec<T>
+fn map_into_vec<A, T, F>(items: Vec<A>, max_len: Option<usize>, f: F) -> Vec<T>
 where
     A: Send,
     T: Send,
@@ -208,7 +222,7 @@ where
     let n = items.len();
     let mut out: Vec<T> = Vec::with_capacity(n);
     let slots = SendPtr(out.as_mut_ptr());
-    drive(items, |_c, start, claimed| {
+    drive(items, max_len, |_c, start, claimed| {
         for (k, a) in claimed.enumerate() {
             // SAFETY: item index `start + k` belongs to this chunk alone.
             unsafe { slots.get().add(start + k).write(f(a)) };
@@ -225,35 +239,59 @@ where
 
 /// A parallel iterator: lazily composed sequential *structure* whose
 /// terminal operations fan the per-item work out over the pool.
-pub struct Par<I>(I);
+pub struct Par<I> {
+    iter: I,
+    /// Most items per pool task, when capped ([`Par::with_max_len`]).
+    max_len: Option<usize>,
+}
+
+/// An uncapped parallel iterator over `iter`.
+fn par<I>(iter: I) -> Par<I> {
+    Par { iter, max_len: None }
+}
 
 impl<I: Iterator> Par<I> {
     /// Map each item (rayon: `ParallelIterator::map`). The closure runs in
     /// parallel at the terminal operation.
     pub fn map<T, F: Fn(I::Item) -> T>(self, f: F) -> MapPar<I, F> {
-        MapPar { base: self.0, f }
+        MapPar { base: self.iter, max_len: self.max_len, f }
     }
 
-    /// Zip with another parallel iterator.
+    /// Zip with another parallel iterator; the tighter cap of the two
+    /// holds.
     pub fn zip<J: Iterator>(self, other: Par<J>) -> Par<core::iter::Zip<I, J>> {
-        Par(self.0.zip(other.0))
+        let max_len = match (self.max_len, other.max_len) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        Par { iter: self.iter.zip(other.iter), max_len }
     }
 
     /// Enumerate items with their index.
     pub fn enumerate(self) -> Par<core::iter::Enumerate<I>> {
-        Par(self.0.enumerate())
+        Par { iter: self.iter.enumerate(), max_len: self.max_len }
     }
 
     /// Keep items matching the predicate (evaluated during the sequential
     /// structure pass — keep predicates cheap).
     pub fn filter<P: FnMut(&I::Item) -> bool>(self, p: P) -> Par<core::iter::Filter<I, P>> {
-        Par(self.0.filter(p))
+        Par { iter: self.iter.filter(p), max_len: self.max_len }
+    }
+
+    /// rayon's `with_max_len`: at most `len` items per pool task. A capped
+    /// region fans out however few its tasks: the caller declares each
+    /// task worth a worker handoff, which the default grid cannot tell
+    /// from the item count (it runs small regions of single items inline,
+    /// see `pool::run_with_grain`). The grid still depends only on the
+    /// item count and `len`, never on the thread count.
+    pub fn with_max_len(self, len: usize) -> Self {
+        Par { max_len: Some(len.max(1)), ..self }
     }
 
     /// Collect into any [`FromIterator`] container (order preserved, as
     /// rayon's indexed collect guarantees).
     pub fn collect<C: FromIterator<I::Item>>(self) -> C {
-        self.0.collect()
+        self.iter.collect()
     }
 }
 
@@ -263,8 +301,8 @@ where
 {
     /// Run `f` on every item, in parallel.
     pub fn for_each<F: Fn(I::Item) + Sync>(self, f: F) {
-        let items: Vec<I::Item> = self.0.collect();
-        drive(items, |_, _, claimed| {
+        let items: Vec<I::Item> = self.iter.collect();
+        drive(items, self.max_len, |_, _, claimed| {
             for a in claimed {
                 f(a);
             }
@@ -277,8 +315,8 @@ where
     where
         S: core::iter::Sum<I::Item> + core::iter::Sum<S> + Send,
     {
-        let items: Vec<I::Item> = self.0.collect();
-        parts(items, |_, _, claimed| claimed.sum::<S>()).into_iter().sum()
+        let items: Vec<I::Item> = self.iter.collect();
+        parts(items, self.max_len, |_, _, claimed| claimed.sum::<S>()).into_iter().sum()
     }
 
     /// rayon's `reduce`: fold with an identity-producing closure. Each
@@ -289,8 +327,8 @@ where
         ID: Fn() -> I::Item + Sync,
         OP: Fn(I::Item, I::Item) -> I::Item + Sync,
     {
-        let items: Vec<I::Item> = self.0.collect();
-        parts(items, |_, _, claimed| claimed.fold(identity(), &op))
+        let items: Vec<I::Item> = self.iter.collect();
+        parts(items, self.max_len, |_, _, claimed| claimed.fold(identity(), &op))
             .into_iter()
             .fold(identity(), &op)
     }
@@ -304,8 +342,9 @@ where
         ID: Fn() -> T + Sync,
         F: Fn(T, I::Item) -> T + Sync,
     {
-        let items: Vec<I::Item> = self.0.collect();
-        Par(parts(items, |_, _, claimed| claimed.fold(identity(), &fold_op)).into_iter())
+        let items: Vec<I::Item> = self.iter.collect();
+        let folds = parts(items, self.max_len, |_, _, claimed| claimed.fold(identity(), &fold_op));
+        par(folds.into_iter())
     }
 
     /// rayon's `position_any`: index of some item matching the predicate.
@@ -316,9 +355,9 @@ where
     where
         P: Fn(I::Item) -> bool + Sync,
     {
-        let items: Vec<I::Item> = self.0.collect();
+        let items: Vec<I::Item> = self.iter.collect();
         let best_chunk = AtomicUsize::new(usize::MAX);
-        let hits = parts(items, |c, start, claimed| {
+        let hits = parts(items, self.max_len, |c, start, claimed| {
             if c > best_chunk.load(Ordering::Relaxed) {
                 return None; // a hit in an earlier chunk already wins
             }
@@ -342,7 +381,7 @@ where
 {
     /// Copy out of a by-reference iterator.
     pub fn copied(self) -> Par<core::iter::Copied<I>> {
-        Par(self.0.copied())
+        Par { iter: self.iter.copied(), max_len: self.max_len }
     }
 }
 
@@ -350,6 +389,7 @@ where
 /// sequentially, `f` runs in parallel at the terminal.
 pub struct MapPar<I, F> {
     base: I,
+    max_len: Option<usize>,
     f: F,
 }
 
@@ -363,14 +403,14 @@ where
     /// Collect mapped items, order preserved.
     pub fn collect<C: FromIterator<T>>(self) -> C {
         let items: Vec<I::Item> = self.base.collect();
-        map_into_vec(items, self.f).into_iter().collect()
+        map_into_vec(items, self.max_len, self.f).into_iter().collect()
     }
 
     /// Run `g` on every mapped item, in parallel.
     pub fn for_each<G: Fn(T) + Sync>(self, g: G) {
         let items: Vec<I::Item> = self.base.collect();
         let f = self.f;
-        drive(items, |_, _, claimed| {
+        drive(items, self.max_len, |_, _, claimed| {
             for a in claimed {
                 g(f(a));
             }
@@ -384,7 +424,7 @@ where
     {
         let items: Vec<I::Item> = self.base.collect();
         let f = self.f;
-        parts(items, |_, _, claimed| claimed.map(&f).sum::<S>()).into_iter().sum()
+        parts(items, self.max_len, |_, _, claimed| claimed.map(&f).sum::<S>()).into_iter().sum()
     }
 
     /// rayon's `reduce` over the mapped items.
@@ -395,7 +435,7 @@ where
     {
         let items: Vec<I::Item> = self.base.collect();
         let f = self.f;
-        parts(items, |_, _, claimed| claimed.map(&f).fold(identity(), &op))
+        parts(items, self.max_len, |_, _, claimed| claimed.map(&f).fold(identity(), &op))
             .into_iter()
             .fold(identity(), &op)
     }
@@ -409,10 +449,9 @@ where
     {
         let items: Vec<I::Item> = self.base.collect();
         let f = self.f;
-        Par(
-            parts(items, |_, _, claimed| claimed.map(&f).fold(identity(), &fold_op))
-                .into_iter(),
-        )
+        let folds =
+            parts(items, self.max_len, |_, _, claimed| claimed.map(&f).fold(identity(), &fold_op));
+        par(folds.into_iter())
     }
 }
 
@@ -425,7 +464,7 @@ pub trait IntoParallelIterator {
 impl<I: IntoIterator> IntoParallelIterator for I {
     type Iter = I::IntoIter;
     fn into_par_iter(self) -> Par<I::IntoIter> {
-        Par(self.into_iter())
+        par(self.into_iter())
     }
 }
 
@@ -441,27 +480,27 @@ pub trait ParallelSliceExt<T> {
 
 impl<T> ParallelSliceExt<T> for [T] {
     fn par_iter(&self) -> Par<core::slice::Iter<'_, T>> {
-        Par(self.iter())
+        par(self.iter())
     }
 
     fn par_iter_mut(&mut self) -> Par<core::slice::IterMut<'_, T>> {
-        Par(self.iter_mut())
+        par(self.iter_mut())
     }
 
     fn par_chunks(&self, size: usize) -> Par<core::slice::Chunks<'_, T>> {
-        Par(self.chunks(size))
+        par(self.chunks(size))
     }
 
     fn par_chunks_mut(&mut self, size: usize) -> Par<core::slice::ChunksMut<'_, T>> {
-        Par(self.chunks_mut(size))
+        par(self.chunks_mut(size))
     }
 
     fn par_chunks_exact(&self, size: usize) -> Par<core::slice::ChunksExact<'_, T>> {
-        Par(self.chunks_exact(size))
+        par(self.chunks_exact(size))
     }
 
     fn par_chunks_exact_mut(&mut self, size: usize) -> Par<core::slice::ChunksExactMut<'_, T>> {
-        Par(self.chunks_exact_mut(size))
+        par(self.chunks_exact_mut(size))
     }
 }
 
@@ -650,7 +689,7 @@ mod tests {
         // chunk would set.
         let _t = threads(4);
         let saw_worker = std::sync::atomic::AtomicBool::new(false);
-        crate::pool::run_with_grain(8, 1, &|_| {
+        crate::pool::run_with_grain(8, crate::Grain::Items(1), &|_| {
             if crate::pool::in_pool_worker() {
                 saw_worker.store(true, std::sync::atomic::Ordering::Relaxed);
             }
@@ -659,11 +698,39 @@ mod tests {
         // Coarse chunks (many items each) still fan out at the same
         // region size.
         let saw_worker = std::sync::atomic::AtomicBool::new(false);
-        crate::pool::run_with_grain(8, 1024, &|_| {
+        crate::pool::run_with_grain(8, crate::Grain::Items(1024), &|_| {
             if crate::pool::in_pool_worker() {
                 saw_worker.store(true, std::sync::atomic::Ordering::Relaxed);
             }
         });
         assert!(saw_worker.load(std::sync::atomic::Ordering::Relaxed));
+    }
+
+    #[test]
+    fn capped_regions_fan_out_at_any_size() {
+        // Eight heavy items, capped one per task, fan out below the floor
+        // that keeps an uncapped region of eight inline, and keep their
+        // order.
+        let _t = threads(4);
+        let fanned = |capped: bool| {
+            let saw_worker = std::sync::atomic::AtomicBool::new(false);
+            let mut v = vec![0usize; 8];
+            let items = v.par_iter_mut().enumerate();
+            let items = if capped { items.with_max_len(1) } else { items };
+            items.for_each(|(i, x)| {
+                *x = i;
+                if crate::pool::in_pool_worker() {
+                    saw_worker.store(true, std::sync::atomic::Ordering::Relaxed);
+                }
+            });
+            assert_eq!(v, (0..8).collect::<Vec<_>>());
+            saw_worker.load(std::sync::atomic::Ordering::Relaxed)
+        };
+        assert!(fanned(true));
+        assert!(!fanned(false));
+        // A cap also bounds the grid of a large region: 1000 items, at
+        // most 3 a task, still sum in order.
+        let s: u64 = (0..1000u64).into_par_iter().with_max_len(3).map(|i| i * i).sum();
+        assert_eq!(s, (0..1000u64).map(|i| i * i).sum::<u64>());
     }
 }

@@ -148,17 +148,31 @@ pub fn set_num_threads(n: usize) {
 /// region; coarse multi-item chunks (large regions) always fan out.
 const MIN_FANOUT_ITEMS: usize = 64;
 
+/// How a region's chunks were sized, which decides whether a small region
+/// fans out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Grain {
+    /// The default grid, this many items per chunk: a region of fewer than
+    /// [`MIN_FANOUT_ITEMS`] single-item chunks runs inline.
+    Items(usize),
+    /// The caller capped the items per chunk (`Par::with_max_len`),
+    /// declaring each chunk worth a worker handoff: the region fans out at
+    /// any size.
+    Capped,
+}
+
 /// Execute `body(chunk)` for every chunk in `0..n_chunks`, distributing
 /// chunks over the pool. Returns after every chunk has completed.
 /// Sequential (inline) when the pool is configured for one thread, when
 /// called from inside a worker, when another region is active, or when
-/// the region is too small to amortize the worker handoff:
-/// `items_per_chunk` is the caller's chunk grain (how many work items
-/// each chunk covers), and regions of single-item chunks with fewer than
-/// [`MIN_FANOUT_ITEMS`] of them run inline on the calling thread — the
-/// sequential-fallback threshold that keeps tiny launches (a few dozen
-/// simulated blocks, four scan tiles) from paying mutex + condvar wakeup
-/// costs that dwarf the work itself.
+/// the region is too small to amortize the worker handoff: `grain` says
+/// how the caller sized its chunks, and default-grid regions of
+/// single-item chunks with fewer than [`MIN_FANOUT_ITEMS`] of them run
+/// inline on the calling thread — the sequential-fallback threshold that
+/// keeps tiny launches (a few dozen simulated blocks, four scan tiles)
+/// from paying mutex + condvar wakeup costs that dwarf the work itself.
+/// A [`Grain::Capped`] region is exempt: its caller knows each chunk is
+/// heavy, which the item count alone cannot tell.
 ///
 /// # Tracing
 /// Region and chunk counts are wallclock-class metrics: the chunk grid is
@@ -172,7 +186,7 @@ const MIN_FANOUT_ITEMS: usize = 64;
 /// them back in chunk order — the same record sequence the inline paths
 /// produce naturally — so the captured span tree is bit-identical at any
 /// thread count.
-pub fn run_with_grain(n_chunks: usize, items_per_chunk: usize, body: &(dyn Fn(usize) + Sync)) {
+pub fn run_with_grain(n_chunks: usize, grain: Grain, body: &(dyn Fn(usize) + Sync)) {
     fzgpu_trace::metrics::counter_add(
         fzgpu_trace::metrics::Class::Wall,
         "fzgpu_pool_regions_total",
@@ -188,7 +202,7 @@ pub fn run_with_grain(n_chunks: usize, items_per_chunk: usize, body: &(dyn Fn(us
     let threads = current_num_threads();
     if n_chunks <= 1
         || threads == 1
-        || (items_per_chunk < 2 && n_chunks < MIN_FANOUT_ITEMS)
+        || (matches!(grain, Grain::Items(k) if k < 2) && n_chunks < MIN_FANOUT_ITEMS)
         || IN_POOL.with(|f| f.get())
     {
         for i in 0..n_chunks {
@@ -350,7 +364,7 @@ mod tests {
         let _g = lock();
         set_num_threads(4);
         let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-        run_with_grain(1000, usize::MAX, &|c| {
+        run_with_grain(1000, Grain::Capped, &|c| {
             hits[c].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -363,7 +377,7 @@ mod tests {
         set_num_threads(1);
         let tid = std::thread::current().id();
         let ok = AtomicU64::new(0);
-        run_with_grain(8, usize::MAX, &|_| {
+        run_with_grain(8, Grain::Capped, &|_| {
             if std::thread::current().id() == tid {
                 ok.fetch_add(1, Ordering::Relaxed);
             }
@@ -376,8 +390,8 @@ mod tests {
         let _g = lock();
         set_num_threads(4);
         let total = AtomicU64::new(0);
-        run_with_grain(4, usize::MAX, &|_| {
-            run_with_grain(4, usize::MAX, &|_| {
+        run_with_grain(4, Grain::Capped, &|_| {
+            run_with_grain(4, Grain::Capped, &|_| {
                 total.fetch_add(1, Ordering::Relaxed);
             });
         });
@@ -390,7 +404,7 @@ mod tests {
         let _g = lock();
         set_num_threads(4);
         let r = catch_unwind(|| {
-            run_with_grain(64, usize::MAX, &|c| {
+            run_with_grain(64, Grain::Capped, &|c| {
                 assert!(c != 17, "chunk seventeen exploded");
             });
         });

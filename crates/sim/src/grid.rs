@@ -85,6 +85,7 @@ pub struct Gpu {
     pool: Option<MemPool>,
     charge_alloc: bool,
     engine: Engine,
+    interpreted_blocks: u64,
 }
 
 impl Gpu {
@@ -103,6 +104,7 @@ impl Gpu {
             pool: None,
             charge_alloc: false,
             engine: Engine::Interpreted,
+            interpreted_blocks: 0,
         }
     }
 
@@ -198,6 +200,16 @@ impl Gpu {
     /// (survives [`Gpu::reset_timeline`], unlike the per-record counts).
     pub fn total_retries(&self) -> u64 {
         self.total_retries
+    }
+
+    /// Thread blocks run through the warp interpreter since construction
+    /// (survives [`Gpu::reset_timeline`]): every block of a
+    /// [`Gpu::launch`], one representative per class of an analytic
+    /// [`Gpu::launch_classed`], none for [`Gpu::launch_analytic`]. The
+    /// deterministic side of the analytic engine's speed: a host-load-free
+    /// count of the work it skips.
+    pub fn interpreted_blocks(&self) -> u64 {
+        self.interpreted_blocks
     }
 
     /// Enable the cross-block write-race detector: every subsequent launch
@@ -418,6 +430,7 @@ impl Gpu {
         } else {
             rayon::par_chunk_map(nblocks, run_block)
         };
+        self.interpreted_blocks += nblocks as u64;
         let mut stats = KernelStats::default();
         for (s, _) in &results {
             stats.merge(s);
@@ -543,6 +556,7 @@ impl Gpu {
             f(&mut ctx);
             stats.merge(&ctx.stats.scaled(count));
         }
+        self.interpreted_blocks += classes.len() as u64;
         self.finish_launch(name, nblocks, block_dim, stats, 0);
     }
 
@@ -956,9 +970,17 @@ mod tests {
                     });
                 },
             );
-            (format!("{:?}", gpu.timeline()), gpu.kernel_time().to_bits())
+            let record = (format!("{:?}", gpu.timeline()), gpu.kernel_time().to_bits());
+            gpu.reset_timeline();
+            gpu.launch_analytic("closed-form", nblocks as u32, 256u32, KernelStats::default());
+            (record, gpu.interpreted_blocks())
         };
-        assert_eq!(run(Engine::Interpreted), run(Engine::Analytic));
+        let (interp, interp_blocks) = run(Engine::Interpreted);
+        let (analytic, analytic_blocks) = run(Engine::Analytic);
+        assert_eq!(interp, analytic);
+        // Every block interpreted, against one per class; the closed-form
+        // launch runs none, and the count survives the timeline reset.
+        assert_eq!((interp_blocks, analytic_blocks), (nblocks as u64, 2));
     }
 
     #[test]

@@ -4,10 +4,14 @@
 //! memory. Kernels access it exclusively through the warp context
 //! ([`crate::warp::WarpCtx::load`] / [`crate::warp::WarpCtx::store`]), which
 //! performs per-warp coalescing analysis. Host-side access happens between
-//! launches: reads through [`GpuBuffer::to_vec`] / [`GpuBuffer::host_read`],
+//! launches: reads through [`GpuBuffer::read_into`] (a ranged bulk copy,
+//! which [`GpuBuffer::to_vec`] is built on) and [`GpuBuffer::host_read`],
 //! writes through [`GpuBuffer::host_mut`]. A host write takes `&mut self`,
 //! and every launch borrows its buffers for the whole launch, so the
-//! borrow checker proves a host write can never overlap a kernel.
+//! borrow checker proves a host write can never overlap a kernel. A host
+//! read takes `&self` like a kernel's input does; launches are synchronous,
+//! so a read between launches sees no writer, and a read never hands out
+//! a reference into the buffer that could outlive it.
 //!
 //! # Why `UnsafeCell`
 //! CUDA global memory allows concurrent writes from many blocks; a data race
@@ -130,13 +134,31 @@ impl<T: Pod> GpuBuffer<T> {
         }
     }
 
+    /// Copy elements `start..start + out.len()` into `out`: a ranged bulk
+    /// read, so a host pass over a device buffer can stream it through a
+    /// cache-sized chunk instead of copying all of it first. Like every
+    /// host read it must not overlap a kernel writing the buffer; launches
+    /// are synchronous, so any call between launches is fine, from any
+    /// number of threads at once.
+    ///
+    /// # Panics
+    /// Panics when the range runs past the buffer.
+    #[inline]
+    pub fn read_into(&self, start: usize, out: &mut [T]) {
+        let cells = &self.cells[start..start + out.len()];
+        // SAFETY: per the module contract no kernel writes the buffer while
+        // the host reads it; `UnsafeCell<T>` has the same layout as `T`.
+        out.copy_from_slice(unsafe {
+            core::slice::from_raw_parts(cells.as_ptr() as *const T, cells.len())
+        });
+    }
+
     /// Copy the device contents back to the host (models D2H without
     /// charging transfer time; use [`crate::grid::Gpu::download`] to charge it).
     pub fn to_vec(&self) -> Vec<T> {
-        // SAFETY: per the module contract no kernel writes the buffer while
-        // the host reads it; `UnsafeCell<T>` has the same layout as `T`.
-        unsafe { core::slice::from_raw_parts(self.cells.as_ptr() as *const T, self.cells.len()) }
-            .to_vec()
+        let mut out = vec![T::default(); self.len()];
+        self.read_into(0, &mut out);
+        out
     }
 
     /// Host-side peek at one element (e.g. reading a reduction result)
@@ -178,6 +200,22 @@ mod tests {
         assert_eq!(buf.len(), 1000);
         assert_eq!(buf.size_bytes(), 4000);
         assert_eq!(buf.to_vec(), data);
+    }
+
+    #[test]
+    fn read_into_copies_a_range() {
+        let buf = GpuBuffer::from_host(&[3u32, 1, 4, 1, 5, 9]);
+        let mut out = [0u32; 3];
+        buf.read_into(2, &mut out);
+        assert_eq!(out, [4, 1, 5]);
+        buf.read_into(6, &mut []);
+        assert_eq!(buf.to_vec(), [3, 1, 4, 1, 5, 9]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn read_into_rejects_a_range_past_the_end() {
+        GpuBuffer::from_host(&[1u8, 2]).read_into(1, &mut [0u8; 2]);
     }
 
     #[test]

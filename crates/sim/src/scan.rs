@@ -16,7 +16,11 @@
 //! tiles are all identical, only the ragged last tile differs — scales the
 //! counters by class population, and produces the output buffer with a
 //! host-side pass (`u32` wrapping addition is associative, so the host's
-//! sequential order reproduces the warp-tree scan bit for bit).
+//! sequential order reproduces the warp-tree scan bit for bit). The pass
+//! runs tile by tile on the pool and reads the input in place
+//! ([`GpuBuffer::read_into`]), so it allocates nothing input-sized.
+
+use rayon::prelude::*;
 
 use crate::block::Dim3;
 use crate::engine::Engine;
@@ -60,7 +64,7 @@ pub fn exclusive_sum(
     // Recursively scan the tile totals, then fold the offsets back in.
     let mut tile_offsets: GpuBuffer<u32> = gpu.alloc(ntiles);
     let total = exclusive_sum(gpu, &tile_totals, &mut tile_offsets, ntiles);
-    add_tile_offsets(gpu, output, &tile_offsets, n);
+    add_tile_offsets(gpu, input, output, &tile_offsets, n);
     gpu.free(tile_totals);
     gpu.free(tile_offsets);
     total
@@ -163,31 +167,39 @@ fn scan_tiles(
         // Output is write-only here, so no pre-launch snapshot is needed:
         // representative blocks wrote correct values for their tiles, and
         // this pass overwrites every tile (theirs included) identically.
-        let data = input.to_vec();
-        let tiles = output.host_mut()[..n].chunks_mut(TILE).zip(data.chunks(TILE));
-        for ((out, vals), total) in tiles.zip(tile_totals.host_mut()) {
-            let mut acc = 0u32;
-            for (o, &v) in out.iter_mut().zip(vals) {
-                *o = acc;
-                acc = acc.wrapping_add(v);
-            }
-            *total = acc;
-        }
+        output.host_mut()[..n]
+            .par_chunks_mut(TILE)
+            .zip(tile_totals.host_mut().par_iter_mut())
+            .enumerate()
+            .for_each(|(t, (out, total))| *total = scan_tile(input, t, 0, out));
     }
 }
 
+/// The analytic fills' scan of tile `t`: an exclusive wrapping prefix sum
+/// of `input`'s tile, read in place, starting at `acc`, into `out` (the
+/// tile's slice of the output). Returns the running sum past the tile.
+fn scan_tile(input: &GpuBuffer<u32>, t: usize, mut acc: u32, out: &mut [u32]) -> u32 {
+    let mut vals = [0u32; TILE];
+    let vals = &mut vals[..out.len()];
+    input.read_into(t * TILE, vals);
+    for (o, &v) in out.iter_mut().zip(&*vals) {
+        *o = acc;
+        acc = acc.wrapping_add(v);
+    }
+    acc
+}
+
 /// Kernel 3: `output[i] += tile_offsets[i / TILE]` for every element.
+/// `input` is the scan's input, which the analytic fill rescans.
 fn add_tile_offsets(
     gpu: &mut Gpu,
+    input: &GpuBuffer<u32>,
     output: &mut GpuBuffer<u32>,
     tile_offsets: &GpuBuffer<u32>,
     n: usize,
 ) {
     let ntiles = n.div_ceil(TILE) as u32;
-    // In-place kernel: snapshot the tile-local scans before representative
-    // blocks fold offsets into their own tiles.
-    let snap = (gpu.effective_engine() == Engine::Analytic)
-        .then(|| (output.to_vec(), tile_offsets.to_vec()));
+    let analytic = gpu.effective_engine() == Engine::Analytic;
     let class = |b: usize| u64::from(b == ntiles as usize - 1);
     let dim = Dim3 { x: ntiles, y: 1, z: 1 };
     let out_buf = &*output;
@@ -205,11 +217,14 @@ fn add_tile_offsets(
             }
         });
     });
-    if let Some((snap, offs)) = snap {
-        let out = output.host_mut()[..n].iter_mut().zip(&snap);
-        for (i, (o, &v)) in out.enumerate() {
-            *o = v.wrapping_add(offs[i / TILE]);
-        }
+    if analytic {
+        // In-place kernel, but no snapshot: representative blocks folded
+        // offsets into their own tiles, so instead of adding to what the
+        // output holds, every tile is rescanned from the input starting
+        // at its offset — the same wrapping sums in the same order.
+        output.host_mut()[..n].par_chunks_mut(TILE).enumerate().for_each(|(t, out)| {
+            scan_tile(input, t, tile_offsets.host_read(t), out);
+        });
     }
 }
 

@@ -17,6 +17,7 @@ use fz_gpu::core::format;
 use fz_gpu::core::{reference, Archive, ErrorBound, FillPolicy, FzGpu, FzOptions, PipelinePath};
 use fz_gpu::data::{log_transform, synth, Dims};
 use fz_gpu::sim::device::A100;
+use fz_gpu::sim::Engine;
 use proptest::prelude::*;
 
 fn with_path(path: PipelinePath) -> FzGpu {
@@ -340,6 +341,87 @@ fn scratch_reuse_is_clean_across_shapes() {
         let out_n = nat.decompress(&c_n).unwrap();
         let out_s = sim.decompress(&c_s).unwrap();
         assert!(out_n.iter().zip(&out_s).all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+}
+
+// --- The per-tile encoder -------------------------------------------------
+//
+// Native compress encodes groups of tiles on the pool: each group
+// prequantizes its window (its values plus the Lorenzo halo behind them:
+// the west value, the north row, the back plane) tile by tile, and the row
+// kernels start at the window's offset. A group holds 32 tiles, or four
+// halos when that is more. These tests aim at the seams: tiles, groups,
+// rows and planes that straddle them, and empty and full payloads. Each
+// input also runs on the analytic engine, whose `pred_quant_v2` and fused
+// 1-D fills walk the same groups.
+
+/// Values of one 1-D group: 32 tiles.
+const GROUP_VALUES: usize = 32 * 2048;
+
+/// [`assert_conformant`], plus the analytic engine's stream, with and
+/// without the fused 1-D front end.
+fn assert_encoder_conformant(data: &[f32], shape: (usize, usize, usize), eb: ErrorBound) {
+    assert_conformant(data, shape, eb);
+    let native = with_path(PipelinePath::Native).compress(data, shape, eb).bytes;
+    for full_fusion_1d in [false, true] {
+        let opts = FzOptions {
+            path: PipelinePath::Simulated,
+            engine: Engine::Analytic,
+            full_fusion_1d,
+            ..FzOptions::default()
+        };
+        let analytic = FzGpu::with_options(A100, opts).compress(data, shape, eb).bytes;
+        assert_eq!(analytic, native, "analytic (fusion {full_fusion_1d}) vs native at {shape:?}");
+    }
+}
+
+/// 1-D lengths around one tile and around the first and second group
+/// boundaries.
+#[test]
+fn tile_encoder_handles_lengths_around_tiles_and_groups() {
+    let g = GROUP_VALUES;
+    for n in [1usize, 2, 2047, 2048, 2049, 3 * 2048 + 1, g - 1, g, g + 1, 2 * g - 1, 2 * g + 1] {
+        for dist in [0usize, 1, 5] {
+            let (data, _) = gen_field(n, dist, 0xe1c ^ n as u64);
+            assert_encoder_conformant(&data, (1, 1, n), ErrorBound::Abs(1e-3));
+        }
+    }
+}
+
+/// 2-D rows that straddle tiles and groups, 3-D planes that straddle
+/// groups: small planes (2000 values, 32.8 planes a group), and planes of
+/// 12000 values (5.5 planes a group). Planes of 20000 values make groups
+/// of four halos (40 tiles, 4.1 planes).
+#[test]
+fn tile_encoder_handles_rows_and_planes_straddling_tiles_and_groups() {
+    for shape in
+        [(1usize, 90usize, 1500usize), (1, 47, 2900), (40, 40, 50), (12, 100, 120), (9, 100, 200)]
+    {
+        let n = shape.0 * shape.1 * shape.2;
+        for dist in [0usize, 1, 6] {
+            let (data, _) = gen_field(n, dist, 0x3d ^ n as u64);
+            assert_encoder_conformant(&data, shape, ErrorBound::Abs(1e-3));
+        }
+    }
+}
+
+/// An all-zero field writes no payload; saturating noise marks every block
+/// present. Both span several groups, in 1-D, 2-D and 3-D, and fill whole
+/// tiles (a part tile's zero padding is absent blocks).
+#[test]
+fn tile_encoder_handles_empty_and_full_payloads() {
+    let mut rng = xorshift(0xe2c);
+    for shape in [(1usize, 1usize, GROUP_VALUES + 2048), (1, 96, 1536), (9, 128, 128)] {
+        let n = shape.0 * shape.1 * shape.2;
+        let zeros = vec![0.0f32; n];
+        let c = with_path(PipelinePath::Native).compress(&zeros, shape, ErrorBound::Abs(1e-3));
+        assert_eq!(c.header.payload_words, 0, "an all-zero field has no payload at {shape:?}");
+        assert_encoder_conformant(&zeros, shape, ErrorBound::Abs(1e-3));
+
+        let noise: Vec<f32> = (0..n).map(|_| (rng() % 2_000_001) as f32 - 1_000_000.0).collect();
+        let c = with_path(PipelinePath::Native).compress(&noise, shape, ErrorBound::Abs(1e-3));
+        assert_eq!(c.header.payload_words, c.header.num_blocks * 4, "every block at {shape:?}");
+        assert_encoder_conformant(&noise, shape, ErrorBound::Abs(1e-3));
     }
 }
 

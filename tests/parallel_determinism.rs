@@ -52,8 +52,8 @@ const SHAPE: (usize, usize, usize) = (12, 40, 50);
 
 #[test]
 fn native_stream_is_thread_count_invariant() {
-    // The 1-D field spans four 8192-value chunks of the native Lorenzo
-    // pass, each seeding its west neighbour from the chunk before it.
+    // The 1-D field spans 13 tiles, each seeding its first code's west
+    // neighbour from the tile before it.
     let line: Vec<f32> = (0..3 * 8192 + 5).map(|i| (i as f32 * 0.013).sin() * 40.0).collect();
     for (data, shape) in [(field(), SHAPE), (line.clone(), (1, 1, line.len()))] {
         let eb = ErrorBound::RelToRange(1e-3);
@@ -129,6 +129,75 @@ fn sz_omp_baseline_is_thread_count_invariant() {
         let reconstructed = codec.decode(&bytes, SHAPE).unwrap();
         (bytes, reconstructed)
     });
+}
+
+#[test]
+fn native_tile_encode_is_thread_count_invariant() {
+    // Native compress encodes groups of tiles on the pool, one group a
+    // task: 65-110 tiles make three or four 32-tile groups, which fan out.
+    // The fields cover empty tiles between dense ones, rows straddling
+    // tiles and planes straddling groups.
+    const TILE: usize = 2048;
+    let wave = |i: usize| (i as f32 * 0.013).sin() * 40.0;
+    let sparse: Vec<f32> =
+        (0..110 * TILE - 7).map(|i| if i / TILE % 3 == 1 { wave(i) } else { 0.0 }).collect();
+    let line: Vec<f32> = (0..65 * TILE + 1).map(wave).collect();
+    let rows: Vec<f32> = (0..90 * 1500).map(wave).collect();
+    let planes: Vec<f32> = (0..60 * 50 * 50).map(wave).collect();
+    for (data, shape) in [
+        (sparse, (1, 1, 110 * TILE - 7)),
+        (line, (1, 1, 65 * TILE + 1)),
+        (rows, (1, 90, 1500)),
+        (planes, (60, 50, 50)),
+    ] {
+        let eb = ErrorBound::RelToRange(1e-3);
+        let bytes = invariant(|| {
+            let opts = FzOptions { path: PipelinePath::Native, ..FzOptions::default() };
+            FzGpu::with_options(A100, opts).compress(&data, shape, eb).bytes
+        });
+        assert_eq!(bytes, reference::compress(&data, shape, eb).bytes, "shape {shape:?}");
+    }
+}
+
+#[test]
+fn one_pass_resolve_matches_the_sequential_folds() {
+    // The range-relative bound before the one-pass lane-wise range: two
+    // sequential folds, NaN skipped by `f32::min`/`f32::max`.
+    let folds = |data: &[f32]| {
+        let lo = data.iter().copied().fold(f32::INFINITY, f32::min);
+        let hi = data.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        ErrorBound::RelToRange(1e-3).to_abs((hi - lo) as f64)
+    };
+    let wave = |i: usize| (i as f32 * 0.37).sin() * 90.0 + (i % 7) as f32;
+    let mut fields: Vec<Vec<f32>> = vec![
+        vec![],
+        vec![2.5],
+        vec![f32::NAN; 1000],
+        vec![-0.0, 0.0, -0.0],
+        vec![0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+        vec![-0.0, 3.0, f32::NAN, -0.0],
+        vec![-4.0, 0.0, -0.0, f32::NAN],
+    ];
+    // NaN-laced fields on both sides of a pool chunk (65536 values) and
+    // of the 8-value lanes, with the extremes in every lane position.
+    for n in [7usize, 8, 9, 1001, 65535, 65536, 65537, 3 * 65536 + 13] {
+        let mut f: Vec<f32> = (0..n).map(wave).collect();
+        for i in (0..n).step_by(11) {
+            f[i] = f32::NAN;
+        }
+        f[n / 2] = -500.0 - n as f32;
+        f[n - 1] = 1e4;
+        fields.push(f);
+    }
+    for data in &fields {
+        let want = folds(data);
+        let got =
+            invariant(|| ErrorBound::RelToRange(1e-3).try_resolve(data).map_err(f64::to_bits));
+        match got {
+            Ok(eb) => assert_eq!(eb.to_bits(), want.to_bits(), "n {}", data.len()),
+            Err(bits) => assert_eq!(bits, want.to_bits(), "n {}", data.len()),
+        }
+    }
 }
 
 #[test]

@@ -101,8 +101,9 @@ fn native_stage_spans_are_inert() {
 
 #[test]
 fn native_stage_tree_is_thread_count_invariant() {
-    // 70 tiles: the per-tile passes (shuffle, and decode's tiles) fan out
-    // to the pool, which merges worker spans in chunk order.
+    // 70 tiles: the tile passes (compress's three groups of tiles, and
+    // decode's tiles) fan out to the pool, which merges worker spans in
+    // chunk order.
     let data: Vec<f32> = (0..70 * 2048).map(|i| (i as f32 * 0.011).sin() * 7.0).collect();
     let (tree, bytes) = invariant(|| {
         trace::begin_capture();
@@ -112,8 +113,7 @@ fn native_stage_tree_is_thread_count_invariant() {
     // One span per stage per call, nested under the call's root: never
     // one per tile or per pool chunk.
     let expect = format!(
-        "fz.compress values={} path=native\n  native.resolve\n  native.prequant\n  \
-         native.lorenzo\n  native.pack\n  native.shuffle\n  native.encode\n  \
+        "fz.compress values={} path=native\n  native.resolve\n  native.tiles\n  \
          native.assemble\nfz.decompress bytes={bytes} path=native\n  native.verify\n  \
          native.tiles\n  native.integrate\n  native.dequantize\n",
         data.len()
