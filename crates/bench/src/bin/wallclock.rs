@@ -33,7 +33,11 @@
 //! (`Gpu::interpreted_blocks`, deterministic). Timed: analytic must be at
 //! least 10x faster than interpreted in every mode, and at the default
 //! (reduced) scale analytic simulation must land within 3x of the native
-//! fast path's wall — modeled counters at data speed. The
+//! fast path's wall — modeled counters at data speed. A third simulated
+//! column times the analytic engine warm: the median of compresses on one
+//! compressor after one warm-up call, whose device has every block class
+//! of the field in its memo. Its count is gated too: a warm compress
+//! interprets no block. The
 //! bench prints its table and one line per gate with both of the gate's
 //! inputs before it asserts any gate, and writes its exhibit only when
 //! every gate passes.
@@ -70,6 +74,7 @@ struct Sample {
     native_decompress_s: f64,
     sim_wall_s: f64,
     sim_analytic_wall_s: f64,
+    sim_warm_analytic_wall_s: f64,
 }
 
 /// Median of already-collected timings. Five samples make the median the
@@ -93,24 +98,33 @@ fn timed<T>(iters: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (median(times), out)
 }
 
-/// `iters` cold compressions on the simulated pipeline under `engine`, a
-/// fresh compressor each run. Every run must emit `stream` and model the
+/// `iters` compressions on the simulated pipeline under `engine`: cold, a
+/// fresh compressor each run, or warm, every run on one compressor after
+/// one untimed warm-up call. Every run must emit `stream` and model the
 /// same kernel time as every earlier run (`modeled`, set by the first);
 /// returns the median elapsed seconds and the thread blocks one compress
 /// ran through the warp interpreter (the same on every run).
-fn cold_simulated(
+fn simulated(
     iters: usize,
     engine: Engine,
+    warm: bool,
     (data, shape, eb): (&[f32], Shape, ErrorBound),
     stream: &[u8],
     modeled: &mut Option<f64>,
     threads: usize,
 ) -> (f64, u64) {
     let opts = FzOptions { path: PipelinePath::Simulated, engine, ..FzOptions::default() };
+    let mut sim = FzGpu::with_options(A100, opts);
+    if warm {
+        sim.compress(data, shape, eb);
+    }
     let mut blocks = None;
     let times = (0..iters)
         .map(|_| {
-            let mut sim = FzGpu::with_options(A100, opts);
+            if !warm {
+                sim = FzGpu::with_options(A100, opts);
+            }
+            let before = sim.gpu().interpreted_blocks();
             let t0 = Instant::now();
             let c = sim.compress(data, shape, eb);
             let wall = t0.elapsed().as_secs_f64();
@@ -118,7 +132,7 @@ fn cold_simulated(
             let kernel_s = sim.kernel_time();
             let expected = *modeled.get_or_insert(kernel_s);
             assert_eq!(kernel_s, expected, "{engine:?} modeled time drifted at {threads} threads");
-            let run_blocks = sim.gpu().interpreted_blocks();
+            let run_blocks = sim.gpu().interpreted_blocks() - before;
             assert_eq!(*blocks.get_or_insert(run_blocks), run_blocks, "{engine:?} block count");
             wall
         })
@@ -181,14 +195,16 @@ fn main() {
         // the modeled device time and must not vary with threads. The
         // analytic engine must reproduce the interpreted engine's stream
         // and modeled time at a fraction of its host wall (one
-        // representative block per counter class; native fills).
+        // representative block per counter class; native fills), and
+        // warm, with every class in its device's memo, run no block.
         let input = (data, shape, eb);
-        let (sim_wall_s, interp) =
-            cold_simulated(iters, Engine::Interpreted, input, &stream, &mut modeled, threads);
-        let (sim_analytic_wall_s, analytic) =
-            cold_simulated(iters, Engine::Analytic, input, &stream, &mut modeled, threads);
-        let counted = *blocks.get_or_insert((interp, analytic));
-        assert_eq!(counted, (interp, analytic), "interpreted blocks vary with threads");
+        let mut run =
+            |engine, warm| simulated(iters, engine, warm, input, &stream, &mut modeled, threads);
+        let (sim_wall_s, interp) = run(Engine::Interpreted, false);
+        let (sim_analytic_wall_s, analytic) = run(Engine::Analytic, false);
+        let (sim_warm_analytic_wall_s, warm) = run(Engine::Analytic, true);
+        let counted = *blocks.get_or_insert((interp, analytic, warm));
+        assert_eq!(counted, (interp, analytic, warm), "interpreted blocks vary with threads");
 
         samples.push(Sample {
             threads,
@@ -197,11 +213,12 @@ fn main() {
             native_decompress_s,
             sim_wall_s,
             sim_analytic_wall_s,
+            sim_warm_analytic_wall_s,
         });
     }
     let base = samples[0].native_compress_s;
     let modeled_kernel_s = modeled.expect("at least one simulated run");
-    let (interp_blocks, analytic_blocks) = blocks.expect("at least one simulated run");
+    let (interp_blocks, analytic_blocks, warm_blocks) = blocks.expect("at least one simulated run");
 
     let mut t = Table::new(&[
         "threads",
@@ -212,6 +229,7 @@ fn main() {
         "speedup",
         "sim wall s",
         "analytic s",
+        "warm s",
         "modeled s",
     ]);
     for s in &samples {
@@ -224,6 +242,7 @@ fn main() {
             fmt(base / s.native_compress_s),
             format!("{:.4}", s.sim_wall_s),
             format!("{:.4}", s.sim_analytic_wall_s),
+            format!("{:.4}", s.sim_warm_analytic_wall_s),
             format!("{:.6}", modeled_kernel_s),
         ]);
     }
@@ -231,7 +250,7 @@ fn main() {
     print!("{table}");
     let blocks_line = format!(
         "thread blocks interpreted per compress: interpreted engine {interp_blocks}, \
-         analytic engine {analytic_blocks} (same at every thread count)"
+         analytic engine {analytic_blocks} cold, {warm_blocks} warm (same at every thread count)"
     );
     println!("\nstreams byte-identical across all paths and thread counts: yes\n{blocks_line}");
     if host_cores == 1 {
@@ -250,6 +269,12 @@ fn main() {
             "analytic engine interprets ({analytic_blocks} blocks) <= 1/10 of the \
              interpreted engine's blocks ({interp_blocks})"
         ),
+    ));
+    // Warm, the device has run every block class of the field before, so
+    // its memo holds every class's counters.
+    gates.push((
+        warm_blocks == 0,
+        format!("warm analytic compress interprets ({warm_blocks} blocks) none"),
     ));
     for s in &samples {
         // The fast path's reason to exist: it must beat the simulated
@@ -297,7 +322,8 @@ fn main() {
         "wallclock bench: {label}, {} values ({} MB), rel eb 1e-3\n\
          host cores: {host_cores}{}\n\
          method: native: 1 pinned warm-up, median of {iters} timed iteration(s); \
-         simulated: median of {iters} cold run(s), a fresh compressor each\n\n",
+         simulated: median of {iters} cold run(s), a fresh compressor each; \
+         warm: 1 warm-up, median of {iters} run(s) on one analytic compressor\n\n",
         data.len(),
         input_bytes / (1 << 20),
         if smoke { " [smoke]" } else { "" },
@@ -319,6 +345,7 @@ fn main() {
             .raw("native_vs_sim_wall", format!("{:.2}", s.sim_wall_s / c))
             .raw("sim_wall_s", format!("{:.6}", s.sim_wall_s))
             .raw("sim_analytic_wall_s", format!("{:.6}", s.sim_analytic_wall_s))
+            .raw("sim_warm_analytic_wall_s", format!("{:.6}", s.sim_warm_analytic_wall_s))
             .raw("analytic_vs_native", format!("{:.2}", s.sim_analytic_wall_s / c))
             .finish()
     });
@@ -336,6 +363,7 @@ fn main() {
         .raw("modeled_kernel_s", format!("{modeled_kernel_s:.6}"))
         .raw("interpreted_blocks", interp_blocks)
         .raw("analytic_interpreted_blocks", analytic_blocks)
+        .raw("warm_analytic_interpreted_blocks", warm_blocks)
         .raw("identical_streams", true)
         .raw("threads", json::list(Layout::Doc, rows))
         .finish();

@@ -118,11 +118,13 @@ fn fused_kernel(
     // Single counter-equivalence class (DESIGN.md §16): every load/store
     // predicate is index-only, ballots charge one instruction regardless
     // of data, and tile_base = tile*1024 keeps all global accesses
-    // identically sector-aligned for every block.
+    // identically sector-aligned for every block. The signature is the
+    // shared-memory stride, which sets the bank-conflict pattern.
     gpu.launch_classed(
         name,
         ntiles,
         (32u32, 32u32),
+        &[stride as u64],
         |_| 0,
         |blk| {
             let tile = blk.block_linear();
@@ -191,11 +193,14 @@ fn fused_kernel(
 /// Unfused step A: bitshuffle only.
 fn shuffle_only_kernel(gpu: &mut Gpu, words: &GpuBuffer<u32>, shuffled: &GpuBuffer<u32>) {
     let ntiles = (words.len() / TILE_WORDS) as u32;
-    // Single class: same argument as the fused kernel.
+    // Single class: same argument as the fused kernel. Every index
+    // derives from the block index and constants, so the signature is
+    // empty.
     gpu.launch_classed(
         "bitshuffle_v1",
         ntiles,
         (32u32, 32u32),
+        &[],
         |_| 0,
         |blk| {
             let tile = blk.block_linear();
@@ -230,11 +235,13 @@ fn mark_kernel(
     let nblocks = nflags.div_ceil(256) as u32;
     // Single class: nflags is a multiple of 256 (FLAGS_PER_TILE per whole
     // tile), so every block is full and the `b < nflags` predicates never
-    // cut a lane; ballots and flag stores are index-only.
+    // cut a lane; ballots and flag stores are index-only. The signature
+    // is `nflags`, which those predicates read.
     gpu.launch_classed(
         "mark_v1",
         nblocks,
         256u32,
+        &[nflags as u64],
         |_| 0,
         |blk| {
             let base = blk.block_linear() * 256;

@@ -48,8 +48,10 @@ pub fn expand_flags(gpu: &mut Gpu, bit_flags: &GpuBuffer<u32>, nflags: usize) ->
     let analytic = gpu.effective_engine() == Engine::Analytic;
     // Two classes: only the last block can be ragged; the broadcast word
     // load is one sector for every full warp regardless of block index.
+    // The signature is `nflags`, which the predicates read.
     let class = |b: usize| u64::from(b == blocks as usize - 1);
-    gpu.launch_classed("decode.expand_flags", blocks, 256u32, class, |blk| {
+    let sig = [nflags as u64];
+    gpu.launch_classed("decode.expand_flags", blocks, 256u32, &sig, class, |blk| {
         let base = blk.block_linear() * 256;
         blk.warps(|w| {
             // One bit-flag word covers the warp's 32 lanes (broadcast load).
@@ -129,11 +131,12 @@ pub fn bit_unshuffle(gpu: &mut Gpu, shuffled: &GpuBuffer<u32>) -> GpuBuffer<u32>
     let mut out: GpuBuffer<u32> = gpu.alloc(shuffled.len());
     let analytic = gpu.effective_engine() == Engine::Analytic;
     // Single class: every access is index-only and tile-aligned (same
-    // argument as the forward shuffle kernels).
+    // argument as the forward shuffle kernels), so the signature is empty.
     gpu.launch_classed(
         "decode.bit_unshuffle",
         ntiles,
         (32u32, 32u32),
+        &[],
         |_| 0,
         |blk| {
             let tile_base = blk.block_linear() * TILE_WORDS;
@@ -175,8 +178,10 @@ pub fn codes_to_deltas(gpu: &mut Gpu, words: &GpuBuffer<u32>, n_codes: usize) ->
     let analytic = gpu.effective_engine() == Engine::Analytic;
     // Two classes: only the last block can be ragged (base = b*256 keeps
     // the pairwise i/2 word loads and i32 stores identically aligned).
+    // The signature is `n_codes`, which the predicates read.
     let class = |b: usize| u64::from(b == blocks as usize - 1);
-    gpu.launch_classed("decode.codes_to_deltas", blocks, 256u32, class, |blk| {
+    let sig = [n_codes as u64];
+    gpu.launch_classed("decode.codes_to_deltas", blocks, 256u32, &sig, class, |blk| {
         let base = blk.block_linear() * 256;
         blk.warps(|w| {
             let v = w.load(words, |l| {
@@ -326,10 +331,12 @@ fn row_walk(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape, segments: Optio
             // Two classes: only the last block can hold inactive rows or
             // see the grid end. Row alignment is block-independent: warp
             // j's row base is (b*8 + j)*nx, congruent to j*nx mod 8 for
-            // every b.
+            // every b. The signature is the row count and length, which
+            // every predicate, address and loop bound reads.
             let nblocks = rows.div_ceil(8) as u32;
             let class = |b: usize| u64::from(b == nblocks as usize - 1);
-            gpu.launch_classed("decode.integrate_x", nblocks, (32u32, 8u32), class, |blk| {
+            let sig = [rows as u64, nx as u64];
+            gpu.launch_classed("decode.integrate_x", nblocks, (32u32, 8u32), &sig, class, |blk| {
                 let row0 = blk.block_linear() * 8;
                 blk.warps(|w| {
                     let row = row0 + w.warp_id;
@@ -346,7 +353,10 @@ fn row_walk(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape, segments: Optio
             // row's last block holds the short segment and idle warps, and
             // segment bases (row*nx + a multiple of 32) keep the row's
             // sector alignment; the one-lane total store (the carry's
-            // broadcast total load) is one sector wherever it lands.
+            // broadcast total load) is one sector wherever it lands. Both
+            // kernels' signature adds the segment length and count to the
+            // unsplit walk's, so a split walk never shares one with it.
+            let sig = [rows as u64, nx as u64, len as u64, count as u64];
             let class = |bpr: usize| {
                 move |linear: usize| {
                     let row = linear / bpr;
@@ -355,19 +365,26 @@ fn row_walk(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape, segments: Optio
             };
             let bpr = count.div_ceil(8);
             let grid = (bpr as u32, rows as u32);
-            gpu.launch_classed("decode.integrate_x", grid, (32u32, 8u32), class(bpr), |blk| {
-                let row = blk.block_idx.y as usize;
-                let seg0 = blk.block_idx.x as usize * 8;
-                blk.warps(|w| {
-                    let seg = seg0 + w.warp_id;
-                    if seg < count {
-                        let start = seg * len;
-                        let total = scan_run(w, walked, row * nx + start, len.min(nx - start));
-                        let at = row * count + seg;
-                        w.store(&totals, |l| (l.id == 0).then_some((at, total as i32)));
-                    }
-                });
-            });
+            gpu.launch_classed(
+                "decode.integrate_x",
+                grid,
+                (32u32, 8u32),
+                &sig,
+                class(bpr),
+                |blk| {
+                    let row = blk.block_idx.y as usize;
+                    let seg0 = blk.block_idx.x as usize * 8;
+                    blk.warps(|w| {
+                        let seg = seg0 + w.warp_id;
+                        if seg < count {
+                            let start = seg * len;
+                            let total = scan_run(w, walked, row * nx + start, len.min(nx - start));
+                            let at = row * count + seg;
+                            w.store(&totals, |l| (l.id == 0).then_some((at, total as i32)));
+                        }
+                    });
+                },
+            );
             if let Some(vals) = &snapshot {
                 let segs = vals.chunks(nx).flat_map(|row| row.chunks(len));
                 for (t, seg) in totals.host_mut().iter_mut().zip(segs) {
@@ -384,6 +401,7 @@ fn row_walk(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape, segments: Optio
                 "decode.integrate_x_carry",
                 grid,
                 (32u32, 8u32),
+                &sig,
                 carry_class,
                 |blk| {
                     let row = blk.block_idx.y as usize;
@@ -501,6 +519,10 @@ fn column_walk(
     // Classes: the ragged column group, the short last segment, and the
     // u32-sector residues of the segment's first row base and of its
     // totals row (bx*32 is a multiple of 8, so neither depends on bx).
+    // The walk's and the carry's signature: the view's shape and the
+    // segment length and count, which every predicate, address and loop
+    // bound reads (the count also decides whether totals are stored).
+    let sig = [planes as u64, ny as u64, nx as u64, len as u64, count as u64];
     let class = |bx: usize, s: usize, z: usize, totals_row: usize| {
         let rows_base = ((z * ny + s * len) * nx % 8) as u64;
         let totals_base = ((z * count + totals_row) * nx % 8) as u64;
@@ -515,7 +537,7 @@ fn column_walk(
         class(bx, s, z, s)
     };
     let grid = (col_groups as u32, count as u32, planes as u32);
-    gpu.launch_classed(name, grid, 32u32, walk_class, |blk| {
+    gpu.launch_classed(name, grid, 32u32, &sig, walk_class, |blk| {
         let x0 = blk.block_idx.x as usize * 32;
         let s = blk.block_idx.y as usize;
         let z = blk.block_idx.z as usize;
@@ -554,7 +576,7 @@ fn column_walk(
             class(bx, s, z, s - 1)
         };
         let grid = (col_groups as u32, (count - 1) as u32, planes as u32);
-        gpu.launch_classed(carry_name, grid, 32u32, carry_class, |blk| {
+        gpu.launch_classed(carry_name, grid, 32u32, &sig, carry_class, |blk| {
             let x0 = blk.block_idx.x as usize * 32;
             let s = 1 + blk.block_idx.y as usize;
             let z = blk.block_idx.z as usize;
@@ -611,9 +633,11 @@ pub fn dequantize(gpu: &mut Gpu, q: &GpuBuffer<i32>, eb: f64) -> GpuBuffer<f32> 
     let ebx2 = 2.0 * eb;
     let blocks = n.div_ceil(256) as u32;
     let analytic = gpu.effective_engine() == Engine::Analytic;
-    // Two classes: only the last block can be ragged.
+    // Two classes: only the last block can be ragged. The signature is
+    // `n`, which the predicates read; never the bound, which only feeds
+    // arithmetic.
     let class = |b: usize| u64::from(b == blocks as usize - 1);
-    gpu.launch_classed("decode.dequantize", blocks, 256u32, class, |blk| {
+    gpu.launch_classed("decode.dequantize", blocks, 256u32, &[n as u64], class, |blk| {
         let base = blk.block_linear() * 256;
         blk.warps(|w| {
             let v = w.load(q, |l| (base + l.ltid < n).then_some(base + l.ltid));

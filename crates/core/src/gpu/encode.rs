@@ -25,9 +25,10 @@ pub fn widen_flags(gpu: &mut Gpu, byte_flags: &GpuBuffer<u8>) -> GpuBuffer<u32> 
     let blocks = n.div_ceil(256) as u32;
     let analytic = gpu.effective_engine() == Engine::Analytic;
     // Two classes: only the last block can be ragged (base = b*256 keeps
-    // every warp's loads and stores identically sector-aligned).
+    // every warp's loads and stores identically sector-aligned). The
+    // signature is `n`, which the predicates read.
     let class = |b: usize| u64::from(b == blocks as usize - 1);
-    gpu.launch_classed("encode.widen_flags", blocks, 256u32, class, |blk| {
+    gpu.launch_classed("encode.widen_flags", blocks, 256u32, &[n as u64], class, |blk| {
         let base = blk.block_linear() * 256;
         blk.warps(|w| {
             let v = w.load(byte_flags, |l| (base + l.ltid < n).then_some(base + l.ltid));

@@ -44,13 +44,15 @@ pub fn fused_1d(
     // Counter-equivalence classes (DESIGN.md §16): tile 0 drops the
     // west-neighbor load at g == 0, the last tile may be ragged; interior
     // tiles are identical (val_base = tile*2048 keeps all strided f32
-    // loads congruent mod 8, and every later phase is index-only).
+    // loads congruent mod 8, and every later phase is index-only). The
+    // signature is `n`, which the quant-phase predicates read.
     let last = ntiles - 1;
     let class = |t: usize| u64::from(t == 0) | (u64::from(t == last) << 1);
     gpu.launch_classed(
         "fused.quant_shuffle_mark_1d",
         ntiles as u32,
         (32u32, 32u32),
+        &[n as u64],
         class,
         |blk| {
             let tile = blk.block_linear();

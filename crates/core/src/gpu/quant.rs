@@ -146,10 +146,13 @@ fn launch_1d(
     // Counter-equivalence classes (DESIGN.md §16): block 0 skips the halo
     // load, the last block may be ragged; every interior block is
     // identical (base = b*1024 keeps both f32 and u16 rows sector-aligned
-    // for any b).
+    // for any b). The signature is `n`, which the predicates read, and
+    // whether the kernel stores outliers; never the bound, which only
+    // feeds arithmetic.
     let last = nblocks as usize - 1;
     let class = |b: usize| u64::from(b == 0) | (u64::from(b == last) << 1);
-    gpu.launch_classed(name, nblocks, 1024u32, class, |blk| {
+    let sig = [n as u64, u64::from(outliers.is_some())];
+    gpu.launch_classed(name, nblocks, 1024u32, &sig, class, |blk| {
         let base = blk.block_linear() * 1024;
         // Shared tile with one halo element on the left.
         let sq = blk.shared_array::<i32>(1025);
@@ -208,7 +211,9 @@ fn launch_tiled(
     // `(z*ny + by*32 + ly)*nx + bx*32` is congruent mod 16 to
     // `z*ny*nx + ly*nx` because `32*nx` and `bx*32` are multiples of 16 —
     // 16 covers u16 stores and subsumes the mod-8 residue of f32 loads,
-    // and fixing `z*ny*nx mod 16` also fixes `(z-1)*ny*nx mod 16`).
+    // and fixing `z*ny*nx mod 16` also fixes `(z-1)*ny*nx mod 16`). The
+    // signature is the shape, which every predicate and address reads,
+    // and whether the kernel stores outliers.
     let (gx, gy) = (grid.0 as usize, grid.1 as usize);
     let class = |linear: usize| {
         let bx = linear % gx;
@@ -221,7 +226,8 @@ fn launch_tiled(
             | (u64::from(z == 0) << 4)
             | ((((z * ny * nx) % 16) as u64) << 5)
     };
-    gpu.launch_classed(name, grid, (32u32, 32u32), class, |blk| {
+    let sig = [nz as u64, ny as u64, nx as u64, u64::from(outliers.is_some())];
+    gpu.launch_classed(name, grid, (32u32, 32u32), &sig, class, |blk| {
         let x0 = blk.block_idx.x as usize * 32;
         let y0 = blk.block_idx.y as usize * 32;
         let z = blk.block_idx.z as usize;

@@ -40,6 +40,7 @@ use std::time::Instant;
 use fzgpu_core::crc::Crc32;
 use fzgpu_core::{crc32, FzGpu, FzOptions, PipelinePath};
 use fzgpu_sim::{Engine, MemPool, OpClass, PoolStats, ServiceFaults, StreamSim};
+use fzgpu_store::value_digest;
 use fzgpu_trace::json::{self, Layout, Obj};
 use fzgpu_trace::metrics::{self, Class};
 
@@ -621,14 +622,10 @@ fn execute_job(fz: &mut FzGpu, r: &Request, prepared: Option<&[u8]>) -> Exec {
         Op::Decompress => {
             let stream = prepared.expect("decompress job without a prepared stream");
             let out = fz.decompress_bytes(stream).expect("self-produced stream must decompress");
-            let mut bytes = Vec::with_capacity(out.len() * 4);
-            for v in &out {
-                bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
             Exec {
                 bytes_in: stream.len() as u64,
                 bytes_out: (r.n * 4) as u64,
-                digest: crc32(&bytes),
+                digest: value_digest(&out),
                 kernels: job_kernels(fz, r.n),
                 host_s: t0.elapsed().as_secs_f64(),
             }
@@ -1186,6 +1183,9 @@ impl Service {
             .collect();
         drop(prep);
 
+        // One device for every job: on the analytic engine its memo of
+        // block-class counters warms with the first job of each shape
+        // (DESIGN §13, §16).
         let mut fz = FzGpu::with_options(workload.device, opts);
         if self.config.pool {
             fz.attach_pool(MemPool::new());

@@ -16,7 +16,7 @@ use crate::shared::Shared;
 use crate::warp::WarpCtx;
 
 /// 3-component index, mirroring CUDA's `dim3`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dim3 {
     pub x: u32,
     pub y: u32,

@@ -20,6 +20,9 @@
 //! to catch would otherwise be real host data races (UB), not simulated
 //! ones.
 
+use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
+
 use fzgpu_trace::metrics::{self, Class};
 
 use crate::block::{BlockCtx, Dim3};
@@ -72,6 +75,82 @@ pub struct WriteRace {
     pub index: usize,
 }
 
+/// Class entries a device's memo holds before it is cleared all at once:
+/// a bound on what a long-lived device keeps, not a tuning knob.
+const MEMO_CAPACITY: usize = 4096;
+
+/// The exact key of one block class of a classed launch (see
+/// [`Gpu::launch_classed`]): the kernel, its launch geometry and
+/// signature, and the class key.
+#[derive(Hash)]
+struct ClassKey<'a> {
+    name: &'a str,
+    grid: Dim3,
+    block: Dim3,
+    sig: &'a [u64],
+    class: u64,
+}
+
+/// One memoized class: an owned copy of its key and the representative
+/// block's unscaled counters.
+struct MemoEntry {
+    name: Box<str>,
+    grid: Dim3,
+    block: Dim3,
+    sig: Box<[u64]>,
+    class: u64,
+    stats: KernelStats,
+}
+
+impl MemoEntry {
+    fn matches(&self, key: &ClassKey<'_>) -> bool {
+        *self.name == *key.name
+            && self.grid == key.grid
+            && self.block == key.block
+            && *self.sig == *key.sig
+            && self.class == key.class
+    }
+}
+
+/// Representative counters of every block class a device has run. A hash
+/// of the key picks the bucket; within it, entries compare whole keys, so
+/// a hash collision can never hand one class another's counters. Looking
+/// a key up allocates nothing.
+#[derive(Default)]
+struct ClassMemo {
+    buckets: HashMap<u64, Vec<MemoEntry>>,
+    len: usize,
+}
+
+impl ClassMemo {
+    fn bucket(key: &ClassKey<'_>) -> u64 {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        h.finish()
+    }
+
+    fn get(&self, key: &ClassKey<'_>) -> Option<KernelStats> {
+        let bucket = self.buckets.get(&Self::bucket(key))?;
+        bucket.iter().find(|e| e.matches(key)).map(|e| e.stats)
+    }
+
+    fn insert(&mut self, key: &ClassKey<'_>, stats: KernelStats) {
+        if self.len == MEMO_CAPACITY {
+            self.buckets.clear();
+            self.len = 0;
+        }
+        self.buckets.entry(Self::bucket(key)).or_default().push(MemoEntry {
+            name: key.name.into(),
+            grid: key.grid,
+            block: key.block,
+            sig: key.sig.into(),
+            class: key.class,
+            stats,
+        });
+        self.len += 1;
+    }
+}
+
 /// A simulated GPU: device spec + event timeline.
 pub struct Gpu {
     spec: DeviceSpec,
@@ -86,6 +165,7 @@ pub struct Gpu {
     charge_alloc: bool,
     engine: Engine,
     interpreted_blocks: u64,
+    memo: ClassMemo,
 }
 
 impl Gpu {
@@ -105,6 +185,7 @@ impl Gpu {
             charge_alloc: false,
             engine: Engine::Interpreted,
             interpreted_blocks: 0,
+            memo: ClassMemo::default(),
         }
     }
 
@@ -204,10 +285,13 @@ impl Gpu {
 
     /// Thread blocks run through the warp interpreter since construction
     /// (survives [`Gpu::reset_timeline`]): every block of a
-    /// [`Gpu::launch`], one representative per class of an analytic
-    /// [`Gpu::launch_classed`], none for [`Gpu::launch_analytic`]. The
-    /// deterministic side of the analytic engine's speed: a host-load-free
-    /// count of the work it skips.
+    /// [`Gpu::launch`]; for an analytic [`Gpu::launch_classed`], one
+    /// representative per class this device has not run before (a class
+    /// already in the device's memo runs none); none for
+    /// [`Gpu::launch_analytic`]. The deterministic side of the analytic
+    /// engine's speed: a host-load-free count of the work it skips. The
+    /// debug builds' re-run of a memoized representative is a check, not
+    /// work, and is not counted.
     pub fn interpreted_blocks(&self) -> u64 {
         self.interpreted_blocks
     }
@@ -483,24 +567,36 @@ impl Gpu {
 
     /// Launch a kernel whose per-block counters are constant within
     /// *equivalence classes* of blocks: `class_of(linear)` maps each block
-    /// index to a class key, and blocks sharing a key are guaranteed (by
-    /// the caller — see DESIGN.md §16 for the per-kernel derivations held
-    /// by the `engine_equivalence` suite) to record identical
-    /// [`KernelStats`].
+    /// index to a class key, and the caller guarantees that blocks of any
+    /// launch of this kernel with equal `(grid_dim, block_dim, sig, key)`
+    /// record identical [`KernelStats`] (DESIGN.md §16 derives each
+    /// kernel's key and signature; the `engine_equivalence` suite holds
+    /// them). `sig` is the launch signature: every captured value other
+    /// than buffer contents that a predicate, an address, a loop bound or
+    /// a shared-memory index of the kernel reads.
     ///
     /// Under the interpreted [`Gpu::effective_engine`] this is exactly
-    /// [`Gpu::launch`]. Under the analytic engine, only one representative
+    /// [`Gpu::launch`]. Under the analytic engine, one representative
     /// block per class executes (sequentially, on the calling thread); its
     /// counters are scaled by the class population and merged, which is
     /// bit-identical to interpreting every block because all event
-    /// counters are integers. Callers are then responsible for producing
-    /// the launch's output buffers natively — representative blocks do
-    /// write their own slice of output, but no other block runs.
+    /// counters are integers. The device keeps each representative's
+    /// counters, so a class it has run before runs no block at all.
+    /// Callers are responsible for producing the launch's output buffers
+    /// natively: a representative block writes its own slice of output,
+    /// and no other block runs.
+    ///
+    /// # Panics
+    /// Under `debug_assertions`, a memoized class also reruns its
+    /// representative and panics, naming the kernel, grid, signature and
+    /// key, if the counters differ: a signature that misses a value its
+    /// kernel reads.
     pub fn launch_classed<F, C>(
         &mut self,
         name: &str,
         grid_dim: impl Into<Dim3>,
         block_dim: impl Into<Dim3>,
+        sig: &[u64],
         class_of: C,
         f: F,
     ) where
@@ -540,8 +636,7 @@ impl Gpu {
                 None => classes.push((key, 1, linear)),
             }
         }
-        let mut stats = KernelStats::default();
-        for &(_, count, rep) in &classes {
+        let run_rep = |rep: usize| {
             let (x, y, z) = grid_dim.delinearize(rep);
             let mut ctx = BlockCtx {
                 block_idx: Dim3 { x, y, z },
@@ -554,9 +649,31 @@ impl Gpu {
                 fault: None,
             };
             f(&mut ctx);
-            stats.merge(&ctx.stats.scaled(count));
+            ctx.stats
+        };
+        let mut stats = KernelStats::default();
+        for &(class, count, rep) in &classes {
+            let key = ClassKey { name, grid: grid_dim, block: block_dim, sig, class };
+            let rep_stats = match self.memo.get(&key) {
+                Some(memo) => {
+                    debug_assert_eq!(
+                        run_rep(rep),
+                        memo,
+                        "memoized counters of kernel '{name}' (grid {grid_dim:?}, \
+                         signature {sig:?}, class key {class}) differ from its \
+                         representative block's"
+                    );
+                    memo
+                }
+                None => {
+                    let fresh = run_rep(rep);
+                    self.interpreted_blocks += 1;
+                    self.memo.insert(&key, fresh);
+                    fresh
+                }
+            };
+            stats.merge(&rep_stats.scaled(count));
         }
-        self.interpreted_blocks += classes.len() as u64;
         self.finish_launch(name, nblocks, block_dim, stats, 0);
     }
 
@@ -938,38 +1055,51 @@ mod tests {
         );
     }
 
+    /// A ragged 1-D doubling kernel over `n` values in 256-thread blocks,
+    /// with two block classes (full interior blocks and the partial last
+    /// block) and `n`, which its predicates read, as its signature.
+    fn launch_double(gpu: &mut Gpu, n: usize) {
+        let nblocks = n.div_ceil(256);
+        let input = GpuBuffer::from_host(&(0..n as u32).collect::<Vec<_>>());
+        let out: GpuBuffer<u32> = gpu.alloc(n);
+        gpu.launch_classed(
+            "double",
+            (nblocks as u32, 1, 1),
+            256u32,
+            &[n as u64],
+            |b| (b == nblocks - 1) as u64,
+            |blk| {
+                let base = blk.block_linear() * blk.thread_count();
+                blk.warps(|w| {
+                    let v = w.load(&input, |l| {
+                        let i = base + l.ltid;
+                        (i < n).then_some(i)
+                    });
+                    w.store(&out, |l| {
+                        let i = base + l.ltid;
+                        (i < n).then_some((i, v[l.id] * 2))
+                    });
+                });
+            },
+        );
+    }
+
+    /// The last kernel record, every counter and modeled time spelled out.
+    fn last_record(gpu: &Gpu) -> String {
+        format!("{:?}", gpu.last_kernel())
+    }
+
     #[test]
     fn classed_launch_matches_interpreted_bit_for_bit() {
-        // A ragged 1D kernel with two block classes (full interior blocks
-        // and the partial last block): the analytic engine samples one
-        // representative per class and must reproduce the interpreted
-        // timeline record — stats, breakdown, modeled time — exactly.
+        // The analytic engine samples one representative per class and
+        // must reproduce the interpreted timeline record — stats,
+        // breakdown, modeled time — exactly.
         let n = 1000usize;
         let nblocks = n.div_ceil(256);
         let run = |engine: Engine| {
             let mut gpu = Gpu::new(A100);
             gpu.set_engine(engine);
-            let input = GpuBuffer::from_host(&(0..n as u32).collect::<Vec<_>>());
-            let out: GpuBuffer<u32> = gpu.alloc(n);
-            gpu.launch_classed(
-                "double",
-                (nblocks as u32, 1, 1),
-                256u32,
-                |b| (b == nblocks - 1) as u64,
-                |blk| {
-                    let base = blk.block_linear() * blk.thread_count();
-                    blk.warps(|w| {
-                        let v = w.load(&input, |l| {
-                            let i = base + l.ltid;
-                            (i < n).then_some(i)
-                        });
-                        w.store(&out, |l| {
-                            let i = base + l.ltid;
-                            (i < n).then_some((i, v[l.id] * 2))
-                        });
-                    });
-                },
-            );
+            launch_double(&mut gpu, n);
             let record = (format!("{:?}", gpu.timeline()), gpu.kernel_time().to_bits());
             gpu.reset_timeline();
             gpu.launch_analytic("closed-form", nblocks as u32, 256u32, KernelStats::default());
@@ -981,6 +1111,85 @@ mod tests {
         // Every block interpreted, against one per class; the closed-form
         // launch runs none, and the count survives the timeline reset.
         assert_eq!((interp_blocks, analytic_blocks), (nblocks as u64, 2));
+    }
+
+    #[test]
+    fn a_repeated_classed_launch_runs_no_block() {
+        let mut gpu = Gpu::new(A100);
+        gpu.set_engine(Engine::Analytic);
+        launch_double(&mut gpu, 1000);
+        let first = last_record(&gpu);
+        launch_double(&mut gpu, 1000);
+        assert_eq!(last_record(&gpu), first);
+        assert_eq!(gpu.interpreted_blocks(), 2, "the second launch ran a block");
+        // The interpreted engine runs every block every time and leaves
+        // the memo alone.
+        let mut interp = Gpu::new(A100);
+        launch_double(&mut interp, 1000);
+        launch_double(&mut interp, 1000);
+        assert_eq!(last_record(&interp), first);
+        assert_eq!((interp.interpreted_blocks(), interp.memo.len), (8, 0));
+    }
+
+    #[test]
+    fn another_signature_runs_again_and_matches_the_interpreter() {
+        // 1000 and 900 values both launch four 256-thread blocks whose
+        // last block has class key 1, but it has 232 active threads in
+        // one launch and 132 in the other: only the signature tells them
+        // apart.
+        let interpreted = |n: usize| {
+            let mut gpu = Gpu::new(A100);
+            launch_double(&mut gpu, n);
+            last_record(&gpu)
+        };
+        assert_ne!(interpreted(1000), interpreted(900));
+        let mut gpu = Gpu::new(A100);
+        gpu.set_engine(Engine::Analytic);
+        for n in [1000, 900, 1000, 900] {
+            launch_double(&mut gpu, n);
+            assert_eq!(last_record(&gpu), interpreted(n), "n = {n}");
+        }
+        assert_eq!(gpu.interpreted_blocks(), 4, "two classes per signature, each run once");
+    }
+
+    #[test]
+    fn filling_past_capacity_clears_the_memo_and_stays_exact() {
+        // One single-class block per launch whose active lanes follow its
+        // signature `k`, so each `k` is a class of its own.
+        let lanes = |gpu: &mut Gpu, k: usize| {
+            gpu.launch_classed(
+                "lanes",
+                1u32,
+                32u32,
+                &[k as u64],
+                |_| 0,
+                |blk| {
+                    blk.warps(|w| {
+                        let _ = w.lanes_pred(|l| (l.id < k % 33).then_some(0u32));
+                    });
+                },
+            );
+            last_record(gpu)
+        };
+        let mut gpu = Gpu::new(A100);
+        gpu.set_engine(Engine::Analytic);
+        for k in 0..MEMO_CAPACITY {
+            lanes(&mut gpu, k);
+        }
+        assert_eq!(gpu.memo.len, MEMO_CAPACITY);
+        // The next new class finds the memo full and clears it first.
+        lanes(&mut gpu, MEMO_CAPACITY);
+        assert_eq!(gpu.memo.len, 1);
+        assert_eq!(gpu.interpreted_blocks(), MEMO_CAPACITY as u64 + 1);
+        // Cleared classes run again; the kept one does not. Every record
+        // still matches the interpreter's.
+        let mut interp = Gpu::new(A100);
+        for (k, runs) in [(0, 1), (MEMO_CAPACITY, 0), (1, 1), (0, 0)] {
+            let before = gpu.interpreted_blocks();
+            assert_eq!(lanes(&mut gpu, k), lanes(&mut interp, k), "k = {k}");
+            assert_eq!(gpu.interpreted_blocks() - before, runs, "k = {k}");
+        }
+        assert_eq!(gpu.memo.len, 3);
     }
 
     #[test]

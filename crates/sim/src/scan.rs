@@ -10,10 +10,12 @@
 //!
 //! # Analytic engine
 //! Every scan kernel's performance counters are a pure function of block
-//! *indices* (load/store predicates compare indices against `n`; no
-//! address depends on data), so under [`Engine::Analytic`] each kernel
+//! *indices* and `n` (load/store predicates compare indices against `n`;
+//! no address depends on data), so under [`Engine::Analytic`] each kernel
 //! interprets one representative block per equivalence class — interior
-//! tiles are all identical, only the ragged last tile differs — scales the
+//! tiles are all identical, only the ragged last tile differs — with `n`
+//! as its launch signature (a device runs each class once; see
+//! [`Gpu::launch_classed`]), scales the
 //! counters by class population, and produces the output buffer with a
 //! host-side pass (`u32` wrapping addition is associative, so the host's
 //! sequential order reproduces the warp-tree scan bit for bit). The pass
@@ -82,7 +84,8 @@ fn scan_tiles(
     let analytic = gpu.effective_engine() == Engine::Analytic;
     let class = |b: usize| u64::from(b == ntiles as usize - 1);
     let (out_buf, totals_buf) = (&*output, &*tile_totals);
-    gpu.launch_classed("scan.tiles", ntiles, BLOCK_THREADS as u32, class, |blk| {
+    let sig = [n as u64];
+    gpu.launch_classed("scan.tiles", ntiles, BLOCK_THREADS as u32, &sig, class, |blk| {
         let tile_base = blk.block_linear() * TILE;
         let block_id = blk.block_linear();
         let nwarps = blk.warp_count();
@@ -203,7 +206,8 @@ fn add_tile_offsets(
     let class = |b: usize| u64::from(b == ntiles as usize - 1);
     let dim = Dim3 { x: ntiles, y: 1, z: 1 };
     let out_buf = &*output;
-    gpu.launch_classed("scan.add_offsets", dim, BLOCK_THREADS as u32, class, |blk| {
+    let sig = [n as u64];
+    gpu.launch_classed("scan.add_offsets", dim, BLOCK_THREADS as u32, &sig, class, |blk| {
         let tile = blk.block_linear();
         let tile_base = tile * TILE;
         blk.warps(|w| {

@@ -21,6 +21,7 @@
 //! array — asserted by the test suite and the store bench.
 
 use fzgpu_core::archive::V3_DIR_HEADER_BYTES;
+use fzgpu_core::crc::Crc32;
 use fzgpu_core::{crc32, Archive, ChunkEntry, ChunkMeta, FormatError, Shape, ShardDirectory};
 use fzgpu_sim::DeviceSpec;
 use fzgpu_trace::json::{self, Obj, Value};
@@ -154,13 +155,19 @@ pub struct ReadResult {
 
 /// CRC-32 over the little-endian bit patterns of `values` — the digest
 /// the determinism suite compares across thread counts, engines, and
-/// pipeline paths.
+/// pipeline paths. The bytes go through a stack buffer a chunk at a time,
+/// so a digest allocates nothing.
 pub fn value_digest(values: &[f32]) -> u32 {
-    let mut bytes = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        bytes.extend_from_slice(&v.to_le_bytes());
+    const CHUNK: usize = 1024;
+    let mut crc = Crc32::new();
+    let mut bytes = [0u8; 4 * CHUNK];
+    for chunk in values.chunks(CHUNK) {
+        for (b, v) in bytes.chunks_exact_mut(4).zip(chunk) {
+            b.copy_from_slice(&v.to_le_bytes());
+        }
+        crc.update(&bytes[..4 * chunk.len()]);
     }
-    crc32(&bytes)
+    crc.finalize()
 }
 
 /// Map chunk extents to the 3D shape the codecs consume: rank 1–3 embed
@@ -471,6 +478,15 @@ mod tests {
         let want = store.grid().extract(&data, &r);
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() <= eb as f32 * 1.05, "{g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn value_digest_is_the_crc_of_the_little_endian_bytes() {
+        for n in [0, 1, 1023, 1024, 1025, 5000] {
+            let vals = wave(n);
+            let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+            assert_eq!(value_digest(&vals), crc32(&bytes), "{n} values");
         }
     }
 

@@ -120,6 +120,139 @@ proptest! {
     }
 }
 
+/// `v` moved by `k`, cyclically, within `start + 1..=start + block`, where
+/// `start = (v - 1) / block * block`: a launch sized by `v.div_ceil(block)`
+/// keeps its grid, and its tail moves.
+fn within(v: usize, block: usize, k: usize) -> usize {
+    let start = (v - 1) / block * block;
+    start + 1 + (v - 1 - start + k) % block
+}
+
+/// One round trip on `fz`: stream bytes, compress timeline + kernel-time
+/// bits, decoded bits, decompress timeline + kernel-time bits.
+type RoundTrip = (Vec<u8>, String, u64, Vec<u32>, String, u64);
+
+fn round_trip(fz: &mut FzGpu, data: &[f32], shape: (usize, usize, usize), eb: f64) -> RoundTrip {
+    let c = fz.compress(data, shape, ErrorBound::Abs(eb));
+    let c_tl = format!("{:?}", fz.gpu().timeline());
+    let c_time = fz.kernel_time().to_bits();
+    let back = fz.decompress(&c).expect("roundtrip");
+    let d_tl = format!("{:?}", fz.gpu().timeline());
+    let bits = back.iter().map(|v| v.to_bits()).collect();
+    (c.bytes, c_tl, c_time, bits, d_tl, fz.kernel_time().to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The analytic device keeps each block class's counters for its
+    /// lifetime, as a serve replay's one `FzGpu` does across jobs. Here one
+    /// analytic `FzGpu` runs 4-6 fields whose launches share kernel, grid,
+    /// block and class key but not their shape, and each round trip must
+    /// equal a fresh interpreted device's.
+    #[test]
+    fn a_warm_analytic_device_matches_fresh_interpreted_runs(
+        kind in 0usize..5,
+        base in (1usize..40_000, 2usize..1000, 2usize..90, 2usize..6),
+        steps in proptest::collection::vec(
+            (0usize..1024, 2u32..4, 0.1f32..50.0, any::<bool>()),
+            4..=6,
+        ),
+        fusion in any::<bool>(),
+        threads in 1usize..=4,
+    ) {
+        let (n1, long_axis, dx, dz) = base;
+        let guard = serialized(threads);
+        let opts = FzOptions { engine: Engine::Analytic, full_fusion_1d: fusion, ..FzOptions::default() };
+        let mut warm = FzGpu::with_options(A100, opts);
+        let mut failure = None;
+        for (i, &(k, eb_exp, amp, rough)) in steps.iter().enumerate() {
+            // Every third field repeats the first one's shape.
+            let k = if i % 3 == 0 { 0 } else { k };
+            let shape = match kind {
+                // 1-D lengths in one 1024-value span: the quant, flag and
+                // scan grids hold (scans are one tile below 8193 values)
+                // and so does the row walk's split grid; the tails move.
+                0 => (1, 1, within(n1, 1024, k)),
+                // 2-D and 3-D shapes with equal tile counts, other rows.
+                1 => (1, within(long_axis % 200 + 2, 32, k / 32), within(dx, 32, k)),
+                2 => (dz, within(long_axis % 24 + 2, 32, k / 32), within(dx.min(48), 32, k)),
+                // Long narrow columns and deep narrow stacks: the y and z
+                // walks' segment plans.
+                3 => (1, within(long_axis, 32, k), dx.min(64)),
+                _ => (within(long_axis.min(300), 32, k), dz, dx.min(40)),
+            };
+            let (nz, ny, nx) = shape;
+            let data = synth(nz * ny * nx, amp, rough);
+            let eb = 10f64.powi(-(eb_exp as i32));
+            let cold_opts = FzOptions { engine: Engine::Interpreted, ..opts };
+            let cold = round_trip(&mut FzGpu::with_options(A100, cold_opts), &data, shape, eb);
+            if round_trip(&mut warm, &data, shape, eb) != cold {
+                failure = Some((i, shape));
+                break;
+            }
+        }
+        rayon::set_num_threads(1);
+        drop(guard);
+        prop_assert!(failure.is_none(), "warm round trip diverges at (field, shape) {:?}", failure);
+    }
+}
+
+/// Direct stage calls on one warm analytic device match fresh interpreted
+/// runs: every `ShuffleVariant` of `bitshuffle_mark` and
+/// `scan::exclusive_sum`, over inputs that share their launches' grids.
+#[test]
+fn warm_stage_calls_match_fresh_interpreted_runs() {
+    use fz_gpu::core::gpu::bitshuffle::bitshuffle_mark;
+    use fz_gpu::core::pack::TILE_WORDS;
+    use fz_gpu::core::ShuffleVariant;
+    use fz_gpu::sim::scan::exclusive_sum;
+    use fz_gpu::sim::{Gpu, GpuBuffer};
+
+    let _guard = serialized(1);
+    let mut warm = Gpu::new(A100);
+    warm.set_engine(Engine::Analytic);
+    let words = |tiles: usize, seed: u32| -> Vec<u32> {
+        (0..(tiles * TILE_WORDS) as u32)
+            .map(|i| {
+                if (i ^ seed).is_multiple_of(5) {
+                    i.wrapping_mul(2654435761) >> (seed % 16)
+                } else {
+                    0
+                }
+            })
+            .collect()
+    };
+    for (tiles, seed) in [(3, 1), (3, 2), (5, 3), (3, 4)] {
+        let input = words(tiles, seed);
+        for variant in
+            [ShuffleVariant::Fused, ShuffleVariant::Unfused, ShuffleVariant::FusedUnpadded]
+        {
+            let run = |gpu: &mut Gpu| {
+                gpu.reset_timeline();
+                let (sh, bytes, bits) =
+                    bitshuffle_mark(gpu, &GpuBuffer::from_host(&input), variant);
+                (sh.to_vec(), bytes.to_vec(), bits.to_vec(), format!("{:?}", gpu.timeline()))
+            };
+            let fresh = run(&mut Gpu::new(A100));
+            assert_eq!(run(&mut warm), fresh, "{variant:?} over {tiles} tiles, seed {seed}");
+        }
+    }
+    // One-tile scans of different tails, then multi-tile scans whose tile
+    // grids agree and whose last tiles do not.
+    for n in [1000usize, 900, 1000, 1, 5000, 4500, 5000, 4097] {
+        let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2246822519) % 13).collect();
+        let run = |gpu: &mut Gpu| {
+            gpu.reset_timeline();
+            let mut out = gpu.alloc::<u32>(n);
+            let total = exclusive_sum(gpu, &GpuBuffer::from_host(&input), &mut out, n);
+            (total, out.to_vec(), format!("{:?}", gpu.timeline()))
+        };
+        let fresh = run(&mut Gpu::new(A100));
+        assert_eq!(run(&mut warm), fresh, "exclusive_sum of {n} values");
+    }
+}
+
 /// Serve replays digest identically under both engines at every thread
 /// count, and the deterministic JSON reports differ only in the config's
 /// engine label.

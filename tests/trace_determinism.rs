@@ -12,6 +12,7 @@ mod serve_table;
 use fz_gpu::core::{crc32, ErrorBound, FaultPlan, FzGpu, FzOptions, PipelinePath};
 use fz_gpu::serve::Service;
 use fz_gpu::sim::device::A100;
+use fz_gpu::sim::Engine;
 use fz_gpu::trace;
 use rayon::prelude::*;
 
@@ -72,6 +73,31 @@ fn canonical_span_tree_is_thread_count_invariant() {
     assert!(tree.contains("  stage.encode"));
     assert!(tree.contains("gpu.launch"));
     assert!(tree.contains("gpu.upload"));
+}
+
+/// The analytic device's memo of block-class counters is invisible: a
+/// warm round trip on one analytic `FzGpu`, whose classes all hit the
+/// memo, leaves the same canonical span tree and, from a reset registry,
+/// the same Det exposition as the cold one before it.
+#[test]
+fn warm_analytic_launches_leave_the_same_trace_and_metrics() {
+    let _guard = serialized();
+    let data = field();
+    let opts = FzOptions { engine: Engine::Analytic, ..FzOptions::default() };
+    let mut fz = FzGpu::with_options(A100, opts);
+    let mut round_trip = || {
+        trace::metrics::reset();
+        trace::begin_capture();
+        let c = fz.compress(&data, SHAPE, ErrorBound::Abs(1e-3));
+        fz.decompress(&c).unwrap();
+        let blocks = fz.gpu().interpreted_blocks();
+        (trace::end_capture().canonical(), trace::metrics::exposition(false), blocks)
+    };
+    let (cold_tree, cold_text, cold_blocks) = round_trip();
+    let (warm_tree, warm_text, warm_blocks) = round_trip();
+    assert_eq!(warm_tree, cold_tree, "the memo moved the span tree");
+    assert_eq!(warm_text, cold_text, "the memo moved the Det metrics");
+    assert_eq!(warm_blocks, cold_blocks, "the warm round trip interpreted a block");
 }
 
 /// One native round trip: the stream, the decoded bits, and the Det
