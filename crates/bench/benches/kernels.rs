@@ -12,7 +12,7 @@ use fzgpu_core::gpu::decode as gdec;
 use fzgpu_core::gpu::encode as genc;
 use fzgpu_core::gpu::quant::{pred_quant_v1, pred_quant_v2};
 use fzgpu_core::pack::pack_codes;
-use fzgpu_core::quant::ErrorBound;
+use fzgpu_core::quant::{delta_to_code, ErrorBound};
 use fzgpu_core::FzGpu;
 use fzgpu_sim::device::A100;
 use fzgpu_sim::scan::exclusive_sum;
@@ -124,11 +124,9 @@ fn bench_decode_kernels(c: &mut Criterion) {
     });
     g.bench_function("inverse_lorenzo", |b| {
         let mut gpu = Gpu::new(A100);
-        let deltas: Vec<i32> = (0..N as i32).map(|i| i % 5 - 2).collect();
-        b.iter(|| {
-            let mut d = GpuBuffer::from_host(&deltas);
-            black_box(gdec::inverse_lorenzo(&mut gpu, &mut d, SHAPE, 1e-3))
-        });
+        let codes: Vec<u16> = (0..N as i32).map(|i| delta_to_code(i % 5 - 2)).collect();
+        let words = GpuBuffer::from_host(&pack_codes(&codes));
+        b.iter(|| black_box(gdec::inverse_lorenzo(&mut gpu, &words, SHAPE, 1e-3)));
     });
     g.finish();
 }

@@ -18,7 +18,7 @@
 //!
 //! `--check` exits nonzero when any metric regressed past its threshold
 //! (see `fzgpu_bench::regress::Thresholds`), or when any dataset's fresh
-//! modeled decompress exceeds 3x its compress (`regress::asymmetry`).
+//! modeled decompress exceeds 2.5x its compress (`regress::asymmetry`).
 //! Every compared metric is modeled/deterministic, so a failure is a real
 //! code-behavior change, not machine noise. Writes `results/regress.txt`
 //! either way.

@@ -45,8 +45,9 @@
 //! ([`unshuffle_tile`]) and unpacks its 2048 codes straight into the
 //! deltas (`unpack_tile`). The shared [`integrate`] and
 //! `dequantize_field` finish the field. The analytic engine keeps the
-//! staged decode kernels, so its fills call the same tile functions
-//! through `unshuffle_tiles` and `deltas_from_words`.
+//! staged decode kernels: its unshuffle fill calls the same
+//! [`unshuffle_tile`], and its walk fills decode codes and dequantize as
+//! they integrate.
 //!
 //! Every stage runs inside one `native.*` trace span per call (compress:
 //! `resolve`, `tiles`, `assemble`; decompress: `verify`, `tiles`,
@@ -374,15 +375,6 @@ pub(crate) fn encode_tile(
     shuffle_tile(&words, out);
 }
 
-/// Inverse of the compress side's shuffle, over a tile-aligned stream:
-/// parallel over tiles through the shared [`unshuffle_tile`].
-pub(crate) fn unshuffle_tiles(shuffled: &[u32], words: &mut [u32]) {
-    shuffled
-        .par_chunks_exact(TILE_WORDS)
-        .zip(words.par_chunks_exact_mut(TILE_WORDS))
-        .for_each(|(tin, tout)| unshuffle_tile(tin.try_into().unwrap(), tout.try_into().unwrap()));
-}
-
 /// Words covered by one zero-block flag word: 32 blocks.
 const FLAG_GROUP_WORDS: usize = 32 * BLOCK_WORDS;
 
@@ -461,22 +453,6 @@ fn unpack_tile(words: &[u32; TILE_WORDS], deltas: &mut [i32]) {
     if let [last] = pairs.into_remainder() {
         *last = code_to_delta(words[whole] as u16);
     }
-}
-
-/// Unpack codes from tile-aligned packed words and decode their
-/// sign-magnitude deltas into `deltas` (one per code), parallel over tiles
-/// through the shared [`unpack_tile`].
-///
-/// # Panics
-/// Panics when `words` is not whole tiles or holds fewer codes than
-/// `deltas`.
-pub(crate) fn deltas_from_words(words: &[u32], deltas: &mut [i32]) {
-    assert_eq!(words.len() % TILE_WORDS, 0, "stream not tile-aligned");
-    assert!(words.len() * 2 >= deltas.len(), "not enough words for {} codes", deltas.len());
-    deltas
-        .par_chunks_mut(TILE_CODES)
-        .zip(words.par_chunks_exact(TILE_WORDS))
-        .for_each(|(d, w)| unpack_tile(w.try_into().expect("a whole tile"), d));
 }
 
 /// Dequantize integrated values into the reconstructed field `out` (one

@@ -8,28 +8,30 @@
 //! 2. prefix-sum byte flags -> payload offsets,
 //! 3. scatter payload blocks back into the shuffled stream (zeros elsewhere),
 //! 4. bit-unshuffle each tile (ballot transpose in the other direction),
-//! 5. unpack u16 codes, decode sign-magnitude deltas,
-//! 6. integrate along each axis (inverse Lorenzo) and dequantize.
+//! 5. inverse Lorenzo: one prefix-sum walk per axis, from the unshuffled
+//!    words to the reconstructed field.
 //!
-//! The symmetry holds in the model to within the integrate passes.
-//! Compress runs the Lorenzo predictor as one fused kernel; decompress
-//! inverts it with one prefix-sum walk per axis. A walk whose launch
-//! cannot fill the device (one warp per row of a 1-D field, a few column
-//! groups walking a tall axis) splits into segments whose totals are
-//! integrated recursively and carried back (DESIGN §16). With the split,
-//! modeled decompress lands within about 2.6x of compress on every
-//! catalog dataset (`BENCH_regress.json`; the regress gate bounds it at
-//! 3x). The remaining gap is those separate passes: up to three full
-//! reads and writes of the field, plus a carry pass per split walk,
-//! against compress's single fused kernel.
+//! The walks mirror `pred_quant_v2`, which prequantizes on load and codes
+//! on store: the x walk loads the words as u16 codes and decodes each on
+//! load, and the last axis's walk dequantizes each value it finishes and
+//! stores f32. No pass only converts a format. A walk whose launch cannot
+//! fill the device (one warp per row of a 1-D field, a few column groups
+//! walking a tall axis) splits into segments whose totals are integrated
+//! recursively and carried back (DESIGN §16). Modeled decompress lands
+//! within about 2.1x of compress on every catalog dataset
+//! (`BENCH_regress.json`; the regress gate bounds it at 2.5x). The
+//! remaining gap is the walk count: one full read and write of the field
+//! per axis, plus a carry pass per split walk, against compress's single
+//! fused kernel.
 
-use fzgpu_sim::{DeviceSpec, Engine, Gpu, GpuBuffer, WarpCtx};
+use fzgpu_sim::{DeviceSpec, Engine, Gpu, GpuBuffer, KernelStats, Lane, WarpCtx};
+use rayon::prelude::*;
 
-use crate::fastpath::{deltas_from_words, dequantize_field, unshuffle_tiles};
-use crate::gpu::encode::compaction_stats;
-use crate::lorenzo::{self, rank_of, Shape};
+use crate::bitshuffle::unshuffle_tile;
+use crate::gpu::encode::{launch_compaction, warp_stats, FILL_FLAGS};
+use crate::lorenzo::{rank_of, Shape};
 use crate::pack::TILE_WORDS;
-use crate::quant::code_to_delta;
+use crate::quant::{code_to_delta, dequantize};
 use crate::zeroblock::BLOCK_WORDS;
 
 /// One byte flag per block from the packed bit flags into `out`: flag `b`
@@ -66,7 +68,13 @@ pub fn expand_flags(gpu: &mut Gpu, bit_flags: &GpuBuffer<u32>, nflags: usize) ->
         });
     });
     if analytic {
-        flag_bytes(&bit_flags.to_vec(), out.host_mut());
+        // 1024 flags at a time, from their 32 bit-flag words read in place.
+        out.host_mut().par_chunks_mut(FILL_FLAGS).enumerate().for_each(|(c, bytes)| {
+            let mut words = [0u32; FILL_FLAGS / 32];
+            let words = &mut words[..bytes.len().div_ceil(32)];
+            bit_flags.read_into(c * FILL_FLAGS / 32, words);
+            flag_bytes(words, bytes);
+        });
     }
     out
 }
@@ -80,27 +88,23 @@ pub fn scatter(
 ) -> GpuBuffer<u32> {
     let nflags = byte_flags.len();
     let mut shuffled: GpuBuffer<u32> = gpu.alloc(nflags * BLOCK_WORDS);
-    let blocks = nflags.div_ceil(256) as u32;
     if gpu.effective_engine() == Engine::Analytic {
         // Mirror image of `encode.compact`: the same per-warp operation
         // sequence with load/store swapped, and the accounting charges
         // loads and stores identically — so the closed form is shared
-        // (see [`compaction_stats`]). Zero blocks stay as allocated.
-        let flags = byte_flags.to_vec();
-        let offs = offsets.to_vec();
-        let pay = payload.to_vec();
-        let out = shuffled.host_mut();
-        for (b, &f) in flags.iter().enumerate() {
-            if f != 0 {
-                let src = offs[b] as usize * BLOCK_WORDS;
-                out[b * BLOCK_WORDS..(b + 1) * BLOCK_WORDS]
-                    .copy_from_slice(&pay[src..src + BLOCK_WORDS]);
-            }
-        }
-        let stats = compaction_stats(&flags, &offs, blocks as usize);
-        gpu.launch_analytic("decode.scatter", blocks, 256u32, stats);
+        // (see [`warp_stats`]). Each task of FILL_FLAGS flags owns their
+        // blocks of the shuffled stream and reads its flags, offsets and
+        // present payload blocks in place. Zero blocks stay as allocated.
+        let task_stats: Vec<KernelStats> = shuffled
+            .host_mut()
+            .par_chunks_mut(FILL_FLAGS * BLOCK_WORDS)
+            .enumerate()
+            .map(|(c, piece)| scatter_task(payload, byte_flags, offsets, c * FILL_FLAGS, piece))
+            .collect();
+        launch_compaction(gpu, "decode.scatter", nflags, &task_stats);
         return shuffled;
     }
+    let blocks = nflags.div_ceil(256) as u32;
     gpu.launch("decode.scatter", blocks, 256u32, |blk| {
         let base = blk.block_linear() * 256;
         blk.warps(|w| {
@@ -120,6 +124,34 @@ pub fn scatter(
         });
     });
     shuffled
+}
+
+/// One task of the analytic scatter fill: the flags from `first` copy
+/// their present payload blocks into `piece`, their blocks of the shuffled
+/// stream, reading flags, offsets and blocks in place. Returns the
+/// counters of the task's warps.
+fn scatter_task(
+    payload: &GpuBuffer<u32>,
+    byte_flags: &GpuBuffer<u8>,
+    offsets: &GpuBuffer<u32>,
+    first: usize,
+    piece: &mut [u32],
+) -> KernelStats {
+    let len = piece.len() / BLOCK_WORDS;
+    let (mut flags, mut offs) = ([0u8; FILL_FLAGS], [0u32; FILL_FLAGS]);
+    let (flags, offs) = (&mut flags[..len], &mut offs[..len]);
+    byte_flags.read_into(first, flags);
+    offsets.read_into(first, offs);
+    for ((&flag, &off), blk) in flags.iter().zip(&*offs).zip(piece.chunks_exact_mut(BLOCK_WORDS)) {
+        if flag != 0 {
+            payload.read_into(off as usize * BLOCK_WORDS, blk);
+        }
+    }
+    let mut stats = KernelStats::default();
+    for (wf, wo) in flags.chunks(32).zip(offs.chunks(32)) {
+        warp_stats(&mut stats, wf, wo);
+    }
+    stats
 }
 
 /// Step 4: inverse bitshuffle. Per tile, warp `y` reconstructs row `y`:
@@ -165,42 +197,131 @@ pub fn bit_unshuffle(gpu: &mut Gpu, shuffled: &GpuBuffer<u32>) -> GpuBuffer<u32>
         },
     );
     if analytic {
-        unshuffle_tiles(&shuffled.to_vec(), out.host_mut());
+        // Per tile: a ranged read into a stack tile, then the shared
+        // `unshuffle_tile`.
+        out.host_mut().par_chunks_exact_mut(TILE_WORDS).enumerate().for_each(|(t, tile_out)| {
+            let mut tile = [0u32; TILE_WORDS];
+            shuffled.read_into(t * TILE_WORDS, &mut tile);
+            unshuffle_tile(&tile, tile_out.try_into().expect("a whole tile"));
+        });
     }
     out
 }
 
-/// Step 5: unpack words to u16 codes and decode sign-magnitude deltas.
-/// `words` is the tile-aligned stream [`bit_unshuffle`] returns.
-pub fn codes_to_deltas(gpu: &mut Gpu, words: &GpuBuffer<u32>, n_codes: usize) -> GpuBuffer<i32> {
-    let mut out: GpuBuffer<i32> = gpu.alloc(n_codes);
-    let blocks = n_codes.div_ceil(256) as u32;
-    let analytic = gpu.effective_engine() == Engine::Analytic;
-    // Two classes: only the last block can be ragged (base = b*256 keeps
-    // the pairwise i/2 word loads and i32 stores identically aligned).
-    // The signature is `n_codes`, which the predicates read.
-    let class = |b: usize| u64::from(b == blocks as usize - 1);
-    let sig = [n_codes as u64];
-    gpu.launch_classed("decode.codes_to_deltas", blocks, 256u32, &sig, class, |blk| {
-        let base = blk.block_linear() * 256;
-        blk.warps(|w| {
-            let v = w.load(words, |l| {
-                let i = base + l.ltid;
-                (i < n_codes).then_some(i / 2)
-            });
-            w.store(&out, |l| {
-                let i = base + l.ltid;
-                (i < n_codes).then(|| {
-                    let code = if i % 2 == 0 { v[l.id] as u16 } else { (v[l.id] >> 16) as u16 };
-                    (i, code_to_delta(code))
-                })
-            });
-        });
-    });
-    if analytic {
-        deltas_from_words(&words.to_vec(), out.host_mut());
+/// What an inverse-Lorenzo walk loads.
+#[derive(Debug, Clone, Copy)]
+enum Src<'a> {
+    /// The words [`bit_unshuffle`] returns, loaded as u16 codes through a
+    /// cast pointer (code `i` is half `i % 2` of word `i / 2`, low half
+    /// first) and decoded on load.
+    Codes(&'a GpuBuffer<u32>),
+    /// An earlier walk's i32 sums, in a buffer of their own.
+    Sums(&'a GpuBuffer<i32>),
+    /// The walk's own i32 output, walked in place. Under the analytic
+    /// engine the slice holds its values from before the first launch,
+    /// since representative blocks overwrite their rows; it is empty under
+    /// the interpreted engine, which fills nothing.
+    InPlace(&'a [i32]),
+}
+
+impl Src<'_> {
+    /// Bytes a walk loads per value.
+    fn bytes(self) -> usize {
+        match self {
+            Src::Codes(_) => 2,
+            Src::Sums(_) | Src::InPlace(_) => 4,
+        }
     }
-    out
+
+    /// The loaded element type, in launch signatures: a u16 code or an
+    /// i32 (the tag of [`Output`] `i32`).
+    fn elem(self) -> u64 {
+        match self {
+            Src::Codes(_) => 0,
+            Src::Sums(_) | Src::InPlace(_) => <i32 as Output>::ELEM,
+        }
+    }
+}
+
+/// What a walk stores where it finishes a value: an i32 sum, or its
+/// dequantized f32.
+trait Output: fzgpu_sim::Pod {
+    /// The element type, in launch signatures.
+    const ELEM: u64;
+    /// Whether a finished value differs from its sum, so a split walk's
+    /// carry pass finishes every segment, the first one too.
+    const CONVERTS: bool;
+    /// The value finished from its sum; `ebx2` is twice the error bound.
+    fn finish(sum: i32, ebx2: f64) -> Self;
+}
+
+impl Output for i32 {
+    const ELEM: u64 = 1;
+    const CONVERTS: bool = false;
+    fn finish(sum: i32, _: f64) -> i32 {
+        sum
+    }
+}
+
+impl Output for f32 {
+    const ELEM: u64 = 2;
+    const CONVERTS: bool = true;
+    fn finish(sum: i32, ebx2: f64) -> f32 {
+        dequantize(sum, ebx2)
+    }
+}
+
+/// A walk's input and output, as its kernels read and write them.
+#[derive(Clone, Copy)]
+struct Io<'a, O: Output> {
+    src: Src<'a>,
+    dst: &'a GpuBuffer<O>,
+    ebx2: f64,
+}
+
+impl<O: Output> Io<'_, O> {
+    /// Warp load of the walk's input at `addr`'s indices: codes decode on
+    /// load (one ALU instruction), and an in-place walk reads its output
+    /// through an i32 view.
+    fn load(self, w: &mut WarpCtx<'_>, addr: impl FnMut(Lane) -> Option<usize>) -> [i32; 32] {
+        match self.src {
+            Src::Codes(words) => {
+                let codes: [u16; 32] = w.load_as(words, addr);
+                w.lanes(|l| code_to_delta(codes[l.id]))
+            }
+            Src::Sums(q) => w.load(q, addr),
+            Src::InPlace(_) => self.load_partial(w, addr),
+        }
+    }
+
+    /// Warp load of the i32 partial sums a split walk left in its output.
+    fn load_partial(
+        self,
+        w: &mut WarpCtx<'_>,
+        addr: impl FnMut(Lane) -> Option<usize>,
+    ) -> [i32; 32] {
+        w.load_as(self.dst, addr)
+    }
+
+    /// Warp store of `sums` at `addr`'s indices: finished (a dequantizing
+    /// walk converts them first, one ALU instruction), or as i32 partial
+    /// sums through an i32 view of the output.
+    fn store(
+        self,
+        w: &mut WarpCtx<'_>,
+        sums: &[i32; 32],
+        finish: bool,
+        mut addr: impl FnMut(Lane) -> Option<usize>,
+    ) {
+        if !finish {
+            w.store_as(self.dst, |l| addr(l).map(|a| (a, sums[l.id])));
+        } else if O::CONVERTS {
+            let vals = w.lanes(|l| O::finish(sums[l.id], self.ebx2));
+            w.store(self.dst, |l| addr(l).map(|a| (a, vals[l.id])));
+        } else {
+            w.store(self.dst, |l| addr(l).map(|a| (a, O::finish(sums[l.id], self.ebx2))));
+        }
+    }
 }
 
 /// Smallest number of rows a column-walk segment spans, so the totals
@@ -240,12 +361,31 @@ fn cheaper(
     }
 }
 
-/// The row walk's plan for `rows` rows of `nx` values: its priced time and
-/// its segments (`None`: the unsplit walk). Segments are whole multiples
-/// of 32 values, as many per row as it takes to launch the saturating
-/// warp count.
-fn row_plan(spec: &DeviceSpec, rows: usize, nx: usize) -> (f64, Option<Segments>) {
-    let unsplit = priced(spec, 8 * rows * nx, rows.div_ceil(8) * 8);
+/// Values and segments a split walk's carry pass rewrites, out of `n` and
+/// `count`: every one when it finishes every segment (`every`), else all
+/// but the first segment's `len`.
+fn carried(n: usize, len: usize, count: usize, every: bool) -> (usize, usize) {
+    if every {
+        (n, count)
+    } else {
+        (n - len, count - 1)
+    }
+}
+
+/// The row walk's plan for `rows` rows of `nx` values, loading `load`
+/// bytes and storing 4 per value, whose carry finishes every segment when
+/// `every`: its priced time and its segments (`None`: the unsplit walk).
+/// Segments are whole multiples of 32 values, as many per row as it takes
+/// to launch the saturating warp count. The totals walk is the i32 walk.
+fn row_plan(
+    spec: &DeviceSpec,
+    rows: usize,
+    nx: usize,
+    load: usize,
+    every: bool,
+) -> (f64, Option<Segments>) {
+    let walked = (load + 4) * rows * nx;
+    let unsplit = priced(spec, walked, rows.div_ceil(8) * 8);
     if rows == 0 {
         return (unsplit, None);
     }
@@ -256,20 +396,28 @@ fn row_plan(spec: &DeviceSpec, rows: usize, nx: usize) -> (f64, Option<Segments>
     if count < 2 {
         return (unsplit, None);
     }
-    let split = priced(spec, 8 * rows * nx + 32 * rows * count, warps(count))
-        + row_plan(spec, rows, count).0
-        + priced(spec, 8 * rows * (nx - len) + 32 * rows * (count - 1), warps(count - 1));
+    let (values, segs) = carried(nx, len, count, every);
+    let split = priced(spec, walked + 32 * rows * count, warps(count))
+        + row_plan(spec, rows, count, 4, false).0
+        + priced(spec, 8 * rows * values + 32 * rows * (count - 1), warps(segs));
     cheaper(spec, unsplit, split, Segments { len, count })
 }
 
-/// The column walk's plan for the `(planes, ny, nx)` view: `ny`-row walks
-/// of 32 adjacent columns, split into segments of at least
-/// [`MIN_SEGMENT_ROWS`] rows, as many as it takes to launch the
-/// saturating warp count.
-fn column_plan(spec: &DeviceSpec, view: Shape) -> (f64, Option<Segments>) {
+/// The column walk's plan for the `(planes, ny, nx)` view, loading `load`
+/// bytes and storing 4 per value, whose carry finishes every segment when
+/// `every`: `ny`-row walks of 32 adjacent columns, split into segments of
+/// at least [`MIN_SEGMENT_ROWS`] rows, as many as it takes to launch the
+/// saturating warp count. The totals walk is the i32 walk.
+fn column_plan(
+    spec: &DeviceSpec,
+    view: Shape,
+    load: usize,
+    every: bool,
+) -> (f64, Option<Segments>) {
     let (planes, ny, nx) = view;
     let lines = nx.div_ceil(32) * planes;
-    let unsplit = priced(spec, 8 * planes * ny * nx, lines);
+    let walked = (load + 4) * planes * ny * nx;
+    let unsplit = priced(spec, walked, lines);
     if lines == 0 {
         return (unsplit, None);
     }
@@ -279,72 +427,98 @@ fn column_plan(spec: &DeviceSpec, view: Shape) -> (f64, Option<Segments>) {
     if count < 2 {
         return (unsplit, None);
     }
-    let split = priced(spec, 8 * planes * ny * nx + 4 * planes * count * nx, lines * count)
-        + column_plan(spec, (planes, count, nx)).0
-        + priced(
-            spec,
-            8 * planes * (ny - len) * nx + 4 * planes * (count - 1) * nx,
-            lines * (count - 1),
-        );
+    let (rows, segs) = carried(ny, len, count, every);
+    let split = priced(spec, walked + 4 * planes * count * nx, lines * count)
+        + column_plan(spec, (planes, count, nx), 4, false).0
+        + priced(spec, 8 * planes * rows * nx + 4 * planes * (count - 1) * nx, lines * segs);
     cheaper(spec, unsplit, split, Segments { len, count })
 }
 
-/// One warp's inclusive scan of `q[base..base + len]`: 32-value chunks,
-/// each a warp scan plus the running carry. Returns the run's total.
-fn scan_run(w: &mut WarpCtx<'_>, q: &GpuBuffer<i32>, base: usize, len: usize) -> u32 {
+/// One warp's inclusive scan of the `len` values from `base`: 32-value
+/// chunks, each a warp scan plus the running carry, stored finished or,
+/// in a split walk's segments, as i32 partial sums. Returns the run's
+/// total.
+fn scan_run<O: Output>(
+    w: &mut WarpCtx<'_>,
+    io: Io<'_, O>,
+    base: usize,
+    len: usize,
+    finish: bool,
+) -> u32 {
     let mut carry = 0u32;
     let mut x = 0usize;
     while x < len {
-        let v = w.load(q, |l| (x + l.id < len).then(|| base + x + l.id));
-        let as_u: [u32; 32] = core::array::from_fn(|i| v[i] as u32);
-        let scanned = w.scan_add(&as_u);
-        w.store(q, |l| {
-            (x + l.id < len).then(|| (base + x + l.id, scanned[l.id].wrapping_add(carry) as i32))
-        });
-        let last = 32.min(len - x) - 1;
-        carry = carry.wrapping_add(scanned[last]);
+        let at = |l: Lane| (x + l.id < len).then(|| base + x + l.id);
+        let v = io.load(w, at);
+        let scanned = w.scan_add(&v.map(|d| d as u32));
+        let sums = scanned.map(|s| s.wrapping_add(carry) as i32);
+        io.store(w, &sums, finish, at);
+        carry = carry.wrapping_add(scanned[32.min(len - x) - 1]);
         x += 32;
     }
     carry
 }
 
-/// Step 6a: integrate (inclusive prefix sum) along x. The row walk gives
-/// each row one warp; when that cannot fill the device, rows split into
-/// segments (one warp each) whose totals are integrated recursively and
-/// carried back into every later segment.
-pub fn integrate_x(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape) {
-    let segments = row_plan(gpu.spec(), shape.0 * shape.1, shape.2).1;
-    row_walk(gpu, q, shape, segments);
+/// Step 5a: integrate (inclusive prefix sum) along x from `src` into
+/// `dst`. The row walk gives each row one warp; when that cannot fill the
+/// device, rows split into segments (one warp each) whose totals are
+/// integrated recursively and carried back into every later segment.
+fn integrate_x<O: Output>(
+    gpu: &mut Gpu,
+    src: Src<'_>,
+    dst: &mut GpuBuffer<O>,
+    shape: Shape,
+    ebx2: f64,
+) {
+    let rows = shape.0 * shape.1;
+    let segments = row_plan(gpu.spec(), rows, shape.2, src.bytes(), O::CONVERTS).1;
+    row_walk(gpu, src, dst, shape, ebx2, segments);
 }
 
 /// The row walk with the given split (`None`: one warp per row).
-fn row_walk(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape, segments: Option<Segments>) {
+fn row_walk<O: Output>(
+    gpu: &mut Gpu,
+    src: Src<'_>,
+    dst: &mut GpuBuffer<O>,
+    shape: Shape,
+    ebx2: f64,
+    segments: Option<Segments>,
+) {
     let (nz, ny, nx) = shape;
     let rows = nz * ny;
-    // In-place kernels: snapshot the input before the first representative
-    // block mutates its rows, so the host fills read the original deltas.
     let analytic = gpu.effective_engine() == Engine::Analytic;
-    let snapshot = analytic.then(|| q.to_vec());
-    let walked = &*q;
+    let io = Io { src, dst: &*dst, ebx2 };
+    // A 32-byte sector holds 16 codes or 8 i32s: a row base's sector
+    // residue is `row * nx` modulo this, which also fixes the residue of
+    // the 4-byte stores at the same indices.
+    let residue = 32 / src.bytes();
     match segments {
         None => {
-            // Two classes: only the last block can hold inactive rows or
-            // see the grid end. Row alignment is block-independent: warp
-            // j's row base is (b*8 + j)*nx, congruent to j*nx mod 8 for
-            // every b. The signature is the row count and length, which
-            // every predicate, address and loop bound reads.
-            let nblocks = rows.div_ceil(8) as u32;
-            let class = |b: usize| u64::from(b == nblocks as usize - 1);
-            let sig = [rows as u64, nx as u64];
-            gpu.launch_classed("decode.integrate_x", nblocks, (32u32, 8u32), &sig, class, |blk| {
+            // Two classes per residue of the block's first row: only the
+            // last block can hold inactive rows or see the grid end, and
+            // warp j's row base (8b + j)*nx is congruent to j*nx plus
+            // 8b*nx, which is 0 modulo 8 (i32 loads) and, modulo 16 (u16
+            // codes), 8 times b*nx's parity. The signature is the row
+            // count and length, which every predicate, address and loop
+            // bound reads, and the element types, which set the loads'
+            // widths and the conversions.
+            let nblocks = rows.div_ceil(8);
+            let class =
+                |b: usize| u64::from(b == nblocks - 1) | ((8 * b * nx % residue) as u64) << 1;
+            let sig = [rows as u64, nx as u64, src.elem(), O::ELEM];
+            let grid = nblocks as u32;
+            gpu.launch_classed("decode.integrate_x", grid, (32u32, 8u32), &sig, class, |blk| {
                 let row0 = blk.block_linear() * 8;
                 blk.warps(|w| {
                     let row = row0 + w.warp_id;
                     if row < rows {
-                        scan_run(w, walked, row * nx, nx);
+                        scan_run(w, io, row * nx, nx, true);
                     }
                 });
             });
+            if analytic {
+                fill_rows(src, dst.host_mut(), nx, nx, None, ebx2);
+            }
         }
         Some(Segments { len, count }) => {
             let mut totals: GpuBuffer<i32> = gpu.alloc(rows * count);
@@ -352,15 +526,15 @@ fn row_walk(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape, segments: Optio
             // of the row's segments. Two classes per row residue: only a
             // row's last block holds the short segment and idle warps, and
             // segment bases (row*nx + a multiple of 32) keep the row's
-            // sector alignment; the one-lane total store (the carry's
+            // sector residue; the one-lane total store (the carry's
             // broadcast total load) is one sector wherever it lands. Both
             // kernels' signature adds the segment length and count to the
             // unsplit walk's, so a split walk never shares one with it.
-            let sig = [rows as u64, nx as u64, len as u64, count as u64];
+            let sig = [rows as u64, nx as u64, len as u64, count as u64, src.elem(), O::ELEM];
             let class = |bpr: usize| {
                 move |linear: usize| {
                     let row = linear / bpr;
-                    u64::from(linear % bpr == bpr - 1) | ((row * nx % 8) as u64) << 1
+                    u64::from(linear % bpr == bpr - 1) | ((row * nx % residue) as u64) << 1
                 }
             };
             let bpr = count.div_ceil(8);
@@ -378,25 +552,28 @@ fn row_walk(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape, segments: Optio
                         let seg = seg0 + w.warp_id;
                         if seg < count {
                             let start = seg * len;
-                            let total = scan_run(w, walked, row * nx + start, len.min(nx - start));
+                            let n = len.min(nx - start);
+                            let total = scan_run(w, io, row * nx + start, n, false);
                             let at = row * count + seg;
                             w.store(&totals, |l| (l.id == 0).then_some((at, total as i32)));
                         }
                     });
                 },
             );
-            if let Some(vals) = &snapshot {
-                let segs = vals.chunks(nx).flat_map(|row| row.chunks(len));
-                for (t, seg) in totals.host_mut().iter_mut().zip(segs) {
-                    *t = seg.iter().fold(0i32, |acc, &v| acc.wrapping_add(v));
-                }
-            }
-            integrate_x(gpu, &mut totals, (1, rows, count));
-            // Warps for segments 1..count: a broadcast load of the previous
-            // segment's inclusive total, then one add per value.
-            let bpr = (count - 1).div_ceil(8);
+            // The totals walk reads the raw totals the fill computes, in
+            // place of a snapshot of the buffer.
+            let sums = if analytic { row_sums(src, rows, nx, len) } else { Vec::new() };
+            integrate_x(gpu, Src::InPlace(&sums), &mut totals, (1, rows, count), 0.0);
+            // Warps for segments `first..count`: a broadcast load of the
+            // previous segment's inclusive total (none for segment 0),
+            // then one add per value. A dequantizing walk finishes every
+            // segment, so block 0 of each row is a class of its own.
+            let first = usize::from(!O::CONVERTS);
+            let bpr = (count - first).div_ceil(8);
             let grid = (bpr as u32, rows as u32);
-            let carry_class = class(bpr);
+            let carry_class = |linear: usize| {
+                class(bpr)(linear) | u64::from(first == 0 && linear.is_multiple_of(bpr)) << 5
+            };
             gpu.launch_classed(
                 "decode.integrate_x_carry",
                 grid,
@@ -405,7 +582,7 @@ fn row_walk(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape, segments: Optio
                 carry_class,
                 |blk| {
                     let row = blk.block_idx.y as usize;
-                    let seg0 = 1 + blk.block_idx.x as usize * 8;
+                    let seg0 = first + blk.block_idx.x as usize * 8;
                     blk.warps(|w| {
                         let seg = seg0 + w.warp_id;
                         if seg >= count {
@@ -413,48 +590,136 @@ fn row_walk(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape, segments: Optio
                         }
                         let start = seg * len;
                         let (base, n) = (row * nx + start, len.min(nx - start));
-                        let carry = w.load(&totals, |_| Some(row * count + seg - 1));
+                        let carry = if seg > 0 {
+                            w.load(&totals, |_| Some(row * count + seg - 1))
+                        } else {
+                            [0; 32]
+                        };
                         let mut x = 0usize;
                         while x < n {
-                            let v = w.load(walked, |l| (x + l.id < n).then(|| base + x + l.id));
-                            w.store(walked, |l| {
-                                (x + l.id < n)
-                                    .then(|| (base + x + l.id, v[l.id].wrapping_add(carry[l.id])))
-                            });
+                            let at = |l: Lane| (x + l.id < n).then(|| base + x + l.id);
+                            let v = io.load_partial(w, at);
+                            let sums = core::array::from_fn(|i| v[i].wrapping_add(carry[i]));
+                            io.store(w, &sums, true, at);
                             x += 32;
                         }
                     });
                 },
             );
+            if analytic {
+                fill_rows(src, dst.host_mut(), nx, len, Some(&totals), ebx2);
+            }
             gpu.free(totals);
         }
     }
-    if let Some(mut vals) = snapshot {
-        // Per-row wrapping prefix sum: u32/i32 wrapping add is associative,
-        // so the sequential sum equals the warp scans, carries and segment
-        // totals.
-        lorenzo::integrate_x(&mut vals, shape);
-        q.host_mut().copy_from_slice(&vals);
+}
+
+/// Values per host read of an analytic walk fill.
+const PIECE: usize = 1024;
+
+/// Fewest values one pool task of an analytic walk fill covers, so its
+/// stack [`Piece`] is paid once per task.
+const TASK_VALUES: usize = 1 << 13;
+
+/// A walk fill's stack buffer: one piece of a walk's input as i32s, and
+/// the words that hold it when the input is codes.
+struct Piece {
+    vals: [i32; PIECE],
+    words: [u32; PIECE / 2 + 1],
+}
+
+impl Piece {
+    fn new() -> Self {
+        Piece { vals: [0; PIECE], words: [0; PIECE / 2 + 1] }
+    }
+
+    /// Call `f(at, values)` for each piece of values `start..start + len`
+    /// of `src`, read in place, with `at` counted from `start`.
+    fn each(&mut self, src: Src<'_>, start: usize, len: usize, mut f: impl FnMut(usize, &[i32])) {
+        for at in (0..len).step_by(PIECE) {
+            let n = PIECE.min(len - at);
+            f(at, self.read(src, start + at, n));
+        }
+    }
+
+    /// Values `start..start + len` of `src`, `len <= PIECE`: codes decode
+    /// from their words (an odd start is the high half of its word), and
+    /// an in-place walk reads its snapshot.
+    fn read(&mut self, src: Src<'_>, start: usize, len: usize) -> &[i32] {
+        let vals = &mut self.vals[..len];
+        match src {
+            Src::Codes(words) => {
+                let w0 = start / 2;
+                let buf = &mut self.words[..(start + len).div_ceil(2) - w0];
+                words.read_into(w0, buf);
+                let (head, body) = vals.split_at_mut(start % 2);
+                if let [hi] = head {
+                    *hi = code_to_delta((buf[0] >> 16) as u16);
+                }
+                for (pair, &w) in body.chunks_mut(2).zip(&buf[start % 2..]) {
+                    pair[0] = code_to_delta(w as u16);
+                    if let [_, hi] = pair {
+                        *hi = code_to_delta((w >> 16) as u16);
+                    }
+                }
+            }
+            Src::Sums(q) => q.read_into(start, vals),
+            Src::InPlace(before) => vals.copy_from_slice(&before[start..start + len]),
+        }
+        vals
     }
 }
 
-/// Step 6b: integrate along y: warps walk y for 32 consecutive x columns
-/// (coalesced row-major loads), split into segments of rows when the
-/// column groups cannot fill the device.
-pub fn integrate_y(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape) {
-    integrate_columns(gpu, Column::Y, q, shape);
+/// The analytic fill of a row walk: each run of `len` values from a row's
+/// start (a segment, or the whole row when `len == nx`) is its carry plus
+/// its running sum of `src`, finished into `dst`. A segment's carry is the
+/// previous segment's inclusive total in `totals`; the first has none.
+fn fill_rows<O: Output>(
+    src: Src<'_>,
+    dst: &mut [O],
+    nx: usize,
+    len: usize,
+    totals: Option<&GpuBuffer<i32>>,
+    ebx2: f64,
+) {
+    let count = nx.div_ceil(len);
+    let mut runs: Vec<&mut [O]> = dst.chunks_mut(nx).flat_map(|row| row.chunks_mut(len)).collect();
+    let per_task = (TASK_VALUES / len).max(1);
+    runs.par_chunks_mut(per_task).enumerate().for_each(|(t, runs)| {
+        let mut piece = Piece::new();
+        for (k, run) in runs.iter_mut().enumerate() {
+            let i = t * per_task + k;
+            let mut acc = match totals {
+                Some(totals) if !i.is_multiple_of(count) => totals.host_read(i - 1),
+                _ => 0,
+            };
+            piece.each(src, i / count * nx + i % count * len, run.len(), |at, vals| {
+                for (o, &v) in run[at..].iter_mut().zip(vals) {
+                    acc = acc.wrapping_add(v);
+                    *o = O::finish(acc, ebx2);
+                }
+            });
+        }
+    });
 }
 
-/// Step 6c: integrate along z: the column walk on the `(1, nz, ny*nx)`
-/// view, where each plane is one row.
-pub fn integrate_z(gpu: &mut Gpu, q: &mut GpuBuffer<i32>, shape: Shape) {
-    integrate_columns(gpu, Column::Z, q, shape);
-}
-
-/// The column walk along `axis` with its planned split.
-fn integrate_columns(gpu: &mut Gpu, axis: Column, q: &mut GpuBuffer<i32>, shape: Shape) {
-    let segments = column_plan(gpu.spec(), axis.view(shape)).1;
-    column_walk(gpu, axis, q, shape, segments);
+/// The raw totals a split row walk stores: each segment's wrapping sum of
+/// `src`, segments of `len` values from each of `rows` rows' start.
+fn row_sums(src: Src<'_>, rows: usize, nx: usize, len: usize) -> Vec<i32> {
+    let count = nx.div_ceil(len);
+    let mut sums = vec![0i32; rows * count];
+    let per_task = (TASK_VALUES / len).max(1);
+    sums.par_chunks_mut(per_task).enumerate().for_each(|(t, sums)| {
+        let mut piece = Piece::new();
+        for (k, sum) in sums.iter_mut().enumerate() {
+            let i = t * per_task + k;
+            let x0 = i % count * len;
+            piece.each(src, i / count * nx + x0, len.min(nx - x0), |_, vals| {
+                *sum = vals.iter().fold(*sum, |acc, &v| acc.wrapping_add(v));
+            });
+        }
+    });
+    sums
 }
 
 /// The axis a column walk integrates.
@@ -473,7 +738,9 @@ impl Column {
         }
     }
 
-    /// The `(planes, walked rows, columns)` view of `shape`.
+    /// The `(planes, walked rows, columns)` view of `shape`: the y walk
+    /// walks each plane's rows, the z walk the planes of the
+    /// `(1, nz, ny*nx)` view, where each plane is one row.
     fn view(self, (nz, ny, nx): Shape) -> Shape {
         match self {
             Column::Y => (nz, ny, nx),
@@ -488,48 +755,60 @@ impl Column {
             Column::Z => (count, ny, nx),
         }
     }
+}
 
-    /// The host fill: `lorenzo`'s pass for this axis.
-    fn fill(self, vals: &mut [i32], shape: Shape) {
-        match self {
-            Column::Y => lorenzo::integrate_y(vals, shape),
-            Column::Z => lorenzo::integrate_z(vals, shape),
-        }
-    }
+/// Step 5b/5c: integrate along `axis` from `src` into `dst`: warps walk
+/// the axis for 32 consecutive columns (coalesced row-major loads), split
+/// into segments of rows when the column groups cannot fill the device.
+fn integrate_columns<O: Output>(
+    gpu: &mut Gpu,
+    axis: Column,
+    src: Src<'_>,
+    dst: &mut GpuBuffer<O>,
+    shape: Shape,
+    ebx2: f64,
+) {
+    let view = axis.view(shape);
+    let segments = column_plan(gpu.spec(), view, src.bytes(), O::CONVERTS).1;
+    column_walk(gpu, axis, src, dst, shape, ebx2, segments);
 }
 
 /// The column walk with the given split (`None`: one segment of every
 /// row). Block `(bx, s, z)` is one warp summing down segment `s` of the 32
 /// columns from `bx*32` in plane `z`.
-fn column_walk(
+fn column_walk<O: Output>(
     gpu: &mut Gpu,
     axis: Column,
-    q: &mut GpuBuffer<i32>,
+    src: Src<'_>,
+    dst: &mut GpuBuffer<O>,
     shape: Shape,
+    ebx2: f64,
     segments: Option<Segments>,
 ) {
-    let (planes, ny, nx) = axis.view(shape);
+    let view @ (planes, ny, nx) = axis.view(shape);
     let Segments { len, count } = segments.unwrap_or(Segments { len: ny, count: 1 });
     let col_groups = nx.div_ceil(32);
     let (name, carry_name) = axis.names();
     let analytic = gpu.effective_engine() == Engine::Analytic;
-    let snapshot = analytic.then(|| q.to_vec());
     let totals: Option<GpuBuffer<i32>> = (count > 1).then(|| gpu.alloc(planes * count * nx));
-    let walked = &*q;
+    let io = Io { src, dst: &*dst, ebx2 };
+    let residue = 32 / src.bytes();
     // Classes: the ragged column group, the short last segment, and the
-    // u32-sector residues of the segment's first row base and of its
-    // totals row (bx*32 is a multiple of 8, so neither depends on bx).
-    // The walk's and the carry's signature: the view's shape and the
-    // segment length and count, which every predicate, address and loop
-    // bound reads (the count also decides whether totals are stored).
-    let sig = [planes as u64, ny as u64, nx as u64, len as u64, count as u64];
+    // sector residues of the segment's first row base (modulo the loads'
+    // values per sector, as for the row walk) and of its totals row
+    // (bx*32 is a multiple of 16, so neither depends on bx). The walk's
+    // and the carry's signature: the view's shape and the segment length
+    // and count, which every predicate, address and loop bound reads (the
+    // count also decides whether totals are stored), and the element
+    // types.
+    let sig = [planes as u64, ny as u64, nx as u64, len as u64, count as u64, src.elem(), O::ELEM];
     let class = |bx: usize, s: usize, z: usize, totals_row: usize| {
-        let rows_base = ((z * ny + s * len) * nx % 8) as u64;
+        let rows_base = ((z * ny + s * len) * nx % residue) as u64;
         let totals_base = ((z * count + totals_row) * nx % 8) as u64;
         u64::from(bx == col_groups - 1)
             | u64::from(s == count - 1) << 1
             | rows_base << 2
-            | totals_base << 5
+            | totals_base << 6
     };
     let walk_class = |linear: usize| {
         let (bx, s, z) =
@@ -544,131 +823,180 @@ fn column_walk(
         let width = 32.min(nx - x0);
         blk.warps(|w| {
             let y0 = s * len;
-            let sums =
-                scan_columns(w, walked, (z * ny + y0) * nx + x0, len.min(ny - y0), nx, width);
+            let base = (z * ny + y0) * nx + x0;
+            let sums = scan_columns(w, io, base, len.min(ny - y0), nx, width, totals.is_none());
             if let Some(totals) = &totals {
                 let base = (z * count + s) * nx + x0;
                 w.store(totals, |l| (l.id < width).then(|| (base + l.id, sums[l.id])));
             }
         });
     });
-    if let Some(mut totals) = totals {
-        if let Some(vals) = &snapshot {
-            let sums = totals.host_mut();
-            sums.fill(0);
-            for z in 0..planes {
-                for y in 0..ny {
-                    let row = &vals[(z * ny + y) * nx..][..nx];
-                    let out = &mut sums[(z * count + y / len) * nx..][..nx];
-                    for (o, &v) in out.iter_mut().zip(row) {
-                        *o = o.wrapping_add(v);
-                    }
-                }
-            }
+    let Some(mut totals) = totals else {
+        if analytic {
+            fill_columns(src, dst.host_mut(), view, len, None, ebx2);
         }
-        integrate_columns(gpu, axis, &mut totals, axis.totals_shape(shape, count));
-        // Block (bx, s - 1, z) adds the previous segment's inclusive column
-        // totals to segment s >= 1; classes as for the walk.
-        let carry_class = |linear: usize| {
-            let stride = col_groups * (count - 1);
-            let (bx, s, z) =
-                (linear % col_groups, 1 + linear / col_groups % (count - 1), linear / stride);
-            class(bx, s, z, s - 1)
-        };
-        let grid = (col_groups as u32, (count - 1) as u32, planes as u32);
-        gpu.launch_classed(carry_name, grid, 32u32, &sig, carry_class, |blk| {
-            let x0 = blk.block_idx.x as usize * 32;
-            let s = 1 + blk.block_idx.y as usize;
-            let z = blk.block_idx.z as usize;
-            let width = 32.min(nx - x0);
-            blk.warps(|w| {
-                let prev = (z * count + s - 1) * nx + x0;
-                let carry = w.load(&totals, |l| (l.id < width).then_some(prev + l.id));
-                let y0 = s * len;
-                for y in y0..(y0 + len).min(ny) {
-                    let base = (z * ny + y) * nx + x0;
-                    let v = w.load(walked, |l| (l.id < width).then_some(base + l.id));
-                    w.store(walked, |l| {
-                        (l.id < width).then(|| (base + l.id, v[l.id].wrapping_add(carry[l.id])))
-                    });
-                }
-            });
+        return;
+    };
+    // The totals walk reads the raw totals the fill computes, in place of
+    // a snapshot of the buffer.
+    let sums = if analytic { column_sums(src, view, len) } else { Vec::new() };
+    let totals_shape = axis.totals_shape(shape, count);
+    integrate_columns(gpu, axis, Src::InPlace(&sums), &mut totals, totals_shape, 0.0);
+    // Block (bx, s - first, z) adds the previous segment's inclusive
+    // column totals to segment s >= first (none to segment 0, which a
+    // dequantizing walk finishes too, its own class); classes as for the
+    // walk.
+    let first = usize::from(!O::CONVERTS);
+    let carried = count - first;
+    let carry_class = |linear: usize| {
+        let stride = col_groups * carried;
+        let (bx, s, z) =
+            (linear % col_groups, first + linear / col_groups % carried, linear / stride);
+        class(bx, s, z, s.saturating_sub(1)) | u64::from(s == 0) << 9
+    };
+    let grid = (col_groups as u32, carried as u32, planes as u32);
+    gpu.launch_classed(carry_name, grid, 32u32, &sig, carry_class, |blk| {
+        let x0 = blk.block_idx.x as usize * 32;
+        let s = first + blk.block_idx.y as usize;
+        let z = blk.block_idx.z as usize;
+        let width = 32.min(nx - x0);
+        blk.warps(|w| {
+            let prev = (z * count + s.saturating_sub(1)) * nx + x0;
+            let carry = if s > 0 {
+                w.load(&totals, |l| (l.id < width).then_some(prev + l.id))
+            } else {
+                [0; 32]
+            };
+            let y0 = s * len;
+            for y in y0..(y0 + len).min(ny) {
+                let at = |l: Lane| (l.id < width).then_some((z * ny + y) * nx + x0 + l.id);
+                let v = io.load_partial(w, at);
+                let sums = core::array::from_fn(|i| v[i].wrapping_add(carry[i]));
+                io.store(w, &sums, true, at);
+            }
         });
-        gpu.free(totals);
+    });
+    if analytic {
+        fill_columns(src, dst.host_mut(), view, len, Some(&totals), ebx2);
     }
-    if let Some(mut vals) = snapshot {
-        axis.fill(&mut vals, shape);
-        q.host_mut().copy_from_slice(&vals);
-    }
+    gpu.free(totals);
 }
 
 /// One warp's running sum down `rows` rows of `width` adjacent columns from
-/// `base`, `pitch` values apart, storing each row's prefix in place.
-/// Returns the column sums.
-fn scan_columns(
+/// `base`, `pitch` values apart, storing each row's prefix finished or as
+/// partial sums. Returns the column sums.
+fn scan_columns<O: Output>(
     w: &mut WarpCtx<'_>,
-    q: &GpuBuffer<i32>,
+    io: Io<'_, O>,
     base: usize,
     rows: usize,
     pitch: usize,
     width: usize,
+    finish: bool,
 ) -> [i32; 32] {
     let mut acc = [0i32; 32];
     for y in 0..rows {
-        let row = base + y * pitch;
-        let v = w.load(q, |l| (l.id < width).then_some(row + l.id));
+        let at = |l: Lane| (l.id < width).then_some(base + y * pitch + l.id);
+        let v = io.load(w, at);
         for i in 0..32 {
             acc[i] = acc[i].wrapping_add(v[i]);
         }
-        let snapshot = acc;
-        w.store(q, |l| (l.id < width).then(|| (row + l.id, snapshot[l.id])));
+        io.store(w, &acc, finish, at);
     }
     acc
 }
 
-/// Step 6d: dequantize `q * 2eb` into f32.
-pub fn dequantize(gpu: &mut Gpu, q: &GpuBuffer<i32>, eb: f64) -> GpuBuffer<f32> {
-    let n = q.len();
-    let mut out: GpuBuffer<f32> = gpu.alloc(n);
-    let ebx2 = 2.0 * eb;
-    let blocks = n.div_ceil(256) as u32;
-    let analytic = gpu.effective_engine() == Engine::Analytic;
-    // Two classes: only the last block can be ragged. The signature is
-    // `n`, which the predicates read; never the bound, which only feeds
-    // arithmetic.
-    let class = |b: usize| u64::from(b == blocks as usize - 1);
-    gpu.launch_classed("decode.dequantize", blocks, 256u32, &[n as u64], class, |blk| {
-        let base = blk.block_linear() * 256;
-        blk.warps(|w| {
-            let v = w.load(q, |l| (base + l.ltid < n).then_some(base + l.ltid));
-            w.store(&out, |l| {
-                (base + l.ltid < n)
-                    .then(|| (base + l.ltid, crate::quant::dequantize(v[l.id], ebx2)))
+/// The analytic fill of a column walk over the `(planes, ny, nx)` view:
+/// down each segment of `len` rows, each column is its carry plus its
+/// running sum of `src`, finished into `dst`. A segment's carry is the
+/// previous segment's inclusive column totals in `totals`; the first has
+/// none. One pool task per segment of a plane.
+fn fill_columns<O: Output>(
+    src: Src<'_>,
+    dst: &mut [O],
+    view: Shape,
+    len: usize,
+    totals: Option<&GpuBuffer<i32>>,
+    ebx2: f64,
+) {
+    let (_, ny, nx) = view;
+    let count = ny.div_ceil(len);
+    let slabs: Vec<&mut [O]> =
+        dst.chunks_mut(ny * nx).flat_map(|plane| plane.chunks_mut(len * nx)).collect();
+    slabs.into_par_iter().enumerate().for_each(|(i, slab)| {
+        let mut acc = vec![0i32; nx];
+        if let Some(totals) = totals.filter(|_| !i.is_multiple_of(count)) {
+            totals.read_into((i - 1) * nx, &mut acc);
+        }
+        let mut piece = Piece::new();
+        let base = (i / count * ny + i % count * len) * nx;
+        for (y, row) in slab.chunks_mut(nx).enumerate() {
+            piece.each(src, base + y * nx, nx, |at, vals| {
+                for ((o, a), &v) in row[at..].iter_mut().zip(&mut acc[at..]).zip(vals) {
+                    *a = a.wrapping_add(v);
+                    *o = O::finish(*a, ebx2);
+                }
             });
-        });
+        }
     });
-    if analytic {
-        dequantize_field(&q.to_vec(), eb, out.host_mut());
-    }
-    out
 }
 
-/// Full inverse dual-quantization: deltas -> reconstructed field.
+/// The raw totals a split column walk stores: each segment's column sums
+/// of `src` over the `(planes, ny, nx)` view, segments of `len` rows.
+fn column_sums(src: Src<'_>, view: Shape, len: usize) -> Vec<i32> {
+    let (planes, ny, nx) = view;
+    let count = ny.div_ceil(len);
+    let mut sums = vec![0i32; planes * count * nx];
+    sums.par_chunks_mut(nx).enumerate().for_each(|(i, sums)| {
+        let mut piece = Piece::new();
+        let y0 = i % count * len;
+        for y in y0..(y0 + len).min(ny) {
+            piece.each(src, (i / count * ny + y) * nx, nx, |at, vals| {
+                for (s, &v) in sums[at..].iter_mut().zip(vals) {
+                    *s = s.wrapping_add(v);
+                }
+            });
+        }
+    });
+    sums
+}
+
+/// Step 5: inverse dual-quantization, from the words [`bit_unshuffle`]
+/// returns to the reconstructed field. The x walk decodes the codes; in a
+/// 2-D or 3-D field it stores i32 sums, the 3-D y walk integrates them in
+/// place, and the last axis's walk dequantizes into the field.
 pub fn inverse_lorenzo(
     gpu: &mut Gpu,
-    deltas: &mut GpuBuffer<i32>,
+    words: &GpuBuffer<u32>,
     shape: Shape,
     eb: f64,
 ) -> GpuBuffer<f32> {
+    let (nz, ny, nx) = shape;
+    let n = nz * ny * nx;
+    assert!(words.len() * 2 >= n, "not enough words for {n} codes");
+    let ebx2 = 2.0 * eb;
+    let mut out: GpuBuffer<f32> = gpu.alloc(n);
+    let codes = Src::Codes(words);
     let rank = rank_of(shape);
-    integrate_x(gpu, deltas, shape);
-    if rank >= 2 {
-        integrate_y(gpu, deltas, shape);
+    if rank == 1 {
+        integrate_x(gpu, codes, &mut out, shape, ebx2);
+        return out;
     }
-    if rank >= 3 {
-        integrate_z(gpu, deltas, shape);
-    }
-    dequantize(gpu, deltas, eb)
+    let mut q: GpuBuffer<i32> = gpu.alloc(n);
+    integrate_x(gpu, codes, &mut q, shape, 0.0);
+    let last = if rank == 3 {
+        // The one in-place pass: its fill reads a snapshot, since the
+        // representative blocks overwrite their rows.
+        let analytic = gpu.effective_engine() == Engine::Analytic;
+        let before = if analytic { q.to_vec() } else { Vec::new() };
+        integrate_columns(gpu, Column::Y, Src::InPlace(&before), &mut q, shape, 0.0);
+        Column::Z
+    } else {
+        Column::Y
+    };
+    integrate_columns(gpu, last, Src::Sums(&q), &mut out, shape, ebx2);
+    gpu.free(q);
+    out
 }
 
 #[cfg(test)]
@@ -677,33 +1005,54 @@ mod tests {
     use crate::{bitshuffle as cpu_shuffle, lorenzo, zeroblock};
     use fzgpu_sim::device::{A100, A4000};
 
+    /// `run` on a fresh device of each engine: the outputs must be equal,
+    /// and so must the two timelines, bit for bit.
+    fn on_both_engines<T: PartialEq + core::fmt::Debug>(run: impl Fn(&mut Gpu) -> T) -> T {
+        let record = |engine: Engine| {
+            let mut gpu = Gpu::new(A100);
+            gpu.set_engine(engine);
+            let out = run(&mut gpu);
+            (out, format!("{:?}", gpu.timeline()))
+        };
+        let interpreted = record(Engine::Interpreted);
+        assert_eq!(interpreted, record(Engine::Analytic));
+        interpreted.0
+    }
+
     #[test]
     fn expand_flags_matches_bits() {
-        let mut gpu = Gpu::new(A100);
-        let bits = vec![0b1010_0001u32, 0xFFFF_0000];
-        let d = gpu.upload(&bits);
-        let flags = expand_flags(&mut gpu, &d, 64).to_vec();
-        for b in 0..64 {
-            assert_eq!(flags[b], (bits[b / 32] >> (b % 32) & 1) as u8, "flag {b}");
+        let bits: Vec<u32> =
+            (0..70u32).map(|i| i.wrapping_mul(0x9E37_79B9) ^ 0b1010_0001).collect();
+        for nflags in [64, 2040, 70 * 32] {
+            let flags = on_both_engines(|gpu| {
+                let d = gpu.upload(&bits);
+                expand_flags(gpu, &d, nflags).to_vec()
+            });
+            for b in 0..nflags {
+                assert_eq!(flags[b], (bits[b / 32] >> (b % 32) & 1) as u8, "flag {b}");
+            }
         }
     }
 
     #[test]
     fn scatter_inverts_compact() {
-        let mut words = vec![0u32; 256 * BLOCK_WORDS];
-        for b in (0..256).step_by(3) {
+        // 1300 blocks: a second fill task, and a ragged last warp.
+        let nblocks = 1300;
+        let mut words = vec![0u32; nblocks * BLOCK_WORDS];
+        for b in (0..nblocks).step_by(3) {
             words[b * BLOCK_WORDS + 1] = b as u32 + 7;
         }
         let reference = zeroblock::encode(&words);
-        let mut gpu = Gpu::new(A100);
-        let d_payload = gpu.upload(&reference.payload);
-        let d_bits = gpu.upload(&reference.bit_flags);
-        let flags = expand_flags(&mut gpu, &d_bits, reference.num_blocks);
-        let wide = super::super::encode::widen_flags(&mut gpu, &flags);
-        let (offsets, total) = super::super::encode::flag_offsets(&mut gpu, &wide);
-        assert_eq!(total * BLOCK_WORDS, reference.payload.len());
-        let rebuilt = scatter(&mut gpu, &d_payload, &flags, &offsets);
-        assert_eq!(rebuilt.to_vec(), words);
+        let rebuilt = on_both_engines(|gpu| {
+            let d_payload = gpu.upload(&reference.payload);
+            let d_bits = gpu.upload(&reference.bit_flags);
+            let flags = expand_flags(gpu, &d_bits, reference.num_blocks);
+            let wide = super::super::encode::widen_flags(gpu, &flags);
+            let (offsets, total) = super::super::encode::flag_offsets(gpu, &wide);
+            assert_eq!(total * BLOCK_WORDS, reference.payload.len());
+            scatter(gpu, &d_payload, &flags, &offsets).to_vec()
+        });
+        assert_eq!(rebuilt, words);
     }
 
     #[test]
@@ -711,54 +1060,56 @@ mod tests {
         let words: Vec<u32> =
             (0..2 * TILE_WORDS as u32).map(|i| i.wrapping_mul(0x9E3779B9) ^ (i << 3)).collect();
         let shuffled = cpu_shuffle::shuffle(&words);
-        let mut gpu = Gpu::new(A100);
-        let d = gpu.upload(&shuffled);
-        let back = bit_unshuffle(&mut gpu, &d);
-        assert_eq!(back.to_vec(), words);
+        let back = on_both_engines(|gpu| {
+            let d = gpu.upload(&shuffled);
+            bit_unshuffle(gpu, &d).to_vec()
+        });
+        assert_eq!(back, words);
     }
 
-    /// Integrate `shape` on both engines: each must match
-    /// `lorenzo::integrate`, and the two timelines must agree bit for bit.
-    /// Returns the carry kernels launched, in order, repeats merged.
-    fn integrate_on_both_engines(shape: Shape) -> Vec<String> {
+    /// Sign-magnitude codes of deltas in -11..=12, over `n` values.
+    fn codes(n: usize) -> Vec<u16> {
+        (0..n)
+            .map(|i| {
+                let d = ((i * 31) % 23) as i32 - 11 + (i % 7 == 0) as i32;
+                crate::quant::delta_to_code(d)
+            })
+            .collect()
+    }
+
+    /// Reconstruct `shape` from packed codes on both engines: each must
+    /// match `lorenzo::inverse`, and the two timelines must agree bit for
+    /// bit. Returns the carry kernels launched, in order, repeats merged.
+    fn inverse_on_both_engines(shape: Shape) -> Vec<String> {
         let (nz, ny, nx) = shape;
-        let deltas: Vec<i32> =
-            (0..nz * ny * nx).map(|i| ((i * 31) % 23) as i32 - 11 + (i % 7 == 0) as i32).collect();
-        let mut cpu = deltas.clone();
-        lorenzo::integrate(&mut cpu, shape);
-        let run = |engine: Engine| {
-            let mut gpu = Gpu::new(A100);
-            gpu.set_engine(engine);
-            let mut d = gpu.upload(&deltas);
-            let rank = rank_of(shape);
-            integrate_x(&mut gpu, &mut d, shape);
-            if rank >= 2 {
-                integrate_y(&mut gpu, &mut d, shape);
-            }
-            if rank >= 3 {
-                integrate_z(&mut gpu, &mut d, shape);
-            }
-            assert_eq!(d.to_vec(), cpu, "{shape:?} on {engine:?}");
-            gpu.timeline().to_vec()
-        };
-        let timeline = run(Engine::Interpreted);
-        assert_eq!(format!("{timeline:?}"), format!("{:?}", run(Engine::Analytic)), "{shape:?}");
-        let mut carries: Vec<String> = timeline
-            .iter()
-            .map(|e| e.name().to_string())
-            .filter(|n| n.ends_with("_carry"))
-            .collect();
+        let codes = codes(nz * ny * nx);
+        let words = crate::pack::pack_codes(&codes);
+        let eb = 1e-3;
+        let cpu: Vec<u32> =
+            lorenzo::inverse(&codes, shape, eb).iter().map(|v| v.to_bits()).collect();
+        let (field, names) = on_both_engines(|gpu| {
+            let d = gpu.upload(&words);
+            gpu.reset_timeline();
+            let out = inverse_lorenzo(gpu, &d, shape, eb);
+            let names: Vec<String> = gpu.timeline().iter().map(|e| e.name().to_string()).collect();
+            (out.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<u32>>(), names)
+        });
+        assert!(field == cpu, "{shape:?} differs from lorenzo::inverse");
+        let mut carries: Vec<String> =
+            names.into_iter().filter(|n| n.ends_with("_carry")).collect();
         carries.dedup();
         carries
     }
 
-    /// Smallest 1-D length whose row walk splits on `spec`.
+    /// Smallest 1-D length whose typed row walk (codes to f32) splits on
+    /// `spec`.
     fn first_split_length(spec: &DeviceSpec) -> usize {
+        let splits = |n: usize| row_plan(spec, 1, n, 2, true).1.is_some();
         let (mut lo, mut hi) = (32usize, 1 << 24);
-        assert!(row_plan(spec, 1, hi).1.is_some());
+        assert!(splits(hi));
         while lo + 1 < hi {
             let mid = (lo + hi) / 2;
-            if row_plan(spec, 1, mid).1.is_some() {
+            if splits(mid) {
                 hi = mid;
             } else {
                 lo = mid;
@@ -768,41 +1119,87 @@ mod tests {
     }
 
     #[test]
-    fn integrate_matches_cpu_3d() {
+    fn inverse_matches_cpu_3d() {
         // Where the splits happen: the 3 long rows, the 900-row columns of
-        // (1, 900, 40) (their totals split again), and QMCPACK's z walk
-        // (156 column groups).
+        // (1, 900, 40) (their totals split again), QMCPACK's z walk (156
+        // column groups), and odd row lengths, whose rows start at odd
+        // codes.
         for (shape, carries) in [
             ((6, 40, 70), vec![]),
+            ((4, 33, 65), vec![]),
             ((1, 3, 100_003), vec!["decode.integrate_x_carry"]),
             ((1, 900, 40), vec!["decode.integrate_y_carry"]),
             ((496, 69, 72), vec!["decode.integrate_z_carry"]),
         ] {
-            assert_eq!(integrate_on_both_engines(shape), carries, "{shape:?}");
+            assert_eq!(inverse_on_both_engines(shape), carries, "{shape:?}");
         }
     }
 
     #[test]
-    fn integrate_matches_cpu_1d_long_row() {
+    fn inverse_matches_cpu_1d_long_row() {
         // Rows longer than one warp stride exercise the carry logic; the
         // lengths around the first split exercise the segment walk.
         let split = first_split_length(&A100);
         for n in [1000, split - 1, split, split + 1, 100_003] {
-            let carried = !integrate_on_both_engines((1, 1, n)).is_empty();
+            let carried = !inverse_on_both_engines((1, 1, n)).is_empty();
             assert_eq!(carried, n >= split, "length {n}");
         }
     }
 
-    /// Modeled time of `walk` over a zeroed field of `len` values.
-    fn modeled(
+    #[test]
+    fn codes_decode_from_both_halves_of_a_word() {
+        // Twice the bound is 1, so the field is the running sum of the
+        // decoded deltas 5, -3, 0, 32767, -32767.
+        let codes: Vec<u16> = vec![5, 0x8003, 0, 32767, 0x8000 | 32767];
+        let words = crate::pack::pack_codes(&codes);
+        let field = on_both_engines(|gpu| {
+            let d = gpu.upload(&words);
+            inverse_lorenzo(gpu, &d, (1, 1, 5), 0.5).to_vec()
+        });
+        assert_eq!(field, vec![5.0, 2.0, 2.0, 32769.0, 2.0]);
+    }
+
+    /// The passes a reconstruction of `shape` runs, as (axis, input); the
+    /// last stores f32, the rest i32.
+    fn passes(shape: Shape) -> Vec<(Option<Column>, &'static str)> {
+        match rank_of(shape) {
+            1 => vec![(None, "codes")],
+            2 => vec![(None, "codes"), (Some(Column::Y), "sums")],
+            _ => vec![(None, "codes"), (Some(Column::Y), "in place"), (Some(Column::Z), "sums")],
+        }
+    }
+
+    /// Modeled time of one pass over `shape` from a zeroed input, with the
+    /// chosen plan, or unsplit.
+    fn modeled<O: Output>(
         spec: DeviceSpec,
-        len: usize,
-        walk: impl FnOnce(&mut Gpu, &mut GpuBuffer<i32>),
+        shape: Shape,
+        (axis, input): (Option<Column>, &str),
+        chosen: bool,
     ) -> f64 {
+        let n = shape.0 * shape.1 * shape.2;
         let mut gpu = Gpu::new(spec);
         gpu.set_engine(Engine::Analytic);
-        let mut q = gpu.alloc::<i32>(len);
-        walk(&mut gpu, &mut q);
+        let words = gpu.alloc::<u32>(n.div_ceil(2));
+        let sums = gpu.alloc::<i32>(n);
+        let mut dst = gpu.alloc::<O>(n);
+        let before = vec![0i32; n];
+        let src = match input {
+            "codes" => Src::Codes(&words),
+            "sums" => Src::Sums(&sums),
+            _ => Src::InPlace(&before),
+        };
+        match axis {
+            None => {
+                let rows = shape.0 * shape.1;
+                let plan = row_plan(&spec, rows, shape.2, src.bytes(), O::CONVERTS).1;
+                row_walk(&mut gpu, src, &mut dst, shape, 1.0, plan.filter(|_| chosen));
+            }
+            Some(axis) => {
+                let plan = column_plan(&spec, axis.view(shape), src.bytes(), O::CONVERTS).1;
+                column_walk(&mut gpu, axis, src, &mut dst, shape, 1.0, plan.filter(|_| chosen));
+            }
+        }
         gpu.kernel_time()
     }
 
@@ -829,31 +1226,22 @@ mod tests {
         let mut split = 0;
         for spec in [A100, A4000] {
             for &shape in &shapes {
-                let n = shape.0 * shape.1 * shape.2;
-                let rank = rank_of(shape);
-                let x = modeled(spec, n, |g, q| integrate_x(g, q, shape));
-                let x0 = modeled(spec, n, |g, q| row_walk(g, q, shape, None));
-                assert!(x <= x0, "x of {shape:?} on {}: {x} > {x0}", spec.name);
-                split += usize::from(x < x0);
-                for axis in [Column::Y, Column::Z].into_iter().take(rank - 1) {
-                    let t = modeled(spec, n, |g, q| integrate_columns(g, axis, q, shape));
-                    let t0 = modeled(spec, n, |g, q| column_walk(g, axis, q, shape, None));
-                    assert!(t <= t0, "{axis:?} of {shape:?} on {}: {t} > {t0}", spec.name);
+                let passes = passes(shape);
+                let last = passes.len() - 1;
+                // Every pass of the reconstruction, then the i32 row walk
+                // that integrates a split walk's totals.
+                for (i, &pass) in passes.iter().chain(&[(None, "in place")]).enumerate() {
+                    let time = |chosen| match i == last {
+                        true => modeled::<f32>(spec, shape, pass, chosen),
+                        false => modeled::<i32>(spec, shape, pass, chosen),
+                    };
+                    let (t, t0) = (time(true), time(false));
+                    assert!(t <= t0, "{pass:?} of {shape:?} on {}: {t} > {t0}", spec.name);
                     split += usize::from(t < t0);
                 }
             }
         }
         assert!(split > 0);
-    }
-
-    #[test]
-    fn codes_to_deltas_unpacks_both_halves() {
-        let codes: Vec<u16> = vec![5, 0x8003, 0, 32767, 0x8000 | 32767];
-        let words = crate::pack::pack_codes(&codes);
-        let mut gpu = Gpu::new(A100);
-        let d = gpu.upload(&words);
-        let deltas = codes_to_deltas(&mut gpu, &d, codes.len());
-        assert_eq!(deltas.to_vec(), vec![5, -3, 0, 32767, -32767]);
     }
 
     #[test]
@@ -870,8 +1258,7 @@ mod tests {
         let mut gpu = Gpu::new(A100);
         let words = crate::pack::pack_codes(&codes);
         let d_words = gpu.upload(&words);
-        let mut deltas = codes_to_deltas(&mut gpu, &d_words, n);
-        let back = inverse_lorenzo(&mut gpu, &mut deltas, shape, eb);
+        let back = inverse_lorenzo(&mut gpu, &d_words, shape, eb);
         assert_eq!(back.to_vec(), cpu_back);
     }
 }

@@ -13,10 +13,10 @@ use rayon::prelude::*;
 
 use crate::zeroblock::BLOCK_WORDS;
 
-/// Flags per item of the analytic widen and compact fills: a whole number
-/// of 256-flag kernel blocks, so each item holds whole warps, and few
-/// enough for widen's stack buffer.
-const FILL_FLAGS: usize = 1 << 10;
+/// Flags per item of the analytic widen, compact, expand and scatter
+/// fills: a whole number of 256-flag kernel blocks, so each item holds
+/// whole warps, and few enough for a stack buffer.
+pub(crate) const FILL_FLAGS: usize = 1 << 10;
 
 /// Widen byte flags to u32 for the scan (CUB scans these as integers).
 pub fn widen_flags(gpu: &mut Gpu, byte_flags: &GpuBuffer<u8>) -> GpuBuffer<u32> {
@@ -70,11 +70,10 @@ pub fn compact(
     let nflags = byte_flags.len();
     assert_eq!(shuffled.len(), nflags * BLOCK_WORDS);
     let mut payload: GpuBuffer<u32> = gpu.alloc(total_blocks_present * BLOCK_WORDS);
-    let blocks = nflags.div_ceil(256) as u32;
     if gpu.effective_engine() == Engine::Analytic {
         // Data-dependent kernel: no block is representative, but the
         // counters are an exact function of (flags, offsets) — see
-        // [`compaction_stats`]. The payload itself is a copy of the flagged
+        // [`warp_stats`]. The payload itself is a copy of the flagged
         // blocks to their offsets. Offsets are the exclusive prefix sum of
         // the flags, so each task of FILL_FLAGS flags owns the payload from
         // its first flag's offset to the next task's, and the payload
@@ -96,16 +95,10 @@ pub fn compact(
             .enumerate()
             .map(|(c, piece)| compact_task(shuffled, byte_flags, offsets, c * FILL_FLAGS, piece))
             .collect();
-        let mut stats = KernelStats::default();
-        for s in &task_stats {
-            stats.merge(s);
-        }
-        for _ in nflags.div_ceil(32)..blocks as usize * 8 {
-            warp_stats(&mut stats, &[], &[]);
-        }
-        gpu.launch_analytic("encode.compact", blocks, 256u32, stats);
+        launch_compaction(gpu, "encode.compact", nflags, &task_stats);
         return payload;
     }
+    let blocks = nflags.div_ceil(256) as u32;
     gpu.launch("encode.compact", blocks, 256u32, |blk| {
         let base = blk.block_linear() * 256;
         blk.warps(|w| {
@@ -127,10 +120,28 @@ pub fn compact(
     payload
 }
 
-/// Closed-form [`KernelStats`] for the compaction kernel — and, by
-/// symmetry, the decoder's scatter kernel ([`crate::gpu::decode`]), whose
-/// per-warp operations mirror compact's with load/store swapped (the
-/// accounting charges loads and stores identically).
+/// Record an analytic launch of `encode.compact` or `decode.scatter` over
+/// `nflags` flags: the counters of its fill's tasks of [`FILL_FLAGS`]
+/// flags each, merged in task order (they are integer sums), plus the
+/// idle warps of the last 256-flag block.
+pub(crate) fn launch_compaction(gpu: &mut Gpu, name: &str, nflags: usize, tasks: &[KernelStats]) {
+    let blocks = nflags.div_ceil(256);
+    let mut stats = KernelStats::default();
+    for s in tasks {
+        stats.merge(s);
+    }
+    for _ in nflags.div_ceil(32)..blocks * 8 {
+        warp_stats(&mut stats, &[], &[]);
+    }
+    gpu.launch_analytic(name, blocks as u32, 256u32, stats);
+}
+
+/// Closed-form [`KernelStats`] of one warp of the compaction kernel —
+/// and, by symmetry, of the decoder's scatter kernel
+/// ([`crate::gpu::decode`]), whose per-warp operations mirror compact's
+/// with load/store swapped (the accounting charges loads and stores
+/// identically). `flags` and `offs` are its active lanes (none for a warp
+/// past the last flag).
 ///
 /// Per warp (`base = warp * 32`, A = active lanes under `b < nflags`,
 /// `w` = bitmask of flagged active lanes, `m = popcount(w)`):
@@ -145,20 +156,7 @@ pub fn compact(
 ///   one sector per *flagged lane pair* — `popcount((w | w >> 1) &
 ///   0x5555_5555)`. The payload side's offsets are consecutive
 ///   (`o0..o0+m`), spanning `floor((o0+m-1)/2) - floor(o0/2) + 1` sectors.
-pub(crate) fn compaction_stats(flags: &[u8], offs: &[u32], nblocks: usize) -> KernelStats {
-    let nflags = flags.len();
-    let mut s = KernelStats::default();
-    for warp in 0..nblocks * 8 {
-        let base = (warp * 32).min(nflags);
-        let end = (base + 32).min(nflags);
-        warp_stats(&mut s, &flags[base..end], &offs[base..end]);
-    }
-    s
-}
-
-/// One warp's share of [`compaction_stats`]: `flags` and `offs` are its
-/// active lanes (none for a warp past the last flag).
-fn warp_stats(s: &mut KernelStats, flags: &[u8], offs: &[u32]) {
+pub(crate) fn warp_stats(s: &mut KernelStats, flags: &[u8], offs: &[u32]) {
     let active = flags.len() as u64;
     s.warp_instructions += 2;
     s.inactive_lane_slots += 2 * (32 - active);
@@ -276,7 +274,7 @@ mod tests {
         assert_eq!(payload.to_vec(), reference.payload);
     }
 
-    /// The analytic closed form ([`compaction_stats`]) must reproduce the
+    /// The analytic closed form ([`warp_stats`]) must reproduce the
     /// interpreted kernel's record exactly — counters, modeled time, and
     /// payload bytes — including on a ragged flag count where the last
     /// warp is partially active.

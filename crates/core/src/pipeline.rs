@@ -402,10 +402,7 @@ impl FzGpu {
         self.gpu.free(d_offsets);
         let d_out = {
             let _s = fzgpu_trace::span("stage.dequant");
-            let mut d_deltas = gdec::codes_to_deltas(&mut self.gpu, &d_words, header.n_values);
-            let out = gdec::inverse_lorenzo(&mut self.gpu, &mut d_deltas, header.shape, header.eb);
-            self.gpu.free(d_deltas);
-            out
+            gdec::inverse_lorenzo(&mut self.gpu, &d_words, header.shape, header.eb)
         };
         self.gpu.free(d_words);
         note_decompress_metrics(t0);

@@ -88,25 +88,47 @@ impl<T: Pod> GpuBuffer<T> {
         (self.size_bytes() as u64).div_ceil(crate::device::SECTOR_BYTES as u64)
     }
 
-    /// Raw element read. Bounds-checked; used by the warp context and by
-    /// [`GpuBuffer::host_read`].
+    /// Pointer to element `idx` of the buffer viewed as `U`s. Device
+    /// memory is untyped, so a kernel may read or write a buffer through a
+    /// pointer cast to an element type whose width divides `T`'s, as a
+    /// `u16` view of `u32` words or an `i32` view of `f32`s. Element `idx`
+    /// of the view is bytes `idx * U::BYTES..` of the buffer in host byte
+    /// order, which the simulator takes to be the device's little-endian
+    /// order (as [`GpuBuffer::flip_bit`] does).
+    ///
+    /// # Panics
+    /// Panics when `U` does not tile `T` or `idx` is past the view.
     #[inline]
-    pub(crate) fn read(&self, idx: usize) -> T {
-        let cell = &self.cells[idx];
-        // SAFETY: per the module contract there is no concurrent write to
-        // this element.
-        unsafe { *cell.get() }
+    fn view_ptr<U: Pod>(&self, idx: usize) -> *mut U {
+        assert!(
+            T::BYTES % U::BYTES == 0 && core::mem::align_of::<U>() <= core::mem::align_of::<T>(),
+            "a view must tile the buffer's elements"
+        );
+        let len = self.cells.len() * (T::BYTES / U::BYTES);
+        assert!(idx < len, "index {idx} out of bounds of a {len}-element view");
+        // SAFETY: in bounds of the allocation, and aligned for `U`: the
+        // base is aligned for `T` and `idx * U::BYTES` is a multiple of
+        // `U`'s alignment.
+        unsafe { (UnsafeCell::raw_get(self.cells.as_ptr()) as *mut U).add(idx) }
     }
 
-    /// Raw element write. Bounds-checked.
+    /// Element `idx` of the buffer viewed as `U`s (see
+    /// [`GpuBuffer::view_ptr`]); used by the warp context's loads and by
+    /// [`GpuBuffer::host_read`].
     #[inline]
-    pub(crate) fn write(&self, idx: usize, v: T) {
-        let cell = &self.cells[idx];
-        // SAFETY: per the module contract no other thread accesses this
-        // element concurrently.
-        unsafe {
-            *cell.get() = v;
-        }
+    pub(crate) fn read_as<U: Pod>(&self, idx: usize) -> U {
+        // SAFETY: per the module contract no other thread writes these
+        // bytes concurrently; every bit pattern is a valid `Pod` value.
+        unsafe { self.view_ptr::<U>(idx).read() }
+    }
+
+    /// Write element `idx` of the buffer viewed as `U`s; used by the warp
+    /// context's stores.
+    #[inline]
+    pub(crate) fn write_as<U: Pod>(&self, idx: usize, v: U) {
+        // SAFETY: per the module contract no other thread accesses these
+        // bytes concurrently; the cells are `UnsafeCell`s.
+        unsafe { self.view_ptr::<U>(idx).write(v) }
     }
 
     /// Total bits stored in the buffer (fault-injection address space).
@@ -166,7 +188,7 @@ impl<T: Pod> GpuBuffer<T> {
     /// is writing the buffer (launches are synchronous, so any call between
     /// launches is fine).
     pub fn host_read(&self, idx: usize) -> T {
-        self.read(idx)
+        self.read_as(idx)
     }
 
     /// The whole buffer as a host slice, for writing between launches

@@ -224,7 +224,7 @@ mod tests {
         let pool = MemPool::new();
         let (a, _) = pool.acquire::<u64>(64);
         for i in 0..64 {
-            a.write(i, 0xdead_beef);
+            a.write_as(i, 0xdead_beef_u64);
         }
         pool.release(a);
         let (b, hit) = pool.acquire::<u64>(64);

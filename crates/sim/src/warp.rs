@@ -179,19 +179,31 @@ impl<'a> WarpCtx<'a> {
     pub fn load<T: Pod>(
         &mut self,
         buf: &GpuBuffer<T>,
-        mut addr: impl FnMut(Lane) -> Option<usize>,
+        addr: impl FnMut(Lane) -> Option<usize>,
     ) -> [T; WARP_SIZE] {
+        self.load_as(buf, addr)
+    }
+
+    /// [`WarpCtx::load`] through a cast pointer: the buffer viewed as
+    /// elements of `U`, whose width divides `T`'s (a `u16` view of `u32`
+    /// words, an `i32` view of `f32`s). Indices count `U` elements, and
+    /// bytes and sectors are charged at `U`'s width.
+    pub fn load_as<U: Pod, T: Pod>(
+        &mut self,
+        buf: &GpuBuffer<T>,
+        mut addr: impl FnMut(Lane) -> Option<usize>,
+    ) -> [U; WARP_SIZE] {
         let mut addrs: Vec<usize> = Vec::with_capacity(WARP_SIZE);
         let out = core::array::from_fn(|i| {
             if i < self.active_lanes {
                 if let Some(a) = addr(self.lane(i)) {
                     addrs.push(a);
-                    return buf.read(a);
+                    return buf.read_as(a);
                 }
             }
-            T::default()
+            U::default()
         });
-        self.charge_global::<T>(&addrs);
+        self.charge_global::<U>(&addrs);
         out
     }
 
@@ -199,19 +211,30 @@ impl<'a> WarpCtx<'a> {
     pub fn store<T: Pod>(
         &mut self,
         buf: &GpuBuffer<T>,
-        mut val: impl FnMut(Lane) -> Option<(usize, T)>,
+        val: impl FnMut(Lane) -> Option<(usize, T)>,
+    ) {
+        self.store_as(buf, val);
+    }
+
+    /// [`WarpCtx::store`] through a cast pointer, as [`WarpCtx::load_as`].
+    /// The race detector logs the view's indices, so a kernel that writes
+    /// one buffer through two widths must not rely on it.
+    pub fn store_as<U: Pod, T: Pod>(
+        &mut self,
+        buf: &GpuBuffer<T>,
+        mut val: impl FnMut(Lane) -> Option<(usize, U)>,
     ) {
         let mut addrs: Vec<usize> = Vec::with_capacity(WARP_SIZE);
         for i in 0..self.active_lanes {
             if let Some((a, v)) = val(self.lane(i)) {
-                buf.write(a, v);
+                buf.write_as(a, v);
                 addrs.push(a);
             }
         }
         if let Some(log) = self.writes.as_deref_mut() {
             log.extend(addrs.iter().map(|&a| (buf.id(), a)));
         }
-        self.charge_global::<T>(&addrs);
+        self.charge_global::<U>(&addrs);
     }
 
     // ----- shared memory -----
@@ -333,6 +356,33 @@ mod tests {
         assert_eq!(buf.to_vec()[10], 20);
         // 32 x 2B = 64B = 2 sectors.
         assert_eq!(stats.global_sectors, 2);
+    }
+
+    #[test]
+    fn views_read_halves_and_write_bits_at_their_width() {
+        // u16 view of u32 words: the low half is the even element.
+        let words =
+            GpuBuffer::from_host(&(0u32..32).map(|i| i << 16 | (i + 100)).collect::<Vec<_>>());
+        let mut stats = KernelStats::default();
+        let mut w = warp(&mut stats);
+        let halves: [u16; 32] = w.load_as(&words, |l| Some(l.id + 32));
+        assert_eq!(halves[..4], [116, 16, 117, 17]);
+        // 32 x 2B = 64B = 2 sectors.
+        assert_eq!((stats.global_sectors, stats.global_bytes_requested), (2, 64));
+        // i32 bits stored into an f32 buffer read back through either type.
+        let floats: GpuBuffer<f32> = GpuBuffer::zeroed(32);
+        let mut w = warp(&mut stats);
+        w.store_as(&floats, |l| Some((l.id, 1.5f32.to_bits() as i32 + l.id as i32)));
+        let bits: [i32; 32] = w.load_as(&floats, |l| Some(l.id));
+        assert_eq!((floats.to_vec()[0], bits[3]), (1.5, 1.5f32.to_bits() as i32 + 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "tile")]
+    fn a_view_wider_than_the_element_is_rejected() {
+        let halves: GpuBuffer<u16> = GpuBuffer::zeroed(64);
+        let mut stats = KernelStats::default();
+        let _: [u32; 32] = warp(&mut stats).load_as(&halves, |l| Some(l.id));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use fz_gpu::core::{ErrorBound, FaultPlan, FzGpu, FzOptions};
 use fz_gpu::sim::device::A100;
-use fz_gpu::sim::Engine;
+use fz_gpu::sim::{Engine, Event};
 use proptest::prelude::*;
 
 /// The thread pool and the metrics registry are process-global; runs that
@@ -195,6 +195,69 @@ proptest! {
         rayon::set_num_threads(1);
         drop(guard);
         prop_assert!(failure.is_none(), "warm round trip diverges at (field, shape) {:?}", failure);
+    }
+}
+
+/// Rows per line of the i32 totals walk a split row walk launches (the
+/// second `decode.integrate_x` of the last decompress on `fz`), read off
+/// its bytes: it loads and stores each of `rows` rows of totals once.
+fn totals_walk_len(fz: &FzGpu, rows: usize) -> usize {
+    let walks: Vec<u64> = fz
+        .gpu()
+        .timeline()
+        .iter()
+        .filter_map(|e| match e {
+            Event::Kernel(k) if k.name == "decode.integrate_x" => {
+                Some(k.stats.global_bytes_requested)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(walks.len(), 2, "a split row walk and its unsplit totals walk");
+    walks[1] as usize / (8 * rows)
+}
+
+/// A typed row walk (u16 codes in) and an i32 totals walk can share kernel
+/// name, grid, block and `(rows, nx)`: a field whose row length is another
+/// field's segment count walks its codes on the grid that the other
+/// field's totals walk uses. Only the element types in the launch
+/// signature keep them apart in the device's memo. Here one warm analytic
+/// device runs such pairs in both orders, a 1-D pair and a 2-D pair with
+/// 12 rows of odd length, whose code loads make blocks 0 and 1 classes of
+/// their own (the rows' 32-byte sector residue follows the block's
+/// parity). Each round trip must equal a fresh interpreted device's.
+#[test]
+fn typed_and_totals_walks_of_one_grid_keep_their_own_counters() {
+    let _guard = serialized(1);
+    let interpreted = FzOptions { engine: Engine::Interpreted, ..FzOptions::default() };
+    let cold = |shape: (usize, usize, usize)| {
+        let data = synth(shape.0 * shape.1 * shape.2, 3.0, false);
+        let mut fz = FzGpu::with_options(A100, interpreted);
+        let trip = round_trip(&mut fz, &data, shape, 1e-3);
+        (shape, data, trip, fz)
+    };
+    let mut pairs = Vec::new();
+    for (rows, nx) in [(1usize, 1usize << 20), (12, 50_001)] {
+        let (long, data, trip, fz) = cold((1, rows, nx));
+        let count = totals_walk_len(&fz, rows);
+        if rows > 8 {
+            assert_eq!(count % 2, 1, "an odd row length for the parity classes");
+        }
+        let short = cold((1, rows, count));
+        pairs.push([(long, data, trip), (short.0, short.1, short.2)]);
+    }
+    for order in [[0, 1], [1, 0]] {
+        let mut warm = FzGpu::with_options(
+            A100,
+            FzOptions { engine: Engine::Analytic, ..FzOptions::default() },
+        );
+        for pair in &pairs {
+            for i in order {
+                let (shape, data, cold) = &pair[i];
+                let trip = round_trip(&mut warm, data, *shape, 1e-3);
+                assert!(trip == *cold, "warm round trip of {shape:?} diverges (order {order:?})");
+            }
+        }
     }
 }
 

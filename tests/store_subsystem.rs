@@ -220,7 +220,7 @@ fn store_digests_are_invariant_across_threads_engines_and_paths() {
 /// seeded store-read report's JSON over the `fz` container. The container
 /// embeds `StoreSpec::to_json`, so these pin the meta JSON byte for byte.
 const CONTAINER_CRCS: [u32; 3] = [0x992a_854b, 0x7663_8664, 0xd3c5_c19c];
-const STORE_READ_REPORT_CRC: u32 = 0x38c8_12b7;
+const STORE_READ_REPORT_CRC: u32 = 0x60a2_cf75;
 
 /// CRC-32 of the container bytes for every built-in codec, on a 16x32x32
 /// field in 8x16x16 chunks (a chunk shape every codec can encode: SZ-OMP

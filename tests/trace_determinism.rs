@@ -19,7 +19,7 @@ use rayon::prelude::*;
 /// CRC-32 of the Det metric exposition after replaying every
 /// `serve_table` row from a reset registry: pins each `fzgpu_serve_*`
 /// series alongside the pipeline counters the jobs drive.
-const SERVE_EXPOSITION_CRC: u32 = 0xe90e_e48e;
+const SERVE_EXPOSITION_CRC: u32 = 0x40a1_1d45;
 
 /// Capture windows, the metrics registry, and the pool are all
 /// process-global; tests must not interleave.
